@@ -18,7 +18,6 @@ from envswitch.alignment import (BandTooNarrowError, MetricModel, dtw,
                                  margin_loss, margin_loss_grads,
                                  mean_margin_loss, soft_dtw, soft_dtw_value,
                                  train_metric)
-from envswitch.cli import cmd_evaluate, cmd_simulate, cmd_train
 from envswitch.config import EngineConfig
 from envswitch.fingerprints import (MODALITIES, contains_identifier_leak,
                                     desensitize)
@@ -26,11 +25,9 @@ from envswitch.filters import apply_elp, apply_gaussian, apply_kalman
 from envswitch.policy import (PolicyModel, RewardWeights, Trajectory, act,
                               clipped_surrogate, ppo_update)
 
+import golden
 from conftest import make_sequence, random_packed
 from test_alignment import brute_force_distance, wifi_discriminative_pairs
-
-CANONICAL_SEED = 13
-EVAL_SESSIONS = 20
 
 
 def report(criterion, ok, detail=""):
@@ -260,16 +257,11 @@ def pipeline_runs(tmp_path_factory):
     t0 = time.time()
     for run in (1, 2):
         out = str(tmp_path_factory.mktemp(f"pipeline{run}"))
-        cmd_simulate(["A", "B", "C"], 2, CANONICAL_SEED, out, cfg)
-        cmd_train(CANONICAL_SEED, out, cfg, rounds=20, log=lambda *a: None)
-        reports = cmd_evaluate(["A", "B", "C"],
-                               {f: EVAL_SESSIONS for f in "ABC"},
-                               CANONICAL_SEED, out, out, cfg,
-                               log=lambda *a: None)
-        runs.append((out, reports))
+        runs.append((out, golden.run_pipeline(out, cfg)))
     return runs, time.time() - t0
 
 
+@pytest.mark.slow
 def test_criterion_6_end_to_end_tts_improvement(pipeline_runs):
     runs, elapsed = pipeline_runs
     _, reports = runs[0]
@@ -289,6 +281,7 @@ def test_criterion_6_end_to_end_tts_improvement(pipeline_runs):
            f"ordering C>=A>=B {ordering_ok}; two full runs in {elapsed:.0f} s")
 
 
+@pytest.mark.slow
 def test_train_emits_models_and_learning_curve(pipeline_runs):
     """cmd_train side contracts: the four model files exist and the per-round
     mean reward improves (final 5-round mean >= first 5-round mean)."""
@@ -302,6 +295,7 @@ def test_train_emits_models_and_learning_curve(pipeline_runs):
     assert np.mean(rewards[-5:]) >= np.mean(rewards[:5])
 
 
+@pytest.mark.slow
 def test_criterion_8_pipeline_determinism(pipeline_runs):
     runs, _ = pipeline_runs
     dir_a, dir_b = runs[0][0], runs[1][0]
@@ -323,6 +317,25 @@ def test_criterion_8_pipeline_determinism(pipeline_runs):
            f"{compared} artifacts byte-identical across two full "
            f"simulate->train->evaluate runs" +
            (f"; MISMATCHED: {mismatched}" if mismatched else ""))
+
+
+@pytest.mark.slow
+def test_golden_digests(pipeline_runs):
+    """Run 1's artifacts equal the digests recorded for this environment."""
+    runs, _ = pipeline_runs
+    key = golden.environment_key()
+    recorded = golden.load_recorded().get(key)
+    if recorded is None:
+        pytest.fail(f"no golden digests recorded for {key!r} in "
+                    f"{golden.DIGEST_FILE}; record them from the repository "
+                    f"root with `PYTHONPATH=src python tests/golden.py`")
+    got = golden.artifact_digests(runs[0][0])
+    missing = sorted(set(recorded) - set(got))
+    extra = sorted(set(got) - set(recorded))
+    changed = sorted(n for n in set(got) & set(recorded) if got[n] != recorded[n])
+    assert not (missing or extra or changed), (
+        f"artifacts differ from the golden digests for {key!r}: "
+        f"changed {changed}, missing {missing}, unexpected {extra}")
 
 
 # ---------------------------------------------------------------------------
