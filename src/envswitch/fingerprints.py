@@ -139,9 +139,6 @@ class Fingerprint:
     def modality_features(self, kind: str) -> np.ndarray:
         return self.features[MODALITY_SLICES[kind]]
 
-    def is_present(self, kind: str) -> bool:
-        return bool(self.present[MODALITIES.index(kind)])
-
     def replace_features(self, features) -> "Fingerprint":
         return Fingerprint(self.timestamp, features, self.present, self.quality)
 

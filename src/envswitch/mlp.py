@@ -33,11 +33,6 @@ class TwoLayerNet:
         return cls(np.zeros((n_hidden, n_in)), np.zeros(n_hidden),
                    np.zeros((n_out, n_hidden)), np.zeros(n_out))
 
-    @property
-    def shapes(self):
-        return {"w1": self.w1.shape, "b1": self.b1.shape,
-                "w2": self.w2.shape, "b2": self.b2.shape}
-
     def copy(self) -> "TwoLayerNet":
         return TwoLayerNet(self.w1.copy(), self.b1.copy(),
                            self.w2.copy(), self.b2.copy())
@@ -86,9 +81,6 @@ class TwoLayerNet:
         if i != vec.size:
             raise ValueError(f"expected {i} values, got {vec.size}")
         return TwoLayerNet(out["w1"], out["b1"], out["w2"], out["b2"])
-
-    def n_params(self) -> int:
-        return self.w1.size + self.b1.size + self.w2.size + self.b2.size
 
     def step(self, grads: dict, lr: float) -> "TwoLayerNet":
         """One plain gradient-descent step; returns a new network."""

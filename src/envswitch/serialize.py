@@ -42,16 +42,6 @@ def parse_tensors(text: str) -> dict:
     return out
 
 
-def save_tensors(path, mapping: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dump_tensors(mapping))
-
-
-def load_tensors(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_tensors(f.read())
-
-
 def fmt(value: float) -> str:
     """Canonical float formatting used across every text artifact."""
     return repr(float(value))

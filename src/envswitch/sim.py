@@ -163,9 +163,6 @@ class RawTrace:
     def serving_rssi(self) -> np.ndarray:
         return self.rssi_by_ap.max(axis=0)
 
-    def serving_ap(self) -> np.ndarray:
-        return self.rssi_by_ap.argmax(axis=0)
-
     def noiseless_serving(self) -> np.ndarray:
         return self.noiseless_by_ap.max(axis=0)
 
