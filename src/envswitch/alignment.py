@@ -4,7 +4,9 @@ The cell cost between two fingerprint windows is a sum over modalities of a
 learned weight times the squared Euclidean distance between linearly embedded
 features, zeroed whenever the modality is absent on either side.  Exact DTW
 under a Sakoe-Chiba band gives the alignment distance; a learned inverse
-temperature calibrates it to a similarity in (0, 1].  The soft-min variant of
+temperature calibrates it to a similarity in (0, 1].  One anti-diagonal
+recursion computes the exact tables, for one pair (``dtw``) or for a whole
+stack of equal-length prototypes (``match``).  The soft-min variant of
 the same recursion is differentiable, and this module carries hand-written
 backward passes so the metric (and, through the filter mixture, the selector)
 trains with plain gradient descent.
@@ -159,21 +161,26 @@ def _pack(seq):
 
 
 def cost_matrix(model: MetricModel, query, proto):
-    """Full (n, m) cost matrix plus per-modality caches for the backward pass."""
+    """Full (n, m) cost matrix plus per-modality caches for the backward pass.
+
+    ``proto`` may carry a leading prototype axis, features (P, m, F) and
+    presence (P, m, 5) for P prototypes of one length m; the cost is then
+    (P, n, m) and each slice equals the cost of that prototype alone.
+    """
     qf, qp = _pack(query)
     pf, pp = _pack(proto)
-    if qf.shape[1] != pf.shape[1]:
+    if qf.shape[-1] != pf.shape[-1]:
         raise ValueError("fingerprint schema mismatch")
-    n, m = qf.shape[0], pf.shape[0]
+    n, m = qf.shape[0], pf.shape[-2]
     w = model.weights
-    cost = np.zeros((n, m))
+    cost = np.zeros(pf.shape[:-2] + (n, m))
     caches = {}
     for i, mod in enumerate(MODALITIES):
         sl = MODALITY_SLICES[mod]
-        diff = qf[:, None, sl] - pf[None, :, sl]
+        diff = qf[:, None, sl] - pf[..., None, :, sl]
         emb = diff @ model.embeddings[mod].T
-        sq = np.einsum("ijk,ijk->ij", emb, emb)
-        mask = (qp[:, None, i] & pp[None, :, i]).astype(float)
+        sq = np.einsum("...ijk,...ijk->...ij", emb, emb)
+        mask = (qp[:, None, i] & pp[..., None, :, i]).astype(float)
         cost += w[i] * sq * mask
         caches[mod] = (diff, emb, sq, mask)
     return cost, caches
@@ -232,39 +239,39 @@ class AlignmentResult:
         return f"{proto_id},{fmt(self.distance)},{fmt(self.similarity)},{len(self.path)}"
 
 
-def dtw(model: MetricModel, query, proto, band: int = 3) -> AlignmentResult:
-    """Exact minimum-cost banded alignment with deterministic backtracking.
+def _dtw_tables(cost: np.ndarray, band: int) -> np.ndarray:
+    """Banded exact-DTW tables D for a (P, n, m) stack of cost matrices.
 
-    Backtracking tie-break prefers the diagonal predecessor, then the
-    vertical one (previous query window), then the horizontal one.
+    D[p, i, j] = cost[p, i, j] + min(D[p, i-1, j-1], D[p, i-1, j],
+    D[p, i, j-1]) inside the band and inf outside it or where no monotone
+    path reaches the cell.  Cells on one anti-diagonal depend only on the two
+    before it, so the recursion sweeps anti-diagonals, each one a single
+    vectorized step over every prototype and every cell of the diagonal.
     """
-    if band < 1:
-        raise ValueError("band must be >= 1")
-    cost, _ = cost_matrix(model, query, proto)
-    n, m = cost.shape
-    if n < 2 or m < 2:
-        raise ValueError("both sequences need at least 2 windows")
-    mask = band_mask(n, m, band)
+    P, n, m = cost.shape
     INF = np.inf
-    D = np.full((n, m), INF)
-    D[0, 0] = cost[0, 0]
-    for i in range(n):
-        row = mask[i]
-        for j in range(m):
-            if not row[j] or (i == 0 and j == 0):
-                continue
-            best = INF
-            if i > 0 and j > 0 and D[i - 1, j - 1] < best:
-                best = D[i - 1, j - 1]
-            if i > 0 and D[i - 1, j] < best:
-                best = D[i - 1, j]
-            if j > 0 and D[i, j - 1] < best:
-                best = D[i, j - 1]
-            if best < INF:
-                D[i, j] = cost[i, j] + best
-    if not np.isfinite(D[n - 1, m - 1]):
-        raise BandTooNarrowError("band too narrow: no admissible warping path")
-    # backtrack
+    # skewed layout: S[:, d + 1, i + 1] holds cell (i, d - i); row 0 (the
+    # diagonal before the first) and column 0 are inf padding
+    d = np.arange(n + m - 1)[:, None]
+    i = np.arange(n)[None, :]
+    j = d - i
+    jc = np.clip(j, 0, m - 1)
+    keep = (j >= 0) & (j < m) & band_mask(n, m, band)[i, jc]
+    skew = np.where(keep, cost[:, i, jc], INF)
+    S = np.full((P, n + m, n + 1), INF)
+    S[:, 1, 1:] = skew[:, 0]
+    best = np.empty((P, n))
+    for k in range(1, n + m - 1):
+        np.minimum(S[:, k - 1, :-1], S[:, k, :-1], out=best)   # diagonal, vertical
+        np.minimum(best, S[:, k, 1:], out=best)                # horizontal
+        np.add(skew[:, k], best, out=S[:, k + 1, 1:])
+    ii, jj = np.indices((n, m))
+    return S[:, ii + jj + 1, ii + 1]
+
+
+def _backtrack(D: np.ndarray) -> list:
+    """Warping path through one table; diagonal, then vertical, then horizontal."""
+    n, m = D.shape
     path = [(n - 1, m - 1)]
     i, j = n - 1, m - 1
     while (i, j) != (0, 0):
@@ -279,9 +286,28 @@ def dtw(model: MetricModel, query, proto, band: int = 3) -> AlignmentResult:
         _, _, (i, j) = min(candidates, key=lambda c: (c[0], c[1]))
         path.append((i, j))
     path.reverse()
+    return path
+
+
+def dtw(model: MetricModel, query, proto, band: int = 3) -> AlignmentResult:
+    """Exact minimum-cost banded alignment with deterministic backtracking.
+
+    The table comes from the same banded recursion ``match`` runs over a
+    whole library (``_dtw_tables`` on a stack of one).  Backtracking
+    tie-break prefers the diagonal predecessor, then the vertical one
+    (previous query window), then the horizontal one.
+    """
+    if band < 1:
+        raise ValueError("band must be >= 1")
+    cost, _ = cost_matrix(model, query, proto)
+    n, m = cost.shape
+    if n < 2 or m < 2:
+        raise ValueError("both sequences need at least 2 windows")
+    D = _dtw_tables(cost[None], band)[0]
     distance = float(D[n - 1, m - 1])
-    beta = model.beta
-    return AlignmentResult(distance, path, math.exp(-beta * distance))
+    if not np.isfinite(distance):
+        raise BandTooNarrowError("band too narrow: no admissible warping path")
+    return AlignmentResult(distance, _backtrack(D), math.exp(-model.beta * distance))
 
 
 # ---------------------------------------------------------------------------
@@ -507,29 +533,49 @@ def match(model: MetricModel, selector, live_window, library,
           band: int = 3, top_k: int = 3, ctx=None):
     """Rank library prototypes by calibrated similarity to the live window.
 
-    The live window and each prototype are denoised with the filter chosen
-    from the live window's context before alignment, so a prototype that
-    equals the live window scores similarity 1.0 exactly.  Ties break on the
-    smaller prototype id.  An empty library yields an empty list.
+    The live window and every prototype are denoised with the filter chosen
+    from the live window's context (``context_from_windows`` with scan age 0
+    when ``ctx`` is None) before alignment, so a prototype that equals the
+    live window scores similarity 1.0 exactly.  Prototypes of one length are
+    filtered, scored and aligned together: one ``denoise_matrix``, one
+    ``cost_matrix`` and one banded recursion per length.  A prototype with no
+    admissible path inside the band is left out.  Each result equals
+    ``dtw`` on that prototype alone; paths are backtracked only for the
+    ``top_k`` results returned.  Ties break on the smaller prototype id.  An
+    empty library yields an empty list.
     """
-    from .filters import FilterContext, denoise_matrix, select_filter
+    from .filters import context_from_windows, denoise_matrix, select_filter
 
     entries = list(library.items()) if hasattr(library, "items") else list(library)
     if not entries:
         return []
+    if band < 1:
+        raise ValueError("band must be >= 1")
     qf, qp = _pack(live_window)
     if ctx is None:
-        ctx = FilterContext(presence=tuple(bool(b) for b in qp.all(axis=0)))
+        ctx = context_from_windows(qf, qp, 0.0)
     choice = select_filter(selector, ctx)
-    q_filtered = (denoise_matrix(choice, qf), qp)
+    query = (denoise_matrix(choice, qf), qp)
+    n = qf.shape[0]
+    packed = [_pack(proto) for _, proto in entries]
+    by_length = {}
+    for k, (pf, _) in enumerate(packed):
+        by_length.setdefault(pf.shape[0], []).append(k)
+    if n < 2 or min(by_length) < 2:
+        raise ValueError("both sequences need at least 2 windows")
+    tables = [None] * len(entries)
+    for members in by_length.values():
+        pf = np.stack([packed[k][0] for k in members])
+        pp = np.stack([packed[k][1] for k in members])
+        cost, _ = cost_matrix(model, query, (denoise_matrix(choice, pf), pp))
+        for k, D in zip(members, _dtw_tables(cost, band)):
+            tables[k] = D
+    beta = model.beta
     scored = []
-    for pid, proto in entries:
-        pf, pp = _pack(proto)
-        p_filtered = (denoise_matrix(choice, pf), pp)
-        try:
-            result = dtw(model, q_filtered, p_filtered, band)
-        except BandTooNarrowError:
-            continue
-        scored.append((pid, result))
-    scored.sort(key=lambda e: (-e[1].similarity, e[0]))
-    return scored[:max(0, top_k)]
+    for (pid, _), D in zip(entries, tables):
+        distance = float(D[-1, -1])
+        if np.isfinite(distance):
+            scored.append((pid, distance, math.exp(-beta * distance), D))
+    scored.sort(key=lambda e: (-e[2], e[0]))
+    return [(pid, AlignmentResult(distance, _backtrack(D), similarity))
+            for pid, distance, similarity, D in scored[:max(0, top_k)]]

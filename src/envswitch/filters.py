@@ -3,10 +3,13 @@
 Three scalar denoisers (constant-state Kalman, truncated Gaussian, exponential
 low-pass) plus a small network that maps window context (RSSI variance, scan
 age, step rate, modality presence) to a distribution over the three filters
-and their coefficients.  At inference the argmax filter runs; during training
-a soft mixture of all three keeps the selection differentiable, and each
-filter carries analytic derivatives w.r.t. its own coefficient so gradients
-reach the selector parameters.
+and their coefficients.  At inference the argmax filter runs
+(``denoise_matrix``) down every column of a window, or of a whole stack of
+windows at once; the scalar ``apply_*`` functions define each filter and are
+the reference the batched ones equal bit for bit.  During training a soft
+mixture of all three keeps the selection differentiable, and each filter
+carries analytic derivatives w.r.t. its own coefficient so gradients reach
+the selector parameters.
 """
 
 import math
@@ -186,28 +189,84 @@ def select_filter(model: SelectorModel, ctx: FilterContext) -> FilterChoice:
     return FilterChoice(weights, q, r, sigma, alpha)
 
 
-def _apply_named(kind: str, choice: FilterChoice, series) -> np.ndarray:
-    if kind == "kalman":
-        return apply_kalman(series, choice.q, choice.r,
-                            init_mean=float(np.asarray(series, dtype=float)[0]),
-                            init_var=1.0)
-    if kind == "gaussian":
-        return apply_gaussian(series, choice.sigma)
-    return apply_elp(series, choice.alpha)
+def context_from_windows(features, present, scan_age: float) -> FilterContext:
+    """Selector context of a live window: (T, 14) features, (T, 5) presence.
+
+    RSSI variance and step rate are taken over the window's normalized
+    features; presence is that of the newest window.
+    """
+    features = np.asarray(features, dtype=float)
+    present = np.asarray(present, dtype=bool)
+    return FilterContext(
+        rssi_variance=float(np.var(features[:, 3])),
+        scan_age=scan_age,
+        step_rate=max(0.0, float(np.mean(features[:, 0]))),
+        presence=tuple(bool(b) for b in present[-1]))
 
 
-def denoise(choice: FilterChoice, series) -> np.ndarray:
-    """Hard selection at inference: run the argmax-weight filter."""
-    return _apply_named(choice.hard_kind(), choice, series)
+def _kalman_batch(x: np.ndarray, q: float, r: float) -> np.ndarray:
+    # gain and variance do not depend on the data, so one scalar recursion
+    # serves every series; each series starts from its own first value
+    out = np.empty_like(x)
+    mean = x[..., 0, :].copy()
+    var = 1.0
+    for i in range(x.shape[-2]):
+        var = var + q
+        gain = var / (var + r)
+        mean = mean + gain * (x[..., i, :] - mean)
+        var = (1.0 - gain) * var
+        out[..., i, :] = mean
+    return out
+
+
+def _gaussian_batch(x: np.ndarray, sigma: float) -> np.ndarray:
+    offsets, weights = _gaussian_kernel(sigma)
+    n = x.shape[-2]
+    num = np.zeros_like(x)
+    den = np.zeros(n)
+    for off, w in zip(offsets, weights):
+        lo = max(0, -off)
+        hi = min(n, n - off)
+        if lo >= hi:
+            continue
+        num[..., lo:hi, :] += w * x[..., lo + off:hi + off, :]
+        den[lo:hi] += w
+    return num / den[:, None]
+
+
+def _elp_batch(x: np.ndarray, alpha: float) -> np.ndarray:
+    out = np.empty_like(x)
+    out[..., 0, :] = x[..., 0, :]
+    for i in range(1, x.shape[-2]):
+        out[..., i, :] = alpha * x[..., i, :] + (1.0 - alpha) * out[..., i - 1, :]
+    return out
 
 
 def denoise_matrix(choice: FilterChoice, arr: np.ndarray) -> np.ndarray:
-    """Apply the hard-selected filter down each column of (T, F)."""
+    """Run the hard-selected filter along axis -2 of (..., T, F).
+
+    Every column of every leading batch entry is one series: ``(T, F)`` is one
+    window, ``(B, T, F)`` a stack of B windows of equal length.  Each series
+    gets the same IEEE operations, in the same order, as the scalar
+    ``apply_kalman`` (initialized at the series' first value, variance 1),
+    ``apply_gaussian`` or ``apply_elp``, so the results are bit-identical to
+    filtering column by column.
+    """
     arr = np.asarray(arr, dtype=float)
-    out = np.empty_like(arr)
-    for j in range(arr.shape[1]):
-        out[:, j] = denoise(choice, arr[:, j])
-    return out
+    if arr.ndim < 2 or arr.shape[-2] == 0:
+        raise ValueError("denoise_matrix needs a nonempty (..., T, F) array")
+    kind = choice.hard_kind()
+    if kind == "kalman":
+        return _kalman_batch(arr, choice.q, choice.r)
+    if kind == "gaussian":
+        return _gaussian_batch(arr, choice.sigma)
+    return _elp_batch(arr, choice.alpha)
+
+
+def denoise(choice: FilterChoice, series) -> np.ndarray:
+    """Hard selection at inference: run the argmax-weight filter on one series."""
+    series = np.asarray(series, dtype=float)
+    return denoise_matrix(choice, series[:, None])[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import EngineConfig
-from .filters import FilterContext
+from .filters import context_from_windows
 from .mlp import Adam, TwoLayerNet, softmax
 from .serialize import dump_tensors, fmt, parse_tensors
 from .sim import (RawTrace, baseline_policy, feedback_oracle, fingerprint_at,
@@ -420,13 +420,9 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
             if len(windows) >= 2 and len(stack.library) > 0:
                 live = (np.stack([w.features for w in windows]),
                         np.stack([w.present for w in windows]))
-                ctx = FilterContext(
-                    rssi_variance=float(np.var([w.features[3] for w in windows])),
-                    scan_age=scan_age,
-                    step_rate=max(0.0, float(np.mean([w.features[0] for w in windows]))),
-                    presence=tuple(bool(b) for b in windows[-1].present))
                 ranked = match_fn(stack.metric, stack.selector, live,
-                                  stack.library, stack.band, 1, ctx)
+                                  stack.library, stack.band, 1,
+                                  context_from_windows(*live, scan_age))
                 if ranked:
                     sim_top = ranked[0][1].similarity
         sim_history.append(sim_top)

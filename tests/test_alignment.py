@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from envswitch.alignment import (BandTooNarrowError, MetricModel, cell_cost,
-                                 cost_matrix, dtw, in_band, margin_loss,
+from envswitch.alignment import (BandTooNarrowError, MetricModel, _dtw_tables,
+                                 cell_cost, cost_matrix, dtw, in_band,
+                                 margin_loss,
                                  margin_loss_grads, match,
                                  pairs_from_switch_tags, soft_dtw,
                                  soft_dtw_value, train_metric,
@@ -13,7 +14,9 @@ from envswitch.config import LibraryConfig
 from envswitch.fingerprints import (MODALITIES, MODALITY_SLICES, Fingerprint,
                                     FingerprintLibrary, FingerprintSequence,
                                     SwitchEvent)
-from envswitch.filters import SelectorModel
+from envswitch.filters import (FilterContext, SelectorModel,
+                               context_from_windows, denoise_matrix,
+                               select_filter)
 
 from conftest import make_fingerprint, make_sequence, random_packed
 
@@ -42,6 +45,24 @@ def brute_force_distance(model, query, proto, band):
 
     walk(0, 0, 0.0)
     return best[0]
+
+
+def scalar_banded_distance(cost, band):
+    """Plain banded DP over one (n, m) cost matrix; inf when no path fits."""
+    n, m = cost.shape
+    D = [[math.inf] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            if not in_band(i, j, n, m, band):
+                continue
+            if i == 0 and j == 0:
+                D[i][j] = float(cost[0, 0])
+                continue
+            best = min(D[i - 1][j - 1] if i and j else math.inf,
+                       D[i - 1][j] if i else math.inf,
+                       D[i][j - 1] if j else math.inf)
+            D[i][j] = float(cost[i, j]) + best
+    return D[n - 1][m - 1]
 
 
 def single_modality_packed(values):
@@ -150,6 +171,44 @@ class TestDtw:
         with pytest.raises(ValueError):
             dtw(MetricModel.identity(), random_packed(rng, 3),
                 random_packed(rng, 3), band=0)
+
+
+class TestBatchedDtw:
+    def test_batched_cost_equals_single(self, rng):
+        model = MetricModel.from_seed(5, noise=0.3)
+        for n, m, P in ((2, 9, 3), (10, 10, 24), (7, 3, 1)):
+            q = random_packed(rng, n)
+            protos = [random_packed(rng, m) for _ in range(P)]
+            stacked = (np.stack([p[0] for p in protos]),
+                       np.stack([p[1] for p in protos]))
+            cost, _ = cost_matrix(model, q, stacked)
+            assert cost.shape == (P, n, m)
+            for k, p in enumerate(protos):
+                assert np.array_equal(cost[k], cost_matrix(model, q, p)[0])
+
+    def test_distance_equals_scalar_dp(self, rng):
+        narrow = 0
+        for trial in range(60):
+            n, m = (int(v) for v in rng.integers(2, 11, size=2))
+            if n == m:
+                m = n + 1
+            band = int(rng.integers(1, 4))
+            P = int(rng.integers(1, 6))
+            model = MetricModel.from_seed(trial, noise=0.3)
+            q = random_packed(rng, n)
+            protos = [random_packed(rng, m) for _ in range(P)]
+            cost, _ = cost_matrix(model, q, (np.stack([p[0] for p in protos]),
+                                             np.stack([p[1] for p in protos])))
+            got = _dtw_tables(cost, band)[:, n - 1, m - 1]
+            for k, p in enumerate(protos):
+                want = scalar_banded_distance(cost[k], band)
+                assert got[k] == want
+                try:
+                    assert dtw(model, q, p, band).distance == want
+                except BandTooNarrowError:
+                    assert math.isinf(want)
+                    narrow += 1
+        assert narrow > 0          # the too-narrow case was exercised
 
 
 class TestSoftDtw:
@@ -401,6 +460,49 @@ class TestMatch:
         by_distance = sorted(results, key=lambda r: r.distance)
         by_similarity = sorted(results, key=lambda r: -r.similarity)
         assert [r.distance for r in by_distance] == [r.distance for r in by_similarity]
+
+
+    def test_mixed_lengths_equal_per_prototype_alignment(self, rng):
+        for trial in range(12):
+            model = MetricModel.from_seed(trial, noise=0.3)
+            selector = SelectorModel.from_seed(trial)
+            live = random_packed(rng, int(rng.integers(2, 11)))
+            library = [(f"p{k:02d}", random_packed(rng, int(rng.integers(2, 11))))
+                       for k in range(int(rng.integers(4, 16)))]
+            library.append(("zz", live))
+            ctx = FilterContext(rssi_variance=float(rng.uniform(0.0, 1.0)),
+                                step_rate=float(rng.uniform(0.0, 1.0)))
+            band = int(rng.integers(1, 4))
+            # reference: filter and align every prototype on its own
+            choice = select_filter(selector, ctx)
+            query = (denoise_matrix(choice, live[0]), live[1])
+            expected = []
+            for pid, (pf, pp) in library:
+                try:
+                    result = dtw(model, query, (denoise_matrix(choice, pf), pp), band)
+                except BandTooNarrowError:
+                    continue
+                expected.append((pid, result))
+            expected.sort(key=lambda e: (-e[1].similarity, e[0]))
+            ranked = match(model, selector, live, library, band,
+                           top_k=len(library), ctx=ctx)
+            assert [pid for pid, _ in ranked] == [pid for pid, _ in expected]
+            for (_, got), (_, want) in zip(ranked, expected):
+                assert got.distance == want.distance
+                assert got.similarity == want.similarity
+                assert got.path == want.path
+            assert ranked[0][1].similarity == 1.0        # the live copy
+
+    def test_default_context_is_the_live_window_rule(self, rng):
+        model = MetricModel.from_seed(2)
+        selector = SelectorModel.from_seed(8)
+        live = random_packed(rng, 6)
+        library = [(f"p{k}", random_packed(rng, 6)) for k in range(5)]
+        default = match(model, selector, live, library, 3, 5)
+        explicit = match(model, selector, live, library, 3, 5,
+                         ctx=context_from_windows(live[0], live[1], 0.0))
+        assert [(pid, r.distance, r.path) for pid, r in default] == \
+            [(pid, r.distance, r.path) for pid, r in explicit]
 
 
 class TestMaskConsistency:

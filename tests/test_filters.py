@@ -5,7 +5,8 @@ from envswitch.alignment import MetricModel, make_alignment_loss
 from envswitch.config import FilterConfig
 from envswitch.filters import (FILTER_ORDER, FilterChoice, FilterContext,
                                SelectorModel, apply_elp, apply_gaussian,
-                               apply_kalman, denoise, denoise_matrix,
+                               apply_kalman, context_from_windows, denoise,
+                               denoise_matrix,
                                select_filter, selector_backward,
                                selector_forward_training, soft_denoise_backward,
                                soft_denoise_matrix, train_selector)
@@ -193,6 +194,73 @@ class TestDenoise:
     def test_weights_must_be_distribution(self):
         with pytest.raises(ValueError):
             FilterChoice(np.array([0.5, 0.2, 0.2]), 0.1, 1.0, 1.0, 0.5)
+
+
+def scalar_filter(choice, series):
+    """The hard-selected scalar filter on one series (the oracle)."""
+    kind = choice.hard_kind()
+    if kind == "kalman":
+        return apply_kalman(series, choice.q, choice.r, init_mean=series[0],
+                            init_var=1.0)
+    if kind == "gaussian":
+        return apply_gaussian(series, choice.sigma)
+    return apply_elp(series, choice.alpha)
+
+
+class TestBatchedDenoise:
+    """The batched filters against the scalar ones, bit for bit."""
+
+    @pytest.mark.parametrize("kind", FILTER_ORDER)
+    def test_batch_equals_scalar_per_column(self, rng, kind):
+        weights = np.eye(3)[FILTER_ORDER.index(kind)]
+        for T in range(2, 13):
+            # sigma up to 5 gives a kernel radius of up to 15, beyond T
+            choice = FilterChoice(weights, q=float(rng.uniform(0.0, 1.0)),
+                                  r=float(rng.uniform(0.01, 10.0)),
+                                  sigma=float(rng.uniform(0.1, 5.0)),
+                                  alpha=float(rng.uniform(0.05, 1.0)))
+            B, F = int(rng.integers(1, 6)), int(rng.integers(1, 15))
+            arr = rng.normal(0.0, 3.0, size=(B, T, F))
+            out = denoise_matrix(choice, arr)
+            assert out.shape == arr.shape
+            for b in range(B):
+                assert np.array_equal(out[b], denoise_matrix(choice, arr[b]))
+                for j in range(F):
+                    assert np.array_equal(out[b, :, j],
+                                          scalar_filter(choice, arr[b, :, j]))
+
+    def test_gaussian_radius_beyond_window(self, rng):
+        choice = FilterChoice(np.array([0.0, 1.0, 0.0]), 0.1, 1.0, 4.0, 0.5)
+        arr = rng.normal(0.0, 1.0, size=(3, 2, 14))   # radius 12 > T = 2
+        out = denoise_matrix(choice, arr)
+        for b in range(3):
+            for j in range(14):
+                assert np.array_equal(out[b, :, j], apply_gaussian(arr[b, :, j], 4.0))
+
+    def test_one_series_matches_scalar(self, rng):
+        x = rng.normal(0.0, 1.0, 9)
+        for kind in range(3):
+            choice = FilterChoice(np.eye(3)[kind], 0.3, 2.0, 1.4, 0.4)
+            assert np.array_equal(denoise(choice, x), scalar_filter(choice, x))
+
+    def test_empty_window_rejected(self):
+        choice = FilterChoice(np.array([0.0, 1.0, 0.0]), 0.1, 1.0, 1.0, 0.5)
+        with pytest.raises(ValueError):
+            denoise_matrix(choice, np.zeros((2, 0, 14)))
+
+
+class TestContextFromWindows:
+    def test_live_window_rule(self, rng):
+        feats, pres = random_packed(rng, 7)
+        feats[:, 0] = -np.abs(feats[:, 0])       # negative mean step rate
+        ctx = context_from_windows(feats, pres, 2.5)
+        assert ctx.rssi_variance == float(np.var([f[3] for f in feats]))
+        assert ctx.step_rate == 0.0
+        assert ctx.scan_age == 2.5
+        assert ctx.presence == tuple(bool(b) for b in pres[-1])
+        feats[:, 0] = np.abs(feats[:, 0])
+        ctx = context_from_windows(feats, pres, 0.0)
+        assert ctx.step_rate == float(np.mean([f[0] for f in feats]))
 
 
 class TestSoftMixture:
