@@ -556,12 +556,11 @@ def match(model: MetricModel, selector, live_window, library,
         ctx = context_from_windows(qf, qp, 0.0)
     choice = select_filter(selector, ctx)
     query = (denoise_matrix(choice, qf), qp)
-    n = qf.shape[0]
     packed = [_pack(proto) for _, proto in entries]
     by_length = {}
     for k, (pf, _) in enumerate(packed):
         by_length.setdefault(pf.shape[0], []).append(k)
-    if n < 2 or min(by_length) < 2:
+    if qf.shape[0] < 2 or min(by_length) < 2:
         raise ValueError("both sequences need at least 2 windows")
     tables = [None] * len(entries)
     for members in by_length.values():
