@@ -4,12 +4,15 @@ The cell cost between two fingerprint windows is a sum over modalities of a
 learned weight times the squared Euclidean distance between linearly embedded
 features, zeroed whenever the modality is absent on either side.  Exact DTW
 under a Sakoe-Chiba band gives the alignment distance; a learned inverse
-temperature calibrates it to a similarity in (0, 1].  One anti-diagonal
-recursion computes the exact tables, for one pair (``dtw``) or for a whole
-stack of equal-length prototypes (``match``).  The soft-min variant of
-the same recursion is differentiable, and this module carries hand-written
-backward passes so the metric (and, through the filter mixture, the selector)
-trains with plain gradient descent.
+temperature calibrates it to a similarity in (0, 1].  One forward sweep
+over the anti-diagonals of a skewed banded layout (``_sweep``) runs both
+recursions on a stack of cost matrices: with a hard min for exact DTW
+(``dtw`` on one pair, ``match`` on each length group of a library), and with
+a soft-min for soft-DTW (``soft_dtw`` on one pair, ``margin_loss_grads`` on a
+positive and its negatives, ``train_metric`` on every pair of an epoch).
+Soft-DTW is differentiable: its backward weights sweep the same layout in
+reverse, and hand-written gradients let the metric (and, through the filter
+mixture, the selector) train with plain gradient descent.
 """
 
 import math
@@ -113,18 +116,6 @@ class MetricGrads:
     scores: np.ndarray
     log_beta: float = 0.0
 
-    @classmethod
-    def zeros_like(cls, model: MetricModel) -> "MetricGrads":
-        return cls({m: np.zeros_like(W) for m, W in model.embeddings.items()},
-                   np.zeros_like(model.scores), 0.0)
-
-    def add(self, other: "MetricGrads", scale: float = 1.0) -> "MetricGrads":
-        for m in self.embeddings:
-            self.embeddings[m] += scale * other.embeddings[m]
-        self.scores += scale * other.scores
-        self.log_beta += scale * other.log_beta
-        return self
-
     def to_vector(self) -> np.ndarray:
         parts = [self.embeddings[m].ravel() for m in MODALITIES]
         parts.append(self.scores)
@@ -165,47 +156,71 @@ def cost_matrix(model: MetricModel, query, proto):
 
     ``proto`` may carry a leading prototype axis, features (P, m, F) and
     presence (P, m, 5) for P prototypes of one length m; the cost is then
-    (P, n, m) and each slice equals the cost of that prototype alone.
+    (P, n, m) and each slice equals the cost of that prototype alone.  A
+    query stacked the same way, (P, n, F), pairs query p with prototype p.
     """
     qf, qp = _pack(query)
     pf, pp = _pack(proto)
     if qf.shape[-1] != pf.shape[-1]:
         raise ValueError("fingerprint schema mismatch")
-    n, m = qf.shape[0], pf.shape[-2]
+    n, m = qf.shape[-2], pf.shape[-2]
+    if qf.ndim == 2:
+        qf, qp = qf[:, None], qp[:, None]
+    else:
+        qf, qp = qf[:, :, None], qp[:, :, None]
     w = model.weights
     cost = np.zeros(pf.shape[:-2] + (n, m))
     caches = {}
     for i, mod in enumerate(MODALITIES):
         sl = MODALITY_SLICES[mod]
-        diff = qf[:, None, sl] - pf[..., None, :, sl]
+        diff = qf[..., sl] - pf[..., None, :, sl]
         emb = diff @ model.embeddings[mod].T
         sq = np.einsum("...ijk,...ijk->...ij", emb, emb)
-        mask = (qp[:, None, i] & pp[..., None, :, i]).astype(float)
+        mask = (qp[..., i] & pp[..., None, :, i]).astype(float)
         cost += w[i] * sq * mask
         caches[mod] = (diff, emb, sq, mask)
     return cost, caches
 
 
-def _cost_gradients(model: MetricModel, caches, E):
-    """Chain dV/dcost = E into metric-parameter and feature gradients."""
+def _cost_gradients(model: MetricModel, caches, E, want_feature_grads=False):
+    """Chain dV/dcost = E (P, n, m) into metric and feature gradients.
+
+    Returns the flat metric gradient of every pair, (P, n_params) in the
+    ``to_vector`` layout, and with ``want_feature_grads`` the feature
+    gradients (P, n, 14) and (P, m, 14); otherwise those two are None.
+    """
     w = model.weights
-    grads = MetricGrads.zeros_like(model)
-    dcost_dw = np.zeros(len(MODALITIES))
-    n, m = E.shape
-    dq_feats = np.zeros((n, 14))
-    dp_feats = np.zeros((m, 14))
+    P, n, m = E.shape
+    G = np.zeros((P, model.to_vector().size))
+    dcost_dw = np.zeros((P, len(MODALITIES)))
+    dq_feats = dp_feats = None
+    if want_feature_grads:
+        dq_feats = np.zeros((P, n, 14))
+        dp_feats = np.zeros((P, m, 14))
+    off = 0
     for i, mod in enumerate(MODALITIES):
         diff, emb, sq, mask = caches[mod]
         Em = E * mask
-        grads.embeddings[mod] = 2.0 * w[i] * np.einsum("ij,ijk,ijl->kl", Em, emb, diff)
-        dcost_dw[i] = float(np.sum(Em * sq))
-        sl = MODALITY_SLICES[mod]
-        dq_feats[:, sl] = 2.0 * w[i] * np.einsum("ij,ijk->ik", Em, emb) @ model.embeddings[mod]
-        dp_feats[:, sl] = -2.0 * w[i] * np.einsum("ij,ijk->jk", Em, emb) @ model.embeddings[mod]
-    # softmax jacobian: scores -> weights
-    grads.scores = w * (dcost_dw - float(np.dot(w, dcost_dw)))
-    grads.log_beta = 0.0
-    return grads, dq_feats, dp_feats
+        W = model.embeddings[mod]
+        gW = 2.0 * w[i] * np.einsum("pij,pijk,pijl->pkl", Em, emb, diff)
+        G[:, off:off + W.size] = gW.reshape(P, -1)
+        off += W.size
+        dcost_dw[:, i] = np.sum(Em * sq, axis=(1, 2))
+        if want_feature_grads:
+            sl = MODALITY_SLICES[mod]
+            dq_feats[:, :, sl] = 2.0 * w[i] * np.einsum("pij,pijk->pik", Em, emb) @ W
+            dp_feats[:, :, sl] = -2.0 * w[i] * np.einsum("pij,pijk->pjk", Em, emb) @ W
+    # softmax jacobian: scores -> weights; the temperature gets no gradient.
+    # One dot per pair: a batched product may sum the five terms in another
+    # order and round differently
+    for p in range(P):
+        G[p, off:off + len(MODALITIES)] = w * (dcost_dw[p] - float(np.dot(w, dcost_dw[p])))
+    return G, dq_feats, dp_feats
+
+
+def _grads_from_vector(model: MetricModel, vec: np.ndarray) -> "MetricGrads":
+    g = model.from_vector(vec)
+    return MetricGrads(g.embeddings, g.scores, g.log_beta)
 
 
 # ---------------------------------------------------------------------------
@@ -239,34 +254,63 @@ class AlignmentResult:
         return f"{proto_id},{fmt(self.distance)},{fmt(self.similarity)},{len(self.path)}"
 
 
-def _dtw_tables(cost: np.ndarray, band: int) -> np.ndarray:
-    """Banded exact-DTW tables D for a (P, n, m) stack of cost matrices.
+def _skew(cost: np.ndarray, band: int) -> np.ndarray:
+    """Skewed banded layout of a (P, n, m) cost stack, (P, n + m - 1, n).
 
-    D[p, i, j] = cost[p, i, j] + min(D[p, i-1, j-1], D[p, i-1, j],
-    D[p, i, j-1]) inside the band and inf outside it or where no monotone
-    path reaches the cell.  Cells on one anti-diagonal depend only on the two
-    before it, so the recursion sweeps anti-diagonals, each one a single
-    vectorized step over every prototype and every cell of the diagonal.
+    ``skew[:, d, i]`` holds cell (i, d - i), so row d is anti-diagonal d;
+    cells outside the band or off the (n, m) grid are inf.  Cells on one
+    anti-diagonal depend only on the two before it (forward) or the two after
+    it (backward), so a recursion sweeps the rows of this layout, each one a
+    single vectorized step over every pair and every cell of the diagonal.
     """
     P, n, m = cost.shape
-    INF = np.inf
-    # skewed layout: S[:, d + 1, i + 1] holds cell (i, d - i); row 0 (the
-    # diagonal before the first) and column 0 are inf padding
     d = np.arange(n + m - 1)[:, None]
     i = np.arange(n)[None, :]
     j = d - i
     jc = np.clip(j, 0, m - 1)
     keep = (j >= 0) & (j < m) & band_mask(n, m, band)[i, jc]
-    skew = np.where(keep, cost[:, i, jc], INF)
-    S = np.full((P, n + m, n + 1), INF)
-    S[:, 1, 1:] = skew[:, 0]
-    best = np.empty((P, n))
-    for k in range(1, n + m - 1):
-        np.minimum(S[:, k - 1, :-1], S[:, k, :-1], out=best)   # diagonal, vertical
-        np.minimum(best, S[:, k, 1:], out=best)                # horizontal
-        np.add(skew[:, k], best, out=S[:, k + 1, 1:])
+    return np.where(keep, cost[:, i, jc], np.inf)
+
+
+def _unskew(S: np.ndarray, n: int, m: int) -> np.ndarray:
+    """(P, n, m) view of a skewed table laid out like ``_skew``."""
     ii, jj = np.indices((n, m))
-    return S[:, ii + jj + 1, ii + 1]
+    return S[:, ii + jj, ii]
+
+
+def _sweep(skew: np.ndarray, step) -> np.ndarray:
+    """Forward recursion R[i, j] = step(cost[i, j], R[i-1, j], R[i, j-1],
+    R[i-1, j-1]) over a skewed cost stack, with R[0, 0] = cost[0, 0].
+
+    ``step(cost, vertical, horizontal, diagonal, out)`` fills ``out`` for one
+    anti-diagonal.  Returns the skewed table, (P, n + m - 1, n) like
+    ``skew``; a predecessor off the grid is inf.
+    """
+    P, D, n = skew.shape
+    # S[:, d + 1, i + 1] holds cell (i, d - i); row 0 (the diagonal before
+    # the first) and column 0 are inf padding
+    S = np.full((P, D + 1, n + 1), np.inf)
+    S[:, 1, 1:] = skew[:, 0]
+    for k in range(1, D):
+        step(skew[:, k], S[:, k, :-1], S[:, k, 1:], S[:, k - 1, :-1], S[:, k + 1, 1:])
+    return S[:, 1:, 1:]
+
+
+def _hard_step(cost, vertical, horizontal, diagonal, out):
+    best = np.minimum(diagonal, vertical)
+    np.minimum(best, horizontal, out=best)
+    np.add(cost, best, out=out)
+
+
+def _dtw_tables(cost: np.ndarray, band: int) -> np.ndarray:
+    """Banded exact-DTW tables D for a (P, n, m) stack of cost matrices.
+
+    D[p, i, j] = cost[p, i, j] + min(D[p, i-1, j-1], D[p, i-1, j],
+    D[p, i, j-1]) inside the band and inf outside it or where no monotone
+    path reaches the cell.
+    """
+    _, n, m = cost.shape
+    return _unskew(_sweep(_skew(cost, band), _hard_step), n, m)
 
 
 def _backtrack(D: np.ndarray) -> list:
@@ -315,52 +359,105 @@ def dtw(model: MetricModel, query, proto, band: int = 3) -> AlignmentResult:
 # ---------------------------------------------------------------------------
 
 
-def _softmin3(a: float, b: float, c: float, gamma: float) -> float:
-    lo = min(a, b, c)
-    if not np.isfinite(lo):
-        return np.inf
-    s = 0.0
-    for v in (a, b, c):
-        if np.isfinite(v):
-            s += math.exp(-(v - lo) / gamma)
-    return lo - gamma * math.log(s)
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """Apply a scalar ``math`` function to every entry of a 1-D array.
+
+    The soft recursions use the platform libm through ``math``: numpy's own
+    exp and log may round differently in the last bit.
+    """
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
-def _soft_dtw_tables(cost: np.ndarray, mask: np.ndarray, gamma: float):
-    """Forward soft-min table R (padded) and the backward weight table E."""
-    n, m = cost.shape
-    INF = np.inf
-    R = np.full((n + 1, m + 1), INF)
-    R[0, 0] = 0.0
-    for i in range(n):
-        for j in range(m):
-            if not mask[i, j]:
-                continue
-            if i == 0 and j == 0:
-                R[1, 1] = cost[0, 0]
-                continue
-            R[i + 1, j + 1] = cost[i, j] + _softmin3(
-                R[i, j + 1], R[i + 1, j], R[i, j], gamma)
-    value = R[n, m]
-    if not np.isfinite(value):
+def _soft_step(gamma: float):
+    """Soft-min step: cost + lo - gamma * log(sum exp(-(v - lo) / gamma))
+    over the finite predecessors v, lo their minimum; inf if none is finite."""
+    def step(cost, vertical, horizontal, diagonal, out):
+        lo = np.minimum(np.minimum(vertical, horizontal), diagonal)
+        ok = np.isfinite(cost) & np.isfinite(lo)
+        lo = lo[ok]
+        # an infinite predecessor contributes exp(-inf) = 0
+        e = _libm(math.exp, (-(np.stack([vertical[ok], horizontal[ok], diagonal[ok]])
+                               - lo) / gamma).ravel()).reshape(3, -1)
+        out[ok] = cost[ok] + (lo - gamma * _libm(math.log, e[0] + e[1] + e[2]))
+    return step
+
+
+def _soft_dtw_tables(cost: np.ndarray, band: int, gamma: float):
+    """Banded soft-DTW over a (P, n, m) stack of cost matrices.
+
+    Returns the values (P,), the forward soft-min tables R (P, n, m), inf
+    outside the band, and the backward weight tables E = dvalue/dcost
+    (P, n, m) (Cuturi & Blondel 2017).  Both recursions sweep anti-diagonals
+    of the ``_skew`` layout; E adds its successors' contributions in the
+    order vertical, horizontal, diagonal.  Raises ``BandTooNarrowError`` if
+    any pair has no admissible path.
+    """
+    P, n, m = cost.shape
+    skew = _skew(cost, band)
+    Rs = _sweep(skew, _soft_step(gamma))
+    D = n + m - 1
+    values = Rs[:, D - 1, n - 1]
+    if not np.all(np.isfinite(values)):
         raise BandTooNarrowError("band too narrow: no admissible warping path")
-    E = np.zeros((n, m))
-    E[n - 1, m - 1] = 1.0
-    for i in range(n - 1, -1, -1):
-        for j in range(m - 1, -1, -1):
-            if (i, j) == (n - 1, m - 1) or not mask[i, j] or not np.isfinite(R[i + 1, j + 1]):
-                continue
-            acc = 0.0
-            for di, dj in ((1, 0), (0, 1), (1, 1)):
-                si, sj = i + di, j + dj
-                if si >= n or sj >= m or not mask[si, sj]:
-                    continue
-                if not np.isfinite(R[si + 1, sj + 1]):
-                    continue
-                wgt = math.exp((R[si + 1, sj + 1] - cost[si, sj] - R[i + 1, j + 1]) / gamma)
-                acc += E[si, sj] * wgt
-            E[i, j] = acc
-    return float(value), E
+    # pad two diagonals past the last and one row past the last: inf for R
+    # and the cost, 0 for E, so every successor of a cell is addressable
+    Rp = np.full((P, D + 2, n + 1), np.inf)
+    Rp[:, :D, :n] = Rs
+    Cp = np.full((P, D + 2, n + 1), np.inf)
+    Cp[:, :D, :n] = skew
+    cur = Rp[:, :D, :n]
+    weights = []
+    for dd, di in ((1, 1), (1, 0), (2, 1)):    # vertical, horizontal, diagonal
+        succ = Rp[:, dd:D + dd, di:n + di]
+        ok = np.isfinite(cur) & np.isfinite(succ)
+        wgt = np.zeros((P, D, n))
+        wgt[ok] = _libm(math.exp, (succ[ok] - Cp[:, dd:D + dd, di:n + di][ok] - cur[ok]) / gamma)
+        weights.append(wgt)
+    wv, wh, wd = weights
+    Es = np.zeros((P, D + 2, n + 1))
+    Es[:, D - 1, n - 1] = 1.0
+    for k in range(D - 2, -1, -1):
+        acc = Es[:, k + 1, 1:] * wv[:, k]
+        acc += Es[:, k + 1, :n] * wh[:, k]
+        acc += Es[:, k + 2, 1:] * wd[:, k]
+        Es[:, k, :n] = acc
+    return values, _unskew(Rs, n, m), _unskew(Es, n, m)
+
+
+def _soft_dtw_pairs(model: MetricModel, pairs, band: int, gamma: float,
+                    want_feature_grads: bool = False):
+    """Soft-DTW value and gradients of every ``(query, proto)`` pair.
+
+    Pairs of one (n, m) shape run together: one ``cost_matrix``, one
+    ``_soft_dtw_tables`` and one ``_cost_gradients`` per shape.  Returns the
+    values (N,), the flat metric gradients (N, n_params) and, with
+    ``want_feature_grads``, a list of (dquery, dproto) per pair.
+    """
+    if gamma <= 0.0:
+        raise ValueError("soft-min smoothing gamma must be > 0")
+    if band < 1:
+        raise ValueError("band must be >= 1")
+    packed = [(_pack(q), _pack(p)) for q, p in pairs]
+    groups = {}
+    for k, ((qf, _), (pf, _)) in enumerate(packed):
+        if qf.shape[0] < 2 or pf.shape[0] < 2:
+            raise ValueError("both sequences need at least 2 windows")
+        groups.setdefault((qf.shape[0], pf.shape[0]), []).append(k)
+    values = np.empty(len(pairs))
+    G = np.empty((len(pairs), model.to_vector().size))
+    fgrads = [None] * len(pairs)
+    for members in groups.values():
+        query = tuple(np.stack([packed[k][0][t] for k in members]) for t in (0, 1))
+        proto = tuple(np.stack([packed[k][1][t] for k in members]) for t in (0, 1))
+        cost, caches = cost_matrix(model, query, proto)
+        vals, _, E = _soft_dtw_tables(cost, band, gamma)
+        g, dq, dp = _cost_gradients(model, caches, E, want_feature_grads)
+        values[members] = vals
+        G[members] = g
+        if want_feature_grads:
+            for t, k in enumerate(members):
+                fgrads[k] = (dq[t], dp[t])
+    return values, G, fgrads
 
 
 def soft_dtw(model: MetricModel, query, proto, band: int = 3,
@@ -370,21 +467,14 @@ def soft_dtw(model: MetricModel, query, proto, band: int = 3,
     Returns ``(value, MetricGrads)`` or, with ``want_feature_grads``,
     ``(value, MetricGrads, dvalue/dquery_features, dvalue/dproto_features)``.
     The value is always <= the exact dtw distance on the same inputs and can
-    be negative for near-identical sequences.
+    be negative for near-identical sequences.  The tables come from the
+    stacked kernel ``_soft_dtw_tables`` on a stack of one.
     """
-    if gamma <= 0.0:
-        raise ValueError("soft-min smoothing gamma must be > 0")
-    if band < 1:
-        raise ValueError("band must be >= 1")
-    cost, caches = cost_matrix(model, query, proto)
-    n, m = cost.shape
-    if n < 2 or m < 2:
-        raise ValueError("both sequences need at least 2 windows")
-    mask = band_mask(n, m, band)
-    value, E = _soft_dtw_tables(cost, mask, gamma)
-    grads, dq, dp = _cost_gradients(model, caches, E)
+    values, G, fgrads = _soft_dtw_pairs(model, [(query, proto)], band, gamma,
+                                        want_feature_grads)
+    value, grads = float(values[0]), _grads_from_vector(model, G[0])
     if want_feature_grads:
-        return value, grads, dq, dp
+        return value, grads, fgrads[0][0], fgrads[0][1]
     return value, grads
 
 
@@ -406,36 +496,55 @@ def margin_loss(model: MetricModel, positive, negatives, margin: float = 1.0,
     return loss
 
 
-def margin_loss_grads(model: MetricModel, positive, negatives,
-                      margin: float = 1.0, gamma: float = 0.1, band: int = 3,
-                      want_feature_grads: bool = False):
+def _check_margin(negatives, margin: float):
     if not negatives:
         raise ValueError("margin loss needs at least one negative pair")
     if margin <= 0.0:
         raise ValueError("margin must be > 0")
-    pos_val, pos_g, pos_dq, pos_dp = soft_dtw(
-        model, positive[0], positive[1], band, gamma, want_feature_grads=True)
+
+
+def _hinge(values, G, margin: float):
+    """Margin loss of one positive (index 0) against its negatives (1..k).
+
+    Returns the loss, its flat metric gradient and the indices of the
+    negatives whose hinge is active; gradients accumulate in negative order.
+    """
+    values = values.tolist()
+    k = len(values) - 1
     total = 0.0
-    acc = MetricGrads.zeros_like(model)
-    k = len(negatives)
-    fgrads = [[np.zeros_like(pos_dq), np.zeros_like(pos_dp)]]
-    for nq, np_ in negatives:
-        neg_val, neg_g, neg_dq, neg_dp = soft_dtw(
-            model, nq, np_, band, gamma, want_feature_grads=True)
-        hinge = margin + pos_val - neg_val
-        fgrads.append([np.zeros_like(neg_dq), np.zeros_like(neg_dp)])
+    acc = np.zeros(G.shape[1])
+    active = []
+    for t in range(1, k + 1):
+        hinge = margin + values[0] - values[t]
         if hinge > 0.0:
             total += hinge
-            acc.add(pos_g, 1.0 / k)
-            acc.add(neg_g, -1.0 / k)
-            fgrads[0][0] += pos_dq / k
-            fgrads[0][1] += pos_dp / k
-            fgrads[-1][0] -= neg_dq / k
-            fgrads[-1][1] -= neg_dp / k
-    loss = total / k
-    if want_feature_grads:
-        return loss, acc, fgrads
-    return loss, acc
+            acc += (1.0 / k) * G[0]
+            acc += (-1.0 / k) * G[t]
+            active.append(t)
+    return total / k, acc, active
+
+
+def margin_loss_grads(model: MetricModel, positive, negatives,
+                      margin: float = 1.0, gamma: float = 0.1, band: int = 3,
+                      want_feature_grads: bool = False):
+    """Margin loss and its ``MetricGrads``; the positive and its negatives are
+    scored together.  With ``want_feature_grads`` also returns, per pair
+    (positive first), the gradients w.r.t. its query and proto features."""
+    _check_margin(negatives, margin)
+    values, G, fg = _soft_dtw_pairs(model, [positive] + list(negatives), band,
+                                    gamma, want_feature_grads)
+    loss, acc, active = _hinge(values, G, margin)
+    grads = _grads_from_vector(model, acc)
+    if not want_feature_grads:
+        return loss, grads
+    k = len(negatives)
+    fgrads = [[np.zeros_like(dq), np.zeros_like(dp)] for dq, dp in fg]
+    for t in active:
+        fgrads[0][0] += fg[0][0] / k
+        fgrads[0][1] += fg[0][1] / k
+        fgrads[t][0] -= fg[t][0] / k
+        fgrads[t][1] -= fg[t][1] / k
+    return loss, grads, fgrads
 
 
 def make_alignment_loss(model: MetricModel, margin: float = 1.0,
@@ -447,12 +556,9 @@ def make_alignment_loss(model: MetricModel, margin: float = 1.0,
     gradients w.r.t. the filtered feature arrays.
     """
     def loss_fn(pos_item, neg_items):
-        positive = ((pos_item[0], pos_item[1]), (pos_item[2], pos_item[3]))
-        negatives = [((it[0], it[1]), (it[2], it[3])) for it in neg_items]
-        pos_pair = (positive[0], positive[1])
-        loss, _, fgrads = margin_loss_grads(model, pos_pair, negatives,
-                                            margin, gamma, band,
-                                            want_feature_grads=True)
+        pairs = [((it[0], it[1]), (it[2], it[3])) for it in [pos_item] + list(neg_items)]
+        loss, _, fgrads = margin_loss_grads(model, pairs[0], pairs[1:], margin,
+                                            gamma, band, want_feature_grads=True)
         return loss, [(g[0], g[1]) for g in fgrads]
     return loss_fn
 
@@ -469,17 +575,21 @@ def train_metric(model: MetricModel, pairs, epochs: int = 20,
     """
     if not pairs:
         raise ValueError("no positive pairs to train on")
+    for _, negatives in pairs:
+        _check_margin(negatives, margin)
+    # every positive and negative of an epoch is scored in one batch; the
+    # hinges then accumulate pair by pair, in order
+    items = [(_pack(q), _pack(p)) for positive, negatives in pairs
+             for q, p in [positive] + list(negatives)]
+    bounds = np.cumsum([0] + [1 + len(negatives) for _, negatives in pairs])
     current = model.copy()
     for _ in range(max(0, epochs)):
-        acc = MetricGrads.zeros_like(current)
-        for positive, negatives in pairs:
-            _, g = margin_loss_grads(current, positive, negatives, margin, gamma, band)
-            acc.add(g, 1.0 / len(pairs))
-        emb = {m: current.embeddings[m] - step_size * acc.embeddings[m]
-               for m in MODALITIES}
-        scores = current.scores - step_size * acc.scores
-        log_beta = current.log_beta - step_size * acc.log_beta
-        current = MetricModel(emb, scores, log_beta)
+        values, G, _ = _soft_dtw_pairs(current, items, band, gamma)
+        acc = np.zeros(G.shape[1])
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            _, g, _ = _hinge(values[lo:hi], G[lo:hi], margin)
+            acc += (1.0 / len(pairs)) * g
+        current = current.from_vector(current.to_vector() - step_size * acc)
     return current
 
 

@@ -14,13 +14,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import EngineConfig
-from .fingerprints import SwitchEvent, fnv1a64, hash_identifier, quantize
+from .fingerprints import fnv1a64, hash_identifier, quantize
 from .mlp import TwoLayerNet, softmax
 from .policy import (ACTIONS, MatcherStack, PolicyModel, RewardWeights,
                      Trajectory, gae_advantages, ppo_update, rollout,
                      trigger_guide)
 from .serialize import dump_tensors, fmt, parse_tensors
-from .sim import generate, segment_before
+from .sim import generate
 
 N_ACTIONS = len(ACTIONS)
 
@@ -243,17 +243,6 @@ def run_round(state: RoundState, edges, cfg: EngineConfig | None = None,
                            seed=int(edge_rng.integers(2 ** 62)), trace=trace,
                            weights=weights, guide=guide, guide_eps=guide_eps)
             withheld = edge_rng.random() < ce.hf_withheld_fraction
-            # on-device library refresh: only switches the user confirmed
-            # commit their pre-switch buffer (silence commits nothing)
-            if (ce.commit_during_rounds and not traj.censored
-                    and traj.action_time is not None
-                    and traj.action_time >= 2.0 and not withheld
-                    and traj.hf is not None
-                    and traj.hf >= ce.commit_hf_gate):
-                buffer = segment_before(trace, traj.action_time, ecfg)
-                event = SwitchEvent(buffer.windows[-1].timestamp, "wifi_to_cell")
-                edge.stack.library.commit_segment(
-                    buffer, event, created_day=state.round_index)
             if withheld:
                 traj = replace(traj, hf=None)
             trajectories.append(traj)
@@ -261,8 +250,6 @@ def run_round(state: RoundState, edges, cfg: EngineConfig | None = None,
             inbox.append(summarize_trajectory(
                 traj, edge.policy_version, edge.edge_id,
                 edge.stack.cfg.library.salt, ce.state_quant))
-        if ce.commit_during_rounds:
-            edge.stack.library.maintain(state.round_index)
 
     states, actions, hfs, _ = aggregate(inbox)
     have_hf = np.isfinite(hfs)

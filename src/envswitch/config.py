@@ -177,12 +177,7 @@ class CloudEdgeConfig:
     reward_model_epochs: int = 40
     reward_model_step: float = 0.05
     state_quant: float = 0.01           # summary tuple quantization grid
-    # On-device library refresh during the rounds: confirmed switches commit
-    # their pre-switch buffer, capacity keeps matching cheap, and one round
-    # counts as one retention day.
-    commit_during_rounds: bool = False
-    edge_library_capacity: int = 24
-    commit_hf_gate: float = 0.3
+    edge_library_capacity: int = 24     # caps each site library build_site_library commits
     personalization_passes: int = 8
 
 

@@ -7,9 +7,11 @@ and their coefficients.  At inference the argmax filter runs
 (``denoise_matrix``) down every column of a window, or of a whole stack of
 windows at once; the scalar ``apply_*`` functions define each filter and are
 the reference the batched ones equal bit for bit.  During training a soft
-mixture of all three keeps the selection differentiable, and each filter
-carries analytic derivatives w.r.t. its own coefficient so gradients reach
-the selector parameters.
+mixture of all three keeps the selection differentiable
+(``soft_denoise_matrix``, along the same axis of any stack of windows), and
+each filter carries analytic derivatives w.r.t. its own coefficient, run
+forward with vector state over the columns, so gradients reach the selector
+parameters.
 """
 
 import math
@@ -275,15 +277,17 @@ def denoise(choice: FilterChoice, series) -> np.ndarray:
 
 
 def _kalman_with_sens(x: np.ndarray, q: float, r: float):
-    """Kalman output plus d(out)/dq and d(out)/dr, via forward sensitivities."""
-    n = x.size
-    out = np.empty(n)
-    dq_out = np.empty(n)
-    dr_out = np.empty(n)
-    mean, var = float(x[0]), 1.0
-    dmean_q = dvar_q = 0.0
-    dmean_r = dvar_r = 0.0
-    for i in range(n):
+    """Kalman output along axis -2 plus d(out)/dq and d(out)/dr, via forward
+    sensitivities.  Variance, gain and their derivatives do not depend on the
+    data, so they are scalars; the mean and its derivatives are vectors over
+    every series."""
+    out = np.empty_like(x)
+    dq_out = np.empty_like(x)
+    dr_out = np.empty_like(x)
+    mean, var = x[..., 0, :].copy(), 1.0
+    dmean_q = dmean_r = np.zeros_like(mean)
+    dvar_q = dvar_r = 0.0
+    for i in range(x.shape[-2]):
         var_p = var + q
         dvar_pq = dvar_q + 1.0
         dvar_pr = dvar_r
@@ -291,7 +295,7 @@ def _kalman_with_sens(x: np.ndarray, q: float, r: float):
         gain = var_p / denom
         dgain_q = (dvar_pq * denom - var_p * dvar_pq) / (denom * denom)
         dgain_r = (dvar_pr * denom - var_p * (dvar_pr + 1.0)) / (denom * denom)
-        resid = x[i] - mean
+        resid = x[..., i, :] - mean
         new_mean = mean + gain * resid
         dmean_q = dmean_q + dgain_q * resid - gain * dmean_q
         dmean_r = dmean_r + dgain_r * resid - gain * dmean_r
@@ -299,77 +303,83 @@ def _kalman_with_sens(x: np.ndarray, q: float, r: float):
         var = (1.0 - gain) * var_p
         dvar_q = -dgain_q * var_p + (1.0 - gain) * dvar_pq
         dvar_r = -dgain_r * var_p + (1.0 - gain) * dvar_pr
-        out[i] = mean
-        dq_out[i] = dmean_q
-        dr_out[i] = dmean_r
+        out[..., i, :] = mean
+        dq_out[..., i, :] = dmean_q
+        dr_out[..., i, :] = dmean_r
     return out, dq_out, dr_out
 
 
 def _gaussian_with_sens(x: np.ndarray, sigma: float):
-    """Gaussian smoothing plus d(out)/dsigma (kernel radius held fixed)."""
+    """Gaussian smoothing along axis -2 plus d(out)/dsigma (kernel radius
+    held fixed); the slice-accumulate order of ``_gaussian_batch``."""
     offsets, weights = _gaussian_kernel(sigma)
     dweights = weights * (offsets.astype(float) ** 2) / sigma ** 3
-    n = x.size
-    num = np.zeros(n); den = np.zeros(n)
-    dnum = np.zeros(n); dden = np.zeros(n)
+    n = x.shape[-2]
+    num = np.zeros_like(x)
+    dnum = np.zeros_like(x)
+    den = np.zeros(n)
+    dden = np.zeros(n)
     for off, w, dw in zip(offsets, weights, dweights):
         lo = max(0, -off)
         hi = min(n, n - off)
         if lo >= hi:
             continue
-        seg = x[lo + off:hi + off]
-        num[lo:hi] += w * seg
-        dnum[lo:hi] += dw * seg
+        seg = x[..., lo + off:hi + off, :]
+        num[..., lo:hi, :] += w * seg
+        dnum[..., lo:hi, :] += dw * seg
         den[lo:hi] += w
         dden[lo:hi] += dw
+    den, dden = den[:, None], dden[:, None]
     out = num / den
     dsig = (dnum * den - num * dden) / (den * den)
     return out, dsig
 
 
 def _elp_with_sens(x: np.ndarray, alpha: float):
-    n = x.size
-    out = np.empty(n)
-    dal = np.empty(n)
-    out[0] = x[0]
-    dal[0] = 0.0
-    for i in range(1, n):
-        out[i] = alpha * x[i] + (1.0 - alpha) * out[i - 1]
-        dal[i] = (x[i] - out[i - 1]) + (1.0 - alpha) * dal[i - 1]
+    """Exponential low-pass along axis -2 plus d(out)/dalpha."""
+    out = np.empty_like(x)
+    dal = np.empty_like(x)
+    out[..., 0, :] = x[..., 0, :]
+    dal[..., 0, :] = 0.0
+    for i in range(1, x.shape[-2]):
+        out[..., i, :] = alpha * x[..., i, :] + (1.0 - alpha) * out[..., i - 1, :]
+        dal[..., i, :] = (x[..., i, :] - out[..., i - 1, :]) + (1.0 - alpha) * dal[..., i - 1, :]
     return out, dal
 
 
 def soft_denoise_matrix(choice: FilterChoice, arr: np.ndarray):
-    """Weighted mixture of the three filters down each column of (T, F).
+    """Weighted mixture of the three filters along axis -2 of (..., T, F).
 
-    Returns (filtered, cache); the cache feeds ``soft_denoise_backward``.
-    Equals the hard path exactly when one weight is 1.
+    Every column of every leading batch entry is one series, as in
+    ``denoise_matrix``.  Returns (filtered, cache); the cache holds the three
+    filter outputs and the mixture's sensitivities to (q, r, sigma, alpha),
+    and feeds ``soft_denoise_backward``.  Equals the hard path exactly when
+    one weight is 1.
     """
     arr = np.asarray(arr, dtype=float)
-    T, F = arr.shape
-    outs = np.empty((3, T, F))
-    sens = np.zeros((4, T, F))  # d(out)/d(q, r, sigma, alpha) of the mixture
-    for j in range(F):
-        col = arr[:, j]
-        yk, dq, dr = _kalman_with_sens(col, choice.q, choice.r)
-        yg, ds = _gaussian_with_sens(col, choice.sigma)
-        ye, da = _elp_with_sens(col, choice.alpha)
-        outs[0, :, j] = yk
-        outs[1, :, j] = yg
-        outs[2, :, j] = ye
-        sens[0, :, j] = choice.weights[0] * dq
-        sens[1, :, j] = choice.weights[0] * dr
-        sens[2, :, j] = choice.weights[1] * ds
-        sens[3, :, j] = choice.weights[2] * da
-    mixed = np.tensordot(choice.weights, outs, axes=(0, 0))
+    if arr.ndim < 2 or arr.shape[-2] == 0:
+        raise ValueError("soft_denoise_matrix needs a nonempty (..., T, F) array")
+    yk, dq, dr = _kalman_with_sens(arr, choice.q, choice.r)
+    yg, ds = _gaussian_with_sens(arr, choice.sigma)
+    ye, da = _elp_with_sens(arr, choice.alpha)
+    w = choice.weights
+    outs = np.stack([yk, yg, ye])
+    # d(out)/d(q, r, sigma, alpha) of the mixture
+    sens = np.stack([w[0] * dq, w[0] * dr, w[1] * ds, w[2] * da])
+    # mix window by window: one contraction over a whole stack may round
+    # differently from the same windows mixed one at a time
+    windows = outs.reshape((3, -1) + arr.shape[-2:])
+    mixed = np.stack([np.tensordot(w, windows[:, b], axes=(0, 0))
+                      for b in range(windows.shape[1])]).reshape(arr.shape)
     return mixed, (outs, sens)
 
 
 def soft_denoise_backward(cache, dout: np.ndarray):
     """Backprop through the mixture: d(loss)/dweights (3,), d/d(q,r,sig,al) (4,)."""
     outs, sens = cache
-    dweights = np.tensordot(outs, dout, axes=((1, 2), (0, 1)))
-    dparams = np.tensordot(sens, dout, axes=((1, 2), (0, 1)))
+    axes = (tuple(range(1, outs.ndim)), tuple(range(dout.ndim)))
+    dweights = np.tensordot(outs, dout, axes=axes)
+    dparams = np.tensordot(sens, dout, axes=axes)
     return dweights, dparams
 
 

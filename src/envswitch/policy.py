@@ -15,7 +15,7 @@ import numpy as np
 from .config import EngineConfig
 from .filters import context_from_windows
 from .mlp import Adam, TwoLayerNet, softmax
-from .serialize import dump_tensors, fmt, parse_tensors
+from .serialize import dump_tensors, parse_tensors
 from .sim import (RawTrace, baseline_policy, feedback_oracle, fingerprint_at,
                   tts)
 
@@ -225,16 +225,6 @@ class Trajectory:
     def total_reward(self, weights: RewardWeights, hf_value=None) -> float:
         hf_value = self.hf if hf_value is None else hf_value
         return float(self.rewards_with(weights, 0.0 if hf_value is None else hf_value).sum())
-
-    def log_lines(self) -> list:
-        lines = []
-        for t in range(self.states.shape[0]):
-            feats = " ".join(fmt(v) for v in self.states[t])
-            lines.append(f"{t},{feats},{ACTIONS[int(self.actions[t])]},{fmt(self.step_rewards[t])}")
-        hf = fmt(self.hf) if self.hf is not None else "nan"
-        total = fmt(float(self.step_rewards.sum()) + self.dtime + (self.hf or 0.0))
-        lines.append(f"TTS,{fmt(self.policy_tts)},{fmt(self.dtime)},{hf},{total}")
-        return lines
 
 
 def ppo_update(model: PolicyModel, batch, clip_eps: float = 0.2,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from envswitch.alignment import (BandTooNarrowError, MetricModel, _dtw_tables,
+                                 _soft_dtw_tables, band_mask,
                                  cell_cost, cost_matrix, dtw, in_band,
                                  margin_loss,
                                  margin_loss_grads, match,
@@ -63,6 +64,55 @@ def scalar_banded_distance(cost, band):
                        D[i][j - 1] if j else math.inf)
             D[i][j] = float(cost[i, j]) + best
     return D[n - 1][m - 1]
+
+
+def _softmin3(a: float, b: float, c: float, gamma: float) -> float:
+    lo = min(a, b, c)
+    if not np.isfinite(lo):
+        return np.inf
+    s = 0.0
+    for v in (a, b, c):
+        if np.isfinite(v):
+            s += math.exp(-(v - lo) / gamma)
+    return lo - gamma * math.log(s)
+
+
+def scalar_soft_dtw_tables(cost, band, gamma):
+    """Cell-by-cell soft-DTW over one (n, m) cost matrix: the value, the
+    padded forward table R (n + 1, m + 1) and the backward weights E."""
+    n, m = cost.shape
+    mask = band_mask(n, m, band)
+    R = np.full((n + 1, m + 1), np.inf)
+    R[0, 0] = 0.0
+    for i in range(n):
+        for j in range(m):
+            if not mask[i, j]:
+                continue
+            if i == 0 and j == 0:
+                R[1, 1] = cost[0, 0]
+                continue
+            R[i + 1, j + 1] = cost[i, j] + _softmin3(
+                R[i, j + 1], R[i + 1, j], R[i, j], gamma)
+    value = R[n, m]
+    if not np.isfinite(value):
+        raise BandTooNarrowError("band too narrow: no admissible warping path")
+    E = np.zeros((n, m))
+    E[n - 1, m - 1] = 1.0
+    for i in range(n - 1, -1, -1):
+        for j in range(m - 1, -1, -1):
+            if (i, j) == (n - 1, m - 1) or not mask[i, j] or not np.isfinite(R[i + 1, j + 1]):
+                continue
+            acc = 0.0
+            for di, dj in ((1, 0), (0, 1), (1, 1)):
+                si, sj = i + di, j + dj
+                if si >= n or sj >= m or not mask[si, sj]:
+                    continue
+                if not np.isfinite(R[si + 1, sj + 1]):
+                    continue
+                wgt = math.exp((R[si + 1, sj + 1] - cost[si, sj] - R[i + 1, j + 1]) / gamma)
+                acc += E[si, sj] * wgt
+            E[i, j] = acc
+    return float(value), R, E
 
 
 def single_modality_packed(values):
@@ -267,6 +317,60 @@ class TestSoftDtw:
                      random_packed(rng, 3), 3, 0.0)
 
 
+class TestSoftDtwKernel:
+    def test_tables_equal_scalar_oracle(self, rng):
+        narrow = checked = 0
+        for trial in range(48):
+            n, m = (int(v) for v in rng.integers(2, 11, size=2))
+            if n == m:
+                m = n + 1
+            band = 1 + trial % 3
+            gamma = (0.1, 1.0)[trial % 2]
+            P = int(rng.integers(2, 5))
+            model = MetricModel.from_seed(trial, noise=0.3)
+            q = random_packed(rng, n)
+            protos = [random_packed(rng, m) for _ in range(P)]
+            cost, _ = cost_matrix(model, q, (np.stack([p[0] for p in protos]),
+                                             np.stack([p[1] for p in protos])))
+            try:
+                oracles = [scalar_soft_dtw_tables(c, band, gamma) for c in cost]
+            except BandTooNarrowError:
+                with pytest.raises(BandTooNarrowError):
+                    _soft_dtw_tables(cost, band, gamma)
+                narrow += 1
+                continue
+            values, R, E = _soft_dtw_tables(cost, band, gamma)
+            for k, (value, R_k, E_k) in enumerate(oracles):
+                assert values[k] == value
+                assert np.array_equal(R[k], R_k[1:, 1:])
+                assert np.array_equal(E[k], E_k)
+            checked += 1
+        assert narrow > 0 and checked > 20
+
+    def test_soft_dtw_is_kernel_on_stack_of_one(self, rng):
+        model = MetricModel.from_seed(4, noise=0.3)
+        q, p = random_packed(rng, 7), random_packed(rng, 5)
+        cost, _ = cost_matrix(model, q, p)
+        value, _, _ = scalar_soft_dtw_tables(cost, 2, 0.1)
+        assert soft_dtw_value(model, q, p, 2, 0.1) == value
+
+    def test_too_narrow_band_raises_everywhere(self, rng):
+        model = pdr_only_model()
+        ok = (random_packed(rng, 4), random_packed(rng, 4))
+        narrow = (single_modality_packed(np.arange(2.0)),
+                  single_modality_packed(np.arange(8.0)))
+        with pytest.raises(BandTooNarrowError):
+            soft_dtw(model, *narrow, band=1)
+        # one unalignable pair in a batch fails the whole call, whether it is
+        # the positive or a negative
+        with pytest.raises(BandTooNarrowError):
+            margin_loss_grads(model, ok, [ok, narrow], band=1)
+        with pytest.raises(BandTooNarrowError):
+            margin_loss_grads(model, narrow, [ok], band=1)
+        with pytest.raises(BandTooNarrowError):
+            train_metric(model, [(ok, [ok]), (ok, [narrow])], epochs=1, band=1)
+
+
 class TestMarginLoss:
     def make_pairs_with_values(self, rng, pos_val_low=True):
         q = random_packed(rng, 5, all_present=True)
@@ -405,6 +509,46 @@ class TestTrainMetric:
         for c in (0.5, 2.0, 7.0):
             scaled = MetricModel(model.embeddings, model.scores * c, 0.0)
             assert int(np.argmax(scaled.weights)) == argmax
+
+
+def looped_train_metric(model, pairs, epochs, step_size, margin=1.0,
+                        gamma=0.1, band=3):
+    """Gradient descent with one margin_loss_grads call per pair."""
+    current = model.copy()
+    for _ in range(epochs):
+        acc = np.zeros(current.to_vector().size)
+        for positive, negatives in pairs:
+            _, g = margin_loss_grads(current, positive, negatives, margin, gamma, band)
+            acc += (1.0 / len(pairs)) * g.to_vector()
+        current = current.from_vector(current.to_vector() - step_size * acc)
+    return current
+
+
+class TestTrainMetricBatching:
+    def mixed_length_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for n, m in ((6, 6), (8, 5), (6, 6), (8, 5), (6, 6)):
+            q = random_packed(rng, n)
+            negs = [(q, random_packed(rng, mm)) for mm in (m, m + 1, m)]
+            pairs.append(((q, random_packed(rng, m)), negs))
+        return pairs
+
+    def test_batched_epochs_equal_per_pair_loop(self):
+        for seed in range(3):
+            pairs = self.mixed_length_pairs(seed)
+            model = MetricModel.from_seed(seed, noise=0.3)
+            batched = train_metric(model, pairs, epochs=4, step_size=0.2, margin=2.0)
+            looped = looped_train_metric(model, pairs, 4, 0.2, margin=2.0)
+            assert np.array_equal(batched.to_vector(), looped.to_vector())
+            assert not np.array_equal(batched.to_vector(), model.to_vector())
+
+    def test_rejects_pair_without_negatives_and_bad_margin(self):
+        pairs = self.mixed_length_pairs(0)
+        with pytest.raises(ValueError):
+            train_metric(MetricModel.identity(), pairs + [(pairs[0][0], [])])
+        with pytest.raises(ValueError):
+            train_metric(MetricModel.identity(), pairs, margin=0.0)
 
 
 class TestMatch:

@@ -4,7 +4,7 @@ import pytest
 from envswitch.alignment import MetricModel, make_alignment_loss
 from envswitch.config import FilterConfig
 from envswitch.filters import (FILTER_ORDER, FilterChoice, FilterContext,
-                               SelectorModel, apply_elp, apply_gaussian,
+                               SelectorModel, _gaussian_kernel, apply_elp, apply_gaussian,
                                apply_kalman, context_from_windows, denoise,
                                denoise_matrix,
                                select_filter, selector_backward,
@@ -25,6 +25,91 @@ def kalman_oracle(series, q, r, init_mean, init_var):
         var = (1.0 - gain) * var
         out.append(mean)
     return np.array(out)
+
+
+def kalman_with_sens_oracle(x, q, r):
+    """Scalar Kalman output plus d(out)/dq and d(out)/dr on one series."""
+    n = x.size
+    out = np.empty(n)
+    dq_out = np.empty(n)
+    dr_out = np.empty(n)
+    mean, var = float(x[0]), 1.0
+    dmean_q = dvar_q = 0.0
+    dmean_r = dvar_r = 0.0
+    for i in range(n):
+        var_p = var + q
+        dvar_pq = dvar_q + 1.0
+        dvar_pr = dvar_r
+        denom = var_p + r
+        gain = var_p / denom
+        dgain_q = (dvar_pq * denom - var_p * dvar_pq) / (denom * denom)
+        dgain_r = (dvar_pr * denom - var_p * (dvar_pr + 1.0)) / (denom * denom)
+        resid = x[i] - mean
+        new_mean = mean + gain * resid
+        dmean_q = dmean_q + dgain_q * resid - gain * dmean_q
+        dmean_r = dmean_r + dgain_r * resid - gain * dmean_r
+        mean = new_mean
+        var = (1.0 - gain) * var_p
+        dvar_q = -dgain_q * var_p + (1.0 - gain) * dvar_pq
+        dvar_r = -dgain_r * var_p + (1.0 - gain) * dvar_pr
+        out[i] = mean
+        dq_out[i] = dmean_q
+        dr_out[i] = dmean_r
+    return out, dq_out, dr_out
+
+
+def gaussian_with_sens_oracle(x, sigma):
+    """Scalar Gaussian smoothing plus d(out)/dsigma on one series."""
+    offsets, weights = _gaussian_kernel(sigma)
+    dweights = weights * (offsets.astype(float) ** 2) / sigma ** 3
+    n = x.size
+    num = np.zeros(n); den = np.zeros(n)
+    dnum = np.zeros(n); dden = np.zeros(n)
+    for off, w, dw in zip(offsets, weights, dweights):
+        lo = max(0, -off)
+        hi = min(n, n - off)
+        if lo >= hi:
+            continue
+        seg = x[lo + off:hi + off]
+        num[lo:hi] += w * seg
+        dnum[lo:hi] += dw * seg
+        den[lo:hi] += w
+        dden[lo:hi] += dw
+    out = num / den
+    dsig = (dnum * den - num * dden) / (den * den)
+    return out, dsig
+
+
+def elp_with_sens_oracle(x, alpha):
+    """Scalar exponential low-pass plus d(out)/dalpha on one series."""
+    n = x.size
+    out = np.empty(n)
+    dal = np.empty(n)
+    out[0] = x[0]
+    dal[0] = 0.0
+    for i in range(1, n):
+        out[i] = alpha * x[i] + (1.0 - alpha) * out[i - 1]
+        dal[i] = (x[i] - out[i - 1]) + (1.0 - alpha) * dal[i - 1]
+    return out, dal
+
+
+def soft_denoise_oracle(choice, arr):
+    """Filter outputs (3, T, F) and mixture sensitivities (4, T, F), column
+    by column."""
+    T, F = arr.shape
+    outs = np.empty((3, T, F))
+    sens = np.empty((4, T, F))
+    for j in range(F):
+        col = arr[:, j]
+        yk, dq, dr = kalman_with_sens_oracle(col, choice.q, choice.r)
+        yg, ds = gaussian_with_sens_oracle(col, choice.sigma)
+        ye, da = elp_with_sens_oracle(col, choice.alpha)
+        outs[:, :, j] = yk, yg, ye
+        sens[0, :, j] = choice.weights[0] * dq
+        sens[1, :, j] = choice.weights[0] * dr
+        sens[2, :, j] = choice.weights[1] * ds
+        sens[3, :, j] = choice.weights[2] * da
+    return outs, sens
 
 
 class TestKalman:
@@ -272,6 +357,40 @@ class TestSoftMixture:
             choice = FilterChoice(w, 0.2, 1.0, 0.8, 0.6)
             soft, _ = soft_denoise_matrix(choice, arr)
             assert np.allclose(soft, denoise_matrix(choice, arr), atol=1e-12)
+
+
+class TestSoftMixtureOracle:
+    def random_choice(self, rng):
+        return FilterChoice(rng.dirichlet(np.ones(3)), float(rng.uniform(0.0, 0.5)),
+                            float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.3, 4.0)),
+                            float(rng.uniform(0.05, 1.0)))
+
+    def test_outputs_and_sensitivities_equal_per_column(self, rng):
+        for T in range(2, 13):
+            choice = self.random_choice(rng)
+            arr = rng.normal(0, 1, size=(T, 14))
+            mixed, (outs, sens) = soft_denoise_matrix(choice, arr)
+            want_outs, want_sens = soft_denoise_oracle(choice, arr)
+            assert np.array_equal(outs, want_outs)
+            assert np.array_equal(sens, want_sens)
+            assert np.array_equal(mixed, np.tensordot(choice.weights, want_outs, axes=(0, 0)))
+
+    def test_stack_equals_windows_one_at_a_time(self, rng):
+        for T in (2, 5, 12):
+            choice = self.random_choice(rng)
+            arr = rng.normal(0, 1, size=(4, T, 14))
+            mixed, (outs, sens) = soft_denoise_matrix(choice, arr)
+            dout = rng.normal(0, 1, size=arr.shape)
+            dw, dp = soft_denoise_backward((outs, sens), dout)
+            for b in range(arr.shape[0]):
+                want_outs, want_sens = soft_denoise_oracle(choice, arr[b])
+                assert np.array_equal(outs[:, b], want_outs)
+                assert np.array_equal(sens[:, b], want_sens)
+                assert np.array_equal(mixed[b], soft_denoise_matrix(choice, arr[b])[0])
+            assert np.allclose(dw, sum(soft_denoise_backward((outs[:, b], sens[:, b]), dout[b])[0]
+                                       for b in range(arr.shape[0])), atol=1e-12)
+            assert np.allclose(dp, sum(soft_denoise_backward((outs[:, b], sens[:, b]), dout[b])[1]
+                                       for b in range(arr.shape[0])), atol=1e-12)
 
 
 def make_selector_items(rng, metric, n_items=2):

@@ -199,16 +199,6 @@ class TestRollout:
         assert delta == pytest.approx(weights.eta * traj.dtime
                                       + weights.gamma_hf * traj.hf)
 
-    def test_log_lines_format(self, rng):
-        scenario, trace, stack = build_stack(rng)
-        traj = rollout(ScriptedPolicy(lambda t, s: "handover" if t >= 15 else "hold"),
-                       scenario, stack, trace=trace)
-        lines = traj.log_lines()
-        assert lines[-1].startswith("TTS,")
-        assert len(lines) == traj.states.shape[0] + 1
-        first = lines[0].split(",")
-        assert first[0] == "0" and first[2] in ACTIONS
-
 
 class TestPpoUpdate:
     def toy_episode(self, model, rng, length=10):
