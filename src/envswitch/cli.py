@@ -15,7 +15,8 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .alignment import MetricModel, make_alignment_loss, pairs_from_switch_tags, train_metric
+from .alignment import (MetricModel, _pack, make_alignment_loss,
+                        pairs_from_switch_tags, train_metric)
 from .cloudedge import (EdgeAgent, RewardModel, RoundState, offline_update,
                         run_round)
 from .config import EngineConfig, load_config
@@ -210,14 +211,10 @@ def train_models(seed: int, cfg: EngineConfig, rounds: int | None = None,
                                        cfg.filters)
     selector_items = []
     for positive, negatives in pairs:
-        pos_item = (positive[0].features(), positive[0].present(),
-                    positive[1].features(), positive[1].present())
-        neg_items = []
-        for nq, np_ in negatives[:2]:
-            nq_f, nq_p = _seq_arrays(nq)
-            np_f, np_p = _seq_arrays(np_)
-            neg_items.append((nq_f, nq_p, np_f, np_p))
-        selector_items.append((_context_for(positive[0]), pos_item, neg_items))
+        neg_items = [(*_pack(nq), *_pack(np_)) for nq, np_ in negatives[:2]]
+        selector_items.append((_context_for(positive[0]),
+                               (*_pack(positive[0]), *_pack(positive[1])),
+                               neg_items))
     loss_fn = make_alignment_loss(metric, cfg.match.margin,
                                   cfg.match.gamma_soft, cfg.match.band)
     selector = train_selector(selector, selector_items, loss_fn,
@@ -263,14 +260,6 @@ def train_models(seed: int, cfg: EngineConfig, rounds: int | None = None,
         log(f"edge {edge.edge_id} personalized on {len(edge.local_log)} episodes")
     return (selector, metric, state.cloud_policy, state.reward_model, stacks,
             state, edge_policies)
-
-
-def _seq_arrays(seq):
-    if isinstance(seq, FingerprintSequence):
-        feats, pres = seq.packed()
-        return np.array(feats), np.array(pres)
-    feats, pres = seq
-    return np.array(feats), np.array(pres)
 
 
 def pretrain_on_trigger_rule(policy, stacks, scenarios_by_site,

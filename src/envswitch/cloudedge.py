@@ -17,7 +17,7 @@ from .config import EngineConfig
 from .fingerprints import fnv1a64, hash_identifier, quantize
 from .mlp import TwoLayerNet, softmax
 from .policy import (ACTIONS, MatcherStack, PolicyModel, RewardWeights,
-                     Trajectory, gae_advantages, ppo_update, rollout,
+                     Trajectory, _batch_advantages, ppo_update, rollout,
                      trigger_guide)
 from .serialize import dump_tensors, fmt, parse_tensors
 from .sim import generate
@@ -309,21 +309,9 @@ def offline_update(policy: PolicyModel, log, step_size: float = 0.05,
     if not log:
         raise ValueError("empty trajectory log")
     weights = weights or RewardWeights()
-    states, actions, w = [], [], []
-    for traj in log:
-        hf_value = 0.0 if traj.hf is None else traj.hf
-        rewards = traj.rewards_with(weights, hf_value)
-        rewards[traj.terminal_step] -= weights.eta * traj.baseline_tts
-        adv, _ = gae_advantages(rewards, traj.values, discount, gae_lambda)
-        states.append(traj.states)
-        actions.append(traj.actions)
-        w.append(adv)
-    states = np.concatenate(states)
-    actions = np.concatenate(actions).astype(int)
-    adv = np.concatenate(w)
-    std = adv.std()
-    if std > 1e-8:
-        adv = (adv - adv.mean()) / std
+    adv, _ = _batch_advantages(log, weights, discount, gae_lambda)
+    states = np.concatenate([traj.states for traj in log])
+    actions = np.concatenate([traj.actions for traj in log]).astype(int)
     weights_awr = np.minimum(np.exp(adv / temperature), 20.0)
 
     net = policy.net.copy()

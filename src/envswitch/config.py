@@ -24,7 +24,6 @@ class WindowConfig:
 
     window_s: float = 1.0          # one summary window per second
     buffer_windows: int = 10       # pre-switch buffer length (10 s at 1 s windows)
-    min_commit_windows: int = 2    # shortest buffer accepted by a commit
 
 
 @dataclass
@@ -71,7 +70,6 @@ class LibraryConfig:
     retention_days: int = 14       # rolling retention, ~2 weeks
     capacity: int = 256
     salt: str = "edge-default"     # per-user salt for identifier hashing
-    quant_step: float = 0.1        # quantization grid for desensitized aggregates
 
 
 @dataclass
@@ -88,7 +86,6 @@ class FilterConfig:
 @dataclass
 class MatchConfig:
     band: int = 3                  # Sakoe-Chiba band width in windows
-    top_k: int = 3
     embed_dim: int = 4             # per-modality linear embedding output dim
     margin: float = 1.0
     gamma_soft: float = 0.1        # soft-min smoothing used during training
@@ -103,7 +100,6 @@ class RadioConfig:
     exponent_indoor: float = 2.2
     exponent_outdoor: float = 2.0
     wall_db: float = 8.0           # penalty per wall between AP and user
-    shadowing_sigma_db: float = 2.0
     rssi_floor_dbm: float = -100.0
     rssi_ceil_dbm: float = -30.0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import LibraryConfig, NormalizationConfig, WindowConfig
+from .config import LibraryConfig, NormalizationConfig
 from .serialize import fmt
 
 MODALITIES = ("pdr", "wifi", "cell", "gnss", "time")
@@ -405,9 +405,8 @@ class FingerprintLibrary:
 
     def commit_segment(self, buffer: FingerprintSequence, event: SwitchEvent,
                        created_day: int = 0,
-                       min_windows: int | None = None) -> str:
+                       min_windows: int = 2) -> str:
         """Store a pre-switch buffer labeled by the switch that occurred."""
-        min_windows = min_windows if min_windows is not None else WindowConfig().min_commit_windows
         if len(buffer) < max(2, min_windows):
             raise ValueError("insufficient context: pre-switch buffer too short")
         probe = FingerprintSequence(buffer.windows, replace(event, anchor=""),
@@ -448,10 +447,6 @@ class FingerprintLibrary:
             victim = min(self.sequences,
                          key=lambda pid: (self.sequences[pid].created_at, pid))
             del self.sequences[victim]
-
-
-def maintain(library: FingerprintLibrary, current_day: int) -> FingerprintLibrary:
-    return library.maintain(current_day)
 
 
 # ---------------------------------------------------------------------------

@@ -169,10 +169,10 @@ def imitate(model: PolicyModel, states, actions, epochs: int = 150,
     return PolicyModel(net)
 
 
-def clipped_surrogate(ratio: float, advantage: float, clip_eps: float) -> float:
-    """Per-sample PPO objective: min(r*A, clip(r, 1-eps, 1+eps)*A)."""
-    clipped = min(max(ratio, 1.0 - clip_eps), 1.0 + clip_eps)
-    return min(ratio * advantage, clipped * advantage)
+def clipped_surrogate(ratio, advantage, clip_eps: float):
+    """PPO objective min(r*A, clip(r, 1-eps, 1+eps)*A), elementwise."""
+    clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps)
+    return np.minimum(ratio * advantage, clipped * advantage)
 
 
 def gae_advantages(rewards, values, discount: float, lam: float):
@@ -227,6 +227,30 @@ class Trajectory:
         return float(self.rewards_with(weights, 0.0 if hf_value is None else hf_value).sum())
 
 
+def _batch_advantages(batch, weights: RewardWeights, discount: float,
+                      gae_lambda: float):
+    """Per-episode GAE over a batch, concatenated and batch-normalized.
+
+    Withheld feedback counts as 0.  Returns (advantages, returns); the
+    returns are the unnormalized GAE returns the value head regresses on.
+    """
+    advantages, returns = [], []
+    for traj in batch:
+        rewards = traj.rewards_with(weights, 0.0 if traj.hf is None else traj.hf)
+        # the per-scenario baseline-TTS term inside dtime is a constant the
+        # policy cannot influence; subtracting it is a per-episode reward
+        # baseline that leaves the optimum unchanged and de-noises advantages
+        rewards[traj.terminal_step] -= weights.eta * traj.baseline_tts
+        adv, ret = gae_advantages(rewards, traj.values, discount, gae_lambda)
+        advantages.append(adv)
+        returns.append(ret)
+    advantages = np.concatenate(advantages)
+    std = advantages.std()
+    if std > 1e-8:
+        advantages = (advantages - advantages.mean()) / std
+    return advantages, np.concatenate(returns)
+
+
 def ppo_update(model: PolicyModel, batch, clip_eps: float = 0.2,
                epochs: int = 4, step_size: float = 0.02,
                gae_lambda: float = 0.95, discount: float = 0.99,
@@ -244,34 +268,18 @@ def ppo_update(model: PolicyModel, batch, clip_eps: float = 0.2,
         raise ValueError("clip epsilon must lie in (0, 1)")
     weights = weights or RewardWeights()
 
-    states, actions, old_logp = [], [], []
-    advantages, returns = [], []
-    for traj in batch:
-        hf_value = 0.0 if traj.hf is None else traj.hf
-        rewards = traj.rewards_with(weights, hf_value)
-        # the per-scenario baseline-TTS term inside dtime is a constant the
-        # policy cannot influence; subtracting it is a per-episode reward
-        # baseline that leaves the optimum unchanged and de-noises advantages
-        rewards[traj.terminal_step] -= weights.eta * traj.baseline_tts
-        adv, ret = gae_advantages(rewards, traj.values, discount, gae_lambda)
-        states.append(traj.states)
-        actions.append(traj.actions)
-        old_logp.append(traj.log_probs)
-        advantages.append(adv)
-        returns.append(ret)
-    states = np.concatenate(states)
-    actions = np.concatenate(actions).astype(int)
-    old_logp = np.concatenate(old_logp)
-    advantages = np.concatenate(advantages)
-    returns = np.concatenate(returns)
-    std = advantages.std()
-    if std > 1e-8:
-        advantages = (advantages - advantages.mean()) / std
+    advantages, returns = _batch_advantages(batch, weights, discount,
+                                            gae_lambda)
+    states = np.concatenate([traj.states for traj in batch])
+    actions = np.concatenate([traj.actions for traj in batch]).astype(int)
+    old_logp = np.concatenate([traj.log_probs for traj in batch])
 
     net = model.net.copy()
     optimizer = Adam(net, lr=step_size)
     n = states.shape[0]
     n_actions = model.n_actions
+    onehot = np.zeros((n, n_actions))
+    onehot[np.arange(n), actions] = 1.0
     for _ in range(max(0, epochs)):
         out, cache = net.forward(states)
         logits, values = out[:, :n_actions], out[:, n_actions]
@@ -279,12 +287,10 @@ def ppo_update(model: PolicyModel, batch, clip_eps: float = 0.2,
         logp_all = np.log(np.clip(probs, 1e-12, None))
         logp = logp_all[np.arange(n), actions]
         ratio = np.exp(logp - old_logp)
-        clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps)
+        raw = ratio * advantages
         # min(r*A, clip(r)*A) only passes gradient where the raw term is active
-        use_raw = (ratio * advantages) <= (clipped * advantages)
-        coef = np.where(use_raw, ratio * advantages, 0.0) / n
-        onehot = np.zeros((n, n_actions))
-        onehot[np.arange(n), actions] = 1.0
+        use_raw = clipped_surrogate(ratio, advantages, clip_eps) == raw
+        coef = np.where(use_raw, raw, 0.0) / n
         dlogits = -coef[:, None] * (onehot - probs)
 
         # entropy bonus: H = -sum p log p; dH/dlogits = -p * (logp + H)

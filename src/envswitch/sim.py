@@ -294,11 +294,9 @@ def _bssid(seed: int, ap_index: int) -> str:
 
 
 def compute_onset(scenario: Scenario, radio: RadioConfig | None = None,
-                  walker: WalkerConfig | None = None,
                   threshold: float = -75.0) -> float | None:
     """First time the noiseless serving RSSI crosses the threshold heading down."""
     radio = radio or RadioConfig()
-    walker = walker or WalkerConfig()
     phases = _walk_schedule(scenario)
     n_secs = int(scenario.duration)
     prev = None
@@ -390,7 +388,7 @@ def make_scenario(site: str, seed: int, radio: RadioConfig | None = None,
     else:
         raise ValueError(f"unknown site: {site!r}")
 
-    onset = compute_onset(scenario, radio, walker)
+    onset = compute_onset(scenario, radio)
     if onset is None:
         raise ValueError(f"{site} seed {seed}: degradation never reaches threshold")
     scenario.degradation_onset = onset
@@ -642,7 +640,7 @@ def parse_scenario_text(text: str, radio: RadioConfig | None = None,
             x, y, zone = spec_.split(",")
             wps.append(Waypoint(float(x), float(y), zone.strip()))
         scenario.waypoints = tuple(wps)
-    onset = compute_onset(scenario, radio, walker)
+    onset = compute_onset(scenario, radio)
     if onset is None:
         raise ValueError("scenario never reaches the degradation threshold")
     scenario.degradation_onset = onset

@@ -1,5 +1,8 @@
+import dataclasses
 import filecmp
+import inspect
 import os
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +136,31 @@ class TestConfigFile:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             apply_overrides(EngineConfig(), [("radio.flux_capacitor", "1")])
+
+    def test_every_setting_is_read(self):
+        # a setting nothing reads would be accepted from a file and ignored;
+        # a field counts as read when the package outside config.py reads
+        # it, or calls a method of its own section that reads it
+        src = os.path.dirname(inspect.getfile(EngineConfig))
+        code = ""
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py") and name != "config.py":
+                with open(os.path.join(src, name), encoding="utf-8") as f:
+                    code += f.read()
+
+        def is_read(cls, key):
+            if re.search(rf"\.{key}\b", code):
+                return True
+            return any(f"self.{key}" in inspect.getsource(method)
+                       and re.search(rf"\.{name}\(", code)
+                       for name, method in inspect.getmembers(cls, inspect.isfunction)
+                       if not name.startswith("_"))
+
+        unread = [f"{section.name}.{key.name}"
+                  for section in dataclasses.fields(EngineConfig)
+                  for key in dataclasses.fields(section.type)
+                  if not is_read(section.type, key.name)]
+        assert unread == []
 
     def test_defaults_unchanged_by_copy(self, tmp_path):
         path = tmp_path / "run.cfg"

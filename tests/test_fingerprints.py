@@ -8,7 +8,7 @@ from envswitch.fingerprints import (Fingerprint, FingerprintLibrary,
                                     RawWindow, SwitchEvent, WifiScan,
                                     CellSample, GnssSample,
                                     contains_identifier_leak, desensitize,
-                                    fnv1a64, hash_identifier, maintain,
+                                    fnv1a64, hash_identifier,
                                     pdr_features, quantize, read_sequence,
                                     save_library, load_library,
                                     summarize_window, wifi_features,
@@ -158,9 +158,9 @@ class TestLibrary:
         buf = make_sequence(rng, 6, day=0)
         lib.commit_segment(buf, SwitchEvent(buf.windows[-1].timestamp, "wifi_to_cell"),
                            created_day=0)
-        maintain(lib, 14)
+        lib.maintain(14)
         assert len(lib) == 1   # kept at exactly the horizon
-        maintain(lib, 15)
+        lib.maintain(15)
         assert len(lib) == 0   # dropped one day past it
 
     def test_maintain_idempotent(self, rng):
@@ -169,9 +169,9 @@ class TestLibrary:
             buf = make_sequence(rng, 6, day=day)
             lib.commit_segment(buf, SwitchEvent(buf.windows[-1].timestamp,
                                                 "wifi_to_cell"), created_day=day)
-        maintain(lib, 10)
+        lib.maintain(10)
         snapshot = sorted(lib.sequences)
-        maintain(lib, 10)
+        lib.maintain(10)
         assert sorted(lib.sequences) == snapshot
 
     def test_retention_property_random_schedules(self, rng):
@@ -187,7 +187,7 @@ class TestLibrary:
                         buf, SwitchEvent(buf.windows[-1].timestamp, "wifi_to_cell"),
                         created_day=day)
                 if rng.random() < 0.5:
-                    maintain(lib, day)
+                    lib.maintain(day)
                     ages = [day - s.created_at for s in lib.sequences.values()]
                     assert all(a <= 5 for a in ages)
                     assert len(lib) <= 16

@@ -113,13 +113,43 @@ class TestClippedSurrogate:
         assert clipped_surrogate(0.5, 1.0, 0.2) == pytest.approx(0.5)
 
     def test_never_exceeds_clip_bound(self, rng):
-        for _ in range(200):
-            r = float(rng.uniform(0.0, 3.0))
-            a = float(rng.normal(0, 2.0))
-            eps = 0.2
+        eps = 0.2
+        ratios = rng.uniform(0.0, 3.0, 200)
+        advs = rng.normal(0, 2.0, 200)
+        for r, a in zip(ratios.tolist(), advs.tolist()):
             value = clipped_surrogate(r, a, eps)
             assert value <= max(r * a, np.clip(r, 1 - eps, 1 + eps) * a) + 1e-12
             assert value <= r * a + 1e-12 or value <= np.clip(r, 1 - eps, 1 + eps) * a + 1e-12
+        # the elementwise form equals the scalar one sample by sample
+        batched = clipped_surrogate(ratios, advs, eps)
+        assert batched.shape == (200,)
+        assert np.array_equal(batched, [clipped_surrogate(r, a, eps) for r, a
+                                        in zip(ratios.tolist(), advs.tolist())])
+
+    def test_ppo_passes_no_gradient_through_the_clipped_term(self):
+        # one episode whose GAE advantages (discount 0) are its rewards; the
+        # old log-probs put every ratio at 2 (advantage > 0) or 0.5
+        # (advantage < 0), where the clipped term is the minimum, except the
+        # samples in ``inside``, whose ratio is 1
+        model = PolicyModel.from_seed(3)
+        states = np.random.default_rng(5).normal(0.0, 1.0, (6, 7))
+        actions = np.array([0, 1, 2, 3, 1, 0])
+        rewards = np.array([1.0, -1.0, 2.0, -2.0, 0.5, -0.5])
+        logp = np.log(action_probs(model, states)[np.arange(6), actions])
+
+        def update(inside):
+            old_logp = logp - np.sign(rewards) * np.log(2.0)
+            old_logp[inside] = logp[inside]
+            batch = [Trajectory(states=states, actions=actions,
+                                log_probs=old_logp, values=np.zeros(6),
+                                step_rewards=rewards, hf=0.0, terminal_step=5)]
+            return ppo_update(model, batch, clip_eps=0.2, epochs=1,
+                              discount=0.0, entropy_coef=0.0,
+                              value_coef=0.0).net.to_vector()
+
+        assert update([]).tobytes() == model.net.to_vector().tobytes()
+        # control: one sample inside the clip range moves the parameters
+        assert not np.array_equal(update([2]), model.net.to_vector())
 
 
 class TestGae:
