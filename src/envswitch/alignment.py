@@ -174,7 +174,10 @@ def cost_matrix(model: MetricModel, query, proto):
     for i, mod in enumerate(MODALITIES):
         sl = MODALITY_SLICES[mod]
         diff = qf[..., sl] - pf[..., None, :, sl]
-        emb = diff @ model.embeddings[mod].T
+        # one 2-D product, not one small gemm per leading (P, n) slice
+        W = model.embeddings[mod]
+        emb = (diff.reshape(-1, W.shape[1]) @ W.T).reshape(
+            diff.shape[:-1] + (W.shape[0],))
         sq = np.einsum("...ijk,...ijk->...ij", emb, emb)
         mask = (qp[..., i] & pp[..., None, :, i]).astype(float)
         cost += w[i] * sq * mask

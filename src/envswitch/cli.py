@@ -230,13 +230,14 @@ def train_models(seed: int, cfg: EngineConfig, rounds: int | None = None,
 
     policy = PolicyModel.from_seed(fnv1a64(f"policy:{seed}") % (2 ** 32),
                                    cfg.ppo.hidden)
-    policy = pretrain_on_trigger_rule(policy, stacks, scenarios_by_site, cfg)
+    policy = pretrain_on_trigger_rule(policy, stacks, traces_by_site, cfg)
     log("policy pre-trained on the trigger rule")
 
     for flag in ("A", "B", "C"):
         edges.append(EdgeAgent(
             edge_id=f"edge-{flag}", stack=stacks[flag],
-            scenarios=scenarios_by_site[flag], policy=policy))
+            scenarios=scenarios_by_site[flag], policy=policy,
+            traces=traces_by_site[flag]))
 
     state = RoundState(
         round_index=0, n_rounds=rounds,
@@ -262,18 +263,19 @@ def train_models(seed: int, cfg: EngineConfig, rounds: int | None = None,
             state, edge_policies)
 
 
-def pretrain_on_trigger_rule(policy, stacks, scenarios_by_site,
+def pretrain_on_trigger_rule(policy, stacks, traces_by_site,
                              cfg: EngineConfig) -> PolicyModel:
     """Imitate the operational trigger rule before the online rounds.
 
     The cloud pre-trains the deployable policy on scripted rollouts of the
-    similarity-trigger rule across every site, so the initial greedy
-    behavior is already a sane switcher; the rounds then adapt it.
+    similarity-trigger rule over the first three training traces of every
+    site, so the initial greedy behavior is already a sane switcher; the
+    rounds then adapt it.
     """
     guide = trigger_guide(cfg)
     states, actions = [], []
-    for flag, scenarios in scenarios_by_site.items():
-        for scenario in scenarios[:3]:
+    for flag, traces in traces_by_site.items():
+        for trace in traces[:3]:
             tracker = {"pre": False}
 
             def scripted(t, state, tracker=tracker):
@@ -282,7 +284,8 @@ def pretrain_on_trigger_rule(policy, stacks, scenarios_by_site,
                     tracker["pre"] = True
                 return action
 
-            traj = rollout(ScriptedPolicy(scripted), scenario, stacks[flag])
+            traj = rollout(ScriptedPolicy(scripted), trace.scenario,
+                           stacks[flag], trace=trace)
             states.append(traj.states)
             actions.append(traj.actions)
     return imitate(policy, np.concatenate(states), np.concatenate(actions),

@@ -182,7 +182,11 @@ def reward_model_loss(model: RewardModel, batch) -> float:
 
 @dataclass
 class EdgeAgent:
-    """One device: its site, matcher stack, scenario pool, and local policy."""
+    """One device: its site, matcher stack, scenario pool, and local policy.
+
+    ``traces`` holds the generated trace of each pool scenario, in pool
+    order; an agent built without them generates them once, here.
+    """
 
     edge_id: str
     stack: MatcherStack
@@ -191,6 +195,15 @@ class EdgeAgent:
     policy_version: int = 0
     local_log: list = field(default_factory=list)
     log_capacity: int = 400
+    traces: list | None = None
+
+    def __post_init__(self):
+        if self.traces is None:
+            ecfg = self.stack.cfg
+            self.traces = [generate(s, ecfg.radio, ecfg.walker)
+                           for s in self.scenarios]
+        if len(self.traces) != len(self.scenarios):
+            raise ValueError("need one trace per pool scenario")
 
     def record(self, traj) -> None:
         self.local_log.append(traj)
@@ -236,9 +249,8 @@ def run_round(state: RoundState, edges, cfg: EngineConfig | None = None,
             fnv1a64(f"round:{state.round_index}:{edge.edge_id}:{seed}"))
         pool = edge.scenarios
         for k in range(ce.episodes_per_edge):
-            scenario = pool[(state.round_index * ce.episodes_per_edge + k) % len(pool)]
-            ecfg = edge.stack.cfg
-            trace = generate(scenario, ecfg.radio, ecfg.walker)
+            i = (state.round_index * ce.episodes_per_edge + k) % len(pool)
+            scenario, trace = pool[i], edge.traces[i]
             traj = rollout(edge.policy, scenario, edge.stack, mode="sample",
                            seed=int(edge_rng.integers(2 ** 62)), trace=trace,
                            weights=weights, guide=guide, guide_eps=guide_eps)

@@ -383,12 +383,15 @@ class FingerprintLibrary:
     """Per-user store of switch-anchored sequences with aging and capacity.
 
     Single-writer: commits and maintenance mutate the store; reads hand out
-    immutable sequences and are safe from other threads.
+    immutable sequences and are safe from other threads.  ``version`` rises
+    with every commit, retention drop and capacity eviction, so a reader can
+    tell whether what it derived from the store is still current.
     """
 
     def __init__(self, cfg: LibraryConfig | None = None):
         self.cfg = cfg or LibraryConfig()
         self.sequences: dict[str, FingerprintSequence] = {}
+        self.version = 0
 
     def __len__(self):
         return len(self.sequences)
@@ -415,6 +418,7 @@ class FingerprintLibrary:
         seq = FingerprintSequence(buffer.windows, replace(event, anchor=pid),
                                   created_at=created_day, prototype_id=pid)
         self.sequences[pid] = seq
+        self.version += 1
         self._enforce_capacity()
         return pid
 
@@ -439,6 +443,7 @@ class FingerprintLibrary:
                  if seq.created_at < horizon]
         for pid in stale:
             del self.sequences[pid]
+            self.version += 1
         self._enforce_capacity()
         return self
 
@@ -447,6 +452,7 @@ class FingerprintLibrary:
             victim = min(self.sequences,
                          key=lambda pid: (self.sequences[pid].created_at, pid))
             del self.sequences[victim]
+            self.version += 1
 
 
 # ---------------------------------------------------------------------------

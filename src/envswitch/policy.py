@@ -8,10 +8,12 @@ improvement against the threshold baseline, matching quality, and simulated
 human feedback.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import alignment
 from .config import EngineConfig
 from .filters import context_from_windows
 from .mlp import Adam, TwoLayerNet, softmax
@@ -311,13 +313,46 @@ def ppo_update(model: PolicyModel, batch, clip_eps: float = 0.2,
 
 @dataclass
 class MatcherStack:
-    """Everything the matcher needs at decision time."""
+    """Everything the matcher needs at decision time.
+
+    ``top_similarity`` memoizes its results.  The memo belongs to one library
+    version, metric, selector and band, and is dropped when any of them
+    changes.
+    """
 
     selector: object
     metric: object
     library: object
     band: int = 3
     cfg: EngineConfig = field(default_factory=EngineConfig)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+    _memo_owners: tuple = field(default=(), init=False, repr=False,
+                                compare=False)
+    _memo_version: tuple = field(default=(), init=False, repr=False,
+                                 compare=False)
+
+    def top_similarity(self, features, present, scan_age: float) -> float:
+        """Top-1 ``match`` similarity of a live window, 0.0 if nothing aligns.
+
+        The window is scored with the selector context
+        ``context_from_windows(features, present, scan_age)``.  That context
+        is a function of the three arguments, so their bytes key the memo.
+        """
+        owners = (self.library, self.metric, self.selector)
+        version = (self.library.version, self.band)
+        if (version != self._memo_version
+                or not all(map(operator.is_, owners, self._memo_owners))):
+            self._memo = {}
+            self._memo_owners, self._memo_version = owners, version
+        key = (features.tobytes(), present.tobytes(), scan_age)
+        if key not in self._memo:
+            live = (features, present)
+            ranked = alignment.match(self.metric, self.selector, live,
+                                     self.library, self.band, 1,
+                                     context_from_windows(*live, scan_age))
+            self._memo[key] = ranked[0][1].similarity if ranked else 0.0
+        return self._memo[key]
 
 
 class ScriptedPolicy:
@@ -364,8 +399,6 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
     Per-step reward is lam * similarity plus shaping (trigger hint, healthy
     link credit); the completion step adds eta * dtime + gamma_hf * HF.
     """
-    from .alignment import match as match_fn
-
     cfg = stack.cfg
     rng = np.random.default_rng(seed)
     weights = weights or RewardWeights(cfg.reward.eta, cfg.reward.lam,
@@ -414,13 +447,9 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
             if len(windows) > cfg.window.buffer_windows:
                 windows.pop(0)
             if len(windows) >= 2 and len(stack.library) > 0:
-                live = (np.stack([w.features for w in windows]),
-                        np.stack([w.present for w in windows]))
-                ranked = match_fn(stack.metric, stack.selector, live,
-                                  stack.library, stack.band, 1,
-                                  context_from_windows(*live, scan_age))
-                if ranked:
-                    sim_top = ranked[0][1].similarity
+                sim_top = stack.top_similarity(
+                    np.stack([w.features for w in windows]),
+                    np.stack([w.present for w in windows]), scan_age)
         sim_history.append(sim_top)
         trend = sim_top - (sim_history[-4] if len(sim_history) >= 4 else 0.0)
 

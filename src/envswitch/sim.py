@@ -133,7 +133,11 @@ def path_loss_rssi(tx_power: float, distance: float, zone: str,
 
 @dataclass
 class RawTrace:
-    """Per-tick PDR stream plus per-second radio/GNSS streams."""
+    """Per-tick PDR stream plus per-second radio/GNSS streams.
+
+    ``generate`` makes every array read-only: one trace is shared by every
+    rollout of its scenario, and its checksum is computed once.
+    """
 
     scenario: Scenario
     tick_t: np.ndarray
@@ -155,6 +159,8 @@ class RawTrace:
     door_time: float | None
     degradation_onset: float
     zone_transitions: list
+    _checksum: str | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def duration(self) -> float:
@@ -172,9 +178,11 @@ class RawTrace:
                 for a in order[:k]]
 
     def checksum(self) -> str:
-        payload = (self.rssi_by_ap.tobytes() + self.rsrp.tobytes()
-                   + self.gnss_snr.tobytes() + self.pos.tobytes())
-        return f"{fnv1a64(payload):016x}"
+        if self._checksum is None:
+            payload = (self.rssi_by_ap.tobytes() + self.rsrp.tobytes()
+                       + self.gnss_snr.tobytes() + self.pos.tobytes())
+            self._checksum = f"{fnv1a64(payload):016x}"
+        return self._checksum
 
 
 def _gnss_streams(scenario, sec_t, sec_zone, door_time, rng):
@@ -271,6 +279,11 @@ def generate(scenario: Scenario, radio: RadioConfig | None = None,
     gnss_snr, gnss_sats, gnss_fix = _gnss_streams(scenario, sec_t, sec_zone,
                                                   door_time, rng)
 
+    arrays = (tick_t, pos, headings, step_times, sec_t, rssi_by_ap,
+              noiseless_by_ap, cell_id, rsrp, rsrq, gnss_snr, gnss_sats,
+              gnss_fix)
+    for a in arrays:
+        a.flags.writeable = False
     return RawTrace(
         scenario=scenario, tick_t=tick_t, pos=pos, tick_zone=tick_zone,
         headings=headings, step_times=step_times, sec_t=sec_t, bssids=bssids,

@@ -236,6 +236,28 @@ class TestBatchedDtw:
             for k, p in enumerate(protos):
                 assert np.array_equal(cost[k], cost_matrix(model, q, p)[0])
 
+    def test_embedding_equals_stacked_product(self, rng):
+        # cost_matrix embeds the difference tensor with one 2-D product; it
+        # must equal numpy's stacked (P, n, m, k) @ (k, e) product bit for bit
+        for trial in range(200):
+            n, m = (int(v) for v in rng.integers(2, 12, size=2))
+            P = int(rng.integers(1, 30))
+            model = MetricModel.from_seed(trial, int(rng.integers(2, 6)), 0.3)
+            protos = (rng.normal(size=(P, m, 14)), rng.random((P, m, 5)) > 0.2)
+            if trial % 2:
+                query = random_packed(rng, n)
+            else:
+                query = (rng.normal(size=(P, n, 14)), rng.random((P, n, 5)) > 0.2)
+            cost, caches = cost_matrix(model, query, protos)
+            want = np.zeros_like(cost)
+            for i, mod in enumerate(MODALITIES):
+                diff, emb, _, mask = caches[mod]
+                stacked = diff @ model.embeddings[mod].T
+                assert np.array_equal(emb, stacked)
+                want += model.weights[i] * np.einsum(
+                    "...ijk,...ijk->...ij", stacked, stacked) * mask
+            assert np.array_equal(cost, want)
+
     def test_distance_equals_scalar_dp(self, rng):
         narrow = 0
         for trial in range(60):

@@ -7,9 +7,14 @@ import re
 import numpy as np
 import pytest
 
+import envswitch.cli as cli
+import envswitch.cloudedge as cloudedge
+import envswitch.sim as sim
 from envswitch.cli import (PAPER_SESSION_COUNTS, SessionReport, build_parser,
-                           cmd_simulate, render_table, report_csv, round2)
+                           cmd_simulate, render_table, report_csv, round2,
+                           train_models)
 from envswitch.config import EngineConfig, apply_overrides, load_config
+from envswitch.sim import scenario_text
 
 
 class TestSessionReport:
@@ -101,6 +106,17 @@ class TestSimulateCommand:
         cmd_simulate(["C"], 2, 9, str(b), cfg)
         for name in sorted(os.listdir(a)):
             assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+class TestTrainModels:
+    def test_each_training_scenario_is_generated_once(self, monkeypatch):
+        calls = []
+        for module in (sim, cloudedge, cli):
+            original = module.generate
+            monkeypatch.setattr(module, "generate", lambda *a, _g=original, **k:
+                                calls.append(scenario_text(a[0])) or _g(*a, **k))
+        train_models(13, EngineConfig(), rounds=1, log=lambda line: None)
+        assert len(calls) == 18 == len(set(calls))
 
 
 class TestParser:

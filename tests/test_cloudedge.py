@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+import envswitch.cli as cli
 import envswitch.cloudedge as ce
+import envswitch.sim as sim
 from envswitch.alignment import MetricModel
 from envswitch.cloudedge import (EdgeAgent, EdgeSummary, RewardModel,
                                  RoundState, SummaryRecord, aggregate,
@@ -190,6 +192,23 @@ def small_cfg(**overrides):
 
 
 class TestRunRound:
+    def test_edges_generate_their_pool_once(self, monkeypatch):
+        calls = []
+        for module in (sim, ce, cli):
+            original = module.generate
+            monkeypatch.setattr(module, "generate", lambda *a, _g=original, **k:
+                                calls.append(a[0]) or _g(*a, **k))
+        edges = build_edges(n_scenarios=3)
+        assert calls == [s for e in edges for s in e.scenarios]
+        assert all(t.scenario is s for e in edges
+                   for s, t in zip(e.scenarios, e.traces))
+        calls.clear()
+        state = RoundState(0, 2, edges[0].policy, 0, RewardModel.from_seed(0),
+                           {e.edge_id: 0 for e in edges})
+        for _ in range(2):
+            state = run_round(state, edges, small_cfg(), seed=1)
+        assert calls == []
+
     def test_distill_period_one_syncs_versions(self):
         edges = build_edges()
         cfg = small_cfg(distill_period=1)

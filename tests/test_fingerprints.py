@@ -174,6 +174,27 @@ class TestLibrary:
         lib.maintain(10)
         assert sorted(lib.sequences) == snapshot
 
+    def test_version_rises_on_every_mutation(self, rng):
+        lib = FingerprintLibrary(LibraryConfig(retention_days=14, capacity=2))
+        assert lib.version == 0
+
+        def commit(day):
+            buf = make_sequence(rng, 6, day=day)
+            lib.commit_segment(buf, SwitchEvent(buf.windows[-1].timestamp,
+                                                "wifi_to_cell"), created_day=day)
+
+        commit(0)
+        commit(1)
+        assert lib.version == 2
+        commit(2)                     # one commit plus one capacity eviction
+        assert (len(lib), lib.version) == (2, 4)
+        lib.maintain(15)              # within retention: nothing changes
+        assert lib.version == 4
+        lib.maintain(16)              # drops the prototype of day 1
+        assert (len(lib), lib.version) == (1, 5)
+        lib.maintain(16)
+        assert lib.version == 5
+
     def test_retention_property_random_schedules(self, rng):
         # after any maintenance pass no element violates the horizon
         for trial in range(25):

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from envswitch import alignment
 from envswitch.alignment import MetricModel
 from envswitch.config import EngineConfig
 from envswitch.fingerprints import FingerprintLibrary, SwitchEvent
@@ -228,6 +230,116 @@ class TestRollout:
         delta = rewards[expected_idx] - traj.step_rewards[expected_idx]
         assert delta == pytest.approx(weights.eta * traj.dtime
                                       + weights.gamma_hf * traj.hf)
+
+
+def commit_at(library, trace, t, day):
+    seg = segment_before(trace, t, CFG)
+    return library.commit_segment(
+        seg, SwitchEvent(seg.windows[-1].timestamp, "wifi_to_cell"), day)
+
+
+def same_rollout(a, b):
+    return (all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+                for f in ("states", "actions", "log_probs", "step_rewards"))
+            and a.policy_tts == b.policy_tts)
+
+
+class TestMatchMemo:
+    """A stack's memoized top-1 similarities never change a rollout."""
+
+    def scene(self, other_day=1, capacity=256):
+        scenario = make_scenario("A", 42, CFG.radio, CFG.walker)
+        trace = generate(scenario, CFG.radio, CFG.walker)
+        other = generate(make_scenario("A", 43, CFG.radio, CFG.walker),
+                         CFG.radio, CFG.walker)
+        library = FingerprintLibrary(dataclasses.replace(CFG.library,
+                                                         capacity=capacity))
+        good = commit_at(library, trace, 28.0, day=0)
+        commit_at(library, other, 30.0, day=other_day)
+        # a seeded selector, so the filter depends on scan age and presence
+        stack = MatcherStack(selector=SelectorModel.from_seed(11, CFG.filters),
+                             metric=MetricModel.identity(), library=library,
+                             band=CFG.match.band, cfg=CFG)
+        # holds or scan-boosts most steps, so scan ages vary between rollouts
+        policy = PolicyModel.from_seed(7, hold_bias=2.0)
+        policy.net.b2[1] += 2.0
+        return scenario, trace, stack, policy, good
+
+    def run(self, policy, scenario, stack, trace, seed=5):
+        return rollout(policy, scenario, stack, mode="sample", seed=seed,
+                       trace=trace)
+
+    def fresh(self, stack):
+        return MatcherStack(selector=stack.selector, metric=stack.metric,
+                            library=stack.library, band=stack.band,
+                            cfg=stack.cfg)
+
+    def test_warm_memo_changes_nothing(self, monkeypatch):
+        scenario, trace, stack, policy, _ = self.scene()
+        calls = []
+        original = alignment.match
+        monkeypatch.setattr(alignment, "match",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        self.run(policy, scenario, stack, trace, seed=4)
+        calls.clear()
+        warm = self.run(policy, scenario, stack, trace)
+        warm_calls = len(calls)
+        calls.clear()
+        cold = self.run(policy, scenario, self.fresh(stack), trace)
+        assert (cold.actions == ACTIONS.index("scan_boost")).any()
+        assert same_rollout(warm, cold)
+        assert 0 < warm_calls < len(calls)      # the memo served some steps
+
+    def test_key_covers_presence_and_scan_age(self):
+        _, trace, stack, _, _ = self.scene()
+        features, present = segment_before(trace, 20.0, CFG).packed()
+        dropped = present.copy()
+        dropped[-1, 0] = False
+        variants = [(features, p, age) for p in (present, dropped)
+                    for age in (0.0, 2.0)]
+        warm = [stack.top_similarity(*v) for v in variants]
+        assert len(set(warm)) == len(variants)
+        assert warm == [self.fresh(stack).top_similarity(*v) for v in variants]
+
+    def test_memo_dropped_after_eviction(self):
+        scenario, trace, stack, policy, good = self.scene(capacity=2)
+        before = self.run(policy, scenario, stack, trace)
+        version = stack.library.version
+        third = generate(make_scenario("A", 44, CFG.radio, CFG.walker),
+                         CFG.radio, CFG.walker)
+        commit_at(stack.library, third, 30.0, day=2)
+        assert good not in stack.library.sequences
+        assert stack.library.version == version + 2
+        after = self.run(policy, scenario, stack, trace)
+        assert not same_rollout(after, before)
+        assert same_rollout(after, self.run(policy, scenario, self.fresh(stack),
+                                            trace))
+
+    def test_memo_dropped_after_maintain(self):
+        scenario, trace, stack, policy, good = self.scene(other_day=20)
+        before = self.run(policy, scenario, stack, trace)
+        version = stack.library.version
+        stack.library.maintain(CFG.library.retention_days + 1)
+        assert list(stack.library) != [] and good not in stack.library.sequences
+        assert stack.library.version == version + 1
+        after = self.run(policy, scenario, stack, trace)
+        assert not same_rollout(after, before)
+        assert same_rollout(after, self.run(policy, scenario, self.fresh(stack),
+                                            trace))
+
+    @pytest.mark.parametrize("name, value", [
+        ("metric", MetricModel.from_seed(3, noise=0.3)),
+        ("selector", SelectorModel.from_seed(3, CFG.filters)),
+        ("band", 1),
+    ])
+    def test_memo_dropped_when_a_part_is_replaced(self, name, value):
+        scenario, trace, stack, policy, _ = self.scene()
+        before = self.run(policy, scenario, stack, trace)
+        setattr(stack, name, value)
+        after = self.run(policy, scenario, stack, trace)
+        assert not same_rollout(after, before)
+        assert same_rollout(after, self.run(policy, scenario, self.fresh(stack),
+                                            trace))
 
 
 class TestPpoUpdate:

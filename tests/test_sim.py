@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import envswitch.sim as sim
 from envswitch.config import EngineConfig
 from envswitch.sim import (RawTrace, Scenario, Waypoint, baseline_policy,
                            compute_onset, detect_outdoor_transition,
@@ -46,6 +47,24 @@ class TestGenerate:
         assert np.array_equal(a.gnss_snr, b.gnss_snr)
         assert np.array_equal(a.step_times, b.step_times)
         assert a.checksum() == b.checksum()
+
+    def test_trace_is_read_only_with_cached_checksum(self, monkeypatch):
+        sc = make_scenario("C", 4, CFG.radio, CFG.walker)
+        trace = generate(sc, CFG.radio, CFG.walker)
+        arrays = [f.name for f in dataclasses.fields(trace)
+                  if isinstance(getattr(trace, f.name), np.ndarray)]
+        assert len(arrays) == 13
+        for name in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(trace, name)[0] = 0
+        fresh = generate(sc, CFG.radio, CFG.walker)
+        hashed = []
+        real = sim.fnv1a64
+        monkeypatch.setattr(sim, "fnv1a64",
+                            lambda *a: hashed.append(1) or real(*a))
+        first = trace.checksum()
+        assert trace.checksum() == first and len(hashed) == 1
+        assert fresh.checksum() == first and len(hashed) == 2
 
     def test_site_a_is_indoor_no_fix(self):
         sc = make_scenario("A", 1, CFG.radio, CFG.walker)
