@@ -188,14 +188,13 @@ def train_models(seed: int, cfg: EngineConfig, rounds: int | None = None,
                  log=print):
     """Full training pipeline; returns (selector, metric, policy, reward, stacks)."""
     rounds = rounds if rounds is not None else cfg.cloudedge.n_rounds
-    libraries, traces_by_site, scenarios_by_site = {}, {}, {}
+    libraries, traces_by_site = {}, {}
     for flag in ("A", "B", "C"):
         seeds = [seed + 100 * {"A": 1, "B": 2, "C": 3}[flag] + k
                  for k in range(TRAIN_SESSIONS_PER_SITE)]
-        lib, traces, scenarios = build_site_library(flag, seeds, cfg)
+        lib, traces, _ = build_site_library(flag, seeds, cfg)
         libraries[flag] = lib
         traces_by_site[flag] = traces
-        scenarios_by_site[flag] = scenarios
         log(f"site {flag}: committed {len(lib)} prototypes")
 
     pairs = build_training_pairs(libraries, traces_by_site, cfg, seed)
@@ -234,10 +233,8 @@ def train_models(seed: int, cfg: EngineConfig, rounds: int | None = None,
     log("policy pre-trained on the trigger rule")
 
     for flag in ("A", "B", "C"):
-        edges.append(EdgeAgent(
-            edge_id=f"edge-{flag}", stack=stacks[flag],
-            scenarios=scenarios_by_site[flag], policy=policy,
-            traces=traces_by_site[flag]))
+        edges.append(EdgeAgent(edge_id=f"edge-{flag}", stack=stacks[flag],
+                               traces=traces_by_site[flag], policy=policy))
 
     state = RoundState(
         round_index=0, n_rounds=rounds,

@@ -20,7 +20,7 @@ from .policy import (ACTIONS, MatcherStack, PolicyModel, RewardWeights,
                      Trajectory, _batch_advantages, ppo_update, rollout,
                      trigger_guide)
 from .serialize import dump_tensors, fmt, parse_tensors
-from .sim import generate
+from .sim import generate  # unused here; bench/spans.py wraps this name
 
 N_ACTIONS = len(ACTIONS)
 
@@ -182,28 +182,19 @@ def reward_model_loss(model: RewardModel, batch) -> float:
 
 @dataclass
 class EdgeAgent:
-    """One device: its site, matcher stack, scenario pool, and local policy.
+    """One device: its site, matcher stack, trace pool, and local policy.
 
-    ``traces`` holds the generated trace of each pool scenario, in pool
-    order; an agent built without them generates them once, here.
+    ``traces`` are the generated walks the edge replays, one per pool
+    scenario; each carries its ``scenario``.
     """
 
     edge_id: str
     stack: MatcherStack
-    scenarios: list
+    traces: list
     policy: PolicyModel
     policy_version: int = 0
     local_log: list = field(default_factory=list)
     log_capacity: int = 400
-    traces: list | None = None
-
-    def __post_init__(self):
-        if self.traces is None:
-            ecfg = self.stack.cfg
-            self.traces = [generate(s, ecfg.radio, ecfg.walker)
-                           for s in self.scenarios]
-        if len(self.traces) != len(self.scenarios):
-            raise ValueError("need one trace per pool scenario")
 
     def record(self, traj) -> None:
         self.local_log.append(traj)
@@ -247,13 +238,14 @@ def run_round(state: RoundState, edges, cfg: EngineConfig | None = None,
     for edge in edges:
         edge_rng = np.random.default_rng(
             fnv1a64(f"round:{state.round_index}:{edge.edge_id}:{seed}"))
-        pool = edge.scenarios
+        pool = edge.traces
         for k in range(ce.episodes_per_edge):
             i = (state.round_index * ce.episodes_per_edge + k) % len(pool)
-            scenario, trace = pool[i], edge.traces[i]
-            traj = rollout(edge.policy, scenario, edge.stack, mode="sample",
-                           seed=int(edge_rng.integers(2 ** 62)), trace=trace,
-                           weights=weights, guide=guide, guide_eps=guide_eps)
+            trace = pool[i]
+            traj = rollout(edge.policy, trace.scenario, edge.stack,
+                           mode="sample", seed=int(edge_rng.integers(2 ** 62)),
+                           trace=trace, weights=weights, guide=guide,
+                           guide_eps=guide_eps)
             withheld = edge_rng.random() < ce.hf_withheld_fraction
             if withheld:
                 traj = replace(traj, hf=None)

@@ -317,8 +317,11 @@ class MatcherStack:
 
     ``top_similarity`` memoizes its results.  The memo belongs to one library
     version, metric, selector and band, and is dropped when any of them
-    changes.
+    changes, or when it reaches ``MEMO_LIMIT`` entries (one training run has
+    under 1,000 distinct windows; evaluation never repeats one).
     """
+
+    MEMO_LIMIT = 2048
 
     selector: object
     metric: object
@@ -347,6 +350,8 @@ class MatcherStack:
             self._memo_owners, self._memo_version = owners, version
         key = (features.tobytes(), present.tobytes(), scan_age)
         if key not in self._memo:
+            if len(self._memo) >= self.MEMO_LIMIT:
+                self._memo = {}
             live = (features, present)
             ranked = alignment.match(self.metric, self.selector, live,
                                      self.library, self.band, 1,

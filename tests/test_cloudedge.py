@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 
 import numpy as np
 import pytest
@@ -168,18 +169,17 @@ class TestRewardModel:
 def build_edges(seed=0, n_scenarios=2):
     edges = []
     for flag in ("A", "C"):
-        scenarios = [make_scenario(flag, seed + k, CFG.radio, CFG.walker)
-                     for k in range(n_scenarios)]
-        trace = generate(scenarios[0], CFG.radio, CFG.walker)
+        traces = [generate(make_scenario(flag, seed + k, CFG.radio, CFG.walker),
+                           CFG.radio, CFG.walker) for k in range(n_scenarios)]
         lib = FingerprintLibrary()
-        seg = segment_before(trace, 28.0, CFG)
+        seg = segment_before(traces[0], 28.0, CFG)
         lib.commit_segment(seg, SwitchEvent(seg.windows[-1].timestamp,
                                             "wifi_to_cell"), 0)
         stack = MatcherStack(selector=SelectorModel.zeros(),
                              metric=MetricModel.identity(), library=lib,
                              band=3, cfg=CFG)
         edges.append(EdgeAgent(edge_id=f"edge-{flag}", stack=stack,
-                               scenarios=scenarios,
+                               traces=traces,
                                policy=PolicyModel.from_seed(seed)))
     return edges
 
@@ -192,22 +192,24 @@ def small_cfg(**overrides):
 
 
 class TestRunRound:
-    def test_edges_generate_their_pool_once(self, monkeypatch):
-        calls = []
+    def test_rounds_replay_the_stored_traces(self, monkeypatch):
+        edges = build_edges(n_scenarios=3)
+        calls, replayed = [], []
         for module in (sim, ce, cli):
             original = module.generate
             monkeypatch.setattr(module, "generate", lambda *a, _g=original, **k:
                                 calls.append(a[0]) or _g(*a, **k))
-        edges = build_edges(n_scenarios=3)
-        assert calls == [s for e in edges for s in e.scenarios]
-        assert all(t.scenario is s for e in edges
-                   for s, t in zip(e.scenarios, e.traces))
-        calls.clear()
+        monkeypatch.setattr(ce, "rollout", lambda *a, _r=ce.rollout, **k:
+                            replayed.append(k["trace"]) or _r(*a, **k))
         state = RoundState(0, 2, edges[0].policy, 0, RewardModel.from_seed(0),
                            {e.edge_id: 0 for e in edges})
         for _ in range(2):
             state = run_round(state, edges, small_cfg(), seed=1)
         assert calls == []
+        expected = [e.traces[(2 * r + k) % 3] for r in range(2) for e in edges
+                    for k in range(2)]
+        assert len(replayed) == len(expected)
+        assert all(map(operator.is_, replayed, expected))
 
     def test_distill_period_one_syncs_versions(self):
         edges = build_edges()

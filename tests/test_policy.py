@@ -301,6 +301,16 @@ class TestMatchMemo:
         assert len(set(warm)) == len(variants)
         assert warm == [self.fresh(stack).top_similarity(*v) for v in variants]
 
+    def test_memo_is_bounded(self):
+        _, trace, stack, _, _ = self.scene()
+        features, present = segment_before(trace, 20.0, CFG).packed()
+        variants = [(features, present, age) for age in (0.0, 1.0, 2.0)]
+        stack.MEMO_LIMIT = 2
+        warm = [stack.top_similarity(*v) for v in variants + variants]
+        assert 0 < len(stack._memo) <= 2
+        assert warm == [self.fresh(stack).top_similarity(*v)
+                        for v in variants + variants]
+
     def test_memo_dropped_after_eviction(self):
         scenario, trace, stack, policy, good = self.scene(capacity=2)
         before = self.run(policy, scenario, stack, trace)
