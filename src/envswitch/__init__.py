@@ -12,8 +12,8 @@ from .alignment import (AlignmentResult, BandTooNarrowError, MetricModel,
                         train_metric)
 from .config import EngineConfig, load_config
 from .fingerprints import (Fingerprint, FingerprintLibrary,
-                           FingerprintSequence, ModalitySummary, RawWindow,
-                           SwitchEvent, desensitize, summarize_window)
+                           FingerprintSequence, RawWindow, SwitchEvent,
+                           desensitize, summarize_window)
 from .filters import (FilterChoice, FilterContext, SelectorModel,
                       apply_elp, apply_gaussian, apply_kalman, denoise,
                       select_filter, train_selector)

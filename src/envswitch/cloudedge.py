@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import EngineConfig
-from .fingerprints import fnv1a64, hash_identifier, quantize
+from .fingerprints import fnv1a64, hash_identifier
 from .mlp import TwoLayerNet, softmax
 from .policy import (ACTIONS, MatcherStack, PolicyModel, RewardWeights,
                      Trajectory, _batch_advantages, ppo_update, rollout,
@@ -82,12 +82,14 @@ def summarize_trajectory(traj: Trajectory, version: int, edge_id: str,
     """Quantize an episode into wire records (direct HF only on the last)."""
     records = []
     T = traj.states.shape[0]
+    # the elementwise form of fingerprints.quantize
+    states = (np.round(traj.states / quant) * quant).tolist()
     for t in range(T):
         hf = float("nan")
         if t == T - 1 and traj.hf is not None:
             hf = float(traj.hf)
-        state = tuple(quantize(v, quant) for v in traj.states[t])
-        records.append(SummaryRecord(state, int(traj.actions[t]), hf, float(t)))
+        records.append(SummaryRecord(tuple(states[t]), int(traj.actions[t]),
+                                     hf, float(t)))
     return EdgeSummary(version, hash_identifier(edge_id, salt), tuple(records))
 
 

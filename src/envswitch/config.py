@@ -52,17 +52,12 @@ class NormalizationConfig:
         "time_cos": (-1.0, 1.0),
     })
 
-    def normalize(self, name: str, value: float) -> float:
-        lo, hi = self.bounds[name]
-        center = 0.5 * (lo + hi)
-        halfspan = 0.5 * (hi - lo)
-        return (value - center) / halfspan
-
-    def denormalize(self, name: str, value: float) -> float:
-        lo, hi = self.bounds[name]
-        center = 0.5 * (lo + hi)
-        halfspan = 0.5 * (hi - lo)
-        return value * halfspan + center
+    def affine(self, names) -> tuple:
+        """(centers, halfspans) of the features ``names``, as two tuples:
+        a raw value ``x`` normalizes to ``(x - center) / halfspan``."""
+        bounds = [self.bounds[name] for name in names]
+        return (tuple([0.5 * (lo + hi) for lo, hi in bounds]),
+                tuple([0.5 * (hi - lo) for lo, hi in bounds]))
 
 
 @dataclass

@@ -72,27 +72,6 @@ def quantize(value: float, step: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModalitySummary:
-    """Fixed-length normalized feature vector for one modality."""
-
-    kind: str
-    features: tuple
-    quality: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in MODALITIES:
-            raise ValueError(f"unknown modality kind: {self.kind!r}")
-        if len(self.features) != FEATURE_DIMS[self.kind]:
-            raise ValueError(
-                f"{self.kind} summary needs {FEATURE_DIMS[self.kind]} features, "
-                f"got {len(self.features)}")
-        if not all(math.isfinite(v) for v in self.features):
-            raise ValueError("summary features must be finite")
-        if not 0.0 <= self.quality <= 1.0:
-            raise ValueError("quality must lie in [0, 1]")
-
-
 class Fingerprint:
     """One window: 14 concatenated features + per-modality presence/quality.
 
@@ -121,20 +100,6 @@ class Fingerprint:
         self.present.setflags(write=False)
         self.quality = quality
         self.quality.setflags(write=False)
-
-    @classmethod
-    def from_summaries(cls, timestamp: float, summaries: dict, present: dict):
-        feats = np.zeros(N_FEATURES)
-        pres = np.zeros(len(MODALITIES), dtype=bool)
-        qual = np.zeros(len(MODALITIES))
-        for i, m in enumerate(MODALITIES):
-            s = summaries[m]
-            if s.kind != m:
-                raise ValueError(f"summary kind {s.kind!r} placed under {m!r}")
-            feats[MODALITY_SLICES[m]] = s.features
-            pres[i] = bool(present.get(m, True))
-            qual[i] = s.quality if pres[i] else 0.0
-        return cls(timestamp, feats, pres, qual)
 
     def modality_features(self, kind: str) -> np.ndarray:
         return self.features[MODALITY_SLICES[kind]]
@@ -258,16 +223,25 @@ def _wrap_angle(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def pdr_features(window: RawWindow):
-    """Raw (step rate, heading change, stop flag) before normalization."""
-    n_steps = len(window.step_times)
-    rate = n_steps / window.duration if window.duration > 0 else 0.0
-    if len(window.headings) >= 2:
-        dh = _wrap_angle(float(window.headings[-1]) - float(window.headings[0]))
+# The per-modality arithmetic below takes plain sequences, so that a RawWindow
+# (``*_features``) and a trace's per-second arrays (``sim.fingerprint_at``)
+# summarize through the same code.
+
+
+def pdr_summary(n_steps: int, duration: float, headings):
+    """Raw (step rate, heading change, stop flag) of one window."""
+    rate = n_steps / duration if duration > 0 else 0.0
+    if len(headings) >= 2:
+        dh = _wrap_angle(float(headings[-1]) - float(headings[0]))
     else:
         dh = 0.0
     stop = 1.0 if n_steps == 0 else 0.0
     return rate, dh, stop
+
+
+def pdr_features(window: RawWindow):
+    """Raw (step rate, heading change, stop flag) before normalization."""
+    return pdr_summary(len(window.step_times), window.duration, window.headings)
 
 
 def least_squares_slope(times, values) -> float:
@@ -283,54 +257,96 @@ def least_squares_slope(times, values) -> float:
     return float(np.dot(tc, v - v.mean()) / denom)
 
 
+def scan_summary(readings, top_k: int = 3):
+    """(top-K mean RSSI, strongest RSSI, strongest BSSID) of one scan."""
+    if not readings:
+        raise ValueError("inconsistent mask: wifi scan with no readings")
+    ordered = sorted(readings, key=lambda r: (-r[1], r[0]))
+    top = ordered[:top_k]
+    return sum(r[1] for r in top) / len(top), ordered[0][1], ordered[0][0]
+
+
+def wifi_summary(topk_means, strongest_rssi, strongest_ids, times):
+    """Raw (top-K mean RSSI, strongest-RSSI slope, strongest-AP churn) of
+    per-scan summaries."""
+    churn = 0.0
+    if len(strongest_ids) >= 2:
+        changes = sum(a != b for a, b in zip(strongest_ids, strongest_ids[1:]))
+        churn = changes / (len(strongest_ids) - 1)
+    return (float(np.mean(topk_means)),
+            least_squares_slope(times, strongest_rssi),
+            churn)
+
+
 def wifi_features(window: RawWindow, top_k: int = 3):
     """Raw (top-K mean RSSI, strongest-RSSI slope, strongest-AP churn)."""
     scans = window.wifi_scans
     if not scans:
         raise ValueError("inconsistent mask: wifi marked present but window has no samples")
-    topk_means, strongest_rssi, strongest_id, times = [], [], [], []
-    for scan in scans:
-        if not scan.readings:
-            raise ValueError("inconsistent mask: wifi scan with no readings")
-        ordered = sorted(scan.readings, key=lambda r: (-r[1], r[0]))
-        top = ordered[:top_k]
-        topk_means.append(sum(r[1] for r in top) / len(top))
-        strongest_id.append(ordered[0][0])
-        strongest_rssi.append(ordered[0][1])
-        times.append(scan.time)
-    churn = 0.0
-    if len(strongest_id) >= 2:
-        changes = sum(a != b for a, b in zip(strongest_id, strongest_id[1:]))
-        churn = changes / (len(strongest_id) - 1)
-    return (float(np.mean(topk_means)),
-            least_squares_slope(times, strongest_rssi),
-            churn)
+    per_scan = [scan_summary(scan.readings, top_k) for scan in scans]
+    topk_means, strongest_rssi, strongest_ids = zip(*per_scan)
+    return wifi_summary(topk_means, strongest_rssi, strongest_ids,
+                        [scan.time for scan in scans])
+
+
+def cell_summary(rsrp, rsrq, cell_ids):
+    """Raw (mean RSRP, mean RSRQ, cell change flag) of one window's samples."""
+    change = 1.0 if any(a != b for a, b in zip(cell_ids, cell_ids[1:])) else 0.0
+    return float(np.mean(rsrp)), float(np.mean(rsrq)), change
 
 
 def cell_features(window: RawWindow):
     samples = window.cell_samples
     if not samples:
         raise ValueError("inconsistent mask: cell marked present but window has no samples")
-    rsrp = float(np.mean([s.rsrp for s in samples]))
-    rsrq = float(np.mean([s.rsrq for s in samples]))
-    ids = [s.cell_id for s in samples]
-    change = 1.0 if any(a != b for a, b in zip(ids, ids[1:])) else 0.0
-    return rsrp, rsrq, change
+    return cell_summary([s.rsrp for s in samples], [s.rsrq for s in samples],
+                        [s.cell_id for s in samples])
+
+
+def gnss_summary(snr, sats, fix):
+    """Raw (mean SNR, mean satellites, majority fix flag) of one window."""
+    fix = 1.0 if np.mean(fix) >= 0.5 else 0.0
+    return float(np.mean(snr)), float(np.mean(sats)), fix
 
 
 def gnss_features(window: RawWindow):
     samples = window.gnss_samples
     if not samples:
         raise ValueError("inconsistent mask: gnss marked present but window has no samples")
-    snr = float(np.mean([s.snr for s in samples]))
-    sats = float(np.mean([s.sats for s in samples]))
-    fix = 1.0 if np.mean([1.0 if s.fix else 0.0 for s in samples]) >= 0.5 else 0.0
-    return snr, sats, fix
+    return gnss_summary([s.snr for s in samples], [s.sats for s in samples],
+                        [s.fix for s in samples])
+
+
+def time_summary(hour_of_day: float):
+    phase = 2.0 * math.pi * (hour_of_day % 24.0) / 24.0
+    return math.sin(phase), math.cos(phase)
 
 
 def time_features(window: RawWindow):
-    phase = 2.0 * math.pi * (window.hour_of_day % 24.0) / 24.0
-    return math.sin(phase), math.cos(phase)
+    return time_summary(window.hour_of_day)
+
+
+def assemble_fingerprint(timestamp: float, raw: dict, present: dict,
+                         quality: dict, affine: tuple) -> Fingerprint:
+    """Normalize raw per-modality features and attach the presence mask.
+
+    ``raw`` maps every modality to its raw feature tuple; all 14 features
+    normalize with one affine map ``(raw - center) / halfspan``, where
+    ``affine`` is ``NormalizationConfig.affine(FEATURE_NAMES)``.  A quality
+    missing from ``quality`` is 1.0 for a modality marked present and 0.0
+    otherwise; a modality missing from ``present`` keeps its flag set.
+    """
+    center, halfspan = affine
+    values = np.array([v for m in MODALITIES for v in raw[m]], dtype=float)
+    features = (values - np.array(center)) / np.array(halfspan)
+    pres, qual = [], []
+    for m in MODALITIES:
+        q = quality.get(m, 1.0 if present.get(m, False) else 0.0)
+        if not 0.0 <= q <= 1.0:
+            raise ValueError("quality must lie in [0, 1]")
+        pres.append(bool(present.get(m, True)))
+        qual.append(q if pres[-1] else 0.0)
+    return Fingerprint(timestamp, features, pres, qual)
 
 
 def summarize_window(window: RawWindow, present: dict,
@@ -342,8 +358,6 @@ def summarize_window(window: RawWindow, present: dict,
     an empty sample set raises ("inconsistent mask"); a modality marked
     absent gets zero features and zero quality, and is inert downstream.
     """
-    norm = norm or NormalizationConfig()
-    quality = quality or {}
     raw = {m: (0.0,) * FEATURE_DIMS[m] for m in MODALITIES}
     if present.get("pdr", False):
         raw["pdr"] = pdr_features(window)
@@ -355,15 +369,9 @@ def summarize_window(window: RawWindow, present: dict,
         raw["gnss"] = gnss_features(window)
     if present.get("time", False):
         raw["time"] = time_features(window)
-
-    summaries = {}
-    for m in MODALITIES:
-        names = FEATURE_NAMES[MODALITY_SLICES[m]]
-        feats = tuple(norm.normalize(n, v) for n, v in zip(names, raw[m]))
-        q = quality.get(m, 1.0 if present.get(m, False) else 0.0)
-        summaries[m] = ModalitySummary(m, feats, q)
     t_mid = 0.5 * (window.t_start + window.t_end)
-    return Fingerprint.from_summaries(t_mid, summaries, present)
+    affine = (norm or NormalizationConfig()).affine(FEATURE_NAMES)
+    return assemble_fingerprint(t_mid, raw, present, quality or {}, affine)
 
 
 # ---------------------------------------------------------------------------

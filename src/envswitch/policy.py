@@ -403,14 +403,14 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
     stepping inertly to the horizon so every rollout sees the same states.
     Per-step reward is lam * similarity plus shaping (trigger hint, healthy
     link credit); the completion step adds eta * dtime + gamma_hf * HF.
+    ``trace`` is the scenario's generated trace and is required.
     """
     cfg = stack.cfg
     rng = np.random.default_rng(seed)
     weights = weights or RewardWeights(cfg.reward.eta, cfg.reward.lam,
                                        cfg.reward.gamma_hf)
     if trace is None:
-        from .sim import generate
-        trace = generate(scenario, cfg.radio, cfg.walker)
+        raise ValueError("rollout replays a generated trace; pass trace=")
     base_completion, _ = baseline_policy(
         trace, cfg.baseline.threshold_dbm, cfg.baseline.hysteresis_db,
         cfg.baseline.dwell_s, cfg.baseline.assoc_delay_s)
@@ -457,16 +457,19 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
                     np.stack([w.present for w in windows]), scan_age)
         sim_history.append(sim_top)
         trend = sim_top - (sim_history[-4] if len(sim_history) >= 4 else 0.0)
+        # steps in [t - 1, t); step_times is sorted
+        steps_from, steps_to = np.searchsorted(trace.step_times,
+                                               (t - 1.0, t)).tolist()
 
         state = PolicyState(
             similarity=sim_top, sim_trend=trend,
             rssi=(rssi + 65.0) / 35.0,
             gnss_fix=1.0 if trace.gnss_fix[sec] else 0.0,
-            step_rate=min(1.0, len([s for s in trace.step_times
-                                    if t - 1.0 <= s < t]) / 3.0),
+            step_rate=min(1.0, (steps_to - steps_from) / 3.0),
             scan_age=min(1.0, scan_age / 5.0),
             on_cell=1.0 if switched else 0.0)
 
+        feats = state.features()
         if scripted:
             idx = ACTIONS.index(policy.decide(t, state))
             logp, value = 0.0, 0.0
@@ -475,7 +478,6 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
             # behavior mixture: (1 - eps) * policy + eps * trigger rule;
             # the recorded log-prob is the mixture's, so the PPO ratio stays
             # a valid importance weight
-            feats = state.features()
             logits, value = policy.logits_value(feats)
             probs = softmax(logits)
             mix = (1.0 - guide_eps) * probs
@@ -484,7 +486,7 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
             logp = float(np.log(mix[idx]))
             value = float(value)
         else:
-            idx, logp, value = act(policy, state, mode, rng)
+            idx, logp, value = act(policy, feats, mode, rng)
         action = ACTIONS[idx]
 
         reward = 0.0
@@ -515,7 +517,7 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
                 action_time = t
                 switched = True
 
-        states_v.append(state.features())
+        states_v.append(feats)
         actions_v.append(idx)
         logps.append(logp)
         values.append(value)

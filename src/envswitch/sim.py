@@ -18,9 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import EngineConfig, RadioConfig, RewardConfig, WalkerConfig
-from .fingerprints import (CellSample, Fingerprint, FingerprintSequence,
-                           GnssSample, RawWindow, WifiScan, fnv1a64,
-                           summarize_window)
+from .fingerprints import (FEATURE_NAMES, Fingerprint, FingerprintSequence,
+                           assemble_fingerprint, cell_summary, fnv1a64,
+                           gnss_summary, pdr_summary, scan_summary,
+                           time_summary, wifi_summary)
+# unused here; bench/spans.py wraps this name
+from .fingerprints import summarize_window
 from .serialize import fmt
 
 SITES = ("A_indoor", "B_door_egress", "C_apartment_mixed")
@@ -100,18 +103,35 @@ def _walk_schedule(scenario: Scenario):
     return phases
 
 
-def _position_at(phases, t: float):
-    """(x, y, zone, moving, heading) at time t."""
-    for t0, t1, kind, (a, b) in phases:
-        if t0 <= t < t1 or (t >= t1 and (t0, t1, kind, (a, b)) is phases[-1]):
-            if kind == "pause" or t >= t1:
-                return b.x, b.y, b.zone, False, math.atan2(b.y - a.y, b.x - a.x)
-            frac = (t - t0) / (t1 - t0)
-            x = a.x + frac * (b.x - a.x)
-            y = a.y + frac * (b.y - a.y)
-            return x, y, a.zone, True, math.atan2(b.y - a.y, b.x - a.x)
-    last = phases[-1][3][1]
-    return last.x, last.y, last.zone, False, 0.0
+def _kinematics(scenario: Scenario, times: np.ndarray):
+    """(pos (n, 2), zones, moving, headings) of the walker at ``times``.
+
+    A time belongs to the first phase that ends after it; times past the
+    last phase hold at the final waypoint.  A move phase interpolates
+    ``a + frac * (b - a)`` and reports its start zone; a pause sits at its
+    waypoint.  Every phase's heading is ``atan2`` of its displacement.
+    """
+    phases = _walk_schedule(scenario)
+    t0, t1, kinds, ends = zip(*phases)
+    t0, t1 = np.array(t0), np.array(t1)
+    starts, stops = zip(*ends)
+    ax, ay = np.array([w.x for w in starts]), np.array([w.y for w in starts])
+    bx, by = np.array([w.x for w in stops]), np.array([w.y for w in stops])
+    moves = np.array(kinds) == "move"
+    zones = [a.zone if kind == "move" else b.zone
+             for kind, a, b in zip(kinds, starts, stops)]
+    headings = np.array([math.atan2(b.y - a.y, b.x - a.x)
+                         for a, b in zip(starts, stops)])
+
+    k = np.minimum(np.searchsorted(t1, times, side="right"), len(phases) - 1)
+    moving = moves[k]
+    x, y = bx[k], by[k]
+    m = k[moving]
+    frac = (times[moving] - t0[m]) / (t1[m] - t0[m])
+    x[moving] = ax[m] + frac * (bx[m] - ax[m])
+    y[moving] = ay[m] + frac * (by[m] - ay[m])
+    return (np.column_stack((x, y)), [zones[i] for i in k.tolist()], moving,
+            headings[k])
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +148,7 @@ def path_loss_rssi(tx_power: float, distance: float, zone: str,
     walls = scenario.zone_walls.get(zone, 0.0)
     rssi = tx_power - radio.pl0_db - 10.0 * exponent * math.log10(d) \
         - walls * radio.wall_db
-    return float(np.clip(rssi, radio.rssi_floor_dbm, radio.rssi_ceil_dbm))
+    return float(min(max(rssi, radio.rssi_floor_dbm), radio.rssi_ceil_dbm))
 
 
 @dataclass
@@ -136,7 +156,8 @@ class RawTrace:
     """Per-tick PDR stream plus per-second radio/GNSS streams.
 
     ``generate`` makes every array read-only: one trace is shared by every
-    rollout of its scenario, and its checksum is computed once.
+    rollout of its scenario, and its checksum, its per-second WiFi summaries
+    and each window ``fingerprint_at`` builds from it are computed once.
     """
 
     scenario: Scenario
@@ -161,6 +182,11 @@ class RawTrace:
     zone_transitions: list
     _checksum: str | None = field(default=None, init=False, repr=False,
                                   compare=False)
+    _wifi: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
+    # fingerprint_at's memo: normalization -> {window key: Fingerprint}
+    _windows: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def duration(self) -> float:
@@ -176,6 +202,16 @@ class RawTrace:
         order = np.argsort(-self.rssi_by_ap[:, t_idx], kind="stable")
         return [(self.bssids[a], float(self.rssi_by_ap[a, t_idx]))
                 for a in order[:k]]
+
+    def wifi_summaries(self):
+        """Per-second ``scan_summary`` of the top-3 readings, computed once:
+        (top-K means, strongest RSSIs, strongest BSSIDs)."""
+        if self._wifi is None:
+            per_sec = [scan_summary(self.topk_readings(i))
+                       for i in range(len(self.sec_t))]
+            means, strongest, bssids = zip(*per_sec)
+            self._wifi = (np.array(means), np.array(strongest), bssids)
+        return self._wifi
 
     def checksum(self) -> str:
         if self._checksum is None:
@@ -194,7 +230,7 @@ def _gnss_streams(scenario, sec_t, sec_zone, door_time, rng):
         outdoor = sec_zone[i] in scenario.outdoor_zones
         if outdoor and door_time is not None:
             clear = door_time + scenario.gnss_clear_delay_s
-            ramp = float(np.clip((t - clear) / 5.0, 0.0, 1.0))
+            ramp = float(min(max((t - clear) / 5.0, 0.0), 1.0))
         else:
             ramp = 0.0
         snr[i] = max(0.0, 4.0 + 28.0 * ramp + rng.normal(0.0, 1.5))
@@ -210,32 +246,21 @@ def generate(scenario: Scenario, radio: RadioConfig | None = None,
     radio = radio or RadioConfig()
     walker = walker or WalkerConfig()
     rng = np.random.default_rng(scenario.seed)
-    phases = _walk_schedule(scenario)
 
     n_ticks = int(round(scenario.duration * walker.tick_hz))
     tick_t = np.arange(n_ticks) / walker.tick_hz
-    pos = np.empty((n_ticks, 2))
-    tick_zone = []
-    headings = np.empty(n_ticks)
-    moving = np.empty(n_ticks, dtype=bool)
-    for i, t in enumerate(tick_t):
-        x, y, zone, mv, hd = _position_at(phases, t)
-        pos[i] = (x, y)
-        tick_zone.append(zone)
-        headings[i] = hd
-        moving[i] = mv
+    pos, tick_zone, moving, headings = _kinematics(scenario, tick_t)
 
     # step events from a constant cadence while moving
-    cadence = scenario.speed_mps / walker.stride_m
-    step_times = []
+    per_tick = scenario.speed_mps / walker.stride_m / walker.tick_hz
+    step_ticks = []
     acc = 0.0
-    for i in range(n_ticks):
-        if moving[i]:
-            acc += cadence / walker.tick_hz
-            if acc >= 1.0:
-                step_times.append(tick_t[i])
-                acc -= 1.0
-    step_times = np.array(step_times)
+    for i in np.flatnonzero(moving).tolist():
+        acc += per_tick
+        if acc >= 1.0:
+            step_ticks.append(i)
+            acc -= 1.0
+    step_times = tick_t[np.array(step_ticks, dtype=int)]
 
     n_secs = int(scenario.duration)
     sec_t = np.arange(n_secs, dtype=float)
@@ -256,15 +281,15 @@ def generate(scenario: Scenario, radio: RadioConfig | None = None,
     rssi_by_ap = np.empty((n_aps, n_secs))
     noiseless_by_ap = np.empty((n_aps, n_secs))
     shadow = rng.normal(0.0, scenario.shadow_sigma_db, size=(n_aps, n_secs))
+    sec_pos = pos[sec_idx].tolist()
     for a, (ax, ay, tx) in enumerate(scenario.ap_placements):
-        for i in range(n_secs):
-            x, y = pos[sec_idx[i]]
+        for i, (x, y) in enumerate(sec_pos):
             d = math.hypot(x - ax, y - ay)
             clean = path_loss_rssi(tx, d, sec_zone[i], scenario, radio)
             noiseless_by_ap[a, i] = clean
-            rssi_by_ap[a, i] = float(np.clip(clean + shadow[a, i],
-                                             radio.rssi_floor_dbm,
-                                             radio.rssi_ceil_dbm))
+            rssi_by_ap[a, i] = min(max(clean + shadow[a, i],
+                                       radio.rssi_floor_dbm),
+                                   radio.rssi_ceil_dbm)
     bssids = tuple(_bssid(scenario.seed, a) for a in range(n_aps))
 
     cell_id = np.full(n_secs, 501, dtype=int)
@@ -310,12 +335,10 @@ def compute_onset(scenario: Scenario, radio: RadioConfig | None = None,
                   threshold: float = -75.0) -> float | None:
     """First time the noiseless serving RSSI crosses the threshold heading down."""
     radio = radio or RadioConfig()
-    phases = _walk_schedule(scenario)
-    n_secs = int(scenario.duration)
+    sec_t = np.arange(int(scenario.duration), dtype=float)
+    pos, zones, _, _ = _kinematics(scenario, sec_t)
     prev = None
-    for i in range(n_secs):
-        t = float(i)
-        x, y, zone, _, _ = _position_at(phases, t)
+    for t, (x, y), zone in zip(sec_t.tolist(), pos.tolist(), zones):
         best = max(path_loss_rssi(tx, math.hypot(x - ax, y - ay), zone,
                                   scenario, radio)
                    for ax, ay, tx in scenario.ap_placements)
@@ -491,66 +514,78 @@ def feedback_oracle(completion, trace: RawTrace,
 # ---------------------------------------------------------------------------
 
 
-def window_from_trace(trace: RawTrace, t_start: float, t_end: float,
-                      scan_times=None, top_k: int = 3) -> RawWindow:
-    """Collect raw per-modality samples for [t_start, t_end).
-
-    ``scan_times`` restricts WiFi scans to a device schedule; None means
-    every per-second sample is visible.
-    """
-    tick_sel = (trace.tick_t >= t_start) & (trace.tick_t < t_end)
-    steps = trace.step_times[(trace.step_times >= t_start)
-                             & (trace.step_times < t_end)]
-    sec_sel = np.where((trace.sec_t >= t_start) & (trace.sec_t < t_end))[0]
-    if scan_times is None:
-        scan_idx = sec_sel
-    else:
-        scan_idx = [i for i in sec_sel if float(trace.sec_t[i]) in scan_times]
-    wifi = [WifiScan(float(trace.sec_t[i]), trace.topk_readings(i, top_k))
-            for i in scan_idx]
-    cell = [CellSample(float(trace.sec_t[i]), int(trace.cell_id[i]),
-                       float(trace.rsrp[i]), float(trace.rsrq[i]))
-            for i in sec_sel]
-    gnss = [GnssSample(float(trace.sec_t[i]), float(trace.gnss_snr[i]),
-                       float(trace.gnss_sats[i]), bool(trace.gnss_fix[i]))
-            for i in sec_sel]
-    return RawWindow(t_start=t_start, t_end=t_end, step_times=steps,
-                     headings=trace.headings[tick_sel], wifi_scans=wifi,
-                     cell_samples=cell, gnss_samples=gnss,
-                     hour_of_day=trace.scenario.start_hour + t_start / 3600.0)
-
-
 def fingerprint_at(trace: RawTrace, t_end: float, cfg: EngineConfig,
                    scan_times=None) -> Fingerprint:
-    """Summarize the window ending at t_end (length from cfg.window).
+    """Summarize the window [t_end - cfg.window.window_s, t_end).
 
-    When a device scan schedule leaves the window without a WiFi scan, the
-    freshest scan inside the staleness budget is carried over with decayed
-    quality; beyond the budget WiFi is marked absent.
+    ``scan_times`` restricts WiFi scans to a device schedule; None means
+    every per-second sample is visible.  When the schedule leaves the window
+    without a WiFi scan, the freshest earlier scan inside the staleness
+    budget is carried over with decayed quality; beyond the budget WiFi is
+    marked absent.
+
+    The result is memoized on the trace, keyed on everything the window
+    reads: t_end, the window length, the staleness budget, the
+    normalization, the scans inside the window and, when there are none,
+    the latest earlier scan.
     """
-    t_start = t_end - cfg.window.window_s
-    w = window_from_trace(trace, t_start, t_end, scan_times)
-    wifi_quality = 1.0
-    if scan_times is not None and not w.wifi_scans:
-        stale = cfg.device.wifi_stale_s
-        older = [s for s in scan_times if s < t_start]
-        if older:
-            last = max(older)
-            age = t_end - last
-            if age <= stale:
-                sec = int(last)
-                if 0 <= sec < len(trace.sec_t):
-                    w.wifi_scans = [WifiScan(last, trace.topk_readings(sec))]
-                    wifi_quality = max(0.0, 1.0 - age / stale)
-    present = {
-        "pdr": True,
-        "wifi": len(w.wifi_scans) > 0,
-        "cell": len(w.cell_samples) > 0,
-        "gnss": len(w.gnss_samples) > 0,
-        "time": True,
+    window_s, stale = cfg.window.window_s, cfg.device.wifi_stale_s
+    t_start = t_end - window_s
+    lo, hi = np.searchsorted(trace.sec_t, (t_start, t_end)).tolist()
+    scans = carried = None
+    if scan_times is not None:
+        scans = tuple(i for i in range(lo, hi)
+                      if float(trace.sec_t[i]) in scan_times)
+        if not scans:
+            carried = max((s for s in scan_times if s < t_start), default=None)
+    # one memo per normalization, so its key is held once, not per window
+    affine = cfg.norm.affine(FEATURE_NAMES)
+    memo = trace._windows.setdefault(affine, {})
+    key = (t_end, window_s, stale, scans, carried)
+    fp = memo.get(key)
+    if fp is None:
+        fp = memo[key] = _summarize_trace_window(
+            trace, t_start, t_end, (lo, hi), scans, carried, stale, affine)
+    return fp
+
+
+def _summarize_trace_window(trace, t_start, t_end, sec_span, scans, carried,
+                            stale, affine):
+    """``fingerprint_at`` on a memo miss, from slices of the trace's arrays;
+    ``sec_span`` is the window's [lo, hi) range of seconds."""
+    lo, hi = sec_span
+    lo_t, hi_t = np.searchsorted(trace.tick_t, (t_start, t_end)).tolist()
+    lo_s, hi_s = np.searchsorted(trace.step_times, (t_start, t_end)).tolist()
+    raw = {
+        "pdr": pdr_summary(hi_s - lo_s, t_end - t_start,
+                           trace.headings[lo_t:hi_t]),
+        "wifi": (0.0, 0.0, 0.0), "cell": (0.0, 0.0, 0.0),
+        "gnss": (0.0, 0.0, 0.0),
+        "time": time_summary(trace.scenario.start_hour + t_start / 3600.0),
     }
-    quality = {"wifi": wifi_quality if present["wifi"] else 0.0}
-    return summarize_window(w, present, quality=quality, norm=cfg.norm)
+    secs = list(range(lo, hi)) if scans is None else list(scans)
+    times = trace.sec_t[secs]
+    wifi_quality = 1.0
+    if carried is not None:
+        age = t_end - carried
+        if age <= stale and 0 <= int(carried) < len(trace.sec_t):
+            secs, times = [int(carried)], [carried]
+            wifi_quality = max(0.0, 1.0 - age / stale)
+    if secs:
+        means, strongest, bssids = trace.wifi_summaries()
+        raw["wifi"] = wifi_summary(means[secs], strongest[secs],
+                                   [bssids[i] for i in secs], times)
+    if hi > lo:
+        raw["cell"] = cell_summary(trace.rsrp[lo:hi], trace.rsrq[lo:hi],
+                                   trace.cell_id[lo:hi])
+        raw["gnss"] = gnss_summary(trace.gnss_snr[lo:hi],
+                                   trace.gnss_sats[lo:hi],
+                                   trace.gnss_fix[lo:hi])
+    present = {"pdr": True, "wifi": bool(secs), "cell": hi > lo,
+               "gnss": hi > lo, "time": True}
+    quality = {"wifi": wifi_quality if secs else 0.0}
+    return assemble_fingerprint(0.5 * (t_start + t_end), raw, present,
+                                quality, affine)
 
 
 def segment_before(trace: RawTrace, t_event: float, cfg: EngineConfig,

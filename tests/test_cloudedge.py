@@ -16,7 +16,7 @@ from envswitch.cloudedge import (EdgeAgent, EdgeSummary, RewardModel,
                                  summarize_trajectory)
 from envswitch.config import EngineConfig
 from envswitch.fingerprints import (FingerprintLibrary, SwitchEvent,
-                                    contains_identifier_leak)
+                                    contains_identifier_leak, quantize)
 from envswitch.filters import SelectorModel
 from envswitch.policy import (MatcherStack, PolicyModel, Trajectory, act,
                               rollout)
@@ -101,6 +101,31 @@ class TestWireFormats:
         for r in summary.records:
             for v in r.state:
                 assert abs(v / 0.01 - round(v / 0.01)) < 1e-9
+
+    @pytest.mark.parametrize("quant", [0.01, 0.25])
+    def test_summarize_trajectory_matches_scalar_quantize(self, rng, quant):
+        traj = make_trajectory(rng, length=12)
+        # values whose quotient by the step is exactly k + 0.5 (round half to
+        # even), negatives and signed zeros
+        halves = (np.arange(-40, 40) + 0.5) * quant
+        ratio = halves / quant
+        ties = halves[ratio - np.floor(ratio) == 0.5]
+        states = traj.states.copy()
+        states[:, 0] = ties[ties < 0][:12]
+        states[:, 1] = ties[ties > 0][-12:]
+        states[:, 2] = np.tile([-0.0, 0.0], 6)
+        traj = dataclasses.replace(traj, states=states)
+        summary = summarize_trajectory(traj, 2, "edge-A", "salt-x", quant)
+        records = tuple(
+            SummaryRecord(tuple(quantize(v, quant) for v in traj.states[t]),
+                          int(traj.actions[t]),
+                          float(traj.hf) if t == len(states) - 1 else float("nan"),
+                          float(t))
+            for t in range(len(states)))
+        scalar = EdgeSummary(2, summary.edge_id_hash, records)
+        assert summary.serialize() == scalar.serialize()
+        assert ([repr(r.state) for r in summary.records]
+                == [repr(r.state) for r in scalar.records])
 
     def test_direct_hf_only_on_terminal_record(self, rng):
         traj = make_trajectory(rng, hf=0.75)

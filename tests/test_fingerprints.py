@@ -4,8 +4,7 @@ import pytest
 from envswitch.alignment import MetricModel, dtw
 from envswitch.config import LibraryConfig
 from envswitch.fingerprints import (Fingerprint, FingerprintLibrary,
-                                    FingerprintSequence, ModalitySummary,
-                                    RawWindow, SwitchEvent, WifiScan,
+                                    FingerprintSequence, RawWindow, SwitchEvent, WifiScan,
                                     CellSample, GnssSample,
                                     contains_identifier_leak, desensitize,
                                     fnv1a64, hash_identifier,
@@ -35,15 +34,6 @@ ALL_PRESENT = {m: True for m in ("pdr", "wifi", "cell", "gnss", "time")}
 
 
 class TestTypes:
-    def test_modality_summary_validates(self):
-        ModalitySummary("pdr", (0.1, 0.2, 0.0), 0.5)
-        with pytest.raises(ValueError):
-            ModalitySummary("pdr", (0.1, 0.2), 0.5)
-        with pytest.raises(ValueError):
-            ModalitySummary("pdr", (0.1, 0.2, float("nan")), 0.5)
-        with pytest.raises(ValueError):
-            ModalitySummary("pdr", (0.1, 0.2, 0.3), 1.5)
-
     def test_fingerprint_mask_shape(self, rng):
         with pytest.raises(ValueError):
             Fingerprint(0.0, np.zeros(13), np.ones(5, bool), np.ones(5))
@@ -99,6 +89,16 @@ class TestSummarize:
         w = RawWindow(t_start=0.0, t_end=1.0)
         with pytest.raises(ValueError, match="inconsistent mask"):
             summarize_window(w, {"wifi": True})
+
+    def test_quality_outside_unit_interval_rejected(self):
+        w = window_with_rssi([-65.0], dur=1.0)
+        for q in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="quality"):
+                summarize_window(w, ALL_PRESENT, quality={"wifi": q})
+            # also when the modality is absent and its quality is discarded
+            with pytest.raises(ValueError, match="quality"):
+                summarize_window(w, dict(ALL_PRESENT, wifi=False),
+                                 quality={"wifi": q})
 
     def test_normalization_applied(self):
         w = window_with_rssi([-65.0, -65.0], dur=1.0)

@@ -232,6 +232,26 @@ class TestRollout:
                                       + weights.gamma_hf * traj.hf)
 
 
+class TestRolloutInputs:
+    def test_missing_trace_raises(self, rng):
+        scenario, _, stack = build_stack(rng, with_library=False)
+        with pytest.raises(ValueError, match="trace"):
+            rollout(ScriptedPolicy(lambda t, s: "hold"), scenario, stack)
+
+    def test_step_rate_counts_the_half_open_second(self, rng):
+        scenario, trace, stack = build_stack(rng, with_library=False)
+        # steps exactly on t - 1 and on t, several in one second, none in some
+        steps = np.array([0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 4.25, 4.5, 4.75,
+                          6.999, 7.0, 9.0, 12.0])
+        trace = dataclasses.replace(trace, step_times=steps)
+        traj = rollout(ScriptedPolicy(lambda t, s: "hold"), scenario, stack,
+                       trace=trace)
+        expected = [min(1.0, len([s for s in steps if t - 1.0 <= s < t]) / 3.0)
+                    for t in np.arange(1.0, int(trace.duration))]
+        assert traj.states[:, 4].tolist() == expected
+        assert set(expected) == {0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0}
+
+
 def commit_at(library, trace, t, day):
     seg = segment_before(trace, t, CFG)
     return library.commit_segment(

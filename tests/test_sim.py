@@ -6,13 +6,118 @@ import pytest
 
 import envswitch.sim as sim
 from envswitch.config import EngineConfig
+from envswitch.fingerprints import (CellSample, GnssSample, RawWindow, WifiScan,
+                                    summarize_window)
 from envswitch.sim import (RawTrace, Scenario, Waypoint, baseline_policy,
                            compute_onset, detect_outdoor_transition,
                            feedback_oracle, fingerprint_at, generate,
-                           make_scenario, path_loss_rssi, rollback_occurred,
-                           scenario_text, segment_before, truth_text, tts)
+                           make_scenario, parse_scenario_text, path_loss_rssi,
+                           rollback_occurred, scenario_text, segment_before,
+                           truth_text, tts)
 
 CFG = EngineConfig()
+
+
+# ---------------------------------------------------------------------------
+# scalar oracles of the vectorized kinematics and of the window path
+# ---------------------------------------------------------------------------
+
+
+def position_at(phases, t: float):
+    """(x, y, zone, moving, heading) at time t, one phase at a time."""
+    for t0, t1, kind, (a, b) in phases:
+        if t0 <= t < t1 or (t >= t1 and (t0, t1, kind, (a, b)) is phases[-1]):
+            if kind == "pause" or t >= t1:
+                return b.x, b.y, b.zone, False, math.atan2(b.y - a.y, b.x - a.x)
+            frac = (t - t0) / (t1 - t0)
+            x = a.x + frac * (b.x - a.x)
+            y = a.y + frac * (b.y - a.y)
+            return x, y, a.zone, True, math.atan2(b.y - a.y, b.x - a.x)
+    last = phases[-1][3][1]
+    return last.x, last.y, last.zone, False, 0.0
+
+
+def scalar_onset(scenario, radio, threshold=-75.0):
+    """compute_onset over position_at."""
+    phases = sim._walk_schedule(scenario)
+    prev = None
+    for i in range(int(scenario.duration)):
+        t = float(i)
+        x, y, zone, _, _ = position_at(phases, t)
+        best = max(path_loss_rssi(tx, math.hypot(x - ax, y - ay), zone,
+                                  scenario, radio)
+                   for ax, ay, tx in scenario.ap_placements)
+        if prev is not None and prev >= threshold > best:
+            frac = (prev - threshold) / (prev - best)
+            return float(t - 1.0 + frac)
+        prev = best
+    return None
+
+
+def window_from_trace(trace, t_start, t_end, scan_times=None, top_k=3):
+    """Raw per-modality samples of [t_start, t_end) as RawWindow objects."""
+    tick_sel = (trace.tick_t >= t_start) & (trace.tick_t < t_end)
+    steps = trace.step_times[(trace.step_times >= t_start)
+                             & (trace.step_times < t_end)]
+    sec_sel = np.where((trace.sec_t >= t_start) & (trace.sec_t < t_end))[0]
+    if scan_times is None:
+        scan_idx = sec_sel
+    else:
+        scan_idx = [i for i in sec_sel if float(trace.sec_t[i]) in scan_times]
+    wifi = [WifiScan(float(trace.sec_t[i]), trace.topk_readings(i, top_k))
+            for i in scan_idx]
+    cell = [CellSample(float(trace.sec_t[i]), int(trace.cell_id[i]),
+                       float(trace.rsrp[i]), float(trace.rsrq[i]))
+            for i in sec_sel]
+    gnss = [GnssSample(float(trace.sec_t[i]), float(trace.gnss_snr[i]),
+                       float(trace.gnss_sats[i]), bool(trace.gnss_fix[i]))
+            for i in sec_sel]
+    return RawWindow(t_start=t_start, t_end=t_end, step_times=steps,
+                     headings=trace.headings[tick_sel], wifi_scans=wifi,
+                     cell_samples=cell, gnss_samples=gnss,
+                     hour_of_day=trace.scenario.start_hour + t_start / 3600.0)
+
+
+def reference_fingerprint_at(trace, t_end, cfg, scan_times=None):
+    """fingerprint_at through window_from_trace and summarize_window."""
+    t_start = t_end - cfg.window.window_s
+    w = window_from_trace(trace, t_start, t_end, scan_times)
+    wifi_quality = 1.0
+    if scan_times is not None and not w.wifi_scans:
+        stale = cfg.device.wifi_stale_s
+        older = [s for s in scan_times if s < t_start]
+        if older:
+            last = max(older)
+            age = t_end - last
+            if age <= stale:
+                sec = int(last)
+                if 0 <= sec < len(trace.sec_t):
+                    w.wifi_scans = [WifiScan(last, trace.topk_readings(sec))]
+                    wifi_quality = max(0.0, 1.0 - age / stale)
+    present = {
+        "pdr": True,
+        "wifi": len(w.wifi_scans) > 0,
+        "cell": len(w.cell_samples) > 0,
+        "gnss": len(w.gnss_samples) > 0,
+        "time": True,
+    }
+    quality = {"wifi": wifi_quality if present["wifi"] else 0.0}
+    return summarize_window(w, present, quality=quality, norm=cfg.norm)
+
+
+def fp_bytes(fp):
+    return (fp.timestamp.hex(), fp.features.tobytes(), fp.present.tobytes(),
+            fp.quality.tobytes())
+
+
+def scan_schedule(duration, boosts=(), period=2.0, boosted=1.0):
+    """Scan times the way a rollout schedules them; ``boosts`` lists
+    (start, end) spans scanned at the boosted period."""
+    times, t = set(), 0.0
+    while t < duration:
+        times.add(t)
+        t += boosted if any(a <= t < b for a, b in boosts) else period
+    return times
 
 
 def synthetic_trace(rssi_series, rsrp=None, duration=None):
@@ -289,7 +394,6 @@ class TestSidecars:
         assert "ap = " in text and "waypoint = " in text
 
     def test_scenario_text_loads_back(self):
-        from envswitch.sim import parse_scenario_text
         sc = make_scenario("C", 4, CFG.radio, CFG.walker)
         back = parse_scenario_text(scenario_text(sc), CFG.radio, CFG.walker)
         assert back.site == sc.site and back.seed == sc.seed
@@ -303,7 +407,6 @@ class TestSidecars:
         assert a.checksum() == b.checksum()
 
     def test_scenario_text_requires_site_and_seed(self):
-        from envswitch.sim import parse_scenario_text
         with pytest.raises(ValueError):
             parse_scenario_text("duration = 60\n")
 
@@ -315,3 +418,166 @@ class TestSidecars:
         onset = sc.degradation_onset
         i = int(math.floor(onset))
         assert serving[i] >= -75.0 >= serving[i + 1]
+
+
+def kinematics_match_oracle(scenario, walker):
+    """Vectorized positions, zones, moving flags and headings equal
+    position_at's at every tick, on every phase boundary and on a 0.25 s grid
+    past the session end."""
+    phases = sim._walk_schedule(scenario)
+    n_ticks = int(round(scenario.duration * walker.tick_hz))
+    times = np.concatenate([np.arange(n_ticks) / walker.tick_hz,
+                            [t for p in phases for t in p[:2]],
+                            np.arange(0.0, scenario.duration + 5.0, 0.25)])
+    pos, zones, moving, headings = sim._kinematics(scenario, times)
+    expected = [position_at(phases, t) for t in times]
+    assert pos.tobytes() == np.array([e[:2] for e in expected]).tobytes()
+    assert zones == [e[2] for e in expected]
+    assert moving.tolist() == [e[3] for e in expected]
+    assert headings.tobytes() == np.array([e[4] for e in expected]).tobytes()
+    return True
+
+
+class TestKinematics:
+    @pytest.mark.parametrize("site", ["A", "B", "C"])
+    def test_vectorized_walk_equals_scalar_oracle(self, site):
+        for seed in range(50):
+            sc = make_scenario(site, seed, CFG.radio, CFG.walker)
+            assert kinematics_match_oracle(sc, CFG.walker)
+            assert compute_onset(sc, CFG.radio) == scalar_onset(sc, CFG.radio)
+
+    def test_repeated_waypoint_and_short_session(self):
+        sc = make_scenario("A", 3, CFG.radio, CFG.walker)
+        lines = [ln for ln in scenario_text(sc).splitlines()
+                 if not ln.startswith("duration")]
+        # a zero-length move between two copies of the second waypoint
+        second = next(i for i, ln in enumerate(lines) if ln.startswith("waypoint"))
+        lines.insert(second + 1, lines[second + 1])
+        lines.append("duration = 20")
+        back = parse_scenario_text("\n".join(lines), CFG.radio, CFG.walker)
+        assert len(back.waypoints) == len(sc.waypoints) + 1
+        assert back.waypoints[1] == back.waypoints[2]
+        phases = sim._walk_schedule(back)
+        assert phases[-1][0] > back.duration      # the walk outlasts the session
+        assert kinematics_match_oracle(back, CFG.walker)
+        assert compute_onset(back, CFG.radio) == scalar_onset(back, CFG.radio)
+        trace = generate(back, CFG.radio, CFG.walker)
+        assert len(trace.tick_t) == 200
+
+
+def window_cfg(window_s=1.0):
+    cfg = EngineConfig()
+    cfg.window.window_s = window_s
+    return cfg
+
+
+class TestWindowOracle:
+    SCHEDULES = {
+        "all": None,
+        "every_2s": scan_schedule(90.0),
+        "boosted_1s": scan_schedule(90.0, boosts=((6.0, 16.0), (30.0, 40.0))),
+        # gaps longer than wifi_stale_s, and scans off the 1 Hz grid
+        "gaps": {0.0, 7.0, 8.5, 15.0, 16.0, 24.5, 30.0, 41.0, 47.0, 60.0},
+    }
+
+    @pytest.mark.parametrize("site", ["A", "B", "C"])
+    @pytest.mark.parametrize("window_s", [0.5, 1.0, 2.0])
+    def test_fingerprint_at_equals_summarize_window(self, site, window_s):
+        trace = generate(make_scenario(site, 7, CFG.radio, CFG.walker),
+                         CFG.radio, CFG.walker)
+        cfg = window_cfg(window_s)
+        rng = np.random.default_rng(3)
+        ends = np.concatenate([np.arange(window_s, trace.duration, 1.0),
+                               rng.uniform(10.0, trace.duration - 10.0, 12)])
+        for t in ends.tolist():
+            for schedule in self.SCHEDULES.values():
+                want = fp_bytes(reference_fingerprint_at(trace, t, cfg, schedule))
+                assert fp_bytes(fingerprint_at(trace, t, cfg, schedule)) == want
+                # the second call is a memo hit
+                assert fp_bytes(fingerprint_at(trace, t, cfg, schedule)) == want
+
+    def test_segment_windows_equal_the_oracle(self):
+        trace = generate(make_scenario("B", 7, CFG.radio, CFG.walker),
+                         CFG.radio, CFG.walker)
+        seg = segment_before(trace, 23.37, CFG)
+        t = max(0.0, 23.37 - 10 * CFG.window.window_s)
+        for fp in seg.windows:
+            t += CFG.window.window_s
+            assert fp_bytes(fp) == fp_bytes(reference_fingerprint_at(trace, t, CFG))
+
+    def test_the_schedules_cover_each_wifi_case(self):
+        trace = generate(make_scenario("C", 7, CFG.radio, CFG.walker),
+                         CFG.radio, CFG.walker)
+        seen = set()
+        for schedule in self.SCHEDULES.values():
+            for t in np.arange(1.0, trace.duration, 0.5).tolist():
+                fp = reference_fingerprint_at(trace, t, CFG, schedule)
+                seen.add((bool(fp.present[1]), float(fp.quality[1])))
+        assert (True, 1.0) in seen and (False, 0.0) in seen
+        assert any(0.0 < q < 1.0 for _, q in seen)    # a decayed carry-over
+
+
+class TestWindowMemo:
+    def trace(self):
+        return generate(make_scenario("B", 11, CFG.radio, CFG.walker),
+                        CFG.radio, CFG.walker)
+
+    def test_repeated_call_returns_the_same_window(self):
+        trace = self.trace()
+        scans = scan_schedule(trace.duration)
+        first = fingerprint_at(trace, 12.0, CFG, scans)
+        again = fingerprint_at(trace, 12.0, CFG, set(scans))
+        assert again is first
+        assert fp_bytes(again) == fp_bytes(reference_fingerprint_at(trace, 12.0, CFG, scans))
+
+    def test_scan_set_and_carry_over_key_the_memo(self):
+        trace = self.trace()
+        t = 9.0                                   # window [8, 9); staleness 4 s
+        cases = {
+            "in_window": {0.0, 8.0},
+            "fresh_carry": {0.0, 6.0},
+            "edge_carry": {0.0, 5.0},             # age 4: present, quality 0
+            "too_stale": {0.0, 4.0},
+            "off_grid_carry": {0.0, 6.5},         # read from second 6
+        }
+        got = {}
+        for name, scans in cases.items():
+            got[name] = fp_bytes(fingerprint_at(trace, t, CFG, scans))
+            assert got[name] == fp_bytes(reference_fingerprint_at(trace, t, CFG, scans))
+        memo = next(iter(trace._windows.values()))
+        assert len(memo) == len(cases)
+        assert len({got[n] for n in ("in_window", "fresh_carry", "edge_carry",
+                                     "too_stale")}) == 4
+        assert got["off_grid_carry"] != got["fresh_carry"]
+        # scans the window does not read share the entry
+        fingerprint_at(trace, t, CFG, {2.0, 6.0})
+        fingerprint_at(trace, t, CFG, {1.0, 3.0, 4.0})
+        assert len(memo) == len(cases)
+
+    def test_config_changes_are_never_served_stale(self):
+        trace = self.trace()
+        cfg = EngineConfig()
+        scans = {0.0, 6.0, 12.0}
+        seen = []
+
+        def check(t):
+            fp = fingerprint_at(trace, t, cfg, scans)
+            assert fp_bytes(fp) == fp_bytes(reference_fingerprint_at(trace, t, cfg, scans))
+            assert fp_bytes(fp) not in seen
+            seen.append(fp_bytes(fp))
+            return fp
+
+        check(10.0)
+        cfg.norm.bounds["wifi_topk_mean"] = (-90.0, -40.0)      # in place
+        check(10.0)
+        cfg.norm.bounds = dict(cfg.norm.bounds, gnss_snr=(0.0, 40.0))
+        check(10.0)
+        cfg.window.window_s = 2.0
+        check(10.0)
+        cfg.window.window_s = 0.5
+        check(10.0)
+        cfg.device.wifi_stale_s = 3.0     # the 6 s scan is now too old
+        last = check(10.0)
+        # settings equal by value share the memo
+        cfg.norm = dataclasses.replace(cfg.norm, bounds=dict(cfg.norm.bounds))
+        assert fingerprint_at(trace, 10.0, cfg, scans) is last
