@@ -15,13 +15,15 @@ reverse, and hand-written gradients let the metric (and, through the filter
 mixture, the selector) train with plain gradient descent.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fingerprints import (FEATURE_DIMS, MODALITIES, MODALITY_SLICES,
-                           Fingerprint, FingerprintSequence)
+                           Fingerprint, FingerprintLibrary, FingerprintSequence,
+                           group_by_length)
 from .serialize import dump_tensors, fmt, parse_tensors
 
 
@@ -257,6 +259,23 @@ class AlignmentResult:
         return f"{proto_id},{fmt(self.distance)},{fmt(self.similarity)},{len(self.path)}"
 
 
+@functools.lru_cache(maxsize=256)
+def _skew_index(n: int, m: int, band: int):
+    """Where ``_skew`` reads each entry of its layout from: the flat index
+    ``i * m + j`` into an (n, m) matrix and whether the cell is kept (on the
+    grid and inside the band), both (n + m - 1, n).  Read-only, and cached
+    per (n, m, band): they depend on nothing else."""
+    d = np.arange(n + m - 1)[:, None]
+    i = np.arange(n)[None, :]
+    j = d - i
+    jc = np.clip(j, 0, m - 1)
+    keep = (j >= 0) & (j < m) & band_mask(n, m, band)[i, jc]
+    flat = i * m + jc
+    flat.setflags(write=False)
+    keep.setflags(write=False)
+    return flat, keep
+
+
 def _skew(cost: np.ndarray, band: int) -> np.ndarray:
     """Skewed banded layout of a (P, n, m) cost stack, (P, n + m - 1, n).
 
@@ -267,12 +286,8 @@ def _skew(cost: np.ndarray, band: int) -> np.ndarray:
     single vectorized step over every pair and every cell of the diagonal.
     """
     P, n, m = cost.shape
-    d = np.arange(n + m - 1)[:, None]
-    i = np.arange(n)[None, :]
-    j = d - i
-    jc = np.clip(j, 0, m - 1)
-    keep = (j >= 0) & (j < m) & band_mask(n, m, band)[i, jc]
-    return np.where(keep, cost[:, i, jc], np.inf)
+    flat, keep = _skew_index(n, m, band)
+    return np.where(keep, cost.reshape(P, n * m)[:, flat], np.inf)
 
 
 def _unskew(S: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -317,21 +332,20 @@ def _dtw_tables(cost: np.ndarray, band: int) -> np.ndarray:
 
 
 def _backtrack(D: np.ndarray) -> list:
-    """Warping path through one table; diagonal, then vertical, then horizontal."""
-    n, m = D.shape
-    path = [(n - 1, m - 1)]
-    i, j = n - 1, m - 1
+    """Warping path through one table: each step moves to the finite
+    predecessor of least value; ties go to the diagonal, then the vertical,
+    then the horizontal one."""
+    rows = D.tolist()
+    i, j = len(rows) - 1, len(rows[0]) - 1
+    path = [(i, j)]
     while (i, j) != (0, 0):
-        candidates = []
-        if i > 0 and j > 0:
-            candidates.append((D[i - 1, j - 1], 0, (i - 1, j - 1)))
-        if i > 0:
-            candidates.append((D[i - 1, j], 1, (i - 1, j)))
-        if j > 0:
-            candidates.append((D[i, j - 1], 2, (i, j - 1)))
-        candidates = [c for c in candidates if np.isfinite(c[0])]
-        _, _, (i, j) = min(candidates, key=lambda c: (c[0], c[1]))
-        path.append((i, j))
+        best = None
+        for a, b in ((i - 1, j - 1), (i - 1, j), (i, j - 1)):
+            if a >= 0 and b >= 0 and math.isfinite(rows[a][b]) \
+                    and (best is None or rows[a][b] < rows[best[0]][best[1]]):
+                best = (a, b)
+        i, j = best
+        path.append(best)
     path.reverse()
     return path
 
@@ -506,11 +520,14 @@ def _check_margin(negatives, margin: float):
         raise ValueError("margin must be > 0")
 
 
-def _hinge(values, G, margin: float):
+def _hinge(values, G, margin: float, fg=None):
     """Margin loss of one positive (index 0) against its negatives (1..k).
 
-    Returns the loss, its flat metric gradient and the indices of the
-    negatives whose hinge is active; gradients accumulate in negative order.
+    Returns the loss, its flat metric gradient and, given each pair's
+    feature gradients ``fg`` (a list of ``(dquery, dproto)``), the loss's
+    gradient w.r.t. every pair's query and proto features, as a list of
+    ``[dquery, dproto]``; otherwise None.  Gradients accumulate in negative
+    order.
     """
     values = values.tolist()
     k = len(values) - 1
@@ -524,7 +541,15 @@ def _hinge(values, G, margin: float):
             acc += (1.0 / k) * G[0]
             acc += (-1.0 / k) * G[t]
             active.append(t)
-    return total / k, acc, active
+    if fg is None:
+        return total / k, acc, None
+    fgrads = [[np.zeros_like(dq), np.zeros_like(dp)] for dq, dp in fg]
+    for t in active:
+        fgrads[0][0] += fg[0][0] / k
+        fgrads[0][1] += fg[0][1] / k
+        fgrads[t][0] -= fg[t][0] / k
+        fgrads[t][1] -= fg[t][1] / k
+    return total / k, acc, fgrads
 
 
 def margin_loss_grads(model: MetricModel, positive, negatives,
@@ -536,17 +561,10 @@ def margin_loss_grads(model: MetricModel, positive, negatives,
     _check_margin(negatives, margin)
     values, G, fg = _soft_dtw_pairs(model, [positive] + list(negatives), band,
                                     gamma, want_feature_grads)
-    loss, acc, active = _hinge(values, G, margin)
+    loss, acc, fgrads = _hinge(values, G, margin, fg if want_feature_grads else None)
     grads = _grads_from_vector(model, acc)
     if not want_feature_grads:
         return loss, grads
-    k = len(negatives)
-    fgrads = [[np.zeros_like(dq), np.zeros_like(dp)] for dq, dp in fg]
-    for t in active:
-        fgrads[0][0] += fg[0][0] / k
-        fgrads[0][1] += fg[0][1] / k
-        fgrads[t][0] -= fg[t][0] / k
-        fgrads[t][1] -= fg[t][1] / k
     return loss, grads, fgrads
 
 
@@ -554,15 +572,24 @@ def make_alignment_loss(model: MetricModel, margin: float = 1.0,
                         gamma: float = 0.1, band: int = 3):
     """Closure handed to the filter-selector trainer.
 
-    Takes filtered items ``(q_feats, q_present, p_feats, p_present)`` for the
-    positive and each negative, and returns ``(loss, [(dq, dp), ...])`` with
-    gradients w.r.t. the filtered feature arrays.
+    Takes a list of items ``(pos_pair, neg_pairs)``, each pair filtered
+    ``(q_feats, q_present, p_feats, p_present)``, and returns one
+    ``(loss, [[dq, dp], ...])`` per item: its ``margin_loss_grads`` loss and
+    the gradients w.r.t. the filtered feature arrays, positive first.  Every
+    pair of every item is scored in one ``_soft_dtw_pairs`` batch.
     """
-    def loss_fn(pos_item, neg_items):
-        pairs = [((it[0], it[1]), (it[2], it[3])) for it in [pos_item] + list(neg_items)]
-        loss, _, fgrads = margin_loss_grads(model, pairs[0], pairs[1:], margin,
-                                            gamma, band, want_feature_grads=True)
-        return loss, [(g[0], g[1]) for g in fgrads]
+    def loss_fn(items):
+        pairs, bounds = [], [0]
+        for pos_pair, neg_pairs in items:
+            _check_margin(neg_pairs, margin)
+            pairs += [((it[0], it[1]), (it[2], it[3])) for it in [pos_pair] + list(neg_pairs)]
+            bounds.append(len(pairs))
+        values, G, fg = _soft_dtw_pairs(model, pairs, band, gamma, want_feature_grads=True)
+        results = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            loss, _, fgrads = _hinge(values[lo:hi], G[lo:hi], margin, fg[lo:hi])
+            results.append((loss, fgrads))
+        return results
     return loss_fn
 
 
@@ -651,43 +678,48 @@ def match(model: MetricModel, selector, live_window, library,
     when ``ctx`` is None) before alignment, so a prototype that equals the
     live window scores similarity 1.0 exactly.  Prototypes of one length are
     filtered, scored and aligned together: one ``denoise_matrix``, one
-    ``cost_matrix`` and one banded recursion per length.  A prototype with no
-    admissible path inside the band is left out.  Each result equals
-    ``dtw`` on that prototype alone; paths are backtracked only for the
-    ``top_k`` results returned.  Ties break on the smaller prototype id.  An
-    empty library yields an empty list.
+    ``cost_matrix`` and one banded recursion per length group.  A
+    ``FingerprintLibrary`` keeps its groups between calls
+    (``FingerprintLibrary.length_groups``); any other iterable of
+    ``(prototype_id, prototype)``, or mapping, is grouped per call.  A
+    prototype with no admissible path inside the band is left out.  Each
+    result equals ``dtw`` on that prototype alone; distances are read from
+    the last cell of each recursion, and tables are unskewed and paths
+    backtracked only for the ``top_k`` results returned.  Ties break on the
+    smaller prototype id.  An empty library yields an empty list.
     """
     from .filters import context_from_windows, denoise_matrix, select_filter
 
-    entries = list(library.items()) if hasattr(library, "items") else list(library)
-    if not entries:
+    if isinstance(library, FingerprintLibrary):
+        groups = library.length_groups()
+    else:
+        entries = library.items() if hasattr(library, "items") else library
+        groups = group_by_length((pid, _pack(proto)) for pid, proto in entries)
+    if not groups:
         return []
     if band < 1:
         raise ValueError("band must be >= 1")
     qf, qp = _pack(live_window)
+    n = qf.shape[0]
+    if n < 2 or min(pf.shape[1] for _, pf, _ in groups) < 2:
+        raise ValueError("both sequences need at least 2 windows")
     if ctx is None:
         ctx = context_from_windows(qf, qp, 0.0)
     choice = select_filter(selector, ctx)
     query = (denoise_matrix(choice, qf), qp)
-    packed = [_pack(proto) for _, proto in entries]
-    by_length = {}
-    for k, (pf, _) in enumerate(packed):
-        by_length.setdefault(pf.shape[0], []).append(k)
-    if qf.shape[0] < 2 or min(by_length) < 2:
-        raise ValueError("both sequences need at least 2 windows")
-    tables = [None] * len(entries)
-    for members in by_length.values():
-        pf = np.stack([packed[k][0] for k in members])
-        pp = np.stack([packed[k][1] for k in members])
-        cost, _ = cost_matrix(model, query, (denoise_matrix(choice, pf), pp))
-        for k, D in zip(members, _dtw_tables(cost, band)):
-            tables[k] = D
     beta = model.beta
-    scored = []
-    for (pid, _), D in zip(entries, tables):
-        distance = float(D[-1, -1])
-        if np.isfinite(distance):
-            scored.append((pid, distance, math.exp(-beta * distance), D))
+    tables, scored = [], []
+    for ids, pf, pp in groups:
+        cost, _ = cost_matrix(model, query, (denoise_matrix(choice, pf), pp))
+        S = _sweep(_skew(cost, band), _hard_step)
+        last = S[:, -1, n - 1].tolist()
+        for t, (pid, distance) in enumerate(zip(ids, last)):
+            if math.isfinite(distance):
+                scored.append((pid, distance, math.exp(-beta * distance), len(tables), t))
+        tables.append(S)
     scored.sort(key=lambda e: (-e[2], e[0]))
-    return [(pid, AlignmentResult(distance, _backtrack(D), similarity))
-            for pid, distance, similarity, D in scored[:max(0, top_k)]]
+    results = []
+    for pid, distance, similarity, g, t in scored[:max(0, top_k)]:
+        D = _unskew(tables[g][t:t + 1], n, groups[g][1].shape[1])[0]
+        results.append((pid, AlignmentResult(distance, _backtrack(D), similarity)))
+    return results

@@ -403,33 +403,56 @@ def selector_backward(model: SelectorModel, cache, dweights, dparams):
     return grads
 
 
+def _soft_filter_item(model: SelectorModel, ctx: FilterContext, pairs):
+    """Selector forward and soft mixture of one training item.
+
+    Picks the item's choice, then filters every query and proto array of
+    ``pairs`` with one ``soft_denoise_matrix`` call per array length.
+    Returns the selector cache, the filtered pairs and one
+    ``(query cache, proto cache)`` of mixture caches per pair.
+    """
+    choice, sel_cache = selector_forward_training(model, ctx)
+    arrays = [pair[k] for pair in pairs for k in (0, 2)]
+    by_length = {}
+    for a, arr in enumerate(arrays):
+        by_length.setdefault(np.shape(arr)[0], []).append(a)
+    mixed, caches = [None] * len(arrays), [None] * len(arrays)
+    for members in by_length.values():
+        out, (outs, sens) = soft_denoise_matrix(choice, np.stack([arrays[a] for a in members]))
+        for b, a in enumerate(members):
+            mixed[a] = out[b]
+            caches[a] = (outs[:, b], sens[:, b])
+    filtered = [(mixed[2 * k], pair[1], mixed[2 * k + 1], pair[3])
+                for k, pair in enumerate(pairs)]
+    return sel_cache, filtered, list(zip(caches[0::2], caches[1::2]))
+
+
 def train_selector(model: SelectorModel, paired_batches, alignment_loss_fn,
                    epochs: int = 1, step_size: float = 0.05) -> SelectorModel:
     """Gradient descent on an alignment margin loss through the soft mixture.
 
     ``paired_batches`` is a list of items ``(ctx, pos_pair, neg_pairs)`` where
     each pair is ``(query_feats, query_present, proto_feats, proto_present)``.
-    ``alignment_loss_fn(filtered_items) -> (loss, feature_grads)`` must return
-    the gradient of the loss w.r.t. every filtered feature array it was given,
-    in the same structure.  Returns a new model; the input is untouched.
+    Each epoch filters every item (``_soft_filter_item``), then makes one
+    ``alignment_loss_fn(filtered_items)`` call over the whole epoch: it takes
+    one ``(filtered_pos_pair, filtered_neg_pairs)`` per item and returns one
+    ``(loss, feature_grads)`` per item, with the gradient of that item's loss
+    w.r.t. every filtered feature array in the same structure (None for an
+    array the loss does not read).  The backward then runs item by item, in
+    order.  Returns a new model; the input is untouched.
     """
     if not paired_batches:
         raise ValueError("empty training batch")
     net = model.net.copy()
     current = SelectorModel(net, model.cfg)
     for _ in range(max(0, epochs)):
+        forwards = [_soft_filter_item(current, ctx, [pos_pair] + list(neg_pairs))
+                    for ctx, pos_pair, neg_pairs in paired_batches]
+        losses = alignment_loss_fn([(filtered[0], filtered[1:])
+                                    for _, filtered, _ in forwards])
         acc = grads_zeros_like(net)
         total = 0.0
-        for ctx, pos_pair, neg_pairs in paired_batches:
-            choice, sel_cache = selector_forward_training(current, ctx)
-            # filter every array once, remembering its mixture cache
-            filtered, caches = [], []
-            for pair in [pos_pair] + list(neg_pairs):
-                fq, cq = soft_denoise_matrix(choice, pair[0])
-                fp, cp = soft_denoise_matrix(choice, pair[2])
-                filtered.append((fq, pair[1], fp, pair[3]))
-                caches.append((cq, cp))
-            loss, fgrads = alignment_loss_fn(filtered[0], filtered[1:])
+        for (sel_cache, _, caches), (loss, fgrads) in zip(forwards, losses):
             total += loss
             dweights = np.zeros(3)
             dparams = np.zeros(4)

@@ -387,6 +387,27 @@ def sequence_content_id(seq: FingerprintSequence, salt: str) -> str:
     return f"p{fnv1a64(payload + kind.encode('utf-8'), salt):016x}"
 
 
+def group_by_length(entries):
+    """Group ``(prototype_id, (features (T, 14), present (T, 5)))`` entries
+    by length T.
+
+    Returns one ``(ids, features (P, T, 14), present (P, T, 5))`` per length,
+    lengths in order of first appearance and members in entry order; the
+    stacked arrays are read-only.
+    """
+    by_length = {}
+    for pid, (feats, pres) in entries:
+        by_length.setdefault(feats.shape[0], []).append((pid, feats, pres))
+    groups = []
+    for members in by_length.values():
+        ids, feats, pres = zip(*members)
+        feats, pres = np.stack(feats), np.stack(pres)
+        feats.setflags(write=False)
+        pres.setflags(write=False)
+        groups.append((ids, feats, pres))
+    return tuple(groups)
+
+
 class FingerprintLibrary:
     """Per-user store of switch-anchored sequences with aging and capacity.
 
@@ -400,6 +421,7 @@ class FingerprintLibrary:
         self.cfg = cfg or LibraryConfig()
         self.sequences: dict[str, FingerprintSequence] = {}
         self.version = 0
+        self._groups = (None, ())
 
     def __len__(self):
         return len(self.sequences)
@@ -413,6 +435,14 @@ class FingerprintLibrary:
     def items(self):
         for pid in sorted(self.sequences):
             yield pid, self.sequences[pid]
+
+    def length_groups(self):
+        """``group_by_length`` of the packed sequences in id order, which
+        ``alignment.match`` scores; cached until ``version`` changes."""
+        if self._groups[0] != self.version:
+            self._groups = (self.version, group_by_length(
+                (pid, seq.packed()) for pid, seq in self.items()))
+        return self._groups[1]
 
     def commit_segment(self, buffer: FingerprintSequence, event: SwitchEvent,
                        created_day: int = 0,

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from envswitch.alignment import (BandTooNarrowError, MetricModel, _dtw_tables,
-                                 _soft_dtw_tables, band_mask,
+from envswitch.alignment import (BandTooNarrowError, MetricModel, _backtrack,
+                                 _dtw_tables, _skew_index, _soft_dtw_tables, band_mask,
                                  cell_cost, cost_matrix, dtw, in_band,
                                  margin_loss,
                                  margin_loss_grads, match,
@@ -46,6 +46,27 @@ def brute_force_distance(model, query, proto, band):
 
     walk(0, 0, 0.0)
     return best[0]
+
+
+def reference_backtrack(D):
+    """Warping path through one table with numpy scalars: the least finite
+    predecessor, ties to the diagonal, then the vertical, then the horizontal."""
+    n, m = D.shape
+    path = [(n - 1, m - 1)]
+    i, j = n - 1, m - 1
+    while (i, j) != (0, 0):
+        candidates = []
+        if i > 0 and j > 0:
+            candidates.append((D[i - 1, j - 1], 0, (i - 1, j - 1)))
+        if i > 0:
+            candidates.append((D[i - 1, j], 1, (i - 1, j)))
+        if j > 0:
+            candidates.append((D[i, j - 1], 2, (i, j - 1)))
+        candidates = [c for c in candidates if np.isfinite(c[0])]
+        _, _, (i, j) = min(candidates, key=lambda c: (c[0], c[1]))
+        path.append((i, j))
+    path.reverse()
+    return path
 
 
 def scalar_banded_distance(cost, band):
@@ -192,6 +213,25 @@ class TestDtw:
                 assert math.isinf(got)
             else:
                 assert got == pytest.approx(oracle, abs=1e-9)
+
+    def test_backtrack_tie_break_equals_reference(self, rng):
+        # costs in {0, 1, 2} make equal predecessors common
+        ties = 0
+        for trial in range(60):
+            n, m = (int(v) for v in rng.integers(2, 8, size=2))
+            cost = rng.integers(0, 3, size=(1, n, m)).astype(float)
+            D = _dtw_tables(cost, int(rng.integers(1, 4)))[0]
+            if not np.isfinite(D[-1, -1]):
+                continue
+            path = _backtrack(D)
+            assert path == reference_backtrack(D)
+            for (i, j) in path[1:]:
+                preds = [D[a, b] for a, b in ((i - 1, j - 1), (i - 1, j), (i, j - 1))
+                         if a >= 0 and b >= 0 and np.isfinite(D[a, b])]
+                ties += len(preds) - len(set(preds))
+        assert ties > 0
+        # all three predecessors equal: the diagonal wins
+        assert _backtrack(np.ones((2, 2))) == [(0, 0), (1, 1)]
 
     def test_path_respects_band_and_steps(self, rng):
         for trial in range(20):
@@ -669,6 +709,72 @@ class TestMatch:
                          ctx=context_from_windows(live[0], live[1], 0.0))
         assert [(pid, r.distance, r.path) for pid, r in default] == \
             [(pid, r.distance, r.path) for pid, r in explicit]
+
+
+class TestLengthGroups:
+    def commit(self, lib, rng, n, day):
+        seq = make_sequence(rng, n, t0=100.0 * day)
+        return lib.commit_segment(seq, SwitchEvent(seq.windows[-1].timestamp, "wifi_to_cell"),
+                                  created_day=day)
+
+    def library(self, rng, lengths, capacity=256):
+        lib = FingerprintLibrary(LibraryConfig(capacity=capacity))
+        for day, n in enumerate(lengths):
+            self.commit(lib, rng, n, day)
+        return lib
+
+    def fresh(self, lib):
+        copy = FingerprintLibrary(lib.cfg)
+        for _, seq in lib.items():
+            copy.commit_segment(seq, seq.label, created_day=seq.created_at)
+        return copy
+
+    def ranked(self, library, live, band=1):
+        return [(pid, r.distance, r.similarity, r.path)
+                for pid, r in match(MetricModel.from_seed(3, noise=0.3),
+                                    SelectorModel.from_seed(5), live, library,
+                                    band, top_k=64)]
+
+    def test_library_equals_plain_list(self, rng):
+        lib = self.library(rng, [6, 4, 6, 10, 5, 4])
+        live = make_sequence(rng, 3)
+        got = self.ranked(lib, live)
+        assert got == self.ranked(list(lib.items()), live)
+        # 3 live windows against 10 leave no path inside band 1
+        too_long = [pid for pid, seq in lib.items() if len(seq) == 10]
+        assert len(got) == len(lib) - 1 and too_long[0] not in [g[0] for g in got]
+        assert self.ranked(lib, live) == got        # from the cached groups
+        wide = self.ranked(lib, live, band=3)
+        assert len(wide) == len(lib) and wide == self.ranked(list(lib.items()), live, band=3)
+
+    def test_groups_follow_eviction_and_maintain(self, rng):
+        lib = self.library(rng, [6, 4, 6, 5], capacity=4)
+        live = make_sequence(rng, 5)
+        before = self.ranked(lib, live)
+        groups = lib.length_groups()
+        assert lib.length_groups() is groups
+        oldest = [pid for pid, seq in lib.items() if seq.created_at == 0]
+        self.commit(lib, rng, 4, day=4)             # evicts day 0
+        assert len(lib) == 4 and oldest[0] not in lib.sequences
+        after = self.ranked(lib, live)
+        assert after != before and after == self.ranked(self.fresh(lib), live)
+        lib.maintain(lib.cfg.retention_days + 2)    # drops day 1
+        assert len(lib) == 3
+        kept = self.ranked(lib, live)
+        assert kept != after and kept == self.ranked(self.fresh(lib), live)
+
+    def test_cached_arrays_are_read_only(self, rng):
+        lib = self.library(rng, [6, 4])
+        for _, feats, pres in lib.length_groups():
+            with pytest.raises(ValueError):
+                feats[0, 0, 0] = 1.0
+            with pytest.raises(ValueError):
+                pres[0, 0, 0] = False
+        flat, keep = _skew_index(6, 4, 2)
+        with pytest.raises(ValueError):
+            flat[0, 0] = 1
+        with pytest.raises(ValueError):
+            keep[0, 0] = False
 
 
 class TestMaskConsistency:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from envswitch.alignment import MetricModel, make_alignment_loss
+from envswitch.alignment import (MetricModel, make_alignment_loss, margin_loss_grads,
+                                 soft_dtw_value)
 from envswitch.config import FilterConfig
 from envswitch.filters import (FILTER_ORDER, FilterChoice, FilterContext,
                                SelectorModel, _gaussian_kernel, apply_elp, apply_gaussian,
@@ -10,6 +11,7 @@ from envswitch.filters import (FILTER_ORDER, FilterChoice, FilterContext,
                                select_filter, selector_backward,
                                selector_forward_training, soft_denoise_backward,
                                soft_denoise_matrix, train_selector)
+from envswitch.mlp import grads_add, grads_scale, grads_zeros_like
 
 from conftest import random_packed
 
@@ -419,11 +421,10 @@ class TestTrainSelector:
         model = SelectorModel.from_seed(1)
         items = make_selector_items(rng, None, 1)
 
-        def flat_loss(pos_item, neg_items):
-            grads = [(np.zeros_like(pos_item[0]), np.zeros_like(pos_item[2]))]
-            for it in neg_items:
-                grads.append((np.zeros_like(it[0]), np.zeros_like(it[2])))
-            return 0.0, grads
+        def flat_loss(batch):
+            return [(0.0, [(np.zeros_like(it[0]), np.zeros_like(it[2]))
+                           for it in [pos_item] + list(neg_items)])
+                    for pos_item, neg_items in batch]
 
         out = train_selector(model, items, flat_loss, epochs=3, step_size=0.5)
         assert np.allclose(out.net.to_vector(), model.net.to_vector(), atol=1e-12)
@@ -443,7 +444,7 @@ class TestTrainSelector:
                     fq, _ = soft_denoise_matrix(choice, item[0])
                     fp, _ = soft_denoise_matrix(choice, item[2])
                     filtered.append((fq, item[1], fp, item[3]))
-                loss, _ = loss_fn(filtered[0], filtered[1:])
+                [(loss, _)] = loss_fn([(filtered[0], filtered[1:])])
                 total += loss
             return total / len(items)
 
@@ -481,7 +482,7 @@ class TestTrainSelector:
             fp, cp = soft_denoise_matrix(choice, item[2])
             filtered.append((fq, item[1], fp, item[3]))
             mix_caches.append((cq, cp))
-        loss0, fgrads = loss_fn(filtered[0], filtered[1:])
+        [(loss0, fgrads)] = loss_fn([(filtered[0], filtered[1:])])
         dweights, dparams = np.zeros(3), np.zeros(4)
         for (gq, gp), (cq, cp) in zip(fgrads, mix_caches):
             for grad, c in ((gq, cq), (gp, cp)):
@@ -499,7 +500,7 @@ class TestTrainSelector:
                 fq, _ = soft_denoise_matrix(choice, item[0])
                 fp, _ = soft_denoise_matrix(choice, item[2])
                 filt.append((fq, item[1], fp, item[3]))
-            loss, _ = loss_fn(filt[0], filt[1:])
+            [(loss, _)] = loss_fn([(filt[0], filt[1:])])
             return loss
 
         vec = model.net.to_vector()
@@ -516,3 +517,79 @@ class TestTrainSelector:
             assert rel < 1e-3, (i, flat[i], fd)
             checked += 1
         assert checked >= 3
+
+
+def looped_train_selector(model, items, metric, epochs, step_size, margin=1.0,
+                          gamma=0.1, band=3):
+    """Gradient descent with one soft_denoise_matrix call per array and one
+    margin_loss_grads call per item."""
+    current = SelectorModel(model.net.copy(), model.cfg)
+    for _ in range(epochs):
+        acc = grads_zeros_like(current.net)
+        for ctx, pos, negs in items:
+            choice, sel_cache = selector_forward_training(current, ctx)
+            filtered, caches = [], []
+            for pair in [pos] + list(negs):
+                fq, cq = soft_denoise_matrix(choice, pair[0])
+                fp, cp = soft_denoise_matrix(choice, pair[2])
+                filtered.append(((fq, pair[1]), (fp, pair[3])))
+                caches.append((cq, cp))
+            _, _, fgrads = margin_loss_grads(metric, filtered[0], filtered[1:], margin,
+                                             gamma, band, want_feature_grads=True)
+            dweights, dparams = np.zeros(3), np.zeros(4)
+            for (gq, gp), (cq, cp) in zip(fgrads, caches):
+                for grad, cache in ((gq, cq), (gp, cp)):
+                    dw, dp = soft_denoise_backward(cache, grad)
+                    dweights += dw
+                    dparams += dp
+            grads_add(acc, selector_backward(current, sel_cache, dweights, dparams))
+        current = SelectorModel(current.net.step(grads_scale(acc, 1.0 / len(items)),
+                                                 step_size), current.cfg)
+    return current
+
+
+class TestTrainSelectorBatching:
+    def items(self, rng):
+        """Queries of 6 windows, protos of 5.  Each positive is a near copy;
+        one negative is near (active hinge) and one far (inactive), and one
+        item has a far positive (every hinge active)."""
+        def near(feats):
+            return feats[:5] + rng.normal(0.0, 0.05, (5, 14))
+
+        items = []
+        for k, rssi_variance in enumerate((0.01, 0.4, 3.0, 40.0)):
+            ctx = FilterContext(rssi_variance=rssi_variance, scan_age=0.5 * k,
+                                step_rate=float(rng.uniform(0.5, 2.0)),
+                                presence=(True, k != 1, True, True, True))
+            q, qp = random_packed(rng, 6)
+            p = near(q) + (3.0 if k == 3 else 0.0)
+            nq, nqp = random_packed(rng, 6)
+            fq, fqp = random_packed(rng, 6)
+            items.append((ctx, (q, qp, p, qp[:5]),
+                          [(nq, nqp, near(nq), nqp[:5]),
+                           (fq, fqp, fq[:5] + 3.0, fqp[:5])]))
+        return items
+
+    def test_batched_epochs_equal_per_item_loop(self):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            items = self.items(rng)
+            metric = MetricModel.from_seed(seed, noise=0.3)
+            model = SelectorModel.from_seed(seed + 10)
+            model.net.w2[5] *= 30.0     # sigma's raw output follows the context
+            # the items' sigmas reach different Gaussian radii, and their
+            # hinges are both active and inactive
+            radii, active = set(), set()
+            for ctx, pos, negs in items:
+                choice, _ = selector_forward_training(model, ctx)
+                radii.add(_gaussian_kernel(choice.sigma)[0].size)
+                values = [soft_dtw_value(metric, (soft_denoise_matrix(choice, it[0])[0], it[1]),
+                                         (soft_denoise_matrix(choice, it[2])[0], it[3]))
+                          for it in [pos] + negs]
+                active.update(1.0 + values[0] - v > 0.0 for v in values[1:])
+            assert len(radii) >= 2 and active == {True, False}
+            loss_fn = make_alignment_loss(metric, margin=1.0, gamma=0.1, band=3)
+            batched = train_selector(model, items, loss_fn, epochs=3, step_size=0.5)
+            looped = looped_train_selector(model, items, metric, 3, 0.5)
+            assert np.array_equal(batched.net.to_vector(), looped.net.to_vector())
+            assert not np.array_equal(batched.net.to_vector(), model.net.to_vector())

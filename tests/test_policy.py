@@ -1,14 +1,15 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from envswitch import alignment
-from envswitch.alignment import MetricModel
+from envswitch import alignment, filters
+from envswitch.alignment import MetricModel, make_alignment_loss
 from envswitch.config import EngineConfig
 from envswitch.fingerprints import FingerprintLibrary, SwitchEvent
-from envswitch.filters import SelectorModel
+from envswitch.filters import FilterContext, SelectorModel
 from envswitch.policy import (ACTIONS, MatcherStack, PolicyModel, PolicyState,
                               RewardWeights, ScriptedPolicy, Trajectory, act,
                               action_probs, clipped_surrogate, composite_reward,
@@ -453,3 +454,30 @@ def test_policy_serialize_roundtrip():
     model = PolicyModel.from_seed(8)
     back = PolicyModel.deserialize(model.serialize())
     assert np.array_equal(back.net.to_vector(), model.net.to_vector())
+
+
+def test_traced_names_are_reached(monkeypatch, rng):
+    """The benchmark's span tracer counts calls by rebinding
+    ``envswitch.alignment.match`` and ``envswitch.filters.soft_denoise_matrix``;
+    a matcher miss and a selector epoch must still go through those names."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(alignment, "match", counting("match", alignment.match))
+    monkeypatch.setattr(filters, "soft_denoise_matrix",
+                        counting("soft_denoise_matrix", filters.soft_denoise_matrix))
+    _, trace, stack = build_stack(rng)
+    features, present = segment_before(trace, 20.0, CFG).packed()
+    stack.top_similarity(features, present, 0.0)
+    assert calls["match"] == 1
+    items = [(FilterContext(), (features, present, features, present),
+              [(features, present, features[::-1], present)])] * 3
+    filters.train_selector(SelectorModel.from_seed(0), items,
+                           make_alignment_loss(MetricModel.identity()), epochs=1)
+    # one stacked call per item: all of its arrays have one length
+    assert calls["soft_denoise_matrix"] == len(items)
