@@ -221,8 +221,8 @@ def _kalman_batch(x: np.ndarray, q: float, r: float) -> np.ndarray:
     return out
 
 
-def _gaussian_batch(x: np.ndarray, sigma: float) -> np.ndarray:
-    offsets, weights = _gaussian_kernel(sigma)
+def _gaussian_sums(x: np.ndarray, offsets, weights):
+    """Edge-truncated weighted sums along axis -2: (num, den[:, None])."""
     n = x.shape[-2]
     num = np.zeros_like(x)
     den = np.zeros(n)
@@ -233,7 +233,12 @@ def _gaussian_batch(x: np.ndarray, sigma: float) -> np.ndarray:
             continue
         num[..., lo:hi, :] += w * x[..., lo + off:hi + off, :]
         den[lo:hi] += w
-    return num / den[:, None]
+    return num, den[:, None]
+
+
+def _gaussian_batch(x: np.ndarray, sigma: float) -> np.ndarray:
+    num, den = _gaussian_sums(x, *_gaussian_kernel(sigma))
+    return num / den
 
 
 def _elp_batch(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -277,16 +282,15 @@ def denoise(choice: FilterChoice, series) -> np.ndarray:
 
 
 def _kalman_with_sens(x: np.ndarray, q: float, r: float):
-    """Kalman output along axis -2 plus d(out)/dq and d(out)/dr, via forward
-    sensitivities.  Variance, gain and their derivatives do not depend on the
-    data, so they are scalars; the mean and its derivatives are vectors over
-    every series."""
-    out = np.empty_like(x)
+    """Kalman output along axis -2 (``_kalman_batch``) plus d(out)/dq and
+    d(out)/dr, via forward sensitivities.  Variance, gain and their
+    derivatives do not depend on the data, so they are scalars; the mean's
+    derivatives are vectors over every series."""
+    out = _kalman_batch(x, q, r)
     dq_out = np.empty_like(x)
     dr_out = np.empty_like(x)
-    mean, var = x[..., 0, :].copy(), 1.0
-    dmean_q = dmean_r = np.zeros_like(mean)
-    dvar_q = dvar_r = 0.0
+    dmean_q = dmean_r = np.zeros_like(x[..., 0, :])
+    var, dvar_q, dvar_r = 1.0, 0.0, 0.0
     for i in range(x.shape[-2]):
         var_p = var + q
         dvar_pq = dvar_q + 1.0
@@ -295,15 +299,13 @@ def _kalman_with_sens(x: np.ndarray, q: float, r: float):
         gain = var_p / denom
         dgain_q = (dvar_pq * denom - var_p * dvar_pq) / (denom * denom)
         dgain_r = (dvar_pr * denom - var_p * (dvar_pr + 1.0)) / (denom * denom)
-        resid = x[..., i, :] - mean
-        new_mean = mean + gain * resid
+        # the filter starts at the series' first value
+        resid = x[..., i, :] - (out[..., i - 1, :] if i else x[..., 0, :])
         dmean_q = dmean_q + dgain_q * resid - gain * dmean_q
         dmean_r = dmean_r + dgain_r * resid - gain * dmean_r
-        mean = new_mean
         var = (1.0 - gain) * var_p
         dvar_q = -dgain_q * var_p + (1.0 - gain) * dvar_pq
         dvar_r = -dgain_r * var_p + (1.0 - gain) * dvar_pr
-        out[..., i, :] = mean
         dq_out[..., i, :] = dmean_q
         dr_out[..., i, :] = dmean_r
     return out, dq_out, dr_out
@@ -311,38 +313,21 @@ def _kalman_with_sens(x: np.ndarray, q: float, r: float):
 
 def _gaussian_with_sens(x: np.ndarray, sigma: float):
     """Gaussian smoothing along axis -2 plus d(out)/dsigma (kernel radius
-    held fixed); the slice-accumulate order of ``_gaussian_batch``."""
+    held fixed)."""
     offsets, weights = _gaussian_kernel(sigma)
     dweights = weights * (offsets.astype(float) ** 2) / sigma ** 3
-    n = x.shape[-2]
-    num = np.zeros_like(x)
-    dnum = np.zeros_like(x)
-    den = np.zeros(n)
-    dden = np.zeros(n)
-    for off, w, dw in zip(offsets, weights, dweights):
-        lo = max(0, -off)
-        hi = min(n, n - off)
-        if lo >= hi:
-            continue
-        seg = x[..., lo + off:hi + off, :]
-        num[..., lo:hi, :] += w * seg
-        dnum[..., lo:hi, :] += dw * seg
-        den[lo:hi] += w
-        dden[lo:hi] += dw
-    den, dden = den[:, None], dden[:, None]
-    out = num / den
+    num, den = _gaussian_sums(x, offsets, weights)
+    dnum, dden = _gaussian_sums(x, offsets, dweights)
     dsig = (dnum * den - num * dden) / (den * den)
-    return out, dsig
+    return num / den, dsig
 
 
 def _elp_with_sens(x: np.ndarray, alpha: float):
-    """Exponential low-pass along axis -2 plus d(out)/dalpha."""
-    out = np.empty_like(x)
+    """Exponential low-pass along axis -2 (``_elp_batch``) plus d(out)/dalpha."""
+    out = _elp_batch(x, alpha)
     dal = np.empty_like(x)
-    out[..., 0, :] = x[..., 0, :]
     dal[..., 0, :] = 0.0
     for i in range(1, x.shape[-2]):
-        out[..., i, :] = alpha * x[..., i, :] + (1.0 - alpha) * out[..., i - 1, :]
         dal[..., i, :] = (x[..., i, :] - out[..., i - 1, :]) + (1.0 - alpha) * dal[..., i - 1, :]
     return out, dal
 
