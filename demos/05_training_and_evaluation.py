@@ -3,8 +3,9 @@
 Runs the complete pipeline at a reduced round count so it finishes in about
 a minute: per-site libraries from baseline-anchored switches, metric and
 selector training, trigger-rule pretraining, the cloud-edge rounds with the
-simulated-feedback reward model, per-edge personalization, and finally a
-held-out evaluation printing the per-session TTS table for every site.
+simulated-feedback reward model and the distillation of the cloud policy
+to every edge, and finally a held-out evaluation of that policy printing the
+per-session TTS table for every site.
 
 The production entry point is the CLI:
 
@@ -21,7 +22,7 @@ cfg = EngineConfig()
 seed = 13
 
 print("training (8 cloud-edge rounds for the demo; the CLI default is 20)...")
-selector, metric, policy, reward_model, stacks, state, edge_policies = \
+selector, metric, policy, reward_model, stacks, state, _ = \
     train_models(seed, cfg, rounds=8)
 
 print("\nper-round mean composite reward:")
@@ -30,7 +31,7 @@ for i, value in enumerate(state.mean_rewards, 1):
 
 SITE_NAMES = {"A": "A_indoor", "B": "B_door_egress", "C": "C_apartment_mixed"}
 for flag in ("A", "B", "C"):
-    reports, checksums = evaluate_site(flag, edge_policies[flag], stacks[flag],
+    reports, checksums = evaluate_site(flag, policy, stacks[flag],
                                        sessions=6, seed=seed, cfg=cfg)
     print()
     print(render_table(SITE_NAMES[flag], reports))

@@ -669,26 +669,27 @@ def pairs_from_switch_tags(segments, library, negatives_per_positive: int = 4,
     return pairs
 
 
-def match(model: MetricModel, selector, live_window, library,
-          band: int = 3, top_k: int = 3, ctx=None):
+def match(model: MetricModel, selector, live_window, library, band: int,
+          top_k: int, ctx):
     """Rank library prototypes by calibrated similarity to the live window.
 
-    The live window and every prototype are denoised with the filter chosen
-    from the live window's context (``context_from_windows`` with scan age 0
-    when ``ctx`` is None) before alignment, so a prototype that equals the
-    live window scores similarity 1.0 exactly.  Prototypes of one length are
-    filtered, scored and aligned together: one ``denoise_matrix``, one
-    ``cost_matrix`` and one banded recursion per length group.  A
-    ``FingerprintLibrary`` keeps its groups between calls
-    (``FingerprintLibrary.length_groups``); any other iterable of
-    ``(prototype_id, prototype)``, or mapping, is grouped per call.  A
+    The live window and every prototype are denoised with the filter the
+    selector chooses for ``ctx``, the live window's ``FilterContext``, before
+    alignment, so a prototype that equals the live window scores similarity
+    1.0 exactly.  Prototypes of one length are filtered, scored and aligned
+    together: one ``denoise_matrix``, one ``cost_matrix`` and one banded
+    recursion per length group.  A ``FingerprintLibrary`` keeps its groups
+    between calls (``FingerprintLibrary.length_groups``); any other iterable
+    of ``(prototype_id, prototype)``, or mapping, is grouped per call.  A
     prototype with no admissible path inside the band is left out.  Each
     result equals ``dtw`` on that prototype alone; distances are read from
     the last cell of each recursion, and tables are unskewed and paths
     backtracked only for the ``top_k`` results returned.  Ties break on the
     smaller prototype id.  An empty library yields an empty list.
     """
-    from .filters import context_from_windows, denoise_matrix, select_filter
+    # imported at call time, so a rebinding of these names in the filters
+    # module (bench/spans.py traces them that way) takes effect here
+    from .filters import denoise_matrix, select_filter
 
     if isinstance(library, FingerprintLibrary):
         groups = library.length_groups()
@@ -703,8 +704,6 @@ def match(model: MetricModel, selector, live_window, library,
     n = qf.shape[0]
     if n < 2 or min(pf.shape[1] for _, pf, _ in groups) < 2:
         raise ValueError("both sequences need at least 2 windows")
-    if ctx is None:
-        ctx = context_from_windows(qf, qp, 0.0)
     choice = select_filter(selector, ctx)
     query = (denoise_matrix(choice, qf), qp)
     beta = model.beta

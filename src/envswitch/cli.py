@@ -17,8 +17,8 @@ import numpy as np
 
 from .alignment import (MetricModel, _pack, make_alignment_loss,
                         pairs_from_switch_tags, train_metric)
-from .cloudedge import (EdgeAgent, RewardModel, RoundState, offline_update,
-                        run_round)
+from .cloudedge import EdgeAgent, RewardModel, RoundState, run_round
+from .cloudedge import offline_update  # unused here; bench/spans.py wraps this name
 from .config import EngineConfig, load_config
 from .fingerprints import (FingerprintLibrary, FingerprintSequence,
                            SwitchEvent, fnv1a64, load_library, save_library,
@@ -186,7 +186,13 @@ def build_training_pairs(libraries, traces_by_site, cfg: EngineConfig, seed: int
 
 def train_models(seed: int, cfg: EngineConfig, rounds: int | None = None,
                  log=print):
-    """Full training pipeline; returns (selector, metric, policy, reward, stacks)."""
+    """Full training pipeline.
+
+    Returns (selector, metric, policy, reward model, stacks, final
+    ``RoundState``, edge policies); the edge policies map each site flag to
+    the policy last distilled to that site's edge, which after the final
+    round is ``policy`` itself.
+    """
     rounds = rounds if rounds is not None else cfg.cloudedge.n_rounds
     libraries, traces_by_site = {}, {}
     for flag in ("A", "B", "C"):
@@ -244,18 +250,7 @@ def train_models(seed: int, cfg: EngineConfig, rounds: int | None = None,
     for r in range(rounds):
         state = run_round(state, edges, cfg, seed=seed)
         log(f"round {state.round_index} mean_reward {round2(state.mean_rewards[-1])}")
-
-    # on-device personalization: each edge adapts the distilled policy to its
-    # own accumulated logs with bounded offline updates
-    edge_policies = {}
-    for edge in edges:
-        personalized = edge.policy
-        for _ in range(cfg.cloudedge.personalization_passes):
-            personalized = offline_update(personalized, edge.local_log,
-                                          step_size=0.05)
-        flag = edge.edge_id.split("-")[-1]
-        edge_policies[flag] = personalized
-        log(f"edge {edge.edge_id} personalized on {len(edge.local_log)} episodes")
+    edge_policies = {flag: edge.policy for flag, edge in zip("ABC", edges)}
     return (selector, metric, state.cloud_policy, state.reward_model, stacks,
             state, edge_policies)
 
@@ -293,7 +288,7 @@ def cmd_train(seed: int, out_dir: str, cfg: EngineConfig,
               rounds: int | None = None, log=print):
     os.makedirs(out_dir, exist_ok=True)
     (selector, metric, policy, reward_model, stacks, state,
-     edge_policies) = train_models(seed, cfg, rounds, log)
+     _) = train_models(seed, cfg, rounds, log)
     with open(os.path.join(out_dir, "selector.txt"), "w", encoding="utf-8") as f:
         f.write(selector.serialize())
     with open(os.path.join(out_dir, "metric.txt"), "w", encoding="utf-8") as f:
@@ -302,10 +297,6 @@ def cmd_train(seed: int, out_dir: str, cfg: EngineConfig,
         f.write(policy.serialize())
     with open(os.path.join(out_dir, "reward_model.txt"), "w", encoding="utf-8") as f:
         f.write(reward_model.serialize())
-    for flag, edge_policy in edge_policies.items():
-        path = os.path.join(out_dir, f"policy_edge_{flag}.txt")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(edge_policy.serialize())
     for flag, stack in stacks.items():
         save_library(stack.library, os.path.join(out_dir, f"lib_{flag}"))
     with open(os.path.join(out_dir, "train_log.txt"), "w", encoding="utf-8") as f:
@@ -330,20 +321,14 @@ def load_models(model_dir: str, cfg: EngineConfig):
     selector = SelectorModel.deserialize(read("selector.txt"), cfg.filters)
     metric = MetricModel.deserialize(read("metric.txt"))
     policy = PolicyModel.deserialize(read("policy.txt"))
-    stacks, edge_policies = {}, {}
+    stacks = {}
     for flag in ("A", "B", "C"):
         lib_dir = os.path.join(model_dir, f"lib_{flag}")
         library = load_library(lib_dir, cfg.library)
         stacks[flag] = MatcherStack(selector=selector, metric=metric,
                                     library=library, band=cfg.match.band,
                                     cfg=cfg)
-        edge_path = os.path.join(model_dir, f"policy_edge_{flag}.txt")
-        if os.path.exists(edge_path):
-            with open(edge_path, "r", encoding="utf-8") as f:
-                edge_policies[flag] = PolicyModel.deserialize(f.read())
-        else:
-            edge_policies[flag] = policy
-    return selector, metric, policy, stacks, edge_policies
+    return selector, metric, policy, stacks
 
 
 def evaluate_site(flag: str, policy, stack, sessions: int, seed: int,
@@ -402,11 +387,11 @@ def report_csv(reports) -> str:
 def cmd_evaluate(site_flags, sessions_map, seed: int, model_dir: str,
                  out_dir: str, cfg: EngineConfig, log=print):
     os.makedirs(out_dir, exist_ok=True)
-    _, _, _, stacks, edge_policies = load_models(model_dir, cfg)
+    _, _, policy, stacks = load_models(model_dir, cfg)
     all_reports = {}
     for flag in site_flags:
         reports, checksums = evaluate_site(
-            flag, edge_policies[flag], stacks[flag], sessions_map[flag], seed, cfg)
+            flag, policy, stacks[flag], sessions_map[flag], seed, cfg)
         all_reports[flag] = reports
         with open(os.path.join(out_dir, f"report_{flag}.csv"), "w",
                   encoding="utf-8") as f:

@@ -5,8 +5,9 @@ desensitized tuples (quantized state features, action, feedback when the
 user gave any, relative step offset).  The cloud aggregates the inbox, fits
 a reward model on the tuples that carry direct feedback, substitutes model
 predictions where feedback is missing, runs a PPO update, and periodically
-distills the result back into every edge.  An offline, advantage-weighted
-update covers edges that temporarily cannot reach the cloud.
+distills the result back into every edge, which serves the distilled
+policy as it is.  ``offline_update`` is an advantage-weighted update from a
+local log for an edge that cannot reach the cloud; the rounds do not run it.
 """
 
 from dataclasses import dataclass, field, replace
@@ -184,7 +185,8 @@ def reward_model_loss(model: RewardModel, batch) -> float:
 
 @dataclass
 class EdgeAgent:
-    """One device: its site, matcher stack, trace pool, and local policy.
+    """One device: its site, matcher stack, trace pool, and the policy last
+    distilled to it.
 
     ``traces`` are the generated walks the edge replays, one per pool
     scenario; each carries its ``scenario``.
@@ -195,13 +197,6 @@ class EdgeAgent:
     traces: list
     policy: PolicyModel
     policy_version: int = 0
-    local_log: list = field(default_factory=list)
-    log_capacity: int = 400
-
-    def record(self, traj) -> None:
-        self.local_log.append(traj)
-        if len(self.local_log) > self.log_capacity:
-            self.local_log.pop(0)
 
 
 @dataclass
@@ -252,7 +247,6 @@ def run_round(state: RoundState, edges, cfg: EngineConfig | None = None,
             if withheld:
                 traj = replace(traj, hf=None)
             trajectories.append(traj)
-            edge.record(traj)
             inbox.append(summarize_trajectory(
                 traj, edge.policy_version, edge.edge_id,
                 edge.stack.cfg.library.salt, ce.state_quant))

@@ -169,7 +169,6 @@ class CloudEdgeConfig:
     reward_model_step: float = 0.05
     state_quant: float = 0.01           # summary tuple quantization grid
     edge_library_capacity: int = 24     # caps each site library build_site_library commits
-    personalization_passes: int = 8
 
 
 @dataclass

@@ -9,11 +9,14 @@ well inside its runtime budget.
 import hashlib
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import envswitch
 from envswitch.alignment import (BandTooNarrowError, MetricModel, dtw,
                                  margin_loss, margin_loss_grads,
                                  mean_margin_loss, soft_dtw, soft_dtw_value,
@@ -319,23 +322,46 @@ def test_criterion_8_pipeline_determinism(pipeline_runs):
            (f"; MISMATCHED: {mismatched}" if mismatched else ""))
 
 
-@pytest.mark.slow
-def test_golden_digests(pipeline_runs):
-    """Run 1's artifacts equal the digests recorded for this environment."""
-    runs, _ = pipeline_runs
+def assert_golden(out):
+    """Every artifact under ``out`` equals the digests recorded for this
+    environment, and none is missing or extra."""
     key = golden.environment_key()
     recorded = golden.load_recorded().get(key)
     if recorded is None:
         pytest.fail(f"no golden digests recorded for {key!r} in "
                     f"{golden.DIGEST_FILE}; record them from the repository "
                     f"root with `PYTHONPATH=src python tests/golden.py`")
-    got = golden.artifact_digests(runs[0][0])
+    got = golden.artifact_digests(out)
     missing = sorted(set(recorded) - set(got))
     extra = sorted(set(got) - set(recorded))
     changed = sorted(n for n in set(got) & set(recorded) if got[n] != recorded[n])
     assert not (missing or extra or changed), (
         f"artifacts differ from the golden digests for {key!r}: "
         f"changed {changed}, missing {missing}, unexpected {extra}")
+
+
+@pytest.mark.slow
+def test_golden_digests(pipeline_runs):
+    """Run 1's artifacts equal the digests recorded for this environment."""
+    runs, _ = pipeline_runs
+    assert_golden(runs[0][0])
+
+
+@pytest.mark.slow
+def test_golden_digests_on_one_blas_thread(tmp_path):
+    """The artifacts do not depend on the BLAS thread count: a pass with
+    OpenBLAS and OpenMP pinned to one thread, in a fresh interpreter so the
+    setting takes effect, matches the same recorded digests."""
+    tests_dir = os.path.dirname(os.path.abspath(golden.__file__))
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(envswitch.__file__)))
+    path = filter(None, [src_dir, tests_dir, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(path))
+    script = ("import sys, golden; from envswitch.config import EngineConfig; "
+              "golden.run_pipeline(sys.argv[1], EngineConfig())")
+    subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                   check=True, timeout=15 * 60)
+    assert_golden(str(tmp_path))
 
 
 # ---------------------------------------------------------------------------

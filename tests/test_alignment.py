@@ -626,14 +626,14 @@ class TestMatch:
         decoy = make_sequence(rng, 6)
         lib = self.build_library(rng, [decoy, FingerprintSequence(live.windows)])
         ranked = match(MetricModel.identity(), SelectorModel.zeros(), live, lib,
-                       band=3, top_k=2)
+                       3, 2, FilterContext())
         assert ranked[0][1].similarity == pytest.approx(1.0, abs=1e-12)
         assert ranked[0][1].distance == pytest.approx(0.0, abs=1e-12)
 
     def test_top_k_clamps_to_library_size(self, rng):
         lib = self.build_library(rng, [make_sequence(rng, 5)])
         ranked = match(MetricModel.identity(), SelectorModel.zeros(),
-                       make_sequence(rng, 5), lib, band=3, top_k=10)
+                       make_sequence(rng, 5), lib, 3, 10, FilterContext())
         assert len(ranked) == 1
 
     def test_near_beats_far(self, rng):
@@ -644,7 +644,7 @@ class TestMatch:
             [w.replace_features(w.features + 3.0) for w in live.windows])
         lib = self.build_library(rng, [far, near])
         ranked = match(MetricModel.identity(), SelectorModel.zeros(), live, lib,
-                       band=3, top_k=2)
+                       3, 2, FilterContext())
         assert len(ranked) == 2
         assert ranked[0][1].similarity > ranked[1][1].similarity
         near_id = [pid for pid, s in lib.items()
@@ -654,7 +654,7 @@ class TestMatch:
     def test_empty_library_returns_empty(self, rng):
         lib = FingerprintLibrary()
         assert match(MetricModel.identity(), SelectorModel.zeros(),
-                     make_sequence(rng, 5), lib, 3, 3) == []
+                     make_sequence(rng, 5), lib, 3, 3, FilterContext()) == []
 
     def test_similarity_is_monotone_in_distance(self, rng):
         model = MetricModel.from_seed(11)
@@ -691,24 +691,13 @@ class TestMatch:
                 expected.append((pid, result))
             expected.sort(key=lambda e: (-e[1].similarity, e[0]))
             ranked = match(model, selector, live, library, band,
-                           top_k=len(library), ctx=ctx)
+                           len(library), ctx)
             assert [pid for pid, _ in ranked] == [pid for pid, _ in expected]
             for (_, got), (_, want) in zip(ranked, expected):
                 assert got.distance == want.distance
                 assert got.similarity == want.similarity
                 assert got.path == want.path
             assert ranked[0][1].similarity == 1.0        # the live copy
-
-    def test_default_context_is_the_live_window_rule(self, rng):
-        model = MetricModel.from_seed(2)
-        selector = SelectorModel.from_seed(8)
-        live = random_packed(rng, 6)
-        library = [(f"p{k}", random_packed(rng, 6)) for k in range(5)]
-        default = match(model, selector, live, library, 3, 5)
-        explicit = match(model, selector, live, library, 3, 5,
-                         ctx=context_from_windows(live[0], live[1], 0.0))
-        assert [(pid, r.distance, r.path) for pid, r in default] == \
-            [(pid, r.distance, r.path) for pid, r in explicit]
 
 
 class TestLengthGroups:
@@ -733,7 +722,8 @@ class TestLengthGroups:
         return [(pid, r.distance, r.similarity, r.path)
                 for pid, r in match(MetricModel.from_seed(3, noise=0.3),
                                     SelectorModel.from_seed(5), live, library,
-                                    band, top_k=64)]
+                                    band, 64,
+                                    context_from_windows(*live.packed(), 0.0))]
 
     def test_library_equals_plain_list(self, rng):
         lib = self.library(rng, [6, 4, 6, 10, 5, 4])
