@@ -2,7 +2,7 @@
 
 Builds a small library from simulated switch-anchored segments, trains the
 modality-weighted metric on switch-tag supervision, and then replays an
-unseen session printing the calibrated similarity second by second: near
+unseen session printing the match similarity second by second: near
 zero on the early walk, climbing through the degradation onset.  This is
 the anticipation signal the handover policy conditions on.
 """

@@ -3,13 +3,13 @@
 The cell cost between two fingerprint windows is a sum over modalities of a
 learned weight times the squared Euclidean distance between linearly embedded
 features, zeroed whenever the modality is absent on either side.  Exact DTW
-under a Sakoe-Chiba band gives the alignment distance; a learned inverse
-temperature calibrates it to a similarity in (0, 1].  One forward sweep
+under a Sakoe-Chiba band gives the alignment distance d, and the similarity
+in (0, 1] is exp(-beta * d) with a fixed scale beta = 1.  One forward sweep
 over the anti-diagonals of a skewed banded layout (``_sweep``) runs both
 recursions on a stack of cost matrices: with a hard min for exact DTW
 (``dtw`` on one pair, ``match`` on each length group of a library), and with
-a soft-min for soft-DTW (``soft_dtw`` on one pair, ``margin_loss_grads`` on a
-positive and its negatives, ``train_metric`` on every pair of an epoch).
+a soft-min for soft-DTW (``soft_dtw`` on one pair, and every margin loss on
+all pairs of its positives and negatives at once).
 Soft-DTW is differentiable: its backward weights sweep the same layout in
 reverse, and hand-written gradients let the metric (and, through the filter
 mixture, the selector) train with plain gradient descent.
@@ -24,7 +24,7 @@ import numpy as np
 from .fingerprints import (FEATURE_DIMS, MODALITIES, MODALITY_SLICES,
                            Fingerprint, FingerprintLibrary, FingerprintSequence,
                            group_by_length)
-from .serialize import dump_tensors, fmt, parse_tensors
+from .serialize import dump_tensors, parse_tensors
 
 
 class BandTooNarrowError(ValueError):
@@ -38,12 +38,11 @@ class BandTooNarrowError(ValueError):
 
 @dataclass
 class MetricModel:
-    """Per-modality linear embeddings, softmax-weighted modality scores,
-    and a log-parameterized inverse temperature."""
+    """Per-modality linear embeddings and softmax-weighted modality scores;
+    every parameter is trained."""
 
     embeddings: dict           # modality -> (embed_dim, feature_dim)
     scores: np.ndarray         # (5,) trainable; weights = softmax(scores)
-    log_beta: float = 0.0
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=float)
@@ -62,12 +61,13 @@ class MetricModel:
 
     @property
     def beta(self) -> float:
-        return math.exp(self.log_beta)
+        """Fixed similarity scale: similarity = exp(-beta * distance)."""
+        return 1.0
 
     @classmethod
     def identity(cls, embed_dim: int = 4) -> "MetricModel":
         emb = {m: np.eye(embed_dim, FEATURE_DIMS[m]) for m in MODALITIES}
-        return cls(emb, np.zeros(len(MODALITIES)), 0.0)
+        return cls(emb, np.zeros(len(MODALITIES)))
 
     @classmethod
     def from_seed(cls, seed: int, embed_dim: int = 4, noise: float = 0.01) -> "MetricModel":
@@ -75,17 +75,16 @@ class MetricModel:
         emb = {m: np.eye(embed_dim, FEATURE_DIMS[m])
                + noise * rng.standard_normal((embed_dim, FEATURE_DIMS[m]))
                for m in MODALITIES}
-        return cls(emb, np.zeros(len(MODALITIES)), 0.0)
+        return cls(emb, np.zeros(len(MODALITIES)))
 
     def copy(self) -> "MetricModel":
         return MetricModel({m: W.copy() for m, W in self.embeddings.items()},
-                           self.scores.copy(), self.log_beta)
+                           self.scores.copy())
 
     # flat parameter view, used by finite-difference tests and the trainers
     def to_vector(self) -> np.ndarray:
         parts = [self.embeddings[m].ravel() for m in MODALITIES]
         parts.append(self.scores)
-        parts.append(np.array([self.log_beta]))
         return np.concatenate(parts)
 
     def from_vector(self, vec) -> "MetricModel":
@@ -95,34 +94,18 @@ class MetricModel:
             W = self.embeddings[m]
             emb[m] = vec[i:i + W.size].reshape(W.shape).copy()
             i += W.size
-        scores = vec[i:i + len(MODALITIES)].copy()
-        i += len(MODALITIES)
-        return MetricModel(emb, scores, float(vec[i]))
+        return MetricModel(emb, vec[i:i + len(MODALITIES)].copy())
 
     def serialize(self) -> str:
         tensors = {f"metric.W_{m}": self.embeddings[m] for m in MODALITIES}
         tensors["metric.scores"] = self.scores
-        tensors["metric.log_beta"] = np.array([self.log_beta])
         return dump_tensors(tensors)
 
     @classmethod
     def deserialize(cls, text: str) -> "MetricModel":
         t = parse_tensors(text)
         emb = {m: t[f"metric.W_{m}"] for m in MODALITIES}
-        return cls(emb, t["metric.scores"], float(np.asarray(t["metric.log_beta"]).ravel()[0]))
-
-
-@dataclass
-class MetricGrads:
-    embeddings: dict
-    scores: np.ndarray
-    log_beta: float = 0.0
-
-    def to_vector(self) -> np.ndarray:
-        parts = [self.embeddings[m].ravel() for m in MODALITIES]
-        parts.append(self.scores)
-        parts.append(np.array([self.log_beta]))
-        return np.concatenate(parts)
+        return cls(emb, t["metric.scores"])
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +198,11 @@ def _cost_gradients(model: MetricModel, caches, E, want_feature_grads=False):
             sl = MODALITY_SLICES[mod]
             dq_feats[:, :, sl] = 2.0 * w[i] * np.einsum("pij,pijk->pik", Em, emb) @ W
             dp_feats[:, :, sl] = -2.0 * w[i] * np.einsum("pij,pijk->pjk", Em, emb) @ W
-    # softmax jacobian: scores -> weights; the temperature gets no gradient.
-    # One dot per pair: a batched product may sum the five terms in another
-    # order and round differently
+    # softmax jacobian: scores -> weights.  One dot per pair: a batched
+    # product may sum the five terms in another order and round differently
     for p in range(P):
         G[p, off:off + len(MODALITIES)] = w * (dcost_dw[p] - float(np.dot(w, dcost_dw[p])))
     return G, dq_feats, dp_feats
-
-
-def _grads_from_vector(model: MetricModel, vec: np.ndarray) -> "MetricGrads":
-    g = model.from_vector(vec)
-    return MetricGrads(g.embeddings, g.scores, g.log_beta)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +231,6 @@ class AlignmentResult:
     distance: float
     path: list
     similarity: float
-
-    def export_line(self, proto_id: str) -> str:
-        return f"{proto_id},{fmt(self.distance)},{fmt(self.similarity)},{len(self.path)}"
 
 
 @functools.lru_cache(maxsize=256)
@@ -481,18 +455,19 @@ def soft_dtw(model: MetricModel, query, proto, band: int = 3,
              gamma: float = 0.1, want_feature_grads: bool = False):
     """Soft-min banded alignment value and its gradients.
 
-    Returns ``(value, MetricGrads)`` or, with ``want_feature_grads``,
-    ``(value, MetricGrads, dvalue/dquery_features, dvalue/dproto_features)``.
-    The value is always <= the exact dtw distance on the same inputs and can
-    be negative for near-identical sequences.  The tables come from the
-    stacked kernel ``_soft_dtw_tables`` on a stack of one.
+    Returns ``(value, metric gradient)`` or, with ``want_feature_grads``,
+    ``(value, metric gradient, dvalue/dquery_features,
+    dvalue/dproto_features)``; the metric gradient is flat, in the
+    ``MetricModel.to_vector`` layout.  The value is always <= the exact dtw
+    distance on the same inputs and can be negative for near-identical
+    sequences.  The tables come from the stacked kernel ``_soft_dtw_tables``
+    on a stack of one.
     """
     values, G, fgrads = _soft_dtw_pairs(model, [(query, proto)], band, gamma,
                                         want_feature_grads)
-    value, grads = float(values[0]), _grads_from_vector(model, G[0])
     if want_feature_grads:
-        return value, grads, fgrads[0][0], fgrads[0][1]
-    return value, grads
+        return float(values[0]), G[0], fgrads[0][0], fgrads[0][1]
+    return float(values[0]), G[0]
 
 
 def soft_dtw_value(model: MetricModel, query, proto, band: int = 3,
@@ -504,20 +479,6 @@ def soft_dtw_value(model: MetricModel, query, proto, band: int = 3,
 # ---------------------------------------------------------------------------
 # margin loss and metric training
 # ---------------------------------------------------------------------------
-
-
-def margin_loss(model: MetricModel, positive, negatives, margin: float = 1.0,
-                gamma: float = 0.1, band: int = 3) -> float:
-    """Mean over negatives of max(0, margin + sdtw(pos) - sdtw(neg))."""
-    loss, _ = margin_loss_grads(model, positive, negatives, margin, gamma, band)
-    return loss
-
-
-def _check_margin(negatives, margin: float):
-    if not negatives:
-        raise ValueError("margin loss needs at least one negative pair")
-    if margin <= 0.0:
-        raise ValueError("margin must be > 0")
 
 
 def _hinge(values, G, margin: float, fg=None):
@@ -552,20 +513,43 @@ def _hinge(values, G, margin: float, fg=None):
     return total / k, acc, fgrads
 
 
+def _margin_losses(model: MetricModel, items, margin: float, gamma: float,
+                   band: int, want_feature_grads: bool = False):
+    """``_hinge`` of every ``(positive, negatives)`` item, each pair a
+    ``(query, proto)``; every pair of every item is scored in one
+    ``_soft_dtw_pairs`` batch.  Returns one ``(loss, metric gradient,
+    feature gradients or None)`` per item."""
+    if margin <= 0.0:
+        raise ValueError("margin must be > 0")
+    pairs, bounds = [], [0]
+    for positive, negatives in items:
+        if not negatives:
+            raise ValueError("margin loss needs at least one negative pair")
+        pairs += [positive] + list(negatives)
+        bounds.append(len(pairs))
+    values, G, fg = _soft_dtw_pairs(model, pairs, band, gamma, want_feature_grads)
+    return [_hinge(values[lo:hi], G[lo:hi], margin, fg[lo:hi] if want_feature_grads else None)
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def margin_loss(model: MetricModel, positive, negatives, margin: float = 1.0,
+                gamma: float = 0.1, band: int = 3) -> float:
+    """Mean over negatives of max(0, margin + sdtw(pos) - sdtw(neg))."""
+    return _margin_losses(model, [(positive, negatives)], margin, gamma, band)[0][0]
+
+
 def margin_loss_grads(model: MetricModel, positive, negatives,
                       margin: float = 1.0, gamma: float = 0.1, band: int = 3,
                       want_feature_grads: bool = False):
-    """Margin loss and its ``MetricGrads``; the positive and its negatives are
-    scored together.  With ``want_feature_grads`` also returns, per pair
-    (positive first), the gradients w.r.t. its query and proto features."""
-    _check_margin(negatives, margin)
-    values, G, fg = _soft_dtw_pairs(model, [positive] + list(negatives), band,
-                                    gamma, want_feature_grads)
-    loss, acc, fgrads = _hinge(values, G, margin, fg if want_feature_grads else None)
-    grads = _grads_from_vector(model, acc)
+    """Margin loss and its flat metric gradient, in the
+    ``MetricModel.to_vector`` layout.  With ``want_feature_grads`` also
+    returns, per pair (positive first), the gradients w.r.t. its query and
+    proto features."""
+    loss, grad, fgrads = _margin_losses(model, [(positive, negatives)], margin,
+                                        gamma, band, want_feature_grads)[0]
     if not want_feature_grads:
-        return loss, grads
-    return loss, grads, fgrads
+        return loss, grad
+    return loss, grad, fgrads
 
 
 def make_alignment_loss(model: MetricModel, margin: float = 1.0,
@@ -578,18 +562,13 @@ def make_alignment_loss(model: MetricModel, margin: float = 1.0,
     the gradients w.r.t. the filtered feature arrays, positive first.  Every
     pair of every item is scored in one ``_soft_dtw_pairs`` batch.
     """
+    def as_pair(it):
+        return (it[0], it[1]), (it[2], it[3])
+
     def loss_fn(items):
-        pairs, bounds = [], [0]
-        for pos_pair, neg_pairs in items:
-            _check_margin(neg_pairs, margin)
-            pairs += [((it[0], it[1]), (it[2], it[3])) for it in [pos_pair] + list(neg_pairs)]
-            bounds.append(len(pairs))
-        values, G, fg = _soft_dtw_pairs(model, pairs, band, gamma, want_feature_grads=True)
-        results = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            loss, _, fgrads = _hinge(values[lo:hi], G[lo:hi], margin, fg[lo:hi])
-            results.append((loss, fgrads))
-        return results
+        items = [(as_pair(pos), [as_pair(neg) for neg in negs]) for pos, negs in items]
+        return [(loss, fgrads) for loss, _, fgrads in
+                _margin_losses(model, items, margin, gamma, band, want_feature_grads=True)]
     return loss_fn
 
 
@@ -600,33 +579,26 @@ def train_metric(model: MetricModel, pairs, epochs: int = 20,
 
     ``pairs`` is a list of ``(positive_pair, negative_pairs)`` where a pair is
     ``(query, proto)`` and each element is a FingerprintSequence or a packed
-    ``(features, present)`` tuple.  Weights stay a valid softmax by
-    construction; ``epochs=0`` returns the model unchanged.
+    ``(features, present)`` tuple.  Every pair of an epoch is scored in one
+    batch; the hinges then accumulate item by item, in order.  Weights stay a
+    valid softmax by construction; ``epochs=0`` returns the model unchanged.
     """
     if not pairs:
         raise ValueError("no positive pairs to train on")
-    for _, negatives in pairs:
-        _check_margin(negatives, margin)
-    # every positive and negative of an epoch is scored in one batch; the
-    # hinges then accumulate pair by pair, in order
-    items = [(_pack(q), _pack(p)) for positive, negatives in pairs
-             for q, p in [positive] + list(negatives)]
-    bounds = np.cumsum([0] + [1 + len(negatives) for _, negatives in pairs])
     current = model.copy()
     for _ in range(max(0, epochs)):
-        values, G, _ = _soft_dtw_pairs(current, items, band, gamma)
-        acc = np.zeros(G.shape[1])
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            _, g, _ = _hinge(values[lo:hi], G[lo:hi], margin)
+        vec = current.to_vector()
+        acc = np.zeros(vec.size)
+        for _, g, _ in _margin_losses(current, pairs, margin, gamma, band):
             acc += (1.0 / len(pairs)) * g
-        current = current.from_vector(current.to_vector() - step_size * acc)
+        current = current.from_vector(vec - step_size * acc)
     return current
 
 
 def mean_margin_loss(model: MetricModel, pairs, margin: float = 1.0,
                      gamma: float = 0.1, band: int = 3) -> float:
-    return float(np.mean([margin_loss(model, p, n, margin, gamma, band)
-                          for p, n in pairs]))
+    return float(np.mean([loss for loss, _, _ in
+                          _margin_losses(model, pairs, margin, gamma, band)]))
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +643,7 @@ def pairs_from_switch_tags(segments, library, negatives_per_positive: int = 4,
 
 def match(model: MetricModel, selector, live_window, library, band: int,
           top_k: int, ctx):
-    """Rank library prototypes by calibrated similarity to the live window.
+    """Rank library prototypes by similarity to the live window.
 
     The live window and every prototype are denoised with the filter the
     selector chooses for ``ctx``, the live window's ``FilterContext``, before

@@ -10,7 +10,7 @@ on identical traces and emits per-session TTS tables.
 
 import argparse
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -103,12 +103,11 @@ def build_site_library(site_flag: str, seeds, cfg: EngineConfig):
     """Commit pre-switch buffers from baseline-triggered switches.
 
     Sites A and B anchor on the moment the baseline switch completes; site C
-    commits only when the GNSS/WiFi/PDR exit conditions jointly hold.
-    Returns (library, traces, scenarios).
+    anchors on the first second the GNSS/WiFi/PDR exit conditions jointly
+    hold.  Returns (library, traces, scenarios).
     """
     site = SITES_BY_FLAG[site_flag]
-    capacity = min(cfg.library.capacity, cfg.cloudedge.edge_library_capacity)
-    library = FingerprintLibrary(replace(cfg.library, capacity=capacity))
+    library = FingerprintLibrary(cfg.library)
     traces, scenarios = [], []
     for day, s in enumerate(seeds):
         scenario = make_scenario(site, s, cfg.radio, cfg.walker)
@@ -116,13 +115,9 @@ def build_site_library(site_flag: str, seeds, cfg: EngineConfig):
         scenarios.append(scenario)
         traces.append(trace)
         if site_flag == "C":
-            flags, t_detect = detect_outdoor_transition(trace, cfg)
-            if t_detect is None:
+            _, anchor_t = detect_outdoor_transition(trace, cfg)
+            if anchor_t is None:
                 continue
-            buffer = segment_before(trace, t_detect, cfg)
-            library.commit_outdoor_transition(
-                buffer, *flags, created_day=day,
-                event=SwitchEvent(buffer.windows[-1].timestamp, "wifi_to_cell"))
         else:
             completion, censored = baseline_policy(
                 trace, cfg.baseline.threshold_dbm, cfg.baseline.hysteresis_db,
@@ -130,9 +125,9 @@ def build_site_library(site_flag: str, seeds, cfg: EngineConfig):
             if censored:
                 continue
             anchor_t = min(completion, trace.duration - 1.0)
-            buffer = segment_before(trace, anchor_t, cfg)
-            event = SwitchEvent(buffer.windows[-1].timestamp, "wifi_to_cell")
-            library.commit_segment(buffer, event, created_day=day)
+        buffer = segment_before(trace, anchor_t, cfg)
+        event = SwitchEvent(buffer.windows[-1].timestamp, "wifi_to_cell")
+        library.commit_segment(buffer, event, created_day=day)
     return library, traces, scenarios
 
 

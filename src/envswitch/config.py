@@ -63,7 +63,7 @@ class NormalizationConfig:
 @dataclass
 class LibraryConfig:
     retention_days: int = 14       # rolling retention, ~2 weeks
-    capacity: int = 256
+    capacity: int = 24             # prototypes kept per site library
     salt: str = "edge-default"     # per-user salt for identifier hashing
 
 
@@ -168,7 +168,6 @@ class CloudEdgeConfig:
     reward_model_epochs: int = 40
     reward_model_step: float = 0.05
     state_quant: float = 0.01           # summary tuple quantization grid
-    edge_library_capacity: int = 24     # caps each site library build_site_library commits
 
 
 @dataclass

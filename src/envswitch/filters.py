@@ -185,10 +185,7 @@ def _squash(raw: np.ndarray, cfg: FilterConfig):
 
 def select_filter(model: SelectorModel, ctx: FilterContext) -> FilterChoice:
     """Deterministic map (model, context) -> FilterChoice."""
-    out, _ = model.net.forward(ctx.features())
-    weights = softmax(out[:3])
-    (q, r, sigma, alpha), _ = _squash(out[3:], model.cfg)
-    return FilterChoice(weights, q, r, sigma, alpha)
+    return selector_forward_training(model, ctx)[0]
 
 
 def context_from_windows(features, present, scan_age: float) -> FilterContext:

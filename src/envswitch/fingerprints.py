@@ -167,12 +167,6 @@ class FingerprintSequence:
     def qualities(self) -> np.ndarray:
         return np.stack([w.quality for w in self.windows])
 
-    def with_id(self, prototype_id: str, created_at=None) -> "FingerprintSequence":
-        return FingerprintSequence(
-            self.windows, self.label,
-            self.created_at if created_at is None else created_at,
-            prototype_id)
-
 
 # ---------------------------------------------------------------------------
 # window summarization
@@ -459,17 +453,6 @@ class FingerprintLibrary:
         self.version += 1
         self._enforce_capacity()
         return pid
-
-    def commit_outdoor_transition(self, buffer: FingerprintSequence,
-                                  gnss_ok: bool, wifi_decay: bool,
-                                  pdr_exit: bool, created_day: int = 0,
-                                  event: SwitchEvent | None = None):
-        """Commit only when all three exit conditions hold; else store nothing."""
-        if not (gnss_ok and wifi_decay and pdr_exit):
-            return None
-        if event is None:
-            event = SwitchEvent(time=buffer.windows[-1].timestamp, kind="wifi_to_cell")
-        return self.commit_segment(buffer, event, created_day)
 
     def maintain(self, current_day: int) -> "FingerprintLibrary":
         """Drop sequences older than the retention horizon; enforce capacity.

@@ -1,6 +1,6 @@
 """Edge decision policy: environment-aware actions, composite reward, PPO.
 
-The policy observes the matcher's calibrated similarity, its short trend, the
+The policy observes the matcher's top similarity, its short trend, the
 current radio state, and pacing features, and picks one of four actions per
 second: hold, raise the scan rate, pre-associate a candidate link, or hand
 over.  Training maximizes a composite reward mixing transition-time
@@ -217,7 +217,6 @@ class Trajectory:
     policy_tts: float = 0.0
     baseline_tts: float = 0.0
     trace_checksum: str = ""
-    sim_mean: float = 0.0
 
     def rewards_with(self, weights: RewardWeights, hf_value: float) -> np.ndarray:
         r = self.step_rewards.copy()
@@ -541,6 +540,5 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
         completion=completion, censored=censored,
         action_time=action_time, terminal_step=terminal_step,
         policy_tts=policy_tts_report, baseline_tts=base_tts,
-        trace_checksum=trace.checksum(),
-        sim_mean=float(np.mean(sim_history)) if sim_history else 0.0)
+        trace_checksum=trace.checksum())
     return traj

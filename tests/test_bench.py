@@ -11,12 +11,17 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_traced_train_workload_runs_correctly():
+# ``device`` also runs its oracle check, the only code that reads
+# ``MetricModel.beta`` outside the package
+@pytest.mark.parametrize("workload", ["train", "evaluate", "device"])
+def test_traced_workload_runs_correctly(workload):
     run = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "train",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr[-2000:]

@@ -141,18 +141,6 @@ class TestLibrary:
         assert pids[0] not in lib.sequences
         assert all(p in lib.sequences for p in pids[1:])
 
-    def test_outdoor_commit_requires_all_three(self, rng):
-        for g in (False, True):
-            for w in (False, True):
-                for p in (False, True):
-                    lib = FingerprintLibrary()
-                    buf = make_sequence(rng, 10)
-                    out = lib.commit_outdoor_transition(buf, g, w, p)
-                    if g and w and p:
-                        assert out is not None and len(lib) == 1
-                    else:
-                        assert out is None and len(lib) == 0
-
     def test_maintain_retention_boundary(self, rng):
         lib = FingerprintLibrary(LibraryConfig(retention_days=14))
         buf = make_sequence(rng, 6, day=0)
