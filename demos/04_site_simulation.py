@@ -38,10 +38,9 @@ for flag, blurb in (("A", "office indoor, walk to a far wing"),
 # the site-C commit rule requires all three exit conditions at once
 scenario = make_scenario("C", 3, cfg.radio, cfg.walker)
 trace = generate(scenario, cfg.radio, cfg.walker)
-flags, t_detect = detect_outdoor_transition(trace, cfg)
+t_detect = detect_outdoor_transition(trace, cfg)
 print("site C exit detection:")
 print(f"  door crossing at      {trace.door_time:5.1f} s")
-print(f"  (gnss, wifi, pdr) =   {flags}")
 print(f"  joint trigger at      {t_detect:5.1f} s")
 
 serving = trace.noiseless_serving()

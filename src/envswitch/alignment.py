@@ -2,9 +2,10 @@
 
 The cell cost between two fingerprint windows is a sum over modalities of a
 learned weight times the squared Euclidean distance between linearly embedded
-features, zeroed whenever the modality is absent on either side.  Exact DTW
-under a Sakoe-Chiba band gives the alignment distance d, and the similarity
-in (0, 1] is exp(-beta * d) with a fixed scale beta = 1.  One forward sweep
+features, zeroed whenever the modality is absent on either side; one stacked
+kernel embeds each side once for all modalities (``cost_matrix``).  Exact DTW
+under a Sakoe-Chiba band gives the alignment distance d and the similarity
+exp(-beta * d) in (0, 1], with a fixed scale beta = 1.  One forward sweep
 over the anti-diagonals of a skewed banded layout (``_sweep``) runs both
 recursions on a stack of cost matrices: with a hard min for exact DTW
 (``dtw`` on one pair, ``match`` on each length group of a library), and with
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fingerprints import (FEATURE_DIMS, MODALITIES, MODALITY_SLICES,
+from .fingerprints import (FEATURE_DIMS, MODALITIES, N_FEATURES,
                            Fingerprint, FingerprintLibrary, FingerprintSequence,
                            group_by_length)
 from .serialize import dump_tensors, parse_tensors
@@ -50,9 +51,13 @@ class MetricModel:
             raise ValueError("scores must have one entry per modality")
         for m in MODALITIES:
             W = np.asarray(self.embeddings[m], dtype=float)
-            if W.shape[1] != FEATURE_DIMS[m]:
-                raise ValueError(f"embedding for {m} must have {FEATURE_DIMS[m]} columns")
+            if W.shape != (len(self.embeddings[MODALITIES[0]]), FEATURE_DIMS[m]):
+                raise ValueError(f"embedding for {m} must be (embed_dim, {FEATURE_DIMS[m]})")
             self.embeddings[m] = W
+
+    @property
+    def embed_dim(self) -> int:
+        return self.embeddings[MODALITIES[0]].shape[0]
 
     @property
     def weights(self) -> np.ndarray:
@@ -78,14 +83,11 @@ class MetricModel:
         return cls(emb, np.zeros(len(MODALITIES)))
 
     def copy(self) -> "MetricModel":
-        return MetricModel({m: W.copy() for m, W in self.embeddings.items()},
-                           self.scores.copy())
+        return self.from_vector(self.to_vector())
 
     # flat parameter view, used by finite-difference tests and the trainers
     def to_vector(self) -> np.ndarray:
-        parts = [self.embeddings[m].ravel() for m in MODALITIES]
-        parts.append(self.scores)
-        return np.concatenate(parts)
+        return np.concatenate([self.embeddings[m].ravel() for m in MODALITIES] + [self.scores])
 
     def from_vector(self, vec) -> "MetricModel":
         vec = np.asarray(vec, dtype=float)
@@ -97,15 +99,13 @@ class MetricModel:
         return MetricModel(emb, vec[i:i + len(MODALITIES)].copy())
 
     def serialize(self) -> str:
-        tensors = {f"metric.W_{m}": self.embeddings[m] for m in MODALITIES}
-        tensors["metric.scores"] = self.scores
-        return dump_tensors(tensors)
+        return dump_tensors({**{f"metric.W_{m}": self.embeddings[m] for m in MODALITIES},
+                             "metric.scores": self.scores})
 
     @classmethod
     def deserialize(cls, text: str) -> "MetricModel":
         t = parse_tensors(text)
-        emb = {m: t[f"metric.W_{m}"] for m in MODALITIES}
-        return cls(emb, t["metric.scores"])
+        return cls({m: t[f"metric.W_{m}"] for m in MODALITIES}, t["metric.scores"])
 
 
 # ---------------------------------------------------------------------------
@@ -136,73 +136,82 @@ def _pack(seq):
     return np.asarray(feats, dtype=float), np.asarray(pres, dtype=bool)
 
 
+@functools.lru_cache(maxsize=8)
+def _block_layout(embed_dim: int):
+    """Flat index of every ``to_vector`` embedding entry into the (E, 14)
+    block-diagonal embedding, E = 5 * embed_dim (its blocks in row-major
+    order), and the (E, 5) modality indicator of its rows.  Read-only."""
+    indicator = np.repeat(np.eye(len(MODALITIES)), embed_dim, axis=0)
+    features = np.repeat(np.eye(len(MODALITIES)), [FEATURE_DIMS[m] for m in MODALITIES], axis=0)
+    index = np.flatnonzero(indicator @ features.T)
+    for a in (index, indicator):
+        a.setflags(write=False)
+    return index, indicator
+
+
+def _rows(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``x @ M`` as one 2-D product, not one small gemm per leading slice."""
+    return (x.reshape(-1, x.shape[-1]) @ M).reshape(x.shape[:-1] + M.shape[1:])
+
+
 def cost_matrix(model: MetricModel, query, proto):
-    """Full (n, m) cost matrix plus per-modality caches for the backward pass.
+    """Full (n, m) cost matrix plus the caches of the backward pass.
 
     ``proto`` may carry a leading prototype axis, features (P, m, F) and
     presence (P, m, 5) for P prototypes of one length m; the cost is then
     (P, n, m) and each slice equals the cost of that prototype alone.  A
     query stacked the same way, (P, n, F), pairs query p with prototype p.
+
+    No loop over modalities: both sides are embedded once by one block-
+    diagonal Wb (E, 14), differences (..., n, m, E) are taken in embedded
+    space, a product with the (E, 5) modality indicator gives the squared
+    distances and, masked, one with the weights sums them; identical
+    windows cost exactly 0.  Caches: ``(qf, pf, Wb, diff, sq, mask)``.
     """
     qf, qp = _pack(query)
     pf, pp = _pack(proto)
     if qf.shape[-1] != pf.shape[-1]:
         raise ValueError("fingerprint schema mismatch")
-    n, m = qf.shape[-2], pf.shape[-2]
-    if qf.ndim == 2:
-        qf, qp = qf[:, None], qp[:, None]
-    else:
-        qf, qp = qf[:, :, None], qp[:, :, None]
-    w = model.weights
-    cost = np.zeros(pf.shape[:-2] + (n, m))
-    caches = {}
-    for i, mod in enumerate(MODALITIES):
-        sl = MODALITY_SLICES[mod]
-        diff = qf[..., sl] - pf[..., None, :, sl]
-        # one 2-D product, not one small gemm per leading (P, n) slice
-        W = model.embeddings[mod]
-        emb = (diff.reshape(-1, W.shape[1]) @ W.T).reshape(
-            diff.shape[:-1] + (W.shape[0],))
-        sq = np.einsum("...ijk,...ijk->...ij", emb, emb)
-        mask = (qp[..., i] & pp[..., None, :, i]).astype(float)
-        cost += w[i] * sq * mask
-        caches[mod] = (diff, emb, sq, mask)
-    return cost, caches
+    index, indicator = _block_layout(model.embed_dim)
+    Wb = np.zeros((indicator.shape[0], N_FEATURES))
+    Wb.flat[index] = model.to_vector()[:index.size]
+    diff = _rows(qf, Wb.T)[..., :, None, :] - _rows(pf, Wb.T)[..., None, :, :]
+    sq = _rows(diff * diff, indicator)
+    mask = qp[..., :, None, :] & pp[..., None, :, :]
+    return _rows(sq * mask, model.weights), (qf, pf, Wb, diff, sq, mask)
 
 
 def _cost_gradients(model: MetricModel, caches, E, want_feature_grads=False):
     """Chain dV/dcost = E (P, n, m) into metric and feature gradients.
 
+    With M = E * mask * w on each modality's embedded coordinates, the sums
+    of M * diff over proto windows A (P, n, E) and over query windows B
+    (P, m, E) give every gradient: 2 (A^T q - B^T p) for the block-diagonal
+    embedding Wb, 2 A Wb for the query and -2 B Wb for the proto features.
     Returns the flat metric gradient of every pair, (P, n_params) in the
     ``to_vector`` layout, and with ``want_feature_grads`` the feature
     gradients (P, n, 14) and (P, m, 14); otherwise those two are None.
     """
-    w = model.weights
-    P, n, m = E.shape
-    G = np.zeros((P, model.to_vector().size))
-    dcost_dw = np.zeros((P, len(MODALITIES)))
-    dq_feats = dp_feats = None
-    if want_feature_grads:
-        dq_feats = np.zeros((P, n, 14))
-        dp_feats = np.zeros((P, m, 14))
-    off = 0
-    for i, mod in enumerate(MODALITIES):
-        diff, emb, sq, mask = caches[mod]
-        Em = E * mask
-        W = model.embeddings[mod]
-        gW = 2.0 * w[i] * np.einsum("pij,pijk,pijl->pkl", Em, emb, diff)
-        G[:, off:off + W.size] = gW.reshape(P, -1)
-        off += W.size
-        dcost_dw[:, i] = np.sum(Em * sq, axis=(1, 2))
-        if want_feature_grads:
-            sl = MODALITY_SLICES[mod]
-            dq_feats[:, :, sl] = 2.0 * w[i] * np.einsum("pij,pijk->pik", Em, emb) @ W
-            dp_feats[:, :, sl] = -2.0 * w[i] * np.einsum("pij,pijk->pjk", Em, emb) @ W
+    qf, pf, Wb, diff, sq, mask = caches
+    w, (P, n, m) = model.weights, E.shape
+    index = _block_layout(model.embed_dim)[0]
+    Em = E[..., None] * mask
+    dcost_dw = np.sum(Em * sq, axis=(1, 2))
+    Em *= w
+    # M * diff overwrites the cached differences (the caches are used up)
+    Md = diff.reshape(P, n, m, len(MODALITIES), -1)
+    Md *= Em[..., None]
+    A, B = diff.sum(axis=2), diff.sum(axis=1)
+    gW = 2.0 * (np.swapaxes(A, 1, 2) @ qf - np.swapaxes(B, 1, 2) @ pf)
+    G = np.empty((P, index.size + len(MODALITIES)))
+    G[:, :index.size] = gW.reshape(P, -1)[:, index]
     # softmax jacobian: scores -> weights.  One dot per pair: a batched
     # product may sum the five terms in another order and round differently
     for p in range(P):
-        G[p, off:off + len(MODALITIES)] = w * (dcost_dw[p] - float(np.dot(w, dcost_dw[p])))
-    return G, dq_feats, dp_feats
+        G[p, index.size:] = w * (dcost_dw[p] - float(np.dot(w, dcost_dw[p])))
+    if not want_feature_grads:
+        return G, None, None
+    return G, _rows(2.0 * A, Wb), _rows(-2.0 * B, Wb)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +225,7 @@ def in_band(i: int, j: int, n: int, m: int, band: int) -> bool:
 
 
 def band_mask(n: int, m: int, band: int) -> np.ndarray:
-    ii = np.arange(n)[:, None] * (m / n)
-    jj = np.arange(m)[None, :]
-    return np.abs(ii - jj) <= band
+    return np.abs(np.arange(n)[:, None] * (m / n) - np.arange(m)[None, :]) <= band
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +252,8 @@ def _skew_index(n: int, m: int, band: int):
     jc = np.clip(j, 0, m - 1)
     keep = (j >= 0) & (j < m) & band_mask(n, m, band)[i, jc]
     flat = i * m + jc
-    flat.setflags(write=False)
-    keep.setflags(write=False)
+    for a in (flat, keep):
+        a.setflags(write=False)
     return flat, keep
 
 
@@ -327,10 +334,9 @@ def _backtrack(D: np.ndarray) -> list:
 def dtw(model: MetricModel, query, proto, band: int = 3) -> AlignmentResult:
     """Exact minimum-cost banded alignment with deterministic backtracking.
 
-    The table comes from the same banded recursion ``match`` runs over a
-    whole library (``_dtw_tables`` on a stack of one).  Backtracking
-    tie-break prefers the diagonal predecessor, then the vertical one
-    (previous query window), then the horizontal one.
+    The table comes from the banded recursion ``match`` runs over a whole
+    library (``_dtw_tables`` on a stack of one).  Backtracking prefers the
+    diagonal predecessor, then the vertical (previous query window) one.
     """
     if band < 1:
         raise ValueError("band must be >= 1")
@@ -465,15 +471,13 @@ def soft_dtw(model: MetricModel, query, proto, band: int = 3,
     """
     values, G, fgrads = _soft_dtw_pairs(model, [(query, proto)], band, gamma,
                                         want_feature_grads)
-    if want_feature_grads:
-        return float(values[0]), G[0], fgrads[0][0], fgrads[0][1]
-    return float(values[0]), G[0]
+    out = (float(values[0]), G[0])
+    return out + tuple(fgrads[0]) if want_feature_grads else out
 
 
 def soft_dtw_value(model: MetricModel, query, proto, band: int = 3,
                    gamma: float = 0.1) -> float:
-    value, _ = soft_dtw(model, query, proto, band, gamma)
-    return value
+    return soft_dtw(model, query, proto, band, gamma)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +510,9 @@ def _hinge(values, G, margin: float, fg=None):
         return total / k, acc, None
     fgrads = [[np.zeros_like(dq), np.zeros_like(dp)] for dq, dp in fg]
     for t in active:
-        fgrads[0][0] += fg[0][0] / k
-        fgrads[0][1] += fg[0][1] / k
-        fgrads[t][0] -= fg[t][0] / k
-        fgrads[t][1] -= fg[t][1] / k
+        for side in (0, 1):
+            fgrads[0][side] += fg[0][side] / k
+            fgrads[t][side] -= fg[t][side] / k
     return total / k, acc, fgrads
 
 
@@ -547,9 +550,7 @@ def margin_loss_grads(model: MetricModel, positive, negatives,
     proto features."""
     loss, grad, fgrads = _margin_losses(model, [(positive, negatives)], margin,
                                         gamma, band, want_feature_grads)[0]
-    if not want_feature_grads:
-        return loss, grad
-    return loss, grad, fgrads
+    return (loss, grad, fgrads) if want_feature_grads else (loss, grad)
 
 
 def make_alignment_loss(model: MetricModel, margin: float = 1.0,

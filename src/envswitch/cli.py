@@ -115,7 +115,7 @@ def build_site_library(site_flag: str, seeds, cfg: EngineConfig):
         scenarios.append(scenario)
         traces.append(trace)
         if site_flag == "C":
-            _, anchor_t = detect_outdoor_transition(trace, cfg)
+            anchor_t = detect_outdoor_transition(trace, cfg)
             if anchor_t is None:
                 continue
         else:

@@ -12,6 +12,7 @@ The module also hosts the threshold+hysteresis baseline switch policy, the
 time-to-switch metric, and the simulated human-feedback oracle.
 """
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -214,10 +215,12 @@ class RawTrace:
         return self._wifi
 
     def checksum(self) -> str:
+        """16 hex digits: an 8-byte BLAKE2b of the radio, GNSS and position
+        arrays, computed once per trace."""
         if self._checksum is None:
             payload = (self.rssi_by_ap.tobytes() + self.rsrp.tobytes()
                        + self.gnss_snr.tobytes() + self.pos.tobytes())
-            self._checksum = f"{fnv1a64(payload):016x}"
+            self._checksum = hashlib.blake2b(payload, digest_size=8).hexdigest()
         return self._checksum
 
 
@@ -601,12 +604,11 @@ def segment_before(trace: RawTrace, t_event: float, cfg: EngineConfig,
     return FingerprintSequence(windows)
 
 
-def detect_outdoor_transition(trace: RawTrace, cfg: EngineConfig):
-    """Evaluate the three exit conditions; returns (flags, t_detect).
+def detect_outdoor_transition(trace: RawTrace, cfg: EngineConfig) -> float | None:
+    """The first second where all three exit conditions hold, or None.
 
     (a) continuous high-confidence GNSS, (b) WiFi weak or sharply decaying
-    within 5 s, (c) PDR motion consistent with a door exit.  ``t_detect`` is
-    the first second where all three hold (None if never).
+    within 5 s, (c) PDR motion consistent with a door exit.
     """
     rssi = trace.serving_rssi()
     outdoor = [z in trace.scenario.outdoor_zones for z in trace.sec_zone]
@@ -618,8 +620,8 @@ def detect_outdoor_transition(trace: RawTrace, cfg: EngineConfig):
         pdr_exit = bool(outdoor[i] and trace.door_time is not None
                         and 0.0 <= t - trace.door_time <= 5.0)
         if gnss_ok and wifi_decay and pdr_exit:
-            return (True, True, True), t
-    return (False, False, False), None
+            return t
+    return None
 
 
 # ---------------------------------------------------------------------------

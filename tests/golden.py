@@ -9,8 +9,9 @@ run from the repository root:
 
     PYTHONPATH=src python tests/golden.py
 
-This runs the pipeline once (a few minutes) and rewrites only that entry.  A
-change that alters behaviour re-records the digests and says why.
+This runs the pipeline once (a few minutes), rewrites only that entry and
+prints the names of the artifacts whose digests changed against the entry it
+replaces.  A change that alters behaviour re-records the digests and says why.
 """
 
 import hashlib
@@ -64,16 +65,25 @@ def load_recorded() -> dict:
         return json.load(f)
 
 
+def digest_changes(recorded: dict, got: dict):
+    """Artifact names that differ between two digest entries, each list
+    sorted: (changed, missing from ``got``, new in ``got``)."""
+    changed = sorted(n for n in set(got) & set(recorded) if got[n] != recorded[n])
+    return changed, sorted(set(recorded) - set(got)), sorted(set(got) - set(recorded))
+
+
 def record() -> None:
     recorded = load_recorded()
+    old = recorded.get(environment_key(), {})
     with tempfile.TemporaryDirectory() as out:
         run_pipeline(out, EngineConfig())
-        recorded[environment_key()] = artifact_digests(out)
+        new = recorded[environment_key()] = artifact_digests(out)
     with open(DIGEST_FILE, "w", encoding="utf-8") as f:
         json.dump(recorded, f, indent=1, sort_keys=True)
         f.write("\n")
-    print(f"recorded {len(recorded[environment_key()])} digests for "
-          f"{environment_key()} in {DIGEST_FILE}")
+    print(f"recorded {len(new)} digests for {environment_key()} in {DIGEST_FILE}")
+    for label, names in zip(("changed", "removed", "added"), digest_changes(old, new)):
+        print(f"{label} ({len(names)}): {' '.join(names) or '-'}")
 
 
 if __name__ == "__main__":

@@ -329,13 +329,17 @@ def assert_golden(out):
         pytest.fail(f"no golden digests recorded for {key!r} in "
                     f"{golden.DIGEST_FILE}; record them from the repository "
                     f"root with `PYTHONPATH=src python tests/golden.py`")
-    got = golden.artifact_digests(out)
-    missing = sorted(set(recorded) - set(got))
-    extra = sorted(set(got) - set(recorded))
-    changed = sorted(n for n in set(got) & set(recorded) if got[n] != recorded[n])
+    changed, missing, extra = golden.digest_changes(recorded, golden.artifact_digests(out))
     assert not (missing or extra or changed), (
         f"artifacts differ from the golden digests for {key!r}: "
         f"changed {changed}, missing {missing}, unexpected {extra}")
+
+
+def test_digest_changes_names_each_kind():
+    old = {"a.txt": "1", "b.txt": "2", "c.txt": "3"}
+    new = {"a.txt": "1", "b.txt": "9", "d.txt": "4"}
+    assert golden.digest_changes(old, new) == (["b.txt"], ["c.txt"], ["d.txt"])
+    assert golden.digest_changes(new, new) == ([], [], [])
 
 
 @pytest.mark.slow

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from envswitch.alignment import (BandTooNarrowError, MetricModel, _backtrack,
-                                 _dtw_tables, _skew_index, _soft_dtw_tables, band_mask,
+                                 _dtw_tables, _skew_index, _soft_dtw_pairs, _soft_dtw_tables,
+                                 band_mask,
                                  cell_cost, cost_matrix, dtw, in_band,
                                  margin_loss,
                                  margin_loss_grads, match,
@@ -276,27 +277,37 @@ class TestBatchedDtw:
             for k, p in enumerate(protos):
                 assert np.array_equal(cost[k], cost_matrix(model, q, p)[0])
 
-    def test_embedding_equals_stacked_product(self, rng):
-        # cost_matrix embeds the difference tensor with one 2-D product; it
-        # must equal numpy's stacked (P, n, m, k) @ (k, e) product bit for bit
-        for trial in range(200):
-            n, m = (int(v) for v in rng.integers(2, 12, size=2))
-            P = int(rng.integers(1, 30))
-            model = MetricModel.from_seed(trial, int(rng.integers(2, 6)), 0.3)
-            protos = (rng.normal(size=(P, m, 14)), rng.random((P, m, 5)) > 0.2)
-            if trial % 2:
-                query = random_packed(rng, n)
+    def test_stacked_kernel_equals_cell_cost(self, rng):
+        # the one block-diagonal kernel must agree with the scalar
+        # per-modality cell cost on every cell, for a single query and for a
+        # stacked one (query p pairs with prototype p), and cost a copied
+        # window exactly 0
+        for trial in range(80):
+            embed_dim = 2 + trial % 4
+            n, m = (int(v) for v in rng.integers(2, 9, size=2))
+            P = int(rng.integers(1, 6))
+            model = MetricModel(MetricModel.from_seed(trial, embed_dim, 0.3).embeddings,
+                                rng.normal(size=5))
+            pf, pp = rng.normal(size=(P, m, 14)), rng.random((P, m, 5)) > 0.3
+            stacked = trial % 2 == 1
+            if stacked:
+                qf, qp = rng.normal(size=(P, n, 14)), rng.random((P, n, 5)) > 0.3
             else:
-                query = (rng.normal(size=(P, n, 14)), rng.random((P, n, 5)) > 0.2)
-            cost, caches = cost_matrix(model, query, protos)
-            want = np.zeros_like(cost)
-            for i, mod in enumerate(MODALITIES):
-                diff, emb, _, mask = caches[mod]
-                stacked = diff @ model.embeddings[mod].T
-                assert np.array_equal(emb, stacked)
-                want += model.weights[i] * np.einsum(
-                    "...ijk,...ijk->...ij", stacked, stacked) * mask
-            assert np.array_equal(cost, want)
+                qf, qp = (np.broadcast_to(a, (P,) + a.shape) for a in random_packed(rng, n))
+            copies = [(p, int(rng.integers(n)), int(rng.integers(m))) for p in range(P)]
+            for p, i, j in copies:
+                pf[p, j], pp[p, j] = qf[p, i], qp[p, i]
+            query = (qf, qp) if stacked else (qf[0], qp[0])
+            cost, _ = cost_matrix(model, query, (pf, pp))
+            assert cost.shape == (P, n, m)
+            for p in range(P):
+                for i in range(n):
+                    a = Fingerprint(0.0, qf[p, i], qp[p, i], qp[p, i].astype(float))
+                    for j in range(m):
+                        b = Fingerprint(0.0, pf[p, j], pp[p, j], pp[p, j].astype(float))
+                        assert cost[p, i, j] == pytest.approx(cell_cost(model, a, b),
+                                                              rel=1e-12, abs=0.0)
+            assert all(cost[c] == 0.0 for c in copies)
 
     def test_distance_equals_scalar_dp(self, rng):
         narrow = 0
@@ -371,6 +382,46 @@ class TestSoftDtw:
             assert rel < 1e-3
             checked += 1
         assert checked >= 10
+
+    @pytest.mark.parametrize("embed_dim", [2, 3, 5])
+    def test_batched_gradients_match_finite_differences(self, rng, embed_dim):
+        # pairs of several shapes with absent modalities, scored in one
+        # _soft_dtw_pairs batch: an offset slip in the block layout would
+        # put a gradient on the wrong embedding entry or feature
+        model = MetricModel(MetricModel.from_seed(embed_dim, embed_dim, 0.3).embeddings,
+                            rng.normal(size=5))
+        pairs = [(random_packed(rng, n), random_packed(rng, m))
+                 for n, m in ((4, 5), (6, 4), (4, 5), (5, 5))]
+        pairs[1][0][1][:, 2] = False          # cell absent from one whole query
+        pairs[2][1][1][:, 4] = False          # time absent from one whole proto
+        _, G, fgrads = _soft_dtw_pairs(model, pairs, 3, 0.1, want_feature_grads=True)
+        h = 1e-6
+
+        def values(model, batch):
+            return _soft_dtw_pairs(model, batch, 3, 0.1)[0]
+
+        vec = model.to_vector()
+        for i in range(vec.size):
+            vp, vm = vec.copy(), vec.copy()
+            vp[i] += h
+            vm[i] -= h
+            fd = (values(model.from_vector(vp), pairs)
+                  - values(model.from_vector(vm), pairs)) / (2 * h)
+            assert np.allclose(G[:, i], fd, rtol=1e-5, atol=1e-7)
+
+        def perturbed(pair, side, idx, delta):
+            feats = pair[side][0].copy()
+            feats[idx] += delta
+            return tuple((feats, s[1]) if t == side else s for t, s in enumerate(pair))
+
+        for pair, grads in zip(pairs, fgrads):
+            for side in (0, 1):
+                idxs = list(np.ndindex(pair[side][0].shape))
+                fd = (values(model, [perturbed(pair, side, idx, h) for idx in idxs])
+                      - values(model, [perturbed(pair, side, idx, -h) for idx in idxs])) / (2 * h)
+                assert np.allclose(grads[side][tuple(zip(*idxs))], fd, rtol=1e-5, atol=1e-7)
+        assert np.all(fgrads[1][0][:, MODALITY_SLICES["cell"]] == 0.0)
+        assert np.all(fgrads[2][1][:, MODALITY_SLICES["time"]] == 0.0)
 
     def test_gamma_validation(self, rng):
         with pytest.raises(ValueError):
@@ -823,3 +874,12 @@ def test_metric_serialize_roundtrip():
     model.scores = np.array([0.2, -0.4, 1.0, 0.0, -1.1])
     back = MetricModel.deserialize(model.serialize())
     assert np.array_equal(back.to_vector(), model.to_vector())
+
+
+def test_metric_needs_one_embed_dim():
+    # the block-diagonal cost kernel gives every modality embed_dim rows
+    emb = MetricModel.identity(4).embeddings
+    with pytest.raises(ValueError):
+        MetricModel({**emb, "gnss": np.eye(3)}, np.zeros(5))
+    with pytest.raises(ValueError):
+        MetricModel({**emb, "time": np.eye(4, 3)}, np.zeros(5))
