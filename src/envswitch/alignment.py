@@ -651,7 +651,11 @@ def match(model: MetricModel, selector, live_window, library, band: int,
     alignment, so a prototype that equals the live window scores similarity
     1.0 exactly.  Prototypes of one length are filtered, scored and aligned
     together: one ``denoise_matrix``, one ``cost_matrix`` and one banded
-    recursion per length group.  A ``FingerprintLibrary`` keeps its groups
+    recursion per length group.  The live window is stacked on top of the
+    group of its own length and filtered in that group's ``denoise_matrix``
+    call; it is filtered alone only when no group shares its length.  Each
+    series is filtered on its own, so stacking changes no bit.  A
+    ``FingerprintLibrary`` keeps its groups
     between calls (``FingerprintLibrary.length_groups``); any other iterable
     of ``(prototype_id, prototype)``, or mapping, is grouped per call.  A
     prototype with no admissible path inside the band is left out.  Each
@@ -678,11 +682,21 @@ def match(model: MetricModel, selector, live_window, library, band: int,
     if n < 2 or min(pf.shape[1] for _, pf, _ in groups) < 2:
         raise ValueError("both sequences need at least 2 windows")
     choice = select_filter(selector, ctx)
-    query = (denoise_matrix(choice, qf), qp)
+    # the live window rides on top of the group of its own length, so one
+    # filter pass serves both; with no such group it is filtered alone
+    own = next((g for g, (_, pf, _) in enumerate(groups) if pf.shape[1] == n), None)
+    filtered = [None] * len(groups)
+    if own is None:
+        query = (denoise_matrix(choice, qf), qp)
+    else:
+        both = denoise_matrix(choice, np.concatenate([qf[None], groups[own][1]]))
+        query, filtered[own] = (both[0], qp), both[1:]
     beta = model.beta
     tables, scored = [], []
-    for ids, pf, pp in groups:
-        cost, _ = cost_matrix(model, query, (denoise_matrix(choice, pf), pp))
+    for (ids, pf, pp), pf_filtered in zip(groups, filtered):
+        if pf_filtered is None:
+            pf_filtered = denoise_matrix(choice, pf)
+        cost, _ = cost_matrix(model, query, (pf_filtered, pp))
         S = _sweep(_skew(cost, band), _hard_step)
         last = S[:, -1, n - 1].tolist()
         for t, (pid, distance) in enumerate(zip(ids, last)):

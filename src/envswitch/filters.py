@@ -203,46 +203,67 @@ def context_from_windows(features, present, scan_age: float) -> FilterContext:
         presence=tuple(bool(b) for b in present[-1]))
 
 
+def _along_time(kernel, arr: np.ndarray, *coef) -> np.ndarray:
+    """``kernel(x, *coef)`` on a C-contiguous time-major (T, K) copy ``x`` of
+    (..., T, F), column k one series (K is the product of the leading axes
+    times F), returned C-contiguous in ``arr``'s shape."""
+    nd, T = arr.ndim, arr.shape[-2]
+    x = arr.transpose((nd - 2,) + tuple(range(nd - 2)) + (nd - 1,))
+    out = kernel(np.ascontiguousarray(x.reshape(T, -1)), *coef)
+    out = out.reshape((T,) + arr.shape[:-2] + arr.shape[-1:])
+    return np.ascontiguousarray(out.transpose(tuple(range(1, nd - 1)) + (0, nd - 1)))
+
+
 def _kalman_batch(x: np.ndarray, q: float, r: float) -> np.ndarray:
     # gain and variance do not depend on the data, so one scalar recursion
     # serves every series; each series starts from its own first value
     out = np.empty_like(x)
-    mean = x[..., 0, :].copy()
+    mean = x[0]
     var = 1.0
-    for i in range(x.shape[-2]):
+    for i in range(x.shape[0]):
         var = var + q
         gain = var / (var + r)
-        mean = mean + gain * (x[..., i, :] - mean)
+        # mean + gain * (x[i] - mean), written into row i
+        step = np.subtract(x[i], mean, out=out[i])
+        np.multiply(step, gain, out=step)
+        mean = np.add(mean, step, out=step)
         var = (1.0 - gain) * var
-        out[..., i, :] = mean
     return out
 
 
 def _gaussian_sums(x: np.ndarray, offsets, weights):
-    """Edge-truncated weighted sums along axis -2: (num, den[:, None])."""
+    """Edge-truncated weighted sums along axis -2: (num, den[:, None]).
+    The kernel is symmetric, so each product w * x is formed once for both
+    its offsets (a weight of 1 reads ``x``); sums add in offset order."""
     n = x.shape[-2]
     num = np.zeros_like(x)
     den = np.zeros(n)
-    for off, w in zip(offsets, weights):
+    products = {}
+    for off, w in zip(offsets.tolist(), weights.tolist()):
         lo = max(0, -off)
         hi = min(n, n - off)
         if lo >= hi:
             continue
-        num[..., lo:hi, :] += w * x[..., lo + off:hi + off, :]
+        if abs(off) not in products:
+            products[abs(off)] = x if w == 1.0 else w * x
+        num[..., lo:hi, :] += products[abs(off)][..., lo + off:hi + off, :]
         den[lo:hi] += w
     return num, den[:, None]
 
 
 def _gaussian_batch(x: np.ndarray, sigma: float) -> np.ndarray:
     num, den = _gaussian_sums(x, *_gaussian_kernel(sigma))
-    return num / den
+    return np.divide(num, den, out=num)
 
 
 def _elp_batch(x: np.ndarray, alpha: float) -> np.ndarray:
-    out = np.empty_like(x)
-    out[..., 0, :] = x[..., 0, :]
-    for i in range(1, x.shape[-2]):
-        out[..., i, :] = alpha * x[..., i, :] + (1.0 - alpha) * out[..., i - 1, :]
+    # alpha * x[i] for every row at once, then + (1 - alpha) * out[i - 1]
+    out = np.multiply(x, alpha)
+    out[0] = x[0]
+    decay = np.empty_like(x[0])
+    for i in range(1, x.shape[0]):
+        np.multiply(out[i - 1], 1.0 - alpha, out=decay)
+        np.add(out[i], decay, out=out[i])
     return out
 
 
@@ -250,21 +271,26 @@ def denoise_matrix(choice: FilterChoice, arr: np.ndarray) -> np.ndarray:
     """Run the hard-selected filter along axis -2 of (..., T, F).
 
     Every column of every leading batch entry is one series: ``(T, F)`` is one
-    window, ``(B, T, F)`` a stack of B windows of equal length.  Each series
-    gets the same IEEE operations, in the same order, as the scalar
-    ``apply_kalman`` (initialized at the series' first value, variance 1),
-    ``apply_gaussian`` or ``apply_elp``, so the results are bit-identical to
-    filtering column by column.
+    window, ``(B, T, F)`` a stack of B windows of equal length (``match``
+    stacks the live window on the prototypes of its length).  The filter runs
+    once over a C-contiguous time-major (T, K) copy, K = B * F: the Kalman
+    and low-pass recursions step over its rows into a preallocated output,
+    the Gaussian adds one block of rows per kernel offset.  The result comes
+    back C-contiguous in the input's shape.  Each series gets the same IEEE
+    operations, in the same order, as the scalar ``apply_kalman``
+    (initialized at the series' first value, variance 1), ``apply_gaussian``
+    or ``apply_elp``, so the results are bit-identical to filtering column by
+    column.
     """
     arr = np.asarray(arr, dtype=float)
     if arr.ndim < 2 or arr.shape[-2] == 0:
         raise ValueError("denoise_matrix needs a nonempty (..., T, F) array")
     kind = choice.hard_kind()
     if kind == "kalman":
-        return _kalman_batch(arr, choice.q, choice.r)
+        return _along_time(_kalman_batch, arr, choice.q, choice.r)
     if kind == "gaussian":
-        return _gaussian_batch(arr, choice.sigma)
-    return _elp_batch(arr, choice.alpha)
+        return _along_time(_gaussian_batch, arr, choice.sigma)
+    return _along_time(_elp_batch, arr, choice.alpha)
 
 
 def denoise(choice: FilterChoice, series) -> np.ndarray:
@@ -283,7 +309,7 @@ def _kalman_with_sens(x: np.ndarray, q: float, r: float):
     d(out)/dr, via forward sensitivities.  Variance, gain and their
     derivatives do not depend on the data, so they are scalars; the mean's
     derivatives are vectors over every series."""
-    out = _kalman_batch(x, q, r)
+    out = _along_time(_kalman_batch, x, q, r)
     dq_out = np.empty_like(x)
     dr_out = np.empty_like(x)
     dmean_q = dmean_r = np.zeros_like(x[..., 0, :])
@@ -321,7 +347,7 @@ def _gaussian_with_sens(x: np.ndarray, sigma: float):
 
 def _elp_with_sens(x: np.ndarray, alpha: float):
     """Exponential low-pass along axis -2 (``_elp_batch``) plus d(out)/dalpha."""
-    out = _elp_batch(x, alpha)
+    out = _along_time(_elp_batch, x, alpha)
     dal = np.empty_like(x)
     dal[..., 0, :] = 0.0
     for i in range(1, x.shape[-2]):

@@ -260,6 +260,19 @@ def scan_summary(readings, top_k: int = 3):
     return sum(r[1] for r in top) / len(top), ordered[0][1], ordered[0][0]
 
 
+def _mean(values) -> float:
+    """``float(np.mean(values))`` of a 1-D sequence, bit for bit, without
+    numpy's per-call cost on the one or two values of a trace window: below
+    8 values numpy adds left to right from +0.0, as this loop does (``sum``
+    compensates on Python 3.12+).  Longer sequences go to ``np.mean``."""
+    if len(values) >= 8:
+        return float(np.mean(values))
+    total = 0.0
+    for v in (values.tolist() if isinstance(values, np.ndarray) else values):
+        total += v
+    return total / len(values)
+
+
 def wifi_summary(topk_means, strongest_rssi, strongest_ids, times):
     """Raw (top-K mean RSSI, strongest-RSSI slope, strongest-AP churn) of
     per-scan summaries."""
@@ -267,7 +280,7 @@ def wifi_summary(topk_means, strongest_rssi, strongest_ids, times):
     if len(strongest_ids) >= 2:
         changes = sum(a != b for a, b in zip(strongest_ids, strongest_ids[1:]))
         churn = changes / (len(strongest_ids) - 1)
-    return (float(np.mean(topk_means)),
+    return (_mean(topk_means),
             least_squares_slope(times, strongest_rssi),
             churn)
 
@@ -286,7 +299,7 @@ def wifi_features(window: RawWindow, top_k: int = 3):
 def cell_summary(rsrp, rsrq, cell_ids):
     """Raw (mean RSRP, mean RSRQ, cell change flag) of one window's samples."""
     change = 1.0 if any(a != b for a, b in zip(cell_ids, cell_ids[1:])) else 0.0
-    return float(np.mean(rsrp)), float(np.mean(rsrq)), change
+    return _mean(rsrp), _mean(rsrq), change
 
 
 def cell_features(window: RawWindow):
@@ -299,8 +312,8 @@ def cell_features(window: RawWindow):
 
 def gnss_summary(snr, sats, fix):
     """Raw (mean SNR, mean satellites, majority fix flag) of one window."""
-    fix = 1.0 if np.mean(fix) >= 0.5 else 0.0
-    return float(np.mean(snr)), float(np.mean(sats)), fix
+    fix = 1.0 if _mean(fix) >= 0.5 else 0.0
+    return _mean(snr), _mean(sats), fix
 
 
 def gnss_features(window: RawWindow):

@@ -16,6 +16,7 @@ import numpy as np
 from . import alignment
 from .config import EngineConfig
 from .filters import context_from_windows
+from .fingerprints import MODALITIES, N_FEATURES
 from .mlp import Adam, TwoLayerNet, softmax
 from .serialize import dump_tensors, parse_tensors
 from .sim import (RawTrace, baseline_policy, feedback_oracle, fingerprint_at,
@@ -430,7 +431,11 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
 
     serving = trace.serving_rssi()
     horizon = int(trace.duration)
-    windows = []
+    # the live window, oldest first: rows [:k] of two preallocated buffers
+    size = cfg.window.buffer_windows
+    live_features = np.empty((size, N_FEATURES))
+    live_present = np.empty((size, len(MODALITIES)), dtype=bool)
+    k = 0
     last_scan = 0.0
     for step in range(1, horizon):
         t = float(step)
@@ -447,13 +452,18 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
         rssi = float(serving[sec])
         sim_top = 0.0
         if not switched:
-            windows.append(fingerprint_at(trace, t, cfg, scan_times))
-            if len(windows) > cfg.window.buffer_windows:
-                windows.pop(0)
-            if len(windows) >= 2 and len(stack.library) > 0:
-                sim_top = stack.top_similarity(
-                    np.stack([w.features for w in windows]),
-                    np.stack([w.present for w in windows]), scan_age)
+            window = fingerprint_at(trace, t, cfg, scan_times)
+            if k == size:
+                # full: drop the oldest row
+                live_features[:-1] = live_features[1:]
+                live_present[:-1] = live_present[1:]
+            else:
+                k += 1
+            live_features[k - 1] = window.features
+            live_present[k - 1] = window.present
+            if k >= 2 and len(stack.library) > 0:
+                sim_top = stack.top_similarity(live_features[:k],
+                                               live_present[:k], scan_age)
         sim_history.append(sim_top)
         trend = sim_top - (sim_history[-4] if len(sim_history) >= 4 else 0.0)
         # steps in [t - 1, t); step_times is sorted

@@ -4,16 +4,24 @@ The acceptance suite runs simulate -> train -> evaluate at the canonical seed
 (``run_pipeline``) and compares every file of its first run with the digests
 recorded in ``golden_digests.json`` for the running Python ``major.minor`` and
 numpy version.  Floating-point results may differ between such environments,
-so each keeps its own entry.  To record the entry of the current environment,
-run from the repository root:
+so each keeps its own entry.  Run from the repository root:
+
+    PYTHONPATH=src python tests/golden.py --check
+
+runs the pipeline once (a few minutes) and prints the artifacts whose digests
+changed, were removed or were added against the recorded entry.  It exits
+non-zero on any difference, or when the environment has no entry, and never
+writes ``golden_digests.json``: a change that claims to keep behaviour is
+checked this way.  Without ``--check``,
 
     PYTHONPATH=src python tests/golden.py
 
-This runs the pipeline once (a few minutes), rewrites only that entry and
-prints the names of the artifacts whose digests changed against the entry it
-replaces.  A change that alters behaviour re-records the digests and says why.
+records the entry of the current environment instead: it rewrites only that
+entry and prints the same three lists against the entry it replaces.  A
+change that alters behaviour re-records the digests and says why.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -72,19 +80,47 @@ def digest_changes(recorded: dict, got: dict):
     return changed, sorted(set(recorded) - set(got)), sorted(set(got) - set(recorded))
 
 
+def pipeline_digests() -> dict:
+    """Digests of one fresh ``run_pipeline`` in a temporary directory."""
+    with tempfile.TemporaryDirectory() as out:
+        run_pipeline(out, EngineConfig())
+        return artifact_digests(out)
+
+
+def print_changes(recorded: dict, got: dict) -> bool:
+    """Print ``digest_changes`` one line per kind; True if any."""
+    changes = digest_changes(recorded, got)
+    for label, names in zip(("changed", "removed", "added"), changes):
+        print(f"{label} ({len(names)}): {' '.join(names) or '-'}")
+    return any(changes)
+
+
 def record() -> None:
     recorded = load_recorded()
     old = recorded.get(environment_key(), {})
-    with tempfile.TemporaryDirectory() as out:
-        run_pipeline(out, EngineConfig())
-        new = recorded[environment_key()] = artifact_digests(out)
+    new = recorded[environment_key()] = pipeline_digests()
     with open(DIGEST_FILE, "w", encoding="utf-8") as f:
         json.dump(recorded, f, indent=1, sort_keys=True)
         f.write("\n")
     print(f"recorded {len(new)} digests for {environment_key()} in {DIGEST_FILE}")
-    for label, names in zip(("changed", "removed", "added"), digest_changes(old, new)):
-        print(f"{label} ({len(names)}): {' '.join(names) or '-'}")
+    print_changes(old, new)
+
+
+def check() -> int:
+    """Exit status of ``--check``: 0 only if every digest equals the entry."""
+    recorded = load_recorded().get(environment_key())
+    if recorded is None:
+        print(f"no digests recorded for {environment_key()} in {DIGEST_FILE}")
+        return 1
+    differs = print_changes(recorded, pipeline_digests())
+    print(f"{'differs from' if differs else 'equals'} the entry for {environment_key()}")
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the recorded entry; never write it")
+    if parser.parse_args().check:
+        sys.exit(check())
     record()

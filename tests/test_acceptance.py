@@ -7,6 +7,7 @@ well inside its runtime budget.
 """
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -340,6 +341,23 @@ def test_digest_changes_names_each_kind():
     new = {"a.txt": "1", "b.txt": "9", "d.txt": "4"}
     assert golden.digest_changes(old, new) == (["b.txt"], ["c.txt"], ["d.txt"])
     assert golden.digest_changes(new, new) == ([], [], [])
+
+
+def test_golden_check_reports_without_writing(tmp_path, monkeypatch, capsys):
+    digest_file = tmp_path / "digests.json"
+    key = golden.environment_key()
+    digest_file.write_text(json.dumps({key: {"a.txt": "1", "b.txt": "2"}}))
+    before = digest_file.read_bytes()
+    monkeypatch.setattr(golden, "DIGEST_FILE", str(digest_file))
+    monkeypatch.setattr(golden, "pipeline_digests", lambda: {"a.txt": "1", "b.txt": "2"})
+    assert golden.check() == 0
+    monkeypatch.setattr(golden, "pipeline_digests", lambda: {"a.txt": "9", "c.txt": "3"})
+    assert golden.check() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-4:-1] == ["changed (1): a.txt", "removed (1): b.txt", "added (1): c.txt"]
+    assert digest_file.read_bytes() == before
+    digest_file.write_text("{}")
+    assert golden.check() == 1
 
 
 @pytest.mark.slow

@@ -16,7 +16,7 @@ from envswitch.config import LibraryConfig
 from envswitch.fingerprints import (MODALITIES, MODALITY_SLICES, Fingerprint,
                                     FingerprintLibrary, FingerprintSequence,
                                     SwitchEvent)
-from envswitch.filters import (FilterContext, SelectorModel,
+from envswitch.filters import (FILTER_ORDER, FilterContext, SelectorModel,
                                context_from_windows, denoise_matrix,
                                select_filter)
 
@@ -727,6 +727,29 @@ class TestMatch:
         assert [r.distance for r in by_distance] == [r.distance for r in by_similarity]
 
 
+    @staticmethod
+    def assert_equals_per_prototype_alignment(model, selector, live, library,
+                                              band, ctx):
+        """``match`` against filtering and aligning every prototype on its
+        own with ``dtw``: the same ranking, distances, similarities, paths."""
+        choice = select_filter(selector, ctx)
+        query = (denoise_matrix(choice, live[0]), live[1])
+        expected = []
+        for pid, (pf, pp) in library:
+            try:
+                result = dtw(model, query, (denoise_matrix(choice, pf), pp), band)
+            except BandTooNarrowError:
+                continue
+            expected.append((pid, result))
+        expected.sort(key=lambda e: (-e[1].similarity, e[0]))
+        ranked = match(model, selector, live, library, band, len(library), ctx)
+        assert [pid for pid, _ in ranked] == [pid for pid, _ in expected]
+        for (_, got), (_, want) in zip(ranked, expected):
+            assert got.distance == want.distance
+            assert got.similarity == want.similarity
+            assert got.path == want.path
+        return ranked
+
     def test_mixed_lengths_equal_per_prototype_alignment(self, rng):
         for trial in range(12):
             model = MetricModel.from_seed(trial, noise=0.3)
@@ -738,25 +761,37 @@ class TestMatch:
             ctx = FilterContext(rssi_variance=float(rng.uniform(0.0, 1.0)),
                                 step_rate=float(rng.uniform(0.0, 1.0)))
             band = int(rng.integers(1, 4))
-            # reference: filter and align every prototype on its own
-            choice = select_filter(selector, ctx)
-            query = (denoise_matrix(choice, live[0]), live[1])
-            expected = []
-            for pid, (pf, pp) in library:
-                try:
-                    result = dtw(model, query, (denoise_matrix(choice, pf), pp), band)
-                except BandTooNarrowError:
-                    continue
-                expected.append((pid, result))
-            expected.sort(key=lambda e: (-e[1].similarity, e[0]))
-            ranked = match(model, selector, live, library, band,
-                           len(library), ctx)
-            assert [pid for pid, _ in ranked] == [pid for pid, _ in expected]
-            for (_, got), (_, want) in zip(ranked, expected):
-                assert got.distance == want.distance
-                assert got.similarity == want.similarity
-                assert got.path == want.path
+            ranked = self.assert_equals_per_prototype_alignment(
+                model, selector, live, library, band, ctx)
             assert ranked[0][1].similarity == 1.0        # the live copy
+
+    @staticmethod
+    def selector_for(kind):
+        # a zero network's filter weights are the softmax of its output bias
+        selector = SelectorModel.zeros()
+        selector.net.b2[FILTER_ORDER.index(kind)] = 5.0
+        return selector
+
+    @pytest.mark.parametrize("kind", FILTER_ORDER)
+    def test_live_length_in_no_group(self, rng, kind):
+        live = random_packed(rng, 5)
+        library = [(f"p{k}", random_packed(rng, n)) for k, n in enumerate((4, 6, 7, 6, 4, 3))]
+        ranked = self.assert_equals_per_prototype_alignment(
+            MetricModel.from_seed(4, noise=0.3), self.selector_for(kind), live,
+            library, 2, FilterContext())
+        assert len(ranked) == len(library)
+
+    @pytest.mark.parametrize("kind", FILTER_ORDER)
+    def test_live_length_shared_by_one_of_several_groups(self, rng, kind):
+        live = random_packed(rng, 6)
+        library = [(f"p{k}", random_packed(rng, n))
+                   for k, n in enumerate((4, 6, 8, 6, 5, 6, 4))]
+        library.append(("zz", (live[0].copy(), live[1].copy())))
+        ranked = self.assert_equals_per_prototype_alignment(
+            MetricModel.from_seed(5, noise=0.3), self.selector_for(kind), live,
+            library, 3, FilterContext())
+        assert len(ranked) == len(library)
+        assert ranked[0][0] == "zz" and ranked[0][1].similarity == 1.0
 
 
 class TestLengthGroups:

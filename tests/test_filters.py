@@ -316,6 +316,26 @@ class TestBatchedDenoise:
                     assert np.array_equal(out[b, :, j],
                                           scalar_filter(choice, arr[b, :, j]))
 
+    @pytest.mark.parametrize("kind", FILTER_ORDER)
+    def test_layouts_equal_scalar_per_column(self, rng, kind):
+        # two leading axes, a transposed (non-contiguous) view and F = 1
+        choice = FilterChoice(np.eye(3)[FILTER_ORDER.index(kind)], 0.4, 1.5, 1.6, 0.3)
+        cases = [rng.normal(0.0, 3.0, size=(2, 3, 7, 5)),
+                 rng.normal(0.0, 3.0, size=(4, 9, 6)).transpose(0, 2, 1),
+                 rng.normal(0.0, 3.0, size=(8, 11)).T,
+                 rng.normal(0.0, 3.0, size=(3, 6, 1)),
+                 rng.normal(0.0, 3.0, size=(5, 1))]
+        assert not cases[1].flags.c_contiguous and not cases[2].flags.c_contiguous
+        for arr in cases:
+            out = denoise_matrix(choice, arr)
+            assert out.shape == arr.shape and out.flags.c_contiguous
+            series = arr.reshape((-1,) + arr.shape[-2:])
+            got = out.reshape(series.shape)
+            for b in range(series.shape[0]):
+                for j in range(series.shape[2]):
+                    assert np.array_equal(got[b, :, j],
+                                          scalar_filter(choice, series[b, :, j]))
+
     def test_gaussian_radius_beyond_window(self, rng):
         choice = FilterChoice(np.array([0.0, 1.0, 0.0]), 0.1, 1.0, 4.0, 0.5)
         arr = rng.normal(0.0, 1.0, size=(3, 2, 14))   # radius 12 > T = 2

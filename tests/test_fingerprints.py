@@ -5,13 +5,13 @@ from envswitch.alignment import MetricModel, dtw
 from envswitch.config import LibraryConfig
 from envswitch.fingerprints import (Fingerprint, FingerprintLibrary,
                                     FingerprintSequence, RawWindow, SwitchEvent, WifiScan,
-                                    CellSample, GnssSample,
+                                    CellSample, GnssSample, cell_summary,
                                     contains_identifier_leak, desensitize,
-                                    fnv1a64, hash_identifier,
+                                    fnv1a64, gnss_summary, hash_identifier,
                                     pdr_features, quantize, read_sequence,
                                     save_library, load_library,
                                     summarize_window, wifi_features,
-                                    write_sequence)
+                                    wifi_summary, write_sequence)
 
 from conftest import make_fingerprint, make_sequence
 
@@ -111,6 +111,30 @@ class TestSummarize:
         w.step_times = np.zeros(0)
         rate, _, stop = pdr_features(w)
         assert rate == 0.0 and stop == 1.0
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_summary_means_equal_np_mean(self, rng, n):
+        # the helpers' plain-arithmetic means against np.mean, bit for bit,
+        # on arrays and on lists, signed zeros and mixed magnitudes included
+        def bits(v):
+            return np.float64(v).tobytes()
+
+        for trial in range(200):
+            a, b = rng.normal(0.0, 1.0, (2, n)) * 10.0 ** rng.integers(-3, 4, (2, n))
+            if trial % 4 == 0:
+                a[rng.integers(0, n)] = -0.0
+            if trial % 9 == 0:
+                b[:] = -0.0
+            fix = rng.random(n) < 0.5
+            ids = [f"c{k}" for k in rng.integers(0, 2, n)]
+            for x, y, f in ((a, b, fix), (a.tolist(), b.tolist(), fix.tolist())):
+                rsrp, rsrq, _ = cell_summary(x, y, ids)
+                assert (bits(rsrp), bits(rsrq)) == (bits(np.mean(x)), bits(np.mean(y)))
+                snr, sats, majority = gnss_summary(x, y, f)
+                assert (bits(snr), bits(sats)) == (bits(np.mean(x)), bits(np.mean(y)))
+                assert majority == (1.0 if np.mean(f) >= 0.5 else 0.0)
+                topk = wifi_summary(x, y, ids, np.arange(n, dtype=float))[0]
+                assert bits(topk) == bits(np.mean(x))
 
 
 class TestLibrary:

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from envswitch import alignment, filters
+from envswitch import alignment, filters, policy as policy_module
 from envswitch.alignment import MetricModel, make_alignment_loss
 from envswitch.config import EngineConfig
 from envswitch.fingerprints import FingerprintLibrary, SwitchEvent
@@ -251,6 +251,39 @@ class TestRolloutInputs:
                     for t in np.arange(1.0, int(trace.duration))]
         assert traj.states[:, 4].tolist() == expected
         assert set(expected) == {0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0}
+
+
+class TestLiveBuffer:
+    def test_top_similarity_sees_the_stacked_last_windows(self, rng, monkeypatch):
+        scenario, trace, stack = build_stack(rng)
+        size = CFG.window.buffer_windows
+        windows, seen = [], []
+        fingerprint_at = policy_module.fingerprint_at
+
+        def recorded_fingerprint_at(*args, **kwargs):
+            windows.append(fingerprint_at(*args, **kwargs))
+            return windows[-1]
+
+        def recorded_top_similarity(features, present, scan_age):
+            # the rollout reuses its buffers, so copy what arrives now
+            seen.append((len(windows), features.copy(), present.copy(),
+                         features.flags.c_contiguous and present.flags.c_contiguous))
+            return MatcherStack.top_similarity(stack, features, present, scan_age)
+
+        monkeypatch.setattr(policy_module, "fingerprint_at", recorded_fingerprint_at)
+        monkeypatch.setattr(stack, "top_similarity", recorded_top_similarity)
+        rollout(ScriptedPolicy(lambda t, s: "hold"), scenario, stack, trace=trace)
+        assert [n for n, *_ in seen] == list(range(2, len(windows) + 1))
+        assert len(windows) > size + 5          # well past a full buffer
+        for n, features, present, contiguous in seen:
+            last = windows[max(0, n - size):n]
+            want_f = np.stack([w.features for w in last])
+            want_p = np.stack([w.present for w in last])
+            assert contiguous
+            assert (features.dtype, present.dtype) == (want_f.dtype, want_p.dtype)
+            assert (features.shape, present.shape) == (want_f.shape, want_p.shape)
+            assert features.tobytes() == want_f.tobytes()
+            assert present.tobytes() == want_p.tobytes()
 
 
 def commit_at(library, trace, t, day):
