@@ -25,6 +25,7 @@ import numpy as np
 from .fingerprints import (FEATURE_DIMS, MODALITIES, N_FEATURES,
                            Fingerprint, FingerprintLibrary, FingerprintSequence,
                            group_by_length)
+from .mlp import softmax
 from .serialize import dump_tensors, parse_tensors
 
 
@@ -61,8 +62,7 @@ class MetricModel:
 
     @property
     def weights(self) -> np.ndarray:
-        e = np.exp(self.scores - self.scores.max())
-        return e / e.sum()
+        return softmax(self.scores)
 
     @property
     def beta(self) -> float:

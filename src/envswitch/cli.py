@@ -27,11 +27,11 @@ from .filters import FilterContext, SelectorModel, train_selector
 from .policy import (MatcherStack, PolicyModel, ScriptedPolicy, imitate,
                      rollout, trigger_guide)
 from .serialize import fmt
+from .sim import SITE_SHORT as SITES_BY_FLAG
 from .sim import (baseline_policy, detect_outdoor_transition, fingerprint_at,
                   generate, make_scenario, scenario_text, segment_before,
-                  truth_text, tts)
+                  truth_text)
 
-SITES_BY_FLAG = {"A": "A_indoor", "B": "B_door_egress", "C": "C_apartment_mixed"}
 PAPER_SESSION_COUNTS = {"A": 5, "B": 10, "C": 6}
 TRAIN_SESSIONS_PER_SITE = 6
 EVAL_SEED_OFFSET = 10_000
@@ -334,14 +334,10 @@ def evaluate_site(flag: str, policy, stack, sessions: int, seed: int,
         session_seed = seed + EVAL_SEED_OFFSET + k
         scenario = make_scenario(site, session_seed, cfg.radio, cfg.walker)
         trace = generate(scenario, cfg.radio, cfg.walker)
-        base_completion, _ = baseline_policy(
-            trace, cfg.baseline.threshold_dbm, cfg.baseline.hysteresis_db,
-            cfg.baseline.dwell_s, cfg.baseline.assoc_delay_s)
-        base_tts = tts(base_completion, trace.degradation_onset,
-                       cfg.reward.tts_report_floor_s)
         traj = rollout(policy, scenario, stack, mode="greedy",
                        seed=session_seed, trace=trace)
-        reports.append(SessionReport(site, k + 1, base_tts, traj.policy_tts))
+        reports.append(SessionReport(site, k + 1, traj.baseline_tts,
+                                     traj.policy_tts))
         checksums.append((k + 1, trace.checksum(), traj.trace_checksum))
     return reports, checksums
 

@@ -1,13 +1,8 @@
 """Cloud-edge training loop: summaries up, reward model + policy, updates down.
 
-Edges roll out the current policy on their own scenarios and ship only
-desensitized tuples (quantized state features, action, feedback when the
-user gave any, relative step offset).  The cloud aggregates the inbox, fits
-a reward model on the tuples that carry direct feedback, substitutes model
-predictions where feedback is missing, runs a PPO update, and periodically
-distills the result back into every edge, which serves the distilled
-policy as it is.  ``offline_update`` is an advantage-weighted update from a
-local log for an edge that cannot reach the cloud; the rounds do not run it.
+Edges ship desensitized per-step tuples; the cloud fits a reward model on
+the ones with direct feedback, fills the withheld feedback from it, runs a
+PPO update and periodically distills the policy back to every edge.
 """
 
 from dataclasses import dataclass, field, replace
@@ -17,13 +12,11 @@ import numpy as np
 from .config import EngineConfig
 from .fingerprints import fnv1a64, hash_identifier
 from .mlp import TwoLayerNet, softmax
-from .policy import (ACTIONS, MatcherStack, PolicyModel, RewardWeights,
-                     Trajectory, _batch_advantages, ppo_update, rollout,
-                     trigger_guide)
+from .policy import (N_ACTIONS, STATE_DIM, MatcherStack, PolicyModel,
+                     RewardWeights, Trajectory, _batch_advantages, ppo_update,
+                     rollout, trigger_guide)
 from .serialize import dump_tensors, fmt, parse_tensors
 from .sim import generate  # unused here; bench/spans.py wraps this name
-
-N_ACTIONS = len(ACTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -63,21 +56,6 @@ class EdgeSummary:
         return f"{len(body.encode('utf-8'))}\n{body}\n"
 
 
-def parse_summary(text: str) -> EdgeSummary:
-    first, _, rest = text.partition("\n")
-    length = int(first)
-    body = rest.encode("utf-8")[:length].decode("utf-8")
-    lines = body.split("\n")
-    version_s, edge_hash, count_s = lines[0].split(",")
-    records = []
-    for ln in lines[1:1 + int(count_s)]:
-        feats_s, action_s, hf_s, offset_s = ln.split("|")
-        records.append(SummaryRecord(
-            state=tuple(float(v) for v in feats_s.split()),
-            action=int(action_s), hf=float(hf_s), offset=float(offset_s)))
-    return EdgeSummary(int(version_s), edge_hash, tuple(records))
-
-
 def summarize_trajectory(traj: Trajectory, version: int, edge_id: str,
                          salt: str, quant: float = 0.01) -> EdgeSummary:
     """Quantize an episode into wire records (direct HF only on the last)."""
@@ -107,7 +85,8 @@ def aggregate(inbox):
             rows.append((summary.edge_id_hash, r.offset, r.action, r.state, r.hf))
     rows.sort(key=lambda row: (row[0], row[1], row[2], row[3]))
     if not rows:
-        return (np.zeros((0, 7)), np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))
+        return (np.zeros((0, STATE_DIM)), np.zeros(0, dtype=int), np.zeros(0),
+                np.zeros(0))
     states = np.array([row[3] for row in rows])
     actions = np.array([row[2] for row in rows], dtype=int)
     hfs = np.array([row[4] for row in rows])
@@ -127,8 +106,8 @@ class RewardModel:
     net: TwoLayerNet
 
     @classmethod
-    def from_seed(cls, seed: int, state_dim: int = 7, hidden: int = 16) -> "RewardModel":
-        return cls(TwoLayerNet.from_seed(state_dim + N_ACTIONS, hidden, 1, seed))
+    def from_seed(cls, seed: int, hidden: int = 16) -> "RewardModel":
+        return cls(TwoLayerNet.from_seed(STATE_DIM + N_ACTIONS, hidden, 1, seed))
 
     def predict(self, states, actions) -> np.ndarray:
         x = _reward_inputs(states, actions)
@@ -302,7 +281,8 @@ def offline_update(policy: PolicyModel, log, step_size: float = 0.05,
                    weights: RewardWeights | None = None) -> PolicyModel:
     """Advantage-weighted, behavior-cloning-style update from a local log.
 
-    No new rollouts: each logged action is imitated with weight
+    The rounds do not run it; it stays because bench/spans.py rebinds
+    ``envswitch.cli.offline_update``.  No new rollouts: each logged action is imitated with weight
     exp(advantage / temperature); the parameter change is max-norm clipped so
     one offline pass can never jump far from the deployed policy.
     """
@@ -331,19 +311,3 @@ def offline_update(policy: PolicyModel, log, step_size: float = 0.05,
     if biggest > max_norm:
         delta *= max_norm / biggest
     return PolicyModel(net.from_vector(net.to_vector() + delta))
-
-
-# ---------------------------------------------------------------------------
-# distillation message
-# ---------------------------------------------------------------------------
-
-
-def encode_distillation(version: int, policy: PolicyModel) -> str:
-    return f"version {version}\n" + policy.serialize()
-
-
-def decode_distillation(text: str):
-    first, _, rest = text.partition("\n")
-    if not first.startswith("version "):
-        raise ValueError("not a distillation message")
-    return int(first.split()[1]), PolicyModel.deserialize(rest)

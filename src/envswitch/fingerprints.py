@@ -285,12 +285,12 @@ def wifi_summary(topk_means, strongest_rssi, strongest_ids, times):
             churn)
 
 
-def wifi_features(window: RawWindow, top_k: int = 3):
-    """Raw (top-K mean RSSI, strongest-RSSI slope, strongest-AP churn)."""
+def wifi_features(window: RawWindow):
+    """Raw (top-3 mean RSSI, strongest-RSSI slope, strongest-AP churn)."""
     scans = window.wifi_scans
     if not scans:
         raise ValueError("inconsistent mask: wifi marked present but window has no samples")
-    per_scan = [scan_summary(scan.readings, top_k) for scan in scans]
+    per_scan = [scan_summary(scan.readings) for scan in scans]
     topk_means, strongest_rssi, strongest_ids = zip(*per_scan)
     return wifi_summary(topk_means, strongest_rssi, strongest_ids,
                         [scan.time for scan in scans])

@@ -21,11 +21,12 @@ class TwoLayerNet:
         self.b2 = np.asarray(b2, dtype=float)
 
     @classmethod
-    def from_seed(cls, n_in: int, n_hidden: int, n_out: int, seed: int,
-                  scale: float = 0.3) -> "TwoLayerNet":
+    def from_seed(cls, n_in: int, n_hidden: int, n_out: int,
+                  seed: int) -> "TwoLayerNet":
+        """Gaussian weights with std 0.3 / sqrt(fan-in), zero biases."""
         rng = np.random.default_rng(seed)
-        w1 = rng.normal(0.0, scale / np.sqrt(n_in), size=(n_hidden, n_in))
-        w2 = rng.normal(0.0, scale / np.sqrt(n_hidden), size=(n_out, n_hidden))
+        w1 = rng.normal(0.0, 0.3 / np.sqrt(n_in), size=(n_hidden, n_in))
+        w2 = rng.normal(0.0, 0.3 / np.sqrt(n_hidden), size=(n_out, n_hidden))
         return cls(w1, np.zeros(n_hidden), w2, np.zeros(n_out))
 
     @classmethod
@@ -124,9 +125,9 @@ def grads_zeros_like(net: TwoLayerNet) -> dict:
             "w2": np.zeros_like(net.w2), "b2": np.zeros_like(net.b2)}
 
 
-def grads_add(acc: dict, grads: dict, scale: float = 1.0) -> dict:
+def grads_add(acc: dict, grads: dict) -> dict:
     for k in acc:
-        acc[k] += scale * grads[k]
+        acc[k] += grads[k]
     return acc
 
 

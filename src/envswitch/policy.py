@@ -23,7 +23,7 @@ from .sim import (RawTrace, baseline_policy, feedback_oracle, fingerprint_at,
                   tts)
 
 ACTIONS = ("hold", "scan_boost", "pre_associate", "handover")
-N_ACTIONS = 4
+N_ACTIONS = len(ACTIONS)
 STATE_DIM = 7
 
 
@@ -46,17 +46,6 @@ class PolicyState:
         if not np.all(np.isfinite(v)):
             raise ValueError("policy state features must be finite")
         return v
-
-
-@dataclass(frozen=True)
-class PolicyDecision:
-    """An action in context, enough for the feedback oracle to score it."""
-
-    action: str
-    state: PolicyState
-    time: float
-    completion: float | None = None
-    new_link: str = "cell"
 
 
 @dataclass
@@ -121,11 +110,15 @@ def action_probs(model: PolicyModel, feats) -> np.ndarray:
     return softmax(logits)
 
 
-def act(model: PolicyModel, state, mode: str = "sample", rng=None):
+def act(model: PolicyModel, state, mode: str = "sample", rng=None,
+        guide: int | None = None, guide_eps: float = 0.0):
     """Pick an action; returns (action_index, log_prob, value).
 
     ``sample`` draws from the softmax; ``greedy`` takes the argmax with
     lowest-index tie-break.  Deterministic given (model, state, rng state).
+    With a ``guide`` action index, ``sample`` draws from the behaviour
+    mixture (1 - guide_eps) * policy + guide_eps * onehot(guide) and returns
+    the mixture's log-prob, so the PPO ratio stays a valid importance weight.
     """
     feats = state.features() if isinstance(state, PolicyState) else np.asarray(state, dtype=float)
     logits, value = model.logits_value(feats)
@@ -133,6 +126,9 @@ def act(model: PolicyModel, state, mode: str = "sample", rng=None):
     if mode == "greedy":
         idx = int(np.argmax(probs))
     elif mode == "sample":
+        if guide is not None:
+            probs = (1.0 - guide_eps) * probs
+            probs[guide] += guide_eps
         rng = rng if rng is not None else np.random.default_rng(0)
         idx = int(rng.choice(len(probs), p=probs))
     else:
@@ -224,9 +220,9 @@ class Trajectory:
         r[self.terminal_step] += weights.eta * self.dtime + weights.gamma_hf * hf_value
         return r
 
-    def total_reward(self, weights: RewardWeights, hf_value=None) -> float:
-        hf_value = self.hf if hf_value is None else hf_value
-        return float(self.rewards_with(weights, 0.0 if hf_value is None else hf_value).sum())
+    def total_reward(self, weights: RewardWeights) -> float:
+        """Summed reward, withheld feedback counting as 0."""
+        return float(self.rewards_with(weights, 0.0 if self.hf is None else self.hf).sum())
 
 
 def _batch_advantages(batch, weights: RewardWeights, discount: float,
@@ -482,20 +478,13 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
         if scripted:
             idx = ACTIONS.index(policy.decide(t, state))
             logp, value = 0.0, 0.0
-        elif (guide is not None and guide_eps > 0.0 and mode == "sample"
-              and not switched):
-            # behavior mixture: (1 - eps) * policy + eps * trigger rule;
-            # the recorded log-prob is the mixture's, so the PPO ratio stays
-            # a valid importance weight
-            logits, value = policy.logits_value(feats)
-            probs = softmax(logits)
-            mix = (1.0 - guide_eps) * probs
-            mix[ACTIONS.index(guide(t, state, pre_associated))] += guide_eps
-            idx = int(rng.choice(len(mix), p=mix))
-            logp = float(np.log(mix[idx]))
-            value = float(value)
         else:
-            idx, logp, value = act(policy, feats, mode, rng)
+            # training rollouts mix the trigger rule in until the switch
+            guide_idx = None
+            if guide is not None and guide_eps > 0.0 and not switched:
+                guide_idx = ACTIONS.index(guide(t, state, pre_associated))
+            idx, logp, value = act(policy, feats, mode, rng, guide_idx,
+                                   guide_eps)
         action = ACTIONS[idx]
 
         reward = 0.0

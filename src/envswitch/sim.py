@@ -487,19 +487,18 @@ def rollback_occurred(trace: RawTrace, completion: float,
     return False
 
 
-def feedback_oracle(completion, trace: RawTrace,
-                    onset: float | None = None,
+def feedback_oracle(completion: float, trace: RawTrace,
                     reward_cfg: RewardConfig | None = None) -> float:
-    """Simulated human feedback in [-1, 1] for a completed switch.
+    """Simulated human feedback in [-1, 1] for a switch completed at
+    ``completion``.
 
-    ``completion`` is the switch completion time, or any decision object
-    carrying one in a ``completion`` attribute.  +1 inside
-    [onset - early, onset + late]; -1 on a rollback; otherwise a linear
-    taper away from the window, floored at -1.  Deterministic.
+    +1 inside [onset - early, onset + late] around the trace's degradation
+    onset; -1 on a rollback; otherwise a linear taper away from the window,
+    floored at -1.  Deterministic.
     """
     cfg = reward_cfg or RewardConfig()
-    completion = float(getattr(completion, "completion", completion))
-    onset = trace.degradation_onset if onset is None else onset
+    completion = float(completion)
+    onset = trace.degradation_onset
     if rollback_occurred(trace, completion, cfg.rollback_usable_dbm,
                          cfg.rollback_dwell_s):
         return -1.0
@@ -591,10 +590,11 @@ def _summarize_trace_window(trace, t_start, t_end, sec_span, scans, carried,
                                 quality, affine)
 
 
-def segment_before(trace: RawTrace, t_event: float, cfg: EngineConfig,
-                   n_windows: int | None = None) -> FingerprintSequence:
-    """The pre-switch buffer: n 1-second windows ending at t_event."""
-    n = n_windows or cfg.window.buffer_windows
+def segment_before(trace: RawTrace, t_event: float,
+                   cfg: EngineConfig) -> FingerprintSequence:
+    """The pre-switch buffer: ``cfg.window.buffer_windows`` windows ending at
+    t_event."""
+    n = cfg.window.buffer_windows
     t0 = max(0.0, t_event - n * cfg.window.window_s)
     windows = []
     t = t0 + cfg.window.window_s
@@ -650,49 +650,3 @@ def scenario_text(s: Scenario) -> str:
     for w in s.waypoints:
         lines.append(f"waypoint = {fmt(w.x)},{fmt(w.y)},{w.zone}")
     return "\n".join(lines) + "\n"
-
-
-def parse_scenario_text(text: str, radio: RadioConfig | None = None,
-                        walker: WalkerConfig | None = None) -> Scenario:
-    """Load a scenario definition from its key-value text form.
-
-    Site and seed rebuild the archetype (zone walls, shadowing, and the rest
-    derive from them); duration, AP placements, and waypoints from the file
-    override the generated ones, and the degradation onset is recomputed.
-    """
-    fields = {"ap": [], "waypoint": []}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"scenario line {lineno}: expected 'key = value'")
-        key, value = key.strip(), value.strip()
-        if key in ("ap", "waypoint"):
-            fields[key].append(value)
-        else:
-            fields[key] = value
-    if "site" not in fields or "seed" not in fields:
-        raise ValueError("scenario config needs at least site and seed")
-    scenario = make_scenario(fields["site"], int(fields["seed"]), radio, walker)
-    if "duration" in fields:
-        scenario.duration = float(fields["duration"])
-    if fields["ap"]:
-        aps = []
-        for spec_ in fields["ap"]:
-            x, y, tx = (float(v) for v in spec_.split(","))
-            aps.append((x, y, tx))
-        scenario.ap_placements = tuple(aps)
-    if fields["waypoint"]:
-        wps = []
-        for spec_ in fields["waypoint"]:
-            x, y, zone = spec_.split(",")
-            wps.append(Waypoint(float(x), float(y), zone.strip()))
-        scenario.waypoints = tuple(wps)
-    onset = compute_onset(scenario, radio)
-    if onset is None:
-        raise ValueError("scenario never reaches the degradation threshold")
-    scenario.degradation_onset = onset
-    scenario.validate()
-    return scenario

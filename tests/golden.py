@@ -39,12 +39,12 @@ DIGEST_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden_digests.json")
 
 
-def run_pipeline(out: str, cfg: EngineConfig):
+def run_pipeline(out: str, cfg: EngineConfig, seed: int = CANONICAL_SEED):
     """simulate -> train (N=20) -> evaluate into ``out``; returns the reports."""
-    cmd_simulate(["A", "B", "C"], 2, CANONICAL_SEED, out, cfg)
-    cmd_train(CANONICAL_SEED, out, cfg, rounds=20, log=lambda *a: None)
+    cmd_simulate(["A", "B", "C"], 2, seed, out, cfg)
+    cmd_train(seed, out, cfg, rounds=20, log=lambda *a: None)
     return cmd_evaluate(["A", "B", "C"], {f: EVAL_SESSIONS for f in "ABC"},
-                        CANONICAL_SEED, out, out, cfg, log=lambda *a: None)
+                        seed, out, out, cfg, log=lambda *a: None)
 
 
 def environment_key() -> str:

@@ -76,6 +76,29 @@ class TestAct:
         with pytest.raises(ValueError):
             act(PolicyModel.zeros(), PolicyState(), "psychic")
 
+    @pytest.mark.parametrize("eps", [0.3, 1.0])
+    def test_guided_sample_draws_from_the_mixture(self, rng, eps):
+        for trial in range(20):
+            model = PolicyModel.from_seed(trial)
+            feats = PolicyState(similarity=float(rng.random()),
+                                rssi=float(rng.normal())).features()
+            guide = int(rng.integers(len(ACTIONS)))
+            onehot = np.eye(len(ACTIONS))[guide]
+            mix = (1.0 - eps) * action_probs(model, feats) + eps * onehot
+            seed = int(rng.integers(2 ** 32))
+            idx, logp, value = act(model, feats, "sample",
+                                   np.random.default_rng(seed), guide, eps)
+            assert idx == int(np.random.default_rng(seed).choice(len(mix), p=mix))
+            assert logp == float(np.log(mix[idx]))
+            assert value == float(model.logits_value(feats)[1])
+            if eps == 1.0:
+                assert idx == guide and logp == 0.0
+
+    def test_greedy_ignores_the_guide(self):
+        model = PolicyModel.zeros()
+        model.net.b2[:] = [0.0, 5.0, 0.0, 0.0, 0.0]
+        assert act(model, PolicyState(), "greedy", None, 3, 1.0)[0] == 1
+
 
 class TestCompositeReward:
     def test_paper_site_a_improvement_as_dtime(self):
