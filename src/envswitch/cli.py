@@ -23,7 +23,7 @@ from .config import EngineConfig, load_config
 from .fingerprints import (FingerprintLibrary, FingerprintSequence,
                            SwitchEvent, fnv1a64, load_library, save_library,
                            write_sequence)
-from .filters import FilterContext, SelectorModel, train_selector
+from .filters import SelectorModel, context_from_windows, train_selector
 from .policy import (MatcherStack, PolicyModel, ScriptedPolicy, imitate,
                      rollout, trigger_guide)
 from .serialize import fmt
@@ -139,16 +139,6 @@ def _early_segment(trace, cfg: EngineConfig, rng) -> FingerprintSequence:
     return segment_before(trace, t_end, cfg)
 
 
-def _context_for(seq) -> FilterContext:
-    feats = seq.features()
-    pres = seq.present()
-    rssi_var = float(np.var(feats[:, 3] * 35.0))        # denormalized top-K mean
-    step_rate = float(np.clip(np.mean(feats[:, 0] * 1.5 + 1.5), 0.0, 10.0))
-    return FilterContext(rssi_variance=rssi_var, scan_age=0.0,
-                         step_rate=step_rate,
-                         presence=tuple(bool(b) for b in pres.all(axis=0)))
-
-
 def build_training_pairs(libraries, traces_by_site, cfg: EngineConfig, seed: int):
     """Positive/negative alignment pairs across every site.
 
@@ -209,12 +199,13 @@ def train_models(seed: int, cfg: EngineConfig, rounds: int | None = None,
 
     selector = SelectorModel.from_seed(fnv1a64(f"selector:{seed}") % (2 ** 32),
                                        cfg.filters)
+    # each item's context is the one the matcher serves its query with
     selector_items = []
     for positive, negatives in pairs:
+        query = _pack(positive[0])
         neg_items = [(*_pack(nq), *_pack(np_)) for nq, np_ in negatives[:2]]
-        selector_items.append((_context_for(positive[0]),
-                               (*_pack(positive[0]), *_pack(positive[1])),
-                               neg_items))
+        selector_items.append((context_from_windows(*query, 0.0),
+                               (*query, *_pack(positive[1])), neg_items))
     loss_fn = make_alignment_loss(metric, cfg.match.margin,
                                   cfg.match.gamma_soft, cfg.match.band)
     selector = train_selector(selector, selector_items, loss_fn,

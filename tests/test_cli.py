@@ -14,6 +14,7 @@ from envswitch.cli import (PAPER_SESSION_COUNTS, SessionReport, build_parser,
                            cmd_simulate, render_table, report_csv, round2,
                            train_models)
 from envswitch.config import EngineConfig, apply_overrides, load_config
+from envswitch.filters import context_from_windows
 from envswitch.sim import scenario_text
 
 
@@ -117,6 +118,26 @@ class TestTrainModels:
                                 calls.append(scenario_text(a[0])) or _g(*a, **k))
         train_models(13, EngineConfig(), rounds=1, log=lambda line: None)
         assert len(calls) == 18 == len(set(calls))
+
+
+    def test_selector_trains_on_the_served_context(self, monkeypatch):
+        """Every selector item's context is ``context_from_windows`` of its
+        positive query at scan age 0, the context the matcher serves with."""
+        captured = []
+
+        class Stop(Exception):
+            pass
+
+        def capture(selector, items, *args, **kwargs):
+            captured.extend(items)
+            raise Stop
+
+        monkeypatch.setattr(cli, "train_selector", capture)
+        with pytest.raises(Stop):
+            train_models(13, EngineConfig(), rounds=1, log=lambda line: None)
+        assert captured
+        for ctx, (q_feats, q_pres, _, _), _ in captured:
+            assert ctx == context_from_windows(q_feats, q_pres, 0.0)
 
 
 class TestParser:

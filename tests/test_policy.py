@@ -48,6 +48,8 @@ class TestAct:
         model.net.b2[:] = [0.0, 5.0, 0.0, 0.0, 0.0]
         idx, _, _ = act(model, PolicyState(), "greedy")
         assert ACTIONS[idx] == "scan_boost"
+        # a guide only shapes sampling
+        assert act(model, PolicyState(), "greedy", None, 3, 1.0)[0] == idx
 
     def test_sample_reproducible(self):
         model = PolicyModel.from_seed(3)
@@ -93,11 +95,6 @@ class TestAct:
             assert value == float(model.logits_value(feats)[1])
             if eps == 1.0:
                 assert idx == guide and logp == 0.0
-
-    def test_greedy_ignores_the_guide(self):
-        model = PolicyModel.zeros()
-        model.net.b2[:] = [0.0, 5.0, 0.0, 0.0, 0.0]
-        assert act(model, PolicyState(), "greedy", None, 3, 1.0)[0] == 1
 
 
 class TestCompositeReward:
