@@ -27,7 +27,7 @@ from .filters import SelectorModel, context_from_windows, train_selector
 from .policy import (MatcherStack, PolicyModel, ScriptedPolicy, imitate,
                      rollout, trigger_guide)
 from .serialize import fmt
-from .sim import SITE_SHORT as SITES_BY_FLAG
+from .sim import SITE_SHORT as SITES_BY_FLAG  # the name bench/ reads
 from .sim import (baseline_policy, detect_outdoor_transition, fingerprint_at,
                   generate, make_scenario, scenario_text, segment_before,
                   truth_text)

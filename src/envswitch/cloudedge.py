@@ -281,10 +281,11 @@ def offline_update(policy: PolicyModel, log, step_size: float = 0.05,
                    weights: RewardWeights | None = None) -> PolicyModel:
     """Advantage-weighted, behavior-cloning-style update from a local log.
 
-    The rounds do not run it; it stays because bench/spans.py rebinds
-    ``envswitch.cli.offline_update``.  No new rollouts: each logged action is imitated with weight
+    No new rollouts: each logged action is imitated with weight
     exp(advantage / temperature); the parameter change is max-norm clipped so
-    one offline pass can never jump far from the deployed policy.
+    one offline pass can never jump far from the deployed policy.  The
+    rounds do not run it; it stays because bench/spans.py rebinds
+    ``envswitch.cli.offline_update``.
     """
     if not log:
         raise ValueError("empty trajectory log")

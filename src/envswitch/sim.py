@@ -497,7 +497,6 @@ def feedback_oracle(completion: float, trace: RawTrace,
     floored at -1.  Deterministic.
     """
     cfg = reward_cfg or RewardConfig()
-    completion = float(completion)
     onset = trace.degradation_onset
     if rollback_occurred(trace, completion, cfg.rollback_usable_dbm,
                          cfg.rollback_dwell_s):

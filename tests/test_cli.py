@@ -119,7 +119,6 @@ class TestTrainModels:
         train_models(13, EngineConfig(), rounds=1, log=lambda line: None)
         assert len(calls) == 18 == len(set(calls))
 
-
     def test_selector_trains_on_the_served_context(self, monkeypatch):
         """Every selector item's context is ``context_from_windows`` of its
         positive query at scan age 0, the context the matcher serves with."""
