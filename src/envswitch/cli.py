@@ -230,9 +230,8 @@ def train_models(seed: int, cfg: EngineConfig, rounds: int | None = None,
 
     state = RoundState(
         round_index=0, n_rounds=rounds,
-        cloud_policy=edges[0].policy, cloud_version=0,
-        reward_model=RewardModel.from_seed(fnv1a64(f"reward:{seed}") % (2 ** 32)),
-        edge_versions={e.edge_id: 0 for e in edges})
+        cloud_policy=edges[0].policy,
+        reward_model=RewardModel.from_seed(fnv1a64(f"reward:{seed}") % (2 ** 32)))
     for r in range(rounds):
         state = run_round(state, edges, cfg, seed=seed)
         log(f"round {state.round_index} mean_reward {round2(state.mean_rewards[-1])}")

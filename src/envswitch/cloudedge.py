@@ -1,8 +1,10 @@
 """Cloud-edge training loop: summaries up, reward model + policy, updates down.
 
-Edges ship desensitized per-step tuples; the cloud fits a reward model on
-the ones with direct feedback, fills the withheld feedback from it, runs a
-PPO update and periodically distills the policy back to every edge.
+Each edge ships one desensitized record per episode with direct feedback:
+the quantized last step and its feedback; an episode whose feedback is
+withheld ships nothing.  The cloud fits a reward model on those records,
+fills the withheld feedback from it, runs a PPO update and periodically
+distills the policy back to every edge.
 """
 
 from dataclasses import dataclass, field, replace
@@ -26,7 +28,7 @@ from .sim import generate  # unused here; bench/spans.py wraps this name
 
 @dataclass(frozen=True)
 class SummaryRecord:
-    """One (state, action, hf, offset) tuple; hf is NaN when withheld."""
+    """One (state, action, hf, offset) tuple: an episode's labelled last step."""
 
     state: tuple
     action: int
@@ -36,19 +38,18 @@ class SummaryRecord:
 
 @dataclass
 class EdgeSummary:
-    """Desensitized per-round digest an edge ships to the cloud.
+    """Desensitized per-episode digest an edge ships to the cloud.
 
     State features already are unitless, identifier-free quantities (the
     similarity statistics among them); offsets are relative to the episode
     start, and the edge identity is a salted hash.
     """
 
-    version: int
     edge_id_hash: str
     records: tuple
 
     def serialize(self) -> str:
-        body_lines = [f"{self.version},{self.edge_id_hash},{len(self.records)}"]
+        body_lines = [f"{self.edge_id_hash},{len(self.records)}"]
         for r in self.records:
             feats = " ".join(fmt(v) for v in r.state)
             body_lines.append(f"{feats}|{r.action}|{fmt(r.hf)}|{fmt(r.offset)}")
@@ -56,24 +57,22 @@ class EdgeSummary:
         return f"{len(body.encode('utf-8'))}\n{body}\n"
 
 
-def summarize_trajectory(traj: Trajectory, version: int, edge_id: str,
-                         salt: str, quant: float = 0.01) -> EdgeSummary:
-    """Quantize an episode into wire records (direct HF only on the last)."""
-    records = []
-    T = traj.states.shape[0]
-    # the elementwise form of fingerprints.quantize
-    states = (np.round(traj.states / quant) * quant).tolist()
-    for t in range(T):
-        hf = float("nan")
-        if t == T - 1 and traj.hf is not None:
-            hf = float(traj.hf)
-        records.append(SummaryRecord(tuple(states[t]), int(traj.actions[t]),
-                                     hf, float(t)))
-    return EdgeSummary(version, hash_identifier(edge_id, salt), tuple(records))
+def summarize_trajectory(traj: Trajectory, edge_id: str, salt: str,
+                         quant: float = 0.01) -> EdgeSummary:
+    """Quantize an episode's last step, which carries its direct feedback,
+    into one wire record; withheld feedback ships no record."""
+    records = ()
+    if traj.hf is not None:
+        # the elementwise form of fingerprints.quantize
+        state = (np.round(traj.states[-1] / quant) * quant).tolist()
+        records = (SummaryRecord(tuple(state), int(traj.actions[-1]),
+                                 float(traj.hf),
+                                 float(traj.states.shape[0] - 1)),)
+    return EdgeSummary(hash_identifier(edge_id, salt), records)
 
 
 def aggregate(inbox):
-    """Merge summaries into (state, action, hf, offset) arrays.
+    """Merge summaries into (state, action, hf) arrays.
 
     Canonically sorted by (edge hash, offset, action, state) so any
     permutation of the inbox yields the same batch.  Empty inbox -> empty
@@ -83,15 +82,11 @@ def aggregate(inbox):
     for summary in inbox:
         for r in summary.records:
             rows.append((summary.edge_id_hash, r.offset, r.action, r.state, r.hf))
-    rows.sort(key=lambda row: (row[0], row[1], row[2], row[3]))
-    if not rows:
-        return (np.zeros((0, STATE_DIM)), np.zeros(0, dtype=int), np.zeros(0),
-                np.zeros(0))
-    states = np.array([row[3] for row in rows])
+    rows.sort(key=lambda row: row[:4])
+    states = np.array([row[3] for row in rows]).reshape(len(rows), STATE_DIM)
     actions = np.array([row[2] for row in rows], dtype=int)
     hfs = np.array([row[4] for row in rows])
-    offsets = np.array([row[1] for row in rows])
-    return states, actions, hfs, offsets
+    return states, actions, hfs
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +170,6 @@ class EdgeAgent:
     stack: MatcherStack
     traces: list
     policy: PolicyModel
-    policy_version: int = 0
 
 
 @dataclass
@@ -183,10 +177,7 @@ class RoundState:
     round_index: int
     n_rounds: int
     cloud_policy: PolicyModel
-    cloud_version: int
     reward_model: RewardModel
-    edge_versions: dict = field(default_factory=dict)
-    inbox: list = field(default_factory=list)
     mean_rewards: list = field(default_factory=list)
 
 
@@ -227,16 +218,15 @@ def run_round(state: RoundState, edges, cfg: EngineConfig | None = None,
                 traj = replace(traj, hf=None)
             trajectories.append(traj)
             inbox.append(summarize_trajectory(
-                traj, edge.policy_version, edge.edge_id,
-                edge.stack.cfg.library.salt, ce.state_quant))
+                traj, edge.edge_id, edge.stack.cfg.library.salt,
+                ce.state_quant))
 
-    states, actions, hfs, _ = aggregate(inbox)
-    have_hf = np.isfinite(hfs)
+    states, actions, hfs = aggregate(inbox)
     reward_model = state.reward_model
-    if have_hf.any():
-        reward_model = fit_reward_model(
-            reward_model, (states[have_hf], actions[have_hf], hfs[have_hf]),
-            ce.reward_model_epochs, ce.reward_model_step)
+    if hfs.size:
+        reward_model = fit_reward_model(reward_model, (states, actions, hfs),
+                                        ce.reward_model_epochs,
+                                        ce.reward_model_step)
 
     # direct feedback is used verbatim; the model only fills the gaps
     filled = []
@@ -252,22 +242,17 @@ def run_round(state: RoundState, edges, cfg: EngineConfig | None = None,
         state.cloud_policy, filled, cfg.ppo.clip_eps, cfg.ppo.epochs,
         cfg.ppo.step_size, cfg.ppo.gae_lambda, cfg.ppo.discount,
         cfg.ppo.entropy_coef, cfg.ppo.value_coef, weights)
-    new_version = state.cloud_version + 1
 
     mean_reward = float(np.mean([t.total_reward(weights) for t in filled]))
     next_index = state.round_index + 1
-    edge_versions = dict(state.edge_versions)
     if next_index % ce.distill_period == 0 or next_index == state.n_rounds:
         for edge in edges:
             edge.policy = new_policy
-            edge.policy_version = new_version
-            edge_versions[edge.edge_id] = new_version
 
     return RoundState(
         round_index=next_index, n_rounds=state.n_rounds,
-        cloud_policy=new_policy, cloud_version=new_version,
-        reward_model=reward_model, edge_versions=edge_versions,
-        inbox=inbox, mean_rewards=state.mean_rewards + [mean_reward])
+        cloud_policy=new_policy, reward_model=reward_model,
+        mean_rewards=state.mean_rewards + [mean_reward])
 
 
 # ---------------------------------------------------------------------------

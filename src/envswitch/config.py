@@ -198,12 +198,7 @@ class EngineConfig:
     device: DeviceConfig = field(default_factory=DeviceConfig)
 
 
-_SECTIONS = {
-    "window": "window", "norm": "norm", "library": "library",
-    "filters": "filters", "match": "match", "radio": "radio",
-    "walker": "walker", "baseline": "baseline", "reward": "reward",
-    "ppo": "ppo", "cloudedge": "cloudedge", "device": "device",
-}
+_SECTIONS = frozenset(f.name for f in dataclasses.fields(EngineConfig))
 
 
 def _coerce(current, text: str):
@@ -225,12 +220,11 @@ def apply_overrides(cfg: EngineConfig, pairs) -> EngineConfig:
         section, _, key = dotted.partition(".")
         if section not in _SECTIONS or not key:
             raise ValueError(f"unknown config key: {dotted!r}")
-        sub = getattr(cfg, _SECTIONS[section])
-        sub = dataclasses.replace(sub)
+        sub = dataclasses.replace(getattr(cfg, section))
         if not hasattr(sub, key):
             raise ValueError(f"unknown config key: {dotted!r}")
         setattr(sub, key, _coerce(getattr(sub, key), raw))
-        setattr(cfg, _SECTIONS[section], sub)
+        setattr(cfg, section, sub)
     return cfg
 
 

@@ -386,11 +386,11 @@ def summarize_window(window: RawWindow, present: dict,
 # ---------------------------------------------------------------------------
 
 
-def sequence_content_id(seq: FingerprintSequence, salt: str) -> str:
-    """Stable prototype id from sequence content (never from wall-clock)."""
-    feats, pres = seq.packed()
+def sequence_content_id(feats: np.ndarray, pres: np.ndarray, kind: str,
+                        salt: str) -> str:
+    """Stable prototype id from a sequence's packed arrays and switch kind
+    (never from wall-clock)."""
     payload = feats.tobytes() + pres.tobytes()
-    kind = seq.label.kind if seq.label is not None else "unlabeled"
     return f"p{fnv1a64(payload + kind.encode('utf-8'), salt):016x}"
 
 
@@ -457,9 +457,7 @@ class FingerprintLibrary:
         """Store a pre-switch buffer labeled by the switch that occurred."""
         if len(buffer) < max(2, min_windows):
             raise ValueError("insufficient context: pre-switch buffer too short")
-        probe = FingerprintSequence(buffer.windows, replace(event, anchor=""),
-                                    created_at=created_day)
-        pid = sequence_content_id(probe, self.cfg.salt)
+        pid = sequence_content_id(*buffer.packed(), event.kind, self.cfg.salt)
         seq = FingerprintSequence(buffer.windows, replace(event, anchor=pid),
                                   created_at=created_day, prototype_id=pid)
         self.sequences[pid] = seq
@@ -535,7 +533,7 @@ def desensitize(seq: FingerprintSequence, salt: str = "edge-default",
     aggregates = tuple(quantize(v, quant_step) for v in feats.mean(axis=0))
     quality_agg = tuple(quantize(v, quant_step) for v in qual.mean(axis=0))
     kind = seq.label.kind if seq.label is not None else "unlabeled"
-    source = seq.prototype_id or sequence_content_id(seq, salt)
+    source = seq.prototype_id or sequence_content_id(*seq.packed(), kind, salt)
     return DesensitizedSummary(
         prototype_hash=hash_identifier(source, salt),
         label_kind=kind,

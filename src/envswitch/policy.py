@@ -33,7 +33,7 @@ class PolicyState:
 
     similarity: float = 0.0       # top-1 match similarity in [0, 1]
     sim_trend: float = 0.0        # change over the last 3 windows
-    rssi: float = 0.0             # normalized current RSSI
+    rssi: float = 0.0             # normalize_rssi of the current RSSI
     gnss_fix: float = 0.0
     step_rate: float = 0.0
     scan_age: float = 0.0
@@ -46,6 +46,11 @@ class PolicyState:
         if not np.all(np.isfinite(v)):
             raise ValueError("policy state features must be finite")
         return v
+
+
+def normalize_rssi(dbm: float) -> float:
+    """Serving RSSI in dBm as the policy's unit-scaled ``rssi`` feature."""
+    return (dbm + 65.0) / 35.0
 
 
 @dataclass
@@ -375,7 +380,7 @@ def trigger_guide(cfg: EngineConfig):
     every batch; the learned policy is free to act earlier or later.
     """
     tau = cfg.reward.tau
-    weak_rssi = (cfg.baseline.threshold_dbm + 65.0) / 35.0
+    weak_rssi = normalize_rssi(cfg.baseline.threshold_dbm)
 
     def guide(t, state: PolicyState, pre_associated: bool) -> str:
         triggered = (state.similarity >= tau
@@ -468,7 +473,7 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
 
         state = PolicyState(
             similarity=sim_top, sim_trend=trend,
-            rssi=(rssi + 65.0) / 35.0,
+            rssi=normalize_rssi(rssi),
             gnss_fix=1.0 if trace.gnss_fix[sec] else 0.0,
             step_rate=min(1.0, (steps_to - steps_from) / 3.0),
             scan_age=min(1.0, scan_age / 5.0),

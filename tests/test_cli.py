@@ -173,6 +173,19 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             apply_overrides(EngineConfig(), [("radio.flux_capacitor", "1")])
 
+    def test_every_section_is_overridable(self):
+        # the sections are EngineConfig's fields, so a new sub-config needs
+        # no second list to be reachable from a config file
+        base = EngineConfig()
+        for section in dataclasses.fields(EngineConfig):
+            key = dataclasses.fields(section.type)[0].name
+            current = getattr(getattr(base, section.name), key)
+            cfg = apply_overrides(base, [(f"{section.name}.{key}", "2")])
+            assert getattr(cfg, section.name) is not getattr(base, section.name)
+            assert getattr(getattr(base, section.name), key) is current
+        with pytest.raises(ValueError, match="unknown config key"):
+            apply_overrides(base, [("telemetry.enabled", "1")])
+
     def test_every_setting_is_read(self):
         # a setting nothing reads would be accepted from a file and ignored;
         # a field counts as read when the package outside config.py reads

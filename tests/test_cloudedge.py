@@ -15,7 +15,8 @@ from envswitch.cloudedge import (EdgeAgent, EdgeSummary, RewardModel,
                                  summarize_trajectory)
 from envswitch.config import EngineConfig
 from envswitch.fingerprints import (FingerprintLibrary, SwitchEvent,
-                                    contains_identifier_leak, quantize)
+                                    contains_identifier_leak, hash_identifier,
+                                    quantize)
 from envswitch.filters import SelectorModel
 from envswitch.policy import (MatcherStack, PolicyModel, Trajectory, act,
                               rollout)
@@ -28,10 +29,10 @@ def record(state, action, hf, offset):
     return SummaryRecord(tuple(state), action, hf, offset)
 
 
-def toy_summary(edge_hash="hdeadbeef00000000", version=1, n=3):
+def toy_summary(edge_hash="hdeadbeef00000000", n=3):
     records = tuple(record([0.1 * k] * 7, k % 4, (-1.0) ** k * 0.5, float(k))
                     for k in range(n))
-    return EdgeSummary(version, edge_hash, records)
+    return EdgeSummary(edge_hash, records)
 
 
 def make_trajectory(rng, length=8, hf=0.5):
@@ -48,12 +49,13 @@ def make_trajectory(rng, length=8, hf=0.5):
 
 class TestAggregate:
     def test_empty_inbox(self):
-        states, actions, hfs, offsets = aggregate([])
-        assert states.shape == (0, 7) and actions.size == 0
+        states, actions, hfs = aggregate([])
+        assert states.shape == (0, 7) and actions.size == 0 and hfs.size == 0
 
     def test_counts_multiply(self):
         inbox = [toy_summary(f"h{k:016x}", n=4) for k in range(3)]
-        states, actions, hfs, offsets = aggregate(inbox)
+        inbox.append(EdgeSummary("h" + "f" * 16, ()))
+        states, actions, hfs = aggregate(inbox)
         assert states.shape[0] == 12
 
     def test_permutation_insensitive(self):
@@ -61,7 +63,7 @@ class TestAggregate:
         a = aggregate(inbox)
         b = aggregate(list(reversed(inbox)))
         for x, y in zip(a, b):
-            assert np.array_equal(x, y, equal_nan=True)
+            assert np.array_equal(x, y)
 
 
 class TestWireFormats:
@@ -72,15 +74,15 @@ class TestWireFormats:
 
     def test_summarize_trajectory_is_desensitized(self, rng):
         traj = make_trajectory(rng)
-        summary = summarize_trajectory(traj, 3, "edge-A", "salt-x", 0.01)
+        summary = summarize_trajectory(traj, "edge-A", "salt-x", 0.01)
         text = summary.serialize()
         assert "edge-A" not in text
         assert not contains_identifier_leak(text, ["edge-A"])
-        # offsets are relative step indices, and quantization snapped states
-        assert summary.records[0].offset == 0.0
-        for r in summary.records:
-            for v in r.state:
-                assert abs(v / 0.01 - round(v / 0.01)) < 1e-9
+        # the offset is a relative step index, and quantization snapped the state
+        (r,) = summary.records
+        assert r.offset == 7.0
+        for v in r.state:
+            assert abs(v / 0.01 - round(v / 0.01)) < 1e-9
 
     @pytest.mark.parametrize("quant", [0.01, 0.25])
     def test_summarize_trajectory_matches_scalar_quantize(self, rng, quant):
@@ -94,25 +96,31 @@ class TestWireFormats:
         states[:, 0] = ties[ties < 0][:12]
         states[:, 1] = ties[ties > 0][-12:]
         states[:, 2] = np.tile([-0.0, 0.0], 6)
-        traj = dataclasses.replace(traj, states=states)
-        summary = summarize_trajectory(traj, 2, "edge-A", "salt-x", quant)
-        records = tuple(
-            SummaryRecord(tuple(quantize(v, quant) for v in traj.states[t]),
-                          int(traj.actions[t]),
-                          float(traj.hf) if t == len(states) - 1 else float("nan"),
-                          float(t))
-            for t in range(len(states)))
-        scalar = EdgeSummary(2, summary.edge_id_hash, records)
-        assert summary.serialize() == scalar.serialize()
-        assert ([repr(r.state) for r in summary.records]
-                == [repr(r.state) for r in scalar.records])
+        # every row in turn is the last step of an episode cut after it
+        for t in range(len(states)):
+            cut = dataclasses.replace(traj, states=states[:t + 1],
+                                      actions=traj.actions[:t + 1])
+            summary = summarize_trajectory(cut, "edge-A", "salt-x", quant)
+            scalar = EdgeSummary(summary.edge_id_hash, (SummaryRecord(
+                tuple(quantize(v, quant) for v in states[t]),
+                int(traj.actions[t]), float(traj.hf), float(t)),))
+            assert summary.serialize() == scalar.serialize()
+            assert ([repr(r.state) for r in summary.records]
+                    == [repr(r.state) for r in scalar.records])
 
-    def test_direct_hf_only_on_terminal_record(self, rng):
+    def test_labelled_episode_ships_its_last_step_only(self, rng):
         traj = make_trajectory(rng, hf=0.75)
-        summary = summarize_trajectory(traj, 1, "e", "s")
-        hfs = [r.hf for r in summary.records]
-        assert np.isnan(hfs[:-1]).all()
-        assert hfs[-1] == 0.75
+        summary = summarize_trajectory(traj, "e", "s", 0.01)
+        expected = SummaryRecord(
+            tuple(quantize(v, 0.01) for v in traj.states[-1]),
+            int(traj.actions[-1]), 0.75, float(len(traj.states) - 1))
+        assert summary.records == (expected,)
+
+    def test_withheld_episode_ships_nothing(self, rng):
+        traj = dataclasses.replace(make_trajectory(rng), hf=None)
+        summary = summarize_trajectory(traj, "e", "s")
+        assert summary.records == ()
+        assert aggregate([summary])[0].shape == (0, 7)
 
 
 class TestRewardModel:
@@ -196,6 +204,23 @@ def small_cfg(**overrides):
     return cfg
 
 
+def initial_state(edges, n_rounds):
+    return RoundState(0, n_rounds, edges[0].policy, RewardModel.from_seed(0))
+
+
+def spy(monkeypatch, name, calls):
+    """Record the positional arguments of every call to ``cloudedge.<name>``
+    and its result."""
+    real = getattr(ce, name)
+
+    def wrapper(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(ce, name, wrapper)
+
+
 class TestRunRound:
     def test_rounds_replay_the_stored_traces(self, monkeypatch):
         edges = build_edges(n_scenarios=3)
@@ -206,8 +231,7 @@ class TestRunRound:
                                 calls.append(a[0]) or _g(*a, **k))
         monkeypatch.setattr(ce, "rollout", lambda *a, _r=ce.rollout, **k:
                             replayed.append(k["trace"]) or _r(*a, **k))
-        state = RoundState(0, 2, edges[0].policy, 0, RewardModel.from_seed(0),
-                           {e.edge_id: 0 for e in edges})
+        state = initial_state(edges, 2)
         for _ in range(2):
             state = run_round(state, edges, small_cfg(), seed=1)
         assert calls == []
@@ -216,56 +240,41 @@ class TestRunRound:
         assert len(replayed) == len(expected)
         assert all(map(operator.is_, replayed, expected))
 
-    def test_distill_period_one_syncs_versions(self):
+    def test_distill_period_one_distills_every_round(self):
         edges = build_edges()
         cfg = small_cfg(distill_period=1)
-        state = RoundState(0, 5, edges[0].policy, 0, RewardModel.from_seed(0),
-                           {e.edge_id: 0 for e in edges})
-        out = run_round(state, edges, cfg, seed=1)
-        assert out.cloud_version == 1
-        assert all(v == 1 for v in out.edge_versions.values())
-        assert all(e.policy_version == 1 for e in edges)
+        state = initial_state(edges, 5)
+        for _ in range(2):
+            state = run_round(state, edges, cfg, seed=1)
+            assert all(e.policy is state.cloud_policy for e in edges)
 
     def test_distill_period_three_gates_updates(self):
+        # rounds 1 and 2 keep the edges' policy, round 3 distills, and the
+        # last round distills although 4 is not a multiple of the period
         edges = build_edges()
         cfg = small_cfg(distill_period=3)
-        state = RoundState(0, 5, edges[0].policy, 0, RewardModel.from_seed(0),
-                           {e.edge_id: 0 for e in edges})
-        out = run_round(state, edges, cfg, seed=1)
-        assert out.cloud_version == 1
-        assert all(v == 0 for v in out.edge_versions.values())
+        state = initial_state(edges, 4)
+        for distills in (False, False, True, True):
+            before = [e.policy for e in edges]
+            state = run_round(state, edges, cfg, seed=1)
+            if distills:
+                assert all(e.policy is state.cloud_policy for e in edges)
+            else:
+                assert all(map(operator.is_, [e.policy for e in edges], before))
+                assert all(e.policy is not state.cloud_policy for e in edges)
 
     def test_round_budget_exhausted(self):
         edges = build_edges()
         cfg = small_cfg()
-        state = RoundState(2, 2, edges[0].policy, 2, RewardModel.from_seed(0), {})
+        state = RoundState(2, 2, edges[0].policy, RewardModel.from_seed(0))
         with pytest.raises(ValueError, match="budget"):
             run_round(state, edges, cfg, seed=0)
-
-    def test_versions_never_decrease_across_rounds(self):
-        edges = build_edges()
-        cfg = small_cfg(distill_period=2)
-        state = RoundState(0, 4, edges[0].policy, 0, RewardModel.from_seed(0),
-                           {e.edge_id: 0 for e in edges})
-        cloud_versions, edge_versions = [0], [0]
-        for _ in range(4):
-            state = run_round(state, edges, cfg, seed=2)
-            cloud_versions.append(state.cloud_version)
-            edge_versions.append(max(state.edge_versions.values() or [0]))
-        assert all(a <= b for a, b in zip(cloud_versions, cloud_versions[1:]))
-        assert all(a <= b for a, b in zip(edge_versions, edge_versions[1:]))
-        assert all(max(state.edge_versions.values()) <= state.cloud_version
-                   for _ in [0])
 
     def test_round_is_deterministic(self):
         results = []
         for _ in range(2):
             edges = build_edges()
-            cfg = small_cfg()
-            state = RoundState(0, 3, edges[0].policy, 0,
-                               RewardModel.from_seed(0),
-                               {e.edge_id: 0 for e in edges})
-            out = run_round(state, edges, cfg, seed=5)
+            out = run_round(initial_state(edges, 3), edges, small_cfg(), seed=5)
             results.append((out.cloud_policy.net.to_vector(),
                             out.mean_rewards[-1]))
         assert np.array_equal(results[0][0], results[1][0])
@@ -274,18 +283,10 @@ class TestRunRound:
     def test_direct_hf_used_verbatim_model_fills_gaps(self, monkeypatch):
         edges = build_edges()
         cfg = small_cfg(hf_withheld_fraction=0.5)
-        captured = {}
-        real_ppo = ce.ppo_update
-
-        def spy_ppo(model, batch, *args, **kwargs):
-            captured["batch"] = batch
-            return real_ppo(model, batch, *args, **kwargs)
-
-        monkeypatch.setattr(ce, "ppo_update", spy_ppo)
-        state = RoundState(0, 2, edges[0].policy, 0, RewardModel.from_seed(0),
-                           {e.edge_id: 0 for e in edges})
-        out = run_round(state, edges, cfg, seed=3)
-        batch = captured["batch"]
+        ppo_calls = []
+        spy(monkeypatch, "ppo_update", ppo_calls)
+        run_round(initial_state(edges, 2), edges, cfg, seed=3)
+        (_, batch, *_), _ = ppo_calls[0]
         assert len(batch) == 4
         # every trajectory entering PPO has a concrete hf; withheld ones were
         # filled by the reward model (bounded), direct ones pass through
@@ -295,15 +296,44 @@ class TestRunRound:
             direct_values.add(round(traj.hf, 6))
         assert len(direct_values) >= 2
 
-    def test_inbox_summaries_pass_privacy_check(self):
+    def test_inbox_summaries_pass_privacy_check(self, monkeypatch):
         edges = build_edges()
-        cfg = small_cfg()
-        state = RoundState(0, 2, edges[0].policy, 0, RewardModel.from_seed(0),
-                           {e.edge_id: 0 for e in edges})
-        out = run_round(state, edges, cfg, seed=4)
+        shipped = []
+        spy(monkeypatch, "summarize_trajectory", shipped)
+        run_round(initial_state(edges, 2), edges,
+                  small_cfg(hf_withheld_fraction=0.5), seed=3)
         raw_ids = [e.edge_id for e in edges] + ["02:aa:bb:cc:dd:ee"]
-        for summary in out.inbox:
+        assert len(shipped) == 4
+        for (traj, *_), summary in shipped:
+            # one record per labelled episode, none per withheld one
+            assert len(summary.records) == (traj.hf is not None)
+            assert all(np.isfinite(r.hf) for r in summary.records)
             assert not contains_identifier_leak(summary.serialize(), raw_ids)
+
+    def test_reward_model_fits_the_labelled_last_steps(self, monkeypatch):
+        # edges ship in descending hash order, so only the canonical sort
+        # puts the batch in order
+        edges = sorted(build_edges(), reverse=True, key=lambda e:
+                       hash_identifier(e.edge_id, e.stack.cfg.library.salt))
+        cfg = small_cfg(hf_withheld_fraction=0.5)
+        shipped, fits = [], []
+        spy(monkeypatch, "summarize_trajectory", shipped)
+        spy(monkeypatch, "fit_reward_model", fits)
+        run_round(initial_state(edges, 2), edges, cfg, seed=3)
+        quant = cfg.cloudedge.state_quant
+        # canonical order: edge hash, offset, action, state
+        rows = sorted(
+            ((hash_identifier(edge_id, salt), float(len(traj.states) - 1),
+              int(traj.actions[-1]),
+              tuple(quantize(v, quant) for v in traj.states[-1]), traj.hf)
+             for (traj, edge_id, salt, _), _ in shipped if traj.hf is not None),
+            key=lambda row: row[:4])
+        assert 0 < len(rows) < len(shipped)
+        assert len({row[0] for row in rows}) == len(edges)
+        ((_, (states, actions, hfs), *_), _), = fits
+        assert np.array_equal(states, [row[3] for row in rows])
+        assert np.array_equal(actions, [row[2] for row in rows])
+        assert np.array_equal(hfs, [row[4] for row in rows])
 
 
 class TestOfflineUpdate:
