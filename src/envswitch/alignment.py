@@ -3,17 +3,22 @@
 The cell cost between two fingerprint windows is a sum over modalities of a
 learned weight times the squared Euclidean distance between linearly embedded
 features, zeroed whenever the modality is absent on either side; one stacked
-kernel embeds each side once for all modalities (``cost_matrix``).  Exact DTW
+kernel embeds each side once for all modalities (``cost_matrix``), and
+``match`` costs only the cells inside the band (``_banded_costs``), reduced
+by the same code, so each equals the full matrix's bit for bit.  Exact DTW
 under a Sakoe-Chiba band gives the alignment distance d and the similarity
 exp(-beta * d) in (0, 1], with a fixed scale beta = 1.  One forward sweep
 over the anti-diagonals of a skewed banded layout (``_sweep``) runs both
 recursions on a stack of cost matrices: with a hard min for exact DTW
 (``dtw`` on one pair, ``match`` on each length group of a library), and with
 a soft-min for soft-DTW (``soft_dtw`` on one pair, and every margin loss on
-all pairs of its positives and negatives at once).
-Soft-DTW is differentiable: its backward weights sweep the same layout in
-reverse, and hand-written gradients let the metric (and, through the filter
-mixture, the selector) train with plain gradient descent.
+all pairs of its positives and negatives at once).  The layout is stored
+diagonal-major, (anti-diagonal, row, pair), so each step works on
+contiguous rows of every pair at once.  ``match`` reads each distance from
+the last cell and backtracks a warping path only when a result's ``.path``
+is read.  Soft-DTW is differentiable: its backward weights sweep the same
+layout in reverse, and hand-written gradients let the metric (and, through
+the filter mixture, the selector) train with plain gradient descent.
 """
 
 import functools
@@ -154,6 +159,23 @@ def _rows(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ M).reshape(x.shape[:-1] + M.shape[1:])
 
 
+def _block_embedding(model: MetricModel) -> np.ndarray:
+    """The (E, 14) block-diagonal embedding Wb of all modalities at once."""
+    index, indicator = _block_layout(model.embed_dim)
+    Wb = np.zeros((indicator.shape[0], N_FEATURES))
+    Wb.flat[index] = model.to_vector()[:index.size]
+    return Wb
+
+
+def _cell_costs(model: MetricModel, diff: np.ndarray, mask: np.ndarray):
+    """Costs (...) of cells with embedded differences ``diff`` (..., E) and
+    presence ``mask`` (..., 5), and their squared distances sq (..., 5): a
+    product with the (E, 5) modality indicator gives sq and, masked, one
+    with the weights sums them."""
+    sq = _rows(diff * diff, _block_layout(model.embed_dim)[1])
+    return _rows(sq * mask, model.weights), sq
+
+
 def cost_matrix(model: MetricModel, query, proto):
     """Full (n, m) cost matrix plus the caches of the backward pass.
 
@@ -164,21 +186,21 @@ def cost_matrix(model: MetricModel, query, proto):
 
     No loop over modalities: both sides are embedded once by one block-
     diagonal Wb (E, 14), differences (..., n, m, E) are taken in embedded
-    space, a product with the (E, 5) modality indicator gives the squared
-    distances and, masked, one with the weights sums them; identical
-    windows cost exactly 0.  Caches: ``(qf, pf, Wb, diff, sq, mask)``.
+    space and ``_cell_costs`` reduces them; identical windows cost exactly
+    0.  Every cell is computed, inside the band or not: ``dtw`` (the
+    oracle of ``match``) and soft-DTW training read full matrices, and
+    their gradients need the caches ``(qf, pf, Wb, diff, sq, mask)``.
+    ``match`` computes only the banded cells, with ``_banded_costs``.
     """
     qf, qp = _pack(query)
     pf, pp = _pack(proto)
     if qf.shape[-1] != pf.shape[-1]:
         raise ValueError("fingerprint schema mismatch")
-    index, indicator = _block_layout(model.embed_dim)
-    Wb = np.zeros((indicator.shape[0], N_FEATURES))
-    Wb.flat[index] = model.to_vector()[:index.size]
+    Wb = _block_embedding(model)
     diff = _rows(qf, Wb.T)[..., :, None, :] - _rows(pf, Wb.T)[..., None, :, :]
-    sq = _rows(diff * diff, indicator)
     mask = qp[..., :, None, :] & pp[..., None, :, :]
-    return _rows(sq * mask, model.weights), (qf, pf, Wb, diff, sq, mask)
+    cost, sq = _cell_costs(model, diff, mask)
+    return cost, (qf, pf, Wb, diff, sq, mask)
 
 
 def _cost_gradients(model: MetricModel, caches, E, want_feature_grads=False):
@@ -233,28 +255,47 @@ def band_mask(n: int, m: int, band: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class AlignmentResult:
-    distance: float
-    path: list
-    similarity: float
+    """Distance, warping path and similarity of one alignment.
+
+    ``path`` may be given as a zero-argument callable: it is called on the
+    first read of ``.path`` and its list kept.  ``match`` gives one, so a
+    result whose path is never read is never backtracked.
+    """
+
+    def __init__(self, distance: float, path, similarity: float):
+        self.distance, self._path, self.similarity = distance, path, similarity
+
+    @property
+    def path(self) -> list:
+        if callable(self._path):
+            self._path = self._path()
+        return self._path
+
+    def __eq__(self, other):
+        if not isinstance(other, AlignmentResult):
+            return NotImplemented
+        return ((self.distance, self.path, self.similarity)
+                == (other.distance, other.path, other.similarity))
 
 
 @functools.lru_cache(maxsize=256)
 def _skew_index(n: int, m: int, band: int):
     """Where ``_skew`` reads each entry of its layout from: the flat index
     ``i * m + j`` into an (n, m) matrix and whether the cell is kept (on the
-    grid and inside the band), both (n + m - 1, n).  Read-only, and cached
-    per (n, m, band): they depend on nothing else."""
+    grid and inside the band), both (n + m - 1, n); and the row i and column
+    j of every kept cell, in the order of ``flat[keep]``.  Read-only, and
+    cached per (n, m, band): they depend on nothing else."""
     d = np.arange(n + m - 1)[:, None]
     i = np.arange(n)[None, :]
     j = d - i
     jc = np.clip(j, 0, m - 1)
     keep = (j >= 0) & (j < m) & band_mask(n, m, band)[i, jc]
     flat = i * m + jc
-    for a in (flat, keep):
+    rows, cols = np.divmod(flat[keep], m)
+    for a in (flat, keep, rows, cols):
         a.setflags(write=False)
-    return flat, keep
+    return flat, keep, rows, cols
 
 
 def _skew(cost: np.ndarray, band: int) -> np.ndarray:
@@ -265,10 +306,36 @@ def _skew(cost: np.ndarray, band: int) -> np.ndarray:
     anti-diagonal depend only on the two before it (forward) or the two after
     it (backward), so a recursion sweeps the rows of this layout, each one a
     single vectorized step over every pair and every cell of the diagonal.
+    The stack is stored diagonal-major, as a view of a (n + m - 1, n, P)
+    array, the layout ``_sweep`` runs on.
     """
     P, n, m = cost.shape
-    flat, keep = _skew_index(n, m, band)
-    return np.where(keep, cost.reshape(P, n * m)[:, flat], np.inf)
+    flat, keep, _, _ = _skew_index(n, m, band)
+    skew = np.where(keep[..., None], cost.reshape(P, n * m).T[flat], np.inf)
+    return skew.transpose(2, 0, 1)
+
+
+def _banded_costs(model: MetricModel, query, proto, band: int) -> np.ndarray:
+    """``_skew(cost_matrix(model, query, proto)[0], band)``, bit for bit,
+    from the cells the band keeps alone.
+
+    ``query`` is one (n, F) window sequence and ``proto`` a stack of P of
+    one length m, (P, m, F).  The embedded query and prototype rows of the
+    kept cells (``_skew_index``) are gathered into (P, C, E) differences and
+    reduced by ``_cell_costs``, as ``cost_matrix`` reduces all n * m cells;
+    no (P, n, m, E) array is built.  The costs are written straight into
+    the diagonal-major skewed layout, inf elsewhere.
+    """
+    qf, qp = _pack(query)
+    pf, pp = _pack(proto)
+    (P, m, _), n = pf.shape, qf.shape[0]
+    _, keep, rows, cols = _skew_index(n, m, band)
+    Wb = _block_embedding(model)
+    diff = np.take(_rows(qf, Wb.T), rows, axis=0) - np.take(_rows(pf, Wb.T), cols, axis=1)
+    cost, _ = _cell_costs(model, diff, np.take(qp, rows, axis=0) & np.take(pp, cols, axis=1))
+    skew = np.full(keep.shape + (P,), np.inf)
+    skew[keep] = cost.T
+    return skew.transpose(2, 0, 1)
 
 
 def _unskew(S: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -283,22 +350,27 @@ def _sweep(skew: np.ndarray, step) -> np.ndarray:
 
     ``step(cost, vertical, horizontal, diagonal, out)`` fills ``out`` for one
     anti-diagonal.  Returns the skewed table, (P, n + m - 1, n) like
-    ``skew``; a predecessor off the grid is inf.
+    ``skew``; a predecessor off the grid is inf.  The recursion runs
+    diagonal-major, on a C-contiguous (n + m, n + 1, P) table, so each step
+    reads and writes contiguous (n, P) rows of all pairs at once; the
+    table is returned as a (P, n + m - 1, n) view of it.  A ``skew``
+    stored that way (``_skew``, ``_banded_costs``) is read without a copy.
     """
     P, D, n = skew.shape
-    # S[:, d + 1, i + 1] holds cell (i, d - i); row 0 (the diagonal before
-    # the first) and column 0 are inf padding
-    S = np.full((P, D + 1, n + 1), np.inf)
-    S[:, 1, 1:] = skew[:, 0]
+    cost = np.ascontiguousarray(skew.transpose(1, 2, 0))
+    # S[d + 1, i + 1] holds cell (i, d - i) of every pair; row 0 (the
+    # diagonal before the first) and column 0 are inf padding
+    S = np.full((D + 1, n + 1, P), np.inf)
+    S[1, 1:] = cost[0]
     for k in range(1, D):
-        step(skew[:, k], S[:, k, :-1], S[:, k, 1:], S[:, k - 1, :-1], S[:, k + 1, 1:])
-    return S[:, 1:, 1:]
+        step(cost[k], S[k, :-1], S[k, 1:], S[k - 1, :-1], S[k + 1, 1:])
+    return S[1:, 1:].transpose(2, 0, 1)
 
 
 def _hard_step(cost, vertical, horizontal, diagonal, out):
-    best = np.minimum(diagonal, vertical)
-    np.minimum(best, horizontal, out=best)
-    np.add(cost, best, out=out)
+    np.minimum(diagonal, vertical, out=out)
+    np.minimum(out, horizontal, out=out)
+    np.add(cost, out, out=out)
 
 
 def _dtw_tables(cost: np.ndarray, band: int) -> np.ndarray:
@@ -329,6 +401,12 @@ def _backtrack(D: np.ndarray) -> list:
         path.append(best)
     path.reverse()
     return path
+
+
+def _warping_path(S: np.ndarray) -> list:
+    """``_backtrack`` of one skewed table (n + m - 1, n)."""
+    D, n = S.shape
+    return _backtrack(_unskew(S[None], n, D - n + 1)[0])
 
 
 def dtw(model: MetricModel, query, proto, band: int = 3) -> AlignmentResult:
@@ -385,9 +463,9 @@ def _soft_dtw_tables(cost: np.ndarray, band: int, gamma: float):
     Returns the values (P,), the forward soft-min tables R (P, n, m), inf
     outside the band, and the backward weight tables E = dvalue/dcost
     (P, n, m) (Cuturi & Blondel 2017).  Both recursions sweep anti-diagonals
-    of the ``_skew`` layout; E adds its successors' contributions in the
-    order vertical, horizontal, diagonal.  Raises ``BandTooNarrowError`` if
-    any pair has no admissible path.
+    of the diagonal-major ``_skew`` layout; E adds its successors'
+    contributions in the order vertical, horizontal, diagonal.  Raises
+    ``BandTooNarrowError`` if any pair has no admissible path.
     """
     P, n, m = cost.shape
     skew = _skew(cost, band)
@@ -396,29 +474,30 @@ def _soft_dtw_tables(cost: np.ndarray, band: int, gamma: float):
     values = Rs[:, D - 1, n - 1]
     if not np.all(np.isfinite(values)):
         raise BandTooNarrowError("band too narrow: no admissible warping path")
-    # pad two diagonals past the last and one row past the last: inf for R
-    # and the cost, 0 for E, so every successor of a cell is addressable
-    Rp = np.full((P, D + 2, n + 1), np.inf)
-    Rp[:, :D, :n] = Rs
-    Cp = np.full((P, D + 2, n + 1), np.inf)
-    Cp[:, :D, :n] = skew
-    cur = Rp[:, :D, :n]
+    # diagonal-major like ``_sweep``, padded two diagonals past the last and
+    # one row past the last: inf for R and the cost, 0 for E, so every
+    # successor of a cell is addressable
+    Rp = np.full((D + 2, n + 1, P), np.inf)
+    Rp[:D, :n] = Rs.transpose(1, 2, 0)
+    Cp = np.full((D + 2, n + 1, P), np.inf)
+    Cp[:D, :n] = skew.transpose(1, 2, 0)
+    cur = Rp[:D, :n]
     weights = []
     for dd, di in ((1, 1), (1, 0), (2, 1)):    # vertical, horizontal, diagonal
-        succ = Rp[:, dd:D + dd, di:n + di]
+        succ = Rp[dd:D + dd, di:n + di]
         ok = np.isfinite(cur) & np.isfinite(succ)
-        wgt = np.zeros((P, D, n))
-        wgt[ok] = _libm(math.exp, (succ[ok] - Cp[:, dd:D + dd, di:n + di][ok] - cur[ok]) / gamma)
+        wgt = np.zeros((D, n, P))
+        wgt[ok] = _libm(math.exp, (succ[ok] - Cp[dd:D + dd, di:n + di][ok] - cur[ok]) / gamma)
         weights.append(wgt)
     wv, wh, wd = weights
-    Es = np.zeros((P, D + 2, n + 1))
-    Es[:, D - 1, n - 1] = 1.0
+    Es = np.zeros((D + 2, n + 1, P))
+    Es[D - 1, n - 1] = 1.0
     for k in range(D - 2, -1, -1):
-        acc = Es[:, k + 1, 1:] * wv[:, k]
-        acc += Es[:, k + 1, :n] * wh[:, k]
-        acc += Es[:, k + 2, 1:] * wd[:, k]
-        Es[:, k, :n] = acc
-    return values, _unskew(Rs, n, m), _unskew(Es, n, m)
+        acc = Es[k + 1, 1:] * wv[k]
+        acc += Es[k + 1, :n] * wh[k]
+        acc += Es[k + 2, 1:] * wd[k]
+        Es[k, :n] = acc
+    return values, _unskew(Rs, n, m), _unskew(Es.transpose(2, 0, 1), n, m)
 
 
 def _soft_dtw_pairs(model: MetricModel, pairs, band: int, gamma: float,
@@ -650,7 +729,7 @@ def match(model: MetricModel, selector, live_window, library, band: int,
     selector chooses for ``ctx``, the live window's ``FilterContext``, before
     alignment, so a prototype that equals the live window scores similarity
     1.0 exactly.  Prototypes of one length are filtered, scored and aligned
-    together: one ``denoise_matrix``, one ``cost_matrix`` and one banded
+    together: one ``denoise_matrix``, one ``_banded_costs`` and one banded
     recursion per length group.  The live window is stacked on top of the
     group of its own length and filtered in that group's ``denoise_matrix``
     call; it is filtered alone only when no group shares its length.  Each
@@ -659,10 +738,12 @@ def match(model: MetricModel, selector, live_window, library, band: int,
     between calls (``FingerprintLibrary.length_groups``); any other iterable
     of ``(prototype_id, prototype)``, or mapping, is grouped per call.  A
     prototype with no admissible path inside the band is left out.  Each
-    result equals ``dtw`` on that prototype alone; distances are read from
-    the last cell of each recursion, and tables are unskewed and paths
-    backtracked only for the ``top_k`` results returned.  Ties break on the
-    smaller prototype id.  An empty library yields an empty list.
+    result equals ``dtw`` on that prototype alone.  Only the cells inside
+    the band are costed, straight into the diagonal-major skewed layout the
+    recursion runs on; distances are read from the last cell of each
+    recursion, and a result's table is unskewed and its path backtracked
+    only when its ``.path`` is first read.  Ties break on the smaller
+    prototype id.  An empty library yields an empty list.
     """
     # imported at call time, so a rebinding of these names in the filters
     # module (bench/spans.py traces them that way) takes effect here
@@ -696,16 +777,13 @@ def match(model: MetricModel, selector, live_window, library, band: int,
     for (ids, pf, pp), pf_filtered in zip(groups, filtered):
         if pf_filtered is None:
             pf_filtered = denoise_matrix(choice, pf)
-        cost, _ = cost_matrix(model, query, (pf_filtered, pp))
-        S = _sweep(_skew(cost, band), _hard_step)
+        S = _sweep(_banded_costs(model, query, (pf_filtered, pp), band), _hard_step)
         last = S[:, -1, n - 1].tolist()
         for t, (pid, distance) in enumerate(zip(ids, last)):
             if math.isfinite(distance):
                 scored.append((pid, distance, math.exp(-beta * distance), len(tables), t))
         tables.append(S)
     scored.sort(key=lambda e: (-e[2], e[0]))
-    results = []
-    for pid, distance, similarity, g, t in scored[:max(0, top_k)]:
-        D = _unskew(tables[g][t:t + 1], n, groups[g][1].shape[1])[0]
-        results.append((pid, AlignmentResult(distance, _backtrack(D), similarity)))
-    return results
+    return [(pid, AlignmentResult(distance, functools.partial(_warping_path, tables[g][t]),
+                                  similarity))
+            for pid, distance, similarity, g, t in scored[:max(0, top_k)]]

@@ -201,7 +201,9 @@ class EngineConfig:
 _SECTIONS = frozenset(f.name for f in dataclasses.fields(EngineConfig))
 
 
-def _coerce(current, text: str):
+def _coerce(dotted: str, current, text: str):
+    """``text`` parsed as the type of the field's current value; a field of
+    any other type (``norm.bounds``, a dict) cannot be set from text."""
     if isinstance(current, bool):
         return text.strip().lower() in ("1", "true", "yes")
     if isinstance(current, int):
@@ -210,7 +212,10 @@ def _coerce(current, text: str):
         return float(text)
     if isinstance(current, tuple):
         return tuple(float(v) for v in text.split(","))
-    return text.strip()
+    if isinstance(current, str):
+        return text.strip()
+    raise ValueError(f"config key {dotted!r} holds a {type(current).__name__} "
+                     "and cannot be overridden")
 
 
 def apply_overrides(cfg: EngineConfig, pairs) -> EngineConfig:
@@ -223,7 +228,7 @@ def apply_overrides(cfg: EngineConfig, pairs) -> EngineConfig:
         sub = dataclasses.replace(getattr(cfg, section))
         if not hasattr(sub, key):
             raise ValueError(f"unknown config key: {dotted!r}")
-        setattr(sub, key, _coerce(getattr(sub, key), raw))
+        setattr(sub, key, _coerce(dotted, getattr(sub, key), raw))
         setattr(cfg, section, sub)
     return cfg
 

@@ -1,10 +1,13 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from envswitch import alignment
 from envswitch.alignment import (BandTooNarrowError, MetricModel, _backtrack,
-                                 _dtw_tables, _skew_index, _soft_dtw_pairs, _soft_dtw_tables,
+                                 _banded_costs, _dtw_tables, _skew, _skew_index,
+                                 _soft_dtw_pairs, _soft_dtw_tables,
                                  band_mask,
                                  cell_cost, cost_matrix, dtw, in_band,
                                  margin_loss,
@@ -70,8 +73,9 @@ def reference_backtrack(D):
     return path
 
 
-def scalar_banded_distance(cost, band):
-    """Plain banded DP over one (n, m) cost matrix; inf when no path fits."""
+def scalar_banded_table(cost, band):
+    """Plain banded DP over one (n, m) cost matrix, as an (n, m) array; inf
+    outside the band and where no path reaches a cell."""
     n, m = cost.shape
     D = [[math.inf] * m for _ in range(n)]
     for i in range(n):
@@ -85,7 +89,12 @@ def scalar_banded_distance(cost, band):
                        D[i - 1][j] if i else math.inf,
                        D[i][j - 1] if j else math.inf)
             D[i][j] = float(cost[i, j]) + best
-    return D[n - 1][m - 1]
+    return np.array(D)
+
+
+def scalar_banded_distance(cost, band):
+    """Plain banded DP distance; inf when no path fits."""
+    return float(scalar_banded_table(cost, band)[-1, -1])
 
 
 def _softmin3(a: float, b: float, c: float, gamma: float) -> float:
@@ -332,6 +341,21 @@ class TestBatchedDtw:
                     assert math.isinf(want)
                     narrow += 1
         assert narrow > 0          # the too-narrow case was exercised
+
+    def test_tables_equal_scalar_dp(self, rng):
+        # the whole table of every pair of a stack, through the
+        # diagonal-major sweep, against the plain DP cell by cell
+        for trial in range(40):
+            n, m = (int(v) for v in rng.integers(2, 11, size=2))
+            if n == m:
+                m = n + 1
+            band = 1 + trial % 4
+            P = int(rng.integers(2, 7))
+            cost = rng.uniform(0.0, 3.0, size=(P, n, m))
+            D = _dtw_tables(cost, band)
+            assert D.shape == (P, n, m)
+            for k in range(P):
+                assert np.array_equal(D[k], scalar_banded_table(cost[k], band))
 
 
 class TestSoftDtw:
@@ -794,6 +818,69 @@ class TestMatch:
         assert ranked[0][0] == "zz" and ranked[0][1].similarity == 1.0
 
 
+class TestBandedCosts:
+    @pytest.mark.parametrize("P", [1, 5])
+    def test_equal_cost_matrix_at_every_kept_cell(self, rng, P):
+        absent = 0
+        for trial in range(32):
+            n, m = (int(v) for v in rng.integers(2, 12, size=2))
+            if n == m:
+                m = n + 1
+            band = 1 + trial % 4
+            model = MetricModel.from_seed(trial, noise=0.3)
+            qf, qp = random_packed(rng, n)
+            pf, pp = (np.stack(a) for a in zip(*[random_packed(rng, m) for _ in range(P)]))
+            if trial % 3 == 0:             # a modality absent on one side throughout
+                (qp if trial % 2 else pp)[..., trial % 5] = False
+            absent += int(not qp.any(axis=0).all() or not pp.any(axis=(0, 1)).all())
+            skew = _banded_costs(model, (qf, qp), (pf, pp), band)
+            cost, _ = cost_matrix(model, (qf, qp), (pf, pp))
+            flat, keep, rows, cols = _skew_index(n, m, band)
+            assert np.array_equal(rows * m + cols, flat[keep])
+            assert np.array_equal(skew[:, keep], cost[:, rows, cols])
+            assert np.isinf(skew[:, ~keep]).all()
+            assert np.array_equal(skew, _skew(cost, band))
+        assert absent > 0
+
+
+class TestLazyPath:
+    def scene(self, rng):
+        model, selector = MetricModel.from_seed(2, noise=0.3), SelectorModel.from_seed(3)
+        live = random_packed(rng, 7)
+        library = [(f"p{k}", random_packed(rng, n)) for k, n in enumerate((7, 5, 8, 7, 6))]
+        return model, selector, live, library, FilterContext(step_rate=0.4)
+
+    def counting(self, monkeypatch):
+        calls = Counter()
+        for name in ("_backtrack", "_unskew"):
+            def wrapper(*args, _name=name, _fn=getattr(alignment, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(alignment, name, wrapper)
+        return calls
+
+    def test_unread_paths_are_never_built(self, rng, monkeypatch):
+        model, selector, live, library, ctx = self.scene(rng)
+        calls = self.counting(monkeypatch)
+        ranked = match(model, selector, live, library, 2, len(library), ctx)
+        assert len(ranked) == len(library)
+        assert sum(calls.values()) == 0
+
+    def test_path_read_equals_dtw_and_is_built_once(self, rng, monkeypatch):
+        model, selector, live, library, ctx = self.scene(rng)
+        ranked = match(model, selector, live, library, 2, 1, ctx)
+        pid, top = ranked[0]
+        choice = select_filter(selector, ctx)
+        pf, pp = dict(library)[pid]
+        want = dtw(model, (denoise_matrix(choice, live[0]), live[1]),
+                   (denoise_matrix(choice, pf), pp), 2)
+        calls = self.counting(monkeypatch)
+        assert top.path == want.path
+        assert calls["_backtrack"] == 1
+        assert top.path is top.path and calls["_backtrack"] == 1
+        assert top == want
+
+
 class TestLengthGroups:
     def commit(self, lib, rng, n, day):
         seq = make_sequence(rng, n, t0=100.0 * day)
@@ -854,11 +941,10 @@ class TestLengthGroups:
                 feats[0, 0, 0] = 1.0
             with pytest.raises(ValueError):
                 pres[0, 0, 0] = False
-        flat, keep = _skew_index(6, 4, 2)
-        with pytest.raises(ValueError):
-            flat[0, 0] = 1
-        with pytest.raises(ValueError):
-            keep[0, 0] = False
+        flat, keep, rows, cols = _skew_index(6, 4, 2)
+        for a, v in ((flat, 1), (keep, False), (rows, 1), (cols, 1)):
+            with pytest.raises(ValueError):
+                a.flat[0] = v
 
 
 class TestMaskConsistency:

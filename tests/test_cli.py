@@ -176,15 +176,36 @@ class TestConfigFile:
     def test_every_section_is_overridable(self):
         # the sections are EngineConfig's fields, so a new sub-config needs
         # no second list to be reachable from a config file
+        # (a section whose first field cannot be set from text, such as
+        # norm.bounds, is still found: it names the key instead of calling
+        # it unknown)
         base = EngineConfig()
         for section in dataclasses.fields(EngineConfig):
             key = dataclasses.fields(section.type)[0].name
             current = getattr(getattr(base, section.name), key)
-            cfg = apply_overrides(base, [(f"{section.name}.{key}", "2")])
+            dotted = f"{section.name}.{key}"
+            if isinstance(current, dict):
+                with pytest.raises(ValueError, match=f"'{dotted}'.*cannot be overridden"):
+                    apply_overrides(base, [(dotted, "2")])
+                continue
+            cfg = apply_overrides(base, [(dotted, "2")])
             assert getattr(cfg, section.name) is not getattr(base, section.name)
             assert getattr(getattr(base, section.name), key) is current
         with pytest.raises(ValueError, match="unknown config key"):
             apply_overrides(base, [("telemetry.enabled", "1")])
+
+    def test_dict_field_override_is_rejected(self, tmp_path):
+        # norm.bounds maps feature names to ranges; text stored in its place
+        # would only fail later, inside sim.segment_before
+        base = EngineConfig()
+        with pytest.raises(ValueError, match="'norm.bounds'"):
+            apply_overrides(base, [("norm.bounds", "2")])
+        path = tmp_path / "run.cfg"
+        path.write_text("norm.bounds = 2\n")
+        with pytest.raises(ValueError, match="'norm.bounds'"):
+            load_config(path)
+        assert isinstance(base.norm.bounds, dict)
+        assert apply_overrides(base, [("match.band", "4")]).match.band == 4
 
     def test_every_setting_is_read(self):
         # a setting nothing reads would be accepted from a file and ignored;

@@ -534,3 +534,18 @@ def test_traced_names_are_reached(monkeypatch, rng):
                            make_alignment_loss(MetricModel.identity()), epochs=1)
     # one stacked call per item: all of its arrays have one length
     assert calls["soft_denoise_matrix"] == len(items)
+
+
+def test_top_similarity_builds_no_path(monkeypatch, rng):
+    """A matcher miss reads only the top-1 similarity: no table is unskewed
+    and no warping path is backtracked for it."""
+    calls = Counter()
+    for name in ("match", "_backtrack", "_unskew"):
+        def wrapper(*args, _name=name, _fn=getattr(alignment, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(alignment, name, wrapper)
+    _, trace, stack = build_stack(rng)
+    features, present = segment_before(trace, 20.0, CFG).packed()
+    assert stack.top_similarity(features, present, 0.0) > 0.0
+    assert calls == {"match": 1}
