@@ -18,7 +18,7 @@ from .filters import (FilterChoice, FilterContext, SelectorModel,
                       apply_elp, apply_gaussian, apply_kalman, denoise,
                       select_filter, train_selector)
 from .policy import (PolicyModel, PolicyState, RewardWeights, act,
-                     composite_reward, ppo_update, rollout)
+                     ppo_update, rollout)
 from .cloudedge import (EdgeAgent, RewardModel, RoundState, aggregate,
                         fit_reward_model, offline_update, run_round)
 from .sim import (RawTrace, Scenario, baseline_policy, feedback_oracle,

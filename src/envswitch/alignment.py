@@ -2,23 +2,23 @@
 
 The cell cost between two fingerprint windows is a sum over modalities of a
 learned weight times the squared Euclidean distance between linearly embedded
-features, zeroed whenever the modality is absent on either side; one stacked
-kernel embeds each side once for all modalities (``cost_matrix``), and
-``match`` costs only the cells inside the band (``_banded_costs``), reduced
-by the same code, so each equals the full matrix's bit for bit.  Exact DTW
-under a Sakoe-Chiba band gives the alignment distance d and the similarity
-exp(-beta * d) in (0, 1], with a fixed scale beta = 1.  One forward sweep
-over the anti-diagonals of a skewed banded layout (``_sweep``) runs both
-recursions on a stack of cost matrices: with a hard min for exact DTW
-(``dtw`` on one pair, ``match`` on each length group of a library), and with
-a soft-min for soft-DTW (``soft_dtw`` on one pair, and every margin loss on
-all pairs of its positives and negatives at once).  The layout is stored
-diagonal-major, (anti-diagonal, row, pair), so each step works on
-contiguous rows of every pair at once.  ``match`` reads each distance from
-the last cell and backtracks a warping path only when a result's ``.path``
-is read.  Soft-DTW is differentiable: its backward weights sweep the same
-layout in reverse, and hand-written gradients let the metric (and, through
-the filter mixture, the selector) train with plain gradient descent.
+features, zeroed whenever the modality is absent on either side.  One
+producer costs every alignment, ``_banded_costs``: it embeds each side once
+for all modalities and costs only the cells inside the Sakoe-Chiba band,
+straight into a skewed layout stored diagonal-major, (anti-diagonal, row,
+pair), so each recursion step works on contiguous rows of every pair at
+once.  One forward sweep over that layout (``_sweep``) runs both
+recursions: with a hard min for exact DTW (``dtw`` on a stack of one,
+``match`` on each length group of a library), and with a soft-min for
+soft-DTW (``soft_dtw`` on one pair, and every margin loss on all pairs of
+its positives and negatives at once).  Exact DTW gives the alignment
+distance d and the similarity exp(-beta * d) in (0, 1], with a fixed scale
+beta = 1; a distance is read from the last cell, and ``match`` backtracks a
+warping path only when a result's ``.path`` is read.  Soft-DTW is
+differentiable: its backward weights sweep the same layout in reverse, and
+hand-written gradients let the metric (and, through the filter mixture, the
+selector) train with plain gradient descent.  ``cost_matrix`` costs every
+cell densely; it is the reference the tests check the banded costs against.
 """
 
 import functools
@@ -176,54 +176,59 @@ def _cell_costs(model: MetricModel, diff: np.ndarray, mask: np.ndarray):
     return _rows(sq * mask, model.weights), sq
 
 
-def cost_matrix(model: MetricModel, query, proto):
-    """Full (n, m) cost matrix plus the caches of the backward pass.
+def _check_schema(qf: np.ndarray, pf: np.ndarray):
+    if qf.shape[-1] != pf.shape[-1]:
+        raise ValueError("fingerprint schema mismatch")
+
+
+def cost_matrix(model: MetricModel, query, proto) -> np.ndarray:
+    """Dense reference cost of every cell, inside the band or not, (n, m).
 
     ``proto`` may carry a leading prototype axis, features (P, m, F) and
     presence (P, m, 5) for P prototypes of one length m; the cost is then
-    (P, n, m) and each slice equals the cost of that prototype alone.  A
-    query stacked the same way, (P, n, F), pairs query p with prototype p.
-
-    No loop over modalities: both sides are embedded once by one block-
-    diagonal Wb (E, 14), differences (..., n, m, E) are taken in embedded
-    space and ``_cell_costs`` reduces them; identical windows cost exactly
-    0.  Every cell is computed, inside the band or not: ``dtw`` (the
-    oracle of ``match``) and soft-DTW training read full matrices, and
-    their gradients need the caches ``(qf, pf, Wb, diff, sq, mask)``.
-    ``match`` computes only the banded cells, with ``_banded_costs``.
+    (P, n, m).  A query stacked the same way, (P, n, F), pairs query p with
+    prototype p.  No pipeline path reads it: ``_banded_costs`` costs the
+    cells inside the band alone, by the same kernel, and the tests check it
+    against this matrix cell by cell.
     """
     qf, qp = _pack(query)
     pf, pp = _pack(proto)
-    if qf.shape[-1] != pf.shape[-1]:
-        raise ValueError("fingerprint schema mismatch")
+    _check_schema(qf, pf)
     Wb = _block_embedding(model)
     diff = _rows(qf, Wb.T)[..., :, None, :] - _rows(pf, Wb.T)[..., None, :, :]
-    mask = qp[..., :, None, :] & pp[..., None, :, :]
-    cost, sq = _cell_costs(model, diff, mask)
-    return cost, (qf, pf, Wb, diff, sq, mask)
+    return _cell_costs(model, diff, qp[..., :, None, :] & pp[..., None, :, :])[0]
 
 
 def _cost_gradients(model: MetricModel, caches, E, want_feature_grads=False):
-    """Chain dV/dcost = E (P, n, m) into metric and feature gradients.
+    """Chain dV/dcost = E into metric and feature gradients.
 
-    With M = E * mask * w on each modality's embedded coordinates, the sums
-    of M * diff over proto windows A (P, n, E) and over query windows B
-    (P, m, E) give every gradient: 2 (A^T q - B^T p) for the block-diagonal
-    embedding Wb, 2 A Wb for the query and -2 B Wb for the proto features.
-    Returns the flat metric gradient of every pair, (P, n_params) in the
-    ``to_vector`` layout, and with ``want_feature_grads`` the feature
-    gradients (P, n, 14) and (P, m, 14); otherwise those two are None.
+    ``caches`` come from ``_banded_costs`` and E is skewed like its costs,
+    (P, n + m - 1, n).  With M = E * mask * w on each modality's embedded
+    coordinates, the sums of M * diff over proto windows A (P, n, E) and
+    over query windows B (P, m, E) give every gradient: 2 (A^T q - B^T p)
+    for the block-diagonal embedding Wb, 2 A Wb for the query and -2 B Wb
+    for the proto features.  E is read at the kept cells only, and their
+    terms are summed on zero-filled (P, n, m, .) grids, in the order a dense
+    matrix sums them, so no gradient changes a bit.  Returns the flat metric
+    gradient of every pair, (P, n_params) in the ``to_vector`` layout, and
+    with ``want_feature_grads`` the feature gradients (P, n, 14) and
+    (P, m, 14); otherwise those two are None.
     """
-    qf, pf, Wb, diff, sq, mask = caches
-    w, (P, n, m) = model.weights, E.shape
+    qf, pf, Wb, diff, sq, mask, band = caches
+    w, (P, m, _), n = model.weights, pf.shape, qf.shape[-2]
+    keep, rows, cols = _skew_index(n, m, band)
     index = _block_layout(model.embed_dim)[0]
-    Em = E[..., None] * mask
-    dcost_dw = np.sum(Em * sq, axis=(1, 2))
+    Em = E[:, keep][..., None] * mask
+    grid = np.zeros((P, n, m, len(MODALITIES)))
+    grid[:, rows, cols] = Em * sq
+    dcost_dw = grid.sum(axis=(1, 2))
     Em *= w
     # M * diff overwrites the cached differences (the caches are used up)
-    Md = diff.reshape(P, n, m, len(MODALITIES), -1)
+    Md = diff.reshape(P, -1, len(MODALITIES), model.embed_dim)
     Md *= Em[..., None]
-    A, B = diff.sum(axis=2), diff.sum(axis=1)
+    grid = np.zeros((P, n, m, Wb.shape[0]))
+    grid[:, rows, cols] = diff
+    A, B = grid.sum(axis=2), grid.sum(axis=1)
     gW = 2.0 * (np.swapaxes(A, 1, 2) @ qf - np.swapaxes(B, 1, 2) @ pf)
     G = np.empty((P, index.size + len(MODALITIES)))
     G[:, :index.size] = gW.reshape(P, -1)[:, index]
@@ -281,65 +286,56 @@ class AlignmentResult:
 
 @functools.lru_cache(maxsize=256)
 def _skew_index(n: int, m: int, band: int):
-    """Where ``_skew`` reads each entry of its layout from: the flat index
-    ``i * m + j`` into an (n, m) matrix and whether the cell is kept (on the
-    grid and inside the band), both (n + m - 1, n); and the row i and column
-    j of every kept cell, in the order of ``flat[keep]``.  Read-only, and
-    cached per (n, m, band): they depend on nothing else."""
+    """The cells the band keeps in the skewed layout of an (n, m) grid:
+    ``keep`` (n + m - 1, n) marks entry (d, i), cell (i, d - i), when it is
+    on the grid and inside the band, and ``rows`` and ``cols`` hold the row
+    and column of every kept cell, in the order of ``layout[keep]``.
+    Read-only, and cached per (n, m, band): they depend on nothing else."""
     d = np.arange(n + m - 1)[:, None]
     i = np.arange(n)[None, :]
     j = d - i
-    jc = np.clip(j, 0, m - 1)
-    keep = (j >= 0) & (j < m) & band_mask(n, m, band)[i, jc]
-    flat = i * m + jc
-    rows, cols = np.divmod(flat[keep], m)
-    for a in (flat, keep, rows, cols):
+    keep = (j >= 0) & (j < m) & band_mask(n, m, band)[i, np.clip(j, 0, m - 1)]
+    rows, cols = np.broadcast_to(i, keep.shape)[keep], j[keep]
+    for a in (keep, rows, cols):
         a.setflags(write=False)
-    return flat, keep, rows, cols
+    return keep, rows, cols
 
 
-def _skew(cost: np.ndarray, band: int) -> np.ndarray:
-    """Skewed banded layout of a (P, n, m) cost stack, (P, n + m - 1, n).
+def _banded_costs(model: MetricModel, query, proto, band: int):
+    """Costs of the cells inside the band, in the skewed layout every
+    recursion runs on, and the caches of their backward pass.
 
-    ``skew[:, d, i]`` holds cell (i, d - i), so row d is anti-diagonal d;
-    cells outside the band or off the (n, m) grid are inf.  Cells on one
-    anti-diagonal depend only on the two before it (forward) or the two after
-    it (backward), so a recursion sweeps the rows of this layout, each one a
-    single vectorized step over every pair and every cell of the diagonal.
-    The stack is stored diagonal-major, as a view of a (n + m - 1, n, P)
-    array, the layout ``_sweep`` runs on.
-    """
-    P, n, m = cost.shape
-    flat, keep, _, _ = _skew_index(n, m, band)
-    skew = np.where(keep[..., None], cost.reshape(P, n * m).T[flat], np.inf)
-    return skew.transpose(2, 0, 1)
+    ``proto`` is a stack of P prototypes of one length m, (P, m, F), and
+    ``query`` one (n, F) sequence or a stack (P, n, F) whose query p pairs
+    with prototype p.  ``skew[:, d, i]`` (P, n + m - 1, n) holds cell
+    (i, d - i), so row d is anti-diagonal d, which depends only on the two
+    before it (forward) or after it (backward); cells outside the band or
+    off the grid are inf.  It is a view of a diagonal-major (n + m - 1, n,
+    P) array, the layout ``_sweep`` runs on.
 
-
-def _banded_costs(model: MetricModel, query, proto, band: int) -> np.ndarray:
-    """``_skew(cost_matrix(model, query, proto)[0], band)``, bit for bit,
-    from the cells the band keeps alone.
-
-    ``query`` is one (n, F) window sequence and ``proto`` a stack of P of
-    one length m, (P, m, F).  The embedded query and prototype rows of the
-    kept cells (``_skew_index``) are gathered into (P, C, E) differences and
-    reduced by ``_cell_costs``, as ``cost_matrix`` reduces all n * m cells;
-    no (P, n, m, E) array is built.  The costs are written straight into
-    the diagonal-major skewed layout, inf elsewhere.
+    Both sides are embedded once by the block-diagonal Wb (E, 14), the rows
+    of the kept cells (``_skew_index``) are gathered into (P, C, E)
+    differences and ``_cell_costs`` reduces them, so each cost equals the
+    dense ``cost_matrix`` cell bit for bit and identical windows cost 0.
+    The caches ``(qf, pf, Wb, diff, sq, mask, band)`` feed
+    ``_cost_gradients``.
     """
     qf, qp = _pack(query)
     pf, pp = _pack(proto)
-    (P, m, _), n = pf.shape, qf.shape[0]
-    _, keep, rows, cols = _skew_index(n, m, band)
+    _check_schema(qf, pf)
+    (P, m, _), n = pf.shape, qf.shape[-2]
+    keep, rows, cols = _skew_index(n, m, band)
     Wb = _block_embedding(model)
-    diff = np.take(_rows(qf, Wb.T), rows, axis=0) - np.take(_rows(pf, Wb.T), cols, axis=1)
-    cost, _ = _cell_costs(model, diff, np.take(qp, rows, axis=0) & np.take(pp, cols, axis=1))
+    diff = np.take(_rows(qf, Wb.T), rows, axis=-2) - np.take(_rows(pf, Wb.T), cols, axis=1)
+    mask = np.take(qp, rows, axis=-2) & np.take(pp, cols, axis=1)
+    cost, sq = _cell_costs(model, diff, mask)
     skew = np.full(keep.shape + (P,), np.inf)
     skew[keep] = cost.T
-    return skew.transpose(2, 0, 1)
+    return skew.transpose(2, 0, 1), (qf, pf, Wb, diff, sq, mask, band)
 
 
 def _unskew(S: np.ndarray, n: int, m: int) -> np.ndarray:
-    """(P, n, m) view of a skewed table laid out like ``_skew``."""
+    """(P, n, m) view of a skewed table laid out like ``_banded_costs``."""
     ii, jj = np.indices((n, m))
     return S[:, ii + jj, ii]
 
@@ -348,13 +344,16 @@ def _sweep(skew: np.ndarray, step) -> np.ndarray:
     """Forward recursion R[i, j] = step(cost[i, j], R[i-1, j], R[i, j-1],
     R[i-1, j-1]) over a skewed cost stack, with R[0, 0] = cost[0, 0].
 
+    ``skew`` comes from ``_banded_costs``, the one producer of costs:
+    exact DTW (``dtw``, ``match``) sweeps it with ``_hard_step`` and
+    soft-DTW (``_soft_dtw_tables``) with ``_soft_step``.
     ``step(cost, vertical, horizontal, diagonal, out)`` fills ``out`` for one
     anti-diagonal.  Returns the skewed table, (P, n + m - 1, n) like
     ``skew``; a predecessor off the grid is inf.  The recursion runs
     diagonal-major, on a C-contiguous (n + m, n + 1, P) table, so each step
-    reads and writes contiguous (n, P) rows of all pairs at once; the
-    table is returned as a (P, n + m - 1, n) view of it.  A ``skew``
-    stored that way (``_skew``, ``_banded_costs``) is read without a copy.
+    reads and writes contiguous (n, P) rows of all pairs at once, and
+    ``skew``, stored that way, is read without a copy; the table is
+    returned as a (P, n + m - 1, n) view of it.
     """
     P, D, n = skew.shape
     cost = np.ascontiguousarray(skew.transpose(1, 2, 0))
@@ -371,17 +370,6 @@ def _hard_step(cost, vertical, horizontal, diagonal, out):
     np.minimum(diagonal, vertical, out=out)
     np.minimum(out, horizontal, out=out)
     np.add(cost, out, out=out)
-
-
-def _dtw_tables(cost: np.ndarray, band: int) -> np.ndarray:
-    """Banded exact-DTW tables D for a (P, n, m) stack of cost matrices.
-
-    D[p, i, j] = cost[p, i, j] + min(D[p, i-1, j-1], D[p, i-1, j],
-    D[p, i, j-1]) inside the band and inf outside it or where no monotone
-    path reaches the cell.
-    """
-    _, n, m = cost.shape
-    return _unskew(_sweep(_skew(cost, band), _hard_step), n, m)
 
 
 def _backtrack(D: np.ndarray) -> list:
@@ -412,21 +400,23 @@ def _warping_path(S: np.ndarray) -> list:
 def dtw(model: MetricModel, query, proto, band: int = 3) -> AlignmentResult:
     """Exact minimum-cost banded alignment with deterministic backtracking.
 
-    The table comes from the banded recursion ``match`` runs over a whole
-    library (``_dtw_tables`` on a stack of one).  Backtracking prefers the
-    diagonal predecessor, then the vertical (previous query window) one.
+    ``match``'s banded recursion on a stack of one: ``_banded_costs``, the
+    hard-min ``_sweep``, the distance from the last cell and the path from
+    ``_warping_path``.  Backtracking prefers the diagonal predecessor, then
+    the vertical (previous query window) one.
     """
     if band < 1:
         raise ValueError("band must be >= 1")
-    cost, _ = cost_matrix(model, query, proto)
-    n, m = cost.shape
-    if n < 2 or m < 2:
+    qf, qp = _pack(query)
+    pf, pp = _pack(proto)
+    n = qf.shape[0]
+    if n < 2 or pf.shape[0] < 2:
         raise ValueError("both sequences need at least 2 windows")
-    D = _dtw_tables(cost[None], band)[0]
-    distance = float(D[n - 1, m - 1])
-    if not np.isfinite(distance):
+    S = _sweep(_banded_costs(model, (qf, qp), (pf[None], pp[None]), band)[0], _hard_step)[0]
+    distance = float(S[-1, n - 1])
+    if not math.isfinite(distance):
         raise BandTooNarrowError("band too narrow: no admissible warping path")
-    return AlignmentResult(distance, _backtrack(D), math.exp(-model.beta * distance))
+    return AlignmentResult(distance, _warping_path(S), math.exp(-model.beta * distance))
 
 
 # ---------------------------------------------------------------------------
@@ -457,20 +447,19 @@ def _soft_step(gamma: float):
     return step
 
 
-def _soft_dtw_tables(cost: np.ndarray, band: int, gamma: float):
-    """Banded soft-DTW over a (P, n, m) stack of cost matrices.
+def _soft_dtw_tables(skew: np.ndarray, gamma: float):
+    """Banded soft-DTW over a skewed cost stack from ``_banded_costs``.
 
-    Returns the values (P,), the forward soft-min tables R (P, n, m), inf
-    outside the band, and the backward weight tables E = dvalue/dcost
-    (P, n, m) (Cuturi & Blondel 2017).  Both recursions sweep anti-diagonals
-    of the diagonal-major ``_skew`` layout; E adds its successors'
-    contributions in the order vertical, horizontal, diagonal.  Raises
-    ``BandTooNarrowError`` if any pair has no admissible path.
+    Returns the values (P,), the forward soft-min tables R and the backward
+    weight tables E = dvalue/dcost (Cuturi & Blondel 2017), both skewed
+    like ``skew``, (P, n + m - 1, n): R is inf and E is 0 outside the band.
+    R is the soft-min ``_sweep``; E sweeps the same anti-diagonals in
+    reverse, adding its successors' contributions in the order vertical,
+    horizontal, diagonal.  Raises ``BandTooNarrowError`` if any pair has no
+    admissible path.
     """
-    P, n, m = cost.shape
-    skew = _skew(cost, band)
+    P, D, n = skew.shape
     Rs = _sweep(skew, _soft_step(gamma))
-    D = n + m - 1
     values = Rs[:, D - 1, n - 1]
     if not np.all(np.isfinite(values)):
         raise BandTooNarrowError("band too narrow: no admissible warping path")
@@ -497,14 +486,14 @@ def _soft_dtw_tables(cost: np.ndarray, band: int, gamma: float):
         acc += Es[k + 1, :n] * wh[k]
         acc += Es[k + 2, 1:] * wd[k]
         Es[k, :n] = acc
-    return values, _unskew(Rs, n, m), _unskew(Es.transpose(2, 0, 1), n, m)
+    return values, Rs, Es[:D, :n].transpose(2, 0, 1)
 
 
 def _soft_dtw_pairs(model: MetricModel, pairs, band: int, gamma: float,
                     want_feature_grads: bool = False):
     """Soft-DTW value and gradients of every ``(query, proto)`` pair.
 
-    Pairs of one (n, m) shape run together: one ``cost_matrix``, one
+    Pairs of one (n, m) shape run together: one ``_banded_costs``, one
     ``_soft_dtw_tables`` and one ``_cost_gradients`` per shape.  Returns the
     values (N,), the flat metric gradients (N, n_params) and, with
     ``want_feature_grads``, a list of (dquery, dproto) per pair.
@@ -525,8 +514,8 @@ def _soft_dtw_pairs(model: MetricModel, pairs, band: int, gamma: float,
     for members in groups.values():
         query = tuple(np.stack([packed[k][0][t] for k in members]) for t in (0, 1))
         proto = tuple(np.stack([packed[k][1][t] for k in members]) for t in (0, 1))
-        cost, caches = cost_matrix(model, query, proto)
-        vals, _, E = _soft_dtw_tables(cost, band, gamma)
+        skew, caches = _banded_costs(model, query, proto, band)
+        vals, _, E = _soft_dtw_tables(skew, gamma)
         g, dq, dp = _cost_gradients(model, caches, E, want_feature_grads)
         values[members] = vals
         G[members] = g
@@ -545,8 +534,8 @@ def soft_dtw(model: MetricModel, query, proto, band: int = 3,
     dvalue/dproto_features)``; the metric gradient is flat, in the
     ``MetricModel.to_vector`` layout.  The value is always <= the exact dtw
     distance on the same inputs and can be negative for near-identical
-    sequences.  The tables come from the stacked kernel ``_soft_dtw_tables``
-    on a stack of one.
+    sequences.  The tables come from ``_banded_costs`` and the stacked
+    kernel ``_soft_dtw_tables`` on a stack of one.
     """
     values, G, fgrads = _soft_dtw_pairs(model, [(query, proto)], band, gamma,
                                         want_feature_grads)
@@ -743,12 +732,19 @@ def match(model: MetricModel, selector, live_window, library, band: int,
     recursion runs on; distances are read from the last cell of each
     recursion, and a result's table is unskewed and its path backtracked
     only when its ``.path`` is first read.  Ties break on the smaller
-    prototype id.  An empty library yields an empty list.
+    prototype id.  An empty library yields an empty list, once ``band`` and
+    the live window have passed the checks a non-empty one applies.
     """
     # imported at call time, so a rebinding of these names in the filters
     # module (bench/spans.py traces them that way) takes effect here
     from .filters import denoise_matrix, select_filter
 
+    if band < 1:
+        raise ValueError("band must be >= 1")
+    qf, qp = _pack(live_window)
+    n = qf.shape[0]
+    if n < 2:
+        raise ValueError("both sequences need at least 2 windows")
     if isinstance(library, FingerprintLibrary):
         groups = library.length_groups()
     else:
@@ -756,12 +752,11 @@ def match(model: MetricModel, selector, live_window, library, band: int,
         groups = group_by_length((pid, _pack(proto)) for pid, proto in entries)
     if not groups:
         return []
-    if band < 1:
-        raise ValueError("band must be >= 1")
-    qf, qp = _pack(live_window)
-    n = qf.shape[0]
-    if n < 2 or min(pf.shape[1] for _, pf, _ in groups) < 2:
+    if min(pf.shape[1] for _, pf, _ in groups) < 2:
         raise ValueError("both sequences need at least 2 windows")
+    # before the live window is stacked onto a group for filtering
+    for _, pf, _ in groups:
+        _check_schema(qf, pf)
     choice = select_filter(selector, ctx)
     # the live window rides on top of the group of its own length, so one
     # filter pass serves both; with no such group it is filtered alone
@@ -777,7 +772,7 @@ def match(model: MetricModel, selector, live_window, library, band: int,
     for (ids, pf, pp), pf_filtered in zip(groups, filtered):
         if pf_filtered is None:
             pf_filtered = denoise_matrix(choice, pf)
-        S = _sweep(_banded_costs(model, query, (pf_filtered, pp), band), _hard_step)
+        S = _sweep(_banded_costs(model, query, (pf_filtered, pp), band)[0], _hard_step)
         last = S[:, -1, n - 1].tolist()
         for t, (pid, distance) in enumerate(zip(ids, last)):
             if math.isfinite(distance):

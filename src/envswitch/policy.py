@@ -66,12 +66,6 @@ class RewardWeights:
             raise ValueError("at least one reward weight must be positive")
 
 
-def composite_reward(weights: RewardWeights, dtime: float, sim: float,
-                     hf: float) -> float:
-    """R = eta * dtime + lam * sim + gamma_hf * hf (exactly linear)."""
-    return weights.eta * dtime + weights.lam * sim + weights.gamma_hf * hf
-
-
 @dataclass
 class PolicyModel:
     """Small map from state features to 4 action logits plus a value head."""
@@ -80,14 +74,8 @@ class PolicyModel:
 
     @classmethod
     def from_seed(cls, seed: int, hidden: int = 32, n_inputs: int = STATE_DIM,
-                  n_actions: int = N_ACTIONS, hold_bias: float = 0.0) -> "PolicyModel":
-        """``hold_bias`` > 0 starts the policy conservative: holding is the
-        prior and handover is rare, so exploration reaches late timesteps."""
-        net = TwoLayerNet.from_seed(n_inputs, hidden, n_actions + 1, seed)
-        if hold_bias:
-            net.b2[0] += hold_bias
-            net.b2[n_actions - 1] -= hold_bias
-        return cls(net)
+                  n_actions: int = N_ACTIONS) -> "PolicyModel":
+        return cls(TwoLayerNet.from_seed(n_inputs, hidden, n_actions + 1, seed))
 
     @classmethod
     def zeros(cls, hidden: int = 32, n_inputs: int = STATE_DIM,

@@ -606,15 +606,17 @@ def segment_before(trace: RawTrace, t_event: float,
 def detect_outdoor_transition(trace: RawTrace, cfg: EngineConfig) -> float | None:
     """The first second where all three exit conditions hold, or None.
 
-    (a) continuous high-confidence GNSS, (b) WiFi weak or sharply decaying
-    within 5 s, (c) PDR motion consistent with a door exit.
+    (a) continuous high-confidence GNSS, (b) WiFi weak (below
+    ``cfg.baseline.threshold_dbm``, the level ``trigger_guide`` calls weak)
+    or sharply decaying within 5 s, (c) PDR motion consistent with a door
+    exit.
     """
     rssi = trace.serving_rssi()
     outdoor = [z in trace.scenario.outdoor_zones for z in trace.sec_zone]
     for i in range(len(trace.sec_t)):
         t = float(trace.sec_t[i])
         gnss_ok = i >= 1 and bool(trace.gnss_fix[i]) and bool(trace.gnss_fix[i - 1])
-        wifi_decay = bool(rssi[i] < -75.0
+        wifi_decay = bool(rssi[i] < cfg.baseline.threshold_dbm
                           or (i >= 5 and rssi[i] - rssi[i - 5] <= -8.0))
         pdr_exit = bool(outdoor[i] and trace.door_time is not None
                         and 0.0 <= t - trace.door_time <= 5.0)

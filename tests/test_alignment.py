@@ -6,9 +6,9 @@ import pytest
 
 from envswitch import alignment
 from envswitch.alignment import (BandTooNarrowError, MetricModel, _backtrack,
-                                 _banded_costs, _dtw_tables, _skew, _skew_index,
-                                 _soft_dtw_pairs, _soft_dtw_tables,
-                                 band_mask,
+                                 _banded_costs, _hard_step, _skew_index,
+                                 _soft_dtw_pairs, _soft_dtw_tables, _sweep,
+                                 _unskew, band_mask,
                                  cell_cost, cost_matrix, dtw, in_band,
                                  margin_loss,
                                  margin_loss_grads, match,
@@ -28,7 +28,7 @@ from conftest import make_fingerprint, make_sequence, random_packed
 
 def brute_force_distance(model, query, proto, band):
     """Exhaustive minimum over banded monotone paths (independent oracle)."""
-    cost, _ = cost_matrix(model, query, proto)
+    cost = cost_matrix(model, query, proto)
     n, m = cost.shape
     best = [math.inf]
 
@@ -50,6 +50,25 @@ def brute_force_distance(model, query, proto, band):
 
     walk(0, 0, 0.0)
     return best[0]
+
+
+def skewed(cost, band):
+    """A raw (P, n, m) cost stack in the skewed layout ``_banded_costs``
+    writes: the cells ``_skew_index`` keeps, inf elsewhere."""
+    P, n, m = cost.shape
+    keep, rows, cols = _skew_index(n, m, band)
+    skew = np.full(keep.shape + (P,), np.inf)
+    skew[keep] = cost[:, rows, cols].T
+    return skew.transpose(2, 0, 1)
+
+
+def dtw_tables(cost, band):
+    """Exact-DTW tables (P, n, m) of a raw cost stack, by the banded sweep."""
+    return _unskew(_sweep(skewed(cost, band), _hard_step), *cost.shape[1:])
+
+
+def stacked(protos):
+    return tuple(np.stack(a) for a in zip(*protos))
 
 
 def reference_backtrack(D):
@@ -230,7 +249,7 @@ class TestDtw:
         for trial in range(60):
             n, m = (int(v) for v in rng.integers(2, 8, size=2))
             cost = rng.integers(0, 3, size=(1, n, m)).astype(float)
-            D = _dtw_tables(cost, int(rng.integers(1, 4)))[0]
+            D = dtw_tables(cost, int(rng.integers(1, 4)))[0]
             if not np.isfinite(D[-1, -1]):
                 continue
             path = _backtrack(D)
@@ -279,12 +298,10 @@ class TestBatchedDtw:
         for n, m, P in ((2, 9, 3), (10, 10, 24), (7, 3, 1)):
             q = random_packed(rng, n)
             protos = [random_packed(rng, m) for _ in range(P)]
-            stacked = (np.stack([p[0] for p in protos]),
-                       np.stack([p[1] for p in protos]))
-            cost, _ = cost_matrix(model, q, stacked)
+            cost = cost_matrix(model, q, stacked(protos))
             assert cost.shape == (P, n, m)
             for k, p in enumerate(protos):
-                assert np.array_equal(cost[k], cost_matrix(model, q, p)[0])
+                assert np.array_equal(cost[k], cost_matrix(model, q, p))
 
     def test_stacked_kernel_equals_cell_cost(self, rng):
         # the one block-diagonal kernel must agree with the scalar
@@ -307,7 +324,7 @@ class TestBatchedDtw:
             for p, i, j in copies:
                 pf[p, j], pp[p, j] = qf[p, i], qp[p, i]
             query = (qf, qp) if stacked else (qf[0], qp[0])
-            cost, _ = cost_matrix(model, query, (pf, pp))
+            cost = cost_matrix(model, query, (pf, pp))
             assert cost.shape == (P, n, m)
             for p in range(P):
                 for i in range(n):
@@ -329,9 +346,9 @@ class TestBatchedDtw:
             model = MetricModel.from_seed(trial, noise=0.3)
             q = random_packed(rng, n)
             protos = [random_packed(rng, m) for _ in range(P)]
-            cost, _ = cost_matrix(model, q, (np.stack([p[0] for p in protos]),
-                                             np.stack([p[1] for p in protos])))
-            got = _dtw_tables(cost, band)[:, n - 1, m - 1]
+            cost = cost_matrix(model, q, stacked(protos))
+            skew, _ = _banded_costs(model, q, stacked(protos), band)
+            got = _sweep(skew, _hard_step)[:, -1, n - 1]
             for k, p in enumerate(protos):
                 want = scalar_banded_distance(cost[k], band)
                 assert got[k] == want
@@ -352,7 +369,7 @@ class TestBatchedDtw:
             band = 1 + trial % 4
             P = int(rng.integers(2, 7))
             cost = rng.uniform(0.0, 3.0, size=(P, n, m))
-            D = _dtw_tables(cost, band)
+            D = dtw_tables(cost, band)
             assert D.shape == (P, n, m)
             for k in range(P):
                 assert np.array_equal(D[k], scalar_banded_table(cost[k], band))
@@ -466,16 +483,17 @@ class TestSoftDtwKernel:
             model = MetricModel.from_seed(trial, noise=0.3)
             q = random_packed(rng, n)
             protos = [random_packed(rng, m) for _ in range(P)]
-            cost, _ = cost_matrix(model, q, (np.stack([p[0] for p in protos]),
-                                             np.stack([p[1] for p in protos])))
+            cost = cost_matrix(model, q, stacked(protos))
+            skew, _ = _banded_costs(model, q, stacked(protos), band)
             try:
                 oracles = [scalar_soft_dtw_tables(c, band, gamma) for c in cost]
             except BandTooNarrowError:
                 with pytest.raises(BandTooNarrowError):
-                    _soft_dtw_tables(cost, band, gamma)
+                    _soft_dtw_tables(skew, gamma)
                 narrow += 1
                 continue
-            values, R, E = _soft_dtw_tables(cost, band, gamma)
+            values, R, E = _soft_dtw_tables(skew, gamma)
+            R, E = _unskew(R, n, m), _unskew(E, n, m)
             for k, (value, R_k, E_k) in enumerate(oracles):
                 assert values[k] == value
                 assert np.array_equal(R[k], R_k[1:, 1:])
@@ -486,8 +504,7 @@ class TestSoftDtwKernel:
     def test_soft_dtw_is_kernel_on_stack_of_one(self, rng):
         model = MetricModel.from_seed(4, noise=0.3)
         q, p = random_packed(rng, 7), random_packed(rng, 5)
-        cost, _ = cost_matrix(model, q, p)
-        value, _, _ = scalar_soft_dtw_tables(cost, 2, 0.1)
+        value, _, _ = scalar_soft_dtw_tables(cost_matrix(model, q, p), 2, 0.1)
         assert soft_dtw_value(model, q, p, 2, 0.1) == value
 
     def test_too_narrow_band_raises_everywhere(self, rng):
@@ -739,6 +756,16 @@ class TestMatch:
         assert match(MetricModel.identity(), SelectorModel.zeros(),
                      make_sequence(rng, 5), lib, 3, 3, FilterContext()) == []
 
+    @pytest.mark.parametrize("empty", [True, False])
+    def test_inputs_checked_before_the_library(self, rng, empty):
+        # an empty library must not hide a bad band or a one-window live query
+        lib = FingerprintLibrary() if empty else self.build_library(rng, [make_sequence(rng, 5)])
+        args = (MetricModel.identity(), SelectorModel.zeros())
+        with pytest.raises(ValueError, match="band"):
+            match(*args, make_sequence(rng, 5), lib, 0, 3, FilterContext())
+        with pytest.raises(ValueError, match="2 windows"):
+            match(*args, make_sequence(rng, 1), lib, 3, 3, FilterContext())
+
     def test_similarity_is_monotone_in_distance(self, rng):
         model = MetricModel.from_seed(11)
         results = []
@@ -828,18 +855,26 @@ class TestBandedCosts:
                 m = n + 1
             band = 1 + trial % 4
             model = MetricModel.from_seed(trial, noise=0.3)
-            qf, qp = random_packed(rng, n)
-            pf, pp = (np.stack(a) for a in zip(*[random_packed(rng, m) for _ in range(P)]))
+            # a stack pairing query p with prototype p, or one query for all
+            qf, qp = stacked([random_packed(rng, n) for _ in range(P)])
+            if trial % 2:
+                qf, qp = qf[0], qp[0]
+            pf, pp = stacked([random_packed(rng, m) for _ in range(P)])
             if trial % 3 == 0:             # a modality absent on one side throughout
                 (qp if trial % 2 else pp)[..., trial % 5] = False
-            absent += int(not qp.any(axis=0).all() or not pp.any(axis=(0, 1)).all())
-            skew = _banded_costs(model, (qf, qp), (pf, pp), band)
-            cost, _ = cost_matrix(model, (qf, qp), (pf, pp))
-            flat, keep, rows, cols = _skew_index(n, m, band)
-            assert np.array_equal(rows * m + cols, flat[keep])
+            absent += int(not qp.any(axis=-2).all() or not pp.any(axis=(0, 1)).all())
+            skew, _ = _banded_costs(model, (qf, qp), (pf, pp), band)
+            cost = cost_matrix(model, (qf, qp), (pf, pp))
+            keep, rows, cols = _skew_index(n, m, band)
+            # entry (d, i) of the layout is cell (i, d - i); kept cells are
+            # exactly the band's
+            d, i = np.nonzero(keep)
+            assert np.array_equal(rows, i) and np.array_equal(cols, d - i)
+            assert band_mask(n, m, band)[rows, cols].all()
+            assert keep.sum() == band_mask(n, m, band).sum()
             assert np.array_equal(skew[:, keep], cost[:, rows, cols])
             assert np.isinf(skew[:, ~keep]).all()
-            assert np.array_equal(skew, _skew(cost, band))
+            assert np.array_equal(skew, skewed(cost, band))
         assert absent > 0
 
 
@@ -941,10 +976,24 @@ class TestLengthGroups:
                 feats[0, 0, 0] = 1.0
             with pytest.raises(ValueError):
                 pres[0, 0, 0] = False
-        flat, keep, rows, cols = _skew_index(6, 4, 2)
-        for a, v in ((flat, 1), (keep, False), (rows, 1), (cols, 1)):
+        keep, rows, cols = _skew_index(6, 4, 2)
+        for a, v in ((keep, False), (rows, 1), (cols, 1)):
             with pytest.raises(ValueError):
                 a.flat[0] = v
+
+
+class TestSchemaMismatch:
+    def test_narrow_query_raises_everywhere(self, rng):
+        model = MetricModel.identity()
+        feats, pres = random_packed(rng, 5)
+        narrow, proto = (feats[:, :13], pres), random_packed(rng, 5)
+        for align in (dtw, soft_dtw):
+            with pytest.raises(ValueError, match="schema"):
+                align(model, narrow, proto)
+        # the live length shared by a prototype group, and by none
+        for library in ([("a", proto)], [("a", random_packed(rng, 6))]):
+            with pytest.raises(ValueError, match="schema"):
+                match(model, SelectorModel.zeros(), narrow, library, 3, 1, FilterContext())
 
 
 class TestMaskConsistency:

@@ -362,6 +362,17 @@ class TestWindowing:
         assert t_detect is not None
         assert trace.door_time <= t_detect <= trace.door_time + 12.0
 
+    def test_detection_follows_the_configured_threshold(self):
+        # a flat -70 dBm link never decays sharply, so only the weak-WiFi
+        # level decides condition (b)
+        trace = generate(make_scenario("C", 3, CFG.radio, CFG.walker),
+                         CFG.radio, CFG.walker)
+        flat = dataclasses.replace(trace, rssi_by_ap=np.full_like(trace.rssi_by_ap, -70.0))
+        assert detect_outdoor_transition(flat, CFG) is None
+        weak_at_70 = dataclasses.replace(
+            CFG, baseline=dataclasses.replace(CFG.baseline, threshold_dbm=-65.0))
+        assert detect_outdoor_transition(flat, weak_at_70) == detect_outdoor_transition(trace, CFG)
+
     def test_no_transition_on_site_a(self):
         trace = generate(make_scenario("A", 3, CFG.radio, CFG.walker),
                          CFG.radio, CFG.walker)
