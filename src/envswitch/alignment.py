@@ -435,14 +435,19 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
 
 def _soft_step(gamma: float):
     """Soft-min step: cost + lo - gamma * log(sum exp(-(v - lo) / gamma))
-    over the finite predecessors v, lo their minimum; inf if none is finite."""
+    over the finite predecessors v, lo their minimum; inf if none is finite.
+
+    Only the terms libm would round are sent to it: a predecessor equal to
+    lo contributes exp(-0) = 1 and an infinite one exp(-inf) = 0, exactly.
+    """
     def step(cost, vertical, horizontal, diagonal, out):
         lo = np.minimum(np.minimum(vertical, horizontal), diagonal)
         ok = np.isfinite(cost) & np.isfinite(lo)
         lo = lo[ok]
-        # an infinite predecessor contributes exp(-inf) = 0
-        e = _libm(math.exp, (-(np.stack([vertical[ok], horizontal[ok], diagonal[ok]])
-                               - lo) / gamma).ravel()).reshape(3, -1)
+        gap = np.stack([vertical[ok], horizontal[ok], diagonal[ok]]) - lo
+        e = (gap == 0.0).astype(float)
+        rest = np.isfinite(gap) & (gap != 0.0)
+        e[rest] = _libm(math.exp, -gap[rest] / gamma)
         out[ok] = cost[ok] + (lo - gamma * _libm(math.log, e[0] + e[1] + e[2]))
     return step
 

@@ -8,15 +8,18 @@ improvement against the threshold baseline, matching quality, and simulated
 human feedback.
 """
 
+import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from . import alignment
 from .config import EngineConfig
 from .filters import context_from_windows
-from .fingerprints import MODALITIES, N_FEATURES
+from .fingerprints import FEATURE_NAMES, MODALITIES, N_FEATURES
 from .mlp import Adam, TwoLayerNet, softmax
 from .serialize import dump_tensors, parse_tensors
 from .sim import (RawTrace, baseline_policy, feedback_oracle, fingerprint_at,
@@ -40,12 +43,11 @@ class PolicyState:
     on_cell: float = 0.0          # current link: 0 WiFi, 1 cellular
 
     def features(self) -> np.ndarray:
-        v = np.array([self.similarity, self.sim_trend, self.rssi,
-                      self.gnss_fix, self.step_rate, self.scan_age,
-                      self.on_cell])
-        if not np.all(np.isfinite(v)):
+        v = (self.similarity, self.sim_trend, self.rssi, self.gnss_fix,
+             self.step_rate, self.scan_age, self.on_cell)
+        if not all(map(math.isfinite, v)):
             raise ValueError("policy state features must be finite")
-        return v
+        return np.array(v)
 
 
 def normalize_rssi(dbm: float) -> float:
@@ -112,21 +114,54 @@ def act(model: PolicyModel, state, mode: str = "sample", rng=None,
     With a ``guide`` action index, ``sample`` draws from the behaviour
     mixture (1 - guide_eps) * policy + guide_eps * onehot(guide) and returns
     the mixture's log-prob, so the PPO ratio stays a valid importance weight.
+    A draw is ``rng.choice(n_actions, p=probs)`` computed as ``_draw`` does.
     """
-    feats = state.features() if isinstance(state, PolicyState) else np.asarray(state, dtype=float)
-    logits, value = model.logits_value(feats)
-    probs = softmax(logits)
+    feats = state.features() if isinstance(state, PolicyState) else state
+    out, _ = model.net.forward(feats)
+    row = out.tolist()
+    # ``mlp.softmax`` of the logits; Python's max of the row is numpy's
+    e = np.exp(out[:-1] - max(row[:-1]))
+    probs = e / e.sum()
     if mode == "greedy":
-        idx = int(np.argmax(probs))
+        idx = int(probs.argmax())
     elif mode == "sample":
         if guide is not None:
             probs = (1.0 - guide_eps) * probs
             probs[guide] += guide_eps
-        rng = rng if rng is not None else np.random.default_rng(0)
-        idx = int(rng.choice(len(probs), p=probs))
+        idx = _draw(probs, rng if rng is not None else np.random.default_rng(0))
     else:
         raise ValueError(f"unknown mode: {mode!r}")
-    return idx, float(np.log(probs[idx])), float(value)
+    return idx, float(np.log(probs[idx])), row[-1]
+
+
+# numpy's tolerance on the sum of ``p`` in ``Generator.choice``
+_P_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _draw(probs: np.ndarray, rng) -> int:
+    """``int(rng.choice(len(probs), p=probs))``, by numpy's own algorithm.
+
+    The cumulative sum, divided by its last entry, is searched (side
+    "right") for one ``rng.random()``, so the result and the generator's
+    state after the draw are those of ``choice``.  Before the draw, ``p``
+    gets ``choice``'s checks, on the same compensated sum: a NaN sum, a
+    negative entry or a sum more than sqrt(eps) from 1 raises ValueError.
+    """
+    p = probs.tolist()
+    total, carry = p[0], 0.0
+    for q in p[1:]:
+        y = q - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    if math.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if min(p) < 0.0:
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _P_ATOL:
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = list(accumulate(p))
+    return bisect_right([c / cdf[-1] for c in cdf], rng.random())
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +222,11 @@ def gae_advantages(rewards, values, discount: float, lam: float):
 class Trajectory:
     """One episode of interaction, with terminal reward components split out.
 
-    Episodes always run to the trace horizon; steps after the switch
-    completes are inert.  The terminal components (eta * dtime and
-    gamma_hf * hf) attach at ``terminal_step``, the step where the switch
-    completed (or the last step when censored).
+    Training episodes run to the trace horizon, and their steps after the
+    switch are inert; a ``greedy`` episode ends with its handover step.
+    The terminal components (eta * dtime and gamma_hf * hf) attach at
+    ``terminal_step``, the step where the switch completed (or the last
+    step when censored or cut at the handover).
     """
 
     states: np.ndarray            # (T, state_dim)
@@ -388,8 +424,10 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
 
     Action effects: scan_boost halves scan-age growth for a while,
     pre_associate cuts the eventual handover's association delay from 2 s to
-    0.5 s, handover completes the switch; afterwards the episode keeps
-    stepping inertly to the horizon so every rollout sees the same states.
+    0.5 s, handover completes the switch.  A ``greedy`` rollout ends with
+    the handover step; any other keeps stepping inertly to the horizon, so
+    every training rollout sees the same states.  Steps before the switch
+    read one ``fingerprint_at`` window each; inert steps read none.
     Per-step reward is lam * similarity plus shaping (trigger hint, healthy
     link credit); the completion step adds eta * dtime + gamma_hf * HF.
     ``trace`` is the scenario's generated trace and is required.
@@ -407,7 +445,7 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
                    cfg.reward.tts_report_floor_s)
 
     device = cfg.device
-    scan_times = set()
+    scan_times = []             # ascending, as fingerprint_at bisects it
     next_scan = 0.0
     boost_until = -1.0
     pre_associated = False
@@ -418,8 +456,19 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
     states_v, actions_v, logps, values, rewards = [], [], [], [], []
     scripted = isinstance(policy, ScriptedPolicy)
 
-    serving = trace.serving_rssi()
+    # per-second inputs, read once from the trace's arrays
+    serving = trace.serving_rssi().tolist()
+    rssi_feature = [normalize_rssi(dbm) for dbm in serving]
+    gnss_fix = [1.0 if fix else 0.0 for fix in trace.gnss_fix.tolist()]
+    last_sec = len(trace.sec_t) - 1
     horizon = int(trace.duration)
+    # step_rate[step - 1] counts the steps in [step - 1, step); step_times
+    # is sorted
+    steps_before = trace.step_times.searchsorted(
+        np.arange(horizon, dtype=float)).tolist()
+    step_rate = [min(1.0, (b - a) / 3.0)
+                 for a, b in zip(steps_before, steps_before[1:])]
+    affine = cfg.norm.affine(FEATURE_NAMES)
     # the live window, oldest first: rows [:k] of two preallocated buffers
     size = cfg.window.buffer_windows
     live_features = np.empty((size, N_FEATURES))
@@ -430,18 +479,18 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
         t = float(step)
         # device scan schedule
         while next_scan <= t:
-            scan_times.add(next_scan)
+            scan_times.append(next_scan)
             last_scan = next_scan
             period = (device.boosted_period_s if next_scan < boost_until
                       else device.scan_period_s)
             next_scan += period
         scan_age = t - last_scan
 
-        sec = min(step, len(trace.sec_t) - 1)
-        rssi = float(serving[sec])
+        sec = min(step, last_sec)
+        rssi = serving[sec]
         sim_top = 0.0
         if not switched:
-            window = fingerprint_at(trace, t, cfg, scan_times)
+            window = fingerprint_at(trace, t, cfg, scan_times, affine)
             if k == size:
                 # full: drop the oldest row
                 live_features[:-1] = live_features[1:]
@@ -455,15 +504,11 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
                                                live_present[:k], scan_age)
         sim_history.append(sim_top)
         trend = sim_top - (sim_history[-4] if len(sim_history) >= 4 else 0.0)
-        # steps in [t - 1, t); step_times is sorted
-        steps_from, steps_to = np.searchsorted(trace.step_times,
-                                               (t - 1.0, t)).tolist()
 
         state = PolicyState(
             similarity=sim_top, sim_trend=trend,
-            rssi=normalize_rssi(rssi),
-            gnss_fix=1.0 if trace.gnss_fix[sec] else 0.0,
-            step_rate=min(1.0, (steps_to - steps_from) / 3.0),
+            rssi=rssi_feature[sec], gnss_fix=gnss_fix[sec],
+            step_rate=step_rate[step - 1],
             scan_age=min(1.0, scan_age / 5.0),
             on_cell=1.0 if switched else 0.0)
 
@@ -513,6 +558,8 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
         logps.append(logp)
         values.append(value)
         rewards.append(reward)
+        if switched and mode == "greedy":
+            break
 
     censored = completion is None
     if censored:

@@ -14,6 +14,7 @@ time-to-switch metric, and the simulated human-feedback oracle.
 
 import hashlib
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -516,14 +517,17 @@ def feedback_oracle(completion: float, trace: RawTrace,
 
 
 def fingerprint_at(trace: RawTrace, t_end: float, cfg: EngineConfig,
-                   scan_times=None) -> Fingerprint:
+                   scan_times=None, affine: tuple | None = None) -> Fingerprint:
     """Summarize the window [t_end - cfg.window.window_s, t_end).
 
-    ``scan_times`` restricts WiFi scans to a device schedule; None means
-    every per-second sample is visible.  When the schedule leaves the window
-    without a WiFi scan, the freshest earlier scan inside the staleness
-    budget is carried over with decayed quality; beyond the budget WiFi is
-    marked absent.
+    ``scan_times``, an ascending sequence, restricts WiFi scans to a device
+    schedule; None means every per-second sample is visible.  When the
+    schedule leaves the window without a WiFi scan, the freshest earlier
+    scan inside the staleness budget is carried over with decayed quality;
+    beyond the budget WiFi is marked absent.  Both are found by bisecting
+    the schedule.  ``affine`` is ``cfg.norm.affine(FEATURE_NAMES)``; a
+    caller that makes many windows under one config builds it once and
+    passes it in, otherwise it is built here.
 
     The result is memoized on the trace, keyed on everything the window
     reads: t_end, the window length, the staleness budget, the
@@ -532,15 +536,19 @@ def fingerprint_at(trace: RawTrace, t_end: float, cfg: EngineConfig,
     """
     window_s, stale = cfg.window.window_s, cfg.device.wifi_stale_s
     t_start = t_end - window_s
-    lo, hi = np.searchsorted(trace.sec_t, (t_start, t_end)).tolist()
+    lo, hi = trace.sec_t.searchsorted((t_start, t_end)).tolist()
     scans = carried = None
     if scan_times is not None:
-        scans = tuple(i for i in range(lo, hi)
-                      if float(trace.sec_t[i]) in scan_times)
-        if not scans:
-            carried = max((s for s in scan_times if s < t_start), default=None)
+        # the schedule's scans in [t_start, t_end) are scan_times[a:b]
+        a = bisect_left(scan_times, t_start)
+        inside = scan_times[a:bisect_left(scan_times, t_end, a)]
+        scans = tuple(i for i, s in enumerate(trace.sec_t[lo:hi].tolist(), lo)
+                      if s in inside)
+        if not scans and a:
+            carried = scan_times[a - 1]
+    if affine is None:
+        affine = cfg.norm.affine(FEATURE_NAMES)
     # one memo per normalization, so its key is held once, not per window
-    affine = cfg.norm.affine(FEATURE_NAMES)
     memo = trace._windows.setdefault(affine, {})
     key = (t_end, window_s, stale, scans, carried)
     fp = memo.get(key)
@@ -555,8 +563,8 @@ def _summarize_trace_window(trace, t_start, t_end, sec_span, scans, carried,
     """``fingerprint_at`` on a memo miss, from slices of the trace's arrays;
     ``sec_span`` is the window's [lo, hi) range of seconds."""
     lo, hi = sec_span
-    lo_t, hi_t = np.searchsorted(trace.tick_t, (t_start, t_end)).tolist()
-    lo_s, hi_s = np.searchsorted(trace.step_times, (t_start, t_end)).tolist()
+    lo_t, hi_t = trace.tick_t.searchsorted((t_start, t_end)).tolist()
+    lo_s, hi_s = trace.step_times.searchsorted((t_start, t_end)).tolist()
     raw = {
         "pdr": pdr_summary(hi_s - lo_s, t_end - t_start,
                            trace.headings[lo_t:hi_t]),

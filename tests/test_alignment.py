@@ -6,8 +6,9 @@ import pytest
 
 from envswitch import alignment
 from envswitch.alignment import (BandTooNarrowError, MetricModel, _backtrack,
-                                 _banded_costs, _hard_step, _skew_index,
-                                 _soft_dtw_pairs, _soft_dtw_tables, _sweep,
+                                 _banded_costs, _hard_step, _libm, _skew_index,
+                                 _soft_dtw_pairs, _soft_dtw_tables, _soft_step,
+                                 _sweep,
                                  _unskew, band_mask,
                                  cell_cost, cost_matrix, dtw, in_band,
                                  margin_loss,
@@ -125,6 +126,19 @@ def _softmin3(a: float, b: float, c: float, gamma: float) -> float:
         if np.isfinite(v):
             s += math.exp(-(v - lo) / gamma)
     return lo - gamma * math.log(s)
+
+
+def all_libm_soft_step(gamma):
+    """The soft-min step with every exp term through libm, exp(-0) and
+    exp(-inf) included: the reference ``_soft_step`` must equal bit for bit."""
+    def step(cost, vertical, horizontal, diagonal, out):
+        lo = np.minimum(np.minimum(vertical, horizontal), diagonal)
+        ok = np.isfinite(cost) & np.isfinite(lo)
+        lo = lo[ok]
+        e = _libm(math.exp, (-(np.stack([vertical[ok], horizontal[ok], diagonal[ok]])
+                               - lo) / gamma).ravel()).reshape(3, -1)
+        out[ok] = cost[ok] + (lo - gamma * _libm(math.log, e[0] + e[1] + e[2]))
+    return step
 
 
 def scalar_soft_dtw_tables(cost, band, gamma):
@@ -500,6 +514,40 @@ class TestSoftDtwKernel:
                 assert np.array_equal(E[k], E_k)
             checked += 1
         assert narrow > 0 and checked > 20
+
+    def test_step_equals_the_all_libm_step(self, rng):
+        ties = infinite = 0
+        for trial in range(300):
+            shape = (int(rng.integers(1, 6)), int(rng.integers(1, 5)))
+            gamma = (0.1, 1.0, 7.5)[trial % 3]
+            # values on a coarse grid tie often; some entries are inf
+            args = [rng.integers(0, 3, shape) * 0.7 + (trial % 2) * rng.normal(0, 1e-3, shape)
+                    for _ in range(4)]
+            for a in args:
+                a[rng.random(shape) < 0.25] = np.inf
+            cost, vertical, horizontal, diagonal = args
+            got, want = np.full(shape, 9.0), np.full(shape, 9.0)
+            _soft_step(gamma)(cost, vertical, horizontal, diagonal, got)
+            all_libm_soft_step(gamma)(cost, vertical, horizontal, diagonal, want)
+            assert got.tobytes() == want.tobytes()
+            preds = np.stack([vertical, horizontal, diagonal])
+            lo = preds.min(axis=0)
+            live = np.isfinite(cost) & np.isfinite(lo)
+            ties += int(((preds == lo).sum(axis=0) > 1)[live].sum())
+            infinite += int((np.isinf(preds).any(axis=0))[live].sum())
+        assert ties > 50 and infinite > 50
+
+    def test_sweep_equals_the_all_libm_sweep(self, rng):
+        for trial in range(40):
+            n, m = (int(v) for v in rng.integers(2, 11, size=2))
+            band = 1 + trial % 3
+            gamma = (0.1, 1.0)[trial % 2]
+            P = int(rng.integers(1, 5))
+            # integer costs tie; ``skewed`` puts inf outside the band
+            skew = skewed(rng.integers(0, 4, size=(P, n, m)).astype(float), band)
+            got = _sweep(skew, _soft_step(gamma))
+            want = _sweep(skew, all_libm_soft_step(gamma))
+            assert got.tobytes() == want.tobytes()
 
     def test_soft_dtw_is_kernel_on_stack_of_one(self, rng):
         model = MetricModel.from_seed(4, noise=0.3)

@@ -40,6 +40,28 @@ class TestTypes:
         with pytest.raises(ValueError):
             Fingerprint(0.0, np.zeros(14), np.ones(4, bool), np.ones(4))
 
+    @pytest.mark.parametrize("features, present, quality, message", [
+        (np.zeros(13), np.ones(5, bool), np.ones(5), r"features must have shape \(14,\)"),
+        (np.zeros((1, 14)), np.ones(5, bool), np.ones(5), r"features must have shape \(14,\)"),
+        (np.zeros(14), np.ones(6, bool), np.ones(5), "one entry per modality"),
+        (np.zeros(14), np.ones(5, bool), np.ones(4), "one entry per modality"),
+        (np.r_[np.zeros(13), np.nan], np.ones(5, bool), np.ones(5), "features must be finite"),
+        (np.r_[np.inf, np.zeros(13)], np.ones(5, bool), np.ones(5), "features must be finite"),
+        (np.r_[np.zeros(7), -np.inf, np.zeros(6)], np.ones(5, bool), np.ones(5),
+         "features must be finite"),
+        (np.zeros(14), np.ones(5, bool), [1.0, 1.0, -0.1, 1.0, 1.0], r"qualities must lie in \[0, 1\]"),
+        (np.zeros(14), np.ones(5, bool), [1.0, 1.0, 1.0, 1.0, 1.5], r"qualities must lie in \[0, 1\]"),
+    ])
+    def test_fingerprint_rejects_each_invalid_input(self, features, present,
+                                                    quality, message):
+        with pytest.raises(ValueError, match=message):
+            Fingerprint(0.0, features, present, quality)
+
+    def test_fingerprint_accepts_the_edges(self):
+        big = np.full(14, np.finfo(float).max)      # finite, though the sum is not
+        fp = Fingerprint(0.0, big, np.ones(5, bool), [0.0, 1.0, -0.0, 0.5, 1.0])
+        assert fp.features.tobytes() == big.tobytes()
+
     def test_sequence_needs_two_windows(self, rng):
         with pytest.raises(ValueError):
             FingerprintSequence([make_fingerprint(rng, 1.0)])

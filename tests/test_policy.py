@@ -10,9 +10,10 @@ from envswitch.alignment import MetricModel, make_alignment_loss
 from envswitch.config import EngineConfig
 from envswitch.fingerprints import FingerprintLibrary, SwitchEvent
 from envswitch.filters import FilterContext, SelectorModel
+from envswitch.mlp import softmax
 from envswitch.policy import (ACTIONS, MatcherStack, PolicyModel, PolicyState,
-                              RewardWeights, ScriptedPolicy, Trajectory, act,
-                              action_probs, clipped_surrogate,
+                              RewardWeights, ScriptedPolicy, Trajectory, _draw,
+                              act, action_probs, clipped_surrogate,
                               gae_advantages, imitate, ppo_update, rollout,
                               trigger_guide)
 from envswitch.sim import generate, make_scenario, segment_before
@@ -74,6 +75,17 @@ class TestAct:
         with pytest.raises(ValueError):
             PolicyState(similarity=float("nan")).features()
 
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(PolicyState)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_state_rejects_each_nonfinite_field(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            PolicyState(**{field: value}).features()
+
+    def test_state_features_keep_every_bit(self, rng):
+        values = rng.normal(0.0, 10.0, size=7)
+        feats = PolicyState(*values.tolist()).features()
+        assert feats.dtype == np.float64 and feats.tobytes() == values.tobytes()
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             act(PolicyModel.zeros(), PolicyState(), "psychic")
@@ -95,6 +107,74 @@ class TestAct:
             assert value == float(model.logits_value(feats)[1])
             if eps == 1.0:
                 assert idx == guide and logp == 0.0
+
+
+class TestDraw:
+    """``_draw`` is ``Generator.choice(len(p), p=p)``, draw for draw."""
+
+    def same_draws(self, p, seed, draws=3):
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(draws):
+            assert _draw(p, mine) == int(theirs.choice(len(p), p=p))
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+    def test_random_vectors(self, rng):
+        for trial in range(1500):
+            k = int(rng.integers(1, 7))
+            p = rng.dirichlet(np.full(k, (0.05, 1.0)[trial % 2]))
+            if trial % 3 == 0:
+                p[int(rng.integers(k))] = 0.0     # exact zeros, also at the ends
+                p = p / p.sum() if p.sum() > 0 else np.eye(k)[0]
+            self.same_draws(p, int(rng.integers(2 ** 32)))
+
+    def test_guide_mixtures(self, rng):
+        for trial in range(600):
+            probs = softmax(rng.normal(0.0, 3.0, size=len(ACTIONS)))
+            eps = (0.05, 0.3, 1.0)[trial % 3]
+            mix = (1.0 - eps) * probs
+            mix[int(rng.integers(len(ACTIONS)))] += eps
+            self.same_draws(mix, int(rng.integers(2 ** 32)))
+
+    @pytest.mark.parametrize("p", [
+        [np.nan, 0.5, 0.5, 0.0],
+        [-0.1, 0.6, 0.5, 0.0],
+        [0.3, 0.3, 0.3, 0.0],
+        [0.5, 0.5 + 2e-8],
+        [np.inf, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, np.inf],
+        [np.inf, -np.inf, 1.0],
+    ])
+    def test_bad_p_raises_what_choice_raises(self, p):
+        p = np.array(p)
+        with pytest.raises(ValueError) as theirs:
+            np.random.default_rng(0).choice(len(p), p=p)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError) as mine:
+            _draw(p, rng)
+        assert str(theirs.value).startswith(str(mine.value))
+        # nothing was drawn
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_a_draw_on_a_step_of_the_cdf_takes_the_next_entry(self):
+        class Uniforms:
+            """Stands in for a generator; returns the given uniforms."""
+
+            def __init__(self, values):
+                self.values = list(values)
+
+            def random(self):
+                return self.values.pop(0)
+
+        p = np.array([0.0, 0.5, 0.0, 0.5])     # cdf 0, 0.5, 0.5, 1
+        uniforms = [0.0, 0.25, 0.5, 0.75]
+        want = np.cumsum(p).searchsorted(uniforms, side="right").tolist()
+        assert want == [1, 1, 3, 3]              # no zero-probability entry
+        rng = Uniforms(uniforms)
+        assert [_draw(p, rng) for _ in uniforms] == want
+
+    @pytest.mark.parametrize("p", [[0.5, 0.5 + 1e-8], [1.0, 0.0, -0.0]])
+    def test_p_inside_the_tolerance_is_drawn(self, p):
+        self.same_draws(np.array(p), 4)
 
 
 class TestCompositeReward:
@@ -229,6 +309,66 @@ class TestRollout:
         delta = rewards[expected_idx] - traj.step_rewards[expected_idx]
         assert delta == pytest.approx(weights.eta * traj.dtime
                                       + weights.gamma_hf * traj.hf)
+
+
+class TestGreedyStop:
+    def policies(self):
+        hold = PolicyModel.zeros()
+        hold.net.b2[0] = 5.0                  # never switches
+        weak_link = PolicyModel.zeros()
+        weak_link.net.w1[0, 2] = 1.0          # hidden unit 0 reads the rssi feature
+        weak_link.net.w2[3, 0] = -10.0        # hand over once the link is weak
+        return [hold, weak_link] + [PolicyModel.from_seed(s) for s in range(3)]
+
+    def test_greedy_outcome_equals_the_replay_to_the_horizon(self, rng):
+        scenario, trace, stack = build_stack(rng)
+        horizon = int(trace.duration) - 1
+        outcomes = Counter()
+        for model in self.policies():
+            greedy = rollout(model, scenario, stack, mode="greedy", seed=3,
+                             trace=trace)
+            actions = [ACTIONS[a] for a in greedy.actions.tolist()]
+            replay = rollout(
+                ScriptedPolicy(lambda t, s: actions[int(t) - 1]
+                               if int(t) <= len(actions) else "hold"),
+                scenario, stack, trace=trace)
+            assert replay.states.shape[0] == horizon
+            for name in ("completion", "censored", "action_time", "hf",
+                         "policy_tts", "baseline_tts", "trace_checksum"):
+                assert getattr(greedy, name) == getattr(replay, name), name
+            # the greedy steps are the replay's first steps
+            assert greedy.states.tobytes() == replay.states[:len(actions)].tobytes()
+            assert (greedy.step_rewards.tobytes()
+                    == replay.step_rewards[:len(actions)].tobytes())
+            assert greedy.terminal_step == min(replay.terminal_step, len(actions) - 1)
+            if greedy.censored:
+                assert len(actions) == horizon
+                outcomes["censored"] += 1
+            else:
+                assert len(actions) == int(greedy.action_time)
+                assert actions[-1] == "handover"
+                outcomes["late" if greedy.action_time > 1.0 else "first"] += 1
+        assert outcomes["censored"] >= 1 and outcomes["late"] >= 1
+
+    @pytest.mark.parametrize("mode", ["sample", "greedy"])
+    def test_one_window_per_step_before_the_switch(self, rng, monkeypatch,
+                                                   mode):
+        scenario, trace, stack = build_stack(rng)
+        ends = []
+        fingerprint_at = policy_module.fingerprint_at
+
+        def counted_fingerprint_at(trace, t_end, *args, **kwargs):
+            ends.append(t_end)
+            return fingerprint_at(trace, t_end, *args, **kwargs)
+
+        monkeypatch.setattr(policy_module, "fingerprint_at", counted_fingerprint_at)
+        traj = rollout(ScriptedPolicy(lambda t, s: "handover" if t >= 20 else "hold"),
+                       scenario, stack, mode=mode, trace=trace)
+        assert traj.action_time == 20.0
+        # the handover step reads its window; no inert step reads one
+        assert ends == [float(t) for t in range(1, 21)]
+        steps = 20 if mode == "greedy" else int(trace.duration) - 1
+        assert traj.states.shape[0] == steps
 
 
 class TestRolloutInputs:

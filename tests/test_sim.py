@@ -7,8 +7,8 @@ import pytest
 
 import envswitch.sim as sim
 from envswitch.config import EngineConfig
-from envswitch.fingerprints import (CellSample, GnssSample, RawWindow, WifiScan,
-                                    summarize_window)
+from envswitch.fingerprints import (FEATURE_NAMES, CellSample, GnssSample,
+                                    RawWindow, WifiScan, summarize_window)
 from envswitch.sim import (RawTrace, Scenario, Waypoint, baseline_policy,
                            compute_onset, detect_outdoor_transition,
                            feedback_oracle, fingerprint_at, generate,
@@ -112,11 +112,11 @@ def fp_bytes(fp):
 
 
 def scan_schedule(duration, boosts=(), period=2.0, boosted=1.0):
-    """Scan times the way a rollout schedules them; ``boosts`` lists
-    (start, end) spans scanned at the boosted period."""
-    times, t = set(), 0.0
+    """Scan times the way a rollout schedules them, ascending; ``boosts``
+    lists (start, end) spans scanned at the boosted period."""
+    times, t = [], 0.0
     while t < duration:
-        times.add(t)
+        times.append(t)
         t += boosted if any(a <= t < b for a, b in boosts) else period
     return times
 
@@ -459,7 +459,7 @@ class TestWindowOracle:
         "every_2s": scan_schedule(90.0),
         "boosted_1s": scan_schedule(90.0, boosts=((6.0, 16.0), (30.0, 40.0))),
         # gaps longer than wifi_stale_s, and scans off the 1 Hz grid
-        "gaps": {0.0, 7.0, 8.5, 15.0, 16.0, 24.5, 30.0, 41.0, 47.0, 60.0},
+        "gaps": [0.0, 7.0, 8.5, 15.0, 16.0, 24.5, 30.0, 41.0, 47.0, 60.0],
     }
 
     @pytest.mark.parametrize("site", ["A", "B", "C"])
@@ -508,7 +508,7 @@ class TestWindowMemo:
         trace = self.trace()
         scans = scan_schedule(trace.duration)
         first = fingerprint_at(trace, 12.0, CFG, scans)
-        again = fingerprint_at(trace, 12.0, CFG, set(scans))
+        again = fingerprint_at(trace, 12.0, CFG, tuple(scans))
         assert again is first
         assert fp_bytes(again) == fp_bytes(reference_fingerprint_at(trace, 12.0, CFG, scans))
 
@@ -516,11 +516,11 @@ class TestWindowMemo:
         trace = self.trace()
         t = 9.0                                   # window [8, 9); staleness 4 s
         cases = {
-            "in_window": {0.0, 8.0},
-            "fresh_carry": {0.0, 6.0},
-            "edge_carry": {0.0, 5.0},             # age 4: present, quality 0
-            "too_stale": {0.0, 4.0},
-            "off_grid_carry": {0.0, 6.5},         # read from second 6
+            "in_window": [0.0, 8.0],
+            "fresh_carry": [0.0, 6.0],
+            "edge_carry": [0.0, 5.0],             # age 4: present, quality 0
+            "too_stale": [0.0, 4.0],
+            "off_grid_carry": [0.0, 6.5],         # read from second 6
         }
         got = {}
         for name, scans in cases.items():
@@ -532,14 +532,30 @@ class TestWindowMemo:
                                      "too_stale")}) == 4
         assert got["off_grid_carry"] != got["fresh_carry"]
         # scans the window does not read share the entry
-        fingerprint_at(trace, t, CFG, {2.0, 6.0})
-        fingerprint_at(trace, t, CFG, {1.0, 3.0, 4.0})
+        fingerprint_at(trace, t, CFG, [2.0, 6.0])
+        fingerprint_at(trace, t, CFG, [1.0, 3.0, 4.0])
         assert len(memo) == len(cases)
+
+    def test_a_passed_affine_changes_no_window_and_no_key(self):
+        built, passed = self.trace(), self.trace()
+        affine = CFG.norm.affine(FEATURE_NAMES)
+        for schedule in (None, scan_schedule(built.duration),
+                         TestWindowOracle.SCHEDULES["gaps"]):
+            for t in np.arange(1.0, built.duration, 0.5).tolist():
+                want = fp_bytes(fingerprint_at(built, t, CFG, schedule))
+                assert fp_bytes(fingerprint_at(passed, t, CFG, schedule, affine)) == want
+        assert list(passed._windows) == list(built._windows) == [affine]
+        assert list(passed._windows[affine]) == list(built._windows[affine])
+
+    def test_the_schedule_is_a_sequence(self):
+        # a set has no order to bisect
+        with pytest.raises(TypeError):
+            fingerprint_at(self.trace(), 9.0, CFG, {0.0, 6.0})
 
     def test_config_changes_are_never_served_stale(self):
         trace = self.trace()
         cfg = EngineConfig()
-        scans = {0.0, 6.0, 12.0}
+        scans = [0.0, 6.0, 12.0]
         seen = []
 
         def check(t):
