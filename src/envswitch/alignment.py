@@ -2,31 +2,37 @@
 
 The cell cost between two fingerprint windows is a sum over modalities of a
 learned weight times the squared Euclidean distance between linearly embedded
-features, zeroed whenever the modality is absent on either side.  One
-producer costs every alignment, ``_banded_costs``: it embeds each side once
-for all modalities and costs only the cells inside the Sakoe-Chiba band,
-straight into a skewed layout stored diagonal-major, (anti-diagonal, row,
-pair), so each recursion step works on contiguous rows of every pair at
-once.  One forward sweep over that layout (``_sweep``) runs both
-recursions: with a hard min for exact DTW (``dtw`` on a stack of one,
+features, zeroed whenever the modality is absent on either side.  One kernel
+costs every alignment, ``_kept_costs``: from both sides embedded once for all
+modalities and laid out time-major, it gathers only the cells inside the
+Sakoe-Chiba band, anti-diagonal by anti-diagonal with the pairs innermost,
+(kept cell, pair), the order the recursion reads them in.  One forward
+sweep (``_sweep``) runs both recursions on a diagonal-major (anti-diagonal,
+row, pair) table, through slices planned once per shape and band
+(``_sweep_plan``): with a hard min for exact DTW (``dtw`` on a stack of one,
 ``match`` on each length group of a library), and with a soft-min for
 soft-DTW (``soft_dtw`` on one pair, and every margin loss on all pairs of
-its positives and negatives at once).  Exact DTW gives the alignment
-distance d and the similarity exp(-beta * d) in (0, 1], with a fixed scale
-beta = 1; a distance is read from the last cell, and ``match`` backtracks a
-warping path only when a result's ``.path`` is read.  Soft-DTW is
-differentiable: its backward weights sweep the same layout in reverse, and
-hand-written gradients let the metric (and, through the filter mixture, the
-selector) train with plain gradient descent.  ``cost_matrix`` costs every
-cell densely; it is the reference the tests check the banded costs against.
+its positives and negatives at once).  ``match`` runs on the library's plan,
+kept per library version: its prototypes stacked time-major by length, with
+their presence at the band's kept columns; the live window is the only new
+input.  Exact DTW gives the alignment distance d and the similarity
+exp(-beta * d) in (0, 1], with a fixed scale beta = 1; a distance is read
+from the last cell, and ``match`` backtracks a warping path only when a
+result's ``.path`` is read.  Soft-DTW is differentiable: its backward
+weights sweep the same layout in reverse, and hand-written gradients let the
+metric (and, through the filter mixture, the selector) train with plain
+gradient descent.  ``cost_matrix`` costs every cell densely; it is the
+reference the tests check the banded costs against.
 """
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import filters
 from .fingerprints import (FEATURE_DIMS, MODALITIES, N_FEATURES,
                            Fingerprint, FingerprintLibrary, FingerprintSequence,
                            group_by_length)
@@ -159,21 +165,25 @@ def _rows(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ M).reshape(x.shape[:-1] + M.shape[1:])
 
 
-def _block_embedding(model: MetricModel) -> np.ndarray:
-    """The (E, 14) block-diagonal embedding Wb of all modalities at once."""
+def _kernel(model: MetricModel):
+    """What every cost is computed from: the (E, 14) block-diagonal
+    embedding Wb of all modalities at once, the (E, 5) modality indicator of
+    its rows and the (5,) weights.  Built once per call: ``MetricModel`` is
+    mutable, so nothing keeps them between calls."""
     index, indicator = _block_layout(model.embed_dim)
     Wb = np.zeros((indicator.shape[0], N_FEATURES))
     Wb.flat[index] = model.to_vector()[:index.size]
-    return Wb
+    return Wb, indicator, model.weights
 
 
-def _cell_costs(model: MetricModel, diff: np.ndarray, mask: np.ndarray):
-    """Costs (...) of cells with embedded differences ``diff`` (..., E) and
-    presence ``mask`` (..., 5), and their squared distances sq (..., 5): a
-    product with the (E, 5) modality indicator gives sq and, masked, one
-    with the weights sums them."""
-    sq = _rows(diff * diff, _block_layout(model.embed_dim)[1])
-    return _rows(sq * mask, model.weights), sq
+def _cell_costs(kernel, squares: np.ndarray, mask: np.ndarray):
+    """Costs (...) of cells with squared embedded differences ``squares``
+    (..., E) and presence ``mask`` (..., 5), and their squared distances sq
+    (..., 5): a product with the (E, 5) modality indicator gives sq and,
+    masked, one with the weights sums them."""
+    _, indicator, w = kernel
+    sq = _rows(squares, indicator)
+    return _rows(sq * mask, w), sq
 
 
 def _check_schema(qf: np.ndarray, pf: np.ndarray):
@@ -194,41 +204,54 @@ def cost_matrix(model: MetricModel, query, proto) -> np.ndarray:
     qf, qp = _pack(query)
     pf, pp = _pack(proto)
     _check_schema(qf, pf)
-    Wb = _block_embedding(model)
-    diff = _rows(qf, Wb.T)[..., :, None, :] - _rows(pf, Wb.T)[..., None, :, :]
-    return _cell_costs(model, diff, qp[..., :, None, :] & pp[..., None, :, :])[0]
+    kernel = _kernel(model)
+    Wt = kernel[0].T
+    diff = _rows(qf, Wt)[..., :, None, :] - _rows(pf, Wt)[..., None, :, :]
+    return _cell_costs(kernel, diff * diff, qp[..., :, None, :] & pp[..., None, :, :])[0]
+
+
+def _run_sums(x: np.ndarray, runs, size: int) -> np.ndarray:
+    """Sums (P, size, ...) of the (C, P, ...) terms ``x`` of the kept cells
+    over each grid row (or column), from ``_band_sums``' runs: zeros, then
+    the first kept cell of every row added at once, then the second, and so
+    on.  Each sum starts from +0.0 and adds its terms in grid order, as the
+    sum over a dense zero-filled grid does (adding its +0.0 cells changes
+    nothing), so it keeps every bit, signed zeros included."""
+    out = np.zeros((x.shape[1], size) + x.shape[2:])
+    for cells, at in runs:
+        out[:, at] += x[cells].swapaxes(0, 1)
+    return out
 
 
 def _cost_gradients(model: MetricModel, caches, E, want_feature_grads=False):
     """Chain dV/dcost = E into metric and feature gradients.
 
-    ``caches`` come from ``_banded_costs`` and E is skewed like its costs,
-    (P, n + m - 1, n).  With M = E * mask * w on each modality's embedded
-    coordinates, the sums of M * diff over proto windows A (P, n, E) and
-    over query windows B (P, m, E) give every gradient: 2 (A^T q - B^T p)
-    for the block-diagonal embedding Wb, 2 A Wb for the query and -2 B Wb
-    for the proto features.  E is read at the kept cells only, and their
-    terms are summed on zero-filled (P, n, m, .) grids, in the order a dense
-    matrix sums them, so no gradient changes a bit.  Returns the flat metric
-    gradient of every pair, (P, n_params) in the ``to_vector`` layout, and
-    with ``want_feature_grads`` the feature gradients (P, n, 14) and
-    (P, m, 14); otherwise those two are None.
+    ``caches`` come from ``_banded_costs`` and E is skewed like the tables
+    of ``_soft_dtw_tables``, (P, n + m - 1, n).  With M = E * mask * w on
+    each modality's embedded coordinates, the sums of M * diff over proto
+    windows A (P, n, E) and over query windows B (P, m, E) give every
+    gradient: 2 (A^T q - B^T p) for the block-diagonal embedding Wb, 2 A Wb
+    for the query and -2 B Wb for the proto features.  E is read at the
+    kept cells only, and their terms are summed in the order a dense (n, m)
+    grid sums them, along each row and each column (``_run_sums``), so no
+    gradient changes a bit and no grid is allocated.  Returns the flat
+    metric gradient of every pair, (P, n_params) in the ``to_vector``
+    layout, and with ``want_feature_grads`` the feature gradients
+    (P, n, 14) and (P, m, 14); otherwise those two are None.
     """
-    qf, pf, Wb, diff, sq, mask, band = caches
-    w, (P, m, _), n = model.weights, pf.shape, qf.shape[-2]
-    keep, rows, cols = _skew_index(n, m, band)
+    qf, pf, (Wb, _, w), diff, sq, mask, band = caches
+    (P, m, _), n = pf.shape, qf.shape[-2]
+    keep = _skew_index(n, m, band)[0]
+    row_runs, col_runs, by_row = _band_sums(n, m, band)
     index = _block_layout(model.embed_dim)[0]
-    Em = E[:, keep][..., None] * mask
-    grid = np.zeros((P, n, m, len(MODALITIES)))
-    grid[:, rows, cols] = Em * sq
-    dcost_dw = grid.sum(axis=(1, 2))
+    Em = E.transpose(1, 2, 0)[keep][..., None] * mask
+    # summed down the kept cells in row-major order: numpy adds row by row
+    dcost_dw = (Em * sq)[by_row].sum(axis=0)
     Em *= w
     # M * diff overwrites the cached differences (the caches are used up)
-    Md = diff.reshape(P, -1, len(MODALITIES), model.embed_dim)
+    Md = diff.reshape(diff.shape[:2] + (len(MODALITIES), model.embed_dim))
     Md *= Em[..., None]
-    grid = np.zeros((P, n, m, Wb.shape[0]))
-    grid[:, rows, cols] = diff
-    A, B = grid.sum(axis=2), grid.sum(axis=1)
+    A, B = _run_sums(diff, row_runs, n), _run_sums(diff, col_runs, m)
     gW = 2.0 * (np.swapaxes(A, 1, 2) @ qf - np.swapaxes(B, 1, 2) @ pf)
     G = np.empty((P, index.size + len(MODALITIES)))
     G[:, :index.size] = gW.reshape(P, -1)[:, index]
@@ -301,69 +324,142 @@ def _skew_index(n: int, m: int, band: int):
     return keep, rows, cols
 
 
+@functools.lru_cache(maxsize=256)
+def _band_sums(n: int, m: int, band: int):
+    """How ``_cost_gradients`` sums the kept cells of ``_skew_index`` in the
+    order of a dense (n, m) grid.  Returns the row runs and column runs of
+    ``_run_sums``: for rank r, the kept cells that are the r-th of their row
+    (column), in increasing column (row) order along it, and the row
+    (column) each belongs to; and the kept cells in row-major order.
+    Read-only, and cached per (n, m, band)."""
+    _, rows, cols = _skew_index(n, m, band)
+
+    def runs(major, minor):
+        order = np.lexsort((minor, major))
+        first = np.searchsorted(major[order], major[order])
+        rank = np.arange(order.size) - first
+        return tuple((order[rank == r], major[order][rank == r])
+                     for r in range(int(rank.max()) + 1))
+
+    row_runs, col_runs = runs(rows, cols), runs(cols, rows)
+    by_row = np.lexsort((cols, rows))
+    for a in (by_row,) + sum(row_runs + col_runs, ()):
+        a.setflags(write=False)
+    return row_runs, col_runs, by_row
+
+
+def _time_major(a: np.ndarray) -> np.ndarray:
+    """(T, F) -> (T, 1, F) and (B, T, F) -> (T, B, F), both views."""
+    return a[:, None] if a.ndim == 2 else a.swapaxes(0, 1)
+
+
+def _kept_costs(kernel, qe, qp, pe, pp_kept, rows, cols, keep_diff=False):
+    """Costs (C, P) of the cells the band keeps, cell c at query row
+    ``rows[c]`` and prototype column ``cols[c]`` (``_skew_index``).
+
+    Both sides come embedded and time-major: the query qe (n, 1 or P, E)
+    with presence qp (n, 1 or P, 5), the prototypes pe (m, P, E) with their
+    presence already gathered at the kept columns, ``pp_kept`` (C, P, 5).
+    The cells are gathered as (C, P, E) differences, so the costs come out
+    in the order of the skewed layout, diagonal by diagonal, with the pairs
+    innermost.  The differences are written over the gathered prototypes
+    and, unless ``keep_diff``, squared in place, so a call holds one
+    (C, P, E) array, not three.  Also returns the differences (squared
+    unless ``keep_diff``), the squared distances (C, P, 5) and the presence
+    mask (C, P, 5); ``_cost_gradients`` reads them.
+    """
+    diff = np.take(pe, cols, axis=0)
+    np.subtract(np.take(qe, rows, axis=0), diff, out=diff)
+    mask = np.take(qp, rows, axis=0) & pp_kept
+    squares = diff * diff if keep_diff else np.multiply(diff, diff, out=diff)
+    cost, sq = _cell_costs(kernel, squares, mask)
+    return cost, diff, sq, mask
+
+
 def _banded_costs(model: MetricModel, query, proto, band: int):
-    """Costs of the cells inside the band, in the skewed layout every
-    recursion runs on, and the caches of their backward pass.
+    """Costs of the cells inside the band, (C, P), in the order ``_sweep``
+    reads them, and the caches of their backward pass; ``dtw`` and soft-DTW
+    training cost through it, ``match`` through its core ``_kept_costs``.
 
     ``proto`` is a stack of P prototypes of one length m, (P, m, F), and
     ``query`` one (n, F) sequence or a stack (P, n, F) whose query p pairs
-    with prototype p.  ``skew[:, d, i]`` (P, n + m - 1, n) holds cell
-    (i, d - i), so row d is anti-diagonal d, which depends only on the two
-    before it (forward) or after it (backward); cells outside the band or
-    off the grid are inf.  It is a view of a diagonal-major (n + m - 1, n,
-    P) array, the layout ``_sweep`` runs on.
-
-    Both sides are embedded once by the block-diagonal Wb (E, 14), the rows
-    of the kept cells (``_skew_index``) are gathered into (P, C, E)
-    differences and ``_cell_costs`` reduces them, so each cost equals the
-    dense ``cost_matrix`` cell bit for bit and identical windows cost 0.
-    The caches ``(qf, pf, Wb, diff, sq, mask, band)`` feed
-    ``_cost_gradients``.
+    with prototype p.  Both sides are embedded once by the block-diagonal
+    Wb (E, 14) and ``_kept_costs`` gathers and reduces the kept cells, so
+    each cost equals the dense ``cost_matrix`` cell bit for bit and
+    identical windows cost 0.  The caches ``(qf, pf, kernel, diff, sq,
+    mask, band)`` feed ``_cost_gradients``.
     """
     qf, qp = _pack(query)
     pf, pp = _pack(proto)
     _check_schema(qf, pf)
-    (P, m, _), n = pf.shape, qf.shape[-2]
-    keep, rows, cols = _skew_index(n, m, band)
-    Wb = _block_embedding(model)
-    diff = np.take(_rows(qf, Wb.T), rows, axis=-2) - np.take(_rows(pf, Wb.T), cols, axis=1)
-    mask = np.take(qp, rows, axis=-2) & np.take(pp, cols, axis=1)
-    cost, sq = _cell_costs(model, diff, mask)
-    skew = np.full(keep.shape + (P,), np.inf)
-    skew[keep] = cost.T
-    return skew.transpose(2, 0, 1), (qf, pf, Wb, diff, sq, mask, band)
+    _, rows, cols = _skew_index(qf.shape[-2], pf.shape[1], band)
+    kernel = _kernel(model)
+    Wt = kernel[0].T
+    cost, *cells = _kept_costs(kernel, _time_major(_rows(qf, Wt)), _time_major(qp),
+                               _time_major(_rows(pf, Wt)),
+                               np.take(_time_major(pp), cols, axis=0), rows, cols,
+                               keep_diff=True)
+    return cost, (qf, pf, kernel, *cells, band)
 
 
 def _unskew(S: np.ndarray, n: int, m: int) -> np.ndarray:
-    """(P, n, m) view of a skewed table laid out like ``_banded_costs``."""
+    """(P, n, m) view of a skewed table laid out like ``_sweep``'s."""
     ii, jj = np.indices((n, m))
     return S[:, ii + jj, ii]
 
 
-def _sweep(skew: np.ndarray, step) -> np.ndarray:
-    """Forward recursion R[i, j] = step(cost[i, j], R[i-1, j], R[i, j-1],
-    R[i-1, j-1]) over a skewed cost stack, with R[0, 0] = cost[0, 0].
+@functools.lru_cache(maxsize=256)
+def _sweep_plan(n: int, m: int, band: int, P: int):
+    """The flat slices ``_sweep`` steps through, per (n, m, band, P).
 
-    ``skew`` comes from ``_banded_costs``, the one producer of costs:
-    exact DTW (``dtw``, ``match``) sweeps it with ``_hard_step`` and
-    soft-DTW (``_soft_dtw_tables``) with ``_soft_step``.
-    ``step(cost, vertical, horizontal, diagonal, out)`` fills ``out`` for one
-    anti-diagonal.  Returns the skewed table, (P, n + m - 1, n) like
-    ``skew``; a predecessor off the grid is inf.  The recursion runs
-    diagonal-major, on a C-contiguous (n + m, n + 1, P) table, so each step
-    reads and writes contiguous (n, P) rows of all pairs at once, and
-    ``skew``, stored that way, is read without a copy; the table is
-    returned as a (P, n + m - 1, n) view of it.
+    The table is a flat C-contiguous (n + m, n + 1, P) array whose entry
+    [d + 1, i + 1] holds cell (i, d - i) of every pair; row 0 and column 0
+    are inf padding.  The kept cells of anti-diagonal k are the rows i in
+    one run [lo, hi), and their costs one run of the (C, P) costs.  Its
+    step reads those costs and the vertical [k, lo:hi], horizontal
+    [k, lo + 1:hi + 1] and diagonal [k - 1, lo:hi] predecessors, and writes
+    [k + 1, lo + 1:hi + 1]: five 1-D slices.  Returns the (costs, out)
+    slices of diagonal 0 and the five slices of every later diagonal that
+    keeps a cell.
     """
-    P, D, n = skew.shape
-    cost = np.ascontiguousarray(skew.transpose(1, 2, 0))
-    # S[d + 1, i + 1] holds cell (i, d - i) of every pair; row 0 (the
-    # diagonal before the first) and column 0 are inf padding
-    S = np.full((D + 1, n + 1, P), np.inf)
-    S[1, 1:] = cost[0]
-    for k in range(1, D):
-        step(cost[k], S[k, :-1], S[k, 1:], S[k - 1, :-1], S[k + 1, 1:])
-    return S[1:, 1:].transpose(2, 0, 1)
+    keep = _skew_index(n, m, band)[0]
+    row = (n + 1) * P
+    steps, start = [], 0
+    lows, counts = keep.argmax(axis=1).tolist(), keep.sum(axis=1).tolist()
+    for k, (lo, c) in enumerate(zip(lows, counts)):
+        if c:
+            a, b = k * row + lo * P, k * row + (lo + c) * P
+            steps.append((slice(start * P, (start + c) * P), slice(a, b),
+                          slice(a + P, b + P), slice(a - row, b - row),
+                          slice(a + row + P, b + row + P)))
+        start += c
+    return (steps[0][0], steps[0][4]), tuple(steps[1:])
+
+
+def _sweep(cost: np.ndarray, n: int, m: int, band: int, step) -> np.ndarray:
+    """Forward recursion R[i, j] = step(cost[i, j], R[i-1, j], R[i, j-1],
+    R[i-1, j-1]) over the kept cells of an (n, m) band, with R[0, 0] =
+    cost[0, 0].
+
+    ``cost`` (C, P) comes from ``_banded_costs`` or ``_kept_costs``, the
+    producers of costs: exact DTW (``dtw``, ``match``) sweeps it with
+    ``_hard_step`` and soft-DTW (``_soft_dtw_tables``) with ``_soft_step``.
+    ``step(cost, vertical, horizontal, diagonal, out)`` fills ``out`` for the
+    kept cells of one anti-diagonal.  The recursion runs diagonal-major, on
+    a C-contiguous (n + m, n + 1, P) table, through the slices of
+    ``_sweep_plan``: each step works on contiguous runs of all pairs at
+    once and reads ``cost`` without a copy.  Returns the skewed table as a
+    (P, n + m - 1, n) view, cell (i, j) at [:, i + j, i]; a cell outside
+    the band, off the grid or without a finite predecessor is inf.
+    """
+    P = cost.shape[1]
+    first, steps = _sweep_plan(n, m, band, P)
+    c = cost.reshape(-1)
+    S = np.full((n + m) * (n + 1) * P, np.inf)
+    S[first[1]] = c[first[0]]
+    for cells, vertical, horizontal, diagonal, out in steps:
+        step(c[cells], S[vertical], S[horizontal], S[diagonal], S[out])
+    return S.reshape(n + m, n + 1, P)[1:, 1:].transpose(2, 0, 1)
 
 
 def _hard_step(cost, vertical, horizontal, diagonal, out):
@@ -409,10 +505,11 @@ def dtw(model: MetricModel, query, proto, band: int = 3) -> AlignmentResult:
         raise ValueError("band must be >= 1")
     qf, qp = _pack(query)
     pf, pp = _pack(proto)
-    n = qf.shape[0]
-    if n < 2 or pf.shape[0] < 2:
+    n, m = qf.shape[0], pf.shape[0]
+    if n < 2 or m < 2:
         raise ValueError("both sequences need at least 2 windows")
-    S = _sweep(_banded_costs(model, (qf, qp), (pf[None], pp[None]), band)[0], _hard_step)[0]
+    cost = _banded_costs(model, (qf, qp), (pf[None], pp[None]), band)[0]
+    S = _sweep(cost, n, m, band, _hard_step)[0]
     distance = float(S[-1, n - 1])
     if not math.isfinite(distance):
         raise BandTooNarrowError("band too narrow: no admissible warping path")
@@ -452,19 +549,21 @@ def _soft_step(gamma: float):
     return step
 
 
-def _soft_dtw_tables(skew: np.ndarray, gamma: float):
-    """Banded soft-DTW over a skewed cost stack from ``_banded_costs``.
+def _soft_dtw_tables(cost: np.ndarray, n: int, m: int, band: int, gamma: float):
+    """Banded soft-DTW over the (C, P) kept costs of an (n, m) band, from
+    ``_banded_costs``.
 
     Returns the values (P,), the forward soft-min tables R and the backward
     weight tables E = dvalue/dcost (Cuturi & Blondel 2017), both skewed
-    like ``skew``, (P, n + m - 1, n): R is inf and E is 0 outside the band.
+    like ``_sweep``'s table, (P, n + m - 1, n): R is inf and E is 0 outside
+    the band.
     R is the soft-min ``_sweep``; E sweeps the same anti-diagonals in
     reverse, adding its successors' contributions in the order vertical,
     horizontal, diagonal.  Raises ``BandTooNarrowError`` if any pair has no
     admissible path.
     """
-    P, D, n = skew.shape
-    Rs = _sweep(skew, _soft_step(gamma))
+    P, D = cost.shape[1], n + m - 1
+    Rs = _sweep(cost, n, m, band, _soft_step(gamma))
     values = Rs[:, D - 1, n - 1]
     if not np.all(np.isfinite(values)):
         raise BandTooNarrowError("band too narrow: no admissible warping path")
@@ -474,7 +573,7 @@ def _soft_dtw_tables(skew: np.ndarray, gamma: float):
     Rp = np.full((D + 2, n + 1, P), np.inf)
     Rp[:D, :n] = Rs.transpose(1, 2, 0)
     Cp = np.full((D + 2, n + 1, P), np.inf)
-    Cp[:D, :n] = skew.transpose(1, 2, 0)
+    Cp[:D, :n][_skew_index(n, m, band)[0]] = cost
     cur = Rp[:D, :n]
     weights = []
     for dd, di in ((1, 1), (1, 0), (2, 1)):    # vertical, horizontal, diagonal
@@ -516,11 +615,11 @@ def _soft_dtw_pairs(model: MetricModel, pairs, band: int, gamma: float,
     values = np.empty(len(pairs))
     G = np.empty((len(pairs), model.to_vector().size))
     fgrads = [None] * len(pairs)
-    for members in groups.values():
+    for (n, m), members in groups.items():
         query = tuple(np.stack([packed[k][0][t] for k in members]) for t in (0, 1))
         proto = tuple(np.stack([packed[k][1][t] for k in members]) for t in (0, 1))
-        skew, caches = _banded_costs(model, query, proto, band)
-        vals, _, E = _soft_dtw_tables(skew, gamma)
+        cost, caches = _banded_costs(model, query, proto, band)
+        vals, _, E = _soft_dtw_tables(cost, n, m, band, gamma)
         g, dq, dp = _cost_gradients(model, caches, E, want_feature_grads)
         values[members] = vals
         G[members] = g
@@ -722,28 +821,28 @@ def match(model: MetricModel, selector, live_window, library, band: int,
     The live window and every prototype are denoised with the filter the
     selector chooses for ``ctx``, the live window's ``FilterContext``, before
     alignment, so a prototype that equals the live window scores similarity
-    1.0 exactly.  Prototypes of one length are filtered, scored and aligned
-    together: one ``denoise_matrix``, one ``_banded_costs`` and one banded
-    recursion per length group.  The live window is stacked on top of the
-    group of its own length and filtered in that group's ``denoise_matrix``
-    call; it is filtered alone only when no group shares its length.  Each
-    series is filtered on its own, so stacking changes no bit.  A
-    ``FingerprintLibrary`` keeps its groups
-    between calls (``FingerprintLibrary.length_groups``); any other iterable
-    of ``(prototype_id, prototype)``, or mapping, is grouped per call.  A
-    prototype with no admissible path inside the band is left out.  Each
-    result equals ``dtw`` on that prototype alone.  Only the cells inside
-    the band are costed, straight into the diagonal-major skewed layout the
-    recursion runs on; distances are read from the last cell of each
-    recursion, and a result's table is unskewed and its path backtracked
-    only when its ``.path`` is first read.  Ties break on the smaller
-    prototype id.  An empty library yields an empty list, once ``band`` and
-    the live window have passed the checks a non-empty one applies.
+    1.0 exactly.  Every call runs on the library's plan, its
+    ``LengthGroup``s: the prototypes of each length stacked time-major, with
+    their presence gathered at the band's kept columns.  A
+    ``FingerprintLibrary`` keeps that plan until its ``version`` changes;
+    any other iterable of ``(prototype_id, prototype)``, or mapping, builds
+    it per call.  The filtered prototypes are not kept: the selector's
+    coefficients change with every live window.  The live window, the only
+    new input, is written into row 0 of a time-major (n, 1 + P, 14) stack
+    on top of the group of its own length; one ``denoise_matrix`` call
+    filters that stack without a transposed copy, one product embeds it,
+    ``_kept_costs`` costs the kept cells and one planned ``_sweep`` per
+    group runs the recursion.  A window whose length no group shares is
+    filtered alone.  Each series is filtered and each cell costed on its
+    own, so each result equals ``dtw`` on that prototype alone, bit for
+    bit.  A prototype with no admissible path inside the band is left out.
+    Distances are read from the last cell of each recursion; a result's
+    table is unskewed and its path backtracked only when its ``.path`` is
+    first read, and every call sweeps into tables of its own.  Ties break
+    on the smaller prototype id.  An empty library yields an empty list,
+    once ``band`` and the live window have passed the checks a non-empty
+    one applies.
     """
-    # imported at call time, so a rebinding of these names in the filters
-    # module (bench/spans.py traces them that way) takes effect here
-    from .filters import denoise_matrix, select_filter
-
     if band < 1:
         raise ValueError("band must be >= 1")
     qf, qp = _pack(live_window)
@@ -757,33 +856,45 @@ def match(model: MetricModel, selector, live_window, library, band: int,
         groups = group_by_length((pid, _pack(proto)) for pid, proto in entries)
     if not groups:
         return []
-    if min(pf.shape[1] for _, pf, _ in groups) < 2:
+    if min(len(g.features) for g in groups) < 2:
         raise ValueError("both sequences need at least 2 windows")
     # before the live window is stacked onto a group for filtering
-    for _, pf, _ in groups:
-        _check_schema(qf, pf)
-    choice = select_filter(selector, ctx)
-    # the live window rides on top of the group of its own length, so one
-    # filter pass serves both; with no such group it is filtered alone
-    own = next((g for g, (_, pf, _) in enumerate(groups) if pf.shape[1] == n), None)
-    filtered = [None] * len(groups)
+    for g in groups:
+        _check_schema(qf, g.features)
+    # resolved through the module at call time, so a rebinding of these
+    # names (bench/spans.py traces them that way) takes effect here
+    choice = filters.select_filter(selector, ctx)
+    kernel = _kernel(model)
+    Wt = kernel[0].T
+
+    def embedded(stack):
+        """Filter a time-major (T, B, 14) stack and embed it, (T, B, E)."""
+        filtered = filters.denoise_matrix(choice, stack.transpose(1, 0, 2))
+        return _rows(filtered.transpose(1, 0, 2), Wt)
+
+    own = next((g for g in groups if len(g.features) == n), None)
     if own is None:
-        query = (denoise_matrix(choice, qf), qp)
+        query = embedded(qf[:, None])
     else:
-        both = denoise_matrix(choice, np.concatenate([qf[None], groups[own][1]]))
-        query, filtered[own] = (both[0], qp), both[1:]
+        stack = np.empty((n, 1 + len(own.ids), N_FEATURES))
+        stack[:, 0] = qf
+        stack[:, 1:] = own.features
+        query = embedded(stack)
+    qp = qp[:, None]
     beta = model.beta
-    tables, scored = [], []
-    for (ids, pf, pp), pf_filtered in zip(groups, filtered):
-        if pf_filtered is None:
-            pf_filtered = denoise_matrix(choice, pf)
-        S = _sweep(_banded_costs(model, query, (pf_filtered, pp), band)[0], _hard_step)
-        last = S[:, -1, n - 1].tolist()
-        for t, (pid, distance) in enumerate(zip(ids, last)):
+    scored = []
+    for g in groups:
+        m = len(g.features)
+        _, rows, cols = _skew_index(n, m, band)
+        protos = query[:, 1:] if g is own else embedded(g.features)
+        cost = _kept_costs(kernel, query[:, :1], qp, protos,
+                           g.present_at((n, band), cols), rows, cols)[0]
+        S = _sweep(cost, n, m, band, _hard_step)
+        for t, (pid, distance) in enumerate(zip(g.ids, S[:, -1, n - 1].tolist())):
             if math.isfinite(distance):
-                scored.append((pid, distance, math.exp(-beta * distance), len(tables), t))
-        tables.append(S)
-    scored.sort(key=lambda e: (-e[2], e[0]))
-    return [(pid, AlignmentResult(distance, functools.partial(_warping_path, tables[g][t]),
-                                  similarity))
-            for pid, distance, similarity, g, t in scored[:max(0, top_k)]]
+                similarity = math.exp(-beta * distance)
+                # ranked by (-similarity, id); the running count keeps equal
+                # keys in scoring order, as a stable sort would
+                scored.append((-similarity, pid, len(scored), distance, S, t))
+    return [(pid, AlignmentResult(distance, functools.partial(_warping_path, S[t]), -neg))
+            for neg, pid, _, distance, S, t in heapq.nsmallest(max(0, top_k), scored)]

@@ -14,6 +14,7 @@ forward with vector state over the columns, so gradients reach the selector
 parameters.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -174,18 +175,25 @@ class SelectorModel:
 
 
 def _squash(raw: np.ndarray, cfg: FilterConfig):
-    """Map 4 raw outputs into the legal (q, r, sigma, alpha) boxes."""
+    """Map 4 raw outputs into the legal (q, r, sigma, alpha) boxes.  Returns
+    the values and the sigmoids of ``raw`` (``_squash_slopes`` reads them)."""
     s = sigmoid(raw)
     ranges = (cfg.q_range, cfg.r_range, cfg.sigma_range, cfg.alpha_range)
-    vals = np.array([lo + (hi - lo) * si for (lo, hi), si in zip(ranges, s)])
-    # d(value)/d(raw) for the backward pass
-    dvals = np.array([(hi - lo) * si * (1.0 - si) for (lo, hi), si in zip(ranges, s)])
-    return vals, dvals
+    # Python floats round every step as float64 scalars do, at less cost
+    return np.array([lo + (hi - lo) * si for (lo, hi), si in zip(ranges, s.tolist())]), s
+
+
+def _squash_slopes(s: np.ndarray, cfg: FilterConfig) -> np.ndarray:
+    """d(value)/d(raw) of ``_squash``, from its sigmoids; training only."""
+    ranges = (cfg.q_range, cfg.r_range, cfg.sigma_range, cfg.alpha_range)
+    return np.array([(hi - lo) * si * (1.0 - si) for (lo, hi), si in zip(ranges, s)])
 
 
 def select_filter(model: SelectorModel, ctx: FilterContext) -> FilterChoice:
-    """Deterministic map (model, context) -> FilterChoice."""
-    return selector_forward_training(model, ctx)[0]
+    """Deterministic map (model, context) -> FilterChoice: the choice of
+    ``selector_forward_training``, without the caches only training reads."""
+    out, _ = model.net.forward(ctx.features())
+    return FilterChoice(softmax(out[:3]), *_squash(out[3:], model.cfg)[0])
 
 
 def context_from_windows(features, present, scan_age: float) -> FilterContext:
@@ -196,22 +204,30 @@ def context_from_windows(features, present, scan_age: float) -> FilterContext:
     """
     features = np.asarray(features, dtype=float)
     present = np.asarray(present, dtype=bool)
+    n, rssi = features.shape[0], features[:, 3]
+    # the reductions np.var and np.mean run, in their order, without their
+    # wrappers: a decision pays for these once a second
+    centered = rssi - np.add.reduce(rssi, keepdims=True) / n
     return FilterContext(
-        rssi_variance=float(np.var(features[:, 3])),
+        rssi_variance=float(np.add.reduce(np.square(centered, out=centered))) / n,
         scan_age=scan_age,
-        step_rate=max(0.0, float(np.mean(features[:, 0]))),
-        presence=tuple(bool(b) for b in present[-1]))
+        step_rate=max(0.0, float(np.add.reduce(features[:, 0])) / n),
+        presence=tuple(present[-1].tolist()))
 
 
 def _along_time(kernel, arr: np.ndarray, *coef) -> np.ndarray:
     """``kernel(x, *coef)`` on a C-contiguous time-major (T, K) copy ``x`` of
     (..., T, F), column k one series (K is the product of the leading axes
-    times F), returned C-contiguous in ``arr``'s shape."""
+    times F), returned in ``arr``'s shape.  An input that already is a
+    C-contiguous time-major array seen through a transpose (``match`` hands
+    its (T, B, F) stack over as ``stack.transpose(1, 0, 2)``) is filtered in
+    place of the copy, and its result is the same view of a time-major
+    result; any other comes back C-contiguous."""
     nd, T = arr.ndim, arr.shape[-2]
     x = arr.transpose((nd - 2,) + tuple(range(nd - 2)) + (nd - 1,))
-    out = kernel(np.ascontiguousarray(x.reshape(T, -1)), *coef)
-    out = out.reshape((T,) + arr.shape[:-2] + arr.shape[-1:])
-    return np.ascontiguousarray(out.transpose(tuple(range(1, nd - 1)) + (0, nd - 1)))
+    out = kernel(np.ascontiguousarray(x).reshape(T, -1), *coef).reshape(x.shape)
+    out = out.transpose(tuple(range(1, nd - 1)) + (0, nd - 1))
+    return out if x.flags.c_contiguous else np.ascontiguousarray(out)
 
 
 def _kalman_batch(x: np.ndarray, q: float, r: float) -> np.ndarray:
@@ -231,24 +247,35 @@ def _kalman_batch(x: np.ndarray, q: float, r: float) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _gaussian_reach(radius: int, n: int):
+    """For a kernel of ``radius`` over n steps: each offset's (off, lo, hi),
+    the output rows [lo, hi) it reaches (empty when |off| >= n), and the
+    (2 radius + 1, n) indicator of those rows; read-only."""
+    offsets = np.arange(-radius, radius + 1)
+    rows = np.arange(n)[None, :] + offsets[:, None]
+    reach = ((rows >= 0) & (rows < n)).astype(float)
+    reach.setflags(write=False)
+    return tuple((off, max(0, -off), min(n, n - off)) for off in offsets.tolist()), reach
+
+
 def _gaussian_sums(x: np.ndarray, offsets, weights):
     """Edge-truncated weighted sums along axis -2: (num, den[:, None]).
     The kernel is symmetric, so each product w * x is formed once for both
-    its offsets (a weight of 1 reads ``x``); sums add in offset order."""
-    n = x.shape[-2]
+    its offsets (a weight of 1 reads ``x``); sums add in offset order.  The
+    weights do not depend on ``x``: den is one product with the reach
+    indicator summed down its offset axis, which numpy adds row by row, so
+    in offset order as well."""
+    taps, reach = _gaussian_reach(offsets.size // 2, x.shape[-2])
     num = np.zeros_like(x)
-    den = np.zeros(n)
     products = {}
-    for off, w in zip(offsets.tolist(), weights.tolist()):
-        lo = max(0, -off)
-        hi = min(n, n - off)
+    for (off, lo, hi), w in zip(taps, weights.tolist()):
         if lo >= hi:
             continue
         if abs(off) not in products:
             products[abs(off)] = x if w == 1.0 else w * x
         num[..., lo:hi, :] += products[abs(off)][..., lo + off:hi + off, :]
-        den[lo:hi] += w
-    return num, den[:, None]
+    return num, np.add.reduce(weights[:, None] * reach, axis=0)[:, None]
 
 
 def _gaussian_batch(x: np.ndarray, sigma: float) -> np.ndarray:
@@ -276,11 +303,14 @@ def denoise_matrix(choice: FilterChoice, arr: np.ndarray) -> np.ndarray:
     once over a C-contiguous time-major (T, K) copy, K = B * F: the Kalman
     and low-pass recursions step over its rows into a preallocated output,
     the Gaussian adds one block of rows per kernel offset.  The result comes
-    back C-contiguous in the input's shape.  Each series gets the same IEEE
-    operations, in the same order, as the scalar ``apply_kalman``
-    (initialized at the series' first value, variance 1), ``apply_gaussian``
-    or ``apply_elp``, so the results are bit-identical to filtering column by
-    column.
+    back C-contiguous in the input's shape, except for an input that is a
+    time-major array seen through a transpose, as ``match`` hands over its
+    (T, B, F) stack: that one is filtered without a copy, and its result is
+    the same view of a time-major result (``_along_time``).  Each series
+    gets the same IEEE operations, in the same order, as the scalar
+    ``apply_kalman`` (initialized at the series' first value, variance 1),
+    ``apply_gaussian`` or ``apply_elp``, so the results are bit-identical to
+    filtering column by column.
     """
     arr = np.asarray(arr, dtype=float)
     if arr.ndim < 2 or arr.shape[-2] == 0:
@@ -396,9 +426,9 @@ def selector_forward_training(model: SelectorModel, ctx: FilterContext):
     feats = ctx.features()
     out, net_cache = model.net.forward(feats)
     weights = softmax(out[:3])
-    params, dparams_draw = _squash(out[3:], model.cfg)
+    params, s = _squash(out[3:], model.cfg)
     choice = FilterChoice(weights, *params)
-    return choice, (net_cache, weights, dparams_draw)
+    return choice, (net_cache, weights, _squash_slopes(s, model.cfg))
 
 
 def selector_backward(model: SelectorModel, cache, dweights, dparams):

@@ -92,7 +92,8 @@ class Fingerprint:
         # the checks run on Python floats: cheaper than numpy on 14 and 5 values
         if not all(map(math.isfinite, features.tolist())):
             raise ValueError("fingerprint features must be finite")
-        if any(q < 0.0 or q > 1.0 for q in quality.tolist()):
+        # written so that a NaN fails it too
+        if not all(0.0 <= q <= 1.0 for q in quality.tolist()):
             raise ValueError("qualities must lie in [0, 1]")
         self.timestamp = float(timestamp)
         self.features = features
@@ -395,25 +396,45 @@ def sequence_content_id(feats: np.ndarray, pres: np.ndarray, kind: str,
     return f"p{fnv1a64(payload + kind.encode('utf-8'), salt):016x}"
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class LengthGroup:
+    """Prototypes of one length m, laid out the way ``alignment.match``
+    filters, embeds and gathers them.
+
+    ``ids`` in entry order, their ``features`` (m, P, 14) and ``present``
+    (m, P, 5) stacked time-major, and ``present_at(key, index)``: the
+    presence at time indices ``index``, (len(index), P, 5), computed once
+    per ``key`` (``match`` gathers it at the band's kept columns and keys it
+    by live length and band).  Every array is read-only.
+    """
+
+    __slots__ = ("ids", "features", "present", "_present_at")
+
+    def __init__(self, ids, features, present):
+        self.ids = tuple(ids)
+        self.features = _read_only(np.stack(features, axis=1))
+        self.present = _read_only(np.stack(present, axis=1))
+        self._present_at = {}
+
+    def present_at(self, key, index) -> np.ndarray:
+        got = self._present_at.get(key)
+        if got is None:
+            got = self._present_at[key] = _read_only(np.take(self.present, index, axis=0))
+        return got
+
+
 def group_by_length(entries):
     """Group ``(prototype_id, (features (T, 14), present (T, 5)))`` entries
-    by length T.
-
-    Returns one ``(ids, features (P, T, 14), present (P, T, 5))`` per length,
-    lengths in order of first appearance and members in entry order; the
-    stacked arrays are read-only.
-    """
+    by length T: one ``LengthGroup`` per length, lengths in order of first
+    appearance and members in entry order."""
     by_length = {}
     for pid, (feats, pres) in entries:
         by_length.setdefault(feats.shape[0], []).append((pid, feats, pres))
-    groups = []
-    for members in by_length.values():
-        ids, feats, pres = zip(*members)
-        feats, pres = np.stack(feats), np.stack(pres)
-        feats.setflags(write=False)
-        pres.setflags(write=False)
-        groups.append((ids, feats, pres))
-    return tuple(groups)
+    return tuple(LengthGroup(*zip(*members)) for members in by_length.values())
 
 
 class FingerprintLibrary:
@@ -445,8 +466,9 @@ class FingerprintLibrary:
             yield pid, self.sequences[pid]
 
     def length_groups(self):
-        """``group_by_length`` of the packed sequences in id order, which
-        ``alignment.match`` scores; cached until ``version`` changes."""
+        """``group_by_length`` of the packed sequences in id order, the plan
+        ``alignment.match`` scores from; kept, with what ``match`` gathers
+        into it, until ``version`` changes."""
         if self._groups[0] != self.version:
             self._groups = (self.version, group_by_length(
                 (pid, seq.packed()) for pid, seq in self.items()))

@@ -88,10 +88,6 @@ class PolicyModel:
     def n_actions(self) -> int:
         return self.net.b2.size - 1
 
-    def logits_value(self, feats):
-        out, _ = self.net.forward(np.asarray(feats, dtype=float))
-        return out[..., :-1], out[..., -1]
-
     def serialize(self) -> str:
         return dump_tensors(self.net.tensors("policy."))
 
@@ -101,8 +97,10 @@ class PolicyModel:
 
 
 def action_probs(model: PolicyModel, feats) -> np.ndarray:
-    logits, _ = model.logits_value(feats)
-    return softmax(logits)
+    """Softmax of the action logits, read from ``net.forward`` as ``act``
+    reads them; the last output is the value head."""
+    out, _ = model.net.forward(feats)
+    return softmax(out[..., :-1])
 
 
 def act(model: PolicyModel, state, mode: str = "sample", rng=None,

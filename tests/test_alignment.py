@@ -53,19 +53,17 @@ def brute_force_distance(model, query, proto, band):
     return best[0]
 
 
-def skewed(cost, band):
-    """A raw (P, n, m) cost stack in the skewed layout ``_banded_costs``
-    writes: the cells ``_skew_index`` keeps, inf elsewhere."""
-    P, n, m = cost.shape
-    keep, rows, cols = _skew_index(n, m, band)
-    skew = np.full(keep.shape + (P,), np.inf)
-    skew[keep] = cost[:, rows, cols].T
-    return skew.transpose(2, 0, 1)
+def kept(cost, band):
+    """The (C, P) costs ``_banded_costs`` gives for a raw (P, n, m) cost
+    stack: the cells ``_skew_index`` keeps, in its order, pairs innermost."""
+    _, rows, cols = _skew_index(*cost.shape[1:], band)
+    return np.ascontiguousarray(cost[:, rows, cols].T)
 
 
 def dtw_tables(cost, band):
     """Exact-DTW tables (P, n, m) of a raw cost stack, by the banded sweep."""
-    return _unskew(_sweep(skewed(cost, band), _hard_step), *cost.shape[1:])
+    n, m = cost.shape[1:]
+    return _unskew(_sweep(kept(cost, band), n, m, band, _hard_step), n, m)
 
 
 def stacked(protos):
@@ -361,8 +359,8 @@ class TestBatchedDtw:
             q = random_packed(rng, n)
             protos = [random_packed(rng, m) for _ in range(P)]
             cost = cost_matrix(model, q, stacked(protos))
-            skew, _ = _banded_costs(model, q, stacked(protos), band)
-            got = _sweep(skew, _hard_step)[:, -1, n - 1]
+            costs, _ = _banded_costs(model, q, stacked(protos), band)
+            got = _sweep(costs, n, m, band, _hard_step)[:, -1, n - 1]
             for k, p in enumerate(protos):
                 want = scalar_banded_distance(cost[k], band)
                 assert got[k] == want
@@ -498,15 +496,15 @@ class TestSoftDtwKernel:
             q = random_packed(rng, n)
             protos = [random_packed(rng, m) for _ in range(P)]
             cost = cost_matrix(model, q, stacked(protos))
-            skew, _ = _banded_costs(model, q, stacked(protos), band)
+            costs, _ = _banded_costs(model, q, stacked(protos), band)
             try:
                 oracles = [scalar_soft_dtw_tables(c, band, gamma) for c in cost]
             except BandTooNarrowError:
                 with pytest.raises(BandTooNarrowError):
-                    _soft_dtw_tables(skew, gamma)
+                    _soft_dtw_tables(costs, n, m, band, gamma)
                 narrow += 1
                 continue
-            values, R, E = _soft_dtw_tables(skew, gamma)
+            values, R, E = _soft_dtw_tables(costs, n, m, band, gamma)
             R, E = _unskew(R, n, m), _unskew(E, n, m)
             for k, (value, R_k, E_k) in enumerate(oracles):
                 assert values[k] == value
@@ -543,10 +541,10 @@ class TestSoftDtwKernel:
             band = 1 + trial % 3
             gamma = (0.1, 1.0)[trial % 2]
             P = int(rng.integers(1, 5))
-            # integer costs tie; ``skewed`` puts inf outside the band
-            skew = skewed(rng.integers(0, 4, size=(P, n, m)).astype(float), band)
-            got = _sweep(skew, _soft_step(gamma))
-            want = _sweep(skew, all_libm_soft_step(gamma))
+            # integer costs tie; the sweep leaves inf outside the band
+            costs = kept(rng.integers(0, 4, size=(P, n, m)).astype(float), band)
+            got = _sweep(costs, n, m, band, _soft_step(gamma))
+            want = _sweep(costs, n, m, band, all_libm_soft_step(gamma))
             assert got.tobytes() == want.tobytes()
 
     def test_soft_dtw_is_kernel_on_stack_of_one(self, rng):
@@ -911,7 +909,7 @@ class TestBandedCosts:
             if trial % 3 == 0:             # a modality absent on one side throughout
                 (qp if trial % 2 else pp)[..., trial % 5] = False
             absent += int(not qp.any(axis=-2).all() or not pp.any(axis=(0, 1)).all())
-            skew, _ = _banded_costs(model, (qf, qp), (pf, pp), band)
+            costs, _ = _banded_costs(model, (qf, qp), (pf, pp), band)
             cost = cost_matrix(model, (qf, qp), (pf, pp))
             keep, rows, cols = _skew_index(n, m, band)
             # entry (d, i) of the layout is cell (i, d - i); kept cells are
@@ -920,10 +918,89 @@ class TestBandedCosts:
             assert np.array_equal(rows, i) and np.array_equal(cols, d - i)
             assert band_mask(n, m, band)[rows, cols].all()
             assert keep.sum() == band_mask(n, m, band).sum()
-            assert np.array_equal(skew[:, keep], cost[:, rows, cols])
-            assert np.isinf(skew[:, ~keep]).all()
-            assert np.array_equal(skew, skewed(cost, band))
+            assert costs.shape == (keep.sum(), P)
+            assert np.array_equal(costs, cost[:, rows, cols].T)
+            # the recursion's table is inf wherever the band keeps no cell
+            table = _sweep(costs, n, m, band, _hard_step)
+            assert np.isinf(table[:, ~keep]).all()
         assert absent > 0
+
+
+def grid_gradients(model, caches, E):
+    """``_cost_gradients`` as it was on a zero-filled dense grid: every kept
+    cell's terms written at (p, i, j) of a (P, n, m, .) grid, summed by
+    numpy along j (for A) and along i (for B)."""
+    qf, pf, (Wb, _, w), diff, sq, mask, band = caches
+    (P, m, _), n = pf.shape, qf.shape[-2]
+    keep, rows, cols = _skew_index(n, m, band)
+    index = alignment._block_layout(model.embed_dim)[0]
+    Em = E.transpose(1, 2, 0)[keep][..., None] * mask
+    grid = np.zeros((P, n, m, len(MODALITIES)))
+    grid[:, rows, cols] = (Em * sq).swapaxes(0, 1)
+    dcost_dw = grid.sum(axis=(1, 2))
+    Md = diff.reshape(diff.shape[:2] + (len(MODALITIES), -1)) * (Em * w)[..., None]
+    grid = np.zeros((P, n, m, Wb.shape[0]))
+    grid[:, rows, cols] = Md.reshape(diff.shape).swapaxes(0, 1)
+    A, B = grid.sum(axis=2), grid.sum(axis=1)
+    gW = 2.0 * (np.swapaxes(A, 1, 2) @ qf - np.swapaxes(B, 1, 2) @ pf)
+    G = np.empty((P, index.size + len(MODALITIES)))
+    G[:, :index.size] = gW.reshape(P, -1)[:, index]
+    for p in range(P):
+        G[p, index.size:] = w * (dcost_dw[p] - float(np.dot(w, dcost_dw[p])))
+    return (G, alignment._rows(2.0 * A, Wb), alignment._rows(-2.0 * B, Wb)), A, B
+
+
+class TestCostGradients:
+    def test_equal_the_dense_grid_sums_bit_for_bit(self, rng):
+        """Summed without the grid, every gradient keeps its bits, signed
+        zeros included: a row or column whose kept terms are all -0.0 sums
+        to +0.0, as on the grid."""
+        negative_zero_runs = 0
+        for trial in range(60):
+            n, m = (int(v) for v in rng.integers(2, 11, size=2))
+            band, P = 1 + trial % 3, int(rng.integers(1, 5))
+            model = MetricModel.from_seed(trial, noise=0.3)
+            qf, qp = stacked([random_packed(rng, n) for _ in range(P)])
+            pf, pp = stacked([random_packed(rng, m) for _ in range(P)])
+            # a modality absent on some query rows and proto columns, with
+            # the query's values below the protos': its terms there are -0.0
+            k = MODALITY_SLICES[MODALITIES[trial % 5]]
+            qf[..., k] -= 50.0
+            qp[:, rng.random(n) < 0.4, trial % 5] = False
+            pp[:, rng.random(m) < 0.4, trial % 5] = False
+            try:
+                costs, caches = _banded_costs(model, (qf, qp), (pf, pp), band)
+                _, _, E = _soft_dtw_tables(costs, n, m, band, 0.1)
+            except BandTooNarrowError:
+                continue
+            want, A, B = grid_gradients(model, _banded_costs(model, (qf, qp), (pf, pp), band)[1], E)
+            got = alignment._cost_gradients(model, caches, E, want_feature_grads=True)
+            for g, v in zip(got, want):
+                assert g.tobytes() == v.tobytes()
+            # the sums themselves, from the weighted terms written over the
+            # cached differences: a -0.0 here need not reach a gradient
+            terms = caches[3]
+            row_runs, col_runs, _ = alignment._band_sums(n, m, band)
+            assert alignment._run_sums(terms, row_runs, n).tobytes() == A.tobytes()
+            assert alignment._run_sums(terms, col_runs, m).tobytes() == B.tobytes()
+            assert not (np.signbit(A) & (A == 0.0)).any()
+            _, rows, cols = _skew_index(n, m, band)
+            for at, size in ((rows, n), (cols, m)):
+                for r in range(size):
+                    run = terms[at == r]
+                    negative_zero_runs += int((np.signbit(run) & (run == 0.0)).all(axis=0).sum())
+        assert negative_zero_runs > 0
+
+
+class TestSweepPlan:
+    def test_each_diagonal_keeps_one_run_of_rows(self):
+        """``_sweep_plan`` steps each anti-diagonal as one run of rows."""
+        for n in range(2, 25):
+            for m in range(2, 25):
+                for band in (1, 2, 3, 5):
+                    for row in _skew_index(n, m, band)[0]:
+                        kept = np.flatnonzero(row)
+                        assert kept.size == 0 or kept[-1] - kept[0] + 1 == kept.size
 
 
 class TestLazyPath:
@@ -962,6 +1039,22 @@ class TestLazyPath:
         assert calls["_backtrack"] == 1
         assert top.path is top.path and calls["_backtrack"] == 1
         assert top == want
+
+    def test_paths_read_after_later_matches_equal_dtw(self, rng):
+        """Every call sweeps into tables of its own: a path read only after
+        later calls of the same shapes is still that result's own."""
+        model, selector, _, library, ctx = self.scene(rng)
+        lives = [random_packed(rng, 7) for _ in range(3)]
+        first = match(model, selector, lives[0], library, 2, len(library), ctx)
+        for live in lives[1:]:
+            for _, result in match(model, selector, live, library, 2, len(library), ctx):
+                result.path
+        choice = select_filter(selector, ctx)
+        query = (denoise_matrix(choice, lives[0][0]), lives[0][1])
+        protos = dict(library)
+        for pid, result in first:
+            pf, pp = protos[pid]
+            assert result.path == dtw(model, query, (denoise_matrix(choice, pf), pp), 2).path
 
 
 class TestLengthGroups:
@@ -1017,15 +1110,52 @@ class TestLengthGroups:
         kept = self.ranked(lib, live)
         assert kept != after and kept == self.ranked(self.fresh(lib), live)
 
+    @staticmethod
+    def bits(ranked):
+        return [(pid, r.distance.hex(), r.similarity.hex()) for pid, r in ranked]
+
+    def test_plan_equals_a_fresh_library_after_every_change(self, rng):
+        """After each commit, eviction and retention drop, ``match`` on the
+        library's kept plan equals ``match`` on a fresh library with the same
+        items, bit for bit: ids, order, distances and similarities."""
+        lib = self.library(rng, [6, 4, 6, 5], capacity=5)
+        lives = [make_sequence(rng, n) for n in (6, 4, 3)]
+        model, selector = MetricModel.from_seed(3, noise=0.3), SelectorModel.from_seed(5)
+
+        def run(library):
+            return [self.bits(match(model, selector, live, library, 2, 64,
+                                    context_from_windows(*live.packed(), 0.0)))
+                    for live in lives]
+
+        run(lib)                                    # fills the plan of this version
+        changes = (lambda: self.commit(lib, rng, 6, day=4),            # no eviction
+                   lambda: self.commit(lib, rng, 4, day=5),            # evicts day 0
+                   lambda: lib.maintain(lib.cfg.retention_days + 3))   # drops days 1, 2
+        sizes = []
+        for change in changes:
+            groups = lib.length_groups()
+            change()
+            sizes.append(len(lib))
+            assert lib.length_groups() is not groups
+            assert run(lib) == run(self.fresh(lib))
+        assert sizes == [5, 5, 3]
+
     def test_cached_arrays_are_read_only(self, rng):
         lib = self.library(rng, [6, 4])
-        for _, feats, pres in lib.length_groups():
-            with pytest.raises(ValueError):
-                feats[0, 0, 0] = 1.0
-            with pytest.raises(ValueError):
-                pres[0, 0, 0] = False
+        live = make_sequence(rng, 6)
+        match(MetricModel.identity(), SelectorModel.zeros(), live, lib, 2, 1, FilterContext())
+        for g in lib.length_groups():
+            _, _, cols = _skew_index(6, len(g.features), 2)
+            kept = g.present_at((6, 2), cols)
+            assert kept is g.present_at((6, 2), cols)     # gathered by match, kept
+            assert kept.shape == (cols.size, len(g.ids), 5)
+            for a, v in ((g.features, 1.0), (g.present, False), (kept, False)):
+                with pytest.raises(ValueError):
+                    a.flat[0] = v
         keep, rows, cols = _skew_index(6, 4, 2)
-        for a, v in ((keep, False), (rows, 1), (cols, 1)):
+        row_runs, col_runs, by_row = alignment._band_sums(6, 4, 2)
+        for a, v in ((keep, False), (rows, 1), (cols, 1), (by_row, 1)) + tuple(
+                (a, 1) for run in row_runs + col_runs for a in run):
             with pytest.raises(ValueError):
                 a.flat[0] = v
 

@@ -318,7 +318,7 @@ class TestBatchedDenoise:
 
     @pytest.mark.parametrize("kind", FILTER_ORDER)
     def test_layouts_equal_scalar_per_column(self, rng, kind):
-        # two leading axes, a transposed (non-contiguous) view and F = 1
+        # two leading axes, transposed (non-contiguous) views and F = 1
         choice = FilterChoice(np.eye(3)[FILTER_ORDER.index(kind)], 0.4, 1.5, 1.6, 0.3)
         cases = [rng.normal(0.0, 3.0, size=(2, 3, 7, 5)),
                  rng.normal(0.0, 3.0, size=(4, 9, 6)).transpose(0, 2, 1),
@@ -326,9 +326,13 @@ class TestBatchedDenoise:
                  rng.normal(0.0, 3.0, size=(3, 6, 1)),
                  rng.normal(0.0, 3.0, size=(5, 1))]
         assert not cases[1].flags.c_contiguous and not cases[2].flags.c_contiguous
-        for arr in cases:
+        # a time-major stack seen through a transpose, as ``match`` passes it,
+        # is filtered without a copy and comes back the same way
+        time_major = rng.normal(0.0, 3.0, size=(7, 3, 5))
+        for arr in cases + [time_major.transpose(1, 0, 2)]:
             out = denoise_matrix(choice, arr)
-            assert out.shape == arr.shape and out.flags.c_contiguous
+            layout = out.transpose(1, 0, 2) if arr.base is time_major else out
+            assert out.shape == arr.shape and layout.flags.c_contiguous
             series = arr.reshape((-1,) + arr.shape[-2:])
             got = out.reshape(series.shape)
             for b in range(series.shape[0]):

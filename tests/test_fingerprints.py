@@ -51,6 +51,7 @@ class TestTypes:
          "features must be finite"),
         (np.zeros(14), np.ones(5, bool), [1.0, 1.0, -0.1, 1.0, 1.0], r"qualities must lie in \[0, 1\]"),
         (np.zeros(14), np.ones(5, bool), [1.0, 1.0, 1.0, 1.0, 1.5], r"qualities must lie in \[0, 1\]"),
+        (np.zeros(14), np.ones(5, bool), [np.nan, 1.0, 1.0, 1.0, 1.0], r"qualities must lie in \[0, 1\]"),
     ])
     def test_fingerprint_rejects_each_invalid_input(self, features, present,
                                                     quality, message):

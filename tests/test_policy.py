@@ -104,7 +104,7 @@ class TestAct:
                                    np.random.default_rng(seed), guide, eps)
             assert idx == int(np.random.default_rng(seed).choice(len(mix), p=mix))
             assert logp == float(np.log(mix[idx]))
-            assert value == float(model.logits_value(feats)[1])
+            assert value == float(model.net.forward(feats)[0][-1])
             if eps == 1.0:
                 assert idx == guide and logp == 0.0
 
@@ -629,8 +629,10 @@ def test_policy_serialize_roundtrip():
 
 def test_traced_names_are_reached(monkeypatch, rng):
     """The benchmark's span tracer counts calls by rebinding
-    ``envswitch.alignment.match`` and ``envswitch.filters.soft_denoise_matrix``;
-    a matcher miss and a selector epoch must still go through those names."""
+    ``envswitch.alignment.match``, ``envswitch.filters.select_filter``,
+    ``envswitch.filters.denoise_matrix`` and
+    ``envswitch.filters.soft_denoise_matrix``; a matcher miss and a selector
+    epoch must still go through those names."""
     calls = Counter()
 
     def counting(name, fn):
@@ -640,12 +642,13 @@ def test_traced_names_are_reached(monkeypatch, rng):
         return wrapper
 
     monkeypatch.setattr(alignment, "match", counting("match", alignment.match))
-    monkeypatch.setattr(filters, "soft_denoise_matrix",
-                        counting("soft_denoise_matrix", filters.soft_denoise_matrix))
+    for name in ("select_filter", "denoise_matrix", "soft_denoise_matrix"):
+        monkeypatch.setattr(filters, name, counting(name, getattr(filters, name)))
     _, trace, stack = build_stack(rng)
     features, present = segment_before(trace, 20.0, CFG).packed()
     stack.top_similarity(features, present, 0.0)
-    assert calls["match"] == 1
+    assert calls["match"] == calls["select_filter"] == 1
+    assert calls["denoise_matrix"] >= 1
     items = [(FilterContext(), (features, present, features, present),
               [(features, present, features[::-1], present)])] * 3
     filters.train_selector(SelectorModel.from_seed(0), items,
