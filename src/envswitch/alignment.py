@@ -8,21 +8,25 @@ modalities and laid out time-major, it gathers only the cells inside the
 Sakoe-Chiba band, anti-diagonal by anti-diagonal with the pairs innermost,
 (kept cell, pair), the order the recursion reads them in.  One forward
 sweep (``_sweep``) runs both recursions on a diagonal-major (anti-diagonal,
-row, pair) table, through slices planned once per shape and band
-(``_sweep_plan``): with a hard min for exact DTW (``dtw`` on a stack of one,
-``match`` on each length group of a library), and with a soft-min for
-soft-DTW (``soft_dtw`` on one pair, and every margin loss on all pairs of
-its positives and negatives at once).  ``match`` runs on the library's plan,
-kept per library version: its prototypes stacked time-major by length, with
-their presence at the band's kept columns; the live window is the only new
-input.  Exact DTW gives the alignment distance d and the similarity
-exp(-beta * d) in (0, 1], with a fixed scale beta = 1; a distance is read
-from the last cell, and ``match`` backtracks a warping path only when a
-result's ``.path`` is read.  Soft-DTW is differentiable: its backward
-weights sweep the same layout in reverse, and hand-written gradients let the
-metric (and, through the filter mixture, the selector) train with plain
-gradient descent.  ``cost_matrix`` costs every cell densely; it is the
-reference the tests check the banded costs against.
+row, pair) table, through views planned once per shape and band and bound
+to a table (``_sweep_plan``): with a hard min for exact DTW (``dtw`` on a
+stack of one, ``match`` on each length group of a library), and with a
+soft-min for soft-DTW (``soft_dtw`` on one pair, and every margin loss on
+all pairs of its positives and negatives at once).  ``dtw`` and soft-DTW
+training allocate their buffers and tables per call.  ``match`` runs in
+scratch that the library's plan keeps per version: its prototypes stacked
+time-major by length, with their presence at the band's kept columns, and
+every buffer and view a match writes through, so the live window is the
+only new input and a served match allocates almost nothing; the metric's
+kernel is built once per metric content (``_kernel``).  Exact DTW gives the
+alignment distance d and the similarity exp(-beta * d) in (0, 1], with a
+fixed scale beta = 1; a distance is read from the last cell, and ``match``
+backtracks a warping path only when a result's ``.path`` is read.  Soft-DTW
+is differentiable: its backward weights sweep the same layout in reverse,
+and hand-written gradients let the metric (and, through the filter mixture,
+the selector) train with plain gradient descent.  ``cost_matrix`` costs
+every cell densely; it is the reference the tests check the banded costs
+against.
 """
 
 import functools
@@ -168,22 +172,39 @@ def _rows(x: np.ndarray, M: np.ndarray) -> np.ndarray:
 def _kernel(model: MetricModel):
     """What every cost is computed from: the (E, 14) block-diagonal
     embedding Wb of all modalities at once, the (E, 5) modality indicator of
-    its rows and the (5,) weights.  Built once per call: ``MetricModel`` is
-    mutable, so nothing keeps them between calls."""
-    index, indicator = _block_layout(model.embed_dim)
+    its rows and the (5,) weights; read-only.  Built once per metric
+    content, keyed by the bytes of ``to_vector`` and the embed dim:
+    ``MetricModel`` is mutable, and an edited or new model gets a fresh
+    kernel."""
+    return _kernel_of(model.to_vector().tobytes(), model.embed_dim)
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel_of(vector: bytes, embed_dim: int):
+    index, indicator = _block_layout(embed_dim)
+    vec = np.frombuffer(vector)
     Wb = np.zeros((indicator.shape[0], N_FEATURES))
-    Wb.flat[index] = model.to_vector()[:index.size]
-    return Wb, indicator, model.weights
+    Wb.flat[index] = vec[:index.size]
+    w = softmax(vec[index.size:].copy())
+    for a in (Wb, w):
+        a.setflags(write=False)
+    return Wb, indicator, w
 
 
-def _cell_costs(kernel, squares: np.ndarray, mask: np.ndarray):
+def _cell_costs(kernel, squares: np.ndarray, mask: np.ndarray, sq=None,
+                cost=None, masked=None):
     """Costs (...) of cells with squared embedded differences ``squares``
     (..., E) and presence ``mask`` (..., 5), and their squared distances sq
     (..., 5): a product with the (E, 5) modality indicator gives sq and,
-    masked, one with the weights sums them."""
+    masked, one with the weights sums them.  ``sq`` (N, 5), ``cost`` (N,)
+    and ``masked`` (N, 5), N cells, are the buffers the three steps write
+    into, allocated when None; ``masked`` may be ``sq`` itself."""
     _, indicator, w = kernel
-    sq = _rows(squares, indicator)
-    return _rows(sq * mask, w), sq
+    sq = np.matmul(squares.reshape(-1, squares.shape[-1]), indicator, out=sq)
+    masked = np.multiply(sq, mask.reshape(sq.shape), out=masked)
+    cost = np.matmul(masked, w, out=cost)
+    lead = squares.shape[:-1]
+    return cost.reshape(lead), sq.reshape(lead + (len(MODALITIES),))
 
 
 def _check_schema(qf: np.ndarray, pf: np.ndarray):
@@ -353,27 +374,58 @@ def _time_major(a: np.ndarray) -> np.ndarray:
     return a[:, None] if a.ndim == 2 else a.swapaxes(0, 1)
 
 
-def _kept_costs(kernel, qe, qp, pe, pp_kept, rows, cols, keep_diff=False):
+class _CostScratch:
+    """The buffers ``_kept_costs`` writes for C kept cells, Q query series,
+    P prototypes and E embedded coordinates: the gathered query rows (C, Q,
+    E) and presence (C, Q, 5), the differences (C, P, E), the mask (C, P,
+    5), the squared distances (C * P, 5) and the costs (C * P,).  Given
+    ``cells``, a ``_CostScratch`` of at least C cells and the same Q, P and
+    E, every buffer is a view of the start of its counterpart there: all of
+    them are dead once ``match`` has swept the costs, so it shares one set
+    among every live length of a group (``_SharedScratch``)."""
+
+    __slots__ = ("qrows", "qmask", "diff", "mask", "sq", "cost")
+
+    def __init__(self, C: int, Q: int, P: int, E: int, cells=None):
+        def buffer(name, shape, dtype=float):
+            if cells is None:
+                return np.empty(shape, dtype)
+            return getattr(cells, name).reshape(-1)[:math.prod(shape)].reshape(shape)
+
+        K = len(MODALITIES)
+        self.qrows, self.qmask = buffer("qrows", (C, Q, E)), buffer("qmask", (C, Q, K), bool)
+        self.diff, self.mask = buffer("diff", (C, P, E)), buffer("mask", (C, P, K), bool)
+        self.sq, self.cost = buffer("sq", (C * P, K)), buffer("cost", (C * P,))
+
+
+def _kept_costs(kernel, qe, qp, pe, pp_kept, rows, cols, scratch=None):
     """Costs (C, P) of the cells the band keeps, cell c at query row
     ``rows[c]`` and prototype column ``cols[c]`` (``_skew_index``).
 
-    Both sides come embedded and time-major: the query qe (n, 1 or P, E)
-    with presence qp (n, 1 or P, 5), the prototypes pe (m, P, E) with their
-    presence already gathered at the kept columns, ``pp_kept`` (C, P, 5).
-    The cells are gathered as (C, P, E) differences, so the costs come out
-    in the order of the skewed layout, diagonal by diagonal, with the pairs
-    innermost.  The differences are written over the gathered prototypes
-    and, unless ``keep_diff``, squared in place, so a call holds one
-    (C, P, E) array, not three.  Also returns the differences (squared
-    unless ``keep_diff``), the squared distances (C, P, 5) and the presence
-    mask (C, P, 5); ``_cost_gradients`` reads them.
+    Both sides come embedded and time-major: the query qe (n, Q, E), Q = 1
+    or P, with presence qp (n, Q, 5), the prototypes pe (m, P, E) with
+    their presence already gathered at the kept columns, ``pp_kept`` (C, P,
+    5).  The cells are gathered as (C, P, E) differences, so the costs come
+    out in the order of the skewed layout, diagonal by diagonal, with the
+    pairs innermost.  Every step writes into a ``_CostScratch``.  Given one
+    (``match`` passes views of its group's shared buffers), the
+    differences are squared and the squared distances masked in place,
+    nothing is allocated and the costs are a view of ``scratch.cost``.
+    Without one, a fresh one is built and the squares and the masked
+    distances get arrays of their own, so the differences, the squared
+    distances (C, P, 5) and the presence mask (C, P, 5), also returned, are
+    what ``_cost_gradients`` reads.
     """
-    diff = np.take(pe, cols, axis=0)
-    np.subtract(np.take(qe, rows, axis=0), diff, out=diff)
-    mask = np.take(qp, rows, axis=0) & pp_kept
-    squares = diff * diff if keep_diff else np.multiply(diff, diff, out=diff)
-    cost, sq = _cell_costs(kernel, squares, mask)
-    return cost, diff, sq, mask
+    keep = scratch is None
+    s = _CostScratch(rows.size, qe.shape[1], pe.shape[1], pe.shape[2]) if keep else scratch
+    # mode="clip" lets take write into out without a buffer; the indices
+    # are in range, so it changes nothing else
+    np.take(pe, cols, axis=0, out=s.diff, mode="clip")
+    np.subtract(np.take(qe, rows, axis=0, out=s.qrows, mode="clip"), s.diff, out=s.diff)
+    np.bitwise_and(np.take(qp, rows, axis=0, out=s.qmask, mode="clip"), pp_kept, out=s.mask)
+    squares = s.diff * s.diff if keep else np.multiply(s.diff, s.diff, out=s.diff)
+    cost, sq = _cell_costs(kernel, squares, s.mask, s.sq, s.cost, None if keep else s.sq)
+    return cost, s.diff, sq, s.mask
 
 
 def _banded_costs(model: MetricModel, query, proto, band: int):
@@ -397,8 +449,7 @@ def _banded_costs(model: MetricModel, query, proto, band: int):
     Wt = kernel[0].T
     cost, *cells = _kept_costs(kernel, _time_major(_rows(qf, Wt)), _time_major(qp),
                                _time_major(_rows(pf, Wt)),
-                               np.take(_time_major(pp), cols, axis=0), rows, cols,
-                               keep_diff=True)
+                               np.take(_time_major(pp), cols, axis=0), rows, cols)
     return cost, (qf, pf, kernel, *cells, band)
 
 
@@ -409,7 +460,7 @@ def _unskew(S: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _sweep_plan(n: int, m: int, band: int, P: int):
+def _sweep_slices(n: int, m: int, band: int, P: int):
     """The flat slices ``_sweep`` steps through, per (n, m, band, P).
 
     The table is a flat C-contiguous (n + m, n + 1, P) array whose entry
@@ -436,7 +487,31 @@ def _sweep_plan(n: int, m: int, band: int, P: int):
     return (steps[0][0], steps[0][4]), tuple(steps[1:])
 
 
-def _sweep(cost: np.ndarray, n: int, m: int, band: int, step) -> np.ndarray:
+def _sweep_plan(n: int, m: int, band: int, cost: np.ndarray, table=None):
+    """The views ``_sweep`` steps through for the C-contiguous (C, P) costs
+    ``cost`` of an (n, m) band, bound to ``cost`` and to a flat table:
+    ``(table, (costs, out) of diagonal 0, the five views of every later
+    step)``, the table as ``_sweep`` returns it.
+
+    ``dtw`` and soft-DTW training build one per call, on an inf-filled
+    table of their own.  ``match`` builds one per group, live length and
+    band, on the costs of its ``_CostScratch`` and a ``table`` of the
+    group's, a flat (n + m) * (n + 1) * P buffer that it fills with inf
+    before it sweeps a new live length in it, and sweeps it on every call:
+    each sweep rewrites every kept cell and reads only kept cells and the
+    inf cells outside the band, which no sweep of that length writes.
+    """
+    P = cost.shape[1]
+    (cells0, out0), steps = _sweep_slices(n, m, band, P)
+    c = cost.reshape(-1)
+    S = np.full((n + m) * (n + 1) * P, np.inf) if table is None else table
+    view = S.reshape(n + m, n + 1, P)[1:, 1:].transpose(2, 0, 1)
+    return view, (c[cells0], S[out0]), tuple(
+        (c[cells], S[vertical], S[horizontal], S[diagonal], S[out])
+        for cells, vertical, horizontal, diagonal, out in steps)
+
+
+def _sweep(cost: np.ndarray, n: int, m: int, band: int, step, plan=None) -> np.ndarray:
     """Forward recursion R[i, j] = step(cost[i, j], R[i-1, j], R[i, j-1],
     R[i-1, j-1]) over the kept cells of an (n, m) band, with R[0, 0] =
     cost[0, 0].
@@ -446,20 +521,19 @@ def _sweep(cost: np.ndarray, n: int, m: int, band: int, step) -> np.ndarray:
     ``_hard_step`` and soft-DTW (``_soft_dtw_tables``) with ``_soft_step``.
     ``step(cost, vertical, horizontal, diagonal, out)`` fills ``out`` for the
     kept cells of one anti-diagonal.  The recursion runs diagonal-major, on
-    a C-contiguous (n + m, n + 1, P) table, through the slices of
+    a C-contiguous (n + m, n + 1, P) table, through the views of
     ``_sweep_plan``: each step works on contiguous runs of all pairs at
-    once and reads ``cost`` without a copy.  Returns the skewed table as a
-    (P, n + m - 1, n) view, cell (i, j) at [:, i + j, i]; a cell outside
-    the band, off the grid or without a finite predecessor is inf.
+    once and reads ``cost`` without a copy.  ``plan`` is a ``_sweep_plan``
+    bound to ``cost``; without it one is built for the call.  Returns the
+    skewed table as a (P, n + m - 1, n) view, cell (i, j) at [:, i + j, i];
+    a cell outside the band, off the grid or without a finite predecessor
+    is inf.
     """
-    P = cost.shape[1]
-    first, steps = _sweep_plan(n, m, band, P)
-    c = cost.reshape(-1)
-    S = np.full((n + m) * (n + 1) * P, np.inf)
-    S[first[1]] = c[first[0]]
-    for cells, vertical, horizontal, diagonal, out in steps:
-        step(c[cells], S[vertical], S[horizontal], S[diagonal], S[out])
-    return S.reshape(n + m, n + 1, P)[1:, 1:].transpose(2, 0, 1)
+    S, (cells, out), steps = _sweep_plan(n, m, band, cost) if plan is None else plan
+    out[...] = cells
+    for views in steps:
+        step(*views)
+    return S
 
 
 def _hard_step(cost, vertical, horizontal, diagonal, out):
@@ -814,6 +888,79 @@ def pairs_from_switch_tags(segments, library, negatives_per_positive: int = 4,
     return pairs
 
 
+class _Embedded:
+    """A time-major (T, 1 + P, 14) stack that ``match`` filters and embeds,
+    and the buffers it does so in: a ``filters.FilterScratch`` and the
+    (T, 1 + P, E) embedding, column 0 the live window's (``query``) and the
+    rest the P prototypes' (``protos``).  The prototype rows are written
+    once; a call writes the live window into column 0 when its length is T
+    and leaves the column as it was otherwise (zeros, or an earlier live
+    window): each series is filtered and embedded on its own, so that
+    column changes no prototype's result."""
+
+    __slots__ = ("stack", "filter", "filtered", "flat", "query", "protos")
+
+    def __init__(self, protos: np.ndarray, filter_key, E: int):
+        T, P, F = protos.shape
+        self.stack = np.zeros((T, 1 + P, F))
+        self.stack[:, 1:] = protos
+        self.filter = filters.FilterScratch((T, (1 + P) * F), filter_key)
+        self.filtered = self.filter.out.reshape(T * (1 + P), F)
+        self.flat = np.empty((T * (1 + P), E))
+        embedded = self.flat.reshape(T, 1 + P, E)
+        self.query, self.protos = embedded[:, :1], embedded[:, 1:]
+
+    def run(self, choice, Wt: np.ndarray):
+        """One ``denoise_matrix`` call on the stack, into ``filtered``, and
+        one product that embeds it."""
+        filters.denoise_matrix(choice, self.stack.transpose(1, 0, 2), self.filter)
+        np.matmul(self.filtered, Wt, out=self.flat)
+
+
+class _SharedScratch:
+    """What every live length of a group up to ``longest`` windows computes
+    in: a ``_CostScratch`` for the most cells the band keeps at any of
+    those lengths and a flat sweep table for the largest of their tables,
+    with the live length whose sweep it holds (``owner``).  What they hold
+    is dead between calls, so one set serves every live length."""
+
+    __slots__ = ("cells", "table", "owner")
+
+    def __init__(self, longest: int, m: int, band: int, P: int, E: int):
+        cells = max(_skew_index(n, m, band)[1].size for n in range(2, longest + 1))
+        self.cells = _CostScratch(cells, 1, P, E)
+        self.table = np.empty((longest + m) * (longest + 1) * P)
+        self.owner = None
+
+
+class _GroupScratch:
+    """What ``match`` costs and sweeps one group in, for one live length n
+    and band: the kept cells, the group's presence gathered at them, a
+    ``_CostScratch`` and a sweep table that are views of the group's
+    ``_SharedScratch``, and a ``_sweep_plan`` bound to both."""
+
+    __slots__ = ("n", "rows", "cols", "present", "shared", "costs", "table", "plan")
+
+    def __init__(self, group, n: int, band: int, E: int):
+        m, P = len(group.features), len(group.ids)
+        _, self.rows, self.cols = _skew_index(n, m, band)
+        self.present = group.present_at((n, band), self.cols)
+        longest = max(n, m)
+        self.n = n
+        self.shared = group.scratch(("shared", longest, band, E),
+                                    lambda: _SharedScratch(longest, m, band, P, E))
+        self.costs = _CostScratch(self.cols.size, 1, P, E, self.shared.cells)
+        self.table = self.shared.table[:(n + m) * (n + 1) * P]
+        self.plan = _sweep_plan(n, m, band, self.costs.cost.reshape(-1, P), self.table)
+
+    def claim(self):
+        """Make the shared table this live length's before a sweep: inf
+        everywhere, if another live length swept in it last."""
+        if self.shared.owner != self.n:
+            self.table.fill(np.inf)
+            self.shared.owner = self.n
+
+
 def match(model: MetricModel, selector, live_window, library, band: int,
           top_k: int, ctx):
     """Rank library prototypes by similarity to the live window.
@@ -823,25 +970,37 @@ def match(model: MetricModel, selector, live_window, library, band: int,
     alignment, so a prototype that equals the live window scores similarity
     1.0 exactly.  Every call runs on the library's plan, its
     ``LengthGroup``s: the prototypes of each length stacked time-major, with
-    their presence gathered at the band's kept columns.  A
-    ``FingerprintLibrary`` keeps that plan until its ``version`` changes;
-    any other iterable of ``(prototype_id, prototype)``, or mapping, builds
-    it per call.  The filtered prototypes are not kept: the selector's
-    coefficients change with every live window.  The live window, the only
-    new input, is written into row 0 of a time-major (n, 1 + P, 14) stack
-    on top of the group of its own length; one ``denoise_matrix`` call
-    filters that stack without a transposed copy, one product embeds it,
-    ``_kept_costs`` costs the kept cells and one planned ``_sweep`` per
-    group runs the recursion.  A window whose length no group shares is
-    filtered alone.  Each series is filtered and each cell costed on its
-    own, so each result equals ``dtw`` on that prototype alone, bit for
-    bit.  A prototype with no admissible path inside the band is left out.
-    Distances are read from the last cell of each recursion; a result's
-    table is unskewed and its path backtracked only when its ``.path`` is
-    first read, and every call sweeps into tables of its own.  Ties break
-    on the smaller prototype id.  An empty library yields an empty list,
-    once ``band`` and the live window have passed the checks a non-empty
-    one applies.
+    their presence gathered at the band's kept columns, and the scratch the
+    call computes in.  A ``FingerprintLibrary`` keeps that plan until its
+    ``version`` changes; any other iterable of ``(prototype_id,
+    prototype)``, or mapping, builds it per call, by the same code.  The
+    filtered prototypes are not kept: the selector's coefficients change
+    with every live window.  Each group keeps, per filter shape
+    (``filters.filter_shape``) and embedding width, a time-major
+    (m, 1 + P, 14) stack with its prototypes written in once, the filter's
+    buffers and views and the embedding (``_Embedded``); one set of cost
+    buffers and one sweep table that all live lengths share
+    (``_SharedScratch``); and per live length and band the views of those
+    and of every sweep step (``_GroupScratch``).  A call writes the live
+    window into column 0 of the stack of its own length; one
+    ``denoise_matrix`` call filters it in place of a copy, one product
+    embeds it, ``_kept_costs`` costs the kept cells and one planned
+    ``_sweep`` per group runs the recursion, all into that scratch.  A
+    window whose length no group shares (the first windows of a walk) is
+    filtered alone and each group in its own stack; the window's stack and
+    the ``_GroupScratch`` of such a length are built per call, by the same
+    code, and not kept, which holds peak memory down.  Each series is
+    filtered and each cell costed on its own, so each result equals ``dtw``
+    on that prototype alone, bit for bit.
+    A prototype with no admissible path inside the band is left out.
+    Distances are read from the last cell of each recursion before any
+    scratch is reused; a returned result holds a copy of its own table,
+    unskewed and backtracked only when its ``.path`` is first read, so
+    nothing returned shares memory with the scratch.  Because of that
+    scratch, ``match`` on one library must not run concurrently.  Ties
+    break on the smaller prototype id.  An empty library yields an empty
+    list, once ``band`` and the live window have passed the checks a
+    non-empty one applies.
     """
     if band < 1:
         raise ValueError("band must be >= 1")
@@ -858,43 +1017,50 @@ def match(model: MetricModel, selector, live_window, library, band: int,
         return []
     if min(len(g.features) for g in groups) < 2:
         raise ValueError("both sequences need at least 2 windows")
-    # before the live window is stacked onto a group for filtering
+    # before the live window is written into a group's stack
     for g in groups:
         _check_schema(qf, g.features)
     # resolved through the module at call time, so a rebinding of these
     # names (bench/spans.py traces them that way) takes effect here
     choice = filters.select_filter(selector, ctx)
     kernel = _kernel(model)
-    Wt = kernel[0].T
+    Wt, E = kernel[0].T, kernel[0].shape[0]
+    key = filters.filter_shape(choice) + (E,)
 
-    def embedded(stack):
-        """Filter a time-major (T, B, 14) stack and embed it, (T, B, E)."""
-        filtered = filters.denoise_matrix(choice, stack.transpose(1, 0, 2))
-        return _rows(filtered.transpose(1, 0, 2), Wt)
+    def embedded(group):
+        """The group's stack, kept per filter shape and E."""
+        return group.scratch(("stack",) + key,
+                             lambda: _Embedded(group.features, key[:2], E))
 
     own = next((g for g in groups if len(g.features) == n), None)
     if own is None:
-        query = embedded(qf[:, None])
+        window = _Embedded(np.empty((n, 0, N_FEATURES)), key[:2], E)
     else:
-        stack = np.empty((n, 1 + len(own.ids), N_FEATURES))
-        stack[:, 0] = qf
-        stack[:, 1:] = own.features
-        query = embedded(stack)
+        window = embedded(own)
+    window.stack[:, 0] = qf
+    window.run(choice, Wt)
     qp = qp[:, None]
     beta = model.beta
     scored = []
     for g in groups:
         m = len(g.features)
-        _, rows, cols = _skew_index(n, m, band)
-        protos = query[:, 1:] if g is own else embedded(g.features)
-        cost = _kept_costs(kernel, query[:, :1], qp, protos,
-                           g.present_at((n, band), cols), rows, cols)[0]
-        S = _sweep(cost, n, m, band, _hard_step)
+        if g is own:
+            protos = window.protos
+        else:
+            stack = embedded(g)
+            stack.run(choice, Wt)
+            protos = stack.protos
+        work = (_GroupScratch(g, n, band, E) if own is None else
+                g.scratch(("costs", n, band, E), lambda: _GroupScratch(g, n, band, E)))
+        cost = _kept_costs(kernel, window.query, qp, protos, work.present, work.rows,
+                           work.cols, work.costs)[0]
+        work.claim()
+        S = _sweep(cost, n, m, band, _hard_step, work.plan)
         for t, (pid, distance) in enumerate(zip(g.ids, S[:, -1, n - 1].tolist())):
             if math.isfinite(distance):
                 similarity = math.exp(-beta * distance)
                 # ranked by (-similarity, id); the running count keeps equal
                 # keys in scoring order, as a stable sort would
                 scored.append((-similarity, pid, len(scored), distance, S, t))
-    return [(pid, AlignmentResult(distance, functools.partial(_warping_path, S[t]), -neg))
+    return [(pid, AlignmentResult(distance, functools.partial(_warping_path, S[t].copy()), -neg))
             for neg, pid, _, distance, S, t in heapq.nsmallest(max(0, top_k), scored)]

@@ -58,11 +58,24 @@ def apply_kalman(series, q: float, r: float, init_mean: float = 0.0,
     return out
 
 
-def _gaussian_kernel(sigma: float):
-    radius = max(1, int(math.ceil(3.0 * sigma)))
+def _gaussian_radius(sigma: float) -> int:
+    """Reach of the +-3 sigma truncated Gaussian, in steps."""
+    return max(1, int(math.ceil(3.0 * sigma)))
+
+
+@functools.lru_cache(maxsize=64)
+def _gaussian_offsets(radius: int):
+    """The offsets -radius..radius and their negated squares; read-only."""
     offsets = np.arange(-radius, radius + 1)
-    weights = np.exp(-(offsets.astype(float) ** 2) / (2.0 * sigma * sigma))
-    return offsets, weights
+    negated_squares = -(offsets.astype(float) ** 2)
+    for a in (offsets, negated_squares):
+        a.setflags(write=False)
+    return offsets, negated_squares
+
+
+def _gaussian_kernel(sigma: float):
+    offsets, negated_squares = _gaussian_offsets(_gaussian_radius(sigma))
+    return offsets, np.exp(negated_squares / (2.0 * sigma * sigma))
 
 
 def apply_gaussian(series, sigma: float) -> np.ndarray:
@@ -118,6 +131,8 @@ class FilterContext:
         for v in (self.rssi_variance, self.scan_age, self.step_rate):
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError("context fields must be finite and nonnegative")
+        if len(self.presence) != 5:
+            raise ValueError("presence must hold 5 flags, one per modality")
 
     def features(self) -> np.ndarray:
         pres = [1.0 if p else 0.0 for p in self.presence]
@@ -138,14 +153,20 @@ class FilterChoice:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (3,):
             raise ValueError("weights must be a 3-vector over (kalman, gaussian, elp)")
-        if np.any(self.weights < 0.0) or abs(self.weights.sum() - 1.0) > 1e-9:
+        # checked on Python floats, each written so that a NaN fails it; the
+        # sum adds in numpy's order for three terms
+        k, g, e = self.weights.tolist()
+        if not (k >= 0.0 and g >= 0.0 and e >= 0.0 and abs(k + g + e - 1.0) <= 1e-9):
             raise ValueError("weights must be nonnegative and sum to 1")
-        if self.r <= 0.0 or self.q < 0.0 or self.sigma <= 0.0 or not 0.0 < self.alpha <= 1.0:
+        if not (self.r > 0.0 and self.q >= 0.0 and self.sigma > 0.0
+                and 0.0 < self.alpha <= 1.0):
             raise ValueError("filter coefficients out of range")
 
     def hard_kind(self) -> str:
-        # ties break by the documented order kalman < gaussian < elp
-        return FILTER_ORDER[int(np.argmax(self.weights))]
+        # the first largest weight: ties break by the documented order
+        # kalman < gaussian < elp
+        w = self.weights.tolist()
+        return FILTER_ORDER[w.index(max(w))]
 
 
 @dataclass
@@ -176,11 +197,12 @@ class SelectorModel:
 
 def _squash(raw: np.ndarray, cfg: FilterConfig):
     """Map 4 raw outputs into the legal (q, r, sigma, alpha) boxes.  Returns
-    the values and the sigmoids of ``raw`` (``_squash_slopes`` reads them)."""
+    the values, as a list of Python floats, and the sigmoids of ``raw``
+    (``_squash_slopes`` reads them)."""
     s = sigmoid(raw)
     ranges = (cfg.q_range, cfg.r_range, cfg.sigma_range, cfg.alpha_range)
     # Python floats round every step as float64 scalars do, at less cost
-    return np.array([lo + (hi - lo) * si for (lo, hi), si in zip(ranges, s.tolist())]), s
+    return [lo + (hi - lo) * si for (lo, hi), si in zip(ranges, s.tolist())], s
 
 
 def _squash_slopes(s: np.ndarray, cfg: FilterConfig) -> np.ndarray:
@@ -193,7 +215,10 @@ def select_filter(model: SelectorModel, ctx: FilterContext) -> FilterChoice:
     """Deterministic map (model, context) -> FilterChoice: the choice of
     ``selector_forward_training``, without the caches only training reads."""
     out, _ = model.net.forward(ctx.features())
-    return FilterChoice(softmax(out[:3]), *_squash(out[3:], model.cfg)[0])
+    # ``softmax`` of the filter logits without its wrappers: Python's max of
+    # them is numpy's, and ``np.add.reduce`` is the sum it takes
+    e = np.exp(out[:3] - max(out[:3].tolist()))
+    return FilterChoice(e / np.add.reduce(e), *_squash(out[3:], model.cfg)[0])
 
 
 def context_from_windows(features, present, scan_age: float) -> FilterContext:
@@ -230,10 +255,10 @@ def _along_time(kernel, arr: np.ndarray, *coef) -> np.ndarray:
     return out if x.flags.c_contiguous else np.ascontiguousarray(out)
 
 
-def _kalman_batch(x: np.ndarray, q: float, r: float) -> np.ndarray:
+def _kalman_batch(x: np.ndarray, q: float, r: float, out=None) -> np.ndarray:
     # gain and variance do not depend on the data, so one scalar recursion
     # serves every series; each series starts from its own first value
-    out = np.empty_like(x)
+    out = np.empty_like(x) if out is None else out
     mean = x[0]
     var = 1.0
     for i in range(x.shape[0]):
@@ -259,42 +284,88 @@ def _gaussian_reach(radius: int, n: int):
     return tuple((off, max(0, -off), min(n, n - off)) for off in offsets.tolist()), reach
 
 
-def _gaussian_sums(x: np.ndarray, offsets, weights):
-    """Edge-truncated weighted sums along axis -2: (num, den[:, None]).
-    The kernel is symmetric, so each product w * x is formed once for both
-    its offsets (a weight of 1 reads ``x``); sums add in offset order.  The
-    weights do not depend on ``x``: den is one product with the reach
-    indicator summed down its offset axis, which numpy adds row by row, so
-    in offset order as well."""
-    taps, reach = _gaussian_reach(offsets.size // 2, x.shape[-2])
-    num = np.zeros_like(x)
-    products = {}
-    for (off, lo, hi), w in zip(taps, weights.tolist()):
-        if lo >= hi:
-            continue
-        if abs(off) not in products:
-            products[abs(off)] = x if w == 1.0 else w * x
-        num[..., lo:hi, :] += products[abs(off)][..., lo + off:hi + off, :]
-    return num, np.add.reduce(weights[:, None] * reach, axis=0)[:, None]
+class _GaussianTaps:
+    """What ``_gaussian_sums`` writes into for a kernel of ``radius`` along
+    axis -2 of a ``shape`` array (T steps): the sums ``num``, one product
+    buffer per |offset| < T, every tap in offset order as (|offset|, the
+    rows it reads, the sum rows and the product rows it adds), both views
+    built once, and the weighted reach and its sum ``den`` (T,)."""
+
+    __slots__ = ("radius", "num", "products", "taps", "reach", "weighted", "den")
+
+    def __init__(self, shape, radius: int):
+        T = shape[-2]
+        taps, self.reach = _gaussian_reach(radius, T)
+        self.radius = radius
+        self.num = np.empty(shape)
+        self.products = np.empty((min(radius, T - 1) + 1,) + tuple(shape))
+        self.taps = tuple((abs(off), slice(lo + off, hi + off), self.num[..., lo:hi, :],
+                           self.products[abs(off)][..., lo + off:hi + off, :])
+                          for off, lo, hi in taps if lo < hi)
+        self.weighted = np.empty(self.reach.shape)
+        self.den = np.empty(T)
 
 
-def _gaussian_batch(x: np.ndarray, sigma: float) -> np.ndarray:
-    num, den = _gaussian_sums(x, *_gaussian_kernel(sigma))
+def _gaussian_sums(x: np.ndarray, weights, taps: _GaussianTaps):
+    """Edge-truncated weighted sums along axis -2, into ``taps``: (num,
+    den[:, None]).  The kernel is symmetric, so each product w * x is
+    formed once for both its offsets (a weight of 1 reads ``x``); the sums
+    start from zeros and add in offset order.  The weights do not depend on
+    ``x``: den is one product with the reach indicator summed down its
+    offset axis, which numpy adds row by row, so in offset order as well."""
+    w, r = weights.tolist(), taps.radius
+    from_x = [w[r - k] == 1.0 for k in range(len(taps.products))]
+    for k, same in enumerate(from_x):
+        if not same:
+            np.multiply(x, w[r - k], out=taps.products[k])
+    taps.num.fill(0.0)
+    for k, rows, sums, product in taps.taps:
+        np.add(sums, x[..., rows, :] if from_x[k] else product, out=sums)
+    np.multiply(weights[:, None], taps.reach, out=taps.weighted)
+    return taps.num, np.add.reduce(taps.weighted, axis=0, out=taps.den)[:, None]
+
+
+def _gaussian_batch(x: np.ndarray, sigma: float, taps: _GaussianTaps) -> np.ndarray:
+    num, den = _gaussian_sums(x, _gaussian_kernel(sigma)[1], taps)
     return np.divide(num, den, out=num)
 
 
-def _elp_batch(x: np.ndarray, alpha: float) -> np.ndarray:
+def _elp_batch(x: np.ndarray, alpha: float, out=None, decay=None) -> np.ndarray:
     # alpha * x[i] for every row at once, then + (1 - alpha) * out[i - 1]
-    out = np.multiply(x, alpha)
+    out = np.multiply(x, alpha, out=out)
     out[0] = x[0]
-    decay = np.empty_like(x[0])
+    decay = np.empty_like(x[0]) if decay is None else decay
     for i in range(1, x.shape[0]):
         np.multiply(out[i - 1], 1.0 - alpha, out=decay)
         np.add(out[i], decay, out=out[i])
     return out
 
 
-def denoise_matrix(choice: FilterChoice, arr: np.ndarray) -> np.ndarray:
+def filter_shape(choice: FilterChoice) -> tuple:
+    """What the buffers of a hard filter depend on besides the input's
+    shape: its kind and, for the Gaussian, the kernel radius (else 0)."""
+    kind = choice.hard_kind()
+    return kind, _gaussian_radius(choice.sigma) if kind == "gaussian" else 0
+
+
+class FilterScratch:
+    """The buffers ``denoise_matrix`` filters a time-major (T, K) input of
+    one shape into, for one ``filter_shape``: the output and, for the
+    Gaussian, its ``_GaussianTaps`` (whose sums are the output), for the
+    low-pass a decay row.  ``alignment.match`` keeps one per stack it
+    filters; the output is overwritten by the next call."""
+
+    __slots__ = ("key", "out", "taps", "decay")
+
+    def __init__(self, shape, filter_key):
+        kind, radius = filter_key
+        self.key = (tuple(shape), filter_key)
+        self.taps = _GaussianTaps(shape, radius) if kind == "gaussian" else None
+        self.out = np.empty(shape) if self.taps is None else self.taps.num
+        self.decay = np.empty(shape[1:]) if kind == "elp" else None
+
+
+def denoise_matrix(choice: FilterChoice, arr: np.ndarray, scratch=None) -> np.ndarray:
     """Run the hard-selected filter along axis -2 of (..., T, F).
 
     Every column of every leading batch entry is one series: ``(T, F)`` is one
@@ -306,7 +377,11 @@ def denoise_matrix(choice: FilterChoice, arr: np.ndarray) -> np.ndarray:
     back C-contiguous in the input's shape, except for an input that is a
     time-major array seen through a transpose, as ``match`` hands over its
     (T, B, F) stack: that one is filtered without a copy, and its result is
-    the same view of a time-major result (``_along_time``).  Each series
+    the same view of a time-major result (``_along_time``).  ``scratch``, a
+    ``FilterScratch`` for this (T, K) shape and the choice's
+    ``filter_shape``, holds the output and every buffer and view the filter
+    uses, so such a call allocates nothing and returns a view of
+    ``scratch.out``; without it they are built for the call.  Each series
     gets the same IEEE operations, in the same order, as the scalar
     ``apply_kalman`` (initialized at the series' first value, variance 1),
     ``apply_gaussian`` or ``apply_elp``, so the results are bit-identical to
@@ -315,12 +390,18 @@ def denoise_matrix(choice: FilterChoice, arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     if arr.ndim < 2 or arr.shape[-2] == 0:
         raise ValueError("denoise_matrix needs a nonempty (..., T, F) array")
-    kind = choice.hard_kind()
-    if kind == "kalman":
-        return _along_time(_kalman_batch, arr, choice.q, choice.r)
-    if kind == "gaussian":
-        return _along_time(_gaussian_batch, arr, choice.sigma)
-    return _along_time(_elp_batch, arr, choice.alpha)
+    shape = filter_shape(choice)
+
+    def run(x):
+        s = FilterScratch(x.shape, shape) if scratch is None else scratch
+        if s.key != (x.shape, shape):
+            raise ValueError("scratch built for another input shape or filter")
+        if shape[0] == "kalman":
+            return _kalman_batch(x, choice.q, choice.r, s.out)
+        if shape[0] == "gaussian":
+            return _gaussian_batch(x, choice.sigma, s.taps)
+        return _elp_batch(x, choice.alpha, s.out, s.decay)
+    return _along_time(run, arr)
 
 
 def denoise(choice: FilterChoice, series) -> np.ndarray:
@@ -369,8 +450,9 @@ def _gaussian_with_sens(x: np.ndarray, sigma: float):
     held fixed)."""
     offsets, weights = _gaussian_kernel(sigma)
     dweights = weights * (offsets.astype(float) ** 2) / sigma ** 3
-    num, den = _gaussian_sums(x, offsets, weights)
-    dnum, dden = _gaussian_sums(x, offsets, dweights)
+    radius = offsets.size // 2
+    num, den = _gaussian_sums(x, weights, _GaussianTaps(x.shape, radius))
+    dnum, dden = _gaussian_sums(x, dweights, _GaussianTaps(x.shape, radius))
     dsig = (dnum * den - num * dden) / (den * den)
     return num / den, dsig
 

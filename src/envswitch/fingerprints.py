@@ -410,20 +410,29 @@ class LengthGroup:
     presence at time indices ``index``, (len(index), P, 5), computed once
     per ``key`` (``match`` gathers it at the band's kept columns and keys it
     by live length and band).  Every array is read-only.
+    ``scratch(key, build)`` keeps the workspace ``build()`` makes, once per
+    ``key``: ``match`` runs in it, overwriting its buffers on every call.
     """
 
-    __slots__ = ("ids", "features", "present", "_present_at")
+    __slots__ = ("ids", "features", "present", "_present_at", "_scratch")
 
     def __init__(self, ids, features, present):
         self.ids = tuple(ids)
         self.features = _read_only(np.stack(features, axis=1))
         self.present = _read_only(np.stack(present, axis=1))
         self._present_at = {}
+        self._scratch = {}
 
     def present_at(self, key, index) -> np.ndarray:
         got = self._present_at.get(key)
         if got is None:
             got = self._present_at[key] = _read_only(np.take(self.present, index, axis=0))
+        return got
+
+    def scratch(self, key, build):
+        got = self._scratch.get(key)
+        if got is None:
+            got = self._scratch[key] = build()
         return got
 
 
@@ -441,9 +450,11 @@ class FingerprintLibrary:
     """Per-user store of switch-anchored sequences with aging and capacity.
 
     Single-writer: commits and maintenance mutate the store; reads hand out
-    immutable sequences and are safe from other threads.  ``version`` rises
-    with every commit, retention drop and capacity eviction, so a reader can
-    tell whether what it derived from the store is still current.
+    immutable sequences and are safe from other threads.  ``alignment.match``
+    on one library must not run concurrently: it computes in scratch buffers
+    that the library's plan owns.  ``version`` rises with every commit,
+    retention drop and capacity eviction, so a reader can tell whether what
+    it derived from the store is still current.
     """
 
     def __init__(self, cfg: LibraryConfig | None = None):
@@ -468,7 +479,7 @@ class FingerprintLibrary:
     def length_groups(self):
         """``group_by_length`` of the packed sequences in id order, the plan
         ``alignment.match`` scores from; kept, with what ``match`` gathers
-        into it, until ``version`` changes."""
+        into it and the scratch it runs in, until ``version`` changes."""
         if self._groups[0] != self.version:
             self._groups = (self.version, group_by_length(
                 (pid, seq.packed()) for pid, seq in self.items()))

@@ -117,9 +117,10 @@ def act(model: PolicyModel, state, mode: str = "sample", rng=None,
     feats = state.features() if isinstance(state, PolicyState) else state
     out, _ = model.net.forward(feats)
     row = out.tolist()
-    # ``mlp.softmax`` of the logits; Python's max of the row is numpy's
+    # ``mlp.softmax`` of the logits; Python's max of the row is numpy's, and
+    # ``np.add.reduce`` is the sum ``ndarray.sum`` runs, without its wrapper
     e = np.exp(out[:-1] - max(row[:-1]))
-    probs = e / e.sum()
+    probs = e / np.add.reduce(e)
     if mode == "greedy":
         idx = int(probs.argmax())
     elif mode == "sample":

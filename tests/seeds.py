@@ -1,17 +1,28 @@
 """Criterion 6 at several training seeds: the seed-spread table.
 
 Runs the canonical pass of ``golden.run_pipeline`` (simulate -> train with
-N=20 rounds -> evaluate 20 held-out sessions per site) at seeds 13, 29 and
-41, and prints each site's mean per-session relative TTS improvement in
-percent, the figure ``test_criterion_6_end_to_end_tts_improvement`` gates at
-seed 13.  The output is deterministic.  Run from the repository root (about
-20 s for all three seeds on a 2-vCPU host):
+N=20 rounds -> evaluate 20 held-out sessions per site) at each seed, and
+prints each site's mean per-session relative TTS improvement in percent,
+the figure ``test_criterion_6_end_to_end_tts_improvement`` gates at seed
+13.  Run from the repository root (about 20 s for the three default seeds
+on a 2-vCPU host):
 
-    PYTHONPATH=src python tests/seeds.py
+    PYTHONPATH=src python tests/seeds.py [--seeds 13 29 41 ...] [--json PATH]
+
+``--seeds`` picks the training seeds (default 13, 29 and 41).  ``--json``
+also writes, for the seeds run, each site's value per seed and, over the
+seeds, its mean, min, interquartile mean and a percentile bootstrap
+interval of the mean (Agarwal et al. 2021; Henderson et al. 2018).  Every
+pipeline runs in a temporary directory; the JSON file is refused inside a
+model directory, whose files criterion 8 compares byte for byte.  The
+output, table and file, is deterministic.
 
 A change that alters behaviour reports this table before and after.
 """
 
+import argparse
+import json
+import os
 import tempfile
 
 import numpy as np
@@ -20,6 +31,7 @@ from envswitch.config import EngineConfig
 from golden import run_pipeline
 
 SEEDS = (13, 29, 41)
+BOOTSTRAP = {"statistic": "mean", "resamples": 10_000, "confidence": 0.95, "seed": 0}
 
 
 def site_means(reports) -> dict:
@@ -29,14 +41,58 @@ def site_means(reports) -> dict:
             for flag, site_reports in reports.items()}
 
 
+def interquartile_mean(values) -> float:
+    """Mean of the middle half: floor(n / 4) values dropped at each end."""
+    ordered = sorted(values)
+    cut = len(ordered) // 4
+    return float(np.mean(ordered[cut:len(ordered) - cut]))
+
+
+def bootstrap_interval(values, rng) -> list:
+    """Percentile bootstrap interval of the mean of ``values``."""
+    values = np.asarray(values, dtype=float)
+    draws = rng.integers(0, values.size, size=(BOOTSTRAP["resamples"], values.size))
+    means = values[draws].mean(axis=1)
+    tail = 50.0 * (1.0 - BOOTSTRAP["confidence"])
+    return [float(np.percentile(means, tail)), float(np.percentile(means, 100.0 - tail))]
+
+
+def summary(per_seed: dict) -> dict:
+    """Each site's spread over the seeds of ``per_seed`` (seed -> site means)."""
+    rng = np.random.default_rng(BOOTSTRAP["seed"])
+    sites = {}
+    for flag in "ABC":
+        values = [means[flag] for means in per_seed.values()]
+        sites[flag] = {"mean": float(np.mean(values)), "min": float(min(values)),
+                       "iqm": interquartile_mean(values),
+                       "bootstrap": bootstrap_interval(values, rng)}
+    return {"seeds": list(per_seed), "bootstrap": BOOTSTRAP,
+            "per_seed": {str(seed): means for seed, means in per_seed.items()},
+            "sites": sites}
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
+    parser.add_argument("--json", metavar="PATH")
+    args = parser.parse_args()
+    if len(set(args.seeds)) != len(args.seeds):
+        parser.error("--seeds must not repeat a seed")
+    if args.json and os.path.exists(os.path.join(os.path.dirname(os.path.abspath(args.json)),
+                                                 "metric.txt")):
+        parser.error("--json must be written outside a model directory")
+    per_seed = {}
     print("| seed | A / B / C % |")
     print("|---|---|")
-    for seed in SEEDS:
+    for seed in args.seeds:
         with tempfile.TemporaryDirectory() as out:
-            means = site_means(run_pipeline(out, EngineConfig(), seed))
+            means = per_seed[seed] = site_means(run_pipeline(out, EngineConfig(), seed))
         print(f"| {seed} | "
               + " / ".join(f"{means[f]:.1f}" for f in "ABC") + " |", flush=True)
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as f:
+            json.dump(summary(per_seed), f, indent=2, sort_keys=True)
+            f.write("\n")
 
 
 if __name__ == "__main__":

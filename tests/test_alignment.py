@@ -1055,6 +1055,136 @@ class TestLazyPath:
         for pid, result in first:
             pf, pp = protos[pid]
             assert result.path == dtw(model, query, (denoise_matrix(choice, pf), pp), 2).path
+        # a library keeps the scratch every call computes in: results and
+        # paths, read only after 50 later matches with other windows and
+        # coefficients, on the live length of a group and on a length no
+        # group shares, are still each prototype's own, for every filter
+        lib = scratch_library(rng, [7, 5, 8, 7, 6, 7])
+        for kind in FILTER_ORDER:
+            selector = selector_for_kind(kind)
+            sigmas = set()
+            for n in (7, 9):
+                live, ctx = random_packed(rng, n), random_context(rng)
+                got = match(model, selector, live, lib, 3, len(lib), ctx)
+                kept = [(pid, r.distance, r.similarity) for pid, r in got]
+                for _ in range(50):
+                    other = random_context(rng)
+                    sigmas.add(select_filter(selector, other).sigma)
+                    match(model, selector, random_packed(rng, int(rng.integers(4, 10))),
+                          lib, 3, len(lib), other)
+                want = per_prototype(model, selector, live, lib, 3, ctx)
+                assert len(got) == len(want) > 0
+                assert [(pid, r.distance, r.similarity) for pid, r in got] == kept
+                for pid, result in got:
+                    assert result.distance == want[pid].distance
+                    assert result.path == want[pid].path
+            assert select_filter(selector, random_context(rng)).hard_kind() == kind
+            assert len(sigmas) > 1
+
+
+def scratch_library(rng, lengths):
+    lib = FingerprintLibrary(LibraryConfig(capacity=64))
+    for day, n in enumerate(lengths):
+        seq = make_sequence(rng, n, t0=100.0 * day)
+        lib.commit_segment(seq, SwitchEvent(seq.windows[-1].timestamp, "wifi_to_cell"),
+                           created_day=day)
+    return lib
+
+
+def selector_for_kind(kind, seed=3):
+    """A seeded network whose output bias settles the filter kind, so sigma
+    and the other coefficients still move with the context."""
+    selector = SelectorModel.from_seed(seed)
+    selector.net.b2[FILTER_ORDER.index(kind)] = 8.0
+    return selector
+
+
+def random_context(rng):
+    return FilterContext(rssi_variance=float(rng.uniform(0.0, 40.0)),
+                         scan_age=float(rng.uniform(0.0, 5.0)),
+                         step_rate=float(rng.uniform(0.0, 2.0)))
+
+
+def per_prototype(model, selector, live, lib, band, ctx):
+    """Each prototype of ``lib`` filtered and aligned on its own by ``dtw``."""
+    choice = select_filter(selector, ctx)
+    query = (denoise_matrix(choice, live[0]), live[1])
+    want = {}
+    for pid, seq in lib.items():
+        pf, pp = seq.packed()
+        try:
+            want[pid] = dtw(model, query, (denoise_matrix(choice, pf), pp), band)
+        except BandTooNarrowError:
+            pass
+    return want
+
+
+class TestScratch:
+    """``match`` computes in scratch that a ``FingerprintLibrary``'s plan
+    keeps between calls; nothing it returns may depend on that scratch."""
+
+    def test_caller_buffers_edited_after_return_change_nothing(self, rng):
+        model, selector, ctx = MetricModel.from_seed(2, noise=0.3), SelectorModel.from_seed(4), \
+            FilterContext(step_rate=0.7)
+        lib = scratch_library(rng, [6, 6, 5, 6])
+        feats, pres = random_packed(rng, 6)
+        want = per_prototype(model, selector, (feats.copy(), pres.copy()), lib, 2, ctx)
+        got = match(model, selector, (feats, pres), lib, 2, len(lib), ctx)
+        feats[...] = 7.0
+        pres[...] = False
+        for pid, result in got:
+            assert result.distance == want[pid].distance
+            assert result.path == want[pid].path
+
+    def test_metric_edited_in_place_gets_a_fresh_kernel(self, rng):
+        """``MetricModel`` is mutable: after an in-place edit of an
+        embedding, ``match`` costs as a fresh copy of the edited model does."""
+        model, selector, ctx = MetricModel.from_seed(2, noise=0.3), SelectorModel.from_seed(4), \
+            FilterContext(step_rate=0.7)
+        lib = scratch_library(rng, [6, 6, 5, 6])
+        live = random_packed(rng, 6)
+
+        def bits(m):
+            return [(pid, r.distance.hex()) for pid, r in match(m, selector, live, lib, 2, 8, ctx)]
+
+        before = bits(model)
+        model.embeddings["wifi"][0, 0] += 0.75
+        model.scores[1] -= 0.5
+        after = bits(model)
+        assert after != before
+        assert after == bits(model.copy())
+        Wb, indicator, w = alignment._kernel(model)
+        for a in (Wb, indicator, w):
+            with pytest.raises(ValueError):
+                a.flat[0] = 0.0
+
+    def test_nothing_returned_shares_memory_with_scratch(self, rng):
+        model, selector = MetricModel.from_seed(2, noise=0.3), selector_for_kind("gaussian")
+        lib = scratch_library(rng, [6, 5, 6, 8])
+        results = []
+        for n in (6, 4, 6):
+            results += match(model, selector, random_packed(rng, n), lib, 3, len(lib),
+                             random_context(rng))
+        buffers = []
+
+        def collect(obj):
+            if isinstance(obj, np.ndarray):
+                buffers.append(obj)
+            elif isinstance(obj, (tuple, list)):
+                for item in obj:
+                    collect(item)
+            else:
+                for name in getattr(type(obj), "__slots__", ()):
+                    collect(getattr(obj, name, None))
+
+        for g in lib.length_groups():
+            collect(list(g._scratch.values()))
+        assert len(buffers) > 50
+        tables = [result._path.args[0] for _, result in results]
+        assert len(tables) == 3 * len(lib)
+        for table in tables:
+            assert not any(np.shares_memory(table, b) for b in buffers)
+        assert not any(np.shares_memory(a, b) for a in tables for b in tables if a is not b)
 
 
 class TestLengthGroups:

@@ -5,9 +5,9 @@ from envswitch.alignment import (MetricModel, make_alignment_loss, margin_loss_g
                                  soft_dtw_value)
 from envswitch.config import FilterConfig
 from envswitch.filters import (FILTER_ORDER, FilterChoice, FilterContext,
-                               SelectorModel, _gaussian_kernel, apply_elp, apply_gaussian,
-                               apply_kalman, context_from_windows, denoise,
-                               denoise_matrix,
+                               FilterScratch, SelectorModel, _gaussian_kernel, apply_elp,
+                               apply_gaussian, apply_kalman, context_from_windows, denoise,
+                               denoise_matrix, filter_shape,
                                select_filter, selector_backward,
                                selector_forward_training, soft_denoise_backward,
                                soft_denoise_matrix, train_selector)
@@ -247,6 +247,14 @@ class TestSelector:
         with pytest.raises(ValueError):
             FilterContext(rssi_variance=-1.0)
 
+    @pytest.mark.parametrize("presence", [(True,), (True,) * 7, ()])
+    def test_presence_must_be_five_flags(self, presence):
+        # one flag would fail inside the selector's product, seven would
+        # build a 10-vector without a word
+        with pytest.raises(ValueError, match="presence"):
+            FilterContext(presence=presence)
+        assert FilterContext(presence=tuple(np.ones(5, bool))).features().shape == (8,)
+
     def test_serialize_roundtrip(self):
         model = SelectorModel.from_seed(9)
         back = SelectorModel.deserialize(model.serialize())
@@ -281,6 +289,15 @@ class TestDenoise:
     def test_weights_must_be_distribution(self):
         with pytest.raises(ValueError):
             FilterChoice(np.array([0.5, 0.2, 0.2]), 0.1, 1.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("field", ["weights", "q", "r", "sigma", "alpha"])
+    def test_nan_is_rejected(self, field):
+        # every check is written so that a NaN fails it
+        args = dict(weights=np.full(3, 1.0 / 3.0), q=0.2, r=1.0, sigma=1.0, alpha=0.5)
+        FilterChoice(**args)
+        args[field] = np.array([np.nan, 0.5, 0.5]) if field == "weights" else float("nan")
+        with pytest.raises(ValueError):
+            FilterChoice(**args)
 
 
 def scalar_filter(choice, series):
@@ -358,6 +375,30 @@ class TestBatchedDenoise:
         choice = FilterChoice(np.array([0.0, 1.0, 0.0]), 0.1, 1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             denoise_matrix(choice, np.zeros((2, 0, 14)))
+
+    @pytest.mark.parametrize("kind", FILTER_ORDER)
+    def test_scratch_reused_across_calls_equals_fresh(self, rng, kind):
+        """One ``FilterScratch`` per filter shape serves every call on a
+        time-major stack, as ``match`` keeps it: each result is a view of
+        its output and equals a call without scratch, bit for bit."""
+        stack = np.empty((9, 4, 14))
+        kept = {}
+        for _ in range(30):
+            choice = FilterChoice(np.eye(3)[FILTER_ORDER.index(kind)],
+                                  q=float(rng.uniform(0.0, 1.0)),
+                                  r=float(rng.uniform(0.01, 10.0)),
+                                  sigma=float(rng.uniform(0.1, 4.0)),
+                                  alpha=float(rng.uniform(0.05, 1.0)))
+            stack[...] = rng.normal(0.0, 3.0, stack.shape)
+            key = filter_shape(choice)
+            scratch = kept.setdefault(key, FilterScratch((9, 4 * 14), key))
+            got = denoise_matrix(choice, stack.transpose(1, 0, 2), scratch)
+            assert np.shares_memory(got, scratch.out)
+            assert np.array_equal(got, denoise_matrix(choice, stack.transpose(1, 0, 2).copy()))
+        if kind == "gaussian":
+            assert len(kept) > 1                    # several radii
+        with pytest.raises(ValueError, match="scratch"):
+            denoise_matrix(choice, stack[:, :2].transpose(1, 0, 2), scratch)
 
 
 class TestContextFromWindows:
