@@ -8,25 +8,22 @@ modalities and laid out time-major, it gathers only the cells inside the
 Sakoe-Chiba band, anti-diagonal by anti-diagonal with the pairs innermost,
 (kept cell, pair), the order the recursion reads them in.  One forward
 sweep (``_sweep``) runs both recursions on a diagonal-major (anti-diagonal,
-row, pair) table, through views planned once per shape and band and bound
-to a table (``_sweep_plan``): with a hard min for exact DTW (``dtw`` on a
-stack of one, ``match`` on each length group of a library), and with a
-soft-min for soft-DTW (``soft_dtw`` on one pair, and every margin loss on
-all pairs of its positives and negatives at once).  ``dtw`` and soft-DTW
-training allocate their buffers and tables per call.  ``match`` runs in
-scratch that the library's plan keeps per version: its prototypes stacked
-time-major by length, with their presence at the band's kept columns, and
-every buffer and view a match writes through, so the live window is the
-only new input and a served match allocates almost nothing; the metric's
-kernel is built once per metric content (``_kernel``).  Exact DTW gives the
-alignment distance d and the similarity exp(-beta * d) in (0, 1], with a
-fixed scale beta = 1; a distance is read from the last cell, and ``match``
-backtracks a warping path only when a result's ``.path`` is read.  Soft-DTW
-is differentiable: its backward weights sweep the same layout in reverse,
-and hand-written gradients let the metric (and, through the filter mixture,
-the selector) train with plain gradient descent.  ``cost_matrix`` costs
-every cell densely; it is the reference the tests check the banded costs
-against.
+row, pair) table, through views planned per shape and band (``_sweep_plan``):
+with a hard min for exact DTW (``dtw`` on a stack of one, ``match`` on each
+length group of a library), and with a soft-min for soft-DTW (``soft_dtw``
+on one pair, and every margin loss on all pairs of its positives and
+negatives at once).  Buffers and tables are allocated per call, except
+where ``match`` scores a live window as long as some prototypes: there it
+runs in workspaces that the library's plan keeps per version, each owning
+its buffers.  The metric's kernel is built once per metric content
+(``_kernel``).  Exact DTW gives the alignment distance d and the similarity
+exp(-beta * d) in (0, 1], with a fixed scale beta = 1; a distance is read
+from the last cell, and ``match`` backtracks a warping path only when a
+result's ``.path`` is read.  Soft-DTW is differentiable: its backward
+weights sweep the same layout in reverse, and hand-written gradients let
+the metric (and, through the filter mixture, the selector) train with
+plain gradient descent.  ``cost_matrix`` costs every cell densely; it is
+the reference the tests check the banded costs against.
 """
 
 import functools
@@ -378,24 +375,15 @@ class _CostScratch:
     """The buffers ``_kept_costs`` writes for C kept cells, Q query series,
     P prototypes and E embedded coordinates: the gathered query rows (C, Q,
     E) and presence (C, Q, 5), the differences (C, P, E), the mask (C, P,
-    5), the squared distances (C * P, 5) and the costs (C * P,).  Given
-    ``cells``, a ``_CostScratch`` of at least C cells and the same Q, P and
-    E, every buffer is a view of the start of its counterpart there: all of
-    them are dead once ``match`` has swept the costs, so it shares one set
-    among every live length of a group (``_SharedScratch``)."""
+    5), the squared distances (C * P, 5) and the costs (C * P,)."""
 
     __slots__ = ("qrows", "qmask", "diff", "mask", "sq", "cost")
 
-    def __init__(self, C: int, Q: int, P: int, E: int, cells=None):
-        def buffer(name, shape, dtype=float):
-            if cells is None:
-                return np.empty(shape, dtype)
-            return getattr(cells, name).reshape(-1)[:math.prod(shape)].reshape(shape)
-
+    def __init__(self, C: int, Q: int, P: int, E: int):
         K = len(MODALITIES)
-        self.qrows, self.qmask = buffer("qrows", (C, Q, E)), buffer("qmask", (C, Q, K), bool)
-        self.diff, self.mask = buffer("diff", (C, P, E)), buffer("mask", (C, P, K), bool)
-        self.sq, self.cost = buffer("sq", (C * P, K)), buffer("cost", (C * P,))
+        self.qrows, self.qmask = np.empty((C, Q, E)), np.empty((C, Q, K), bool)
+        self.diff, self.mask = np.empty((C, P, E)), np.empty((C, P, K), bool)
+        self.sq, self.cost = np.empty((C * P, K)), np.empty(C * P)
 
 
 def _kept_costs(kernel, qe, qp, pe, pp_kept, rows, cols, scratch=None):
@@ -408,7 +396,7 @@ def _kept_costs(kernel, qe, qp, pe, pp_kept, rows, cols, scratch=None):
     5).  The cells are gathered as (C, P, E) differences, so the costs come
     out in the order of the skewed layout, diagonal by diagonal, with the
     pairs innermost.  Every step writes into a ``_CostScratch``.  Given one
-    (``match`` passes views of its group's shared buffers), the
+    (``match`` passes the one its kept workspace owns), the
     differences are squared and the squared distances masked in place,
     nothing is allocated and the costs are a view of ``scratch.cost``.
     Without one, a fresh one is built and the squares and the masked
@@ -487,24 +475,18 @@ def _sweep_slices(n: int, m: int, band: int, P: int):
     return (steps[0][0], steps[0][4]), tuple(steps[1:])
 
 
-def _sweep_plan(n: int, m: int, band: int, cost: np.ndarray, table=None):
+def _sweep_plan(n: int, m: int, band: int, cost: np.ndarray):
     """The views ``_sweep`` steps through for the C-contiguous (C, P) costs
-    ``cost`` of an (n, m) band, bound to ``cost`` and to a flat table:
-    ``(table, (costs, out) of diagonal 0, the five views of every later
-    step)``, the table as ``_sweep`` returns it.
-
-    ``dtw`` and soft-DTW training build one per call, on an inf-filled
-    table of their own.  ``match`` builds one per group, live length and
-    band, on the costs of its ``_CostScratch`` and a ``table`` of the
-    group's, a flat (n + m) * (n + 1) * P buffer that it fills with inf
-    before it sweeps a new live length in it, and sweeps it on every call:
-    each sweep rewrites every kept cell and reads only kept cells and the
-    inf cells outside the band, which no sweep of that length writes.
+    ``cost`` of an (n, m) band, bound to ``cost`` and to an inf-filled flat
+    table of its own: ``(table, (costs, out) of diagonal 0, the five views
+    of every later step)``, the table as ``_sweep`` returns it.  A plan can
+    be swept again: a sweep rewrites every kept cell and reads only kept
+    cells and the inf cells outside the band, which it never writes.
     """
     P = cost.shape[1]
     (cells0, out0), steps = _sweep_slices(n, m, band, P)
     c = cost.reshape(-1)
-    S = np.full((n + m) * (n + 1) * P, np.inf) if table is None else table
+    S = np.full((n + m) * (n + 1) * P, np.inf)
     view = S.reshape(n + m, n + 1, P)[1:, 1:].transpose(2, 0, 1)
     return view, (c[cells0], S[out0]), tuple(
         (c[cells], S[vertical], S[horizontal], S[diagonal], S[out])
@@ -889,14 +871,12 @@ def pairs_from_switch_tags(segments, library, negatives_per_positive: int = 4,
 
 
 class _Embedded:
-    """A time-major (T, 1 + P, 14) stack that ``match`` filters and embeds,
-    and the buffers it does so in: a ``filters.FilterScratch`` and the
-    (T, 1 + P, E) embedding, column 0 the live window's (``query``) and the
-    rest the P prototypes' (``protos``).  The prototype rows are written
-    once; a call writes the live window into column 0 when its length is T
-    and leaves the column as it was otherwise (zeros, or an earlier live
-    window): each series is filtered and embedded on its own, so that
-    column changes no prototype's result."""
+    """A group's time-major (m, 1 + P, 14) stack, its prototypes written in
+    once and column 0 left for a live window of length m, with the
+    ``filters.FilterScratch`` it is filtered in and the (m, 1 + P, E)
+    embedding: column 0 ``query``, the rest ``protos``.  Each series is
+    filtered and embedded on its own, so column 0, whatever it holds,
+    changes no prototype's result."""
 
     __slots__ = ("stack", "filter", "filtered", "flat", "query", "protos")
 
@@ -917,48 +897,21 @@ class _Embedded:
         np.matmul(self.filtered, Wt, out=self.flat)
 
 
-class _SharedScratch:
-    """What every live length of a group up to ``longest`` windows computes
-    in: a ``_CostScratch`` for the most cells the band keeps at any of
-    those lengths and a flat sweep table for the largest of their tables,
-    with the live length whose sweep it holds (``owner``).  What they hold
-    is dead between calls, so one set serves every live length."""
-
-    __slots__ = ("cells", "table", "owner")
-
-    def __init__(self, longest: int, m: int, band: int, P: int, E: int):
-        cells = max(_skew_index(n, m, band)[1].size for n in range(2, longest + 1))
-        self.cells = _CostScratch(cells, 1, P, E)
-        self.table = np.empty((longest + m) * (longest + 1) * P)
-        self.owner = None
-
-
 class _GroupScratch:
     """What ``match`` costs and sweeps one group in, for one live length n
-    and band: the kept cells, the group's presence gathered at them, a
-    ``_CostScratch`` and a sweep table that are views of the group's
-    ``_SharedScratch``, and a ``_sweep_plan`` bound to both."""
+    and band, owning its buffers: the kept cells, the group's presence
+    gathered at them (read-only), a ``_CostScratch`` and a ``_sweep_plan``
+    bound to its costs."""
 
-    __slots__ = ("n", "rows", "cols", "present", "shared", "costs", "table", "plan")
+    __slots__ = ("rows", "cols", "present", "costs", "plan")
 
     def __init__(self, group, n: int, band: int, E: int):
         m, P = len(group.features), len(group.ids)
         _, self.rows, self.cols = _skew_index(n, m, band)
-        self.present = group.present_at((n, band), self.cols)
-        longest = max(n, m)
-        self.n = n
-        self.shared = group.scratch(("shared", longest, band, E),
-                                    lambda: _SharedScratch(longest, m, band, P, E))
-        self.costs = _CostScratch(self.cols.size, 1, P, E, self.shared.cells)
-        self.table = self.shared.table[:(n + m) * (n + 1) * P]
-        self.plan = _sweep_plan(n, m, band, self.costs.cost.reshape(-1, P), self.table)
-
-    def claim(self):
-        """Make the shared table this live length's before a sweep: inf
-        everywhere, if another live length swept in it last."""
-        if self.shared.owner != self.n:
-            self.table.fill(np.inf)
-            self.shared.owner = self.n
+        self.present = np.take(group.present, self.cols, axis=0)
+        self.present.setflags(write=False)
+        self.costs = _CostScratch(self.cols.size, 1, P, E)
+        self.plan = _sweep_plan(n, m, band, self.costs.cost.reshape(-1, P))
 
 
 def match(model: MetricModel, selector, live_window, library, band: int,
@@ -966,39 +919,24 @@ def match(model: MetricModel, selector, live_window, library, band: int,
     """Rank library prototypes by similarity to the live window.
 
     The live window and every prototype are denoised with the filter the
-    selector chooses for ``ctx``, the live window's ``FilterContext``, before
-    alignment, so a prototype that equals the live window scores similarity
-    1.0 exactly.  Every call runs on the library's plan, its
-    ``LengthGroup``s: the prototypes of each length stacked time-major, with
-    their presence gathered at the band's kept columns, and the scratch the
-    call computes in.  A ``FingerprintLibrary`` keeps that plan until its
-    ``version`` changes; any other iterable of ``(prototype_id,
-    prototype)``, or mapping, builds it per call, by the same code.  The
-    filtered prototypes are not kept: the selector's coefficients change
-    with every live window.  Each group keeps, per filter shape
-    (``filters.filter_shape``) and embedding width, a time-major
-    (m, 1 + P, 14) stack with its prototypes written in once, the filter's
-    buffers and views and the embedding (``_Embedded``); one set of cost
-    buffers and one sweep table that all live lengths share
-    (``_SharedScratch``); and per live length and band the views of those
-    and of every sweep step (``_GroupScratch``).  A call writes the live
-    window into column 0 of the stack of its own length; one
-    ``denoise_matrix`` call filters it in place of a copy, one product
-    embeds it, ``_kept_costs`` costs the kept cells and one planned
-    ``_sweep`` per group runs the recursion, all into that scratch.  A
-    window whose length no group shares (the first windows of a walk) is
-    filtered alone and each group in its own stack; the window's stack and
-    the ``_GroupScratch`` of such a length are built per call, by the same
-    code, and not kept, which holds peak memory down.  Each series is
-    filtered and each cell costed on its own, so each result equals ``dtw``
-    on that prototype alone, bit for bit.
-    A prototype with no admissible path inside the band is left out.
-    Distances are read from the last cell of each recursion before any
-    scratch is reused; a returned result holds a copy of its own table,
-    unskewed and backtracked only when its ``.path`` is first read, so
-    nothing returned shares memory with the scratch.  Because of that
-    scratch, ``match`` on one library must not run concurrently.  Ties
-    break on the smaller prototype id.  An empty library yields an empty
+    selector chooses for ``ctx``, the live window's ``FilterContext``, and
+    aligned by banded exact DTW.  Each series is filtered and each cell
+    costed on its own, so each result equals ``dtw`` on that prototype
+    alone, bit for bit, and a prototype equal to the live window scores
+    1.0.  A prototype with no admissible path inside the band is left out;
+    ties break on the smaller prototype id.
+
+    A ``FingerprintLibrary`` hands over its plan (``length_groups``), kept
+    per ``version``; any other iterable of ``(prototype_id, prototype)``,
+    or mapping, is grouped per call.  Each group keeps a filtered and
+    embedded stack per filter shape and E (``_Embedded``).  When a group
+    has the live window's length n, the window goes into column 0 of that
+    group's stack and every group costs and sweeps in the ``_GroupScratch``
+    it keeps per (n, band, E).  Otherwise (the first windows of a walk)
+    the window is filtered and embedded alone and each group is costed and
+    swept per call, keeping nothing new.  A result holds a copy of its
+    table and backtracks only when ``.path`` is read.  ``match`` on one
+    library must not run concurrently.  An empty library yields an empty
     list, once ``band`` and the live window have passed the checks a
     non-empty one applies.
     """
@@ -1034,28 +972,30 @@ def match(model: MetricModel, selector, live_window, library, band: int,
 
     own = next((g for g in groups if len(g.features) == n), None)
     if own is None:
-        window = _Embedded(np.empty((n, 0, N_FEATURES)), key[:2], E)
+        query = _time_major(_rows(filters.denoise_matrix(choice, qf), Wt))
     else:
         window = embedded(own)
-    window.stack[:, 0] = qf
-    window.run(choice, Wt)
+        window.stack[:, 0] = qf
+        window.run(choice, Wt)
+        query = window.query
     qp = qp[:, None]
     beta = model.beta
     scored = []
     for g in groups:
         m = len(g.features)
-        if g is own:
-            protos = window.protos
-        else:
-            stack = embedded(g)
+        stack = embedded(g)
+        if g is not own:
             stack.run(choice, Wt)
-            protos = stack.protos
-        work = (_GroupScratch(g, n, band, E) if own is None else
-                g.scratch(("costs", n, band, E), lambda: _GroupScratch(g, n, band, E)))
-        cost = _kept_costs(kernel, window.query, qp, protos, work.present, work.rows,
-                           work.cols, work.costs)[0]
-        work.claim()
-        S = _sweep(cost, n, m, band, _hard_step, work.plan)
+        if own is None:
+            _, rows, cols = _skew_index(n, m, band)
+            cost = _kept_costs(kernel, query, qp, stack.protos,
+                               np.take(g.present, cols, axis=0), rows, cols)[0]
+            S = _sweep(cost, n, m, band, _hard_step)
+        else:
+            work = g.scratch(("costs", n, band, E), lambda: _GroupScratch(g, n, band, E))
+            cost = _kept_costs(kernel, query, qp, stack.protos, work.present, work.rows,
+                               work.cols, work.costs)[0]
+            S = _sweep(cost, n, m, band, _hard_step, work.plan)
         for t, (pid, distance) in enumerate(zip(g.ids, S[:, -1, n - 1].tolist())):
             if math.isfinite(distance):
                 similarity = math.exp(-beta * distance)

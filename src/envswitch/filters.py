@@ -158,8 +158,10 @@ class FilterChoice:
         k, g, e = self.weights.tolist()
         if not (k >= 0.0 and g >= 0.0 and e >= 0.0 and abs(k + g + e - 1.0) <= 1e-9):
             raise ValueError("weights must be nonnegative and sum to 1")
-        if not (self.r > 0.0 and self.q >= 0.0 and self.sigma > 0.0
-                and 0.0 < self.alpha <= 1.0):
+        # an infinite q, r or sigma would filter to NaN, to a flat copy of
+        # the first row or overflow the Gaussian's radius
+        if not (0.0 < self.r < math.inf and 0.0 <= self.q < math.inf
+                and 0.0 < self.sigma < math.inf and 0.0 < self.alpha <= 1.0):
             raise ValueError("filter coefficients out of range")
 
     def hard_kind(self) -> str:

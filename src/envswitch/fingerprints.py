@@ -402,32 +402,20 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class LengthGroup:
-    """Prototypes of one length m, laid out the way ``alignment.match``
-    filters, embeds and gathers them.
-
-    ``ids`` in entry order, their ``features`` (m, P, 14) and ``present``
-    (m, P, 5) stacked time-major, and ``present_at(key, index)``: the
-    presence at time indices ``index``, (len(index), P, 5), computed once
-    per ``key`` (``match`` gathers it at the band's kept columns and keys it
-    by live length and band).  Every array is read-only.
+    """Prototypes of one length m, as ``alignment.match`` scores them:
+    ``ids`` in entry order and their ``features`` (m, P, 14) and
+    ``present`` (m, P, 5) stacked time-major, both read-only.
     ``scratch(key, build)`` keeps the workspace ``build()`` makes, once per
-    ``key``: ``match`` runs in it, overwriting its buffers on every call.
+    ``key``; ``match`` overwrites its buffers on every call.
     """
 
-    __slots__ = ("ids", "features", "present", "_present_at", "_scratch")
+    __slots__ = ("ids", "features", "present", "_scratch")
 
     def __init__(self, ids, features, present):
         self.ids = tuple(ids)
         self.features = _read_only(np.stack(features, axis=1))
         self.present = _read_only(np.stack(present, axis=1))
-        self._present_at = {}
         self._scratch = {}
-
-    def present_at(self, key, index) -> np.ndarray:
-        got = self._present_at.get(key)
-        if got is None:
-            got = self._present_at[key] = _read_only(np.take(self.present, index, axis=0))
-        return got
 
     def scratch(self, key, build):
         got = self._scratch.get(key)
@@ -478,8 +466,8 @@ class FingerprintLibrary:
 
     def length_groups(self):
         """``group_by_length`` of the packed sequences in id order, the plan
-        ``alignment.match`` scores from; kept, with what ``match`` gathers
-        into it and the scratch it runs in, until ``version`` changes."""
+        ``alignment.match`` scores from; kept, with its workspaces, until
+        ``version`` changes."""
         if self._groups[0] != self.version:
             self._groups = (self.version, group_by_length(
                 (pid, seq.packed()) for pid, seq in self.items()))

@@ -12,7 +12,8 @@ on a 2-vCPU host):
 ``--seeds`` picks the training seeds (default 13, 29 and 41).  ``--json``
 also writes, for the seeds run, each site's value per seed and, over the
 seeds, its mean, min, interquartile mean and a percentile bootstrap
-interval of the mean (Agarwal et al. 2021; Henderson et al. 2018).  Every
+interval of the mean (Agarwal et al. 2021; Henderson et al. 2018), and
+whether criterion 6 holds at each seed and at how many.  Every
 pipeline runs in a temporary directory; the JSON file is refused inside a
 model directory, whose files criterion 8 compares byte for byte.  The
 output, table and file, is deterministic.
@@ -31,6 +32,9 @@ from envswitch.config import EngineConfig
 from golden import run_pipeline
 
 SEEDS = (13, 29, 41)
+# criterion 6: each site's minimum mean relative improvement, as a fraction;
+# it holds when all three are met and C >= A >= B
+CRITERION_6 = {"A": 0.25, "B": 0.20, "C": 0.40}
 BOOTSTRAP = {"statistic": "mean", "resamples": 10_000, "confidence": 0.95, "seed": 0}
 
 
@@ -57,6 +61,13 @@ def bootstrap_interval(values, rng) -> list:
     return [float(np.percentile(means, tail)), float(np.percentile(means, 100.0 - tail))]
 
 
+def criterion_6(means: dict) -> dict:
+    """Which parts of criterion 6 hold for one seed's site means, in percent."""
+    thresholds = all(means[f] >= 100.0 * CRITERION_6[f] for f in "ABC")
+    ordering = means["C"] >= means["A"] >= means["B"]
+    return {"thresholds": thresholds, "ordering": ordering, "holds": thresholds and ordering}
+
+
 def summary(per_seed: dict) -> dict:
     """Each site's spread over the seeds of ``per_seed`` (seed -> site means)."""
     rng = np.random.default_rng(BOOTSTRAP["seed"])
@@ -66,9 +77,13 @@ def summary(per_seed: dict) -> dict:
         sites[flag] = {"mean": float(np.mean(values)), "min": float(min(values)),
                        "iqm": interquartile_mean(values),
                        "bootstrap": bootstrap_interval(values, rng)}
+    gate = {str(seed): criterion_6(means) for seed, means in per_seed.items()}
+    held = sum(g["holds"] for g in gate.values())
     return {"seeds": list(per_seed), "bootstrap": BOOTSTRAP,
             "per_seed": {str(seed): means for seed, means in per_seed.items()},
-            "sites": sites}
+            "sites": sites,
+            "criterion_6": {"thresholds": CRITERION_6, "per_seed": gate,
+                            "seeds_held": held, "holds": held == len(gate)}}
 
 
 def main() -> None:

@@ -1119,6 +1119,20 @@ def per_prototype(model, selector, live, lib, band, ctx):
     return want
 
 
+def arrays_in(obj, found=None):
+    """Every array reachable from ``obj`` through tuples, lists and slots."""
+    found = [] if found is None else found
+    if isinstance(obj, np.ndarray):
+        found.append(obj)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            arrays_in(item, found)
+    else:
+        for name in getattr(type(obj), "__slots__", ()):
+            arrays_in(getattr(obj, name, None), found)
+    return found
+
+
 class TestScratch:
     """``match`` computes in scratch that a ``FingerprintLibrary``'s plan
     keeps between calls; nothing it returns may depend on that scratch."""
@@ -1165,26 +1179,37 @@ class TestScratch:
         for n in (6, 4, 6):
             results += match(model, selector, random_packed(rng, n), lib, 3, len(lib),
                              random_context(rng))
-        buffers = []
-
-        def collect(obj):
-            if isinstance(obj, np.ndarray):
-                buffers.append(obj)
-            elif isinstance(obj, (tuple, list)):
-                for item in obj:
-                    collect(item)
-            else:
-                for name in getattr(type(obj), "__slots__", ()):
-                    collect(getattr(obj, name, None))
-
-        for g in lib.length_groups():
-            collect(list(g._scratch.values()))
+        buffers = [a for g in lib.length_groups() for a in arrays_in(list(g._scratch.values()))]
         assert len(buffers) > 50
         tables = [result._path.args[0] for _, result in results]
         assert len(tables) == 3 * len(lib)
         for table in tables:
             assert not any(np.shares_memory(table, b) for b in buffers)
         assert not any(np.shares_memory(a, b) for a in tables for b in tables if a is not b)
+
+    def test_warm_up_keeps_nothing_and_workspaces_own_their_buffers(self, rng):
+        """A walk's warm-up windows, shorter than every prototype, add no
+        cost buffers or sweep tables to the plan; the workspaces kept at the
+        prototype length share no memory with one another."""
+        model = MetricModel.from_seed(2, noise=0.3)
+        lib = scratch_library(rng, [10] * 6)
+        for n in range(2, 10):
+            match(model, selector_for_kind("gaussian"), random_packed(rng, n), lib, 3,
+                  len(lib), random_context(rng))
+        group, = lib.length_groups()
+        assert group._scratch
+        assert all(isinstance(w, alignment._Embedded) for w in group._scratch.values())
+        for kind in FILTER_ORDER:
+            for band in (2, 3):
+                match(model, selector_for_kind(kind), random_packed(rng, 10), lib, band,
+                      len(lib), random_context(rng))
+        kept = Counter(type(w) for w in group._scratch.values())
+        assert kept[alignment._GroupScratch] == 2 and kept[alignment._Embedded] >= 3
+        owned = [[a for a in arrays_in(w) if a.flags.writeable]
+                 for w in group._scratch.values()]
+        for i, mine in enumerate(owned):
+            for other in owned[i + 1:]:
+                assert not any(np.shares_memory(a, b) for a in mine for b in other)
 
 
 class TestLengthGroups:
@@ -1273,15 +1298,22 @@ class TestLengthGroups:
     def test_cached_arrays_are_read_only(self, rng):
         lib = self.library(rng, [6, 4])
         live = make_sequence(rng, 6)
-        match(MetricModel.identity(), SelectorModel.zeros(), live, lib, 2, 1, FilterContext())
+        model, selector = MetricModel.identity(), SelectorModel.zeros()
+        key = ("costs", 6, 2, alignment._kernel(model)[0].shape[0])
+        match(model, selector, live, lib, 2, 1, FilterContext())
+        kept = []
         for g in lib.length_groups():
             _, _, cols = _skew_index(6, len(g.features), 2)
-            kept = g.present_at((6, 2), cols)
-            assert kept is g.present_at((6, 2), cols)     # gathered by match, kept
-            assert kept.shape == (cols.size, len(g.ids), 5)
-            for a, v in ((g.features, 1.0), (g.present, False), (kept, False)):
+            present = g._scratch[key].present       # gathered by match
+            assert present.tobytes() == np.take(g.present, cols, axis=0).tobytes()
+            assert present.shape == (cols.size, len(g.ids), 5)
+            kept.append(present)
+            for a, v in ((g.features, 1.0), (g.present, False), (present, False)):
                 with pytest.raises(ValueError):
                     a.flat[0] = v
+        match(model, selector, make_sequence(rng, 6), lib, 2, 1, FilterContext())
+        assert len(kept) == 2
+        assert all(g._scratch[key].present is k for g, k in zip(lib.length_groups(), kept))
         keep, rows, cols = _skew_index(6, 4, 2)
         row_runs, col_runs, by_row = alignment._band_sums(6, 4, 2)
         for a, v in ((keep, False), (rows, 1), (cols, 1), (by_row, 1)) + tuple(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,15 @@ class TestDenoise:
         FilterChoice(**args)
         args[field] = np.array([np.nan, 0.5, 0.5]) if field == "weights" else float("nan")
         with pytest.raises(ValueError):
+            FilterChoice(**args)
+
+    @pytest.mark.parametrize("field", ["q", "r", "sigma"])
+    def test_infinite_coefficient_is_rejected(self, field):
+        args = dict(weights=np.full(3, 1.0 / 3.0), q=0.2, r=1.0, sigma=1.0, alpha=0.5)
+        args[field] = 1e300
+        FilterChoice(**args)
+        args[field] = math.inf
+        with pytest.raises(ValueError, match="coefficients"):
             FilterChoice(**args)
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 
-from seeds import interquartile_mean, summary
+from seeds import CRITERION_6, criterion_6, interquartile_mean, summary
 
 
 def test_interquartile_mean_drops_a_quarter_at_each_end():
@@ -21,3 +21,21 @@ def test_summary_is_deterministic_and_brackets_the_mean():
         assert site["mean"] == float(np.mean(values)) and site["min"] == min(values)
         lo, hi = site["bootstrap"]
         assert min(values) <= lo <= site["mean"] <= hi <= max(values)
+
+
+def test_criterion_6_gate_per_seed_and_in_total():
+    assert CRITERION_6 == {"A": 0.25, "B": 0.20, "C": 0.40}
+    per_seed = {13: {"A": 25.0, "B": 20.0, "C": 40.0},       # every bound met exactly
+                29: {"A": 30.0, "B": 35.0, "C": 50.0},       # B > A
+                41: {"A": 24.9, "B": 20.0, "C": 60.0},       # A below its threshold
+                6: {"A": 50.0, "B": 40.0, "C": 39.9}}        # C below, and C < A
+    gate = summary(per_seed)["criterion_6"]
+    assert gate["thresholds"] == CRITERION_6
+    assert gate["per_seed"] == {
+        "13": {"thresholds": True, "ordering": True, "holds": True},
+        "29": {"thresholds": True, "ordering": False, "holds": False},
+        "41": {"thresholds": False, "ordering": True, "holds": False},
+        "6": {"thresholds": False, "ordering": False, "holds": False}}
+    assert gate["seeds_held"] == 1 and gate["holds"] is False
+    assert summary({13: per_seed[13]})["criterion_6"]["holds"] is True
+    assert criterion_6(per_seed[13]) == gate["per_seed"]["13"]
