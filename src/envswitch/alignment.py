@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import filters
-from .fingerprints import (FEATURE_DIMS, MODALITIES, N_FEATURES,
+from .fingerprints import (FEATURE_DIMS, MODALITIES, MODALITY_SLICES, N_FEATURES,
                            Fingerprint, FingerprintLibrary, FingerprintSequence,
                            group_by_length)
 from .mlp import softmax
@@ -135,7 +135,7 @@ def cell_cost(model: MetricModel, q: Fingerprint, f: Fingerprint) -> float:
         if not (q.present[i] and f.present[i]):
             continue
         W = model.embeddings[m]
-        d = W @ (q.modality_features(m) - f.modality_features(m))
+        d = W @ (q.features[MODALITY_SLICES[m]] - f.features[MODALITY_SLICES[m]])
         total += w[i] * float(d @ d)
     return total
 

@@ -43,6 +43,7 @@ class SessionReport:
     session: int
     baseline_tts: float
     proposed_tts: float
+    censored: bool = False      # the policy never handed over
 
     @property
     def improvement(self) -> float:
@@ -327,7 +328,7 @@ def evaluate_site(flag: str, policy, stack, sessions: int, seed: int,
         traj = rollout(policy, scenario, stack, mode="greedy",
                        seed=session_seed, trace=trace)
         reports.append(SessionReport(site, k + 1, traj.baseline_tts,
-                                     traj.policy_tts))
+                                     traj.policy_tts, traj.censored))
         checksums.append((k + 1, trace.checksum(), traj.trace_checksum))
     return reports, checksums
 

@@ -15,6 +15,7 @@ Lines starting with ``#`` and blank lines are ignored.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 
@@ -202,16 +203,22 @@ _SECTIONS = frozenset(f.name for f in dataclasses.fields(EngineConfig))
 
 
 def _coerce(dotted: str, current, text: str):
-    """``text`` parsed as the type of the field's current value; a field of
-    any other type (``norm.bounds``, a dict) cannot be set from text."""
+    """``text`` parsed as the type of the field's current value: a float
+    must be finite, a tuple as long as the default; a field of any other
+    type (``norm.bounds``, a dict) cannot be set from text."""
     if isinstance(current, bool):
         return text.strip().lower() in ("1", "true", "yes")
     if isinstance(current, int):
         return int(text)
-    if isinstance(current, float):
-        return float(text)
-    if isinstance(current, tuple):
-        return tuple(float(v) for v in text.split(","))
+    if isinstance(current, (float, tuple)):
+        values = tuple(float(v) for v in text.split(","))
+        want = len(current) if isinstance(current, tuple) else 1
+        if len(values) != want:
+            raise ValueError(f"config key {dotted!r} takes {want} comma-separated "
+                             f"value(s), got {len(values)}")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"config key {dotted!r} must be finite, got {text!r}")
+        return values if isinstance(current, tuple) else values[0]
     if isinstance(current, str):
         return text.strip()
     raise ValueError(f"config key {dotted!r} holds a {type(current).__name__} "

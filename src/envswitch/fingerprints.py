@@ -1,7 +1,7 @@
 """Multi-modal fingerprints and the on-device personalized library.
 
 A fingerprint is one time-window's concatenated per-modality feature
-summaries plus a presence/quality mask.  Sequences of fingerprints anchored
+summaries plus a presence mask.  Sequences of fingerprints anchored
 by switch events accumulate into a per-user library with rolling retention
 and capacity-based eviction.  The module also provides the privacy side:
 salted identifier hashing and desensitized summaries that carry no raw
@@ -73,41 +73,32 @@ def quantize(value: float, step: float) -> float:
 
 
 class Fingerprint:
-    """One window: 14 concatenated features + per-modality presence/quality.
+    """One window: 14 concatenated features + a per-modality presence mask.
 
     Immutable after construction; absent modalities keep their feature
     values but are ignored by every downstream cost computation.
     """
 
-    __slots__ = ("timestamp", "features", "present", "quality")
+    __slots__ = ("timestamp", "features", "present")
 
-    def __init__(self, timestamp: float, features, present, quality):
+    def __init__(self, timestamp: float, features, present):
         features = np.asarray(features, dtype=float)
         present = np.asarray(present, dtype=bool)
-        quality = np.asarray(quality, dtype=float)
         if features.shape != (N_FEATURES,):
             raise ValueError(f"features must have shape ({N_FEATURES},)")
-        if present.shape != (len(MODALITIES),) or quality.shape != (len(MODALITIES),):
+        if present.shape != (len(MODALITIES),):
             raise ValueError("mask needs exactly one entry per modality")
-        # the checks run on Python floats: cheaper than numpy on 14 and 5 values
+        # the check runs on Python floats: cheaper than numpy on 14 values
         if not all(map(math.isfinite, features.tolist())):
             raise ValueError("fingerprint features must be finite")
-        # written so that a NaN fails it too
-        if not all(0.0 <= q <= 1.0 for q in quality.tolist()):
-            raise ValueError("qualities must lie in [0, 1]")
         self.timestamp = float(timestamp)
         self.features = features
         self.features.setflags(write=False)
         self.present = present
         self.present.setflags(write=False)
-        self.quality = quality
-        self.quality.setflags(write=False)
-
-    def modality_features(self, kind: str) -> np.ndarray:
-        return self.features[MODALITY_SLICES[kind]]
 
     def replace_features(self, features) -> "Fingerprint":
-        return Fingerprint(self.timestamp, features, self.present, self.quality)
+        return Fingerprint(self.timestamp, features, self.present)
 
 
 @dataclass(frozen=True)
@@ -165,9 +156,6 @@ class FingerprintSequence:
 
     def present(self) -> np.ndarray:
         return self.packed()[1]
-
-    def qualities(self) -> np.ndarray:
-        return np.stack([w.quality for w in self.windows])
 
 
 # ---------------------------------------------------------------------------
@@ -331,41 +319,29 @@ def time_summary(hour_of_day: float):
     return math.sin(phase), math.cos(phase)
 
 
-def time_features(window: RawWindow):
-    return time_summary(window.hour_of_day)
-
-
 def assemble_fingerprint(timestamp: float, raw: dict, present: dict,
-                         quality: dict, affine: tuple) -> Fingerprint:
+                         affine: tuple) -> Fingerprint:
     """Normalize raw per-modality features and attach the presence mask.
 
     ``raw`` maps every modality to its raw feature tuple; all 14 features
     normalize with one affine map ``(raw - center) / halfspan``, where
-    ``affine`` is ``NormalizationConfig.affine(FEATURE_NAMES)``.  A quality
-    missing from ``quality`` is 1.0 for a modality marked present and 0.0
-    otherwise; a modality missing from ``present`` keeps its flag set.
+    ``affine`` is ``NormalizationConfig.affine(FEATURE_NAMES)``.  A modality
+    missing from ``present`` keeps its flag set.
     """
     center, halfspan = affine
     values = np.array([v for m in MODALITIES for v in raw[m]], dtype=float)
     features = (values - np.array(center)) / np.array(halfspan)
-    pres, qual = [], []
-    for m in MODALITIES:
-        q = quality.get(m, 1.0 if present.get(m, False) else 0.0)
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quality must lie in [0, 1]")
-        pres.append(bool(present.get(m, True)))
-        qual.append(q if pres[-1] else 0.0)
-    return Fingerprint(timestamp, features, pres, qual)
+    return Fingerprint(timestamp, features,
+                       [bool(present.get(m, True)) for m in MODALITIES])
 
 
 def summarize_window(window: RawWindow, present: dict,
-                     quality: dict | None = None,
                      norm: NormalizationConfig | None = None) -> Fingerprint:
     """Summarize one raw window into a normalized Fingerprint.
 
     ``present`` maps modality name -> bool.  A modality marked present with
     an empty sample set raises ("inconsistent mask"); a modality marked
-    absent gets zero features and zero quality, and is inert downstream.
+    absent gets zero features, and is inert downstream.
     """
     raw = {m: (0.0,) * FEATURE_DIMS[m] for m in MODALITIES}
     if present.get("pdr", False):
@@ -377,10 +353,10 @@ def summarize_window(window: RawWindow, present: dict,
     if present.get("gnss", False):
         raw["gnss"] = gnss_features(window)
     if present.get("time", False):
-        raw["time"] = time_features(window)
+        raw["time"] = time_summary(window.hour_of_day)
     t_mid = 0.5 * (window.t_start + window.t_end)
     affine = (norm or NormalizationConfig()).affine(FEATURE_NAMES)
-    return assemble_fingerprint(t_mid, raw, present, quality or {}, affine)
+    return assemble_fingerprint(t_mid, raw, present, affine)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +503,6 @@ class DesensitizedSummary:
     label_kind: str
     offsets: tuple
     feature_aggregates: tuple
-    quality_aggregates: tuple
 
     def serialize(self) -> str:
         # quantized values print compactly; a privacy digest carries no
@@ -540,7 +515,6 @@ class DesensitizedSummary:
             f"kind {self.label_kind}",
             "offsets " + " ".join(q(v) for v in self.offsets),
             "features " + " ".join(q(v) for v in self.feature_aggregates),
-            "quality " + " ".join(q(v) for v in self.quality_aggregates),
         ]
         return "\n".join(lines) + "\n"
 
@@ -549,11 +523,9 @@ def desensitize(seq: FingerprintSequence, salt: str = "edge-default",
                 quant_step: float = 0.1) -> DesensitizedSummary:
     """Produce the exportable summary of a sequence."""
     feats = seq.features()
-    qual = seq.qualities()
     ts = seq.timestamps()
     offsets = tuple(float(t - ts[0]) for t in ts)
     aggregates = tuple(quantize(v, quant_step) for v in feats.mean(axis=0))
-    quality_agg = tuple(quantize(v, quant_step) for v in qual.mean(axis=0))
     kind = seq.label.kind if seq.label is not None else "unlabeled"
     source = seq.prototype_id or sequence_content_id(*seq.packed(), kind, salt)
     return DesensitizedSummary(
@@ -561,7 +533,6 @@ def desensitize(seq: FingerprintSequence, salt: str = "edge-default",
         label_kind=kind,
         offsets=offsets,
         feature_aggregates=aggregates,
-        quality_aggregates=quality_agg,
     )
 
 
@@ -584,19 +555,14 @@ def contains_identifier_leak(serialized: str, raw_ids, min_len: int = 4) -> bool
 # ---------------------------------------------------------------------------
 
 _HEADER = ("t," + ",".join(FEATURE_NAMES) + ","
-           + ",".join(f"mask_{m}" for m in MODALITIES) + ","
-           + ",".join(f"q_{m}" for m in MODALITIES))
+           + ",".join(f"mask_{m}" for m in MODALITIES))
+_N_FIELDS = 1 + N_FEATURES + len(MODALITIES)
 
 
 def sequence_to_lines(seq: FingerprintSequence) -> list:
-    lines = [_HEADER]
-    for w in seq.windows:
-        parts = [fmt(w.timestamp)]
-        parts += [fmt(v) for v in w.features]
-        parts += [str(int(v)) for v in w.present]
-        parts += [fmt(v) for v in w.quality]
-        lines.append(",".join(parts))
-    return lines
+    return [_HEADER] + [",".join([fmt(w.timestamp), *map(fmt, w.features),
+                                  *(str(int(v)) for v in w.present)])
+                        for w in seq.windows]
 
 
 def write_sequence(path, seq: FingerprintSequence) -> None:
@@ -606,19 +572,26 @@ def write_sequence(path, seq: FingerprintSequence) -> None:
 
 def read_sequence(path, label: SwitchEvent | None = None,
                   created_at: int = 0, prototype_id: str = "") -> FingerprintSequence:
+    """The sequence ``write_sequence`` wrote; another header, a row of
+    another width, a mask other than 0/1 or a bad value raises, naming the
+    file and line."""
     with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or not lines[0].startswith("t,"):
-        raise ValueError(f"{path}: missing header line")
+        lines = [(n, ln.strip()) for n, ln in enumerate(f, 1) if ln.strip()]
+    if not lines or lines[0][1] != _HEADER:
+        raise ValueError(f"{path}: the header is not {_HEADER!r}")
     windows = []
-    n_mod = len(MODALITIES)
-    for ln in lines[1:]:
+    for n, ln in lines[1:]:
         parts = ln.split(",")
-        t = float(parts[0])
-        feats = [float(v) for v in parts[1:1 + N_FEATURES]]
-        pres = [bool(int(v)) for v in parts[1 + N_FEATURES:1 + N_FEATURES + n_mod]]
-        qual = [float(v) for v in parts[1 + N_FEATURES + n_mod:1 + N_FEATURES + 2 * n_mod]]
-        windows.append(Fingerprint(t, feats, pres, qual))
+        try:
+            if len(parts) != _N_FIELDS:
+                raise ValueError(f"expected {_N_FIELDS} fields, got {len(parts)}")
+            if not set(parts[1 + N_FEATURES:]) <= {"0", "1"}:
+                raise ValueError("a mask must be 0 or 1")
+            windows.append(Fingerprint(float(parts[0]),
+                                       [float(v) for v in parts[1:1 + N_FEATURES]],
+                                       [v == "1" for v in parts[1 + N_FEATURES:]]))
+        except ValueError as err:
+            raise ValueError(f"{path}:{n}: {err}") from None
     return FingerprintSequence(windows, label, created_at, prototype_id)
 
 
@@ -644,7 +617,6 @@ def load_library(directory, cfg: LibraryConfig | None = None) -> FingerprintLibr
         lines = [ln.strip() for ln in f if ln.strip()]
     for ln in lines[1:]:
         pid, day, kind = ln.split(",")
-        label = None
         seq_path = os.path.join(directory, f"{pid}.fpseq")
         seq = read_sequence(seq_path, None, int(day), pid)
         if kind != "unlabeled":

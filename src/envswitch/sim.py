@@ -523,10 +523,10 @@ def fingerprint_at(trace: RawTrace, t_end: float, cfg: EngineConfig,
     ``scan_times``, an ascending sequence, restricts WiFi scans to a device
     schedule; None means every per-second sample is visible.  When the
     schedule leaves the window without a WiFi scan, the freshest earlier
-    scan inside the staleness budget is carried over with decayed quality;
-    beyond the budget WiFi is marked absent.  Both are found by bisecting
-    the schedule.  ``affine`` is ``cfg.norm.affine(FEATURE_NAMES)``; a
-    caller that makes many windows under one config builds it once and
+    scan inside the staleness budget is carried over, its features marking
+    WiFi present; beyond the budget WiFi is marked absent.  Both are found
+    by bisecting the schedule.  ``affine`` is ``cfg.norm.affine(FEATURE_NAMES)``;
+    a caller that makes many windows under one config builds it once and
     passes it in, otherwise it is built here.
 
     The result is memoized on the trace, keyed on everything the window
@@ -574,12 +574,9 @@ def _summarize_trace_window(trace, t_start, t_end, sec_span, scans, carried,
     }
     secs = list(range(lo, hi)) if scans is None else list(scans)
     times = trace.sec_t[secs]
-    wifi_quality = 1.0
-    if carried is not None:
-        age = t_end - carried
-        if age <= stale and 0 <= int(carried) < len(trace.sec_t):
-            secs, times = [int(carried)], [carried]
-            wifi_quality = max(0.0, 1.0 - age / stale)
+    if (carried is not None and t_end - carried <= stale
+            and 0 <= int(carried) < len(trace.sec_t)):
+        secs, times = [int(carried)], [carried]
     if secs:
         means, strongest, bssids = trace.wifi_summaries()
         raw["wifi"] = wifi_summary(means[secs], strongest[secs],
@@ -592,9 +589,7 @@ def _summarize_trace_window(trace, t_start, t_end, sec_span, scans, carried,
                                    trace.gnss_fix[lo:hi])
     present = {"pdr": True, "wifi": bool(secs), "cell": hi > lo,
                "gnss": hi > lo, "time": True}
-    quality = {"wifi": wifi_quality if secs else 0.0}
-    return assemble_fingerprint(0.5 * (t_start + t_end), raw, present,
-                                quality, affine)
+    return assemble_fingerprint(0.5 * (t_start + t_end), raw, present, affine)
 
 
 def segment_before(trace: RawTrace, t_event: float,

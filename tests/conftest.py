@@ -8,8 +8,7 @@ from envswitch.fingerprints import (Fingerprint, FingerprintSequence,
 def make_fingerprint(rng, t, present=None, features=None):
     feats = rng.normal(0.0, 0.5, size=14) if features is None else np.asarray(features, dtype=float)
     pres = np.ones(5, dtype=bool) if present is None else np.asarray(present, dtype=bool)
-    qual = np.where(pres, 1.0, 0.0)
-    return Fingerprint(t, feats, pres, qual)
+    return Fingerprint(t, feats, pres)
 
 
 def make_sequence(rng, length=6, t0=0.0, kind=None, present=None, day=0,

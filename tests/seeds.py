@@ -12,11 +12,12 @@ on a 2-vCPU host):
 ``--seeds`` picks the training seeds (default 13, 29 and 41).  ``--json``
 also writes, for the seeds run, each site's value per seed and, over the
 seeds, its mean, min, interquartile mean and a percentile bootstrap
-interval of the mean (Agarwal et al. 2021; Henderson et al. 2018), and
-whether criterion 6 holds at each seed and at how many.  Every
-pipeline runs in a temporary directory; the JSON file is refused inside a
-model directory, whose files criterion 8 compares byte for byte.  The
-output, table and file, is deterministic.
+interval of the mean (Agarwal et al. 2021; Henderson et al. 2018),
+whether criterion 6 holds at each seed and at how many, and the censored
+sessions (the greedy policy never handed over) per seed and site and in
+total.  Every pipeline runs in a temporary directory; the JSON file is
+refused inside a model directory, whose files criterion 8 compares byte
+for byte.  The output, table and file, is deterministic.
 
 A change that alters behaviour reports this table before and after.
 """
@@ -43,6 +44,20 @@ def site_means(reports) -> dict:
     return {flag: 100.0 * float(np.mean([r.relative for r in site_reports
                                          if r.relative is not None]))
             for flag, site_reports in reports.items()}
+
+
+def site_censored(reports) -> dict:
+    """Per-site count of censored sessions: the policy never handed over."""
+    return {flag: sum(r.censored for r in site_reports)
+            for flag, site_reports in reports.items()}
+
+
+def censored_summary(per_seed: dict) -> dict:
+    """Censored-session counts (seed -> site counts) per seed, per site over
+    the seeds, and in total."""
+    sites = {flag: sum(counts[flag] for counts in per_seed.values()) for flag in "ABC"}
+    return {"per_seed": {str(seed): counts for seed, counts in per_seed.items()},
+            "sites": sites, "total": sum(sites.values())}
 
 
 def interquartile_mean(values) -> float:
@@ -96,17 +111,20 @@ def main() -> None:
     if args.json and os.path.exists(os.path.join(os.path.dirname(os.path.abspath(args.json)),
                                                  "metric.txt")):
         parser.error("--json must be written outside a model directory")
-    per_seed = {}
+    per_seed, censored = {}, {}
     print("| seed | A / B / C % |")
     print("|---|---|")
     for seed in args.seeds:
         with tempfile.TemporaryDirectory() as out:
-            means = per_seed[seed] = site_means(run_pipeline(out, EngineConfig(), seed))
+            reports = run_pipeline(out, EngineConfig(), seed)
+        means = per_seed[seed] = site_means(reports)
+        censored[seed] = site_censored(reports)
         print(f"| {seed} | "
               + " / ".join(f"{means[f]:.1f}" for f in "ABC") + " |", flush=True)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(summary(per_seed), f, indent=2, sort_keys=True)
+            json.dump(dict(summary(per_seed), censored=censored_summary(censored)),
+                      f, indent=2, sort_keys=True)
             f.write("\n")
 
 

@@ -203,10 +203,10 @@ class TestCellCost:
         model = MetricModel.identity()
         base = rng.normal(0, 1, 14)
         pres_q = np.array([True, False, True, True, True])
-        q1 = Fingerprint(1.0, base, pres_q, np.ones(5) * pres_q)
+        q1 = Fingerprint(1.0, base, pres_q)
         noisy = base.copy()
         noisy[MODALITY_SLICES["wifi"]] += 100.0
-        q2 = Fingerprint(1.0, noisy, pres_q, np.ones(5) * pres_q)
+        q2 = Fingerprint(1.0, noisy, pres_q)
         f = make_fingerprint(rng, 2.0)
         assert cell_cost(model, q1, f) == cell_cost(model, q2, f)
 
@@ -215,8 +215,8 @@ class TestCellCost:
         feats_a = np.zeros(14)
         feats_b = np.zeros(14)
         feats_b[0] = 1.0   # PDR features differ by (1, 0, 0)
-        a = Fingerprint(1.0, feats_a, np.ones(5, bool), np.ones(5))
-        b = Fingerprint(2.0, feats_b, np.ones(5, bool), np.ones(5))
+        a = Fingerprint(1.0, feats_a, np.ones(5, bool))
+        b = Fingerprint(2.0, feats_b, np.ones(5, bool))
         assert cell_cost(model, a, b) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -340,9 +340,9 @@ class TestBatchedDtw:
             assert cost.shape == (P, n, m)
             for p in range(P):
                 for i in range(n):
-                    a = Fingerprint(0.0, qf[p, i], qp[p, i], qp[p, i].astype(float))
+                    a = Fingerprint(0.0, qf[p, i], qp[p, i])
                     for j in range(m):
-                        b = Fingerprint(0.0, pf[p, j], pp[p, j], pp[p, j].astype(float))
+                        b = Fingerprint(0.0, pf[p, j], pp[p, j])
                         assert cost[p, i, j] == pytest.approx(cell_cost(model, a, b),
                                                               rel=1e-12, abs=0.0)
             assert all(cost[c] == 0.0 for c in copies)

@@ -15,6 +15,7 @@ from envswitch.cli import (PAPER_SESSION_COUNTS, SessionReport, build_parser,
                            train_models)
 from envswitch.config import EngineConfig, apply_overrides, load_config
 from envswitch.filters import context_from_windows
+from envswitch.fingerprints import FEATURE_NAMES, MODALITIES
 from envswitch.sim import scenario_text
 
 
@@ -96,8 +97,8 @@ class TestSimulateCommand:
             assert os.path.exists(stem + ".scenario")
         with open(written[0] + ".csv") as f:
             header = f.readline()
-        assert header.startswith("t,")
-        assert "mask_pdr" in header and "q_gnss" in header
+        assert header.rstrip("\n").split(",") == (
+            ["t", *FEATURE_NAMES] + [f"mask_{m}" for m in MODALITIES])
 
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = EngineConfig()
@@ -188,11 +189,30 @@ class TestConfigFile:
                 with pytest.raises(ValueError, match=f"'{dotted}'.*cannot be overridden"):
                     apply_overrides(base, [(dotted, "2")])
                 continue
-            cfg = apply_overrides(base, [(dotted, "2")])
+            # a tuple takes as many values as its default holds
+            text = ",".join(["2"] * len(current)) if isinstance(current, tuple) else "2"
+            cfg = apply_overrides(base, [(dotted, text)])
             assert getattr(cfg, section.name) is not getattr(base, section.name)
             assert getattr(getattr(base, section.name), key) is current
         with pytest.raises(ValueError, match="unknown config key"):
             apply_overrides(base, [("telemetry.enabled", "1")])
+
+    @pytest.mark.parametrize("dotted, text, message", [
+        ("filters.q_range", "0.5", r"takes 2 comma-separated value\(s\), got 1"),
+        ("filters.q_range", "0.1,0.5,0.9", r"takes 2 comma-separated value\(s\), got 3"),
+        ("filters.sigma_range", "0.1,inf", "must be finite"),
+        ("reward.tau", "nan", "must be finite"),
+        ("ppo.clip_eps", "inf", "must be finite"),
+        ("radio.wall_db", "-inf", "must be finite"),
+        ("radio.wall_db", "6,8", r"takes 1 comma-separated value\(s\), got 2"),
+    ])
+    def test_invalid_values_rejected_when_loaded(self, tmp_path, dotted, text, message):
+        # each of these was stored as given and failed, or silently did
+        # nothing, only where the pipeline first read it
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{dotted} = {text}\n")
+        with pytest.raises(ValueError, match=rf"'{re.escape(dotted)}' {message}"):
+            load_config(path)
 
     def test_dict_field_override_is_rejected(self, tmp_path):
         # norm.bounds maps feature names to ranges; text stored in its place

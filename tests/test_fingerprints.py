@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from envswitch.alignment import MetricModel, dtw
 from envswitch.config import LibraryConfig
-from envswitch.fingerprints import (Fingerprint, FingerprintLibrary,
+from envswitch.fingerprints import (MODALITIES, Fingerprint, FingerprintLibrary,
                                     FingerprintSequence, RawWindow, SwitchEvent, WifiScan,
                                     CellSample, GnssSample, cell_summary,
                                     contains_identifier_leak, desensitize,
@@ -36,31 +38,28 @@ ALL_PRESENT = {m: True for m in ("pdr", "wifi", "cell", "gnss", "time")}
 class TestTypes:
     def test_fingerprint_mask_shape(self, rng):
         with pytest.raises(ValueError):
-            Fingerprint(0.0, np.zeros(13), np.ones(5, bool), np.ones(5))
+            Fingerprint(0.0, np.zeros(13), np.ones(5, bool))
         with pytest.raises(ValueError):
-            Fingerprint(0.0, np.zeros(14), np.ones(4, bool), np.ones(4))
+            Fingerprint(0.0, np.zeros(14), np.ones(4, bool))
 
-    @pytest.mark.parametrize("features, present, quality, message", [
-        (np.zeros(13), np.ones(5, bool), np.ones(5), r"features must have shape \(14,\)"),
-        (np.zeros((1, 14)), np.ones(5, bool), np.ones(5), r"features must have shape \(14,\)"),
-        (np.zeros(14), np.ones(6, bool), np.ones(5), "one entry per modality"),
-        (np.zeros(14), np.ones(5, bool), np.ones(4), "one entry per modality"),
-        (np.r_[np.zeros(13), np.nan], np.ones(5, bool), np.ones(5), "features must be finite"),
-        (np.r_[np.inf, np.zeros(13)], np.ones(5, bool), np.ones(5), "features must be finite"),
-        (np.r_[np.zeros(7), -np.inf, np.zeros(6)], np.ones(5, bool), np.ones(5),
+    @pytest.mark.parametrize("features, present, message", [
+        (np.zeros(13), np.ones(5, bool), r"features must have shape \(14,\)"),
+        (np.zeros((1, 14)), np.ones(5, bool), r"features must have shape \(14,\)"),
+        (np.zeros(14), np.ones(6, bool), "one entry per modality"),
+        (np.zeros(14), np.ones((1, 5), bool), "one entry per modality"),
+        (np.r_[np.zeros(13), np.nan], np.ones(5, bool), "features must be finite"),
+        (np.r_[np.inf, np.zeros(13)], np.ones(5, bool), "features must be finite"),
+        (np.r_[np.zeros(7), -np.inf, np.zeros(6)], np.ones(5, bool),
          "features must be finite"),
-        (np.zeros(14), np.ones(5, bool), [1.0, 1.0, -0.1, 1.0, 1.0], r"qualities must lie in \[0, 1\]"),
-        (np.zeros(14), np.ones(5, bool), [1.0, 1.0, 1.0, 1.0, 1.5], r"qualities must lie in \[0, 1\]"),
-        (np.zeros(14), np.ones(5, bool), [np.nan, 1.0, 1.0, 1.0, 1.0], r"qualities must lie in \[0, 1\]"),
     ])
     def test_fingerprint_rejects_each_invalid_input(self, features, present,
-                                                    quality, message):
+                                                    message):
         with pytest.raises(ValueError, match=message):
-            Fingerprint(0.0, features, present, quality)
+            Fingerprint(0.0, features, present)
 
     def test_fingerprint_accepts_the_edges(self):
         big = np.full(14, np.finfo(float).max)      # finite, though the sum is not
-        fp = Fingerprint(0.0, big, np.ones(5, bool), [0.0, 1.0, -0.0, 0.5, 1.0])
+        fp = Fingerprint(0.0, big, np.ones(5, bool))
         assert fp.features.tobytes() == big.tobytes()
 
     def test_sequence_needs_two_windows(self, rng):
@@ -112,16 +111,6 @@ class TestSummarize:
         w = RawWindow(t_start=0.0, t_end=1.0)
         with pytest.raises(ValueError, match="inconsistent mask"):
             summarize_window(w, {"wifi": True})
-
-    def test_quality_outside_unit_interval_rejected(self):
-        w = window_with_rssi([-65.0], dur=1.0)
-        for q in (1.5, -0.1, float("nan")):
-            with pytest.raises(ValueError, match="quality"):
-                summarize_window(w, ALL_PRESENT, quality={"wifi": q})
-            # also when the modality is absent and its quality is discarded
-            with pytest.raises(ValueError, match="quality"):
-                summarize_window(w, dict(ALL_PRESENT, wifi=False),
-                                 quality={"wifi": q})
 
     def test_normalization_applied(self):
         w = window_with_rssi([-65.0, -65.0], dur=1.0)
@@ -291,6 +280,51 @@ class TestPersistence:
         assert np.array_equal(back.features(), seq.features())
         assert np.array_equal(back.present(), seq.present())
         assert np.array_equal(back.timestamps(), seq.timestamps())
+
+    def write_rows(self, rng, tmp_path, edit):
+        """A written sequence's lines, after ``edit(lines)``, in a new file."""
+        path = tmp_path / "seq.fpseq"
+        write_sequence(path, make_sequence(rng, 4))
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_header_with_quality_columns_refused(self, rng, tmp_path):
+        # the format written before the quality columns were dropped
+        def add_quality(lines):
+            lines[0] += "," + ",".join(f"q_{m}" for m in MODALITIES)
+            for i in range(1, len(lines)):
+                lines[i] += ",1" * len(MODALITIES)
+
+        path = self.write_rows(rng, tmp_path, add_quality)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: the header")):
+            read_sequence(path)
+
+    def test_row_with_extra_fields_refused(self, rng, tmp_path):
+        def extend(lines):
+            lines[2] += ",1"
+
+        path = self.write_rows(rng, tmp_path, extend)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 20 fields, got 21")):
+            read_sequence(path)
+
+    def test_short_row_refused(self, rng, tmp_path):
+        def shorten(lines):
+            lines[4] = lines[4].rsplit(",", 1)[0]
+
+        path = self.write_rows(rng, tmp_path, shorten)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:5: expected 20 fields, got 19")):
+            read_sequence(path)
+
+    @pytest.mark.parametrize("bit", ["2", "-1", "true", ""])
+    def test_mask_other_than_0_or_1_refused(self, rng, tmp_path, bit):
+        def set_mask(lines):
+            lines[1] = lines[1].rsplit(",", 1)[0] + "," + bit
+
+        path = self.write_rows(rng, tmp_path, set_mask)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: a mask must be 0 or 1")):
+            read_sequence(path)
 
     def test_library_snapshot_roundtrip(self, rng, tmp_path):
         lib = FingerprintLibrary()

@@ -1,6 +1,8 @@
 import numpy as np
 
-from seeds import CRITERION_6, criterion_6, interquartile_mean, summary
+from envswitch.cli import SessionReport
+from seeds import (CRITERION_6, censored_summary, criterion_6, interquartile_mean,
+                   site_censored, summary)
 
 
 def test_interquartile_mean_drops_a_quarter_at_each_end():
@@ -39,3 +41,19 @@ def test_criterion_6_gate_per_seed_and_in_total():
     assert gate["seeds_held"] == 1 and gate["holds"] is False
     assert summary({13: per_seed[13]})["criterion_6"]["holds"] is True
     assert criterion_6(per_seed[13]) == gate["per_seed"]["13"]
+
+
+def test_censored_sessions_per_seed_site_and_in_total():
+    def reports(*flags):
+        # one censored session per flag named, among two plain ones per site
+        return {f: [SessionReport(f, 1, 10.0, 5.0), SessionReport(f, 2, 10.0, 5.0)]
+                + [SessionReport(f, 3, 10.0, 50.0, True)] * flags.count(f)
+                for f in "ABC"}
+
+    assert site_censored(reports()) == {"A": 0, "B": 0, "C": 0}
+    per_seed = {13: site_censored(reports("B")),
+                6: site_censored(reports("B", "B", "C"))}
+    assert per_seed[6] == {"A": 0, "B": 2, "C": 1}
+    assert censored_summary(per_seed) == {
+        "per_seed": {"13": {"A": 0, "B": 1, "C": 0}, "6": {"A": 0, "B": 2, "C": 1}},
+        "sites": {"A": 0, "B": 3, "C": 1}, "total": 4}

@@ -83,18 +83,13 @@ def reference_fingerprint_at(trace, t_end, cfg, scan_times=None):
     """fingerprint_at through window_from_trace and summarize_window."""
     t_start = t_end - cfg.window.window_s
     w = window_from_trace(trace, t_start, t_end, scan_times)
-    wifi_quality = 1.0
     if scan_times is not None and not w.wifi_scans:
-        stale = cfg.device.wifi_stale_s
         older = [s for s in scan_times if s < t_start]
         if older:
             last = max(older)
-            age = t_end - last
-            if age <= stale:
-                sec = int(last)
-                if 0 <= sec < len(trace.sec_t):
-                    w.wifi_scans = [WifiScan(last, trace.topk_readings(sec))]
-                    wifi_quality = max(0.0, 1.0 - age / stale)
+            sec = int(last)
+            if t_end - last <= cfg.device.wifi_stale_s and 0 <= sec < len(trace.sec_t):
+                w.wifi_scans = [WifiScan(last, trace.topk_readings(sec))]
     present = {
         "pdr": True,
         "wifi": len(w.wifi_scans) > 0,
@@ -102,13 +97,11 @@ def reference_fingerprint_at(trace, t_end, cfg, scan_times=None):
         "gnss": len(w.gnss_samples) > 0,
         "time": True,
     }
-    quality = {"wifi": wifi_quality if present["wifi"] else 0.0}
-    return summarize_window(w, present, quality=quality, norm=cfg.norm)
+    return summarize_window(w, present, norm=cfg.norm)
 
 
 def fp_bytes(fp):
-    return (fp.timestamp.hex(), fp.features.tobytes(), fp.present.tobytes(),
-            fp.quality.tobytes())
+    return (fp.timestamp.hex(), fp.features.tobytes(), fp.present.tobytes())
 
 
 def scan_schedule(duration, boosts=(), period=2.0, boosted=1.0):
@@ -490,13 +483,21 @@ class TestWindowOracle:
     def test_the_schedules_cover_each_wifi_case(self):
         trace = generate(make_scenario("C", 7, CFG.radio, CFG.walker),
                          CFG.radio, CFG.walker)
-        seen = set()
         for schedule in self.SCHEDULES.values():
             for t in np.arange(1.0, trace.duration, 0.5).tolist():
-                fp = reference_fingerprint_at(trace, t, CFG, schedule)
-                seen.add((bool(fp.present[1]), float(fp.quality[1])))
-        assert (True, 1.0) in seen and (False, 0.0) in seen
-        assert any(0.0 < q < 1.0 for _, q in seen)    # a decayed carry-over
+                fingerprint_at(trace, t, CFG, schedule)
+        # a memo key ends with (scans in the window, carried scan time)
+        seen = set()
+        for key, fp in next(iter(trace._windows.values())).items():
+            scans, carried = key[-2:]
+            if not fp.present[1]:
+                seen.add("absent")
+            elif scans == ():
+                assert carried is not None
+                seen.add("carried")
+            else:
+                seen.add("fresh")
+        assert seen == {"fresh", "carried", "absent"}
 
 
 class TestWindowMemo:
@@ -518,7 +519,7 @@ class TestWindowMemo:
         cases = {
             "in_window": [0.0, 8.0],
             "fresh_carry": [0.0, 6.0],
-            "edge_carry": [0.0, 5.0],             # age 4: present, quality 0
+            "edge_carry": [0.0, 5.0],             # age 4: still present
             "too_stale": [0.0, 4.0],
             "off_grid_carry": [0.0, 6.5],         # read from second 6
         }
@@ -530,7 +531,9 @@ class TestWindowMemo:
         assert len(memo) == len(cases)
         assert len({got[n] for n in ("in_window", "fresh_carry", "edge_carry",
                                      "too_stale")}) == 4
-        assert got["off_grid_carry"] != got["fresh_carry"]
+        # both carry second 6, so the windows are equal; the memo still
+        # keeps one entry for each
+        assert got["off_grid_carry"] == got["fresh_carry"]
         # scans the window does not read share the entry
         fingerprint_at(trace, t, CFG, [2.0, 6.0])
         fingerprint_at(trace, t, CFG, [1.0, 3.0, 4.0])
