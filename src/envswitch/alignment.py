@@ -52,8 +52,10 @@ class BandTooNarrowError(ValueError):
 
 @dataclass
 class MetricModel:
-    """Per-modality linear embeddings and softmax-weighted modality scores;
-    every parameter is trained."""
+    """Per-modality linear embeddings and softmax-weighted modality scores.
+
+    ``train_metric`` can fit every parameter, but the pipeline serves
+    ``identity``: a fitted metric lowered TTS at 8 of 9 training seeds."""
 
     embeddings: dict           # modality -> (embed_dim, feature_dim)
     scores: np.ndarray         # (5,) trainable; weights = softmax(scores)
@@ -285,11 +287,6 @@ def _cost_gradients(model: MetricModel, caches, E, want_feature_grads=False):
 # ---------------------------------------------------------------------------
 # the band
 # ---------------------------------------------------------------------------
-
-
-def in_band(i: int, j: int, n: int, m: int, band: int) -> bool:
-    """Sakoe-Chiba corridor, slope-scaled for unequal lengths."""
-    return abs(i * (m / n) - j) <= band
 
 
 def band_mask(n: int, m: int, band: int) -> np.ndarray:

@@ -146,12 +146,6 @@ def fit_reward_model(model: RewardModel, batch, epochs: int = 40,
     return RewardModel(net)
 
 
-def reward_model_loss(model: RewardModel, batch) -> float:
-    states, actions, hfs = batch
-    pred = model.predict(states, actions)
-    return float(np.mean((pred - np.asarray(hfs, dtype=float)) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # round state and the loop
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ identifiers and no absolute timestamps.
 """
 
 import math
+import os
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -557,6 +559,9 @@ def contains_identifier_leak(serialized: str, raw_ids, min_len: int = 4) -> bool
 _HEADER = ("t," + ",".join(FEATURE_NAMES) + ","
            + ",".join(f"mask_{m}" for m in MODALITIES))
 _N_FIELDS = 1 + N_FEATURES + len(MODALITIES)
+_INDEX_HEADER = "prototype_id,created_at,label_kind"
+_INDEX_LINE = re.compile(r"(p[0-9a-f]{16}),([0-9]+),("
+                         + "|".join(("unlabeled",) + SWITCH_KINDS) + ")")
 
 
 def sequence_to_lines(seq: FingerprintSequence) -> list:
@@ -597,7 +602,6 @@ def read_sequence(path, label: SwitchEvent | None = None,
 
 def save_library(library: FingerprintLibrary, directory) -> None:
     """One file per sequence plus an index of (id, created_at, label kind)."""
-    import os
     os.makedirs(directory, exist_ok=True)
     index_lines = []
     for pid, seq in library.items():
@@ -605,18 +609,27 @@ def save_library(library: FingerprintLibrary, directory) -> None:
         kind = seq.label.kind if seq.label is not None else "unlabeled"
         index_lines.append(f"{pid},{seq.created_at},{kind}")
     with open(os.path.join(directory, "index.txt"), "w", encoding="utf-8") as f:
-        f.write("prototype_id,created_at,label_kind\n")
+        f.write(_INDEX_HEADER + "\n")
         f.write("\n".join(index_lines) + ("\n" if index_lines else ""))
 
 
 def load_library(directory, cfg: LibraryConfig | None = None) -> FingerprintLibrary:
-    import os
+    """The library ``save_library`` wrote; another index header, an index
+    line other than (id as ``sequence_content_id`` makes it, integer
+    created_at >= 0, label kind) or a repeated id raises, naming the file
+    and line."""
     lib = FingerprintLibrary(cfg)
     index_path = os.path.join(directory, "index.txt")
     with open(index_path, "r", encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    for ln in lines[1:]:
-        pid, day, kind = ln.split(",")
+        lines = [(n, ln.strip()) for n, ln in enumerate(f, 1) if ln.strip()]
+    if not lines or lines[0][1] != _INDEX_HEADER:
+        raise ValueError(f"{index_path}: the header is not {_INDEX_HEADER!r}")
+    for n, ln in lines[1:]:
+        m = _INDEX_LINE.fullmatch(ln)
+        if m is None or m[1] in lib.sequences:
+            raise ValueError(f"{index_path}:{n}: " + (
+                f"repeated id {m[1]}" if m else f"{ln!r} is not {_INDEX_LINE.pattern}"))
+        pid, day, kind = m.groups()
         seq_path = os.path.join(directory, f"{pid}.fpseq")
         seq = read_sequence(seq_path, None, int(day), pid)
         if kind != "unlabeled":

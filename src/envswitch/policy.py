@@ -96,13 +96,6 @@ class PolicyModel:
         return cls(TwoLayerNet.from_tensors(parse_tensors(text), "policy."))
 
 
-def action_probs(model: PolicyModel, feats) -> np.ndarray:
-    """Softmax of the action logits, read from ``net.forward`` as ``act``
-    reads them; the last output is the value head."""
-    out, _ = model.net.forward(feats)
-    return softmax(out[..., :-1])
-
-
 def act(model: PolicyModel, state, mode: str = "sample", rng=None,
         guide: int | None = None, guide_eps: float = 0.0):
     """Pick an action; returns (action_index, log_prob, value).

@@ -521,11 +521,12 @@ def fingerprint_at(trace: RawTrace, t_end: float, cfg: EngineConfig,
     """Summarize the window [t_end - cfg.window.window_s, t_end).
 
     ``scan_times``, an ascending sequence, restricts WiFi scans to a device
-    schedule; None means every per-second sample is visible.  When the
-    schedule leaves the window without a WiFi scan, the freshest earlier
-    scan inside the staleness budget is carried over, its features marking
-    WiFi present; beyond the budget WiFi is marked absent.  Both are found
-    by bisecting the schedule.  ``affine`` is ``cfg.norm.affine(FEATURE_NAMES)``;
+    schedule; None means every per-second sample is visible.  A scan at
+    time s reads second ``int(s)``.  When the schedule leaves the window
+    without a WiFi scan, the freshest earlier scan inside the staleness
+    budget is carried over, its features marking WiFi present; beyond the
+    budget WiFi is marked absent.  Both are found by bisecting the
+    schedule.  ``affine`` is ``cfg.norm.affine(FEATURE_NAMES)``;
     a caller that makes many windows under one config builds it once and
     passes it in, otherwise it is built here.
 
@@ -541,9 +542,8 @@ def fingerprint_at(trace: RawTrace, t_end: float, cfg: EngineConfig,
     if scan_times is not None:
         # the schedule's scans in [t_start, t_end) are scan_times[a:b]
         a = bisect_left(scan_times, t_start)
-        inside = scan_times[a:bisect_left(scan_times, t_end, a)]
-        scans = tuple(i for i, s in enumerate(trace.sec_t[lo:hi].tolist(), lo)
-                      if s in inside)
+        scans = tuple(s for s in scan_times[a:bisect_left(scan_times, t_end, a)]
+                      if 0 <= int(s) < len(trace.sec_t))
         if not scans and a:
             carried = scan_times[a - 1]
     if affine is None:
@@ -572,8 +572,10 @@ def _summarize_trace_window(trace, t_start, t_end, sec_span, scans, carried,
         "gnss": (0.0, 0.0, 0.0),
         "time": time_summary(trace.scenario.start_hour + t_start / 3600.0),
     }
-    secs = list(range(lo, hi)) if scans is None else list(scans)
-    times = trace.sec_t[secs]
+    if scans is None:
+        secs, times = list(range(lo, hi)), trace.sec_t[lo:hi]
+    else:
+        secs, times = [int(s) for s in scans], scans
     if (carried is not None and t_end - carried <= stale
             and 0 <= int(carried) < len(trace.sec_t)):
         secs, times = [int(carried)], [carried]

@@ -8,6 +8,7 @@ the figure ``test_criterion_6_end_to_end_tts_improvement`` gates at seed
 on a 2-vCPU host):
 
     PYTHONPATH=src python tests/seeds.py [--seeds 13 29 41 ...] [--json PATH]
+                                         [--baseline PATH]
 
 ``--seeds`` picks the training seeds (default 13, 29 and 41).  ``--json``
 also writes, for the seeds run, each site's value per seed and, over the
@@ -15,9 +16,12 @@ seeds, its mean, min, interquartile mean and a percentile bootstrap
 interval of the mean (Agarwal et al. 2021; Henderson et al. 2018),
 whether criterion 6 holds at each seed and at how many, and the censored
 sessions (the greedy policy never handed over) per seed and site and in
-total.  Every pipeline runs in a temporary directory; the JSON file is
-refused inside a model directory, whose files criterion 8 compares byte
-for byte.  The output, table and file, is deterministic.
+total.  ``--baseline`` reads an earlier ``--json`` file of the same seeds
+(another seed set is refused) and counts, per site, the seeds at which
+this run beats it, ties it and trails it; the counts are printed under the
+table and, with ``--json``, written as ``baseline``.  Every pipeline runs
+in a temporary directory; the JSON file is refused inside a model
+directory, whose files criterion 8 compares byte for byte.  The output, table and file, is deterministic.
 
 A change that alters behaviour reports this table before and after.
 """
@@ -101,13 +105,38 @@ def summary(per_seed: dict) -> dict:
                             "seeds_held": held, "holds": held == len(gate)}}
 
 
+def wins_against(per_seed: dict, baseline: dict) -> dict:
+    """Per site, at how many seeds ``per_seed`` (seed -> site means) beats,
+    ties and trails ``baseline``, a ``--json`` summary of the same seeds."""
+    seeds = sorted(str(seed) for seed in per_seed)
+    if seeds != sorted(baseline["per_seed"]):
+        raise ValueError(f"the baseline ran seeds {sorted(baseline['per_seed'])}, "
+                         f"not {seeds}")
+    counts = {}
+    for flag in "ABC":
+        diffs = [means[flag] - baseline["per_seed"][str(seed)][flag]
+                 for seed, means in per_seed.items()]
+        counts[flag] = {"wins": sum(d > 0 for d in diffs),
+                        "ties": sum(d == 0 for d in diffs),
+                        "losses": sum(d < 0 for d in diffs)}
+    return counts
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
     parser.add_argument("--json", metavar="PATH")
+    parser.add_argument("--baseline", metavar="PATH",
+                        help="an earlier --json file of the same seeds")
     args = parser.parse_args()
     if len(set(args.seeds)) != len(args.seeds):
         parser.error("--seeds must not repeat a seed")
+    baseline = None
+    if args.baseline:
+        with open(args.baseline, "r", encoding="utf-8") as f:
+            baseline = json.load(f)
+        if sorted(baseline["seeds"]) != sorted(args.seeds):
+            parser.error(f"--baseline ran seeds {baseline['seeds']}, not {args.seeds}")
     if args.json and os.path.exists(os.path.join(os.path.dirname(os.path.abspath(args.json)),
                                                  "metric.txt")):
         parser.error("--json must be written outside a model directory")
@@ -121,10 +150,16 @@ def main() -> None:
         censored[seed] = site_censored(reports)
         print(f"| {seed} | "
               + " / ".join(f"{means[f]:.1f}" for f in "ABC") + " |", flush=True)
+    result = dict(summary(per_seed), censored=censored_summary(censored))
+    if baseline is not None:
+        wins = wins_against(per_seed, baseline)
+        result["baseline"] = {"path": args.baseline, "sites": wins}
+        print(f"\nagainst {args.baseline}, seeds won / tied / lost of {len(per_seed)}: "
+              + "; ".join(f"{f} {c['wins']} / {c['ties']} / {c['losses']}"
+                          for f, c in wins.items()))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(dict(summary(per_seed), censored=censored_summary(censored)),
-                      f, indent=2, sort_keys=True)
+            json.dump(result, f, indent=2, sort_keys=True)
             f.write("\n")
 
 

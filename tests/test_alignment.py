@@ -10,7 +10,7 @@ from envswitch.alignment import (BandTooNarrowError, MetricModel, _backtrack,
                                  _soft_dtw_pairs, _soft_dtw_tables, _soft_step,
                                  _sweep,
                                  _unskew, band_mask,
-                                 cell_cost, cost_matrix, dtw, in_band,
+                                 cell_cost, cost_matrix, dtw,
                                  margin_loss,
                                  margin_loss_grads, match,
                                  pairs_from_switch_tags, soft_dtw,
@@ -25,6 +25,11 @@ from envswitch.filters import (FILTER_ORDER, FilterContext, SelectorModel,
                                select_filter)
 
 from conftest import make_fingerprint, make_sequence, random_packed
+
+
+def in_band(i: int, j: int, n: int, m: int, band: int) -> bool:
+    """Sakoe-Chiba corridor, slope-scaled for unequal lengths."""
+    return abs(i * (m / n) - j) <= band
 
 
 def brute_force_distance(model, query, proto, band):

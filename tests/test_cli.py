@@ -13,6 +13,7 @@ import envswitch.sim as sim
 from envswitch.cli import (PAPER_SESSION_COUNTS, SessionReport, build_parser,
                            cmd_simulate, render_table, report_csv, round2,
                            train_models)
+from envswitch.alignment import MetricModel
 from envswitch.config import EngineConfig, apply_overrides, load_config
 from envswitch.filters import context_from_windows
 from envswitch.fingerprints import FEATURE_NAMES, MODALITIES
@@ -138,6 +139,20 @@ class TestTrainModels:
         assert captured
         for ctx, (q_feats, q_pres, _, _), _ in captured:
             assert ctx == context_from_windows(q_feats, q_pres, 0.0)
+
+    def test_the_identity_metric_is_served_and_never_fitted(self, monkeypatch):
+        def fit(*args, **kwargs):
+            raise AssertionError("train_models fitted the metric")
+
+        # bench/spans.py rebinds this name, so it stays an attribute of cli
+        assert callable(cli.train_metric)
+        monkeypatch.setattr(cli, "train_metric", fit)
+        cfg = EngineConfig()
+        lines = []
+        _, metric, *_ = train_models(13, cfg, rounds=1, log=lines.append)
+        assert metric.serialize() == MetricModel.identity(cfg.match.embed_dim).serialize()
+        # one log line per stage, the metric's included
+        assert "metric: identity embedding, uniform modality weights" in lines
 
 
 class TestParser:

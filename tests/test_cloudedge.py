@@ -10,8 +10,7 @@ import envswitch.sim as sim
 from envswitch.alignment import MetricModel
 from envswitch.cloudedge import (EdgeAgent, EdgeSummary, RewardModel,
                                  RoundState, SummaryRecord, aggregate,
-                                 fit_reward_model, offline_update,
-                                 reward_model_loss, run_round,
+                                 fit_reward_model, offline_update, run_round,
                                  summarize_trajectory)
 from envswitch.config import EngineConfig
 from envswitch.fingerprints import (FingerprintLibrary, SwitchEvent,
@@ -23,6 +22,13 @@ from envswitch.policy import (MatcherStack, PolicyModel, Trajectory, act,
 from envswitch.sim import generate, make_scenario, segment_before
 
 CFG = EngineConfig()
+
+
+def reward_model_loss(model: RewardModel, batch) -> float:
+    """Mean squared error of the model's HF predictions on ``batch``."""
+    states, actions, hfs = batch
+    pred = model.predict(states, actions)
+    return float(np.mean((pred - np.asarray(hfs, dtype=float)) ** 2))
 
 
 def record(state, action, hf, offset):

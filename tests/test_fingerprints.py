@@ -340,6 +340,74 @@ class TestPersistence:
             assert back.get(pid).created_at == lib.get(pid).created_at
             assert back.get(pid).label.kind == lib.get(pid).label.kind
 
+    def write_index(self, rng, tmp_path, edit):
+        """A saved 3-prototype library whose index lines went through
+        ``edit(lines)``; returns the library directory and the index path."""
+        lib = FingerprintLibrary()
+        for day in range(3):
+            buf = make_sequence(rng, 4, day=day)
+            lib.commit_segment(buf, SwitchEvent(buf.windows[-1].timestamp,
+                                                "wifi_to_cell"), created_day=day)
+        save_library(lib, tmp_path / "lib")
+        index = tmp_path / "lib" / "index.txt"
+        lines = index.read_text().splitlines()
+        edit(lines)
+        index.write_text("\n".join(lines) + "\n")
+        return tmp_path / "lib", index
+
+    def test_index_with_another_header_refused(self, rng, tmp_path):
+        def rename(lines):
+            lines[0] = "id,created_at,label_kind"
+
+        directory, index = self.write_index(rng, tmp_path, rename)
+        with pytest.raises(ValueError, match=re.escape(f"{index}: the header")):
+            load_library(directory)
+
+    def test_index_line_with_extra_field_refused(self, rng, tmp_path):
+        def extend(lines):
+            lines[2] += ",1"
+
+        directory, index = self.write_index(rng, tmp_path, extend)
+        with pytest.raises(ValueError, match=re.escape(f"{index}:3: ")):
+            load_library(directory)
+
+    @pytest.mark.parametrize("pid", ["../p0123456789abcdef", "p0123456789ABCDEF",
+                                     "p0123456789abcde", "q0123456789abcdef"])
+    def test_index_id_other_than_a_content_id_refused(self, rng, tmp_path, pid):
+        def set_id(lines):
+            lines[1] = pid + "," + lines[1].split(",", 1)[1]
+
+        directory, index = self.write_index(rng, tmp_path, set_id)
+        with pytest.raises(ValueError, match=re.escape(f"{index}:2: '{pid},")):
+            load_library(directory)
+
+    @pytest.mark.parametrize("day", ["-1", "1.5", "x", ""])
+    def test_index_created_at_other_than_a_count_refused(self, rng, tmp_path, day):
+        def set_day(lines):
+            pid, _, kind = lines[3].split(",")
+            lines[3] = f"{pid},{day},{kind}"
+
+        directory, index = self.write_index(rng, tmp_path, set_day)
+        with pytest.raises(ValueError, match=re.escape(f"{index}:4: ")):
+            load_library(directory)
+
+    def test_index_label_kind_other_than_a_switch_kind_refused(self, rng, tmp_path):
+        def set_kind(lines):
+            lines[1] = lines[1].rsplit(",", 1)[0] + ",wifi_to_wifi"
+
+        directory, index = self.write_index(rng, tmp_path, set_kind)
+        with pytest.raises(ValueError, match=re.escape(f"{index}:2: ")):
+            load_library(directory)
+
+    def test_index_with_a_repeated_id_refused(self, rng, tmp_path):
+        def repeat(lines):
+            lines.append(lines[1])
+
+        directory, index = self.write_index(rng, tmp_path, repeat)
+        pid = index.read_text().splitlines()[1].split(",")[0]
+        with pytest.raises(ValueError, match=re.escape(f"{index}:5: repeated id {pid}")):
+            load_library(directory)
+
 
 def test_fnv1a64_stable_and_salted():
     assert fnv1a64("abc") == fnv1a64("abc")

@@ -13,12 +13,19 @@ from envswitch.filters import FilterContext, SelectorModel
 from envswitch.mlp import softmax
 from envswitch.policy import (ACTIONS, MatcherStack, PolicyModel, PolicyState,
                               RewardWeights, ScriptedPolicy, Trajectory, _draw,
-                              act, action_probs, clipped_surrogate,
+                              act, clipped_surrogate,
                               gae_advantages, imitate, ppo_update, rollout,
                               trigger_guide)
 from envswitch.sim import generate, make_scenario, segment_before
 
 CFG = EngineConfig()
+
+
+def action_probs(model: PolicyModel, feats) -> np.ndarray:
+    """Softmax of the action logits, read from ``net.forward`` as ``act``
+    reads them; the last output is the value head."""
+    out, _ = model.net.forward(feats)
+    return softmax(out[..., :-1])
 
 
 def build_stack(rng, site_flag="A", with_library=True):

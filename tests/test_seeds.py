@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
+import pytest
 
 from envswitch.cli import SessionReport
 from seeds import (CRITERION_6, censored_summary, criterion_6, interquartile_mean,
-                   site_censored, summary)
+                   site_censored, summary, wins_against)
 
 
 def test_interquartile_mean_drops_a_quarter_at_each_end():
@@ -57,3 +60,28 @@ def test_censored_sessions_per_seed_site_and_in_total():
     assert censored_summary(per_seed) == {
         "per_seed": {"13": {"A": 0, "B": 1, "C": 0}, "6": {"A": 0, "B": 2, "C": 1}},
         "sites": {"A": 0, "B": 3, "C": 1}, "total": 4}
+
+
+def test_wins_against_a_baseline_per_site_with_ties_apart():
+    base = {13: {"A": 50.0, "B": 40.0, "C": 80.0},
+            29: {"A": 60.0, "B": -10.0, "C": 90.0},
+            6: {"A": 30.0, "B": 20.0, "C": 85.0}}
+    # the baseline as --json writes and --baseline reads it
+    baseline = json.loads(json.dumps(summary(base)))
+    run = {6: {"A": 31.0, "B": 20.0, "C": 84.0},
+           13: {"A": 55.0, "B": 40.0, "C": 70.0},
+           29: {"A": 60.0, "B": 5.0, "C": 95.0}}
+    assert wins_against(run, baseline) == {
+        "A": {"wins": 2, "ties": 1, "losses": 0},
+        "B": {"wins": 1, "ties": 2, "losses": 0},
+        "C": {"wins": 1, "ties": 0, "losses": 2}}
+    assert wins_against(base, baseline) == {
+        f: {"wins": 0, "ties": 3, "losses": 0} for f in "ABC"}
+
+
+@pytest.mark.parametrize("seeds", [(13, 29), (13, 29, 6, 41), (13, 29, 7)])
+def test_a_baseline_of_other_seeds_is_refused(seeds):
+    baseline = summary({seed: {"A": 1.0, "B": 1.0, "C": 1.0} for seed in (13, 29, 6)})
+    run = {seed: {"A": 2.0, "B": 2.0, "C": 2.0} for seed in seeds}
+    with pytest.raises(ValueError, match="the baseline ran seeds"):
+        wins_against(run, baseline)

@@ -7,8 +7,9 @@ import pytest
 
 import envswitch.sim as sim
 from envswitch.config import EngineConfig
-from envswitch.fingerprints import (FEATURE_NAMES, CellSample, GnssSample,
-                                    RawWindow, WifiScan, summarize_window)
+from envswitch.fingerprints import (FEATURE_NAMES, MODALITY_SLICES, CellSample,
+                                    GnssSample, RawWindow, WifiScan,
+                                    summarize_window)
 from envswitch.sim import (RawTrace, Scenario, Waypoint, baseline_policy,
                            compute_onset, detect_outdoor_transition,
                            feedback_oracle, fingerprint_at, generate,
@@ -62,11 +63,12 @@ def window_from_trace(trace, t_start, t_end, scan_times=None, top_k=3):
                              & (trace.step_times < t_end)]
     sec_sel = np.where((trace.sec_t >= t_start) & (trace.sec_t < t_end))[0]
     if scan_times is None:
-        scan_idx = sec_sel
+        scans = [(float(trace.sec_t[i]), i) for i in sec_sel]
     else:
-        scan_idx = [i for i in sec_sel if float(trace.sec_t[i]) in scan_times]
-    wifi = [WifiScan(float(trace.sec_t[i]), trace.topk_readings(i, top_k))
-            for i in scan_idx]
+        # a scan at time s reads second int(s), on the 1 Hz grid or not
+        scans = [(float(s), int(s)) for s in scan_times
+                 if t_start <= s < t_end and 0 <= int(s) < len(trace.sec_t)]
+    wifi = [WifiScan(s, trace.topk_readings(i, top_k)) for s, i in scans]
     cell = [CellSample(float(trace.sec_t[i]), int(trace.cell_id[i]),
                        float(trace.rsrp[i]), float(trace.rsrq[i]))
             for i in sec_sel]
@@ -538,6 +540,18 @@ class TestWindowMemo:
         fingerprint_at(trace, t, CFG, [2.0, 6.0])
         fingerprint_at(trace, t, CFG, [1.0, 3.0, 4.0])
         assert len(memo) == len(cases)
+
+    def test_an_off_grid_scan_is_read_in_its_own_window(self):
+        trace = self.trace()
+        wifi = MODALITY_SLICES["wifi"]
+        schedule = [0.0, 8.5]
+        for t in (9.0, 10.0):              # [8, 9) holds the scan; [9, 10) carries it
+            fp = fingerprint_at(trace, t, CFG, schedule)
+            assert fp_bytes(fp) == fp_bytes(reference_fingerprint_at(trace, t, CFG, schedule))
+            assert fp.present[1]
+            # one scan reading second 8, as the on-grid scan at 8.0 does
+            on_grid = fingerprint_at(trace, t, CFG, [0.0, 8.0])
+            assert fp.features[wifi].tobytes() == on_grid.features[wifi].tobytes()
 
     def test_a_passed_affine_changes_no_window_and_no_key(self):
         built, passed = self.trace(), self.trace()
