@@ -9,7 +9,7 @@ the anticipation signal the handover policy conditions on.
 
 import numpy as np
 
-from envswitch.alignment import mean_margin_loss, train_metric, MetricModel
+from envswitch.alignment import margin_loss_grads, train_metric, MetricModel
 from envswitch.cli import build_site_library, build_training_pairs
 from envswitch.config import EngineConfig
 from envswitch.filters import SelectorModel
@@ -20,18 +20,23 @@ from envswitch.sim import generate, make_scenario
 cfg = EngineConfig()
 seed = 13
 
-libraries, traces = {}, {}
+libraries = {}
 for flag in ("A", "B", "C"):
     seeds = [seed + 100 * {"A": 1, "B": 2, "C": 3}[flag] + k for k in range(6)]
-    lib, trs, _ = build_site_library(flag, seeds, cfg)
-    libraries[flag], traces[flag] = lib, trs
-    print(f"site {flag}: {len(lib)} switch-anchored prototypes")
+    libraries[flag], _, _ = build_site_library(flag, seeds, cfg)
+    print(f"site {flag}: {len(libraries[flag])} switch-anchored prototypes")
 
-pairs = build_training_pairs(libraries, traces, cfg, seed)
+pairs = build_training_pairs(libraries, cfg, seed)
+
+
+def mean_margin_loss(metric):
+    return np.mean([margin_loss_grads(metric, pos, negs)[0] for pos, negs in pairs])
+
+
 metric = MetricModel.from_seed(fnv1a64(f"metric:{seed}") % (2 ** 32))
-print(f"\nmargin loss before training: {mean_margin_loss(metric, pairs):.3f}")
+print(f"\nmargin loss before training: {mean_margin_loss(metric):.3f}")
 metric = train_metric(metric, pairs, epochs=25, step_size=0.15)
-print(f"margin loss after training:  {mean_margin_loss(metric, pairs):.3f}")
+print(f"margin loss after training:  {mean_margin_loss(metric):.3f}")
 print(f"modality weights (pdr, wifi, cell, gnss, time): "
       f"{np.round(metric.weights, 3)}")
 

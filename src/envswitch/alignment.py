@@ -700,11 +700,6 @@ def soft_dtw(model: MetricModel, query, proto, band: int = 3,
     return out + tuple(fgrads[0]) if want_feature_grads else out
 
 
-def soft_dtw_value(model: MetricModel, query, proto, band: int = 3,
-                   gamma: float = 0.1) -> float:
-    return soft_dtw(model, query, proto, band, gamma)[0]
-
-
 # ---------------------------------------------------------------------------
 # margin loss and metric training
 # ---------------------------------------------------------------------------
@@ -760,16 +755,11 @@ def _margin_losses(model: MetricModel, items, margin: float, gamma: float,
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def margin_loss(model: MetricModel, positive, negatives, margin: float = 1.0,
-                gamma: float = 0.1, band: int = 3) -> float:
-    """Mean over negatives of max(0, margin + sdtw(pos) - sdtw(neg))."""
-    return _margin_losses(model, [(positive, negatives)], margin, gamma, band)[0][0]
-
-
 def margin_loss_grads(model: MetricModel, positive, negatives,
                       margin: float = 1.0, gamma: float = 0.1, band: int = 3,
                       want_feature_grads: bool = False):
-    """Margin loss and its flat metric gradient, in the
+    """Margin loss, the mean over negatives of max(0, margin + sdtw(pos) -
+    sdtw(neg)), and its flat metric gradient, in the
     ``MetricModel.to_vector`` layout.  With ``want_feature_grads`` also
     returns, per pair (positive first), the gradients w.r.t. its query and
     proto features."""
@@ -821,50 +811,9 @@ def train_metric(model: MetricModel, pairs, epochs: int = 20,
     return current
 
 
-def mean_margin_loss(model: MetricModel, pairs, margin: float = 1.0,
-                     gamma: float = 0.1, band: int = 3) -> float:
-    return float(np.mean([loss for loss, _, _ in
-                          _margin_losses(model, pairs, margin, gamma, band)]))
-
-
 # ---------------------------------------------------------------------------
-# weak supervision pairs and matching
+# matching
 # ---------------------------------------------------------------------------
-
-
-def pairs_from_switch_tags(segments, library, negatives_per_positive: int = 4,
-                           seed: int = 0):
-    """Build (positive, negatives) tuples from switch-tagged segments.
-
-    Positives pair a live pre-switch segment with a library prototype of the
-    same switch kind; negatives come from prototypes of a different kind and
-    from time-shuffled copies of the matched prototype.
-    """
-    rng = np.random.default_rng(seed)
-    protos = list(library.items())
-    pairs = []
-    for seg in segments:
-        kind = seg.label.kind if seg.label is not None else None
-        same = [(pid, s) for pid, s in protos
-                if s.label is not None and s.label.kind == kind
-                and s.prototype_id != seg.prototype_id]
-        if kind is None or not same:
-            continue
-        pid, proto = same[rng.integers(len(same))]
-        negatives = []
-        other = [(p, s) for p, s in protos
-                 if s.label is None or s.label.kind != kind]
-        rng.shuffle(other)
-        for _, s in other[:negatives_per_positive // 2]:
-            negatives.append((seg, s))
-        while len(negatives) < negatives_per_positive:
-            feats, pres = proto.packed()
-            perm = rng.permutation(feats.shape[0])
-            negatives.append((seg, (feats[perm], pres[perm])))
-        pairs.append(((seg, proto), negatives))
-    if not pairs:
-        raise ValueError("no positives could be formed from the switch tags")
-    return pairs
 
 
 class _Embedded:

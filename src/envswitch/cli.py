@@ -15,8 +15,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .alignment import (MetricModel, _pack, make_alignment_loss,
-                        pairs_from_switch_tags)
+from .alignment import MetricModel, make_alignment_loss
 from .alignment import train_metric  # unused here; bench/spans.py wraps this name
 from .cloudedge import EdgeAgent, RewardModel, RoundState, run_round
 from .cloudedge import offline_update  # unused here; bench/spans.py wraps this name
@@ -133,39 +132,38 @@ def build_site_library(site_flag: str, seeds, cfg: EngineConfig):
     return library, traces, scenarios
 
 
-def _early_segment(trace, cfg: EngineConfig, rng) -> FingerprintSequence:
-    """A background (non-pre-switch) segment from the first part of a walk."""
-    n = cfg.window.buffer_windows
-    latest = max(n + 1.0, trace.degradation_onset - n)
-    t_end = float(rng.uniform(n, latest))
-    return segment_before(trace, t_end, cfg)
+def build_training_pairs(libraries, cfg: EngineConfig, seed: int):
+    """Switch-tag supervision: ``(positive, negatives)`` items from every
+    site library, each pair a packed ``(query, proto)``.
 
-
-def build_training_pairs(libraries, traces_by_site, cfg: EngineConfig, seed: int):
-    """Positive/negative alignment pairs across every site.
-
-    Positives pair a committed pre-switch buffer with another session's
-    prototype of the same kind (via the switch-tag pairing); negatives add
-    early-walk segments and time-shuffled prototypes so that similarity rises
-    only near a genuine transition.
+    Each labeled prototype, in id order, is the query of one item.  Its
+    positive pairs it with another prototype of the same switch kind drawn
+    from its library; its ``cfg.match.negatives_per_positive`` negatives pair
+    it with time-shuffled copies of that partner, so that similarity rises
+    only for the pre-switch order.  Each library draws from its own
+    ``np.random.default_rng(seed)``; one with fewer than two prototypes is
+    skipped.
     """
-    rng = np.random.default_rng(fnv1a64(f"pairs:{seed}"))
     pairs = []
-    for flag, library in libraries.items():
-        segments = [seq for _, seq in library.items()]
-        if len(segments) < 2:
+    for library in libraries.values():
+        if len(library) < 2:
             continue
-        base = pairs_from_switch_tags(
-            segments, library, cfg.match.negatives_per_positive, seed=seed)
-        traces = traces_by_site[flag]
-        enriched = []
-        for (positive, negatives) in base:
-            extra = []
-            for _ in range(2):
-                trace = traces[int(rng.integers(len(traces)))]
-                extra.append((_early_segment(trace, cfg, rng), positive[1]))
-            enriched.append((positive, negatives[:2] + extra))
-        pairs.extend(enriched)
+        rng = np.random.default_rng(seed)
+        kinds = {pid: seq.label.kind for pid, seq in library.items()
+                 if seq.label is not None}
+        formed = len(pairs)
+        for pid, kind in kinds.items():
+            same = [p for p, k in kinds.items() if k == kind and p != pid]
+            if not same:
+                continue
+            query = library.get(pid).packed()
+            feats, pres = library.get(same[rng.integers(len(same))]).packed()
+            perms = [rng.permutation(len(feats))
+                     for _ in range(cfg.match.negatives_per_positive)]
+            pairs.append(((query, (feats, pres)),
+                          [(query, (feats[perm], pres[perm])) for perm in perms]))
+        if len(pairs) == formed:
+            raise ValueError("no positives could be formed from the switch tags")
     if not pairs:
         raise ValueError("no training pairs; libraries too small")
     return pairs
@@ -191,19 +189,16 @@ def train_models(seed: int, cfg: EngineConfig, rounds: int | None = None,
         traces_by_site[flag] = traces
         log(f"site {flag}: committed {len(lib)} prototypes")
 
-    pairs = build_training_pairs(libraries, traces_by_site, cfg, seed)
+    pairs = build_training_pairs(libraries, cfg, seed)
     metric = MetricModel.identity(cfg.match.embed_dim)
     log("metric: identity embedding, uniform modality weights")
 
     selector = SelectorModel.from_seed(fnv1a64(f"selector:{seed}") % (2 ** 32),
                                        cfg.filters)
     # each item's context is the one the matcher serves its query with
-    selector_items = []
-    for positive, negatives in pairs:
-        query = _pack(positive[0])
-        neg_items = [(*_pack(nq), *_pack(np_)) for nq, np_ in negatives[:2]]
-        selector_items.append((context_from_windows(*query, 0.0),
-                               (*query, *_pack(positive[1])), neg_items))
+    selector_items = [(context_from_windows(*query, 0.0), (*query, *proto),
+                       [(*nq, *np_) for nq, np_ in negatives[:2]])
+                      for (query, proto), negatives in pairs]
     loss_fn = make_alignment_loss(metric, cfg.match.margin,
                                   cfg.match.gamma_soft, cfg.match.band)
     selector = train_selector(selector, selector_items, loss_fn,

@@ -15,7 +15,7 @@ from .config import EngineConfig
 from .fingerprints import fnv1a64, hash_identifier
 from .mlp import TwoLayerNet, softmax
 from .policy import (N_ACTIONS, STATE_DIM, MatcherStack, PolicyModel,
-                     RewardWeights, Trajectory, _batch_advantages, ppo_update,
+                     RewardWeights, Trajectory, batch_advantages, ppo_update,
                      rollout, trigger_guide)
 from .serialize import dump_tensors, fmt, parse_tensors
 from .sim import generate  # unused here; bench/spans.py wraps this name
@@ -269,7 +269,7 @@ def offline_update(policy: PolicyModel, log, step_size: float = 0.05,
     if not log:
         raise ValueError("empty trajectory log")
     weights = weights or RewardWeights()
-    adv, _ = _batch_advantages(log, weights, discount, gae_lambda)
+    adv, _ = batch_advantages(log, weights, discount, gae_lambda)
     states = np.concatenate([traj.states for traj in log])
     actions = np.concatenate([traj.actions for traj in log]).astype(int)
     weights_awr = np.minimum(np.exp(adv / temperature), 20.0)

@@ -11,7 +11,7 @@ identifiers and no absolute timestamps.
 import math
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,7 +109,6 @@ class SwitchEvent:
 
     time: float
     kind: str
-    anchor: str = ""
 
     def __post_init__(self):
         if self.kind not in SWITCH_KINDS:
@@ -452,13 +451,10 @@ class FingerprintLibrary:
         return self._groups[1]
 
     def commit_segment(self, buffer: FingerprintSequence, event: SwitchEvent,
-                       created_day: int = 0,
-                       min_windows: int = 2) -> str:
+                       created_day: int = 0) -> str:
         """Store a pre-switch buffer labeled by the switch that occurred."""
-        if len(buffer) < max(2, min_windows):
-            raise ValueError("insufficient context: pre-switch buffer too short")
         pid = sequence_content_id(*buffer.packed(), event.kind, self.cfg.salt)
-        seq = FingerprintSequence(buffer.windows, replace(event, anchor=pid),
+        seq = FingerprintSequence(buffer.windows, event,
                                   created_at=created_day, prototype_id=pid)
         self.sequences[pid] = seq
         self.version += 1
@@ -633,7 +629,7 @@ def load_library(directory, cfg: LibraryConfig | None = None) -> FingerprintLibr
         seq_path = os.path.join(directory, f"{pid}.fpseq")
         seq = read_sequence(seq_path, None, int(day), pid)
         if kind != "unlabeled":
-            label = SwitchEvent(time=seq.windows[-1].timestamp, kind=kind, anchor=pid)
+            label = SwitchEvent(time=seq.windows[-1].timestamp, kind=kind)
             seq = FingerprintSequence(seq.windows, label, int(day), pid)
         lib.sequences[pid] = seq
     return lib

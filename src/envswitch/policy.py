@@ -246,8 +246,8 @@ class Trajectory:
         return float(self.rewards_with(weights, 0.0 if self.hf is None else self.hf).sum())
 
 
-def _batch_advantages(batch, weights: RewardWeights, discount: float,
-                      gae_lambda: float):
+def batch_advantages(batch, weights: RewardWeights, discount: float,
+                     gae_lambda: float):
     """Per-episode GAE over a batch, concatenated and batch-normalized.
 
     Withheld feedback counts as 0.  Returns (advantages, returns); the
@@ -287,8 +287,8 @@ def ppo_update(model: PolicyModel, batch, clip_eps: float = 0.2,
         raise ValueError("clip epsilon must lie in (0, 1)")
     weights = weights or RewardWeights()
 
-    advantages, returns = _batch_advantages(batch, weights, discount,
-                                            gae_lambda)
+    advantages, returns = batch_advantages(batch, weights, discount,
+                                           gae_lambda)
     states = np.concatenate([traj.states for traj in batch])
     actions = np.concatenate([traj.actions for traj in batch]).astype(int)
     old_logp = np.concatenate([traj.log_probs for traj in batch])

@@ -19,9 +19,7 @@ import pytest
 
 import envswitch
 from envswitch.alignment import (BandTooNarrowError, MetricModel, dtw,
-                                 margin_loss, margin_loss_grads,
-                                 mean_margin_loss, soft_dtw, soft_dtw_value,
-                                 train_metric)
+                                 margin_loss_grads, soft_dtw, train_metric)
 from envswitch.config import EngineConfig
 from envswitch.fingerprints import (MODALITIES, contains_identifier_leak,
                                     desensitize)
@@ -92,7 +90,7 @@ def test_criterion_2_soft_dtw_limit_and_gradients():
         p = random_packed(rng, int(rng.integers(2, 6)))
         model = MetricModel.from_seed(trial)
         hard = dtw(model, q, p, 3).distance
-        soft = soft_dtw_value(model, q, p, 3, 1e-3)
+        soft = soft_dtw(model, q, p, 3, 1e-3)[0]
         worst_gap = max(worst_gap, abs(soft - hard))
     assert worst_gap < 1e-2
 
@@ -110,8 +108,8 @@ def test_criterion_2_soft_dtw_limit_and_gradients():
         vp, vm = vec.copy(), vec.copy()
         vp[i] += h
         vm[i] -= h
-        fd = (soft_dtw_value(model.from_vector(vp), q, p, 3, 0.1)
-              - soft_dtw_value(model.from_vector(vm), q, p, 3, 0.1)) / (2 * h)
+        fd = (soft_dtw(model.from_vector(vp), q, p, 3, 0.1)[0]
+              - soft_dtw(model.from_vector(vm), q, p, 3, 0.1)[0]) / (2 * h)
         if abs(fd) < 1e-10 and abs(gvec[i]) < 1e-10:
             continue
         worst_soft = max(worst_soft, rel_err(gvec[i], fd))
@@ -128,8 +126,8 @@ def test_criterion_2_soft_dtw_limit_and_gradients():
         vp, vm = vec.copy(), vec.copy()
         vp[i] += h
         vm[i] -= h
-        fd = (margin_loss(model.from_vector(vp), pos, negs, 1.0, 0.1, 3)
-              - margin_loss(model.from_vector(vm), pos, negs, 1.0, 0.1, 3)) / (2 * h)
+        fd = (margin_loss_grads(model.from_vector(vp), pos, negs, 1.0, 0.1, 3)[0]
+              - margin_loss_grads(model.from_vector(vm), pos, negs, 1.0, 0.1, 3)[0]) / (2 * h)
         if abs(fd) < 1e-10 and abs(mvec[i]) < 1e-10:
             continue
         worst_margin = max(worst_margin, rel_err(mvec[i], fd))
@@ -194,9 +192,9 @@ def test_criterion_4_metric_learning_sanity():
     for seed in range(10):
         pairs = wifi_discriminative_pairs(seed)
         model = MetricModel.from_seed(seed)
-        before = mean_margin_loss(model, pairs)
+        before = np.mean([margin_loss_grads(model, pos, negs)[0] for pos, negs in pairs])
         trained = train_metric(model, pairs, epochs=30, step_size=0.3)
-        after = mean_margin_loss(trained, pairs)
+        after = np.mean([margin_loss_grads(trained, pos, negs)[0] for pos, negs in pairs])
         drops.append(1.0 - after / before)
         if int(np.argmax(trained.weights)) == MODALITIES.index("wifi"):
             wins += 1

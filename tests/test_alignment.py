@@ -11,11 +11,8 @@ from envswitch.alignment import (BandTooNarrowError, MetricModel, _backtrack,
                                  _sweep,
                                  _unskew, band_mask,
                                  cell_cost, cost_matrix, dtw,
-                                 margin_loss,
-                                 margin_loss_grads, match,
-                                 pairs_from_switch_tags, soft_dtw,
-                                 soft_dtw_value, train_metric,
-                                 mean_margin_loss)
+                                 margin_loss_grads, match, soft_dtw,
+                                 train_metric)
 from envswitch.config import LibraryConfig
 from envswitch.fingerprints import (MODALITIES, MODALITY_SLICES, Fingerprint,
                                     FingerprintLibrary, FingerprintSequence,
@@ -397,9 +394,9 @@ class TestSoftDtw:
         seq = random_packed(rng, 5)
         model = MetricModel.from_seed(1)
         for gamma in (1.0, 0.1, 1e-3):
-            value = soft_dtw_value(model, seq, seq, 3, gamma)
+            value = soft_dtw(model, seq, seq, 3, gamma)[0]
             assert value <= 1e-12
-        assert abs(soft_dtw_value(model, seq, seq, 3, 1e-3)) < 1e-2
+        assert abs(soft_dtw(model, seq, seq, 3, 1e-3)[0]) < 1e-2
 
     def test_value_below_hard_distance(self, rng):
         for trial in range(30):
@@ -408,7 +405,7 @@ class TestSoftDtw:
             model = MetricModel.from_seed(trial)
             hard = dtw(model, q, p, 3).distance
             for gamma in (1.0, 0.1):
-                assert soft_dtw_value(model, q, p, 3, gamma) <= hard + 1e-12
+                assert soft_dtw(model, q, p, 3, gamma)[0] <= hard + 1e-12
 
     def test_small_gamma_agrees_with_hard(self, rng):
         for trial in range(25):
@@ -416,7 +413,7 @@ class TestSoftDtw:
             p = random_packed(rng, int(rng.integers(2, 6)))
             model = MetricModel.from_seed(100 + trial)
             hard = dtw(model, q, p, 3).distance
-            soft = soft_dtw_value(model, q, p, 3, 1e-3)
+            soft = soft_dtw(model, q, p, 3, 1e-3)[0]
             assert abs(soft - hard) < 1e-2
 
     def test_gradients_match_finite_differences(self, rng):
@@ -431,8 +428,8 @@ class TestSoftDtw:
             vp, vm = vec.copy(), vec.copy()
             vp[i] += h
             vm[i] -= h
-            fp = soft_dtw_value(model.from_vector(vp), q, p, 3, 0.1)
-            fm = soft_dtw_value(model.from_vector(vm), q, p, 3, 0.1)
+            fp = soft_dtw(model.from_vector(vp), q, p, 3, 0.1)[0]
+            fm = soft_dtw(model.from_vector(vm), q, p, 3, 0.1)[0]
             fd = (fp - fm) / (2 * h)
             if abs(fd) < 1e-10 and abs(gvec[i]) < 1e-10:
                 continue
@@ -556,7 +553,7 @@ class TestSoftDtwKernel:
         model = MetricModel.from_seed(4, noise=0.3)
         q, p = random_packed(rng, 7), random_packed(rng, 5)
         value, _, _ = scalar_soft_dtw_tables(cost_matrix(model, q, p), 2, 0.1)
-        assert soft_dtw_value(model, q, p, 2, 0.1) == value
+        assert soft_dtw(model, q, p, 2, 0.1)[0] == value
 
     def test_too_narrow_band_raises_everywhere(self, rng):
         model = pdr_only_model()
@@ -589,29 +586,29 @@ class TestMarginLoss:
         q = random_packed(rng, 5, all_present=True)
         pos = (q, q)                              # sdtw(pos) <= 0
         far = (q, (q[0] + 5.0, q[1]))             # sdtw(neg) large
-        assert margin_loss(model, pos, [far], margin=1.0) == 0.0
+        assert margin_loss_grads(model, pos, [far], margin=1.0)[0] == 0.0
 
     def test_direct_formula_and_mean(self, rng):
         model = MetricModel.identity()
         q = random_packed(rng, 5, all_present=True)
         near = (q, (q[0] + 0.05, q[1]))
         far_pos = (q, (q[0] + 3.0, q[1]))
-        sp = soft_dtw_value(model, *far_pos, 3, 0.1)
-        sn = soft_dtw_value(model, *near, 3, 0.1)
+        sp = soft_dtw(model, *far_pos, 3, 0.1)[0]
+        sn = soft_dtw(model, *near, 3, 0.1)[0]
         expected = max(0.0, 1.0 + sp - sn)
-        got = margin_loss(model, far_pos, [near], margin=1.0)
+        got = margin_loss_grads(model, far_pos, [near], margin=1.0)[0]
         assert got == pytest.approx(expected, abs=1e-12)
         # mean over two negatives, one active and one inactive
         inactive = (q, (q[0] + 10.0, q[1]))
         h_active = max(0.0, 1.0 + sp - sn)
-        h_inactive = max(0.0, 1.0 + sp - soft_dtw_value(model, *inactive, 3, 0.1))
-        got2 = margin_loss(model, far_pos, [near, inactive], margin=1.0)
+        h_inactive = max(0.0, 1.0 + sp - soft_dtw(model, *inactive, 3, 0.1)[0])
+        got2 = margin_loss_grads(model, far_pos, [near, inactive], margin=1.0)[0]
         assert got2 == pytest.approx((h_active + h_inactive) / 2.0, abs=1e-12)
 
     def test_requires_negatives(self, rng):
         with pytest.raises(ValueError):
-            margin_loss(MetricModel.identity(),
-                        (random_packed(rng, 4), random_packed(rng, 4)), [])
+            margin_loss_grads(MetricModel.identity(),
+                              (random_packed(rng, 4), random_packed(rng, 4)), [])
 
     def test_gradients_match_finite_differences(self, rng):
         model = MetricModel.from_seed(3)
@@ -628,8 +625,8 @@ class TestMarginLoss:
             vp, vm = vec.copy(), vec.copy()
             vp[i] += h
             vm[i] -= h
-            fp = margin_loss(model.from_vector(vp), pos, negs, 1.0, 0.1, 3)
-            fm = margin_loss(model.from_vector(vm), pos, negs, 1.0, 0.1, 3)
+            fp = margin_loss_grads(model.from_vector(vp), pos, negs, 1.0, 0.1, 3)[0]
+            fm = margin_loss_grads(model.from_vector(vm), pos, negs, 1.0, 0.1, 3)[0]
             fd = (fp - fm) / (2 * h)
             if abs(fd) < 1e-10 and abs(gvec[i]) < 1e-10:
                 continue
@@ -687,9 +684,9 @@ class TestTrainMetric:
     def test_margin_loss_halves(self):
         pairs = wifi_discriminative_pairs(0)
         model = MetricModel.from_seed(0)
-        before = mean_margin_loss(model, pairs)
+        before = np.mean([margin_loss_grads(model, pos, negs)[0] for pos, negs in pairs])
         trained = train_metric(model, pairs, epochs=30, step_size=0.3)
-        after = mean_margin_loss(trained, pairs)
+        after = np.mean([margin_loss_grads(trained, pos, negs)[0] for pos, negs in pairs])
         assert after <= 0.5 * before
 
     def test_zero_epochs_is_identity(self, rng):
@@ -1354,34 +1351,6 @@ class TestMaskConsistency:
         qf2 = qf.copy()
         qf2[:, MODALITY_SLICES["gnss"]] = rng.normal(0, 9, (n, 3))
         assert dtw(model, (qf2, qp2), (pf, pp2), 3).distance == pytest.approx(base, abs=1e-12)
-
-
-class TestPairsFromSwitchTags:
-    def test_pairs_have_negatives_and_same_kind_positive(self, rng):
-        lib = FingerprintLibrary()
-        for day in range(4):
-            seq = make_sequence(rng, 6, kind="wifi_to_cell", day=day)
-            lib.commit_segment(seq, seq.label, created_day=day)
-        for day in range(2):
-            seq = make_sequence(rng, 6, kind="cell_to_wifi", day=10 + day)
-            lib.commit_segment(seq, seq.label, created_day=10 + day)
-        segments = [s for _, s in lib.items()
-                    if s.label.kind == "wifi_to_cell"]
-        pairs = pairs_from_switch_tags(segments, lib, negatives_per_positive=4,
-                                       seed=0)
-        assert len(pairs) == len(segments)
-        for (pos_q, pos_p), negatives in pairs:
-            assert pos_p.label.kind == "wifi_to_cell"
-            assert pos_p.prototype_id != pos_q.prototype_id
-            assert len(negatives) == 4
-
-    def test_no_positives_raises(self, rng):
-        lib = FingerprintLibrary()
-        seq = make_sequence(rng, 6, kind="wifi_to_cell")
-        lib.commit_segment(seq, seq.label, created_day=0)
-        only = [s for _, s in lib.items()]
-        with pytest.raises(ValueError):
-            pairs_from_switch_tags(only, lib, seed=0)
 
 
 def test_metric_serialize_roundtrip():

@@ -11,12 +11,14 @@ import envswitch.cli as cli
 import envswitch.cloudedge as cloudedge
 import envswitch.sim as sim
 from envswitch.cli import (PAPER_SESSION_COUNTS, SessionReport, build_parser,
-                           cmd_simulate, render_table, report_csv, round2,
-                           train_models)
+                           build_training_pairs, cmd_simulate, render_table,
+                           report_csv, round2, train_models)
 from envswitch.alignment import MetricModel
 from envswitch.config import EngineConfig, apply_overrides, load_config
 from envswitch.filters import context_from_windows
-from envswitch.fingerprints import FEATURE_NAMES, MODALITIES
+from envswitch.fingerprints import (FEATURE_NAMES, MODALITIES, Fingerprint,
+                                    FingerprintLibrary, FingerprintSequence,
+                                    SwitchEvent)
 from envswitch.sim import scenario_text
 
 
@@ -153,6 +155,86 @@ class TestTrainModels:
         assert metric.serialize() == MetricModel.identity(cfg.match.embed_dim).serialize()
         # one log line per stage, the metric's included
         assert "metric: identity embedding, uniform modality weights" in lines
+
+
+def committed_library(rng, kinds):
+    """A library of one committed sequence per kind, each 4-7 windows of
+    random features with presence drawn per window."""
+    lib = FingerprintLibrary()
+    for day, kind in enumerate(kinds):
+        n = int(rng.integers(4, 8))
+        windows = [Fingerprint(float(t + 1), rng.normal(size=14), rng.random(5) < 0.7)
+                   for t in range(n)]
+        lib.commit_segment(FingerprintSequence(windows), SwitchEvent(float(n), kind),
+                           created_day=day)
+    return lib
+
+
+def which(lib, packed):
+    """The id of the prototype whose cached packed arrays ``packed`` holds."""
+    return next(pid for pid, seq in lib.items()
+                if all(a is b for a, b in zip(seq.packed(), packed)))
+
+
+class TestBuildTrainingPairs:
+    MIXED = ["wifi_to_cell"] * 4 + ["cell_to_wifi"] * 3 + ["ap_handover"]
+
+    def test_partner_is_another_prototype_of_the_same_kind(self, rng):
+        lib = committed_library(rng, self.MIXED)
+        pairs = build_training_pairs({"A": lib}, EngineConfig(), seed=3)
+        queries = [which(lib, query) for (query, _), _ in pairs]
+        # every prototype with a same-kind other is a query once, in id order;
+        # the lone ap_handover prototype has no partner
+        assert queries == [pid for pid, seq in lib.items()
+                           if seq.label.kind != "ap_handover"]
+        for (query, partner), _ in pairs:
+            q, p = lib.get(which(lib, query)), lib.get(which(lib, partner))
+            assert q is not p
+            assert q.label.kind == p.label.kind
+
+    def test_negatives_shuffle_the_partner_in_time(self, rng):
+        cfg = EngineConfig()
+        lib = committed_library(rng, ["wifi_to_cell"] * 5)
+        pairs = build_training_pairs({"A": lib}, cfg, seed=0)
+        assert len(pairs) == 5
+        for (query, (feats, pres)), negatives in pairs:
+            assert len(negatives) == cfg.match.negatives_per_positive
+            for neg_query, (neg_feats, neg_pres) in negatives:
+                assert neg_query is query
+                # features are continuous draws, so each row names its source
+                perm = [int(np.flatnonzero((feats == row).all(axis=1))[0])
+                        for row in neg_feats]
+                assert sorted(perm) == list(range(len(feats)))
+                assert np.array_equal(neg_feats, feats[perm])
+                assert np.array_equal(neg_pres, pres[perm])
+
+    def test_same_seed_same_pairs_and_one_draw_per_library(self, rng):
+        cfg = EngineConfig()
+        libs = {"A": committed_library(rng, ["wifi_to_cell"] * 4),
+                "B": committed_library(rng, self.MIXED)}
+
+        def flat(pairs):
+            return [a.tobytes() for (query, partner), negatives in pairs
+                    for pair in [(query, partner)] + negatives
+                    for side in pair for a in side]
+
+        both = flat(build_training_pairs(libs, cfg, seed=5))
+        assert both == flat(build_training_pairs(libs, cfg, seed=5))
+        assert both != flat(build_training_pairs(libs, cfg, seed=6))
+        # each library draws from its own generator, whatever comes before it
+        alone = flat(build_training_pairs({"B": libs["B"]}, cfg, seed=5))
+        assert both[-len(alone):] == alone
+
+    def test_raises_without_positives(self, rng):
+        cfg = EngineConfig()
+        small = {"A": committed_library(rng, ["wifi_to_cell"])}
+        with pytest.raises(ValueError, match="libraries too small"):
+            build_training_pairs(small, cfg, seed=0)
+        # a library of distinct kinds forms no positive, even beside one that does
+        distinct = committed_library(rng, ["wifi_to_cell", "cell_to_wifi"])
+        with pytest.raises(ValueError, match="no positives"):
+            build_training_pairs({"A": committed_library(rng, ["wifi_to_cell"] * 2),
+                                  "B": distinct}, cfg, seed=0)
 
 
 class TestParser:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from envswitch.alignment import (MetricModel, make_alignment_loss, margin_loss_grads,
-                                 soft_dtw_value)
+                                 soft_dtw)
 from envswitch.config import FilterConfig
 from envswitch.filters import (FILTER_ORDER, FilterChoice, FilterContext,
                                FilterScratch, SelectorModel, _gaussian_kernel, apply_elp,
@@ -659,8 +659,8 @@ class TestTrainSelectorBatching:
             for ctx, pos, negs in items:
                 choice, _ = selector_forward_training(model, ctx)
                 radii.add(_gaussian_kernel(choice.sigma)[0].size)
-                values = [soft_dtw_value(metric, (soft_denoise_matrix(choice, it[0])[0], it[1]),
-                                         (soft_denoise_matrix(choice, it[2])[0], it[3]))
+                values = [soft_dtw(metric, (soft_denoise_matrix(choice, it[0])[0], it[1]),
+                                   (soft_denoise_matrix(choice, it[2])[0], it[3]))[0]
                           for it in [pos] + negs]
                 active.update(1.0 + values[0] - v > 0.0 for v in values[1:])
             assert len(radii) >= 2 and active == {True, False}

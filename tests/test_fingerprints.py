@@ -157,14 +157,6 @@ class TestLibrary:
         pid = lib.commit_segment(buf, event, created_day=0)
         assert len(lib) == 1
         assert lib.get(pid).label.kind == "wifi_to_cell"
-        assert lib.get(pid).label.anchor == pid
-
-    def test_commit_rejects_short_buffer(self, rng):
-        lib = FingerprintLibrary()
-        buf = make_sequence(rng, 2)
-        event = SwitchEvent(buf.windows[-1].timestamp, "wifi_to_cell")
-        with pytest.raises(ValueError, match="insufficient context"):
-            lib.commit_segment(buf, event, min_windows=5)
 
     def test_capacity_evicts_oldest_first(self, rng):
         lib = FingerprintLibrary(LibraryConfig(capacity=4))
