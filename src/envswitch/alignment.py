@@ -818,29 +818,26 @@ def train_metric(model: MetricModel, pairs, epochs: int = 20,
 
 class _Embedded:
     """A group's time-major (m, 1 + P, 14) stack, its prototypes written in
-    once and column 0 left for a live window of length m, with the
-    ``filters.FilterScratch`` it is filtered in and the (m, 1 + P, E)
-    embedding: column 0 ``query``, the rest ``protos``.  Each series is
-    filtered and embedded on its own, so column 0, whatever it holds,
-    changes no prototype's result."""
+    once and column 0 left for a live window of length m, and the
+    (m, 1 + P, E) embedding of the filtered stack: column 0 ``query``, the
+    rest ``protos``.  Each series is filtered and embedded on its own, so
+    column 0, whatever it holds, changes no prototype's result."""
 
-    __slots__ = ("stack", "filter", "filtered", "flat", "query", "protos")
+    __slots__ = ("stack", "flat", "query", "protos")
 
-    def __init__(self, protos: np.ndarray, filter_key, E: int):
+    def __init__(self, protos: np.ndarray, E: int):
         T, P, F = protos.shape
         self.stack = np.zeros((T, 1 + P, F))
         self.stack[:, 1:] = protos
-        self.filter = filters.FilterScratch((T, (1 + P) * F), filter_key)
-        self.filtered = self.filter.out.reshape(T * (1 + P), F)
         self.flat = np.empty((T * (1 + P), E))
         embedded = self.flat.reshape(T, 1 + P, E)
         self.query, self.protos = embedded[:, :1], embedded[:, 1:]
 
     def run(self, choice, Wt: np.ndarray):
-        """One ``denoise_matrix`` call on the stack, into ``filtered``, and
-        one product that embeds it."""
-        filters.denoise_matrix(choice, self.stack.transpose(1, 0, 2), self.filter)
-        np.matmul(self.filtered, Wt, out=self.flat)
+        """One ``denoise_matrix`` call on the stack, whose result comes back
+        time-major, and one product that embeds it into ``flat``."""
+        filtered = filters.denoise_matrix(choice, self.stack.transpose(1, 0, 2))
+        np.matmul(filtered.transpose(1, 0, 2).reshape(len(self.flat), -1), Wt, out=self.flat)
 
 
 class _GroupScratch:
@@ -874,8 +871,9 @@ def match(model: MetricModel, selector, live_window, library, band: int,
 
     A ``FingerprintLibrary`` hands over its plan (``length_groups``), kept
     per ``version``; any other iterable of ``(prototype_id, prototype)``,
-    or mapping, is grouped per call.  Each group keeps a filtered and
-    embedded stack per filter shape and E (``_Embedded``).  When a group
+    or mapping, is grouped per call.  Each group keeps a stack and its
+    embedding per E (``_Embedded``); the filter allocates its output per
+    call.  When a group
     has the live window's length n, the window goes into column 0 of that
     group's stack and every group costs and sweeps in the ``_GroupScratch``
     it keeps per (n, band, E).  Otherwise (the first windows of a walk)
@@ -909,12 +907,10 @@ def match(model: MetricModel, selector, live_window, library, band: int,
     choice = filters.select_filter(selector, ctx)
     kernel = _kernel(model)
     Wt, E = kernel[0].T, kernel[0].shape[0]
-    key = filters.filter_shape(choice) + (E,)
 
     def embedded(group):
-        """The group's stack, kept per filter shape and E."""
-        return group.scratch(("stack",) + key,
-                             lambda: _Embedded(group.features, key[:2], E))
+        """The group's stack, kept per E."""
+        return group.scratch(("stack", E), lambda: _Embedded(group.features, E))
 
     own = next((g for g in groups if len(g.features) == n), None)
     if own is None:

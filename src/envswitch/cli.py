@@ -388,6 +388,15 @@ def cmd_evaluate(site_flags, sessions_map, seed: int, model_dir: str,
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="envswitch",
                                 description=__doc__.splitlines()[0])
@@ -395,12 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("simulate", "train", "evaluate"):
         sp = sub.add_parser(name)
         sp.add_argument("--site", choices=["A", "B", "C", "all"], default="all")
-        sp.add_argument("--sessions", type=int, default=None,
+        sp.add_argument("--sessions", type=_int_at_least(1), default=None,
                         help="sessions per site (default: per-site table)")
         sp.add_argument("--seed", type=int, default=13)
         sp.add_argument("--config", default=None, help="key-value config file")
         sp.add_argument("--out", default="out")
-        sp.add_argument("--rounds", type=int, default=None,
+        sp.add_argument("--rounds", type=_int_at_least(0), default=None,
                         help="cloud-edge rounds (train only)")
         if name == "evaluate":
             sp.add_argument("--models", default=None,

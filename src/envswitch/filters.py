@@ -5,8 +5,9 @@ low-pass) plus a small network that maps window context (RSSI variance, scan
 age, step rate, modality presence) to a distribution over the three filters
 and their coefficients.  At inference the argmax filter runs
 (``denoise_matrix``) down every column of a window, or of a whole stack of
-windows at once; the scalar ``apply_*`` functions define each filter and are
-the reference the batched ones equal bit for bit.  During training a soft
+windows at once, into an output of its own: no filter keeps buffers between
+calls.  The scalar ``apply_*`` functions define each filter and are the
+reference the batched ones equal bit for bit.  During training a soft
 mixture of all three keeps the selection differentiable
 (``soft_denoise_matrix``, along the same axis of any stack of windows), and
 each filter carries analytic derivatives w.r.t. its own coefficient, run
@@ -58,11 +59,6 @@ def apply_kalman(series, q: float, r: float, init_mean: float = 0.0,
     return out
 
 
-def _gaussian_radius(sigma: float) -> int:
-    """Reach of the +-3 sigma truncated Gaussian, in steps."""
-    return max(1, int(math.ceil(3.0 * sigma)))
-
-
 @functools.lru_cache(maxsize=64)
 def _gaussian_offsets(radius: int):
     """The offsets -radius..radius and their negated squares; read-only."""
@@ -74,7 +70,8 @@ def _gaussian_offsets(radius: int):
 
 
 def _gaussian_kernel(sigma: float):
-    offsets, negated_squares = _gaussian_offsets(_gaussian_radius(sigma))
+    """Offsets and weights of the +-3 sigma truncated Gaussian."""
+    offsets, negated_squares = _gaussian_offsets(max(1, int(math.ceil(3.0 * sigma))))
     return offsets, np.exp(negated_squares / (2.0 * sigma * sigma))
 
 
@@ -245,7 +242,8 @@ def context_from_windows(features, present, scan_age: float) -> FilterContext:
 def _along_time(kernel, arr: np.ndarray, *coef) -> np.ndarray:
     """``kernel(x, *coef)`` on a C-contiguous time-major (T, K) copy ``x`` of
     (..., T, F), column k one series (K is the product of the leading axes
-    times F), returned in ``arr``'s shape.  An input that already is a
+    times F); the kernel allocates its (T, K) output, returned in ``arr``'s
+    shape.  An input that already is a
     C-contiguous time-major array seen through a transpose (``match`` hands
     its (T, B, F) stack over as ``stack.transpose(1, 0, 2)``) is filtered in
     place of the copy, and its result is the same view of a time-major
@@ -257,153 +255,92 @@ def _along_time(kernel, arr: np.ndarray, *coef) -> np.ndarray:
     return out if x.flags.c_contiguous else np.ascontiguousarray(out)
 
 
-def _kalman_batch(x: np.ndarray, q: float, r: float, out=None) -> np.ndarray:
+def _kalman_batch(x: np.ndarray, q: float, r: float) -> np.ndarray:
     # gain and variance do not depend on the data, so one scalar recursion
     # serves every series; each series starts from its own first value
-    out = np.empty_like(x) if out is None else out
+    out = np.empty_like(x)
     mean = x[0]
     var = 1.0
     for i in range(x.shape[0]):
         var = var + q
         gain = var / (var + r)
-        # mean + gain * (x[i] - mean), written into row i
-        step = np.subtract(x[i], mean, out=out[i])
-        np.multiply(step, gain, out=step)
-        mean = np.add(mean, step, out=step)
+        out[i] = mean = mean + gain * (x[i] - mean)
         var = (1.0 - gain) * var
     return out
 
 
 @functools.lru_cache(maxsize=64)
-def _gaussian_reach(radius: int, n: int):
-    """For a kernel of ``radius`` over n steps: each offset's (off, lo, hi),
-    the output rows [lo, hi) it reaches (empty when |off| >= n), and the
-    (2 radius + 1, n) indicator of those rows; read-only."""
-    offsets = np.arange(-radius, radius + 1)
-    rows = np.arange(n)[None, :] + offsets[:, None]
-    reach = ((rows >= 0) & (rows < n)).astype(float)
-    reach.setflags(write=False)
-    return tuple((off, max(0, -off), min(n, n - off)) for off in offsets.tolist()), reach
+def _gaussian_gather(radius: int, n: int):
+    """For a kernel of ``radius`` over n steps: the (2 radius + 1, n) rows
+    that each offset reads at each step of the series padded with
+    ``radius`` zero rows at each end, and the indicator of the rows inside
+    the series; read-only."""
+    index = np.arange(2 * radius + 1)[:, None] + np.arange(n)
+    reach = ((index >= radius) & (index < n + radius)).astype(float)
+    for a in (index, reach):
+        a.setflags(write=False)
+    return index, reach
 
 
-class _GaussianTaps:
-    """What ``_gaussian_sums`` writes into for a kernel of ``radius`` along
-    axis -2 of a ``shape`` array (T steps): the sums ``num``, one product
-    buffer per |offset| < T, every tap in offset order as (|offset|, the
-    rows it reads, the sum rows and the product rows it adds), both views
-    built once, and the weighted reach and its sum ``den`` (T,)."""
-
-    __slots__ = ("radius", "num", "products", "taps", "reach", "weighted", "den")
-
-    def __init__(self, shape, radius: int):
-        T = shape[-2]
-        taps, self.reach = _gaussian_reach(radius, T)
-        self.radius = radius
-        self.num = np.empty(shape)
-        self.products = np.empty((min(radius, T - 1) + 1,) + tuple(shape))
-        self.taps = tuple((abs(off), slice(lo + off, hi + off), self.num[..., lo:hi, :],
-                           self.products[abs(off)][..., lo + off:hi + off, :])
-                          for off, lo, hi in taps if lo < hi)
-        self.weighted = np.empty(self.reach.shape)
-        self.den = np.empty(T)
-
-
-def _gaussian_sums(x: np.ndarray, weights, taps: _GaussianTaps):
-    """Edge-truncated weighted sums along axis -2, into ``taps``: (num,
-    den[:, None]).  The kernel is symmetric, so each product w * x is
-    formed once for both its offsets (a weight of 1 reads ``x``); the sums
-    start from zeros and add in offset order.  The weights do not depend on
-    ``x``: den is one product with the reach indicator summed down its
-    offset axis, which numpy adds row by row, so in offset order as well."""
-    w, r = weights.tolist(), taps.radius
-    from_x = [w[r - k] == 1.0 for k in range(len(taps.products))]
-    for k, same in enumerate(from_x):
-        if not same:
-            np.multiply(x, w[r - k], out=taps.products[k])
-    taps.num.fill(0.0)
-    for k, rows, sums, product in taps.taps:
-        np.add(sums, x[..., rows, :] if from_x[k] else product, out=sums)
-    np.multiply(weights[:, None], taps.reach, out=taps.weighted)
-    return taps.num, np.add.reduce(taps.weighted, axis=0, out=taps.den)[:, None]
+def _gaussian_sums(x: np.ndarray, *weights):
+    """Edge-truncated weighted sums along axis -2 of x (..., T, F): one
+    (num, den[:, None]) per kernel in ``weights``.  The zero-padded series
+    is gathered once into its (..., 2 radius + 1, T, F) taps, each kernel
+    weights them (the last in place) and the tap axis is summed from +0.0.
+    numpy adds down a leading axis row by row, so each sum adds in offset
+    order, as ``apply_gaussian`` does, and an off-edge tap adds +0.0,
+    which changes no sum started from +0.0; den is the same reduction of
+    the reach indicator."""
+    radius, T = weights[0].size // 2, x.shape[-2]
+    index, reach = _gaussian_gather(radius, T)
+    padded = np.zeros(x.shape[:-2] + (T + 2 * radius, x.shape[-1]))
+    padded[..., radius:radius + T, :] = x
+    taps = np.take(padded, index, axis=-2)
+    sums = []
+    for k, w in enumerate(weights):
+        weighted = np.multiply(taps, w[:, None, None], out=taps if k == len(weights) - 1 else None)
+        sums.append((np.add.reduce(weighted, axis=-3, initial=0.0),
+                     np.add.reduce(w[:, None] * reach, axis=0, initial=0.0)[:, None]))
+    return sums
 
 
-def _gaussian_batch(x: np.ndarray, sigma: float, taps: _GaussianTaps) -> np.ndarray:
-    num, den = _gaussian_sums(x, _gaussian_kernel(sigma)[1], taps)
+def _gaussian_batch(x: np.ndarray, sigma: float) -> np.ndarray:
+    (num, den), = _gaussian_sums(x, _gaussian_kernel(sigma)[1])
     return np.divide(num, den, out=num)
 
 
-def _elp_batch(x: np.ndarray, alpha: float, out=None, decay=None) -> np.ndarray:
+def _elp_batch(x: np.ndarray, alpha: float) -> np.ndarray:
     # alpha * x[i] for every row at once, then + (1 - alpha) * out[i - 1]
-    out = np.multiply(x, alpha, out=out)
+    out = np.multiply(x, alpha)
     out[0] = x[0]
-    decay = np.empty_like(x[0]) if decay is None else decay
     for i in range(1, x.shape[0]):
-        np.multiply(out[i - 1], 1.0 - alpha, out=decay)
-        np.add(out[i], decay, out=out[i])
+        out[i] += (1.0 - alpha) * out[i - 1]
     return out
 
 
-def filter_shape(choice: FilterChoice) -> tuple:
-    """What the buffers of a hard filter depend on besides the input's
-    shape: its kind and, for the Gaussian, the kernel radius (else 0)."""
-    kind = choice.hard_kind()
-    return kind, _gaussian_radius(choice.sigma) if kind == "gaussian" else 0
-
-
-class FilterScratch:
-    """The buffers ``denoise_matrix`` filters a time-major (T, K) input of
-    one shape into, for one ``filter_shape``: the output and, for the
-    Gaussian, its ``_GaussianTaps`` (whose sums are the output), for the
-    low-pass a decay row.  ``alignment.match`` keeps one per stack it
-    filters; the output is overwritten by the next call."""
-
-    __slots__ = ("key", "out", "taps", "decay")
-
-    def __init__(self, shape, filter_key):
-        kind, radius = filter_key
-        self.key = (tuple(shape), filter_key)
-        self.taps = _GaussianTaps(shape, radius) if kind == "gaussian" else None
-        self.out = np.empty(shape) if self.taps is None else self.taps.num
-        self.decay = np.empty(shape[1:]) if kind == "elp" else None
-
-
-def denoise_matrix(choice: FilterChoice, arr: np.ndarray, scratch=None) -> np.ndarray:
+def denoise_matrix(choice: FilterChoice, arr: np.ndarray) -> np.ndarray:
     """Run the hard-selected filter along axis -2 of (..., T, F).
 
     Every column of every leading batch entry is one series: ``(T, F)`` is one
     window, ``(B, T, F)`` a stack of B windows of equal length (``match``
     stacks the live window on the prototypes of its length).  The filter runs
-    once over a C-contiguous time-major (T, K) copy, K = B * F: the Kalman
-    and low-pass recursions step over its rows into a preallocated output,
-    the Gaussian adds one block of rows per kernel offset.  The result comes
-    back C-contiguous in the input's shape, except for an input that is a
-    time-major array seen through a transpose, as ``match`` hands over its
-    (T, B, F) stack: that one is filtered without a copy, and its result is
-    the same view of a time-major result (``_along_time``).  ``scratch``, a
-    ``FilterScratch`` for this (T, K) shape and the choice's
-    ``filter_shape``, holds the output and every buffer and view the filter
-    uses, so such a call allocates nothing and returns a view of
-    ``scratch.out``; without it they are built for the call.  Each series
-    gets the same IEEE operations, in the same order, as the scalar
-    ``apply_kalman`` (initialized at the series' first value, variance 1),
-    ``apply_gaussian`` or ``apply_elp``, so the results are bit-identical to
-    filtering column by column.
+    once over a time-major (T, K) layout, K = B * F, into an output of its
+    own (``_along_time`` says which layout comes back): the Kalman and
+    low-pass recursions step over its rows, the Gaussian gathers the taps
+    of every offset at once.  Each series gets the same IEEE operations, in
+    the same order, as the scalar ``apply_kalman`` (initialized at the
+    series' first value, variance 1), ``apply_gaussian`` or ``apply_elp``,
+    so the results are bit-identical to filtering column by column.
     """
     arr = np.asarray(arr, dtype=float)
     if arr.ndim < 2 or arr.shape[-2] == 0:
         raise ValueError("denoise_matrix needs a nonempty (..., T, F) array")
-    shape = filter_shape(choice)
-
-    def run(x):
-        s = FilterScratch(x.shape, shape) if scratch is None else scratch
-        if s.key != (x.shape, shape):
-            raise ValueError("scratch built for another input shape or filter")
-        if shape[0] == "kalman":
-            return _kalman_batch(x, choice.q, choice.r, s.out)
-        if shape[0] == "gaussian":
-            return _gaussian_batch(x, choice.sigma, s.taps)
-        return _elp_batch(x, choice.alpha, s.out, s.decay)
-    return _along_time(run, arr)
+    kind = choice.hard_kind()
+    if kind == "kalman":
+        return _along_time(_kalman_batch, arr, choice.q, choice.r)
+    if kind == "gaussian":
+        return _along_time(_gaussian_batch, arr, choice.sigma)
+    return _along_time(_elp_batch, arr, choice.alpha)
 
 
 def denoise(choice: FilterChoice, series) -> np.ndarray:
@@ -452,11 +389,8 @@ def _gaussian_with_sens(x: np.ndarray, sigma: float):
     held fixed)."""
     offsets, weights = _gaussian_kernel(sigma)
     dweights = weights * (offsets.astype(float) ** 2) / sigma ** 3
-    radius = offsets.size // 2
-    num, den = _gaussian_sums(x, weights, _GaussianTaps(x.shape, radius))
-    dnum, dden = _gaussian_sums(x, dweights, _GaussianTaps(x.shape, radius))
-    dsig = (dnum * den - num * dden) / (den * den)
-    return num / den, dsig
+    (num, den), (dnum, dden) = _gaussian_sums(x, weights, dweights)
+    return num / den, (dnum * den - num * dden) / (den * den)
 
 
 def _elp_with_sens(x: np.ndarray, alpha: float):

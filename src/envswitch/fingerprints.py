@@ -416,8 +416,9 @@ class FingerprintLibrary:
 
     Single-writer: commits and maintenance mutate the store; reads hand out
     immutable sequences and are safe from other threads.  ``alignment.match``
-    on one library must not run concurrently: it computes in scratch buffers
-    that the library's plan owns.  ``version`` rises with every commit,
+    on one library must not run concurrently: it writes the live window
+    into a stack, and costs and sweeps in buffers, that the library's plan
+    owns (the filters keep none).  ``version`` rises with every commit,
     retention drop and capacity eviction, so a reader can tell whether what
     it derived from the store is still current.
     """
@@ -610,16 +611,19 @@ def save_library(library: FingerprintLibrary, directory) -> None:
 
 
 def load_library(directory, cfg: LibraryConfig | None = None) -> FingerprintLibrary:
-    """The library ``save_library`` wrote; another index header, an index
-    line other than (id as ``sequence_content_id`` makes it, integer
-    created_at >= 0, label kind) or a repeated id raises, naming the file
-    and line."""
+    """The library ``save_library`` wrote; another index header, more
+    prototypes than ``cfg.capacity``, an index line other than (id as
+    ``sequence_content_id`` makes it, integer created_at >= 0, label kind)
+    or a repeated id raises, naming the file and, for a line, its number."""
     lib = FingerprintLibrary(cfg)
     index_path = os.path.join(directory, "index.txt")
     with open(index_path, "r", encoding="utf-8") as f:
         lines = [(n, ln.strip()) for n, ln in enumerate(f, 1) if ln.strip()]
     if not lines or lines[0][1] != _INDEX_HEADER:
         raise ValueError(f"{index_path}: the header is not {_INDEX_HEADER!r}")
+    if len(lines) - 1 > lib.cfg.capacity:
+        raise ValueError(f"{index_path}: {len(lines) - 1} prototypes exceed "
+                         f"the capacity {lib.cfg.capacity}")
     for n, ln in lines[1:]:
         m = _INDEX_LINE.fullmatch(ln)
         if m is None or m[1] in lib.sequences:

@@ -253,6 +253,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["simulate", "--site", "Z"])
 
+    @pytest.mark.parametrize("command", ["simulate", "train", "evaluate"])
+    @pytest.mark.parametrize("flag, value", [("--sessions", "0"), ("--sessions", "-2"),
+                                             ("--rounds", "-1")])
+    def test_counts_out_of_range_rejected(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+    def test_counts_at_their_least_accepted(self):
+        args = build_parser().parse_args(["evaluate", "--sessions", "1", "--rounds", "0"])
+        assert (args.sessions, args.rounds) == (1, 0)
+
     def test_paper_session_counts(self):
         assert PAPER_SESSION_COUNTS == {"A": 5, "B": 10, "C": 6}
 

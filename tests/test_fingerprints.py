@@ -332,6 +332,19 @@ class TestPersistence:
             assert back.get(pid).created_at == lib.get(pid).created_at
             assert back.get(pid).label.kind == lib.get(pid).label.kind
 
+    def test_library_over_capacity_refused(self, rng, tmp_path):
+        lib = FingerprintLibrary()
+        for day in range(6):
+            buf = make_sequence(rng, 4, day=day)
+            lib.commit_segment(buf, SwitchEvent(buf.windows[-1].timestamp,
+                                                "wifi_to_cell"), created_day=day)
+        save_library(lib, tmp_path / "lib")
+        index = tmp_path / "lib" / "index.txt"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{index}: 6 prototypes exceed the capacity 3")):
+            load_library(tmp_path / "lib", LibraryConfig(capacity=3))
+        assert len(load_library(tmp_path / "lib", LibraryConfig(capacity=6))) == 6
+
     def write_index(self, rng, tmp_path, edit):
         """A saved 3-prototype library whose index lines went through
         ``edit(lines)``; returns the library directory and the index path."""
