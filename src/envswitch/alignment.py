@@ -12,10 +12,12 @@ row, pair) table, through views planned per shape and band (``_sweep_plan``):
 with a hard min for exact DTW (``dtw`` on a stack of one, ``match`` on each
 length group of a library), and with a soft-min for soft-DTW (``soft_dtw``
 on one pair, and every margin loss on all pairs of its positives and
-negatives at once).  Buffers and tables are allocated per call, except
-where ``match`` scores a live window as long as some prototypes: there it
-runs in workspaces that the library's plan keeps per version, each owning
-its buffers.  The metric's kernel is built once per metric content
+negatives at once).  Buffers and tables are allocated per call, except in
+``match``: it scores a library in groups of one prototype length
+(``_Group``), a plan kept per library and version, and costs and sweeps
+each group in a workspace of its own (``_GroupScratch``), kept with the
+group when some group has the live window's length and built for the
+call otherwise.  The metric's kernel is built once per metric content
 (``_kernel``).  Exact DTW gives the alignment distance d and the similarity
 exp(-beta * d) in (0, 1], with a fixed scale beta = 1; a distance is read
 from the last cell, and ``match`` backtracks a warping path only when a
@@ -29,14 +31,14 @@ the reference the tests check the banded costs against.
 import functools
 import heapq
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import filters
 from .fingerprints import (FEATURE_DIMS, MODALITIES, MODALITY_SLICES, N_FEATURES,
-                           Fingerprint, FingerprintLibrary, FingerprintSequence,
-                           group_by_length)
+                           Fingerprint, FingerprintLibrary, FingerprintSequence)
 from .mlp import softmax
 from .serialize import dump_tensors, parse_tensors
 
@@ -393,13 +395,13 @@ def _kept_costs(kernel, qe, qp, pe, pp_kept, rows, cols, scratch=None):
     5).  The cells are gathered as (C, P, E) differences, so the costs come
     out in the order of the skewed layout, diagonal by diagonal, with the
     pairs innermost.  Every step writes into a ``_CostScratch``.  Given one
-    (``match`` passes the one its kept workspace owns), the
+    (``match`` passes the one of its group's ``_GroupScratch``), the
     differences are squared and the squared distances masked in place,
     nothing is allocated and the costs are a view of ``scratch.cost``.
-    Without one, a fresh one is built and the squares and the masked
-    distances get arrays of their own, so the differences, the squared
-    distances (C, P, 5) and the presence mask (C, P, 5), also returned, are
-    what ``_cost_gradients`` reads.
+    Without one (``_banded_costs``), a fresh one is built and the squares
+    and the masked distances get arrays of their own, so the differences,
+    the squared distances (C, P, 5) and the presence mask (C, P, 5), also
+    returned, are what ``_cost_gradients`` reads.
     """
     keep = scratch is None
     s = _CostScratch(rows.size, qe.shape[1], pe.shape[1], pe.shape[2]) if keep else scratch
@@ -816,30 +818,6 @@ def train_metric(model: MetricModel, pairs, epochs: int = 20,
 # ---------------------------------------------------------------------------
 
 
-class _Embedded:
-    """A group's time-major (m, 1 + P, 14) stack, its prototypes written in
-    once and column 0 left for a live window of length m, and the
-    (m, 1 + P, E) embedding of the filtered stack: column 0 ``query``, the
-    rest ``protos``.  Each series is filtered and embedded on its own, so
-    column 0, whatever it holds, changes no prototype's result."""
-
-    __slots__ = ("stack", "flat", "query", "protos")
-
-    def __init__(self, protos: np.ndarray, E: int):
-        T, P, F = protos.shape
-        self.stack = np.zeros((T, 1 + P, F))
-        self.stack[:, 1:] = protos
-        self.flat = np.empty((T * (1 + P), E))
-        embedded = self.flat.reshape(T, 1 + P, E)
-        self.query, self.protos = embedded[:, :1], embedded[:, 1:]
-
-    def run(self, choice, Wt: np.ndarray):
-        """One ``denoise_matrix`` call on the stack, whose result comes back
-        time-major, and one product that embeds it into ``flat``."""
-        filtered = filters.denoise_matrix(choice, self.stack.transpose(1, 0, 2))
-        np.matmul(filtered.transpose(1, 0, 2).reshape(len(self.flat), -1), Wt, out=self.flat)
-
-
 class _GroupScratch:
     """What ``match`` costs and sweeps one group in, for one live length n
     and band, owning its buffers: the kept cells, the group's presence
@@ -857,6 +835,77 @@ class _GroupScratch:
         self.plan = _sweep_plan(n, m, band, self.costs.cost.reshape(-1, P))
 
 
+class _Group:
+    """Prototypes of one length m, as ``match`` scores them: ``ids`` in
+    entry order and a time-major (m, 1 + P, 14) ``stack``, the prototype
+    columns written once and column 0 left for a live window of length m;
+    ``features`` is a read-only view of the prototype columns and
+    ``present`` (m, P, 5) their presence, read-only.  Per E the group keeps
+    the (m, 1 + P, E) embedding of its filtered stack (``embed``), and per
+    (n, band, E) a ``_GroupScratch`` (``workspace``); ``match`` overwrites
+    their buffers on every call.  Each series is filtered and embedded on
+    its own, so column 0, whatever it holds, changes no prototype's
+    result."""
+
+    __slots__ = ("ids", "stack", "features", "present", "_embedded", "_workspaces")
+
+    def __init__(self, ids, features, present):
+        self.ids = tuple(ids)
+        self.stack = np.zeros((len(features[0]), 1 + len(ids), features[0].shape[1]))
+        self.features = np.stack(features, axis=1, out=self.stack[:, 1:])
+        self.present = np.stack(present, axis=1)
+        for a in (self.features, self.present):
+            a.setflags(write=False)
+        self._embedded, self._workspaces = {}, {}
+
+    def embed(self, choice, Wt: np.ndarray):
+        """One ``denoise_matrix`` call on the stack, whose result comes back
+        time-major, and one product that embeds it into the buffer kept for
+        E; returns its views of column 0 (m, 1, E) and the prototypes."""
+        E = Wt.shape[1]
+        got = self._embedded.get(E)
+        if got is None:
+            embedded = np.empty(self.stack.shape[:2] + (E,))
+            got = self._embedded[E] = (embedded.reshape(-1, E), embedded[:, :1], embedded[:, 1:])
+        flat, query, protos = got
+        filtered = filters.denoise_matrix(choice, self.stack.transpose(1, 0, 2))
+        np.matmul(filtered.transpose(1, 0, 2).reshape(len(flat), -1), Wt, out=flat)
+        return query, protos
+
+    def workspace(self, n: int, band: int, E: int, keep: bool) -> _GroupScratch:
+        """The ``_GroupScratch`` of (n, band, E), kept only if ``keep``."""
+        work = self._workspaces.get((n, band, E))
+        if work is None:
+            work = _GroupScratch(self, n, band, E)
+            if keep:
+                self._workspaces[n, band, E] = work
+        return work
+
+
+def _group_by_length(entries):
+    """Group ``(prototype_id, (features (T, 14), present (T, 5)))`` entries
+    by length T: one ``_Group`` per length, lengths in order of first
+    appearance and members in entry order."""
+    by_length = {}
+    for pid, (feats, pres) in entries:
+        by_length.setdefault(feats.shape[0], []).append((pid, feats, pres))
+    return tuple(_Group(*zip(*members)) for members in by_length.values())
+
+
+_plans = weakref.WeakKeyDictionary()     # library -> (version, groups)
+
+
+def _plan(library: FingerprintLibrary):
+    """``_group_by_length`` of the library's packed sequences in id order,
+    kept with the groups' buffers until ``library.version`` changes; the
+    entry goes with its library."""
+    version, groups = _plans.get(library, (None, ()))
+    if version != library.version:
+        groups = _group_by_length((pid, seq.packed()) for pid, seq in library.items())
+        _plans[library] = (library.version, groups)
+    return groups
+
+
 def match(model: MetricModel, selector, live_window, library, band: int,
           top_k: int, ctx):
     """Rank library prototypes by similarity to the live window.
@@ -869,19 +918,17 @@ def match(model: MetricModel, selector, live_window, library, band: int,
     1.0.  A prototype with no admissible path inside the band is left out;
     ties break on the smaller prototype id.
 
-    A ``FingerprintLibrary`` hands over its plan (``length_groups``), kept
-    per ``version``; any other iterable of ``(prototype_id, prototype)``,
-    or mapping, is grouped per call.  Each group keeps a stack and its
-    embedding per E (``_Embedded``); the filter allocates its output per
-    call.  When a group
-    has the live window's length n, the window goes into column 0 of that
-    group's stack and every group costs and sweeps in the ``_GroupScratch``
-    it keeps per (n, band, E).  Otherwise (the first windows of a walk)
-    the window is filtered and embedded alone and each group is costed and
-    swept per call, keeping nothing new.  A result holds a copy of its
-    table and backtracks only when ``.path`` is read.  ``match`` on one
-    library must not run concurrently.  An empty library yields an empty
-    list, once ``band`` and the live window have passed the checks a
+    A ``FingerprintLibrary`` is scored from its plan (``_plan``), one
+    ``_Group`` per prototype length, kept per ``version``; any other
+    iterable of ``(prototype_id, prototype)``, or mapping, is grouped per
+    call by the same code.  When a group has the live window's length n,
+    the window is filtered and embedded in column 0 of that group's stack,
+    otherwise (the first windows of a walk) alone.  Every group costs and
+    sweeps in a ``_GroupScratch``, kept per (n, band, E) when some group
+    has length n and built for the call otherwise.  A result holds a copy
+    of its table and backtracks only when ``.path`` is read.  ``match`` on
+    one library must not run concurrently.  An empty library yields an
+    empty list, once ``band`` and the live window have passed the checks a
     non-empty one applies.
     """
     if band < 1:
@@ -891,10 +938,10 @@ def match(model: MetricModel, selector, live_window, library, band: int,
     if n < 2:
         raise ValueError("both sequences need at least 2 windows")
     if isinstance(library, FingerprintLibrary):
-        groups = library.length_groups()
+        groups = _plan(library)
     else:
         entries = library.items() if hasattr(library, "items") else library
-        groups = group_by_length((pid, _pack(proto)) for pid, proto in entries)
+        groups = _group_by_length((pid, _pack(proto)) for pid, proto in entries)
     if not groups:
         return []
     if min(len(g.features) for g in groups) < 2:
@@ -907,37 +954,21 @@ def match(model: MetricModel, selector, live_window, library, band: int,
     choice = filters.select_filter(selector, ctx)
     kernel = _kernel(model)
     Wt, E = kernel[0].T, kernel[0].shape[0]
-
-    def embedded(group):
-        """The group's stack, kept per E."""
-        return group.scratch(("stack", E), lambda: _Embedded(group.features, E))
-
     own = next((g for g in groups if len(g.features) == n), None)
     if own is None:
         query = _time_major(_rows(filters.denoise_matrix(choice, qf), Wt))
     else:
-        window = embedded(own)
-        window.stack[:, 0] = qf
-        window.run(choice, Wt)
-        query = window.query
+        own.stack[:, 0] = qf
+        query, own_protos = own.embed(choice, Wt)
     qp = qp[:, None]
     beta = model.beta
     scored = []
     for g in groups:
-        m = len(g.features)
-        stack = embedded(g)
-        if g is not own:
-            stack.run(choice, Wt)
-        if own is None:
-            _, rows, cols = _skew_index(n, m, band)
-            cost = _kept_costs(kernel, query, qp, stack.protos,
-                               np.take(g.present, cols, axis=0), rows, cols)[0]
-            S = _sweep(cost, n, m, band, _hard_step)
-        else:
-            work = g.scratch(("costs", n, band, E), lambda: _GroupScratch(g, n, band, E))
-            cost = _kept_costs(kernel, query, qp, stack.protos, work.present, work.rows,
-                               work.cols, work.costs)[0]
-            S = _sweep(cost, n, m, band, _hard_step, work.plan)
+        protos = own_protos if g is own else g.embed(choice, Wt)[1]
+        work = g.workspace(n, band, E, own is not None)
+        cost = _kept_costs(kernel, query, qp, protos, work.present, work.rows, work.cols,
+                           work.costs)[0]
+        S = _sweep(cost, n, len(g.features), band, _hard_step, work.plan)
         for t, (pid, distance) in enumerate(zip(g.ids, S[:, -1, n - 1].tolist())):
             if math.isfinite(distance):
                 similarity = math.exp(-beta * distance)

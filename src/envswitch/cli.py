@@ -401,16 +401,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="envswitch",
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
+    # each command takes only the flags it reads: train trains every site
     for name in ("simulate", "train", "evaluate"):
         sp = sub.add_parser(name)
-        sp.add_argument("--site", choices=["A", "B", "C", "all"], default="all")
-        sp.add_argument("--sessions", type=_int_at_least(1), default=None,
-                        help="sessions per site (default: per-site table)")
+        if name != "train":
+            sp.add_argument("--site", choices=["A", "B", "C", "all"], default="all")
+            sp.add_argument("--sessions", type=_int_at_least(1), default=None,
+                            help="sessions per site (default: per-site table)")
         sp.add_argument("--seed", type=int, default=13)
         sp.add_argument("--config", default=None, help="key-value config file")
         sp.add_argument("--out", default="out")
-        sp.add_argument("--rounds", type=_int_at_least(0), default=None,
-                        help="cloud-edge rounds (train only)")
+        if name == "train":
+            sp.add_argument("--rounds", type=_int_at_least(0), default=None,
+                            help="cloud-edge rounds")
         if name == "evaluate":
             sp.add_argument("--models", default=None,
                             help="model directory (default: --out)")
@@ -422,16 +425,16 @@ def main(argv=None) -> int:
     cfg = EngineConfig()
     if args.config:
         cfg = load_config(args.config, cfg)
+    if args.command == "train":
+        cmd_train(args.seed, args.out, cfg, args.rounds)
+        print(f"models written to {args.out}")
+        return 0
     flags = ["A", "B", "C"] if args.site == "all" else [args.site]
-
     if args.command == "simulate":
         sessions = args.sessions if args.sessions is not None else 5
         written = cmd_simulate(flags, sessions, args.seed, args.out, cfg)
         print(f"wrote {len(written)} traces to {args.out}")
-    elif args.command == "train":
-        cmd_train(args.seed, args.out, cfg, args.rounds)
-        print(f"models written to {args.out}")
-    elif args.command == "evaluate":
+    else:
         sessions_map = {f: (args.sessions if args.sessions is not None
                             else PAPER_SESSION_COUNTS[f]) for f in flags}
         model_dir = args.models if args.models else args.out

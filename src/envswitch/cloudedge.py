@@ -141,7 +141,7 @@ def fit_reward_model(model: RewardModel, batch, epochs: int = 40,
         pred = np.tanh(out[:, 0])
         err = pred - y
         dy = (2.0 / n) * err * (1.0 - pred * pred)
-        grads, _ = net.backward(cache, dy[:, None])
+        grads = net.backward(cache, dy[:, None])
         net = net.step(grads, step_size)
     return RewardModel(net)
 
@@ -283,7 +283,7 @@ def offline_update(policy: PolicyModel, log, step_size: float = 0.05,
     onehot[np.arange(n), actions] = 1.0
     dlogits = -(weights_awr[:, None] * (onehot - probs)) / n
     dy = np.concatenate([dlogits, np.zeros((n, 1))], axis=1)
-    grads, _ = net.backward(cache, dy)
+    grads = net.backward(cache, dy)
 
     stepped = net.step(grads, step_size)
     delta = stepped.to_vector() - net.to_vector()

@@ -19,12 +19,24 @@ import math
 from dataclasses import dataclass, field
 
 
+def _refuse_periods(section: str, cfg, *keys):
+    """Refuse a period that is not > 0, naming ``section.key``: a loop
+    stepping by it would never end."""
+    for key in keys:
+        if not getattr(cfg, key) > 0:
+            raise ValueError(f"config key '{section}.{key}' must be > 0, "
+                             f"got {getattr(cfg, key)!r}")
+
+
 @dataclass
 class WindowConfig:
     """Windowing of raw streams into fingerprints."""
 
     window_s: float = 1.0          # one summary window per second
     buffer_windows: int = 10       # pre-switch buffer length (10 s at 1 s windows)
+
+    def __post_init__(self):
+        _refuse_periods("window", self, "window_s")
 
 
 @dataclass
@@ -170,6 +182,11 @@ class CloudEdgeConfig:
     reward_model_step: float = 0.05
     state_quant: float = 0.01           # summary tuple quantization grid
 
+    def __post_init__(self):
+        if not self.distill_period >= 1:
+            raise ValueError("config key 'cloudedge.distill_period' must be at least 1, "
+                             f"got {self.distill_period!r}")
+
 
 @dataclass
 class DeviceConfig:
@@ -179,6 +196,9 @@ class DeviceConfig:
     boosted_period_s: float = 1.0
     boost_duration_s: float = 10.0
     wifi_stale_s: float = 4.0           # scans older than this mark WiFi absent
+
+    def __post_init__(self):
+        _refuse_periods("device", self, "scan_period_s", "boosted_period_s")
 
 
 @dataclass
@@ -206,8 +226,6 @@ def _coerce(dotted: str, current, text: str):
     """``text`` parsed as the type of the field's current value: a float
     must be finite, a tuple as long as the default; a field of any other
     type (``norm.bounds``, a dict) cannot be set from text."""
-    if isinstance(current, bool):
-        return text.strip().lower() in ("1", "true", "yes")
     if isinstance(current, int):
         return int(text)
     if isinstance(current, (float, tuple)):
@@ -226,17 +244,18 @@ def _coerce(dotted: str, current, text: str):
 
 
 def apply_overrides(cfg: EngineConfig, pairs) -> EngineConfig:
-    """Apply ``section.key -> value`` overrides to a copy of ``cfg``."""
+    """Apply ``section.key -> value`` overrides to a copy of ``cfg``; each
+    section is rebuilt, so its own checks see the value."""
     cfg = dataclasses.replace(cfg)
     for dotted, raw in pairs:
         section, _, key = dotted.partition(".")
         if section not in _SECTIONS or not key:
             raise ValueError(f"unknown config key: {dotted!r}")
-        sub = dataclasses.replace(getattr(cfg, section))
+        sub = getattr(cfg, section)
         if not hasattr(sub, key):
             raise ValueError(f"unknown config key: {dotted!r}")
-        setattr(sub, key, _coerce(dotted, getattr(sub, key), raw))
-        setattr(cfg, section, sub)
+        value = _coerce(dotted, getattr(sub, key), raw)
+        setattr(cfg, section, dataclasses.replace(sub, **{key: value}))
     return cfg
 
 

@@ -455,7 +455,7 @@ def selector_backward(model: SelectorModel, cache, dweights, dparams):
     dout = np.empty(7)
     dout[:3] = softmax_backward(weights, dweights)
     dout[3:] = dparams * dparams_draw
-    grads, _ = model.net.backward(net_cache, dout)
+    grads = model.net.backward(net_cache, dout)
     return grads
 
 

@@ -3,9 +3,10 @@
 A fingerprint is one time-window's concatenated per-modality feature
 summaries plus a presence mask.  Sequences of fingerprints anchored
 by switch events accumulate into a per-user library with rolling retention
-and capacity-based eviction.  The module also provides the privacy side:
-salted identifier hashing and desensitized summaries that carry no raw
-identifiers and no absolute timestamps.
+and capacity-based eviction; the library holds the sequences alone.  The
+module also provides the privacy side: salted identifier hashing and
+desensitized summaries that carry no raw identifiers and no absolute
+timestamps.
 """
 
 import math
@@ -373,61 +374,19 @@ def sequence_content_id(feats: np.ndarray, pres: np.ndarray, kind: str,
     return f"p{fnv1a64(payload + kind.encode('utf-8'), salt):016x}"
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-class LengthGroup:
-    """Prototypes of one length m, as ``alignment.match`` scores them:
-    ``ids`` in entry order and their ``features`` (m, P, 14) and
-    ``present`` (m, P, 5) stacked time-major, both read-only.
-    ``scratch(key, build)`` keeps the workspace ``build()`` makes, once per
-    ``key``; ``match`` overwrites its buffers on every call.
-    """
-
-    __slots__ = ("ids", "features", "present", "_scratch")
-
-    def __init__(self, ids, features, present):
-        self.ids = tuple(ids)
-        self.features = _read_only(np.stack(features, axis=1))
-        self.present = _read_only(np.stack(present, axis=1))
-        self._scratch = {}
-
-    def scratch(self, key, build):
-        got = self._scratch.get(key)
-        if got is None:
-            got = self._scratch[key] = build()
-        return got
-
-
-def group_by_length(entries):
-    """Group ``(prototype_id, (features (T, 14), present (T, 5)))`` entries
-    by length T: one ``LengthGroup`` per length, lengths in order of first
-    appearance and members in entry order."""
-    by_length = {}
-    for pid, (feats, pres) in entries:
-        by_length.setdefault(feats.shape[0], []).append((pid, feats, pres))
-    return tuple(LengthGroup(*zip(*members)) for members in by_length.values())
-
-
 class FingerprintLibrary:
     """Per-user store of switch-anchored sequences with aging and capacity.
 
     Single-writer: commits and maintenance mutate the store; reads hand out
-    immutable sequences and are safe from other threads.  ``alignment.match``
-    on one library must not run concurrently: it writes the live window
-    into a stack, and costs and sweeps in buffers, that the library's plan
-    owns (the filters keep none).  ``version`` rises with every commit,
-    retention drop and capacity eviction, so a reader can tell whether what
-    it derived from the store is still current.
+    immutable sequences and are safe from other threads.  ``version`` rises
+    with every commit, retention drop and capacity eviction, so a reader can
+    tell whether what it derived from the store is still current.
     """
 
     def __init__(self, cfg: LibraryConfig | None = None):
         self.cfg = cfg or LibraryConfig()
         self.sequences: dict[str, FingerprintSequence] = {}
         self.version = 0
-        self._groups = (None, ())
 
     def __len__(self):
         return len(self.sequences)
@@ -441,15 +400,6 @@ class FingerprintLibrary:
     def items(self):
         for pid in sorted(self.sequences):
             yield pid, self.sequences[pid]
-
-    def length_groups(self):
-        """``group_by_length`` of the packed sequences in id order, the plan
-        ``alignment.match`` scores from; kept, with its workspaces, until
-        ``version`` changes."""
-        if self._groups[0] != self.version:
-            self._groups = (self.version, group_by_length(
-                (pid, seq.packed()) for pid, seq in self.items()))
-        return self._groups[1]
 
     def commit_segment(self, buffer: FingerprintSequence, event: SwitchEvent,
                        created_day: int = 0) -> str:
@@ -576,7 +526,8 @@ def read_sequence(path, label: SwitchEvent | None = None,
                   created_at: int = 0, prototype_id: str = "") -> FingerprintSequence:
     """The sequence ``write_sequence`` wrote; another header, a row of
     another width, a mask other than 0/1 or a bad value raises, naming the
-    file and line."""
+    file and line; fewer than 2 rows or rows out of time order raise,
+    naming the file."""
     with open(path, "r", encoding="utf-8") as f:
         lines = [(n, ln.strip()) for n, ln in enumerate(f, 1) if ln.strip()]
     if not lines or lines[0][1] != _HEADER:
@@ -594,7 +545,10 @@ def read_sequence(path, label: SwitchEvent | None = None,
                                        [v == "1" for v in parts[1 + N_FEATURES:]]))
         except ValueError as err:
             raise ValueError(f"{path}:{n}: {err}") from None
-    return FingerprintSequence(windows, label, created_at, prototype_id)
+    try:
+        return FingerprintSequence(windows, label, created_at, prototype_id)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def save_library(library: FingerprintLibrary, directory) -> None:

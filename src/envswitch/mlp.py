@@ -48,23 +48,14 @@ class TwoLayerNet:
         cache = (xb, h)
         return (y[0] if single else y), cache
 
-    def backward(self, cache, dy):
-        """Gradients of sum(dy * y) w.r.t. parameters and input.
-
-        Returns (grads_dict, dx) where dx matches the forward input shape.
-        """
+    def backward(self, cache, dy) -> dict:
+        """Gradients of sum(dy * y) w.r.t. the parameters, keyed by name."""
         xb, h = cache
         dy = np.asarray(dy, dtype=float)
-        single = dy.ndim == 1
-        dyb = dy[None, :] if single else dy
-        dw2 = dyb.T @ h
-        db2 = dyb.sum(axis=0)
+        dyb = dy[None, :] if dy.ndim == 1 else dy
         dh = (dyb @ self.w2) * (1.0 - h * h)
-        dw1 = dh.T @ xb
-        db1 = dh.sum(axis=0)
-        dx = dh @ self.w1
-        grads = {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
-        return grads, (dx[0] if single else dx)
+        return {"w1": dh.T @ xb, "b1": dh.sum(axis=0),
+                "w2": dyb.T @ h, "b2": dyb.sum(axis=0)}
 
     # -- flat parameter view (used by finite-difference checks and clipping) --
 

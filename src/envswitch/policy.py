@@ -183,7 +183,7 @@ def imitate(model: PolicyModel, states, actions, epochs: int = 150,
         probs = softmax(out[:, :n_actions])
         dlogits = (probs - onehot) / n
         dy = np.concatenate([dlogits, np.zeros((n, 1))], axis=1)
-        grads, _ = net.backward(cache, dy)
+        grads = net.backward(cache, dy)
         net = optimizer.step(net, grads)
     return PolicyModel(net)
 
@@ -318,7 +318,7 @@ def ppo_update(model: PolicyModel, batch, clip_eps: float = 0.2,
 
         dvalues = value_coef * 2.0 * (values - returns) / n
         dy = np.concatenate([dlogits, dvalues[:, None]], axis=1)
-        grads, _ = net.backward(cache, dy)
+        grads = net.backward(cache, dy)
         net = optimizer.step(net, grads)
     return PolicyModel(net)
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -1122,12 +1124,13 @@ def per_prototype(model, selector, live, lib, band, ctx):
 
 
 def arrays_in(obj, found=None):
-    """Every array reachable from ``obj`` through tuples, lists and slots."""
+    """Every array reachable from ``obj`` through tuples, lists, dict values
+    and slots."""
     found = [] if found is None else found
     if isinstance(obj, np.ndarray):
         found.append(obj)
-    elif isinstance(obj, (tuple, list)):
-        for item in obj:
+    elif isinstance(obj, (tuple, list, dict)):
+        for item in (obj.values() if isinstance(obj, dict) else obj):
             arrays_in(item, found)
     else:
         for name in getattr(type(obj), "__slots__", ()):
@@ -1181,7 +1184,8 @@ class TestScratch:
         for n in (6, 4, 6):
             results += match(model, selector, random_packed(rng, n), lib, 3, len(lib),
                              random_context(rng))
-        buffers = [a for g in lib.length_groups() for a in arrays_in(list(g._scratch.values()))]
+        buffers = [a for g in alignment._plans[lib][1]
+                   for a in arrays_in([g._embedded, g._workspaces])]
         assert len(buffers) > 50
         tables = [result._path.args[0] for _, result in results]
         assert len(tables) == 3 * len(lib)
@@ -1191,24 +1195,27 @@ class TestScratch:
 
     def test_warm_up_keeps_nothing_and_workspaces_own_their_buffers(self, rng):
         """A walk's warm-up windows, shorter than every prototype, add no
-        cost buffers or sweep tables to the plan; a group keeps one stack
-        per E, whatever the filter; the workspaces kept at the prototype
-        length share no memory with one another."""
+        cost buffers or sweep tables to the plan; a group keeps one
+        embedding per E, whatever the filter; the stack, the embedding and
+        the workspaces kept at the prototype length share no memory with
+        one another."""
         model = MetricModel.from_seed(2, noise=0.3)
+        E = alignment._kernel(model)[0].shape[0]
         lib = scratch_library(rng, [10] * 6)
         for n in range(2, 10):
             match(model, selector_for_kind("gaussian"), random_packed(rng, n), lib, 3,
                   len(lib), random_context(rng))
-        group, = lib.length_groups()
-        assert [type(w) for w in group._scratch.values()] == [alignment._Embedded]
+        group, = alignment._plans[lib][1]
+        assert group._workspaces == {} and list(group._embedded) == [E]
         for kind in FILTER_ORDER:
             for band in (2, 3):
                 match(model, selector_for_kind(kind), random_packed(rng, 10), lib, band,
                       len(lib), random_context(rng))
-        kept = Counter(type(w) for w in group._scratch.values())
-        assert kept == Counter({alignment._GroupScratch: 2, alignment._Embedded: 1})
+        assert list(group._embedded) == [E]
+        assert sorted(group._workspaces) == [(10, 2, E), (10, 3, E)]
+        assert all(type(w) is alignment._GroupScratch for w in group._workspaces.values())
         owned = [[a for a in arrays_in(w) if a.flags.writeable]
-                 for w in group._scratch.values()]
+                 for w in [group.stack, group._embedded[E], *group._workspaces.values()]]
         for i, mine in enumerate(owned):
             for other in owned[i + 1:]:
                 assert not any(np.shares_memory(a, b) for a in mine for b in other)
@@ -1255,8 +1262,9 @@ class TestLengthGroups:
         lib = self.library(rng, [6, 4, 6, 5], capacity=4)
         live = make_sequence(rng, 5)
         before = self.ranked(lib, live)
-        groups = lib.length_groups()
-        assert lib.length_groups() is groups
+        groups = alignment._plan(lib)
+        assert alignment._plan(lib) is groups
+        assert alignment._plans[lib] == (lib.version, groups)
         oldest = [pid for pid, seq in lib.items() if seq.created_at == 0]
         self.commit(lib, rng, 4, day=4)             # evicts day 0
         assert len(lib) == 4 and oldest[0] not in lib.sequences
@@ -1290,10 +1298,10 @@ class TestLengthGroups:
                    lambda: lib.maintain(lib.cfg.retention_days + 3))   # drops days 1, 2
         sizes = []
         for change in changes:
-            groups = lib.length_groups()
+            groups = alignment._plan(lib)
             change()
             sizes.append(len(lib))
-            assert lib.length_groups() is not groups
+            assert alignment._plan(lib) is not groups
             assert run(lib) == run(self.fresh(lib))
         assert sizes == [5, 5, 3]
 
@@ -1301,12 +1309,12 @@ class TestLengthGroups:
         lib = self.library(rng, [6, 4])
         live = make_sequence(rng, 6)
         model, selector = MetricModel.identity(), SelectorModel.zeros()
-        key = ("costs", 6, 2, alignment._kernel(model)[0].shape[0])
+        key = (6, 2, alignment._kernel(model)[0].shape[0])
         match(model, selector, live, lib, 2, 1, FilterContext())
         kept = []
-        for g in lib.length_groups():
+        for g in alignment._plan(lib):
             _, _, cols = _skew_index(6, len(g.features), 2)
-            present = g._scratch[key].present       # gathered by match
+            present = g._workspaces[key].present    # gathered by match
             assert present.tobytes() == np.take(g.present, cols, axis=0).tobytes()
             assert present.shape == (cols.size, len(g.ids), 5)
             kept.append(present)
@@ -1315,13 +1323,28 @@ class TestLengthGroups:
                     a.flat[0] = v
         match(model, selector, make_sequence(rng, 6), lib, 2, 1, FilterContext())
         assert len(kept) == 2
-        assert all(g._scratch[key].present is k for g, k in zip(lib.length_groups(), kept))
+        assert all(g._workspaces[key].present is k for g, k in zip(alignment._plan(lib), kept))
         keep, rows, cols = _skew_index(6, 4, 2)
         row_runs, col_runs, by_row = alignment._band_sums(6, 4, 2)
         for a, v in ((keep, False), (rows, 1), (cols, 1), (by_row, 1)) + tuple(
                 (a, 1) for run in row_runs + col_runs for a in run):
             with pytest.raises(ValueError):
                 a.flat[0] = v
+
+    def test_plan_released_with_its_library(self, rng):
+        """The plan cache holds its library weakly: once the library is
+        gone, so are its entry and the buffers of its groups."""
+        lib = self.library(rng, [6, 4])
+        self.ranked(lib, make_sequence(rng, 6))
+        version, groups = alignment._plans[lib]
+        assert version == lib.version and len(groups) == 2
+        library, stack = weakref.ref(lib), weakref.ref(groups[0].stack)
+        entries = len(alignment._plans)
+        del lib, groups
+        gc.collect()
+        assert library() is None and stack() is None
+        assert len(alignment._plans) == entries - 1
+        assert all(ref() is not None for ref in alignment._plans.keyrefs())
 
 
 class TestSchemaMismatch:

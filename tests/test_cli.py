@@ -253,9 +253,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["simulate", "--site", "Z"])
 
-    @pytest.mark.parametrize("command", ["simulate", "train", "evaluate"])
-    @pytest.mark.parametrize("flag, value", [("--sessions", "0"), ("--sessions", "-2"),
-                                             ("--rounds", "-1")])
+    @pytest.mark.parametrize("flag, value, command", [
+        ("--sessions", "0", "simulate"), ("--sessions", "0", "evaluate"),
+        ("--sessions", "-2", "simulate"), ("--sessions", "-2", "evaluate"),
+        ("--rounds", "-1", "train")])
     def test_counts_out_of_range_rejected(self, capsys, command, flag, value):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args([command, flag, value])
@@ -263,8 +264,22 @@ class TestParser:
         assert f"argument {flag}: must be at least" in capsys.readouterr().err
 
     def test_counts_at_their_least_accepted(self):
-        args = build_parser().parse_args(["evaluate", "--sessions", "1", "--rounds", "0"])
-        assert (args.sessions, args.rounds) == (1, 0)
+        args = build_parser().parse_args(["evaluate", "--sessions", "1"])
+        assert args.sessions == 1
+        assert build_parser().parse_args(["train", "--rounds", "0"]).rounds == 0
+
+    # train trains every site, and only train runs cloud-edge rounds: a flag
+    # a command would ignore is refused instead
+    @pytest.mark.parametrize("flag, value, command", [
+        ("--site", "A", "train"), ("--sessions", "0", "train"), ("--sessions", "-2", "train"),
+        ("--sessions", "3", "train"), ("--rounds", "-1", "simulate"),
+        ("--rounds", "-1", "evaluate"), ("--rounds", "5", "simulate"),
+        ("--rounds", "5", "evaluate")])
+    def test_flag_the_command_does_not_read_rejected(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_paper_session_counts(self):
         assert PAPER_SESSION_COUNTS == {"A": 5, "B": 10, "C": 6}
@@ -315,9 +330,19 @@ class TestConfigFile:
         ("ppo.clip_eps", "inf", "must be finite"),
         ("radio.wall_db", "-inf", "must be finite"),
         ("radio.wall_db", "6,8", r"takes 1 comma-separated value\(s\), got 2"),
+        # a window or scan period <= 0 hung the loop stepping by it, and a
+        # distill period of 0 divided by zero after a whole round
+        ("window.window_s", "0", r"must be > 0, got 0.0"),
+        ("window.window_s", "-1", r"must be > 0, got -1.0"),
+        ("device.scan_period_s", "0", r"must be > 0, got 0.0"),
+        ("device.scan_period_s", "-1", r"must be > 0, got -1.0"),
+        ("device.boosted_period_s", "0", r"must be > 0, got 0.0"),
+        ("device.boosted_period_s", "-1", r"must be > 0, got -1.0"),
+        ("cloudedge.distill_period", "0", r"must be at least 1, got 0"),
+        ("cloudedge.distill_period", "-1", r"must be at least 1, got -1"),
     ])
     def test_invalid_values_rejected_when_loaded(self, tmp_path, dotted, text, message):
-        # each of these was stored as given and failed, or silently did
+        # each of these was stored as given and failed, hung or silently did
         # nothing, only where the pipeline first read it
         path = tmp_path / "run.cfg"
         path.write_text(f"{dotted} = {text}\n")

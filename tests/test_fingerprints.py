@@ -301,6 +301,24 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 20 fields, got 21")):
             read_sequence(path)
 
+    def test_rows_out_of_time_order_refused(self, rng, tmp_path):
+        def swap(lines):
+            lines[2], lines[3] = lines[3], lines[2]
+
+        path = self.write_rows(rng, tmp_path, swap)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: window timestamps must be strictly increasing")):
+            read_sequence(path)
+
+    def test_one_row_refused(self, rng, tmp_path):
+        def keep_one(lines):
+            del lines[2:]
+
+        path = self.write_rows(rng, tmp_path, keep_one)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: a sequence needs at least 2 windows to warp")):
+            read_sequence(path)
+
     def test_short_row_refused(self, rng, tmp_path):
         def shorten(lines):
             lines[4] = lines[4].rsplit(",", 1)[0]
