@@ -1185,7 +1185,7 @@ class TestScratch:
             results += match(model, selector, random_packed(rng, n), lib, 3, len(lib),
                              random_context(rng))
         buffers = [a for g in alignment._plans[lib][1]
-                   for a in arrays_in([g._embedded, g._workspaces])]
+                   for a in arrays_in([g.stack, g._embedded, g._workspaces])]
         assert len(buffers) > 50
         tables = [result._path.args[0] for _, result in results]
         assert len(tables) == 3 * len(lib)
