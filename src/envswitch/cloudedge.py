@@ -11,12 +11,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import EngineConfig
+from .config import CloudEdgeConfig, EngineConfig
 from .fingerprints import fnv1a64, hash_identifier
 from .mlp import TwoLayerNet, softmax
 from .policy import (N_ACTIONS, STATE_DIM, MatcherStack, PolicyModel,
-                     RewardWeights, Trajectory, batch_advantages, ppo_update,
-                     rollout, trigger_guide)
+                     Trajectory, batch_advantages, ppo_update, rollout)
 from .serialize import dump_tensors, fmt, parse_tensors
 from .sim import generate  # unused here; bench/spans.py wraps this name
 
@@ -58,7 +57,7 @@ class EdgeSummary:
 
 
 def summarize_trajectory(traj: Trajectory, edge_id: str, salt: str,
-                         quant: float = 0.01) -> EdgeSummary:
+                         quant: float) -> EdgeSummary:
     """Quantize an episode's last step, which carries its direct feedback,
     into one wire record; withheld feedback ships no record."""
     records = ()
@@ -125,9 +124,9 @@ def _reward_inputs(states, actions):
     return np.concatenate([states, onehot], axis=1)
 
 
-def fit_reward_model(model: RewardModel, batch, epochs: int = 40,
-                     step_size: float = 0.05) -> RewardModel:
-    """Squared-error regression of predicted feedback onto recorded feedback."""
+def fit_reward_model(model: RewardModel, batch, ce: CloudEdgeConfig) -> RewardModel:
+    """Squared-error regression of predicted feedback onto recorded feedback,
+    ``ce.reward_model_epochs`` gradient steps of ``ce.reward_model_step``."""
     states, actions, hfs = batch
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.shape[0] == 0:
@@ -136,13 +135,13 @@ def fit_reward_model(model: RewardModel, batch, epochs: int = 40,
     y = np.asarray(hfs, dtype=float)
     net = model.net.copy()
     n = x.shape[0]
-    for _ in range(max(0, epochs)):
+    for _ in range(max(0, ce.reward_model_epochs)):
         out, cache = net.forward(x)
         pred = np.tanh(out[:, 0])
         err = pred - y
         dy = (2.0 / n) * err * (1.0 - pred * pred)
         grads = net.backward(cache, dy[:, None])
-        net = net.step(grads, step_size)
+        net = net.step(grads, ce.reward_model_step)
     return RewardModel(net)
 
 
@@ -175,21 +174,19 @@ class RoundState:
     mean_rewards: list = field(default_factory=list)
 
 
-def run_round(state: RoundState, edges, cfg: EngineConfig | None = None,
+def run_round(state: RoundState, edges, cfg: EngineConfig,
               seed: int = 0) -> RoundState:
     """Execute one cloud-edge round; returns the updated RoundState.
 
     Order of events: edge rollouts -> summaries + trajectories, cloud
     aggregation, reward-model fit on direct feedback, HF substitution for
     withheld episodes, PPO update, then distillation every
-    ``distill_period`` rounds.
+    ``distill_period`` rounds.  Every setting comes from ``cfg``, except
+    that each edge's rollouts read its stack's ``cfg``.
     """
-    cfg = cfg or EngineConfig()
     ce = cfg.cloudedge
     if state.round_index >= state.n_rounds:
         raise ValueError("round budget exhausted")
-    weights = RewardWeights(cfg.reward.eta, cfg.reward.lam, cfg.reward.gamma_hf)
-    guide = trigger_guide(cfg)
     # guided exploration anneals to zero so the final rounds are on-policy
     progress = state.round_index / max(1.0, 0.6 * state.n_rounds)
     guide_eps = cfg.ppo.guide_eps * max(0.0, 1.0 - progress)
@@ -205,8 +202,7 @@ def run_round(state: RoundState, edges, cfg: EngineConfig | None = None,
             trace = pool[i]
             traj = rollout(edge.policy, trace.scenario, edge.stack,
                            mode="sample", seed=int(edge_rng.integers(2 ** 62)),
-                           trace=trace, weights=weights, guide=guide,
-                           guide_eps=guide_eps)
+                           trace=trace, guide_eps=guide_eps)
             withheld = edge_rng.random() < ce.hf_withheld_fraction
             if withheld:
                 traj = replace(traj, hf=None)
@@ -218,9 +214,7 @@ def run_round(state: RoundState, edges, cfg: EngineConfig | None = None,
     states, actions, hfs = aggregate(inbox)
     reward_model = state.reward_model
     if hfs.size:
-        reward_model = fit_reward_model(reward_model, (states, actions, hfs),
-                                        ce.reward_model_epochs,
-                                        ce.reward_model_step)
+        reward_model = fit_reward_model(reward_model, (states, actions, hfs), ce)
 
     # direct feedback is used verbatim; the model only fills the gaps
     filled = []
@@ -232,12 +226,9 @@ def run_round(state: RoundState, edges, cfg: EngineConfig | None = None,
         else:
             filled.append(traj)
 
-    new_policy = ppo_update(
-        state.cloud_policy, filled, cfg.ppo.clip_eps, cfg.ppo.epochs,
-        cfg.ppo.step_size, cfg.ppo.gae_lambda, cfg.ppo.discount,
-        cfg.ppo.entropy_coef, cfg.ppo.value_coef, weights)
+    new_policy = ppo_update(state.cloud_policy, filled, cfg.ppo, cfg.reward)
 
-    mean_reward = float(np.mean([t.total_reward(weights) for t in filled]))
+    mean_reward = float(np.mean([t.total_reward(cfg.reward) for t in filled]))
     next_index = state.round_index + 1
     if next_index % ce.distill_period == 0 or next_index == state.n_rounds:
         for edge in edges:
@@ -254,22 +245,21 @@ def run_round(state: RoundState, edges, cfg: EngineConfig | None = None,
 # ---------------------------------------------------------------------------
 
 
-def offline_update(policy: PolicyModel, log, step_size: float = 0.05,
-                   temperature: float = 1.0, max_norm: float = 0.5,
-                   discount: float = 0.99, gae_lambda: float = 0.95,
-                   weights: RewardWeights | None = None) -> PolicyModel:
+def offline_update(policy: PolicyModel, log, cfg: EngineConfig,
+                   step_size: float = 0.05, temperature: float = 1.0,
+                   max_norm: float = 0.5) -> PolicyModel:
     """Advantage-weighted, behavior-cloning-style update from a local log.
 
     No new rollouts: each logged action is imitated with weight
-    exp(advantage / temperature); the parameter change is max-norm clipped so
-    one offline pass can never jump far from the deployed policy.  The
-    rounds do not run it; it stays because bench/spans.py rebinds
+    exp(advantage / temperature), advantages from ``batch_advantages(log,
+    cfg.ppo, cfg.reward)``; the parameter change is max-norm clipped so one
+    offline pass can never jump far from the deployed policy.  The rounds
+    do not run it; it stays because bench/spans.py rebinds
     ``envswitch.cli.offline_update``.
     """
     if not log:
         raise ValueError("empty trajectory log")
-    weights = weights or RewardWeights()
-    adv, _ = batch_advantages(log, weights, discount, gae_lambda)
+    adv, _ = batch_advantages(log, cfg.ppo, cfg.reward)
     states = np.concatenate([traj.states for traj in log])
     actions = np.concatenate([traj.actions for traj in log]).astype(int)
     weights_awr = np.minimum(np.exp(adv / temperature), 20.0)

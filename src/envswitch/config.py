@@ -19,13 +19,13 @@ import math
 from dataclasses import dataclass, field
 
 
-def _refuse_periods(section: str, cfg, *keys):
-    """Refuse a period that is not > 0, naming ``section.key``: a loop
-    stepping by it would never end."""
-    for key in keys:
-        if not getattr(cfg, key) > 0:
-            raise ValueError(f"config key '{section}.{key}' must be > 0, "
-                             f"got {getattr(cfg, key)!r}")
+def _require(section: str, cfg, key: str, ok: bool, want: str):
+    """Refuse the value of ``section.key`` unless ``ok``, naming the key and
+    what it must be, so that a value that would hang the pipeline, fill its
+    models with NaN or fail only mid-run is refused when it is read."""
+    if not ok:
+        raise ValueError(f"config key '{section}.{key}' must be {want}, "
+                         f"got {getattr(cfg, key)!r}")
 
 
 @dataclass
@@ -36,7 +36,7 @@ class WindowConfig:
     buffer_windows: int = 10       # pre-switch buffer length (10 s at 1 s windows)
 
     def __post_init__(self):
-        _refuse_periods("window", self, "window_s")
+        _require("window", self, "window_s", self.window_s > 0, "> 0")
 
 
 @dataclass
@@ -158,6 +158,13 @@ class RewardConfig:
     # the baseline threshold); leaving a good link early forfeits it
     healthy_link_bonus: float = 0.15
 
+    def __post_init__(self):
+        for key in ("eta", "lam", "gamma_hf"):
+            _require("reward", self, key, getattr(self, key) >= 0, ">= 0")
+        if self.eta == self.lam == self.gamma_hf == 0:
+            raise ValueError("config keys 'reward.eta', 'reward.lam' and "
+                             "'reward.gamma_hf' must not all be 0")
+
 
 @dataclass
 class PpoConfig:
@@ -171,6 +178,9 @@ class PpoConfig:
     guide_eps: float = 0.5   # trigger-rule exploration mix during training
     hidden: int = 32
 
+    def __post_init__(self):
+        _require("ppo", self, "clip_eps", 0 < self.clip_eps < 1, "in (0, 1)")
+
 
 @dataclass
 class CloudEdgeConfig:
@@ -183,9 +193,9 @@ class CloudEdgeConfig:
     state_quant: float = 0.01           # summary tuple quantization grid
 
     def __post_init__(self):
-        if not self.distill_period >= 1:
-            raise ValueError("config key 'cloudedge.distill_period' must be at least 1, "
-                             f"got {self.distill_period!r}")
+        for key in ("distill_period", "episodes_per_edge"):
+            _require("cloudedge", self, key, getattr(self, key) >= 1, "at least 1")
+        _require("cloudedge", self, "state_quant", self.state_quant > 0, "> 0")
 
 
 @dataclass
@@ -198,7 +208,8 @@ class DeviceConfig:
     wifi_stale_s: float = 4.0           # scans older than this mark WiFi absent
 
     def __post_init__(self):
-        _refuse_periods("device", self, "scan_period_s", "boosted_period_s")
+        _require("device", self, "scan_period_s", self.scan_period_s > 0, "> 0")
+        _require("device", self, "boosted_period_s", self.boosted_period_s > 0, "> 0")
 
 
 @dataclass

@@ -17,7 +17,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import alignment
-from .config import EngineConfig
+from .config import EngineConfig, PpoConfig, RewardConfig
 from .filters import context_from_windows
 from .fingerprints import FEATURE_NAMES, MODALITIES, N_FEATURES
 from .mlp import Adam, TwoLayerNet, softmax
@@ -56,19 +56,6 @@ def normalize_rssi(dbm: float) -> float:
 
 
 @dataclass
-class RewardWeights:
-    eta: float = 1.0
-    lam: float = 0.5
-    gamma_hf: float = 2.0
-
-    def __post_init__(self):
-        if min(self.eta, self.lam, self.gamma_hf) < 0.0:
-            raise ValueError("reward weights must be nonnegative")
-        if self.eta == self.lam == self.gamma_hf == 0.0:
-            raise ValueError("at least one reward weight must be positive")
-
-
-@dataclass
 class PolicyModel:
     """Small map from state features to 4 action logits plus a value head."""
 
@@ -100,8 +87,8 @@ def act(model: PolicyModel, state, mode: str = "sample", rng=None,
         guide: int | None = None, guide_eps: float = 0.0):
     """Pick an action; returns (action_index, log_prob, value).
 
-    ``sample`` draws from the softmax; ``greedy`` takes the argmax with
-    lowest-index tie-break.  Deterministic given (model, state, rng state).
+    ``sample`` draws from the softmax with the required ``rng``; ``greedy``
+    takes the lowest-index argmax.  Deterministic given (model, state, rng).
     With a ``guide`` action index, ``sample`` draws from the behaviour
     mixture (1 - guide_eps) * policy + guide_eps * onehot(guide) and returns
     the mixture's log-prob, so the PPO ratio stays a valid importance weight.
@@ -117,10 +104,12 @@ def act(model: PolicyModel, state, mode: str = "sample", rng=None,
     if mode == "greedy":
         idx = int(probs.argmax())
     elif mode == "sample":
+        if rng is None:
+            raise ValueError("act samples with a generator; pass rng=")
         if guide is not None:
             probs = (1.0 - guide_eps) * probs
             probs[guide] += guide_eps
-        idx = _draw(probs, rng if rng is not None else np.random.default_rng(0))
+        idx = _draw(probs, rng)
     else:
         raise ValueError(f"unknown mode: {mode!r}")
     return idx, float(np.log(probs[idx])), row[-1]
@@ -236,31 +225,31 @@ class Trajectory:
     baseline_tts: float = 0.0
     trace_checksum: str = ""
 
-    def rewards_with(self, weights: RewardWeights, hf_value: float) -> np.ndarray:
+    def rewards_with(self, reward: RewardConfig, hf_value: float) -> np.ndarray:
         r = self.step_rewards.copy()
-        r[self.terminal_step] += weights.eta * self.dtime + weights.gamma_hf * hf_value
+        r[self.terminal_step] += reward.eta * self.dtime + reward.gamma_hf * hf_value
         return r
 
-    def total_reward(self, weights: RewardWeights) -> float:
+    def total_reward(self, reward: RewardConfig) -> float:
         """Summed reward, withheld feedback counting as 0."""
-        return float(self.rewards_with(weights, 0.0 if self.hf is None else self.hf).sum())
+        return float(self.rewards_with(reward, 0.0 if self.hf is None else self.hf).sum())
 
 
-def batch_advantages(batch, weights: RewardWeights, discount: float,
-                     gae_lambda: float):
-    """Per-episode GAE over a batch, concatenated and batch-normalized.
+def batch_advantages(batch, ppo: PpoConfig, reward: RewardConfig):
+    """Per-episode GAE (``ppo.discount``, ``ppo.gae_lambda``) of the rewards
+    weighted by ``reward``, concatenated and batch-normalized.
 
     Withheld feedback counts as 0.  Returns (advantages, returns); the
     returns are the unnormalized GAE returns the value head regresses on.
     """
     advantages, returns = [], []
     for traj in batch:
-        rewards = traj.rewards_with(weights, 0.0 if traj.hf is None else traj.hf)
+        rewards = traj.rewards_with(reward, 0.0 if traj.hf is None else traj.hf)
         # the per-scenario baseline-TTS term inside dtime is a constant the
         # policy cannot influence; subtracting it is a per-episode reward
         # baseline that leaves the optimum unchanged and de-noises advantages
-        rewards[traj.terminal_step] -= weights.eta * traj.baseline_tts
-        adv, ret = gae_advantages(rewards, traj.values, discount, gae_lambda)
+        rewards[traj.terminal_step] -= reward.eta * traj.baseline_tts
+        adv, ret = gae_advantages(rewards, traj.values, ppo.discount, ppo.gae_lambda)
         advantages.append(adv)
         returns.append(ret)
     advantages = np.concatenate(advantages)
@@ -270,36 +259,29 @@ def batch_advantages(batch, weights: RewardWeights, discount: float,
     return advantages, np.concatenate(returns)
 
 
-def ppo_update(model: PolicyModel, batch, clip_eps: float = 0.2,
-               epochs: int = 4, step_size: float = 0.02,
-               gae_lambda: float = 0.95, discount: float = 0.99,
-               entropy_coef: float = 0.01, value_coef: float = 0.5,
-               weights: RewardWeights | None = None) -> PolicyModel:
-    """Clipped-surrogate PPO over a batch of trajectories.
+def ppo_update(model: PolicyModel, batch, ppo: PpoConfig,
+               reward: RewardConfig) -> PolicyModel:
+    """Clipped-surrogate PPO over a batch of trajectories, set by ``ppo``.
 
-    Advantages come from GAE per episode, normalized across the batch; the
-    value head trains on the GAE returns; an entropy bonus keeps exploration
-    alive.  Returns a new model (plain gradient steps).
+    Advantages come from ``batch_advantages(batch, ppo, reward)``; the value
+    head trains on the GAE returns; an entropy bonus keeps exploration
+    alive.  Returns a new model after ``ppo.epochs`` Adam steps.
     """
     if not batch:
         raise ValueError("empty trajectory batch")
-    if not 0.0 < clip_eps < 1.0:
-        raise ValueError("clip epsilon must lie in (0, 1)")
-    weights = weights or RewardWeights()
 
-    advantages, returns = batch_advantages(batch, weights, discount,
-                                           gae_lambda)
+    advantages, returns = batch_advantages(batch, ppo, reward)
     states = np.concatenate([traj.states for traj in batch])
     actions = np.concatenate([traj.actions for traj in batch]).astype(int)
     old_logp = np.concatenate([traj.log_probs for traj in batch])
 
     net = model.net.copy()
-    optimizer = Adam(net, lr=step_size)
+    optimizer = Adam(net, lr=ppo.step_size)
     n = states.shape[0]
     n_actions = model.n_actions
     onehot = np.zeros((n, n_actions))
     onehot[np.arange(n), actions] = 1.0
-    for _ in range(max(0, epochs)):
+    for _ in range(max(0, ppo.epochs)):
         out, cache = net.forward(states)
         logits, values = out[:, :n_actions], out[:, n_actions]
         probs = softmax(logits)
@@ -308,15 +290,15 @@ def ppo_update(model: PolicyModel, batch, clip_eps: float = 0.2,
         ratio = np.exp(logp - old_logp)
         raw = ratio * advantages
         # min(r*A, clip(r)*A) only passes gradient where the raw term is active
-        use_raw = clipped_surrogate(ratio, advantages, clip_eps) == raw
+        use_raw = clipped_surrogate(ratio, advantages, ppo.clip_eps) == raw
         coef = np.where(use_raw, raw, 0.0) / n
         dlogits = -coef[:, None] * (onehot - probs)
 
         # entropy bonus: H = -sum p log p; dH/dlogits = -p * (logp + H)
         entropy = -(probs * logp_all).sum(axis=1)
-        dlogits += entropy_coef / n * (probs * (logp_all + entropy[:, None]))
+        dlogits += ppo.entropy_coef / n * (probs * (logp_all + entropy[:, None]))
 
-        dvalues = value_coef * 2.0 * (values - returns) / n
+        dvalues = ppo.value_coef * 2.0 * (values - returns) / n
         dy = np.concatenate([dlogits, dvalues[:, None]], axis=1)
         grads = net.backward(cache, dy)
         net = optimizer.step(net, grads)
@@ -409,9 +391,7 @@ def trigger_guide(cfg: EngineConfig):
 
 
 def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
-            seed: int = 0, trace: RawTrace | None = None,
-            weights: RewardWeights | None = None,
-            guide=None, guide_eps: float = 0.0) -> Trajectory:
+            seed: int = 0, *, trace: RawTrace, guide_eps: float = 0.0) -> Trajectory:
     """Step the simulated trace at 1 Hz and let the policy act.
 
     Action effects: scan_boost halves scan-age growth for a while,
@@ -420,16 +400,15 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
     the handover step; any other keeps stepping inertly to the horizon, so
     every training rollout sees the same states.  Steps before the switch
     read one ``fingerprint_at`` window each; inert steps read none.
-    Per-step reward is lam * similarity plus shaping (trigger hint, healthy
-    link credit); the completion step adds eta * dtime + gamma_hf * HF.
-    ``trace`` is the scenario's generated trace and is required.
+    Every setting comes from ``stack.cfg``.  Per-step reward is lam *
+    similarity plus shaping (trigger hint, healthy link credit); the
+    completion step adds eta * dtime + gamma_hf * HF.  With ``guide_eps`` >
+    0, ``sample`` mixes ``trigger_guide(stack.cfg)`` into each draw before
+    the switch (see ``act``).  ``trace`` is replayed; ``scenario`` is unread.
     """
     cfg = stack.cfg
     rng = np.random.default_rng(seed)
-    weights = weights or RewardWeights(cfg.reward.eta, cfg.reward.lam,
-                                       cfg.reward.gamma_hf)
-    if trace is None:
-        raise ValueError("rollout replays a generated trace; pass trace=")
+    guide = trigger_guide(cfg) if guide_eps > 0.0 else None
     base_completion, _ = baseline_policy(
         trace, cfg.baseline.threshold_dbm, cfg.baseline.hysteresis_db,
         cfg.baseline.dwell_s, cfg.baseline.assoc_delay_s)
@@ -511,7 +490,7 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
         else:
             # training rollouts mix the trigger rule in until the switch
             guide_idx = None
-            if guide is not None and guide_eps > 0.0 and not switched:
+            if guide is not None and not switched:
                 guide_idx = ACTIONS.index(guide(t, state, pre_associated))
             idx, logp, value = act(policy, feats, mode, rng, guide_idx,
                                    guide_eps)
@@ -519,7 +498,7 @@ def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
 
         reward = 0.0
         if not switched:
-            reward = weights.lam * sim_top
+            reward = cfg.reward.lam * sim_top
             if rssi >= cfg.baseline.threshold_dbm:
                 reward += cfg.reward.healthy_link_bonus
             bonus = cfg.reward.shaping_bonus

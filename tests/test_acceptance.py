@@ -20,12 +20,12 @@ import pytest
 import envswitch
 from envswitch.alignment import (BandTooNarrowError, MetricModel, dtw,
                                  margin_loss_grads, soft_dtw, train_metric)
-from envswitch.config import EngineConfig
+from envswitch.config import EngineConfig, PpoConfig, RewardConfig
 from envswitch.fingerprints import (MODALITIES, contains_identifier_leak,
                                     desensitize)
 from envswitch.filters import apply_elp, apply_gaussian, apply_kalman
-from envswitch.policy import (PolicyModel, RewardWeights, Trajectory, act,
-                              clipped_surrogate, ppo_update)
+from envswitch.policy import (PolicyModel, Trajectory, act, clipped_surrogate,
+                              ppo_update)
 
 import golden
 from conftest import make_sequence, random_packed
@@ -237,9 +237,10 @@ def test_criterion_5_ppo_correctness():
         model = PolicyModel.from_seed(seed, hidden=16, n_inputs=2, n_actions=2)
         for _ in range(200):
             batch = [toy_episode(model, rng) for _ in range(4)]
-            model = ppo_update(model, batch, clip_eps=0.2, epochs=4,
-                               step_size=0.08,
-                               weights=RewardWeights(0.0, 1.0, 0.0))
+            model = ppo_update(model, batch,
+                               PpoConfig(clip_eps=0.2, epochs=4, step_size=0.08,
+                                         entropy_coef=0.01),
+                               RewardConfig(eta=0.0, lam=1.0, gamma_hf=0.0))
         ok = all(act(model, np.eye(2)[s], "greedy")[0] == s for s in range(2))
         wins += ok
     report(5, wins >= 9, f"clip unit cases exact; toy environment optimal in {wins}/10 seeds")

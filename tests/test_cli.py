@@ -316,6 +316,8 @@ class TestConfigFile:
                 continue
             # a tuple takes as many values as its default holds
             text = ",".join(["2"] * len(current)) if isinstance(current, tuple) else "2"
+            if dotted == "ppo.clip_eps":
+                text = "0.5"                    # 2 is outside (0, 1)
             cfg = apply_overrides(base, [(dotted, text)])
             assert getattr(cfg, section.name) is not getattr(base, section.name)
             assert getattr(getattr(base, section.name), key) is current
@@ -340,6 +342,17 @@ class TestConfigFile:
         ("device.boosted_period_s", "-1", r"must be > 0, got -1.0"),
         ("cloudedge.distill_period", "0", r"must be at least 1, got 0"),
         ("cloudedge.distill_period", "-1", r"must be at least 1, got -1"),
+        # a clip of 2 was refused only after a whole round of rollouts, a
+        # negative weight never, a grid of 0 made the models NaN, and no
+        # episodes failed the first round after pre-training
+        ("reward.eta", "-1", r"must be >= 0, got -1.0"),
+        ("reward.lam", "-1", r"must be >= 0, got -1.0"),
+        ("reward.gamma_hf", "-1", r"must be >= 0, got -1.0"),
+        ("ppo.clip_eps", "0", r"must be in \(0, 1\), got 0.0"),
+        ("ppo.clip_eps", "1", r"must be in \(0, 1\), got 1.0"),
+        ("cloudedge.state_quant", "0", r"must be > 0, got 0.0"),
+        ("cloudedge.state_quant", "-0.01", r"must be > 0, got -0.01"),
+        ("cloudedge.episodes_per_edge", "0", r"must be at least 1, got 0"),
     ])
     def test_invalid_values_rejected_when_loaded(self, tmp_path, dotted, text, message):
         # each of these was stored as given and failed, hung or silently did
@@ -347,6 +360,13 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text(f"{dotted} = {text}\n")
         with pytest.raises(ValueError, match=rf"'{re.escape(dotted)}' {message}"):
+            load_config(path)
+
+    def test_all_reward_weights_zero_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("reward.eta = 0\nreward.lam = 0\nreward.gamma_hf = 0\n")
+        with pytest.raises(ValueError, match=r"'reward.eta', 'reward.lam' and "
+                                             r"'reward.gamma_hf' must not all be 0"):
             load_config(path)
 
     def test_dict_field_override_is_rejected(self, tmp_path):

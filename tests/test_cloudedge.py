@@ -124,7 +124,7 @@ class TestWireFormats:
 
     def test_withheld_episode_ships_nothing(self, rng):
         traj = dataclasses.replace(make_trajectory(rng), hf=None)
-        summary = summarize_trajectory(traj, "e", "s")
+        summary = summarize_trajectory(traj, "e", "s", 0.01)
         assert summary.records == ()
         assert aggregate([summary])[0].shape == (0, 7)
 
@@ -135,21 +135,24 @@ class TestRewardModel:
         actions = rng.integers(0, 4, size=60)
         hfs = np.ones(60)
         model = RewardModel.from_seed(0)
-        model = fit_reward_model(model, (states, actions, hfs), epochs=300,
-                                 step_size=0.1)
+        ce = dataclasses.replace(CFG.cloudedge, reward_model_epochs=300,
+                                 reward_model_step=0.1)
+        model = fit_reward_model(model, (states, actions, hfs), ce)
         preds = model.predict(states, actions)
         assert abs(float(preds.mean()) - 1.0) < 0.1
 
     def test_zero_epochs_unchanged(self, rng):
         model = RewardModel.from_seed(1)
         batch = (rng.normal(0, 1, (5, 7)), rng.integers(0, 4, 5), rng.normal(0, 1, 5))
-        out = fit_reward_model(model, batch, epochs=0)
+        out = fit_reward_model(
+            model, batch, dataclasses.replace(CFG.cloudedge, reward_model_epochs=0))
         assert np.array_equal(out.net.to_vector(), model.net.to_vector())
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             fit_reward_model(RewardModel.from_seed(0),
-                             (np.zeros((0, 7)), np.zeros(0, int), np.zeros(0)))
+                             (np.zeros((0, 7)), np.zeros(0, int), np.zeros(0)),
+                             CFG.cloudedge)
 
     def test_gradient_matches_finite_difference(self, rng):
         # one-step descent with tiny lr approximates -lr * dL/dtheta
@@ -158,8 +161,8 @@ class TestRewardModel:
         hfs = rng.uniform(-1, 1, size=12)
         model = RewardModel.from_seed(2)
         lr = 1e-6
-        stepped = fit_reward_model(model, (states, actions, hfs), epochs=1,
-                                   step_size=lr)
+        stepped = fit_reward_model(model, (states, actions, hfs), dataclasses.replace(
+            CFG.cloudedge, reward_model_epochs=1, reward_model_step=lr))
         implied_grad = (model.net.to_vector() - stepped.net.to_vector()) / lr
         vec = model.net.to_vector()
         h = 1e-5
@@ -345,12 +348,12 @@ class TestRunRound:
 class TestOfflineUpdate:
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
-            offline_update(PolicyModel.zeros(), [])
+            offline_update(PolicyModel.zeros(), [], CFG)
 
     def test_bounded_change_and_finite(self, rng):
         policy = PolicyModel.from_seed(5)
         log = [make_trajectory(rng) for _ in range(4)]
-        out = offline_update(policy, log, step_size=0.5, max_norm=0.5)
+        out = offline_update(policy, log, CFG, step_size=0.5, max_norm=0.5)
         delta = out.net.to_vector() - policy.net.to_vector()
         assert np.all(np.isfinite(delta))
         assert float(np.max(np.abs(delta))) <= 0.5 + 1e-12
@@ -388,7 +391,7 @@ class TestOfflineUpdate:
         log = expert_log()
         updated = policy
         for _ in range(10):
-            updated = offline_update(updated, log, step_size=0.2)
+            updated = offline_update(updated, log, CFG, step_size=0.2)
         after = agreement(updated)
         assert after > before
 
@@ -404,6 +407,6 @@ class TestOfflineUpdate:
                              lib, 3, CFG)
         log = [rollout(policy, scenario, stack, mode="sample", seed=s,
                        trace=trace) for s in range(3)]
-        out = offline_update(policy, log)
+        out = offline_update(policy, log, CFG)
         delta = np.max(np.abs(out.net.to_vector() - policy.net.to_vector()))
         assert np.isfinite(delta) and delta <= 0.5 + 1e-12

@@ -7,12 +7,12 @@ import pytest
 
 from envswitch import alignment, filters, policy as policy_module
 from envswitch.alignment import MetricModel, make_alignment_loss
-from envswitch.config import EngineConfig
+from envswitch.config import EngineConfig, PpoConfig, RewardConfig
 from envswitch.fingerprints import FingerprintLibrary, SwitchEvent
 from envswitch.filters import FilterContext, SelectorModel
 from envswitch.mlp import softmax
 from envswitch.policy import (ACTIONS, MatcherStack, PolicyModel, PolicyState,
-                              RewardWeights, ScriptedPolicy, Trajectory, _draw,
+                              ScriptedPolicy, Trajectory, _draw,
                               act, clipped_surrogate,
                               gae_advantages, imitate, ppo_update, rollout,
                               trigger_guide)
@@ -96,6 +96,11 @@ class TestAct:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             act(PolicyModel.zeros(), PolicyState(), "psychic")
+
+    def test_sample_without_rng_raises(self):
+        # a fixed fallback generator drew the same action on every call
+        with pytest.raises(ValueError, match="rng"):
+            act(PolicyModel.from_seed(3), PolicyState(similarity=0.7), "sample")
 
     @pytest.mark.parametrize("eps", [0.3, 1.0])
     def test_guided_sample_draws_from_the_mixture(self, rng, eps):
@@ -187,9 +192,9 @@ class TestDraw:
 class TestCompositeReward:
     def test_weights_validate(self):
         with pytest.raises(ValueError):
-            RewardWeights(eta=0.0, lam=0.0, gamma_hf=0.0)
+            RewardConfig(eta=0.0, lam=0.0, gamma_hf=0.0)
         with pytest.raises(ValueError):
-            RewardWeights(eta=-1.0)
+            RewardConfig(eta=-1.0)
 
 
 class TestClippedSurrogate:
@@ -231,9 +236,9 @@ class TestClippedSurrogate:
             batch = [Trajectory(states=states, actions=actions,
                                 log_probs=old_logp, values=np.zeros(6),
                                 step_rewards=rewards, hf=0.0, terminal_step=5)]
-            return ppo_update(model, batch, clip_eps=0.2, epochs=1,
-                              discount=0.0, entropy_coef=0.0,
-                              value_coef=0.0).net.to_vector()
+            ppo = PpoConfig(clip_eps=0.2, epochs=1, step_size=0.02,
+                            discount=0.0, entropy_coef=0.0, value_coef=0.0)
+            return ppo_update(model, batch, ppo, RewardConfig()).net.to_vector()
 
         assert update([]).tobytes() == model.net.to_vector().tobytes()
         # control: one sample inside the clip range moves the parameters
@@ -294,6 +299,20 @@ class TestRollout:
         assert a.completion == b.completion
         assert a.hf == b.hf
 
+    def test_guided_sample_takes_the_trigger_rule_before_the_switch(self, rng):
+        scenario, trace, stack = build_stack(rng)
+        guide = trigger_guide(stack.cfg)
+        traj = rollout(PolicyModel.from_seed(1), scenario, stack, mode="sample",
+                       seed=9, trace=trace, guide_eps=1.0)
+        switch = int(traj.action_time)          # the handover is step `switch`
+        pre_associated = False
+        for t, (feats, idx) in enumerate(zip(traj.states[:switch].tolist(),
+                                             traj.actions[:switch].tolist()), 1):
+            assert ACTIONS[idx] == guide(float(t), PolicyState(*feats), pre_associated)
+            pre_associated = pre_associated or ACTIONS[idx] == "pre_associate"
+        assert ACTIONS[traj.actions[switch - 1]] == "handover"
+        assert pre_associated and not traj.log_probs[:switch].any()
+
     def test_runs_to_horizon_regardless_of_switch(self, rng):
         scenario, trace, stack = build_stack(rng)
         traj = rollout(ScriptedPolicy(lambda t, s: "handover"), scenario, stack,
@@ -309,7 +328,7 @@ class TestRollout:
         scenario, trace, stack = build_stack(rng)
         traj = rollout(ScriptedPolicy(lambda t, s: "handover" if t >= 20 else "hold"),
                        scenario, stack, trace=trace)
-        weights = RewardWeights()
+        weights = RewardConfig()
         rewards = traj.rewards_with(weights, hf_value=traj.hf)
         expected_idx = int(round(traj.completion)) - 1
         assert traj.terminal_step == expected_idx
@@ -381,7 +400,7 @@ class TestGreedyStop:
 class TestRolloutInputs:
     def test_missing_trace_raises(self, rng):
         scenario, _, stack = build_stack(rng, with_library=False)
-        with pytest.raises(ValueError, match="trace"):
+        with pytest.raises(TypeError, match="trace"):
             rollout(ScriptedPolicy(lambda t, s: "hold"), scenario, stack)
 
     def test_step_rate_counts_the_half_open_second(self, rng):
@@ -570,18 +589,17 @@ class TestPpoUpdate:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            ppo_update(PolicyModel.zeros(), [])
+            ppo_update(PolicyModel.zeros(), [], CFG.ppo, CFG.reward)
 
-    def test_epsilon_range_enforced(self, rng):
-        model = PolicyModel.from_seed(0, n_inputs=2, n_actions=2)
-        batch = [self.toy_episode(model, np.random.default_rng(0))]
-        with pytest.raises(ValueError):
-            ppo_update(model, batch, clip_eps=0.0)
+    def test_epsilon_range_enforced(self):
+        for eps in (0.0, 1.0):
+            with pytest.raises(ValueError, match="clip_eps"):
+                PpoConfig(clip_eps=eps)
 
     def test_zero_epochs_is_identity(self):
         model = PolicyModel.from_seed(0, n_inputs=2, n_actions=2)
         batch = [self.toy_episode(model, np.random.default_rng(0))]
-        out = ppo_update(model, batch, epochs=0)
+        out = ppo_update(model, batch, PpoConfig(epochs=0), CFG.reward)
         assert np.array_equal(out.net.to_vector(), model.net.to_vector())
 
     def test_toy_environment_reaches_optimum(self):
@@ -591,9 +609,10 @@ class TestPpoUpdate:
             model = PolicyModel.from_seed(seed, hidden=16, n_inputs=2, n_actions=2)
             for _ in range(200):
                 batch = [self.toy_episode(model, rng) for _ in range(4)]
-                model = ppo_update(model, batch, clip_eps=0.2, epochs=4,
-                                   step_size=0.08,
-                                   weights=RewardWeights(0.0, 1.0, 0.0))
+                model = ppo_update(model, batch,
+                                   PpoConfig(clip_eps=0.2, epochs=4, step_size=0.08,
+                                             entropy_coef=0.01),
+                                   RewardConfig(eta=0.0, lam=1.0, gamma_hf=0.0))
             ok = True
             for s_idx in range(2):
                 feats = np.array([1.0, 0.0]) if s_idx == 0 else np.array([0.0, 1.0])
