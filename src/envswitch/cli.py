@@ -226,7 +226,7 @@ def train_models(seed: int, cfg: EngineConfig, rounds: int | None = None,
         cloud_policy=edges[0].policy,
         reward_model=RewardModel.from_seed(fnv1a64(f"reward:{seed}") % (2 ** 32)))
     for r in range(rounds):
-        state = run_round(state, edges, cfg, seed=seed)
+        state = run_round(state, edges, seed)
         log(f"round {state.round_index} mean_reward {round2(state.mean_rewards[-1])}")
     edge_policies = {flag: edge.policy for flag, edge in zip("ABC", edges)}
     return (selector, metric, state.cloud_policy, state.reward_model, stacks,
@@ -311,6 +311,16 @@ def load_models(model_dir: str, cfg: EngineConfig):
 
 def evaluate_site(flag: str, policy, stack, sessions: int, seed: int,
                   cfg: EngineConfig):
+    """Greedy rollouts of ``policy`` on ``sessions`` held-out walks of site
+    ``flag``; returns (session reports, (session, trace checksum, replayed
+    checksum) triples).
+
+    The walks are built from ``cfg`` and the rollouts read ``stack.cfg``, so
+    a ``cfg`` unequal to ``stack.cfg`` is refused.
+    """
+    if cfg != stack.cfg:
+        raise ValueError("evaluate_site's cfg differs from the config its "
+                         "stack serves")
     site = SITES_BY_FLAG[flag]
     reports, checksums = [], []
     for k in range(sessions):

@@ -174,16 +174,21 @@ class RoundState:
     mean_rewards: list = field(default_factory=list)
 
 
-def run_round(state: RoundState, edges, cfg: EngineConfig,
-              seed: int = 0) -> RoundState:
+def run_round(state: RoundState, edges, seed: int) -> RoundState:
     """Execute one cloud-edge round; returns the updated RoundState.
 
     Order of events: edge rollouts -> summaries + trajectories, cloud
     aggregation, reward-model fit on direct feedback, HF substitution for
     withheld episodes, PPO update, then distillation every
-    ``distill_period`` rounds.  Every setting comes from ``cfg``, except
-    that each edge's rollouts read its stack's ``cfg``.
+    ``distill_period`` rounds.  Every setting, the cloud's and each edge
+    rollout's, comes from the one config that the edges' stacks hold; edges
+    whose stacks hold unequal configs are refused by id.
     """
+    cfg = edges[0].stack.cfg
+    odd = [edge.edge_id for edge in edges if edge.stack.cfg != cfg]
+    if odd:
+        raise ValueError(f"edges {odd} hold a config unequal to that of "
+                         f"{edges[0].edge_id!r}; a round serves one config")
     ce = cfg.cloudedge
     if state.round_index >= state.n_rounds:
         raise ValueError("round budget exhausted")
@@ -208,8 +213,7 @@ def run_round(state: RoundState, edges, cfg: EngineConfig,
                 traj = replace(traj, hf=None)
             trajectories.append(traj)
             inbox.append(summarize_trajectory(
-                traj, edge.edge_id, edge.stack.cfg.library.salt,
-                ce.state_quant))
+                traj, edge.edge_id, cfg.library.salt, ce.state_quant))
 
     states, actions, hfs = aggregate(inbox)
     reward_model = state.reward_model

@@ -62,12 +62,12 @@ class PolicyModel:
     net: TwoLayerNet
 
     @classmethod
-    def from_seed(cls, seed: int, hidden: int = 32, n_inputs: int = STATE_DIM,
+    def from_seed(cls, seed: int, hidden: int, n_inputs: int = STATE_DIM,
                   n_actions: int = N_ACTIONS) -> "PolicyModel":
         return cls(TwoLayerNet.from_seed(n_inputs, hidden, n_actions + 1, seed))
 
     @classmethod
-    def zeros(cls, hidden: int = 32, n_inputs: int = STATE_DIM,
+    def zeros(cls, hidden: int, n_inputs: int = STATE_DIM,
               n_actions: int = N_ACTIONS) -> "PolicyModel":
         return cls(TwoLayerNet.zeros(n_inputs, hidden, n_actions + 1))
 
@@ -83,7 +83,7 @@ class PolicyModel:
         return cls(TwoLayerNet.from_tensors(parse_tensors(text), "policy."))
 
 
-def act(model: PolicyModel, state, mode: str = "sample", rng=None,
+def act(model: PolicyModel, state, mode: str, rng=None,
         guide: int | None = None, guide_eps: float = 0.0):
     """Pick an action; returns (action_index, log_prob, value).
 
@@ -150,12 +150,13 @@ def _draw(probs: np.ndarray, rng) -> int:
 # ---------------------------------------------------------------------------
 
 
-def imitate(model: PolicyModel, states, actions, epochs: int = 150,
-            step_size: float = 0.02) -> PolicyModel:
+def imitate(model: PolicyModel, states, actions, epochs: int,
+            step_size: float) -> PolicyModel:
     """Cross-entropy imitation of (state, action) pairs; value head untouched.
 
-    Used to pre-train the deployable policy on the operational trigger rule
-    before the online rounds adapt it.
+    ``epochs`` full-batch Adam steps at ``step_size``.  Used to pre-train
+    the deployable policy on the operational trigger rule before the online
+    rounds adapt it.
     """
     states = np.asarray(states, dtype=float)
     actions = np.asarray(actions, dtype=int)
@@ -314,6 +315,10 @@ def ppo_update(model: PolicyModel, batch, ppo: PpoConfig,
 class MatcherStack:
     """Everything the matcher needs at decision time.
 
+    ``cfg`` is the config of the run the stack serves; ``rollout`` reads
+    every setting from it.  ``band`` must be ``cfg.match.band``, and a stack
+    built with another band is refused.
+
     ``top_similarity`` memoizes its results.  The memo belongs to one library
     version, metric, selector and band, and is dropped when any of them
     changes, or when it reaches ``MEMO_LIMIT`` entries (one training run has
@@ -325,14 +330,19 @@ class MatcherStack:
     selector: object
     metric: object
     library: object
-    band: int = 3
-    cfg: EngineConfig = field(default_factory=EngineConfig)
+    band: int
+    cfg: EngineConfig
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
     _memo_owners: tuple = field(default=(), init=False, repr=False,
                                 compare=False)
     _memo_version: tuple = field(default=(), init=False, repr=False,
                                  compare=False)
+
+    def __post_init__(self):
+        if self.band != self.cfg.match.band:
+            raise ValueError(f"MatcherStack band {self.band} differs from "
+                             f"its config's match.band {self.cfg.match.band}")
 
     def top_similarity(self, features, present, scan_age: float) -> float:
         """Top-1 ``match`` similarity of a live window, 0.0 if nothing aligns.

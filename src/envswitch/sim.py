@@ -537,7 +537,6 @@ def fingerprint_at(trace: RawTrace, t_end: float, cfg: EngineConfig,
     """
     window_s, stale = cfg.window.window_s, cfg.device.wifi_stale_s
     t_start = t_end - window_s
-    lo, hi = trace.sec_t.searchsorted((t_start, t_end)).tolist()
     scans = carried = None
     if scan_times is not None:
         # the schedule's scans in [t_start, t_end) are scan_times[a:b]
@@ -554,15 +553,14 @@ def fingerprint_at(trace: RawTrace, t_end: float, cfg: EngineConfig,
     fp = memo.get(key)
     if fp is None:
         fp = memo[key] = _summarize_trace_window(
-            trace, t_start, t_end, (lo, hi), scans, carried, stale, affine)
+            trace, t_start, t_end, scans, carried, stale, affine)
     return fp
 
 
-def _summarize_trace_window(trace, t_start, t_end, sec_span, scans, carried,
-                            stale, affine):
-    """``fingerprint_at`` on a memo miss, from slices of the trace's arrays;
-    ``sec_span`` is the window's [lo, hi) range of seconds."""
-    lo, hi = sec_span
+def _summarize_trace_window(trace, t_start, t_end, scans, carried, stale,
+                            affine):
+    """``fingerprint_at`` on a memo miss, from slices of the trace's arrays."""
+    lo, hi = trace.sec_t.searchsorted((t_start, t_end)).tolist()
     lo_t, hi_t = trace.tick_t.searchsorted((t_start, t_end)).tolist()
     lo_s, hi_s = trace.step_times.searchsorted((t_start, t_end)).tolist()
     raw = {

@@ -15,10 +15,11 @@ from envswitch.cli import (PAPER_SESSION_COUNTS, SessionReport, build_parser,
                            report_csv, round2, train_models)
 from envswitch.alignment import MetricModel
 from envswitch.config import EngineConfig, apply_overrides, load_config
-from envswitch.filters import context_from_windows
+from envswitch.filters import SelectorModel, context_from_windows
 from envswitch.fingerprints import (FEATURE_NAMES, MODALITIES, Fingerprint,
                                     FingerprintLibrary, FingerprintSequence,
                                     SwitchEvent)
+from envswitch.policy import MatcherStack, PolicyModel
 from envswitch.sim import scenario_text
 
 
@@ -155,6 +156,22 @@ class TestTrainModels:
         assert metric.serialize() == MetricModel.identity(cfg.match.embed_dim).serialize()
         # one log line per stage, the metric's included
         assert "metric: identity embedding, uniform modality weights" in lines
+
+
+class TestEvaluateSite:
+    def test_cfg_must_be_the_one_its_stack_serves(self):
+        cfg = EngineConfig()
+        stack = MatcherStack(SelectorModel.zeros(), MetricModel.identity(),
+                             FingerprintLibrary(cfg.library), cfg.match.band, cfg)
+        policy = PolicyModel.zeros(cfg.ppo.hidden)
+        # the walks would be built at one speed and replayed under another
+        faster = dataclasses.replace(
+            cfg, walker=dataclasses.replace(cfg.walker, speed_mps=1.3))
+        with pytest.raises(ValueError, match="stack"):
+            cli.evaluate_site("A", policy, stack, 1, 13, faster)
+        # an equal config is the stack's, though it is another object
+        reports, _ = cli.evaluate_site("A", policy, stack, 1, 13, EngineConfig())
+        assert len(reports) == 1
 
 
 def committed_library(rng, kinds):

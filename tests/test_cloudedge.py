@@ -188,21 +188,22 @@ class TestRewardModel:
         assert np.all(np.abs(preds) <= 1.0)
 
 
-def build_edges(seed=0, n_scenarios=2):
+def build_edges(cfg, seed=0, n_scenarios=2):
+    """Edges at sites A and C whose stacks serve ``cfg``."""
     edges = []
     for flag in ("A", "C"):
-        traces = [generate(make_scenario(flag, seed + k, CFG.radio, CFG.walker),
-                           CFG.radio, CFG.walker) for k in range(n_scenarios)]
-        lib = FingerprintLibrary()
-        seg = segment_before(traces[0], 28.0, CFG)
+        traces = [generate(make_scenario(flag, seed + k, cfg.radio, cfg.walker),
+                           cfg.radio, cfg.walker) for k in range(n_scenarios)]
+        lib = FingerprintLibrary(cfg.library)
+        seg = segment_before(traces[0], 28.0, cfg)
         lib.commit_segment(seg, SwitchEvent(seg.windows[-1].timestamp,
                                             "wifi_to_cell"), 0)
         stack = MatcherStack(selector=SelectorModel.zeros(),
                              metric=MetricModel.identity(), library=lib,
-                             band=3, cfg=CFG)
+                             band=cfg.match.band, cfg=cfg)
         edges.append(EdgeAgent(edge_id=f"edge-{flag}", stack=stack,
                                traces=traces,
-                               policy=PolicyModel.from_seed(seed)))
+                               policy=PolicyModel.from_seed(seed, cfg.ppo.hidden)))
     return edges
 
 
@@ -232,7 +233,7 @@ def spy(monkeypatch, name, calls):
 
 class TestRunRound:
     def test_rounds_replay_the_stored_traces(self, monkeypatch):
-        edges = build_edges(n_scenarios=3)
+        edges = build_edges(small_cfg(), n_scenarios=3)
         calls, replayed = [], []
         for module in (sim, ce, cli):
             original = module.generate
@@ -242,7 +243,7 @@ class TestRunRound:
                             replayed.append(k["trace"]) or _r(*a, **k))
         state = initial_state(edges, 2)
         for _ in range(2):
-            state = run_round(state, edges, small_cfg(), seed=1)
+            state = run_round(state, edges, seed=1)
         assert calls == []
         expected = [e.traces[(2 * r + k) % 3] for r in range(2) for e in edges
                     for k in range(2)]
@@ -250,22 +251,20 @@ class TestRunRound:
         assert all(map(operator.is_, replayed, expected))
 
     def test_distill_period_one_distills_every_round(self):
-        edges = build_edges()
-        cfg = small_cfg(distill_period=1)
+        edges = build_edges(small_cfg(distill_period=1))
         state = initial_state(edges, 5)
         for _ in range(2):
-            state = run_round(state, edges, cfg, seed=1)
+            state = run_round(state, edges, seed=1)
             assert all(e.policy is state.cloud_policy for e in edges)
 
     def test_distill_period_three_gates_updates(self):
         # rounds 1 and 2 keep the edges' policy, round 3 distills, and the
         # last round distills although 4 is not a multiple of the period
-        edges = build_edges()
-        cfg = small_cfg(distill_period=3)
+        edges = build_edges(small_cfg(distill_period=3))
         state = initial_state(edges, 4)
         for distills in (False, False, True, True):
             before = [e.policy for e in edges]
-            state = run_round(state, edges, cfg, seed=1)
+            state = run_round(state, edges, seed=1)
             if distills:
                 assert all(e.policy is state.cloud_policy for e in edges)
             else:
@@ -273,28 +272,42 @@ class TestRunRound:
                 assert all(e.policy is not state.cloud_policy for e in edges)
 
     def test_round_budget_exhausted(self):
-        edges = build_edges()
-        cfg = small_cfg()
+        edges = build_edges(small_cfg())
         state = RoundState(2, 2, edges[0].policy, RewardModel.from_seed(0))
         with pytest.raises(ValueError, match="budget"):
-            run_round(state, edges, cfg, seed=0)
+            run_round(state, edges, seed=0)
+
+    def test_edges_serving_unequal_configs_are_refused(self, monkeypatch):
+        rolled = []
+        monkeypatch.setattr(ce, "rollout", lambda *a, _r=ce.rollout, **k:
+                            rolled.append(1) or _r(*a, **k))
+        edge_a, _ = build_edges(small_cfg())
+        _, edge_c = build_edges(small_cfg(distill_period=3))
+        edges = [edge_a, edge_c]
+        with pytest.raises(ValueError, match="edge-C"):
+            run_round(initial_state(edges, 2), edges, seed=1)
+        # refused before any edge rolled out
+        assert rolled == []
+        # equal configs are one config, though they are different objects
+        edges = [edge_a, build_edges(small_cfg())[1]]
+        assert edges[0].stack.cfg is not edges[1].stack.cfg
+        assert run_round(initial_state(edges, 2), edges, seed=1).round_index == 1
 
     def test_round_is_deterministic(self):
         results = []
         for _ in range(2):
-            edges = build_edges()
-            out = run_round(initial_state(edges, 3), edges, small_cfg(), seed=5)
+            edges = build_edges(small_cfg())
+            out = run_round(initial_state(edges, 3), edges, seed=5)
             results.append((out.cloud_policy.net.to_vector(),
                             out.mean_rewards[-1]))
         assert np.array_equal(results[0][0], results[1][0])
         assert results[0][1] == results[1][1]
 
     def test_direct_hf_used_verbatim_model_fills_gaps(self, monkeypatch):
-        edges = build_edges()
-        cfg = small_cfg(hf_withheld_fraction=0.5)
+        edges = build_edges(small_cfg(hf_withheld_fraction=0.5))
         ppo_calls = []
         spy(monkeypatch, "ppo_update", ppo_calls)
-        run_round(initial_state(edges, 2), edges, cfg, seed=3)
+        run_round(initial_state(edges, 2), edges, seed=3)
         (_, batch, *_), _ = ppo_calls[0]
         assert len(batch) == 4
         # every trajectory entering PPO has a concrete hf; withheld ones were
@@ -306,11 +319,10 @@ class TestRunRound:
         assert len(direct_values) >= 2
 
     def test_inbox_summaries_pass_privacy_check(self, monkeypatch):
-        edges = build_edges()
+        edges = build_edges(small_cfg(hf_withheld_fraction=0.5))
         shipped = []
         spy(monkeypatch, "summarize_trajectory", shipped)
-        run_round(initial_state(edges, 2), edges,
-                  small_cfg(hf_withheld_fraction=0.5), seed=3)
+        run_round(initial_state(edges, 2), edges, seed=3)
         raw_ids = [e.edge_id for e in edges] + ["02:aa:bb:cc:dd:ee"]
         assert len(shipped) == 4
         for (traj, *_), summary in shipped:
@@ -322,13 +334,13 @@ class TestRunRound:
     def test_reward_model_fits_the_labelled_last_steps(self, monkeypatch):
         # edges ship in descending hash order, so only the canonical sort
         # puts the batch in order
-        edges = sorted(build_edges(), reverse=True, key=lambda e:
-                       hash_identifier(e.edge_id, e.stack.cfg.library.salt))
         cfg = small_cfg(hf_withheld_fraction=0.5)
+        edges = sorted(build_edges(cfg), reverse=True, key=lambda e:
+                       hash_identifier(e.edge_id, e.stack.cfg.library.salt))
         shipped, fits = [], []
         spy(monkeypatch, "summarize_trajectory", shipped)
         spy(monkeypatch, "fit_reward_model", fits)
-        run_round(initial_state(edges, 2), edges, cfg, seed=3)
+        run_round(initial_state(edges, 2), edges, seed=3)
         quant = cfg.cloudedge.state_quant
         # canonical order: edge hash, offset, action, state
         rows = sorted(
@@ -348,10 +360,10 @@ class TestRunRound:
 class TestOfflineUpdate:
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
-            offline_update(PolicyModel.zeros(), [], CFG)
+            offline_update(PolicyModel.zeros(CFG.ppo.hidden), [], CFG)
 
     def test_bounded_change_and_finite(self, rng):
-        policy = PolicyModel.from_seed(5)
+        policy = PolicyModel.from_seed(5, CFG.ppo.hidden)
         log = [make_trajectory(rng) for _ in range(4)]
         out = offline_update(policy, log, CFG, step_size=0.5, max_norm=0.5)
         delta = out.net.to_vector() - policy.net.to_vector()
@@ -381,7 +393,7 @@ class TestOfflineUpdate:
 
         held_out = rng.uniform(0, 1, size=(300, 7))
         labels = np.array([expert_action(s) for s in held_out])
-        policy = PolicyModel.from_seed(6)
+        policy = PolicyModel.from_seed(6, CFG.ppo.hidden)
 
         def agreement(p):
             preds = [act(p, s, "greedy")[0] for s in held_out]
@@ -396,7 +408,7 @@ class TestOfflineUpdate:
         assert after > before
 
     def test_self_log_smoke(self, rng):
-        policy = PolicyModel.from_seed(7)
+        policy = PolicyModel.from_seed(7, CFG.ppo.hidden)
         scenario = make_scenario("A", 11, CFG.radio, CFG.walker)
         lib = FingerprintLibrary()
         trace = generate(scenario, CFG.radio, CFG.walker)

@@ -44,7 +44,7 @@ def build_stack(rng, site_flag="A", with_library=True):
 
 class TestAct:
     def test_zero_model_is_uniform(self):
-        model = PolicyModel.zeros()
+        model = PolicyModel.zeros(CFG.ppo.hidden)
         state = PolicyState(similarity=0.4, rssi=0.1)
         probs = action_probs(model, state.features())
         assert np.allclose(probs, 0.25, atol=1e-12)
@@ -52,7 +52,7 @@ class TestAct:
         assert logp == pytest.approx(math.log(0.25))
 
     def test_greedy_argmax(self):
-        model = PolicyModel.zeros()
+        model = PolicyModel.zeros(CFG.ppo.hidden)
         model.net.b2[:] = [0.0, 5.0, 0.0, 0.0, 0.0]
         idx, _, _ = act(model, PolicyState(), "greedy")
         assert ACTIONS[idx] == "scan_boost"
@@ -60,7 +60,7 @@ class TestAct:
         assert act(model, PolicyState(), "greedy", None, 3, 1.0)[0] == idx
 
     def test_sample_reproducible(self):
-        model = PolicyModel.from_seed(3)
+        model = PolicyModel.from_seed(3, CFG.ppo.hidden)
         state = PolicyState(similarity=0.7, rssi=-0.3)
         seq_a = [act(model, state, "sample", np.random.default_rng(5))[0]
                  for _ in range(10)]
@@ -70,7 +70,7 @@ class TestAct:
 
     def test_probabilities_sum_to_one(self, rng):
         for trial in range(20):
-            model = PolicyModel.from_seed(trial)
+            model = PolicyModel.from_seed(trial, CFG.ppo.hidden)
             state = PolicyState(similarity=float(rng.random()),
                                 rssi=float(rng.normal()),
                                 sim_trend=float(rng.normal(0, 0.2)))
@@ -95,17 +95,23 @@ class TestAct:
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            act(PolicyModel.zeros(), PolicyState(), "psychic")
+            act(PolicyModel.zeros(CFG.ppo.hidden), PolicyState(), "psychic")
+
+    def test_mode_has_no_default(self):
+        # a default of "sample" raised without an rng on every call
+        with pytest.raises(TypeError):
+            act(PolicyModel.zeros(CFG.ppo.hidden), PolicyState())
 
     def test_sample_without_rng_raises(self):
         # a fixed fallback generator drew the same action on every call
         with pytest.raises(ValueError, match="rng"):
-            act(PolicyModel.from_seed(3), PolicyState(similarity=0.7), "sample")
+            act(PolicyModel.from_seed(3, CFG.ppo.hidden),
+                PolicyState(similarity=0.7), "sample")
 
     @pytest.mark.parametrize("eps", [0.3, 1.0])
     def test_guided_sample_draws_from_the_mixture(self, rng, eps):
         for trial in range(20):
-            model = PolicyModel.from_seed(trial)
+            model = PolicyModel.from_seed(trial, CFG.ppo.hidden)
             feats = PolicyState(similarity=float(rng.random()),
                                 rssi=float(rng.normal())).features()
             guide = int(rng.integers(len(ACTIONS)))
@@ -224,7 +230,7 @@ class TestClippedSurrogate:
         # old log-probs put every ratio at 2 (advantage > 0) or 0.5
         # (advantage < 0), where the clipped term is the minimum, except the
         # samples in ``inside``, whose ratio is 1
-        model = PolicyModel.from_seed(3)
+        model = PolicyModel.from_seed(3, CFG.ppo.hidden)
         states = np.random.default_rng(5).normal(0.0, 1.0, (6, 7))
         actions = np.array([0, 1, 2, 3, 1, 0])
         rewards = np.array([1.0, -1.0, 2.0, -2.0, 0.5, -0.5])
@@ -291,7 +297,7 @@ class TestRollout:
 
     def test_deterministic_given_seed(self, rng):
         scenario, trace, stack = build_stack(rng)
-        model = PolicyModel.from_seed(1)
+        model = PolicyModel.from_seed(1, CFG.ppo.hidden)
         a = rollout(model, scenario, stack, mode="sample", seed=9, trace=trace)
         b = rollout(model, scenario, stack, mode="sample", seed=9, trace=trace)
         assert np.array_equal(a.states, b.states)
@@ -302,8 +308,9 @@ class TestRollout:
     def test_guided_sample_takes_the_trigger_rule_before_the_switch(self, rng):
         scenario, trace, stack = build_stack(rng)
         guide = trigger_guide(stack.cfg)
-        traj = rollout(PolicyModel.from_seed(1), scenario, stack, mode="sample",
-                       seed=9, trace=trace, guide_eps=1.0)
+        traj = rollout(PolicyModel.from_seed(1, CFG.ppo.hidden), scenario,
+                       stack, mode="sample", seed=9, trace=trace,
+                       guide_eps=1.0)
         switch = int(traj.action_time)          # the handover is step `switch`
         pre_associated = False
         for t, (feats, idx) in enumerate(zip(traj.states[:switch].tolist(),
@@ -339,12 +346,13 @@ class TestRollout:
 
 class TestGreedyStop:
     def policies(self):
-        hold = PolicyModel.zeros()
+        hold = PolicyModel.zeros(CFG.ppo.hidden)
         hold.net.b2[0] = 5.0                  # never switches
-        weak_link = PolicyModel.zeros()
+        weak_link = PolicyModel.zeros(CFG.ppo.hidden)
         weak_link.net.w1[0, 2] = 1.0          # hidden unit 0 reads the rssi feature
         weak_link.net.w2[3, 0] = -10.0        # hand over once the link is weak
-        return [hold, weak_link] + [PolicyModel.from_seed(s) for s in range(3)]
+        return [hold, weak_link] + [PolicyModel.from_seed(s, CFG.ppo.hidden)
+                                    for s in range(3)]
 
     def test_greedy_outcome_equals_the_replay_to_the_horizon(self, rng):
         scenario, trace, stack = build_stack(rng)
@@ -479,7 +487,7 @@ class TestMatchMemo:
                              metric=MetricModel.identity(), library=library,
                              band=CFG.match.band, cfg=CFG)
         # holds or scan-boosts most steps, so scan ages vary between rollouts
-        policy = PolicyModel.from_seed(7)
+        policy = PolicyModel.from_seed(7, CFG.ppo.hidden)
         policy.net.b2[[0, 1, 3]] += (2.0, 2.0, -2.0)   # favour hold and scan_boost
         return scenario, trace, stack, policy, good
 
@@ -564,6 +572,10 @@ class TestMatchMemo:
         scenario, trace, stack, policy, _ = self.scene()
         before = self.run(policy, scenario, stack, trace)
         setattr(stack, name, value)
+        if name == "band":
+            # a stack's band is its config's, so the two change together
+            stack.cfg = dataclasses.replace(
+                stack.cfg, match=dataclasses.replace(stack.cfg.match, band=value))
         after = self.run(policy, scenario, stack, trace)
         assert not same_rollout(after, before)
         assert same_rollout(after, self.run(policy, scenario, self.fresh(stack),
@@ -589,7 +601,7 @@ class TestPpoUpdate:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            ppo_update(PolicyModel.zeros(), [], CFG.ppo, CFG.reward)
+            ppo_update(PolicyModel.zeros(CFG.ppo.hidden), [], CFG.ppo, CFG.reward)
 
     def test_epsilon_range_enforced(self):
         for eps in (0.0, 1.0):
@@ -597,7 +609,7 @@ class TestPpoUpdate:
                 PpoConfig(clip_eps=eps)
 
     def test_zero_epochs_is_identity(self):
-        model = PolicyModel.from_seed(0, n_inputs=2, n_actions=2)
+        model = PolicyModel.from_seed(0, CFG.ppo.hidden, n_inputs=2, n_actions=2)
         batch = [self.toy_episode(model, np.random.default_rng(0))]
         out = ppo_update(model, batch, PpoConfig(epochs=0), CFG.reward)
         assert np.array_equal(out.net.to_vector(), model.net.to_vector())
@@ -626,7 +638,7 @@ class TestImitate:
     def test_matches_labels_after_training(self, rng):
         states = rng.normal(0, 1, size=(200, 7))
         labels = (states[:, 0] > 0).astype(int) * 3   # hold vs handover
-        model = PolicyModel.from_seed(2)
+        model = PolicyModel.from_seed(2, CFG.ppo.hidden)
         model = imitate(model, states, labels, epochs=300, step_size=0.05)
         preds = [act(model, s, "greedy")[0] for s in states]
         agreement = float(np.mean(np.array(preds) == labels))
@@ -634,7 +646,18 @@ class TestImitate:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            imitate(PolicyModel.zeros(), np.zeros((0, 7)), np.zeros(0, dtype=int))
+            imitate(PolicyModel.zeros(CFG.ppo.hidden), np.zeros((0, 7)),
+                    np.zeros(0, dtype=int), epochs=120, step_size=0.02)
+
+
+def test_matcher_stack_band_is_its_configs():
+    parts = (SelectorModel.zeros(), MetricModel.identity(), FingerprintLibrary())
+    with pytest.raises(ValueError, match="match.band 3"):
+        MatcherStack(*parts, band=2, cfg=CFG)
+    # neither the band nor the config has a default to fall back on
+    with pytest.raises(TypeError):
+        MatcherStack(*parts)
+    assert MatcherStack(*parts, band=CFG.match.band, cfg=CFG).band == 3
 
 
 def test_trigger_guide_rule():
@@ -648,7 +671,7 @@ def test_trigger_guide_rule():
 
 
 def test_policy_serialize_roundtrip():
-    model = PolicyModel.from_seed(8)
+    model = PolicyModel.from_seed(8, CFG.ppo.hidden)
     back = PolicyModel.deserialize(model.serialize())
     assert np.array_equal(back.net.to_vector(), model.net.to_vector())
 
