@@ -83,7 +83,7 @@ def cmd_simulate(site_flags, sessions: int, seed: int, out_dir: str,
         site = SITES_BY_FLAG[flag]
         for k in range(sessions):
             session_seed = seed + k
-            scenario = make_scenario(site, session_seed, cfg.radio, cfg.walker)
+            scenario = make_scenario(site, session_seed, cfg.radio, cfg.walker, cfg.baseline)
             trace = generate(scenario, cfg.radio, cfg.walker)
             stem = os.path.join(out_dir, f"trace_{flag}_{session_seed}")
             write_sequence(stem + ".csv", trace_to_sequence(trace, cfg))
@@ -111,7 +111,7 @@ def build_site_library(site_flag: str, seeds, cfg: EngineConfig):
     library = FingerprintLibrary(cfg.library)
     traces, scenarios = [], []
     for day, s in enumerate(seeds):
-        scenario = make_scenario(site, s, cfg.radio, cfg.walker)
+        scenario = make_scenario(site, s, cfg.radio, cfg.walker, cfg.baseline)
         trace = generate(scenario, cfg.radio, cfg.walker)
         scenarios.append(scenario)
         traces.append(trace)
@@ -237,28 +237,15 @@ def pretrain_on_trigger_rule(policy, stacks, traces_by_site,
                              cfg: EngineConfig) -> PolicyModel:
     """Imitate the operational trigger rule before the online rounds.
 
-    The cloud pre-trains the deployable policy on scripted rollouts of the
-    similarity-trigger rule over the first three training traces of every
-    site, so the initial greedy behavior is already a sane switcher; the
-    rounds then adapt it.
-    """
-    guide = trigger_guide(cfg)
-    states, actions = [], []
-    for flag, traces in traces_by_site.items():
-        for trace in traces[:3]:
-            tracker = {"pre": False}
-
-            def scripted(t, state, tracker=tracker):
-                action = guide(t, state, tracker["pre"])
-                if action == "pre_associate":
-                    tracker["pre"] = True
-                return action
-
-            traj = rollout(ScriptedPolicy(scripted), trace.scenario,
-                           stacks[flag], trace=trace)
-            states.append(traj.states)
-            actions.append(traj.actions)
-    return imitate(policy, np.concatenate(states), np.concatenate(actions),
+    The policy imitates the 7-feature states and actions of rollouts of
+    ``ScriptedPolicy(trigger_guide(cfg))``, which reads each state's
+    ``pre_associated`` flag, on the first three training traces of every
+    site, so the initial greedy policy already switches sanely."""
+    rule = ScriptedPolicy(trigger_guide(cfg))
+    trajs = [rollout(rule, trace.scenario, stacks[flag], trace=trace)
+             for flag, traces in traces_by_site.items() for trace in traces[:3]]
+    return imitate(policy, np.concatenate([traj.states for traj in trajs]),
+                   np.concatenate([traj.actions for traj in trajs]),
                    epochs=120, step_size=0.02)
 
 
@@ -325,7 +312,7 @@ def evaluate_site(flag: str, policy, stack, sessions: int, seed: int,
     reports, checksums = [], []
     for k in range(sessions):
         session_seed = seed + EVAL_SEED_OFFSET + k
-        scenario = make_scenario(site, session_seed, cfg.radio, cfg.walker)
+        scenario = make_scenario(site, session_seed, cfg.radio, cfg.walker, cfg.baseline)
         trace = generate(scenario, cfg.radio, cfg.walker)
         traj = rollout(policy, scenario, stack, mode="greedy",
                        seed=session_seed, trace=trace)

@@ -1,9 +1,11 @@
-"""Edge decision policy: environment-aware actions, composite reward, PPO.
+"""Edge decision policy: the switching world, its drivers, reward and PPO.
 
-The policy observes the matcher's top similarity, its short trend, the
-current radio state, and pacing features, and picks one of four actions per
-second: hold, raise the scan rate, pre-associate a candidate link, or hand
-over.  Training maximizes a composite reward mixing transition-time
+``SwitchEnv`` steps one walk at 1 Hz.  Its state holds the matcher's top
+similarity, its short trend, the current radio state and pacing features,
+and each second takes one of four actions: hold, raise the scan rate,
+pre-associate a candidate link, or hand over.  ``rollout`` drives it with a
+learned ``PolicyModel`` or a ``ScriptedPolicy`` such as the operational
+trigger rule.  Training maximizes a composite reward mixing transition-time
 improvement against the threshold baseline, matching quality, and simulated
 human feedback.
 """
@@ -32,7 +34,9 @@ STATE_DIM = 7
 
 @dataclass
 class PolicyState:
-    """Features the policy conditions on, all roughly unit-scaled."""
+    """One second's state: the 7 roughly unit-scaled policy features and the
+    ``pre_associated`` flag, which the trigger rule reads and ``features()``
+    leaves out (as an 8th policy feature it lost at most training seeds)."""
 
     similarity: float = 0.0       # top-1 match similarity in [0, 1]
     sim_trend: float = 0.0        # change over the last 3 windows
@@ -41,6 +45,7 @@ class PolicyState:
     step_rate: float = 0.0
     scan_age: float = 0.0
     on_cell: float = 0.0          # current link: 0 WiFi, 1 cellular
+    pre_associated: bool = False  # a candidate link is pre-associated
 
     def features(self) -> np.ndarray:
         v = (self.similarity, self.sim_trend, self.rssi, self.gnss_fix,
@@ -370,7 +375,7 @@ class MatcherStack:
 
 
 class ScriptedPolicy:
-    """Test/demo helper: act from a function of (t, PolicyState)."""
+    """Act from a function of (t, PolicyState), e.g. ``trigger_guide(cfg)``."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -380,185 +385,188 @@ class ScriptedPolicy:
 
 
 def trigger_guide(cfg: EngineConfig):
-    """The operational trigger rule used to seed exploration.
+    """The operational trigger rule, a function of (t, PolicyState).
 
     Pre-associate and then hand over when either cue fires: a confident
     library match, or the egress fallback (a GNSS fix with WiFi already
-    weak).  Training rollouts mix this in so well-timed switches appear in
-    every batch; the learned policy is free to act earlier or later.
+    weak).  The rule reads the state's ``pre_associated`` flag, which the
+    policy does not see.  Training rollouts mix it in so well-timed switches
+    appear in every batch, and ``ScriptedPolicy(trigger_guide(cfg))`` drives
+    it alone; the learned policy is free to act earlier or later.
     """
     tau = cfg.reward.tau
     weak_rssi = normalize_rssi(cfg.baseline.threshold_dbm)
 
-    def guide(t, state: PolicyState, pre_associated: bool) -> str:
-        triggered = (state.similarity >= tau
-                     or (state.gnss_fix >= 0.5 and state.rssi <= weak_rssi))
-        if triggered:
-            return "handover" if pre_associated else "pre_associate"
+    def guide(t, state: PolicyState) -> str:
+        if state.similarity >= tau or (state.gnss_fix >= 0.5
+                                       and state.rssi <= weak_rssi):
+            return "handover" if state.pre_associated else "pre_associate"
         return "hold"
 
     return guide
 
 
-def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
-            seed: int = 0, *, trace: RawTrace, guide_eps: float = 0.0) -> Trajectory:
-    """Step the simulated trace at 1 Hz and let the policy act.
+class SwitchEnv:
+    """One walk's switching world at 1 Hz, set by ``stack.cfg``: the scan
+    schedule, the live window and its ``stack.top_similarity``, the state,
+    the shaped step reward, the action effects and the terminal outcome.
 
-    Action effects: scan_boost halves scan-age growth for a while,
-    pre_associate cuts the eventual handover's association delay from 2 s to
-    0.5 s, handover completes the switch.  A ``greedy`` rollout ends with
-    the handover step; any other keeps stepping inertly to the horizon, so
-    every training rollout sees the same states.  Steps before the switch
-    read one ``fingerprint_at`` window each; inert steps read none.
-    Every setting comes from ``stack.cfg``.  Per-step reward is lam *
-    similarity plus shaping (trigger hint, healthy link credit); the
-    completion step adds eta * dtime + gamma_hf * HF.  With ``guide_eps`` >
-    0, ``sample`` mixes ``trigger_guide(stack.cfg)`` into each draw before
-    the switch (see ``act``).  ``trace`` is replayed; ``scenario`` is unread.
+    A driver alternates ``observe()``, which moves to the next second ``t``
+    and returns its ``PolicyState``, and ``step(action)``, which applies one
+    of ``ACTIONS`` and returns the step reward, until ``done``.  scan_boost
+    halves scan-age growth for a while, pre_associate cuts the handover's
+    association delay from 2 s to 0.5 s, and handover completes the switch.
+    A second before the switch reads one ``fingerprint_at`` window and earns
+    lam * similarity plus shaping (trigger hint, healthy link credit); an
+    inert second after it reads none and earns 0.  Only ``rollout`` steps
+    an env: the bench's decision clock times ``fingerprint_at`` per rollout.
     """
-    cfg = stack.cfg
-    rng = np.random.default_rng(seed)
-    guide = trigger_guide(cfg) if guide_eps > 0.0 else None
-    base_completion, _ = baseline_policy(
-        trace, cfg.baseline.threshold_dbm, cfg.baseline.hysteresis_db,
-        cfg.baseline.dwell_s, cfg.baseline.assoc_delay_s)
-    base_tts = tts(base_completion, trace.degradation_onset,
-                   cfg.reward.tts_report_floor_s)
 
-    device = cfg.device
-    scan_times = []             # ascending, as fingerprint_at bisects it
-    next_scan = 0.0
-    boost_until = -1.0
-    pre_associated = False
-    switched = False
-    completion = None
-    action_time = None
-    sim_history = []
-    states_v, actions_v, logps, values, rewards = [], [], [], [], []
-    scripted = isinstance(policy, ScriptedPolicy)
+    def __init__(self, trace: RawTrace, stack: MatcherStack):
+        cfg = self.cfg = stack.cfg
+        self.trace, self.stack = trace, stack
+        self.t = 0.0
+        self.pre_associated = self.switched = False
+        self.completion = self.action_time = None
+        self.horizon = int(trace.duration)
+        self.done = self.horizon <= 1
+        self.scan_times = []        # ascending, as fingerprint_at bisects it
+        self.next_scan = 0.0
+        self.boost_until = -1.0
+        self.sim_history = []
+        self.serving = trace.serving_rssi().tolist()
+        self.rssi_feature = [normalize_rssi(dbm) for dbm in self.serving]
+        self.gnss_fix = [1.0 if fix else 0.0 for fix in trace.gnss_fix.tolist()]
+        self.last_sec = len(trace.sec_t) - 1
+        # step_rate[step - 1] counts the (sorted) step_times in [step - 1, step)
+        steps_before = trace.step_times.searchsorted(
+            np.arange(self.horizon, dtype=float)).tolist()
+        self.step_rate = [min(1.0, (b - a) / 3.0)
+                          for a, b in zip(steps_before, steps_before[1:])]
+        self.affine = cfg.norm.affine(FEATURE_NAMES)
+        # the live window, oldest first: rows [:k] of two preallocated buffers
+        size = cfg.window.buffer_windows
+        self.live_features = np.empty((size, N_FEATURES))
+        self.live_present = np.empty((size, len(MODALITIES)), dtype=bool)
+        self.k = 0
 
-    # per-second inputs, read once from the trace's arrays
-    serving = trace.serving_rssi().tolist()
-    rssi_feature = [normalize_rssi(dbm) for dbm in serving]
-    gnss_fix = [1.0 if fix else 0.0 for fix in trace.gnss_fix.tolist()]
-    last_sec = len(trace.sec_t) - 1
-    horizon = int(trace.duration)
-    # step_rate[step - 1] counts the steps in [step - 1, step); step_times
-    # is sorted
-    steps_before = trace.step_times.searchsorted(
-        np.arange(horizon, dtype=float)).tolist()
-    step_rate = [min(1.0, (b - a) / 3.0)
-                 for a, b in zip(steps_before, steps_before[1:])]
-    affine = cfg.norm.affine(FEATURE_NAMES)
-    # the live window, oldest first: rows [:k] of two preallocated buffers
-    size = cfg.window.buffer_windows
-    live_features = np.empty((size, N_FEATURES))
-    live_present = np.empty((size, len(MODALITIES)), dtype=bool)
-    k = 0
-    last_scan = 0.0
-    for step in range(1, horizon):
-        t = float(step)
-        # device scan schedule
-        while next_scan <= t:
-            scan_times.append(next_scan)
-            last_scan = next_scan
-            period = (device.boosted_period_s if next_scan < boost_until
-                      else device.scan_period_s)
-            next_scan += period
-        scan_age = t - last_scan
-
-        sec = min(step, last_sec)
-        rssi = serving[sec]
+    def observe(self) -> PolicyState:
+        """Move to the next second and return its state."""
+        step = int(self.t) + 1
+        t = self.t = float(step)
+        device = self.cfg.device
+        while self.next_scan <= t:
+            self.scan_times.append(self.next_scan)
+            self.next_scan += (device.boosted_period_s
+                               if self.next_scan < self.boost_until
+                               else device.scan_period_s)
+        scan_age = t - self.scan_times[-1]
+        sec = self.sec = min(step, self.last_sec)
         sim_top = 0.0
-        if not switched:
-            window = fingerprint_at(trace, t, cfg, scan_times, affine)
-            if k == size:
-                # full: drop the oldest row
-                live_features[:-1] = live_features[1:]
-                live_present[:-1] = live_present[1:]
+        if not self.switched:
+            window = fingerprint_at(self.trace, t, self.cfg, self.scan_times,
+                                    self.affine)
+            features, present, k = self.live_features, self.live_present, self.k
+            if k == len(features):      # full: drop the oldest row
+                features[:-1], present[:-1] = features[1:], present[1:]
             else:
-                k += 1
-            live_features[k - 1] = window.features
-            live_present[k - 1] = window.present
-            if k >= 2 and len(stack.library) > 0:
-                sim_top = stack.top_similarity(live_features[:k],
-                                               live_present[:k], scan_age)
-        sim_history.append(sim_top)
-        trend = sim_top - (sim_history[-4] if len(sim_history) >= 4 else 0.0)
-
-        state = PolicyState(
-            similarity=sim_top, sim_trend=trend,
-            rssi=rssi_feature[sec], gnss_fix=gnss_fix[sec],
-            step_rate=step_rate[step - 1],
+                k = self.k = k + 1
+            features[k - 1] = window.features
+            present[k - 1] = window.present
+            if k >= 2 and len(self.stack.library) > 0:
+                sim_top = self.stack.top_similarity(features[:k], present[:k],
+                                                    scan_age)
+        history = self.sim_history
+        history.append(sim_top)
+        self.similarity = sim_top
+        return PolicyState(
+            similarity=sim_top,
+            sim_trend=sim_top - (history[-4] if len(history) >= 4 else 0.0),
+            rssi=self.rssi_feature[sec], gnss_fix=self.gnss_fix[sec],
+            step_rate=self.step_rate[step - 1],
             scan_age=min(1.0, scan_age / 5.0),
-            on_cell=1.0 if switched else 0.0)
+            on_cell=1.0 if self.switched else 0.0,
+            pre_associated=self.pre_associated)
 
-        feats = state.features()
-        if scripted:
-            idx = ACTIONS.index(policy.decide(t, state))
-            logp, value = 0.0, 0.0
+    def step(self, action: str) -> float:
+        """Apply ``action`` at the observed second; returns its reward."""
+        self.done = self.t >= self.horizon - 1
+        if self.switched:
+            return 0.0
+        cfg, sim_top, t = self.cfg, self.similarity, self.t
+        tau, bonus = cfg.reward.tau, cfg.reward.shaping_bonus
+        reward = cfg.reward.lam * sim_top
+        if self.serving[self.sec] >= cfg.baseline.threshold_dbm:
+            reward += cfg.reward.healthy_link_bonus
+        if action == "handover":
+            # one-shot trigger hint: act when the matcher is confident
+            reward += bonus if sim_top >= tau else -bonus
+            self.completion = t + (0.5 if self.pre_associated
+                                   else cfg.baseline.assoc_delay_s)
+            self.action_time, self.switched = t, True
+        elif action == "pre_associate":
+            if not self.pre_associated and sim_top >= tau:
+                reward += 0.5 * bonus
+            elif self.pre_associated:
+                reward -= 0.05
+            self.pre_associated = True
         else:
-            # training rollouts mix the trigger rule in until the switch
-            guide_idx = None
-            if guide is not None and not switched:
-                guide_idx = ACTIONS.index(guide(t, state, pre_associated))
-            idx, logp, value = act(policy, feats, mode, rng, guide_idx,
-                                   guide_eps)
-        action = ACTIONS[idx]
-
-        reward = 0.0
-        if not switched:
-            reward = cfg.reward.lam * sim_top
-            if rssi >= cfg.baseline.threshold_dbm:
-                reward += cfg.reward.healthy_link_bonus
-            bonus = cfg.reward.shaping_bonus
-            if action == "handover":
-                # one-shot trigger hint: act when the matcher is confident
-                reward += bonus if sim_top >= cfg.reward.tau else -bonus
-            elif action == "pre_associate":
-                if not pre_associated and sim_top >= cfg.reward.tau:
-                    reward += 0.5 * bonus
-                elif pre_associated:
-                    reward -= 0.05
-            elif sim_top >= cfg.reward.tau:
+            if action == "scan_boost":
+                self.boost_until = t + cfg.device.boost_duration_s
+            elif action != "hold":
+                raise ValueError(f"unknown action: {action!r}")
+            if sim_top >= tau:
                 # sitting on a confident match delays the switch
                 reward -= 0.3 * bonus
+        return reward
 
-            if action == "scan_boost":
-                boost_until = t + device.boost_duration_s
-            elif action == "pre_associate":
-                pre_associated = True
-            elif action == "handover":
-                delay = 0.5 if pre_associated else cfg.baseline.assoc_delay_s
-                completion = t + delay
-                action_time = t
-                switched = True
+    def outcome(self) -> dict:
+        """``Trajectory``'s terminal fields for the seconds stepped so far."""
+        cfg, trace = self.cfg, self.trace
+        onset, base = trace.degradation_onset, cfg.baseline
+        base_completion, _ = baseline_policy(
+            trace, base.threshold_dbm, base.hysteresis_db, base.dwell_s,
+            base.assoc_delay_s)
+        base_tts = tts(base_completion, onset, cfg.reward.tts_report_floor_s)
+        censored = self.completion is None
+        completion = float(trace.duration) if censored else self.completion
+        return dict(
+            dtime=base_tts - tts(completion, onset, cfg.reward.tts_reward_floor_s),
+            hf=feedback_oracle(completion, trace, reward_cfg=cfg.reward),
+            completion=completion, censored=censored,
+            action_time=self.action_time,
+            terminal_step=min(int(self.t) - 1, max(0, int(round(completion)) - 1)),
+            policy_tts=tts(completion, onset, cfg.reward.tts_report_floor_s),
+            baseline_tts=base_tts, trace_checksum=trace.checksum())
 
-        states_v.append(feats)
-        actions_v.append(idx)
-        logps.append(logp)
-        values.append(value)
-        rewards.append(reward)
-        if switched and mode == "greedy":
-            break
 
-    censored = completion is None
-    if censored:
-        completion = float(trace.duration)
-    policy_tts_report = tts(completion, trace.degradation_onset,
-                            cfg.reward.tts_report_floor_s)
-    policy_tts_reward = tts(completion, trace.degradation_onset,
-                            cfg.reward.tts_reward_floor_s)
-    dtime = base_tts - policy_tts_reward
-    hf = feedback_oracle(completion, trace, reward_cfg=cfg.reward)
-    terminal_step = min(len(rewards) - 1, max(0, int(round(completion)) - 1))
+def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
+            seed: int = 0, *, trace: RawTrace, guide_eps: float = 0.0) -> Trajectory:
+    """Drive a ``SwitchEnv(trace, stack)`` with ``policy``: observe, decide,
+    step, until the env is done or a ``greedy`` rollout has handed over.
 
-    traj = Trajectory(
-        states=np.array(states_v), actions=np.array(actions_v),
-        log_probs=np.array(logps), values=np.array(values),
-        step_rewards=np.array(rewards), dtime=dtime, hf=hf,
-        completion=completion, censored=censored,
-        action_time=action_time, terminal_step=terminal_step,
-        policy_tts=policy_tts_report, baseline_tts=base_tts,
-        trace_checksum=trace.checksum())
-    return traj
+    A ``ScriptedPolicy`` decides from ``(t, state)``; a ``PolicyModel`` acts
+    in ``mode``, and with ``guide_eps`` > 0 a ``sample`` mixes
+    ``trigger_guide(stack.cfg)`` into each draw before the switch (see
+    ``act``).  ``trace`` is replayed; ``scenario`` is unread.
+    """
+    env = SwitchEnv(trace, stack)
+    rng = np.random.default_rng(seed)
+    guide = trigger_guide(stack.cfg) if guide_eps > 0.0 else None
+    scripted = isinstance(policy, ScriptedPolicy)
+    rows = []       # (features, action index, log-prob, value, step reward)
+    while not (env.done or env.switched and mode == "greedy"):
+        state = env.observe()
+        feats = state.features()
+        if scripted:
+            idx, logp, value = ACTIONS.index(policy.decide(env.t, state)), 0.0, 0.0
+        else:
+            # training rollouts mix the trigger rule in until the switch
+            guide_idx = (None if guide is None or env.switched
+                         else ACTIONS.index(guide(env.t, state)))
+            idx, logp, value = act(policy, feats, mode, rng, guide_idx,
+                                   guide_eps)
+        rows.append((feats, idx, logp, value, env.step(ACTIONS[idx])))
+    # the columns are Trajectory's first five fields, in order
+    return Trajectory(*map(np.array, zip(*rows) if rows else [()] * 5),
+                      **env.outcome())

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import EngineConfig, RadioConfig, RewardConfig, WalkerConfig
+from .config import (BaselineConfig, EngineConfig, RadioConfig, RewardConfig,
+                     WalkerConfig)
 from .fingerprints import (FEATURE_NAMES, Fingerprint, FingerprintSequence,
                            assemble_fingerprint, cell_summary, fnv1a64,
                            gnss_summary, pdr_summary, scan_summary,
@@ -370,11 +371,14 @@ def _jitter_waypoints(wps, rng, amount: float):
 
 
 def make_scenario(site: str, seed: int, radio: RadioConfig | None = None,
-                  walker: WalkerConfig | None = None) -> Scenario:
-    """Deterministic per-seed scenario for a site archetype."""
+                  walker: WalkerConfig | None = None,
+                  baseline: BaselineConfig | None = None) -> Scenario:
+    """Deterministic per-seed scenario for a site archetype, its degradation
+    onset set where the noiseless RSSI crosses ``baseline.threshold_dbm``."""
     site = SITE_SHORT.get(site, site)
     radio = radio or RadioConfig()
     walker = walker or WalkerConfig()
+    baseline = baseline or BaselineConfig()
     rng = np.random.default_rng(fnv1a64(f"scenario:{site}:{seed}"))
     speed = walker.speed_mps * rng.uniform(0.95, 1.05)
 
@@ -428,7 +432,7 @@ def make_scenario(site: str, seed: int, radio: RadioConfig | None = None,
     else:
         raise ValueError(f"unknown site: {site!r}")
 
-    onset = compute_onset(scenario, radio)
+    onset = compute_onset(scenario, radio, baseline.threshold_dbm)
     if onset is None:
         raise ValueError(f"{site} seed {seed}: degradation never reaches threshold")
     scenario.degradation_onset = onset

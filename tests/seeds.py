@@ -8,7 +8,7 @@ the figure ``test_criterion_6_end_to_end_tts_improvement`` gates at seed
 on a 2-vCPU host):
 
     PYTHONPATH=src python tests/seeds.py [--seeds 13 29 41 ...] [--json PATH]
-                                         [--baseline PATH]
+                                         [--baseline PATH] [--rule]
 
 ``--seeds`` picks the training seeds (default 13, 29 and 41).  ``--json``
 also writes, for the seeds run, each site's value per seed and, over the
@@ -19,7 +19,12 @@ sessions (the greedy policy never handed over) per seed and site and in
 total.  ``--baseline`` reads an earlier ``--json`` file of the same seeds
 (another seed set is refused) and counts, per site, the seeds at which
 this run beats it, ties it and trails it; the counts are printed under the
-table and, with ``--json``, written as ``baseline``.  Every pipeline runs
+table and, with ``--json``, written as ``baseline``.  ``--rule`` also runs
+the scripted trigger rule, ``ScriptedPolicy(trigger_guide(cfg))``, greedy
+through ``cli.evaluate_site`` on the stacks of each seed's model directory
+and the same session seeds; its site means and censored sessions are
+printed as one more row per seed and, with ``--json``, written as ``rule``
+in the shape of the policy's summary.  Every pipeline runs
 in a temporary directory; the JSON file is refused inside a model
 directory, whose files criterion 8 compares byte for byte.  The output, table and file, is deterministic.
 
@@ -33,8 +38,10 @@ import tempfile
 
 import numpy as np
 
+from envswitch.cli import evaluate_site, load_models
 from envswitch.config import EngineConfig
-from golden import run_pipeline
+from envswitch.policy import ScriptedPolicy, trigger_guide
+from golden import EVAL_SESSIONS, run_pipeline
 
 SEEDS = (13, 29, 41)
 # criterion 6: each site's minimum mean relative improvement, as a fraction;
@@ -62,6 +69,23 @@ def censored_summary(per_seed: dict) -> dict:
     sites = {flag: sum(counts[flag] for counts in per_seed.values()) for flag in "ABC"}
     return {"per_seed": {str(seed): counts for seed, counts in per_seed.items()},
             "sites": sites, "total": sum(sites.values())}
+
+
+def rule_reports(model_dir: str, cfg: EngineConfig, seed: int) -> dict:
+    """Per site, the reports of the scripted trigger rule run greedy on the
+    stacks read from ``model_dir``, with the pipeline's session seeds."""
+    _, _, _, stacks = load_models(model_dir, cfg)
+    rule = ScriptedPolicy(trigger_guide(cfg))
+    return {flag: evaluate_site(flag, rule, stacks[flag], EVAL_SESSIONS, seed, cfg)[0]
+            for flag in "ABC"}
+
+
+def table_row(label, means: dict, censored: dict | None = None) -> str:
+    """One table row: the site means in percent, then any censored counts."""
+    cells = " / ".join(f"{means[f]:.1f}" for f in "ABC")
+    if censored is not None:
+        cells += ", censored " + " / ".join(str(censored[f]) for f in "ABC")
+    return f"| {label} | {cells} |"
 
 
 def interquartile_mean(values) -> float:
@@ -128,6 +152,8 @@ def main() -> None:
     parser.add_argument("--json", metavar="PATH")
     parser.add_argument("--baseline", metavar="PATH",
                         help="an earlier --json file of the same seeds")
+    parser.add_argument("--rule", action="store_true",
+                        help="also score the scripted trigger rule at each seed")
     args = parser.parse_args()
     if len(set(args.seeds)) != len(args.seeds):
         parser.error("--seeds must not repeat a seed")
@@ -140,17 +166,26 @@ def main() -> None:
     if args.json and os.path.exists(os.path.join(os.path.dirname(os.path.abspath(args.json)),
                                                  "metric.txt")):
         parser.error("--json must be written outside a model directory")
-    per_seed, censored = {}, {}
+    cfg = EngineConfig()
+    per_seed, censored, rule_per_seed, rule_censored = {}, {}, {}, {}
     print("| seed | A / B / C % |")
     print("|---|---|")
     for seed in args.seeds:
         with tempfile.TemporaryDirectory() as out:
-            reports = run_pipeline(out, EngineConfig(), seed)
-        means = per_seed[seed] = site_means(reports)
+            reports = run_pipeline(out, cfg, seed)
+            rule = rule_reports(out, cfg, seed) if args.rule else None
+        per_seed[seed] = site_means(reports)
         censored[seed] = site_censored(reports)
-        print(f"| {seed} | "
-              + " / ".join(f"{means[f]:.1f}" for f in "ABC") + " |", flush=True)
+        print(table_row(seed, per_seed[seed]), flush=True)
+        if rule is not None:
+            rule_per_seed[seed] = site_means(rule)
+            rule_censored[seed] = site_censored(rule)
+            print(table_row(f"{seed} rule", rule_per_seed[seed], rule_censored[seed]),
+                  flush=True)
     result = dict(summary(per_seed), censored=censored_summary(censored))
+    if args.rule:
+        result["rule"] = dict(summary(rule_per_seed),
+                              censored=censored_summary(rule_censored))
     if baseline is not None:
         wins = wins_against(per_seed, baseline)
         result["baseline"] = {"path": args.baseline, "sites": wins}

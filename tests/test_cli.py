@@ -159,6 +159,26 @@ class TestTrainModels:
 
 
 class TestEvaluateSite:
+    def test_every_walk_takes_its_onset_from_the_baseline_threshold(
+            self, tmp_path, monkeypatch):
+        cfg = EngineConfig()
+        cfg.baseline = dataclasses.replace(cfg.baseline, threshold_dbm=-70.0)
+        scenarios = []
+
+        def recorded(*args):
+            scenarios.append(sim.make_scenario(*args))
+            return scenarios[-1]
+
+        monkeypatch.setattr(cli, "make_scenario", recorded)
+        cmd_simulate(["A"], 1, 13, str(tmp_path), cfg)
+        cli.build_site_library("B", [13], cfg)
+        stack = MatcherStack(SelectorModel.zeros(), MetricModel.identity(),
+                             FingerprintLibrary(cfg.library), cfg.match.band, cfg)
+        cli.evaluate_site("C", PolicyModel.zeros(cfg.ppo.hidden), stack, 1, 13, cfg)
+        assert len(scenarios) == 3
+        for sc in scenarios:
+            assert sc.degradation_onset == sim.compute_onset(sc, cfg.radio, -70.0)
+
     def test_cfg_must_be_the_one_its_stack_serves(self):
         cfg = EngineConfig()
         stack = MatcherStack(SelectorModel.zeros(), MetricModel.identity(),

@@ -12,7 +12,7 @@ from envswitch.fingerprints import FingerprintLibrary, SwitchEvent
 from envswitch.filters import FilterContext, SelectorModel
 from envswitch.mlp import softmax
 from envswitch.policy import (ACTIONS, MatcherStack, PolicyModel, PolicyState,
-                              ScriptedPolicy, Trajectory, _draw,
+                              ScriptedPolicy, SwitchEnv, Trajectory, _draw,
                               act, clipped_surrogate,
                               gae_advantages, imitate, ppo_update, rollout,
                               trigger_guide)
@@ -82,7 +82,8 @@ class TestAct:
         with pytest.raises(ValueError):
             PolicyState(similarity=float("nan")).features()
 
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(PolicyState)])
+    # every field but the pre_associated flag, which is not a feature
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(PolicyState)][:7])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_state_rejects_each_nonfinite_field(self, field, value):
         with pytest.raises(ValueError, match="must be finite"):
@@ -305,20 +306,35 @@ class TestRollout:
         assert a.completion == b.completion
         assert a.hf == b.hf
 
-    def test_guided_sample_takes_the_trigger_rule_before_the_switch(self, rng):
+    def test_guided_sample_takes_the_trigger_rule_before_the_switch(
+            self, rng, monkeypatch):
         scenario, trace, stack = build_stack(rng)
-        guide = trigger_guide(stack.cfg)
+        rule, seen = trigger_guide(stack.cfg), []
+
+        def recording_guide(cfg):
+            def guide(t, state):
+                seen.append(state)
+                return rule(t, state)
+            return guide
+
+        monkeypatch.setattr(policy_module, "trigger_guide", recording_guide)
         traj = rollout(PolicyModel.from_seed(1, CFG.ppo.hidden), scenario,
                        stack, mode="sample", seed=9, trace=trace,
                        guide_eps=1.0)
         switch = int(traj.action_time)          # the handover is step `switch`
-        pre_associated = False
-        for t, (feats, idx) in enumerate(zip(traj.states[:switch].tolist(),
-                                             traj.actions[:switch].tolist()), 1):
-            assert ACTIONS[idx] == guide(float(t), PolicyState(*feats), pre_associated)
-            pre_associated = pre_associated or ACTIONS[idx] == "pre_associate"
+        assert len(seen) == switch              # the rule is asked until then
+        for t, (state, feats, idx) in enumerate(zip(
+                seen, traj.states.tolist(), traj.actions.tolist()), 1):
+            assert state.features().tolist() == feats
+            assert ACTIONS[idx] == rule(float(t), state)
+        # the rule read the rollout's flag: set from the step after the
+        # pre-association on, and set when it handed over
+        flags = [state.pre_associated for state in seen]
+        first = flags.index(True)
+        assert ACTIONS[traj.actions[first - 1]] == "pre_associate"
+        assert all(flags[first:]) and not any(flags[:first])
         assert ACTIONS[traj.actions[switch - 1]] == "handover"
-        assert pre_associated and not traj.log_probs[:switch].any()
+        assert not traj.log_probs[:switch].any()
 
     def test_runs_to_horizon_regardless_of_switch(self, rng):
         scenario, trace, stack = build_stack(rng)
@@ -342,6 +358,45 @@ class TestRollout:
         delta = rewards[expected_idx] - traj.step_rewards[expected_idx]
         assert delta == pytest.approx(weights.eta * traj.dtime
                                       + weights.gamma_hf * traj.hf)
+
+
+class TestSwitchEnv:
+    @pytest.mark.parametrize("walk", ["handover", "censored"])
+    def test_replays_a_guided_sample_bit_for_bit(self, rng, walk):
+        scenario, trace, stack = build_stack(rng, with_library=walk == "handover")
+        if walk == "handover":
+            model = PolicyModel.from_seed(1, CFG.ppo.hidden)
+        else:
+            # with no library and no GNSS fix indoors the rule only holds,
+            # and the policy only boosts the scan rate
+            model = PolicyModel.zeros(CFG.ppo.hidden)
+            model.net.b2[1] = 20.0
+        traj = rollout(model, scenario, stack, mode="sample", seed=9,
+                       trace=trace, guide_eps=0.5)
+        assert traj.censored == (walk == "censored")
+        assert len(set(traj.actions.tolist())) >= 2
+        env, rewards = SwitchEnv(trace, stack), []
+        for feats, idx in zip(traj.states, traj.actions.tolist()):
+            assert not env.done
+            assert env.observe().features().tobytes() == feats.tobytes()
+            rewards.append(env.step(ACTIONS[idx]))
+        assert np.array(rewards).tobytes() == traj.step_rewards.tobytes()
+        assert env.done and env.switched == (walk == "handover")
+        outcome = env.outcome()
+        assert outcome == {name: getattr(traj, name) for name in outcome}
+
+    def test_pre_associated_is_not_a_feature(self):
+        state = PolicyState(0.9, 0.1, -0.5, 1.0, 1.0 / 3.0, 0.4, 0.0)
+        flagged = dataclasses.replace(state, pre_associated=True)
+        assert flagged.features().shape == (7,)
+        assert flagged.features().tobytes() == state.features().tobytes()
+
+    def test_unknown_action_is_refused(self, rng):
+        _, trace, stack = build_stack(rng, with_library=False)
+        env = SwitchEnv(trace, stack)
+        env.observe()
+        with pytest.raises(ValueError, match="unknown action"):
+            env.step("teleport")
 
 
 class TestGreedyStop:
@@ -662,12 +717,11 @@ def test_matcher_stack_band_is_its_configs():
 
 def test_trigger_guide_rule():
     guide = trigger_guide(CFG)
-    confident = PolicyState(similarity=0.9)
-    assert guide(1.0, confident, False) == "pre_associate"
-    assert guide(1.0, confident, True) == "handover"
-    assert guide(1.0, PolicyState(similarity=0.1), False) == "hold"
+    assert guide(1.0, PolicyState(similarity=0.9)) == "pre_associate"
+    assert guide(1.0, PolicyState(similarity=0.9, pre_associated=True)) == "handover"
+    assert guide(1.0, PolicyState(similarity=0.1, pre_associated=True)) == "hold"
     egress = PolicyState(similarity=0.1, gnss_fix=1.0, rssi=-0.5)
-    assert guide(1.0, egress, False) == "pre_associate"
+    assert guide(1.0, egress) == "pre_associate"
 
 
 def test_policy_serialize_roundtrip():

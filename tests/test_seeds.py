@@ -1,11 +1,13 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from envswitch.cli import SessionReport
+import seeds
+from envswitch.cli import SessionReport, cmd_evaluate, cmd_train
 from seeds import (CRITERION_6, censored_summary, criterion_6, interquartile_mean,
-                   site_censored, summary, wins_against)
+                   site_censored, summary, table_row, wins_against)
 
 
 def test_interquartile_mean_drops_a_quarter_at_each_end():
@@ -85,3 +87,36 @@ def test_a_baseline_of_other_seeds_is_refused(seeds):
     run = {seed: {"A": 2.0, "B": 2.0, "C": 2.0} for seed in seeds}
     with pytest.raises(ValueError, match="the baseline ran seeds"):
         wins_against(run, baseline)
+
+
+def test_rule_adds_one_row_per_seed_and_a_json_key(monkeypatch, tmp_path, capsys):
+    def small_pipeline(out, cfg, seed):
+        # no rounds and two sessions per site: the table's shape, quickly
+        cmd_train(seed, out, cfg, rounds=0, log=lambda *a: None)
+        return cmd_evaluate(["A", "B", "C"], {f: 2 for f in "ABC"}, seed, out,
+                            out, cfg, log=lambda *a: None)
+
+    monkeypatch.setattr(seeds, "run_pipeline", small_pipeline)
+    monkeypatch.setattr(seeds, "EVAL_SESSIONS", 2)
+    runs = {}
+    for flags in ((), ("--rule",)):
+        path = tmp_path / f"seeds{len(flags)}.json"
+        monkeypatch.setattr(sys, "argv", ["seeds.py", "--seeds", "13", "--json",
+                                          str(path), *flags])
+        seeds.main()
+        runs[flags] = (capsys.readouterr().out.splitlines(),
+                       json.loads(path.read_text()))
+    plain_lines, plain = runs[()]
+    lines, result = runs[("--rule",)]
+    assert "rule" not in plain
+    assert plain_lines == ["| seed | A / B / C % |", "|---|---|",
+                           table_row(13, plain["per_seed"]["13"])]
+    # the policy's rows are unchanged, and one rule row follows each
+    rule = result.pop("rule")
+    assert result == plain and lines[:3] == plain_lines
+    assert lines[3:] == [table_row("13 rule", rule["per_seed"]["13"],
+                                   rule["censored"]["per_seed"]["13"])]
+    assert lines[3].startswith("| 13 rule | ") and ", censored " in lines[3]
+    assert rule["seeds"] == [13] and set(rule["sites"]) == set("ABC")
+    assert rule["censored"]["total"] == sum(rule["censored"]["sites"].values())
+    assert rule["per_seed"]["13"] != plain["per_seed"]["13"]

@@ -225,6 +225,18 @@ class TestGenerate:
         with pytest.raises(ValueError):
             make_scenario("D", 0, CFG.radio, CFG.walker)
 
+    def test_onset_is_where_the_baseline_threshold_is_crossed(self):
+        baseline = dataclasses.replace(CFG.baseline, threshold_dbm=-70.0)
+        onsets = {}
+        for flag in ("A", "B", "C"):
+            sc = make_scenario(flag, 13, CFG.radio, CFG.walker, baseline)
+            assert sc.degradation_onset == compute_onset(sc, CFG.radio, -70.0)
+            onsets[flag] = round(sc.degradation_onset, 2)
+            # the default baseline keeps the -75 dBm onset
+            default = make_scenario(flag, 13, CFG.radio, CFG.walker)
+            assert default.degradation_onset == compute_onset(default, CFG.radio)
+        assert onsets == {"A": 14.30, "B": 22.06, "C": 15.60}
+
     def test_onset_inside_session(self):
         for flag in ("A", "B", "C"):
             for seed in range(4):
