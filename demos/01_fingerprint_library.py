@@ -2,15 +2,17 @@
 
 Walks through the passive-collection side: a simulated indoor session is
 windowed into multi-modal fingerprints, the 10 s before the switch becomes a
-library prototype, retention prunes old entries, and the desensitized
-summary shows what (and only what) would ever leave the device.
+library prototype, retention prunes old entries, and the summary text of one
+episode matched against the library shows what (and only what) would ever
+leave the device.
 """
 
-import numpy as np
-
+from envswitch.alignment import MetricModel
+from envswitch.cloudedge import summarize_trajectory
 from envswitch.config import EngineConfig
-from envswitch.fingerprints import (FEATURE_NAMES, FingerprintLibrary,
-                                    SwitchEvent, desensitize)
+from envswitch.filters import SelectorModel
+from envswitch.fingerprints import FEATURE_NAMES, FingerprintLibrary, SwitchEvent
+from envswitch.policy import MatcherStack, ScriptedPolicy, rollout, trigger_guide
 from envswitch.sim import baseline_policy, generate, make_scenario, segment_before
 
 cfg = EngineConfig()
@@ -53,10 +55,17 @@ for day in range(1, 4):
                                                 "wifi_to_cell"), created_day=day)
 print(f"after three more days: {len(library)} prototypes")
 
-# What the cloud would see: hashed id, relative offsets, quantized aggregates
-summary = desensitize(library.get(pid), salt=cfg.library.salt)
-print("\ndesensitized summary (the only exportable view):")
-print(summary.serialize())
+library.maintain(current_day=16)   # entries older than 14 days age out
+print(f"after maintenance on day 16: {len(library)} prototypes")
 
-library.maintain(current_day=20)   # everything older than 14 days ages out
-print(f"after a quiet two weeks + maintenance: {len(library)} prototypes")
+# What leaves the device: the trigger rule drives one new session against the
+# library, and the episode ships one text, a salted hash of the edge id and
+# the quantized last step with its feedback and its step index
+stack = MatcherStack(selector=SelectorModel.zeros(), metric=MetricModel.identity(),
+                     library=library, band=cfg.match.band, cfg=cfg)
+sc = make_scenario("A", seed=11, radio=cfg.radio, walker=cfg.walker)
+traj = rollout(ScriptedPolicy(trigger_guide(cfg)), sc, stack,
+               trace=generate(sc, cfg.radio, cfg.walker))
+print("\nshipped summary text (the only exportable view):")
+print(summarize_trajectory(traj, "edge-A", cfg.library.salt,
+                           cfg.cloudedge.state_quant), end="")

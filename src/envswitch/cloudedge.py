@@ -1,10 +1,10 @@
 """Cloud-edge training loop: summaries up, reward model + policy, updates down.
 
-Each edge ships one desensitized record per episode with direct feedback:
-the quantized last step and its feedback; an episode whose feedback is
-withheld ships nothing.  The cloud fits a reward model on those records,
-fills the withheld feedback from it, runs a PPO update and periodically
-distills the policy back to every edge.
+Each episode ships one desensitized text, the only summary format: a salted
+edge hash and, if its feedback is not withheld, one record of its quantized
+last step with that feedback.  The cloud parses the texts, fits a reward
+model on their records, fills the withheld feedback from it, runs a PPO
+update and periodically distills the policy back to every edge.
 """
 
 from dataclasses import dataclass, field, replace
@@ -16,7 +16,7 @@ from .fingerprints import fnv1a64, hash_identifier
 from .mlp import TwoLayerNet, softmax
 from .policy import (N_ACTIONS, STATE_DIM, MatcherStack, PolicyModel,
                      Trajectory, batch_advantages, ppo_update, rollout)
-from .serialize import dump_tensors, fmt, parse_tensors
+from .serialize import dump_tensors, fmt
 from .sim import generate  # unused here; bench/spans.py wraps this name
 
 
@@ -25,62 +25,58 @@ from .sim import generate  # unused here; bench/spans.py wraps this name
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SummaryRecord:
-    """One (state, action, hf, offset) tuple: an episode's labelled last step."""
-
-    state: tuple
-    action: int
-    hf: float
-    offset: float
-
-
-@dataclass
-class EdgeSummary:
-    """Desensitized per-episode digest an edge ships to the cloud.
-
-    State features already are unitless, identifier-free quantities (the
-    similarity statistics among them); offsets are relative to the episode
-    start, and the edge identity is a salted hash.
-    """
-
-    edge_id_hash: str
-    records: tuple
-
-    def serialize(self) -> str:
-        body_lines = [f"{self.edge_id_hash},{len(self.records)}"]
-        for r in self.records:
-            feats = " ".join(fmt(v) for v in r.state)
-            body_lines.append(f"{feats}|{r.action}|{fmt(r.hf)}|{fmt(r.offset)}")
-        body = "\n".join(body_lines)
-        return f"{len(body.encode('utf-8'))}\n{body}\n"
-
-
 def summarize_trajectory(traj: Trajectory, edge_id: str, salt: str,
-                         quant: float) -> EdgeSummary:
-    """Quantize an episode's last step, which carries its direct feedback,
-    into one wire record; withheld feedback ships no record."""
-    records = ()
+                         quant: float) -> str:
+    """The text one episode ships: the body's byte length, then ``hash,count``
+    and at most one ``state|action|hf|offset`` record, the last step, its
+    state quantized to ``quant`` and its offset the step index (never a
+    clock time).  Withheld feedback ships no record."""
+    lines = []
     if traj.hf is not None:
-        # the elementwise form of fingerprints.quantize
-        state = (np.round(traj.states[-1] / quant) * quant).tolist()
-        records = (SummaryRecord(tuple(state), int(traj.actions[-1]),
-                                 float(traj.hf),
-                                 float(traj.states.shape[0] - 1)),)
-    return EdgeSummary(hash_identifier(edge_id, salt), records)
+        state = np.round(traj.states[-1] / quant) * quant
+        feats = " ".join(fmt(v) for v in state)
+        lines.append(f"{feats}|{int(traj.actions[-1])}|{fmt(traj.hf)}|"
+                     f"{fmt(traj.states.shape[0] - 1)}")
+    body = "\n".join([f"{hash_identifier(edge_id, salt)},{len(lines)}"] + lines)
+    return f"{len(body.encode('utf-8'))}\n{body}\n"
 
 
-def aggregate(inbox):
-    """Merge summaries into (state, action, hf) arrays.
+def _parse_summary(text: str):
+    """The (edge hash, offset, action, state, hf) rows of one shipped text;
+    a text whose length line, record count or record fields do not match
+    is refused, naming which."""
+    length, _, body = text.partition("\n")
+    if (not body.endswith("\n") or not length.isdigit()
+            or int(length) != len(body[:-1].encode("utf-8"))):
+        raise ValueError(f"summary length line {length!r} does not match its body")
+    head, *records = body[:-1].split("\n")
+    edge_hash, _, count = head.partition(",")
+    if not count.isdigit() or int(count) != len(records):
+        raise ValueError(f"summary record count {count!r} does not match its "
+                         f"{len(records)} record(s)")
+    rows = []
+    for record in records:
+        try:
+            feats, action, hf, offset = record.split("|")
+            row = (edge_hash, float(offset), int(action),
+                   tuple(map(float, feats.split())), float(hf))
+        except ValueError:
+            row = None
+        if row is None or len(row[3]) != STATE_DIM:
+            raise ValueError(f"summary record {record!r} is not {STATE_DIM} "
+                             "state values|action|hf|offset")
+        rows.append(row)
+    return rows
+
+
+def aggregate(texts):
+    """Parse shipped summary texts into (state, action, hf) arrays.
 
     Canonically sorted by (edge hash, offset, action, state) so any
     permutation of the inbox yields the same batch.  Empty inbox -> empty
     arrays.
     """
-    rows = []
-    for summary in inbox:
-        for r in summary.records:
-            rows.append((summary.edge_id_hash, r.offset, r.action, r.state, r.hf))
+    rows = [row for text in texts for row in _parse_summary(text)]
     rows.sort(key=lambda row: row[:4])
     states = np.array([row[3] for row in rows]).reshape(len(rows), STATE_DIM)
     actions = np.array([row[2] for row in rows], dtype=int)
@@ -110,10 +106,6 @@ class RewardModel:
 
     def serialize(self) -> str:
         return dump_tensors(self.net.tensors("reward."))
-
-    @classmethod
-    def deserialize(cls, text: str) -> "RewardModel":
-        return cls(TwoLayerNet.from_tensors(parse_tensors(text), "reward."))
 
 
 def _reward_inputs(states, actions):
@@ -177,9 +169,9 @@ class RoundState:
 def run_round(state: RoundState, edges, seed: int) -> RoundState:
     """Execute one cloud-edge round; returns the updated RoundState.
 
-    Order of events: edge rollouts -> summaries + trajectories, cloud
-    aggregation, reward-model fit on direct feedback, HF substitution for
-    withheld episodes, PPO update, then distillation every
+    Order of events: edge rollouts -> summary texts + trajectories, the
+    cloud parsing the texts, reward-model fit on direct feedback, HF
+    substitution for withheld episodes, PPO update, then distillation every
     ``distill_period`` rounds.  Every setting, the cloud's and each edge
     rollout's, comes from the one config that the edges' stacks hold; edges
     whose stacks hold unequal configs are refused by id.

@@ -37,6 +37,8 @@ class WindowConfig:
 
     def __post_init__(self):
         _require("window", self, "window_s", self.window_s > 0, "> 0")
+        _require("window", self, "buffer_windows", self.buffer_windows >= 2,
+                 "at least 2")
 
 
 @dataclass
@@ -99,6 +101,10 @@ class MatchConfig:
     gamma_soft: float = 0.1        # soft-min smoothing used during training
     negatives_per_positive: int = 4
 
+    def __post_init__(self):
+        for key in ("band", "negatives_per_positive"):
+            _require("match", self, key, getattr(self, key) >= 1, "at least 1")
+
 
 @dataclass
 class RadioConfig:
@@ -119,6 +125,10 @@ class WalkerConfig:
     stride_m: float = 0.7
     tick_hz: float = 10.0
 
+    def __post_init__(self):
+        for key in ("speed_mps", "stride_m", "tick_hz"):
+            _require("walker", self, key, getattr(self, key) > 0, "> 0")
+
 
 @dataclass
 class BaselineConfig:
@@ -128,6 +138,10 @@ class BaselineConfig:
     hysteresis_db: float = 5.0
     dwell_s: float = 3.0
     assoc_delay_s: float = 2.0
+
+    def __post_init__(self):
+        _require("baseline", self, "threshold_dbm",
+                 -100.0 < self.threshold_dbm < -30.0, "in (-100, -30)")
 
 
 @dataclass

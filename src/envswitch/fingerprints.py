@@ -4,9 +4,8 @@ A fingerprint is one time-window's concatenated per-modality feature
 summaries plus a presence mask.  Sequences of fingerprints anchored
 by switch events accumulate into a per-user library with rolling retention
 and capacity-based eviction; the library holds the sequences alone.  The
-module also provides the privacy side: salted identifier hashing and
-desensitized summaries that carry no raw identifiers and no absolute
-timestamps.
+module also provides the salted identifier hashing that the summaries an
+edge ships (``cloudedge.summarize_trajectory``) use in place of raw ids.
 """
 
 import math
@@ -63,11 +62,6 @@ def fnv1a64(data, salt: str = "") -> int:
 def hash_identifier(raw_id: str, salt: str) -> str:
     """Hash a raw identifier (BSSID, user id, ...) to an opaque token."""
     return f"h{fnv1a64(raw_id, salt):016x}"
-
-
-def quantize(value: float, step: float) -> float:
-    """Snap to the nearest multiple of ``step``."""
-    return float(np.round(value / step) * step)
 
 
 # ---------------------------------------------------------------------------
@@ -432,71 +426,6 @@ class FingerprintLibrary:
                          key=lambda pid: (self.sequences[pid].created_at, pid))
             del self.sequences[victim]
             self.version += 1
-
-
-# ---------------------------------------------------------------------------
-# desensitization
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DesensitizedSummary:
-    """Privacy-preserving digest of one sequence.
-
-    Carries a salted hash of the prototype id, quantized per-feature
-    aggregates, the switch kind, and window offsets relative to the first
-    window.  No raw identifier and no absolute timestamp survives.
-    """
-
-    prototype_hash: str
-    label_kind: str
-    offsets: tuple
-    feature_aggregates: tuple
-
-    def serialize(self) -> str:
-        # quantized values print compactly; a privacy digest carries no
-        # full-precision float noise
-        def q(v):
-            return format(round(v, 6), ".6g")
-
-        lines = [
-            f"proto {self.prototype_hash}",
-            f"kind {self.label_kind}",
-            "offsets " + " ".join(q(v) for v in self.offsets),
-            "features " + " ".join(q(v) for v in self.feature_aggregates),
-        ]
-        return "\n".join(lines) + "\n"
-
-
-def desensitize(seq: FingerprintSequence, salt: str = "edge-default",
-                quant_step: float = 0.1) -> DesensitizedSummary:
-    """Produce the exportable summary of a sequence."""
-    feats = seq.features()
-    ts = seq.timestamps()
-    offsets = tuple(float(t - ts[0]) for t in ts)
-    aggregates = tuple(quantize(v, quant_step) for v in feats.mean(axis=0))
-    kind = seq.label.kind if seq.label is not None else "unlabeled"
-    source = seq.prototype_id or sequence_content_id(*seq.packed(), kind, salt)
-    return DesensitizedSummary(
-        prototype_hash=hash_identifier(source, salt),
-        label_kind=kind,
-        offsets=offsets,
-        feature_aggregates=aggregates,
-    )
-
-
-def contains_identifier_leak(serialized: str, raw_ids, min_len: int = 4) -> bool:
-    """True if any length->=min_len substring of a raw id appears in the text."""
-    for raw in raw_ids:
-        raw = str(raw)
-        if len(raw) < min_len:
-            if raw in serialized:
-                return True
-            continue
-        for i in range(len(raw) - min_len + 1):
-            if raw[i:i + min_len] in serialized:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

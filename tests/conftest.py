@@ -5,6 +5,26 @@ from envswitch.fingerprints import (Fingerprint, FingerprintSequence,
                                     SwitchEvent)
 
 
+def quantize(value: float, step: float) -> float:
+    """Snap to the nearest multiple of ``step``: the scalar reference for the
+    elementwise quantization in ``cloudedge.summarize_trajectory``."""
+    return float(np.round(value / step) * step)
+
+
+def contains_identifier_leak(serialized: str, raw_ids, min_len: int = 4) -> bool:
+    """True if any length->=min_len substring of a raw id appears in the text."""
+    for raw in raw_ids:
+        raw = str(raw)
+        if len(raw) < min_len:
+            if raw in serialized:
+                return True
+            continue
+        for i in range(len(raw) - min_len + 1):
+            if raw[i:i + min_len] in serialized:
+                return True
+    return False
+
+
 def make_fingerprint(rng, t, present=None, features=None):
     feats = rng.normal(0.0, 0.5, size=14) if features is None else np.asarray(features, dtype=float)
     pres = np.ones(5, dtype=bool) if present is None else np.asarray(present, dtype=bool)

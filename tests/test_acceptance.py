@@ -21,16 +21,17 @@ import envswitch
 from envswitch.alignment import (BandTooNarrowError, MetricModel, dtw,
                                  margin_loss_grads, soft_dtw, train_metric)
 from envswitch.config import EngineConfig, PpoConfig, RewardConfig
-from envswitch.fingerprints import (MODALITIES, contains_identifier_leak,
-                                    desensitize)
+from envswitch.cloudedge import summarize_trajectory
+from envswitch.fingerprints import MODALITIES
 from envswitch.filters import apply_elp, apply_gaussian, apply_kalman
 from envswitch.policy import (PolicyModel, Trajectory, act, clipped_surrogate,
                               ppo_update)
 
 import golden
-from conftest import make_sequence, random_packed
+from conftest import contains_identifier_leak, random_packed
 from seeds import CRITERION_6
 from test_alignment import brute_force_distance, wifi_discriminative_pairs
+from test_cloudedge import make_trajectory
 
 
 def report(criterion, ok, detail=""):
@@ -389,25 +390,28 @@ def test_golden_digests_on_one_blas_thread(tmp_path):
 
 
 def test_criterion_7_privacy_gate():
+    # every trial ships what a round ships: the summary text of one labelled
+    # episode, its edge id the device id and its salt the edge's
     rng = np.random.default_rng(707)
     letters = "ghijklmnopqrstuvwxyz"
+    quant = EngineConfig().cloudedge.state_quant
     failures = 0
     for trial in range(1000):
         length = int(rng.integers(2, 9))
-        t0 = float(rng.uniform(0, 5000))
-        kind = ("wifi_to_cell", "cell_to_wifi", "ap_handover")[trial % 3]
-        seq = make_sequence(rng, length, t0=t0, kind=kind)
+        traj = make_trajectory(rng, length, hf=float(rng.uniform(-1, 1)))
         raw_ids = ["02:%02x:%02x:%02x:%02x:%02x" % tuple(rng.integers(0, 256, 5))
                    for _ in range(4)]
         raw_ids.append("dev:" + ":".join(
             "".join(rng.choice(list(letters), 2)) for _ in range(4)))
-        summary = desensitize(seq, salt=f"edge-{trial % 7}")
-        text = summary.serialize()
-        if contains_identifier_leak(text, raw_ids):
+        salt = f"edge-{trial % 7}"
+        text = summarize_trajectory(traj, raw_ids[-1], salt, quant)
+        if contains_identifier_leak(text, raw_ids + [salt]):
             failures += 1
             continue
-        # no absolute timestamps: offsets must all be relative to zero
-        if summary.offsets[0] != 0.0 or max(summary.offsets) > length:
+        # no absolute timestamps: the one record's offset is a step index
+        offsets = [float(line.rsplit("|", 1)[1]) for line in text.splitlines()[2:]]
+        if (len(offsets) != 1 or not offsets[0].is_integer()
+                or not 0 <= offsets[0] < length):
             failures += 1
     report(7, failures == 0,
-           f"1000 randomized sequences desensitized with {failures} leaks")
+           f"1000 randomized episodes' shipped texts with {failures} leaks")

@@ -355,6 +355,8 @@ class TestConfigFile:
             text = ",".join(["2"] * len(current)) if isinstance(current, tuple) else "2"
             if dotted == "ppo.clip_eps":
                 text = "0.5"                    # 2 is outside (0, 1)
+            if dotted == "baseline.threshold_dbm":
+                text = "-70"                    # 2 is outside (-100, -30)
             cfg = apply_overrides(base, [(dotted, text)])
             assert getattr(cfg, section.name) is not getattr(base, section.name)
             assert getattr(getattr(base, section.name), key) is current
@@ -390,6 +392,18 @@ class TestConfigFile:
         ("cloudedge.state_quant", "0", r"must be > 0, got 0.0"),
         ("cloudedge.state_quant", "-0.01", r"must be > 0, got -0.01"),
         ("cloudedge.episodes_per_edge", "0", r"must be at least 1, got 0"),
+        # each of these failed only inside train: a one-window buffer cannot
+        # be warped, a band or negative count of 0 was refused by the
+        # matcher or the margin loss, a walker rate of 0 divided by zero,
+        # and no scenario's RSSI decays to a threshold outside (-100, -30)
+        ("window.buffer_windows", "1", r"must be at least 2, got 1"),
+        ("match.band", "0", r"must be at least 1, got 0"),
+        ("match.negatives_per_positive", "0", r"must be at least 1, got 0"),
+        ("walker.tick_hz", "0", r"must be > 0, got 0.0"),
+        ("walker.stride_m", "0", r"must be > 0, got 0.0"),
+        ("walker.speed_mps", "0", r"must be > 0, got 0.0"),
+        ("baseline.threshold_dbm", "-20", r"must be in \(-100, -30\), got -20.0"),
+        ("baseline.threshold_dbm", "-100", r"must be in \(-100, -30\), got -100.0"),
     ])
     def test_invalid_values_rejected_when_loaded(self, tmp_path, dotted, text, message):
         # each of these was stored as given and failed, hung or silently did

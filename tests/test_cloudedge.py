@@ -8,18 +8,18 @@ import envswitch.cli as cli
 import envswitch.cloudedge as ce
 import envswitch.sim as sim
 from envswitch.alignment import MetricModel
-from envswitch.cloudedge import (EdgeAgent, EdgeSummary, RewardModel,
-                                 RoundState, SummaryRecord, aggregate,
-                                 fit_reward_model, offline_update, run_round,
-                                 summarize_trajectory)
+from envswitch.cloudedge import (EdgeAgent, RewardModel, RoundState,
+                                 aggregate, fit_reward_model, offline_update,
+                                 run_round, summarize_trajectory)
 from envswitch.config import EngineConfig
 from envswitch.fingerprints import (FingerprintLibrary, SwitchEvent,
-                                    contains_identifier_leak, hash_identifier,
-                                    quantize)
+                                    hash_identifier)
 from envswitch.filters import SelectorModel
 from envswitch.policy import (MatcherStack, PolicyModel, Trajectory, act,
                               rollout)
 from envswitch.sim import generate, make_scenario, segment_before
+
+from conftest import contains_identifier_leak, quantize
 
 CFG = EngineConfig()
 
@@ -31,14 +31,20 @@ def reward_model_loss(model: RewardModel, batch) -> float:
     return float(np.mean((pred - np.asarray(hfs, dtype=float)) ** 2))
 
 
-def record(state, action, hf, offset):
-    return SummaryRecord(tuple(state), action, hf, offset)
+def wire_text(edge_hash, records):
+    """A summary text in the format an edge ships, written independently of
+    ``summarize_trajectory``, with any number of (state, action, hf, offset)
+    records."""
+    lines = [f"{edge_hash},{len(records)}"] + [
+        f"{' '.join(repr(float(v)) for v in state)}|{action}|{float(hf)!r}|"
+        f"{float(offset)!r}" for state, action, hf, offset in records]
+    body = "\n".join(lines)
+    return f"{len(body.encode('utf-8'))}\n{body}\n"
 
 
 def toy_summary(edge_hash="hdeadbeef00000000", n=3):
-    records = tuple(record([0.1 * k] * 7, k % 4, (-1.0) ** k * 0.5, float(k))
-                    for k in range(n))
-    return EdgeSummary(edge_hash, records)
+    return wire_text(edge_hash, [([0.1 * k] * 7, k % 4, (-1.0) ** k * 0.5, k)
+                                 for k in range(n)])
 
 
 def make_trajectory(rng, length=8, hf=0.5):
@@ -60,7 +66,7 @@ class TestAggregate:
 
     def test_counts_multiply(self):
         inbox = [toy_summary(f"h{k:016x}", n=4) for k in range(3)]
-        inbox.append(EdgeSummary("h" + "f" * 16, ()))
+        inbox.append(wire_text("h" + "f" * 16, []))
         states, actions, hfs = aggregate(inbox)
         assert states.shape[0] == 12
 
@@ -71,23 +77,39 @@ class TestAggregate:
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1" + toy_summary(), "length line '1[0-9]+' does not match"),
+        (toy_summary()[:-1], "length line '[0-9]+' does not match"),
+        (wire_text("h" + "0" * 16, [([0.0] * 7, 1, 0.5, 2)] * 2)
+         .replace(",2\n", ",3\n"), "record count '3' does not match its 2"),
+        (wire_text("h" + "0" * 16, [([0.0] * 6, 1, 0.5, 2)]),
+         "record '0.0 0.0 0.0 0.0 0.0 0.0|1|0.5|2.0' is not 7 state values"),
+        (wire_text("h" + "0" * 16, [([0.0] * 7, "x", 0.5, 2)]),
+         r"record '.*\|x\|0.5\|2.0' is not 7"),
+    ], ids=["length-line", "no-final-newline", "record-count", "six-value-state",
+            "action-field"])
+    def test_malformed_text_refused(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            aggregate([toy_summary(), text])
+
 
 class TestWireFormats:
-    def test_length_prefix_matches_body(self):
-        text = toy_summary().serialize()
+    def test_length_prefix_matches_body(self, rng):
+        text = summarize_trajectory(make_trajectory(rng), "edge-A", "salt-x", 0.01)
         first, _, rest = text.partition("\n")
         assert int(first) == len(rest.encode("utf-8")) - 1  # trailing newline
 
     def test_summarize_trajectory_is_desensitized(self, rng):
         traj = make_trajectory(rng)
-        summary = summarize_trajectory(traj, "edge-A", "salt-x", 0.01)
-        text = summary.serialize()
+        text = summarize_trajectory(traj, "edge-A", "salt-x", 0.01)
         assert "edge-A" not in text
-        assert not contains_identifier_leak(text, ["edge-A"])
+        assert not contains_identifier_leak(text, ["edge-A", "salt-x"])
         # the offset is a relative step index, and quantization snapped the state
-        (r,) = summary.records
-        assert r.offset == 7.0
-        for v in r.state:
+        _, head, record = text.splitlines()
+        assert head == f"{hash_identifier('edge-A', 'salt-x')},1"
+        assert record.endswith("|7.0")
+        (state,), _, _ = aggregate([text])
+        for v in state:
             assert abs(v / 0.01 - round(v / 0.01)) < 1e-9
 
     @pytest.mark.parametrize("quant", [0.01, 0.25])
@@ -106,27 +128,37 @@ class TestWireFormats:
         for t in range(len(states)):
             cut = dataclasses.replace(traj, states=states[:t + 1],
                                       actions=traj.actions[:t + 1])
-            summary = summarize_trajectory(cut, "edge-A", "salt-x", quant)
-            scalar = EdgeSummary(summary.edge_id_hash, (SummaryRecord(
-                tuple(quantize(v, quant) for v in states[t]),
-                int(traj.actions[t]), float(traj.hf), float(t)),))
-            assert summary.serialize() == scalar.serialize()
-            assert ([repr(r.state) for r in summary.records]
-                    == [repr(r.state) for r in scalar.records])
+            text = summarize_trajectory(cut, "edge-A", "salt-x", quant)
+            scalar = [quantize(v, quant) for v in states[t]]
+            assert text == wire_text(hash_identifier("edge-A", "salt-x"),
+                                     [(scalar, int(traj.actions[t]), traj.hf, t)])
+            # the cloud parses back every value, signed zeros included
+            assert (list(map(repr, aggregate([text])[0][0].tolist()))
+                    == list(map(repr, scalar)))
 
     def test_labelled_episode_ships_its_last_step_only(self, rng):
         traj = make_trajectory(rng, hf=0.75)
-        summary = summarize_trajectory(traj, "e", "s", 0.01)
-        expected = SummaryRecord(
-            tuple(quantize(v, 0.01) for v in traj.states[-1]),
-            int(traj.actions[-1]), 0.75, float(len(traj.states) - 1))
-        assert summary.records == (expected,)
+        text = summarize_trajectory(traj, "e", "s", 0.01)
+        state = [quantize(v, 0.01) for v in traj.states[-1]]
+        assert text == wire_text(hash_identifier("e", "s"), [
+            (state, int(traj.actions[-1]), 0.75, len(traj.states) - 1)])
+        states, actions, hfs = aggregate([text])
+        assert states.tolist() == [state]
+        assert actions.tolist() == [traj.actions[-1]] and hfs.tolist() == [0.75]
 
     def test_withheld_episode_ships_nothing(self, rng):
         traj = dataclasses.replace(make_trajectory(rng), hf=None)
-        summary = summarize_trajectory(traj, "e", "s", 0.01)
-        assert summary.records == ()
-        assert aggregate([summary])[0].shape == (0, 7)
+        text = summarize_trajectory(traj, "e", "s", 0.01)
+        assert text == wire_text(hash_identifier("e", "s"), [])
+        assert aggregate([text])[0].shape == (0, 7)
+
+    def test_quantization_grid(self):
+        assert quantize(0.5678, 0.1) == pytest.approx(0.6)
+        assert quantize(-0.5678, 0.1) == pytest.approx(-0.6)
+
+    def test_leak_detector_catches_plants(self):
+        assert contains_identifier_leak("xx 02:8f:ab leak", ["02:8f:ab:33:c1:00"])
+        assert not contains_identifier_leak("nothing here", ["02:8f:ab:33:c1:00"])
 
 
 class TestRewardModel:
@@ -319,17 +351,24 @@ class TestRunRound:
         assert len(direct_values) >= 2
 
     def test_inbox_summaries_pass_privacy_check(self, monkeypatch):
-        edges = build_edges(small_cfg(hf_withheld_fraction=0.5))
-        shipped = []
+        cfg = small_cfg(hf_withheld_fraction=0.5)
+        edges = build_edges(cfg)
+        shipped, parsed = [], []
         spy(monkeypatch, "summarize_trajectory", shipped)
+        spy(monkeypatch, "aggregate", parsed)
         run_round(initial_state(edges, 2), edges, seed=3)
-        raw_ids = [e.edge_id for e in edges] + ["02:aa:bb:cc:dd:ee"]
+        raw_ids = ([e.edge_id for e in edges] + [cfg.library.salt]
+                   + [b for e in edges for trace in e.traces for b in trace.bssids])
         assert len(shipped) == 4
-        for (traj, *_), summary in shipped:
+        # the cloud reads the shipped texts and nothing else
+        ((texts,), _), = parsed
+        assert texts == [text for _, text in shipped]
+        for (traj, *_), text in shipped:
             # one record per labelled episode, none per withheld one
-            assert len(summary.records) == (traj.hf is not None)
-            assert all(np.isfinite(r.hf) for r in summary.records)
-            assert not contains_identifier_leak(summary.serialize(), raw_ids)
+            states, _, hfs = aggregate([text])
+            assert len(states) == (traj.hf is not None)
+            assert np.all(np.isfinite(hfs))
+            assert not contains_identifier_leak(text, raw_ids)
 
     def test_reward_model_fits_the_labelled_last_steps(self, monkeypatch):
         # edges ship in descending hash order, so only the canonical sort

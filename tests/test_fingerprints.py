@@ -8,9 +8,8 @@ from envswitch.config import LibraryConfig
 from envswitch.fingerprints import (MODALITIES, Fingerprint, FingerprintLibrary,
                                     FingerprintSequence, RawWindow, SwitchEvent, WifiScan,
                                     CellSample, GnssSample, cell_summary,
-                                    contains_identifier_leak, desensitize,
                                     fnv1a64, gnss_summary, hash_identifier,
-                                    pdr_features, quantize, read_sequence,
+                                    pdr_features, read_sequence,
                                     save_library, load_library,
                                     summarize_window, wifi_features,
                                     wifi_summary, write_sequence)
@@ -228,39 +227,6 @@ class TestLibrary:
                     ages = [day - s.created_at for s in lib.sequences.values()]
                     assert all(a <= 5 for a in ages)
                     assert len(lib) <= 16
-
-
-class TestDesensitize:
-    def test_deterministic_hash(self, rng):
-        seq = make_sequence(rng, 6, kind="wifi_to_cell")
-        s1 = desensitize(seq, salt="user-1")
-        s2 = desensitize(seq, salt="user-1")
-        assert s1.prototype_hash == s2.prototype_hash
-        assert s1 == s2
-
-    def test_absolute_time_invariance(self, rng):
-        feats = [np.full(14, 0.25)] * 6
-        a = make_sequence(np.random.default_rng(1), 6, t0=0.0, kind="wifi_to_cell",
-                          features=feats)
-        b = make_sequence(np.random.default_rng(1), 6, t0=500.0, kind="wifi_to_cell",
-                          features=feats)
-        assert desensitize(a) == desensitize(b)
-
-    def test_quantization_grid(self):
-        assert quantize(0.5678, 0.1) == pytest.approx(0.6)
-        assert quantize(-0.5678, 0.1) == pytest.approx(-0.6)
-
-    def test_no_identifier_substring_leaks(self, rng):
-        raw_ids = ["02:8f:ab:33:c1:%02x" % k for k in range(6)]
-        for trial in range(40):
-            seq = make_sequence(rng, 5, kind="ap_handover")
-            text = desensitize(seq, salt="edge-9").serialize()
-            assert not contains_identifier_leak(text, raw_ids)
-            assert "500." not in text  # no absolute wall-clock values
-
-    def test_leak_detector_catches_plants(self):
-        assert contains_identifier_leak("xx 02:8f:ab leak", ["02:8f:ab:33:c1:00"])
-        assert not contains_identifier_leak("nothing here", ["02:8f:ab:33:c1:00"])
 
 
 class TestPersistence:

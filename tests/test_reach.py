@@ -1,0 +1,140 @@
+"""Reachability ratchet: every function in ``src/envswitch`` that the
+pipeline never calls is listed in ``UNCALLED`` with the reason it stays.
+
+The test runs ``cli.main`` simulate (one session per site), train (two
+rounds) and evaluate (two sessions per site) under ``sys.setprofile``, with a
+``--config`` file that sets a default value so ``load_config`` runs, and
+records every Python function called.  The functions that the sources define
+(read with ``ast``, methods and nested functions included) and that were
+never called must equal ``UNCALLED``: a new function the pipeline does not
+call fails the test, and so does an entry whose function is now called or
+gone.  Each reason is one of
+
+- ``bench: <file/binding>``: the benchmark reads or rebinds the name;
+- ``oracle: <test>``: a test compares the pipeline against it;
+- ``test/demo helper``: tests or demos build or inspect with it.
+
+An entry leaves when its reason ends (its function is then deleted or moved
+to ``tests/``), and CHANGES.md says why for any entry added.
+"""
+
+import ast
+import os
+import sys
+from pathlib import Path
+
+import envswitch
+import envswitch.cli as cli
+
+SRC = Path(envswitch.__file__).resolve().parent
+
+SPANS_TRAIN_METRIC = "bench: spans.py binds envswitch.cli.train_metric, which calls it"
+SPANS_OFFLINE = "bench: spans.py binds envswitch.cli.offline_update, which calls it"
+DTW_PATH = "bench: oracle.py calls alignment.dtw, which backtracks through it"
+WINDOW_ORACLE = ("oracle: test_sim.py::TestWindowOracle::"
+                 "test_fingerprint_at_equals_summarize_window")
+FILTER_ORACLE = "oracle: test_acceptance.py::test_criterion_3_filter_properties"
+HELPER = "test/demo helper"
+
+UNCALLED = {
+    "alignment.AlignmentResult.__eq__": HELPER,
+    "alignment.AlignmentResult.path": HELPER,
+    "alignment.MetricModel.copy": SPANS_TRAIN_METRIC,
+    "alignment.MetricModel.from_seed": "bench: oracle.py MetricModel.from_seed(..., noise=)",
+    "alignment.MetricModel.from_vector": SPANS_TRAIN_METRIC,
+    "alignment.MetricModel.weights": "bench: oracle.py cell_cost reads metric.weights",
+    "alignment._backtrack": DTW_PATH,
+    "alignment._unskew": DTW_PATH,
+    "alignment._warping_path": DTW_PATH,
+    "alignment.cell_cost": ("oracle: test_alignment.py::TestBatchedDtw::"
+                            "test_stacked_kernel_equals_cell_cost"),
+    "alignment.cost_matrix": "bench: spans.py binds envswitch.alignment.cost_matrix",
+    "alignment.dtw": "bench: oracle.py and spans.py envswitch.alignment.dtw",
+    "alignment.margin_loss_grads": ("oracle: test_acceptance.py::"
+                                    "test_criterion_4_metric_learning_sanity"),
+    "alignment.soft_dtw": "bench: spans.py binds envswitch.alignment.soft_dtw",
+    "alignment.train_metric": "bench: spans.py binds envswitch.cli.train_metric",
+    "cloudedge.offline_update": "bench: spans.py binds envswitch.cli.offline_update",
+    "filters.SelectorModel.zeros": HELPER,
+    "filters.apply_elp": FILTER_ORACLE,
+    "filters.apply_gaussian": FILTER_ORACLE,
+    "filters.apply_kalman": FILTER_ORACLE,
+    "filters.denoise": HELPER,
+    "fingerprints.Fingerprint.replace_features": HELPER,
+    "fingerprints.FingerprintLibrary.__iter__": HELPER,
+    "fingerprints.FingerprintLibrary.maintain": HELPER,
+    "fingerprints.FingerprintSequence.__len__": HELPER,
+    "fingerprints.FingerprintSequence.features": HELPER,
+    "fingerprints.FingerprintSequence.present": HELPER,
+    "fingerprints.FingerprintSequence.timestamps": HELPER,
+    "fingerprints.RawWindow.duration": WINDOW_ORACLE,
+    "fingerprints.cell_features": WINDOW_ORACLE,
+    "fingerprints.gnss_features": WINDOW_ORACLE,
+    "fingerprints.pdr_features": WINDOW_ORACLE,
+    "fingerprints.summarize_window": WINDOW_ORACLE,
+    "fingerprints.wifi_features": WINDOW_ORACLE,
+    "mlp.TwoLayerNet.from_vector": SPANS_OFFLINE,
+    "mlp.TwoLayerNet.to_vector": SPANS_OFFLINE,
+    "mlp.TwoLayerNet.zeros": HELPER,
+    "policy.PolicyModel.zeros": HELPER,
+    "sim.RawTrace.noiseless_serving": HELPER,
+}
+
+
+def defined_functions():
+    """``(file, code qualname) -> module.qualname`` of every function and
+    method the sources define."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+
+        def walk(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    out[(str(path), prefix + child.name)] = (
+                        f"{path.stem}.{prefix}{child.name}")
+                    walk(child, f"{prefix}{child.name}.<locals>.")
+                elif isinstance(child, ast.ClassDef):
+                    walk(child, f"{prefix}{child.name}.")
+
+        walk(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+def clear_memos():
+    """Empty every ``functools.lru_cache`` in the package, so that a value an
+    earlier test cached cannot hide a call."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("envswitch."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def test_uncalled_functions_are_exactly_the_listed_ones(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("radio.wall_db = 8.0\n")     # the default value
+    common = ["--config", str(config)]
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    clear_memos()
+    sys.setprofile(profile)
+    try:
+        cli.main(["simulate", "--sessions", "1", "--out", str(tmp_path / "sim")]
+                 + common)
+        cli.main(["train", "--rounds", "2", "--out", str(tmp_path / "models")]
+                 + common)
+        cli.main(["evaluate", "--sessions", "2", "--models",
+                  str(tmp_path / "models"), "--out", str(tmp_path / "eval")]
+                 + common)
+    finally:
+        sys.setprofile(None)
+    called = {(os.path.realpath(code.co_filename), code.co_qualname)
+              for code in codes}
+    uncalled = {name for key, name in defined_functions().items()
+                if key not in called}
+    assert sorted(uncalled - set(UNCALLED)) == [], "called by no pipeline stage"
+    assert sorted(set(UNCALLED) - uncalled) == [], "listed but called or gone"
