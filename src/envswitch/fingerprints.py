@@ -237,15 +237,6 @@ def least_squares_slope(times, values) -> float:
     return float(np.dot(tc, v - v.mean()) / denom)
 
 
-def scan_summary(readings, top_k: int = 3):
-    """(top-K mean RSSI, strongest RSSI, strongest BSSID) of one scan."""
-    if not readings:
-        raise ValueError("inconsistent mask: wifi scan with no readings")
-    ordered = sorted(readings, key=lambda r: (-r[1], r[0]))
-    top = ordered[:top_k]
-    return sum(r[1] for r in top) / len(top), ordered[0][1], ordered[0][0]
-
-
 def _mean(values) -> float:
     """``float(np.mean(values))`` of a 1-D sequence, bit for bit, without
     numpy's per-call cost on the one or two values of a trace window: below
@@ -276,7 +267,14 @@ def wifi_features(window: RawWindow):
     scans = window.wifi_scans
     if not scans:
         raise ValueError("inconsistent mask: wifi marked present but window has no samples")
-    per_scan = [scan_summary(scan.readings) for scan in scans]
+    per_scan = []
+    for scan in scans:
+        if not scan.readings:
+            raise ValueError("inconsistent mask: wifi scan with no readings")
+        ordered = sorted(scan.readings, key=lambda r: (-r[1], r[0]))
+        top = ordered[:3]
+        per_scan.append((sum(r[1] for r in top) / len(top), ordered[0][1],
+                         ordered[0][0]))
     topk_means, strongest_rssi, strongest_ids = zip(*per_scan)
     return wifi_summary(topk_means, strongest_rssi, strongest_ids,
                         [scan.time for scan in scans])
@@ -324,9 +322,9 @@ def assemble_fingerprint(timestamp: float, raw: dict, present: dict,
     ``affine`` is ``NormalizationConfig.affine(FEATURE_NAMES)``.  A modality
     missing from ``present`` keeps its flag set.
     """
-    center, halfspan = affine
-    values = np.array([v for m in MODALITIES for v in raw[m]], dtype=float)
-    features = (values - np.array(center)) / np.array(halfspan)
+    values = [v for m in MODALITIES for v in raw[m]]
+    # 14 Python float operations, each the float64 one numpy would do
+    features = [(v - c) / h for v, c, h in zip(values, *affine)]
     return Fingerprint(timestamp, features,
                        [bool(present.get(m, True)) for m in MODALITIES])
 

@@ -6,7 +6,10 @@ apartment building and continues outdoors.  WiFi follows a log-distance path
 loss model with per-zone wall attenuation and lognormal shadowing; GNSS
 reappears within seconds of a door crossing; PDR comes from a constant-speed
 walker with pauses at turns.  Everything is a pure function of (scenario,
-seed).
+seed).  The per-second streams are whole-trace array passes that draw from
+one generator in a fixed order: the (n_aps, n_secs) shadowing, then an
+(RSRP, RSRQ) noise pair per second, then a GNSS (SNR, satellites) pair per
+second; these are the values the same draws made one second at a time give.
 
 The module also hosts the threshold+hysteresis baseline switch policy, the
 time-to-switch metric, and the simulated human-feedback oracle.
@@ -16,6 +19,8 @@ import hashlib
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import ne
 
 import numpy as np
 
@@ -23,8 +28,8 @@ from .config import (BaselineConfig, EngineConfig, RadioConfig, RewardConfig,
                      WalkerConfig)
 from .fingerprints import (FEATURE_NAMES, Fingerprint, FingerprintSequence,
                            assemble_fingerprint, cell_summary, fnv1a64,
-                           gnss_summary, pdr_summary, scan_summary,
-                           time_summary, wifi_summary)
+                           gnss_summary, pdr_summary, time_summary,
+                           wifi_summary)
 # unused here; bench/spans.py wraps this name
 from .fingerprints import summarize_window
 from .serialize import fmt
@@ -133,8 +138,8 @@ def _kinematics(scenario: Scenario, times: np.ndarray):
     frac = (times[moving] - t0[m]) / (t1[m] - t0[m])
     x[moving] = ax[m] + frac * (bx[m] - ax[m])
     y[moving] = ay[m] + frac * (by[m] - ay[m])
-    return (np.column_stack((x, y)), [zones[i] for i in k.tolist()], moving,
-            headings[k])
+    return (np.column_stack((x, y)), list(map(zones.__getitem__, k.tolist())),
+            moving, headings[k])
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +147,22 @@ def _kinematics(scenario: Scenario, times: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def path_loss_rssi(tx_power: float, distance: float, zone: str,
-                   scenario: Scenario, radio: RadioConfig) -> float:
-    """Noiseless log-distance RSSI at a position in a zone."""
-    d = max(distance, 1.0)
-    exponent = (radio.exponent_outdoor if zone in scenario.outdoor_zones
-                else radio.exponent_indoor)
-    walls = scenario.zone_walls.get(zone, 0.0)
-    rssi = tx_power - radio.pl0_db - 10.0 * exponent * math.log10(d) \
+def _path_loss(scenario: Scenario, radio: RadioConfig, pos: np.ndarray,
+               zones) -> np.ndarray:
+    """Noiseless log-distance RSSI (n_aps, n) of every AP at positions ``pos``
+    (n, 2) in ``zones``, clamped to the radio's range.  ``hypot`` and
+    ``log10`` are ``math``'s, per element: numpy's differ in the last bit."""
+    outdoor = np.array([z in scenario.outdoor_zones for z in zones], dtype=bool)
+    exponent = np.where(outdoor, radio.exponent_outdoor, radio.exponent_indoor)
+    walls = np.array([scenario.zone_walls.get(z, 0.0) for z in zones], dtype=float)
+    aps = np.array(scenario.ap_placements, dtype=float).reshape(-1, 3)
+    d = list(map(math.hypot, (pos[:, 0] - aps[:, :1]).ravel().tolist(),
+                 (pos[:, 1] - aps[:, 1:2]).ravel().tolist()))
+    log_d = np.array(list(map(math.log10, np.maximum(d, 1.0).tolist())))
+    log_d = log_d.reshape(len(aps), len(pos))
+    rssi = aps[:, 2:] - radio.pl0_db - 10.0 * exponent * log_d \
         - walls * radio.wall_db
-    return float(min(max(rssi, radio.rssi_floor_dbm), radio.rssi_ceil_dbm))
+    return np.minimum(np.maximum(rssi, radio.rssi_floor_dbm), radio.rssi_ceil_dbm)
 
 
 @dataclass
@@ -201,19 +212,24 @@ class RawTrace:
     def noiseless_serving(self) -> np.ndarray:
         return self.noiseless_by_ap.max(axis=0)
 
-    def topk_readings(self, t_idx: int, k: int = 3):
-        order = np.argsort(-self.rssi_by_ap[:, t_idx], kind="stable")
-        return [(self.bssids[a], float(self.rssi_by_ap[a, t_idx]))
-                for a in order[:k]]
-
     def wifi_summaries(self):
-        """Per-second ``scan_summary`` of the top-3 readings, computed once:
-        (top-K means, strongest RSSIs, strongest BSSIDs)."""
+        """Per-second summaries of the top-3 readings, computed once:
+        (top-K means, strongest RSSIs, strongest BSSIDs).
+
+        One stable sort down the AP axis picks each second's top 3, ties
+        going to the lower AP index; among their strongest readings the
+        smallest BSSID names the strongest AP, and the mean adds the
+        readings in descending order."""
         if self._wifi is None:
-            per_sec = [scan_summary(self.topk_readings(i))
-                       for i in range(len(self.sec_t))]
-            means, strongest, bssids = zip(*per_sec)
-            self._wifi = (np.array(means), np.array(strongest), bssids)
+            rssi = self.rssi_by_ap
+            top = np.argsort(-rssi, axis=0, kind="stable")[:3]
+            values = np.take_along_axis(rssi, top, axis=0)
+            rank = np.argsort(np.argsort(self.bssids, kind="stable"))
+            tied = np.where(values == values[0], rank[top], len(rank))
+            strongest = top[tied.argmin(axis=0), np.arange(rssi.shape[1])]
+            # the sum adds row by row: the readings in descending order
+            self._wifi = (values.sum(axis=0) / len(values), values[0],
+                          tuple(self.bssids[a] for a in strongest.tolist()))
         return self._wifi
 
     def checksum(self) -> str:
@@ -224,24 +240,6 @@ class RawTrace:
                        + self.gnss_snr.tobytes() + self.pos.tobytes())
             self._checksum = hashlib.blake2b(payload, digest_size=8).hexdigest()
         return self._checksum
-
-
-def _gnss_streams(scenario, sec_t, sec_zone, door_time, rng):
-    n = len(sec_t)
-    snr = np.empty(n)
-    sats = np.empty(n)
-    fix = np.zeros(n, dtype=bool)
-    for i, t in enumerate(sec_t):
-        outdoor = sec_zone[i] in scenario.outdoor_zones
-        if outdoor and door_time is not None:
-            clear = door_time + scenario.gnss_clear_delay_s
-            ramp = float(min(max((t - clear) / 5.0, 0.0), 1.0))
-        else:
-            ramp = 0.0
-        snr[i] = max(0.0, 4.0 + 28.0 * ramp + rng.normal(0.0, 1.5))
-        sats[i] = max(0.0, 2.5 + 9.5 * ramp + rng.normal(0.0, 0.8))
-        fix[i] = ramp >= 0.6
-    return snr, sats, fix
 
 
 def generate(scenario: Scenario, radio: RadioConfig | None = None,
@@ -270,44 +268,40 @@ def generate(scenario: Scenario, radio: RadioConfig | None = None,
     n_secs = int(scenario.duration)
     sec_t = np.arange(n_secs, dtype=float)
     sec_idx = np.minimum((sec_t * walker.tick_hz).astype(int), n_ticks - 1)
-    sec_zone = [tick_zone[i] for i in sec_idx]
+    sec_zone = list(map(tick_zone.__getitem__, sec_idx.tolist()))
+    outdoor = np.array([z in scenario.outdoor_zones for z in sec_zone], dtype=bool)
 
-    door_time = None
-    zone_transitions = []
-    for i in range(1, n_ticks):
-        if tick_zone[i] != tick_zone[i - 1]:
-            zone_transitions.append((float(tick_t[i]), tick_zone[i - 1], tick_zone[i]))
-            was_out = tick_zone[i - 1] in scenario.outdoor_zones
-            is_out = tick_zone[i] in scenario.outdoor_zones
-            if is_out and not was_out and door_time is None:
-                door_time = float(tick_t[i])
+    # the ticks whose zone differs from the tick before
+    changes = compress(range(1, n_ticks), map(ne, tick_zone[1:], tick_zone))
+    zone_transitions = [(float(tick_t[i]), tick_zone[i - 1], tick_zone[i])
+                        for i in changes]
+    door_time = next((t for t, a, b in zone_transitions
+                      if b in scenario.outdoor_zones
+                      and a not in scenario.outdoor_zones), None)
 
-    n_aps = len(scenario.ap_placements)
-    rssi_by_ap = np.empty((n_aps, n_secs))
-    noiseless_by_ap = np.empty((n_aps, n_secs))
-    shadow = rng.normal(0.0, scenario.shadow_sigma_db, size=(n_aps, n_secs))
-    sec_pos = pos[sec_idx].tolist()
-    for a, (ax, ay, tx) in enumerate(scenario.ap_placements):
-        for i, (x, y) in enumerate(sec_pos):
-            d = math.hypot(x - ax, y - ay)
-            clean = path_loss_rssi(tx, d, sec_zone[i], scenario, radio)
-            noiseless_by_ap[a, i] = clean
-            rssi_by_ap[a, i] = min(max(clean + shadow[a, i],
-                                       radio.rssi_floor_dbm),
-                                   radio.rssi_ceil_dbm)
-    bssids = tuple(_bssid(scenario.seed, a) for a in range(n_aps))
+    noiseless_by_ap = _path_loss(scenario, radio, pos[sec_idx], sec_zone)
+    shadow = rng.normal(0.0, scenario.shadow_sigma_db, size=noiseless_by_ap.shape)
+    rssi_by_ap = np.minimum(np.maximum(noiseless_by_ap + shadow,
+                                       radio.rssi_floor_dbm), radio.rssi_ceil_dbm)
+    bssids = tuple(_bssid(scenario.seed, a) for a in range(len(rssi_by_ap)))
 
     cell_id = np.full(n_secs, 501, dtype=int)
-    rsrp = np.empty(n_secs)
-    rsrq = np.empty(n_secs)
-    for i in range(n_secs):
-        base = (scenario.cell_rsrp_outdoor if sec_zone[i] in scenario.outdoor_zones
-                else scenario.cell_rsrp_indoor)
-        rsrp[i] = base + 1.5 * math.sin(sec_t[i] / 30.0) + rng.normal(0.0, 1.0)
-        rsrq[i] = -10.0 + rng.normal(0.0, 0.8)
+    cell_noise = rng.normal(0.0, (1.0, 0.8), size=(n_secs, 2))
+    base = np.where(outdoor, scenario.cell_rsrp_outdoor, scenario.cell_rsrp_indoor)
+    swing = np.array(list(map(math.sin, (sec_t / 30.0).tolist())))
+    rsrp = base + 1.5 * swing + cell_noise[:, 0]
+    rsrq = -10.0 + cell_noise[:, 1]
 
-    gnss_snr, gnss_sats, gnss_fix = _gnss_streams(scenario, sec_t, sec_zone,
-                                                  door_time, rng)
+    # GNSS ramps up over 5 s from gnss_clear_delay_s after the door
+    ramp = np.zeros(n_secs)
+    if door_time is not None:
+        clear = door_time + scenario.gnss_clear_delay_s
+        ramp[outdoor] = np.minimum(np.maximum((sec_t[outdoor] - clear) / 5.0,
+                                              0.0), 1.0)
+    gnss_noise = rng.normal(0.0, (1.5, 0.8), size=(n_secs, 2))
+    gnss_snr = np.maximum(0.0, 4.0 + 28.0 * ramp + gnss_noise[:, 0])
+    gnss_sats = np.maximum(0.0, 2.5 + 9.5 * ramp + gnss_noise[:, 1])
+    gnss_fix = ramp >= 0.6
 
     arrays = (tick_t, pos, headings, step_times, sec_t, rssi_by_ap,
               noiseless_by_ap, cell_id, rsrp, rsrq, gnss_snr, gnss_sats,
@@ -336,22 +330,19 @@ def _bssid(seed: int, ap_index: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def compute_onset(scenario: Scenario, radio: RadioConfig | None = None,
-                  threshold: float = -75.0) -> float | None:
-    """First time the noiseless serving RSSI crosses the threshold heading down."""
-    radio = radio or RadioConfig()
+def compute_onset(scenario: Scenario, radio: RadioConfig,
+                  threshold: float) -> float | None:
+    """First time the noiseless serving RSSI crosses the threshold heading
+    down, interpolated linearly between the whole seconds around it."""
     sec_t = np.arange(int(scenario.duration), dtype=float)
     pos, zones, _, _ = _kinematics(scenario, sec_t)
-    prev = None
-    for t, (x, y), zone in zip(sec_t.tolist(), pos.tolist(), zones):
-        best = max(path_loss_rssi(tx, math.hypot(x - ax, y - ay), zone,
-                                  scenario, radio)
-                   for ax, ay, tx in scenario.ap_placements)
-        if prev is not None and prev >= threshold > best:
-            frac = (prev - threshold) / (prev - best)
-            return float(t - 1.0 + frac)
-        prev = best
-    return None
+    best = _path_loss(scenario, radio, pos, zones).max(axis=0)
+    down = np.flatnonzero((best[:-1] >= threshold) & (threshold > best[1:]))
+    if not len(down):
+        return None
+    prev, now = best[down[0]:down[0] + 2].tolist()
+    frac = (prev - threshold) / (prev - now)
+    return float(sec_t[down[0]] + frac)
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +351,11 @@ def compute_onset(scenario: Scenario, radio: RadioConfig | None = None,
 
 
 def _jitter_waypoints(wps, rng, amount: float):
-    out = []
-    for k, w in enumerate(wps):
-        if k == 0:
-            out.append(w)
-        else:
-            out.append(Waypoint(w.x + rng.uniform(-amount, amount),
-                                w.y + rng.uniform(-amount, amount), w.zone))
-    return tuple(out)
+    """Every waypoint but the first, moved by a uniform (x, y) offset; the
+    offsets are one draw, x before y, waypoint after waypoint."""
+    offsets = rng.uniform(-amount, amount, size=(len(wps) - 1, 2)).tolist()
+    return wps[:1] + tuple(Waypoint(w.x + dx, w.y + dy, w.zone)
+                           for w, (dx, dy) in zip(wps[1:], offsets))
 
 
 def make_scenario(site: str, seed: int, radio: RadioConfig | None = None,
@@ -602,10 +590,11 @@ def segment_before(trace: RawTrace, t_event: float,
     t_event."""
     n = cfg.window.buffer_windows
     t0 = max(0.0, t_event - n * cfg.window.window_s)
+    affine = cfg.norm.affine(FEATURE_NAMES)
     windows = []
     t = t0 + cfg.window.window_s
     while t <= t_event + 1e-9:
-        windows.append(fingerprint_at(trace, t, cfg))
+        windows.append(fingerprint_at(trace, t, cfg, None, affine))
         t += cfg.window.window_s
     return FingerprintSequence(windows)
 

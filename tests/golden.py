@@ -39,12 +39,18 @@ DIGEST_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden_digests.json")
 
 
-def run_pipeline(out: str, cfg: EngineConfig, seed: int = CANONICAL_SEED):
-    """simulate -> train (N=20) -> evaluate into ``out``; returns the reports."""
+def run_pipeline(out: str, cfg: EngineConfig, seed: int = CANONICAL_SEED,
+                 rounds: int = 20, sessions: int = EVAL_SESSIONS,
+                 log=lambda *a: None):
+    """simulate -> train (N=``rounds``) -> evaluate into ``out``; returns the
+    reports.
+
+    ``rounds`` and ``sessions`` (evaluation sessions per site) shrink the
+    pass for quick checks; ``log`` receives train's and evaluate's log lines."""
     cmd_simulate(["A", "B", "C"], 2, seed, out, cfg)
-    cmd_train(seed, out, cfg, rounds=20, log=lambda *a: None)
-    return cmd_evaluate(["A", "B", "C"], {f: EVAL_SESSIONS for f in "ABC"},
-                        seed, out, out, cfg, log=lambda *a: None)
+    cmd_train(seed, out, cfg, rounds=rounds, log=log)
+    return cmd_evaluate(["A", "B", "C"], {f: sessions for f in "ABC"},
+                        seed, out, out, cfg, log=log)
 
 
 def environment_key() -> str:

@@ -114,6 +114,23 @@ class TestSimulateCommand:
             assert filecmp.cmp(a / name, b / name, shallow=False), name
 
 
+    @pytest.mark.parametrize("window_s", [0.2, 0.5])
+    def test_sequence_windows_tile_the_whole_walk(self, window_s):
+        # window ends are k * window_s, so rounding loses none at 0.2 s
+        cfg = EngineConfig()
+        cfg.window.window_s = window_s
+        for flag in ("A", "B", "C"):
+            sc = sim.make_scenario(flag, 13, cfg.radio, cfg.walker, cfg.baseline)
+            trace = sim.generate(sc, cfg.radio, cfg.walker)
+            seq = cli.trace_to_sequence(trace, cfg)
+            n = round(trace.duration / window_s)
+            assert len(seq) == n
+            ends = [k * window_s for k in range(1, n + 1)]
+            assert seq.timestamps().tolist() == [0.5 * (t - window_s + t)
+                                                 for t in ends]
+            assert ends[-1] == pytest.approx(trace.duration, abs=1e-9)
+
+
 class TestTrainModels:
     def test_each_training_scenario_is_generated_once(self, monkeypatch):
         calls = []

@@ -13,16 +13,152 @@ from envswitch.fingerprints import (FEATURE_NAMES, MODALITY_SLICES, CellSample,
 from envswitch.sim import (RawTrace, Scenario, Waypoint, baseline_policy,
                            compute_onset, detect_outdoor_transition,
                            feedback_oracle, fingerprint_at, generate,
-                           make_scenario, path_loss_rssi,
-                           rollback_occurred, scenario_text, segment_before,
-                           truth_text, tts)
+                           make_scenario, rollback_occurred, scenario_text,
+                           segment_before, truth_text, tts)
 
 CFG = EngineConfig()
+THRESHOLD = CFG.baseline.threshold_dbm
 
 
 # ---------------------------------------------------------------------------
-# scalar oracles of the vectorized kinematics and of the window path
+# scalar oracles of the vectorized kinematics, radio streams and window path
 # ---------------------------------------------------------------------------
+
+
+def path_loss_rssi(tx_power: float, distance: float, zone: str,
+                   scenario, radio) -> float:
+    """Noiseless log-distance RSSI at a position in a zone."""
+    d = max(distance, 1.0)
+    exponent = (radio.exponent_outdoor if zone in scenario.outdoor_zones
+                else radio.exponent_indoor)
+    walls = scenario.zone_walls.get(zone, 0.0)
+    rssi = tx_power - radio.pl0_db - 10.0 * exponent * math.log10(d) \
+        - walls * radio.wall_db
+    return float(min(max(rssi, radio.rssi_floor_dbm), radio.rssi_ceil_dbm))
+
+
+def topk_readings(trace, t_idx: int, k: int = 3):
+    """The ``k`` strongest (BSSID, RSSI) readings of second ``t_idx``, ties
+    in AP order."""
+    order = np.argsort(-trace.rssi_by_ap[:, t_idx], kind="stable")
+    return [(trace.bssids[a], float(trace.rssi_by_ap[a, t_idx]))
+            for a in order[:k]]
+
+
+def scan_summary(readings):
+    """(top-3 mean RSSI, strongest RSSI, strongest BSSID) of one scan, as
+    ``fingerprints.wifi_features`` summarizes each scan."""
+    ordered = sorted(readings, key=lambda r: (-r[1], r[0]))
+    top = ordered[:3]
+    return sum(r[1] for r in top) / len(top), ordered[0][1], ordered[0][0]
+
+
+def scalar_trace_streams(scenario, radio, walker):
+    """``generate`` one tick and one second at a time, its draws made as
+    interleaved scalar calls: every ``RawTrace`` field by name."""
+    rng = np.random.default_rng(scenario.seed)
+    n_ticks = int(round(scenario.duration * walker.tick_hz))
+    tick_t = np.arange(n_ticks) / walker.tick_hz
+    pos, tick_zone, moving, headings = sim._kinematics(scenario, tick_t)
+
+    per_tick = scenario.speed_mps / walker.stride_m / walker.tick_hz
+    step_ticks = []
+    acc = 0.0
+    for i in np.flatnonzero(moving).tolist():
+        acc += per_tick
+        if acc >= 1.0:
+            step_ticks.append(i)
+            acc -= 1.0
+    step_times = tick_t[np.array(step_ticks, dtype=int)]
+
+    n_secs = int(scenario.duration)
+    sec_t = np.arange(n_secs, dtype=float)
+    sec_idx = np.minimum((sec_t * walker.tick_hz).astype(int), n_ticks - 1)
+    sec_zone = [tick_zone[i] for i in sec_idx]
+
+    door_time = None
+    zone_transitions = []
+    for i in range(1, n_ticks):
+        if tick_zone[i] != tick_zone[i - 1]:
+            zone_transitions.append((float(tick_t[i]), tick_zone[i - 1], tick_zone[i]))
+            was_out = tick_zone[i - 1] in scenario.outdoor_zones
+            is_out = tick_zone[i] in scenario.outdoor_zones
+            if is_out and not was_out and door_time is None:
+                door_time = float(tick_t[i])
+
+    n_aps = len(scenario.ap_placements)
+    rssi_by_ap = np.empty((n_aps, n_secs))
+    noiseless_by_ap = np.empty((n_aps, n_secs))
+    shadow = rng.normal(0.0, scenario.shadow_sigma_db, size=(n_aps, n_secs))
+    sec_pos = pos[sec_idx].tolist()
+    for a, (ax, ay, tx) in enumerate(scenario.ap_placements):
+        for i, (x, y) in enumerate(sec_pos):
+            d = math.hypot(x - ax, y - ay)
+            clean = path_loss_rssi(tx, d, sec_zone[i], scenario, radio)
+            noiseless_by_ap[a, i] = clean
+            rssi_by_ap[a, i] = min(max(clean + shadow[a, i],
+                                       radio.rssi_floor_dbm),
+                                   radio.rssi_ceil_dbm)
+
+    cell_id = np.full(n_secs, 501, dtype=int)
+    rsrp = np.empty(n_secs)
+    rsrq = np.empty(n_secs)
+    for i in range(n_secs):
+        base = (scenario.cell_rsrp_outdoor if sec_zone[i] in scenario.outdoor_zones
+                else scenario.cell_rsrp_indoor)
+        rsrp[i] = base + 1.5 * math.sin(sec_t[i] / 30.0) + rng.normal(0.0, 1.0)
+        rsrq[i] = -10.0 + rng.normal(0.0, 0.8)
+
+    snr = np.empty(n_secs)
+    sats = np.empty(n_secs)
+    fix = np.zeros(n_secs, dtype=bool)
+    for i, t in enumerate(sec_t):
+        if sec_zone[i] in scenario.outdoor_zones and door_time is not None:
+            clear = door_time + scenario.gnss_clear_delay_s
+            ramp = float(min(max((t - clear) / 5.0, 0.0), 1.0))
+        else:
+            ramp = 0.0
+        snr[i] = max(0.0, 4.0 + 28.0 * ramp + rng.normal(0.0, 1.5))
+        sats[i] = max(0.0, 2.5 + 9.5 * ramp + rng.normal(0.0, 0.8))
+        fix[i] = ramp >= 0.6
+
+    return dict(
+        tick_t=tick_t, pos=pos, tick_zone=tick_zone, headings=headings,
+        step_times=step_times, sec_t=sec_t,
+        bssids=tuple(sim._bssid(scenario.seed, a) for a in range(n_aps)),
+        rssi_by_ap=rssi_by_ap, noiseless_by_ap=noiseless_by_ap,
+        cell_id=cell_id, rsrp=rsrp, rsrq=rsrq, gnss_snr=snr, gnss_sats=sats,
+        gnss_fix=fix, sec_zone=sec_zone, door_time=door_time,
+        degradation_onset=scenario.degradation_onset,
+        zone_transitions=zone_transitions)
+
+
+def wifi_summaries_oracle(trace):
+    """``RawTrace.wifi_summaries`` one second at a time, through
+    ``scan_summary`` of the top-3 readings."""
+    means, strongest, bssids = zip(*[scan_summary(topk_readings(trace, i))
+                                     for i in range(len(trace.sec_t))])
+    return np.array(means), np.array(strongest), bssids
+
+
+def trace_matches_oracle(scenario):
+    """``generate``'s trace equals ``scalar_trace_streams`` field for field,
+    arrays byte for byte with their dtype, and its WiFi summaries equal
+    ``wifi_summaries_oracle``'s."""
+    trace = generate(scenario, CFG.radio, CFG.walker)
+    for name, want in scalar_trace_streams(scenario, CFG.radio, CFG.walker).items():
+        got = getattr(trace, name)
+        assert type(got) is type(want), name
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert got == want, name
+    got, want = trace.wifi_summaries(), wifi_summaries_oracle(trace)
+    for a, b in zip(got[:2], want[:2]):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert got[2] == want[2]
+    return True
 
 
 def position_at(phases, t: float):
@@ -39,7 +175,7 @@ def position_at(phases, t: float):
     return last.x, last.y, last.zone, False, 0.0
 
 
-def scalar_onset(scenario, radio, threshold=-75.0):
+def scalar_onset(scenario, radio, threshold):
     """compute_onset over position_at."""
     phases = sim._walk_schedule(scenario)
     prev = None
@@ -68,7 +204,7 @@ def window_from_trace(trace, t_start, t_end, scan_times=None, top_k=3):
         # a scan at time s reads second int(s), on the 1 Hz grid or not
         scans = [(float(s), int(s)) for s in scan_times
                  if t_start <= s < t_end and 0 <= int(s) < len(trace.sec_t)]
-    wifi = [WifiScan(s, trace.topk_readings(i, top_k)) for s, i in scans]
+    wifi = [WifiScan(s, topk_readings(trace, i, top_k)) for s, i in scans]
     cell = [CellSample(float(trace.sec_t[i]), int(trace.cell_id[i]),
                        float(trace.rsrp[i]), float(trace.rsrq[i]))
             for i in sec_sel]
@@ -91,7 +227,7 @@ def reference_fingerprint_at(trace, t_end, cfg, scan_times=None):
             last = max(older)
             sec = int(last)
             if t_end - last <= cfg.device.wifi_stale_s and 0 <= sec < len(trace.sec_t):
-                w.wifi_scans = [WifiScan(last, trace.topk_readings(sec))]
+                w.wifi_scans = [WifiScan(last, topk_readings(trace, sec))]
     present = {
         "pdr": True,
         "wifi": len(w.wifi_scans) > 0,
@@ -234,7 +370,8 @@ class TestGenerate:
             onsets[flag] = round(sc.degradation_onset, 2)
             # the default baseline keeps the -75 dBm onset
             default = make_scenario(flag, 13, CFG.radio, CFG.walker)
-            assert default.degradation_onset == compute_onset(default, CFG.radio)
+            assert default.degradation_onset == compute_onset(default, CFG.radio,
+                                                               THRESHOLD)
         assert onsets == {"A": 14.30, "B": 22.06, "C": 15.60}
 
     def test_onset_inside_session(self):
@@ -435,23 +572,78 @@ class TestKinematics:
         for seed in range(50):
             sc = make_scenario(site, seed, CFG.radio, CFG.walker)
             assert kinematics_match_oracle(sc, CFG.walker)
-            assert compute_onset(sc, CFG.radio) == scalar_onset(sc, CFG.radio)
+            assert compute_onset(sc, CFG.radio, THRESHOLD) == scalar_onset(
+                sc, CFG.radio, THRESHOLD)
+
+    def test_jitter_is_the_scalar_draws_in_one_array(self):
+        wps = make_scenario("B", 0, CFG.radio, CFG.walker).waypoints
+        for seed in range(20):
+            scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = wps[:1] + tuple(
+                Waypoint(w.x + scalar.uniform(-1.0, 1.0),
+                         w.y + scalar.uniform(-1.0, 1.0), w.zone)
+                for w in wps[1:])
+            assert sim._jitter_waypoints(wps, batched, 1.0) == want
+            assert scalar.uniform() == batched.uniform()     # as many draws
 
     def test_repeated_waypoint_and_short_session(self):
         sc = make_scenario("A", 3, CFG.radio, CFG.walker)
         # a zero-length move between two copies of the second waypoint
         back = dataclasses.replace(
             sc, waypoints=sc.waypoints[:2] + sc.waypoints[1:], duration=20.0)
-        back.degradation_onset = compute_onset(back, CFG.radio)
+        back.degradation_onset = compute_onset(back, CFG.radio, THRESHOLD)
         back.validate()
         assert len(back.waypoints) == len(sc.waypoints) + 1
         assert back.waypoints[1] == back.waypoints[2]
         phases = sim._walk_schedule(back)
         assert phases[-1][0] > back.duration      # the walk outlasts the session
         assert kinematics_match_oracle(back, CFG.walker)
-        assert compute_onset(back, CFG.radio) == scalar_onset(back, CFG.radio)
+        assert compute_onset(back, CFG.radio, THRESHOLD) == scalar_onset(
+            back, CFG.radio, THRESHOLD)
         trace = generate(back, CFG.radio, CFG.walker)
         assert len(trace.tick_t) == 200
+        assert trace_matches_oracle(back)
+
+
+class TestTraceOracle:
+    @pytest.mark.parametrize("site", ["A", "B", "C"])
+    def test_vectorized_streams_equal_scalar_oracle(self, site):
+        doors = 0
+        for seed in range(50):
+            sc = make_scenario(site, seed, CFG.radio, CFG.walker)
+            assert trace_matches_oracle(sc)
+            doors += generate(sc, CFG.radio, CFG.walker).door_time is not None
+        # site A never leaves the building; B and C always do
+        assert doors == (0 if site == "A" else 50)
+
+    def test_without_shadowing(self):
+        for site in ("A", "B", "C"):
+            for seed in range(5):
+                sc = make_scenario(site, seed, CFG.radio, CFG.walker)
+                assert trace_matches_oracle(
+                    dataclasses.replace(sc, shadow_sigma_db=0.0))
+
+    def test_four_aps_tied_at_the_top(self):
+        # APs 1-4 share one placement, so without shadowing they tie every
+        # second; AP 4 has the smallest of their BSSIDs
+        seed = next(s for s in range(100)
+                    if sim._bssid(s, 4) < min(sim._bssid(s, a) for a in (1, 2, 3)))
+        sc = dataclasses.replace(
+            make_scenario("A", seed, CFG.radio, CFG.walker),
+            ap_placements=((0.0, 0.0, 16.0),) + ((20.0, 1.0, 16.0),) * 4,
+            shadow_sigma_db=0.0)
+        assert trace_matches_oracle(sc)
+        trace = generate(sc, CFG.radio, CFG.walker)
+        means, strongest, bssids = trace.wifi_summaries()
+        tied = trace.rssi_by_ap[1] > trace.rssi_by_ap[0]
+        assert 0 < tied.sum() < len(tied)
+        # the top 3 are APs 1-3 by index, so AP 4 is never the strongest
+        top3 = min(trace.bssids[1:4])
+        assert {bssids[i] for i in np.flatnonzero(tied)} == {top3}
+        assert trace.bssids[4] not in bssids
+        lead = trace.rssi_by_ap[1, tied]
+        assert strongest[tied].tolist() == lead.tolist()
+        assert means[tied].tolist() == ((lead + lead + lead) / 3).tolist()
 
 
 def window_cfg(window_s=1.0):
