@@ -2,10 +2,12 @@
 
 Walks through the passive-collection side: a simulated indoor session is
 windowed into multi-modal fingerprints, the 10 s before the switch becomes a
-library prototype, retention prunes old entries, and the summary text of one
-episode matched against the library shows what (and only what) would ever
-leave the device.
+library prototype, a commit past the library's capacity evicts its oldest
+prototype, and the summary text of one episode matched against the library
+shows what (and only what) would ever leave the device.
 """
+
+from dataclasses import replace
 
 from envswitch.alignment import MetricModel
 from envswitch.cloudedge import summarize_trajectory
@@ -29,15 +31,17 @@ print(f"baseline switch completes at {completion:6.2f} s (censored={censored})")
 
 # The pre-switch buffer: ten 1 s windows, each a 14-feature fingerprint
 buffer = segment_before(trace, completion, cfg)
-print(f"\npre-switch buffer: {len(buffer)} windows x {buffer.features().shape[1]} features")
+features, _ = buffer.packed()
+print(f"\npre-switch buffer: {features.shape[0]} windows x {features.shape[1]} features")
 mid = buffer.windows[5]
 print("one window, feature by feature:")
 for name, value, in zip(FEATURE_NAMES, mid.features):
     print(f"  {name:20s} {value:+.3f}")
 print(f"  presence mask        {mid.present.astype(int)}")
 
-# Commit the segment; the library enforces retention and capacity
-library = FingerprintLibrary(cfg.library)
+# Commit the segment into a library of capacity 2 (the pipeline keeps 24 per
+# site): a commit past the capacity evicts the oldest prototype
+library = FingerprintLibrary(replace(cfg.library, capacity=2))
 event = SwitchEvent(buffer.windows[-1].timestamp, "wifi_to_cell")
 pid = library.commit_segment(buffer, event, created_day=0)
 print(f"\ncommitted prototype {pid} (library size {len(library)})")
@@ -53,10 +57,8 @@ for day in range(1, 4):
         buf = segment_before(tr, comp, cfg)
         library.commit_segment(buf, SwitchEvent(buf.windows[-1].timestamp,
                                                 "wifi_to_cell"), created_day=day)
-print(f"after three more days: {len(library)} prototypes")
-
-library.maintain(current_day=16)   # entries older than 14 days age out
-print(f"after maintenance on day 16: {len(library)} prototypes")
+print(f"after three more days: {len(library)} prototypes, "
+      f"day 0's evicted: {pid not in library.sequences}")
 
 # What leaves the device: the trigger rule drives one new session against the
 # library, and the episode ships one text, a salted hash of the edge id and

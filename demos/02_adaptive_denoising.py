@@ -9,7 +9,7 @@ import numpy as np
 
 from envswitch.filters import (FilterChoice, FilterContext, SelectorModel,
                                apply_elp, apply_gaussian, apply_kalman,
-                               denoise, select_filter, soft_denoise_matrix)
+                               denoise_matrix, select_filter, soft_denoise_matrix)
 
 rng = np.random.default_rng(3)
 
@@ -45,7 +45,7 @@ for label, ctx in [
 
 # hard selection vs the differentiable mixture used during training
 one_hot = FilterChoice(np.array([0.0, 1.0, 0.0]), 0.1, 1.0, 1.2, 0.5)
-hard = denoise(one_hot, noisy)
+hard = denoise_matrix(one_hot, noisy[:, None])[:, 0]
 soft, _ = soft_denoise_matrix(one_hot, noisy[:, None])
 print(f"\none-hot mixture equals hard selection: "
       f"{np.allclose(soft[:, 0], hard, atol=1e-12)}")

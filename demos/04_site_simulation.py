@@ -26,7 +26,8 @@ for flag, blurb in (("A", "office indoor, walk to a far wing"),
             trace, cfg.baseline.threshold_dbm, cfg.baseline.hysteresis_db,
             cfg.baseline.dwell_s, cfg.baseline.assoc_delay_s)
         onsets.append(scenario.degradation_onset)
-        baselines.append(tts(completion, scenario.degradation_onset)
+        baselines.append(tts(completion, scenario.degradation_onset,
+                             cfg.reward.tts_report_floor_s)
                          if not censored else np.nan)
     arr = np.array(baselines)
     print(f"site {flag} ({blurb})")
@@ -43,7 +44,7 @@ print("site C exit detection:")
 print(f"  door crossing at      {trace.door_time:5.1f} s")
 print(f"  joint trigger at      {t_detect:5.1f} s")
 
-serving = trace.noiseless_serving()
+serving = trace.noiseless_by_ap.max(axis=0)   # the strongest noiseless AP
 d = int(trace.door_time)
 print(f"  WiFi at door vs +5 s: {serving[d]:6.1f} -> {serving[d + 5]:6.1f} dBm "
       f"({serving[d] - serving[d + 5]:.1f} dB drop)")

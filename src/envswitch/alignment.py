@@ -20,8 +20,8 @@ group when some group has the live window's length and built for the
 call otherwise.  The metric's kernel is built once per metric content
 (``_kernel``).  Exact DTW gives the alignment distance d and the similarity
 exp(-beta * d) in (0, 1], with a fixed scale beta = 1; a distance is read
-from the last cell, and ``match`` backtracks a warping path only when a
-result's ``.path`` is read.  Soft-DTW is differentiable: its backward
+from the last cell.  Only ``dtw`` backtracks a warping path: ``match``
+returns distances and similarities.  Soft-DTW is differentiable: its backward
 weights sweep the same layout in reverse, and hand-written gradients let
 the metric (and, through the filter mixture, the selector) train with
 plain gradient descent.  ``cost_matrix`` costs every cell densely; it is
@@ -300,28 +300,14 @@ def band_mask(n: int, m: int, band: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class AlignmentResult:
-    """Distance, warping path and similarity of one alignment.
+    """Distance, warping path and similarity of one alignment; ``path`` is
+    None in ``match``'s results, which no caller backtracks."""
 
-    ``path`` may be given as a zero-argument callable: it is called on the
-    first read of ``.path`` and its list kept.  ``match`` gives one, so a
-    result whose path is never read is never backtracked.
-    """
-
-    def __init__(self, distance: float, path, similarity: float):
-        self.distance, self._path, self.similarity = distance, path, similarity
-
-    @property
-    def path(self) -> list:
-        if callable(self._path):
-            self._path = self._path()
-        return self._path
-
-    def __eq__(self, other):
-        if not isinstance(other, AlignmentResult):
-            return NotImplemented
-        return ((self.distance, self.path, self.similarity)
-                == (other.distance, other.path, other.similarity))
+    distance: float
+    path: list | None
+    similarity: float
 
 
 @functools.lru_cache(maxsize=256)
@@ -906,8 +892,8 @@ def _plan(library: FingerprintLibrary):
     return groups
 
 
-def match(model: MetricModel, selector, live_window, library, band: int,
-          top_k: int, ctx):
+def match(model: MetricModel, selector, live_window,
+          library: FingerprintLibrary, band: int, top_k: int, ctx):
     """Rank library prototypes by similarity to the live window.
 
     The live window and every prototype are denoised with the filter the
@@ -918,18 +904,16 @@ def match(model: MetricModel, selector, live_window, library, band: int,
     1.0.  A prototype with no admissible path inside the band is left out;
     ties break on the smaller prototype id.
 
-    A ``FingerprintLibrary`` is scored from its plan (``_plan``), one
-    ``_Group`` per prototype length, kept per ``version``; any other
-    iterable of ``(prototype_id, prototype)``, or mapping, is grouped per
-    call by the same code.  When a group has the live window's length n,
-    the window is filtered and embedded in column 0 of that group's stack,
-    otherwise (the first windows of a walk) alone.  Every group costs and
-    sweeps in a ``_GroupScratch``, kept per (n, band, E) when some group
-    has length n and built for the call otherwise.  A result holds a copy
-    of its table and backtracks only when ``.path`` is read.  ``match`` on
-    one library must not run concurrently.  An empty library yields an
-    empty list, once ``band`` and the live window have passed the checks a
-    non-empty one applies.
+    The ``FingerprintLibrary`` is scored from its plan (``_plan``), one
+    ``_Group`` per prototype length, kept per ``version``.  When a group
+    has the live window's length n, the window is filtered and embedded in
+    column 0 of that group's stack, otherwise (the first windows of a walk)
+    alone.  Every group costs and sweeps in a ``_GroupScratch``, kept per
+    (n, band, E) when some group has length n and built for the call
+    otherwise.  A result is ``AlignmentResult(distance, None, similarity)``:
+    no warping path is backtracked.  ``match`` on one library must not run
+    concurrently.  An empty library yields an empty list, once ``band`` and
+    the live window have passed the checks a non-empty one applies.
     """
     if band < 1:
         raise ValueError("band must be >= 1")
@@ -937,11 +921,7 @@ def match(model: MetricModel, selector, live_window, library, band: int,
     n = qf.shape[0]
     if n < 2:
         raise ValueError("both sequences need at least 2 windows")
-    if isinstance(library, FingerprintLibrary):
-        groups = _plan(library)
-    else:
-        entries = library.items() if hasattr(library, "items") else library
-        groups = _group_by_length((pid, _pack(proto)) for pid, proto in entries)
+    groups = _plan(library)
     if not groups:
         return []
     if min(len(g.features) for g in groups) < 2:
@@ -969,11 +949,9 @@ def match(model: MetricModel, selector, live_window, library, band: int,
         cost = _kept_costs(kernel, query, qp, protos, work.present, work.rows, work.cols,
                            work.costs)[0]
         S = _sweep(cost, n, len(g.features), band, _hard_step, work.plan)
-        for t, (pid, distance) in enumerate(zip(g.ids, S[:, -1, n - 1].tolist())):
+        for pid, distance in zip(g.ids, S[:, -1, n - 1].tolist()):
             if math.isfinite(distance):
-                similarity = math.exp(-beta * distance)
-                # ranked by (-similarity, id); the running count keeps equal
-                # keys in scoring order, as a stable sort would
-                scored.append((-similarity, pid, len(scored), distance, S, t))
-    return [(pid, AlignmentResult(distance, functools.partial(_warping_path, S[t].copy()), -neg))
-            for neg, pid, _, distance, S, t in heapq.nsmallest(max(0, top_k), scored)]
+                # ranked by (-similarity, id); a library's ids are distinct
+                scored.append((-math.exp(-beta * distance), pid, distance))
+    return [(pid, AlignmentResult(distance, None, -neg))
+            for neg, pid, distance in heapq.nsmallest(max(0, top_k), scored)]

@@ -77,7 +77,6 @@ class NormalizationConfig:
 
 @dataclass
 class LibraryConfig:
-    retention_days: int = 14       # rolling retention, ~2 weeks
     capacity: int = 24             # prototypes kept per site library
     salt: str = "edge-default"     # per-user salt for identifier hashing
 

@@ -343,12 +343,6 @@ def denoise_matrix(choice: FilterChoice, arr: np.ndarray) -> np.ndarray:
     return _along_time(_elp_batch, arr, choice.alpha)
 
 
-def denoise(choice: FilterChoice, series) -> np.ndarray:
-    """Hard selection at inference: run the argmax-weight filter on one series."""
-    series = np.asarray(series, dtype=float)
-    return denoise_matrix(choice, series[:, None])[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # differentiable (training-mode) path
 # ---------------------------------------------------------------------------

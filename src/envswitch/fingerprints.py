@@ -1,9 +1,9 @@
 """Multi-modal fingerprints and the on-device personalized library.
 
 A fingerprint is one time-window's concatenated per-modality feature
-summaries plus a presence mask.  Sequences of fingerprints anchored
-by switch events accumulate into a per-user library with rolling retention
-and capacity-based eviction; the library holds the sequences alone.  The
+summaries plus a presence mask.  Sequences of fingerprints anchored by
+switch events accumulate into a per-user library that evicts its oldest
+sequence past its capacity; the library holds the sequences alone.  The
 module also provides the salted identifier hashing that the summaries an
 edge ships (``cloudedge.summarize_trajectory``) use in place of raw ids.
 """
@@ -94,9 +94,6 @@ class Fingerprint:
         self.present = present
         self.present.setflags(write=False)
 
-    def replace_features(self, features) -> "Fingerprint":
-        return Fingerprint(self.timestamp, features, self.present)
-
 
 @dataclass(frozen=True)
 class SwitchEvent:
@@ -131,12 +128,6 @@ class FingerprintSequence:
         self.prototype_id = prototype_id
         self._packed = None
 
-    def __len__(self):
-        return len(self.windows)
-
-    def timestamps(self) -> np.ndarray:
-        return np.array([w.timestamp for w in self.windows])
-
     def packed(self):
         """(features (T,14), present (T,5)) arrays; cached, read-only."""
         if self._packed is None:
@@ -146,12 +137,6 @@ class FingerprintSequence:
             pres.setflags(write=False)
             self._packed = (feats, pres)
         return self._packed
-
-    def features(self) -> np.ndarray:
-        return self.packed()[0]
-
-    def present(self) -> np.ndarray:
-        return self.packed()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +352,12 @@ def sequence_content_id(feats: np.ndarray, pres: np.ndarray, kind: str,
 
 
 class FingerprintLibrary:
-    """Per-user store of switch-anchored sequences with aging and capacity.
+    """Per-user store of switch-anchored sequences, bounded by capacity.
 
-    Single-writer: commits and maintenance mutate the store; reads hand out
-    immutable sequences and are safe from other threads.  ``version`` rises
-    with every commit, retention drop and capacity eviction, so a reader can
-    tell whether what it derived from the store is still current.
+    Single-writer: commits mutate the store; reads hand out immutable
+    sequences and are safe from other threads.  ``version`` rises with every
+    commit and capacity eviction, so a reader can tell whether what it
+    derived from the store is still current.
     """
 
     def __init__(self, cfg: LibraryConfig | None = None):
@@ -403,20 +388,6 @@ class FingerprintLibrary:
         self.version += 1
         self._enforce_capacity()
         return pid
-
-    def maintain(self, current_day: int) -> "FingerprintLibrary":
-        """Drop sequences older than the retention horizon; enforce capacity.
-
-        Idempotent: a second call with the same day is a no-op.
-        """
-        horizon = current_day - self.cfg.retention_days
-        stale = [pid for pid, seq in self.sequences.items()
-                 if seq.created_at < horizon]
-        for pid in stale:
-            del self.sequences[pid]
-            self.version += 1
-        self._enforce_capacity()
-        return self
 
     def _enforce_capacity(self):
         while len(self.sequences) > self.cfg.capacity:

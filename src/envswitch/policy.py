@@ -88,18 +88,18 @@ class PolicyModel:
         return cls(TwoLayerNet.from_tensors(parse_tensors(text), "policy."))
 
 
-def act(model: PolicyModel, state, mode: str, rng=None,
+def act(model: PolicyModel, feats: np.ndarray, mode: str, rng=None,
         guide: int | None = None, guide_eps: float = 0.0):
-    """Pick an action; returns (action_index, log_prob, value).
+    """Pick an action for one state's feature row (``PolicyState.features()``);
+    returns (action_index, log_prob, value).
 
     ``sample`` draws from the softmax with the required ``rng``; ``greedy``
-    takes the lowest-index argmax.  Deterministic given (model, state, rng).
+    takes the lowest-index argmax.  Deterministic given (model, feats, rng).
     With a ``guide`` action index, ``sample`` draws from the behaviour
     mixture (1 - guide_eps) * policy + guide_eps * onehot(guide) and returns
     the mixture's log-prob, so the PPO ratio stays a valid importance weight.
     A draw is ``rng.choice(n_actions, p=probs)`` computed as ``_draw`` does.
     """
-    feats = state.features() if isinstance(state, PolicyState) else state
     out, _ = model.net.forward(feats)
     row = out.tolist()
     # ``mlp.softmax`` of the logits; Python's max of the row is numpy's, and

@@ -209,9 +209,6 @@ class RawTrace:
     def serving_rssi(self) -> np.ndarray:
         return self.rssi_by_ap.max(axis=0)
 
-    def noiseless_serving(self) -> np.ndarray:
-        return self.noiseless_by_ap.max(axis=0)
-
     def wifi_summaries(self):
         """Per-second summaries of the top-3 readings, computed once:
         (top-K means, strongest RSSIs, strongest BSSIDs).
@@ -433,9 +430,8 @@ def make_scenario(site: str, seed: int, radio: RadioConfig | None = None,
 # ---------------------------------------------------------------------------
 
 
-def baseline_policy(trace: RawTrace, threshold: float = -75.0,
-                    hysteresis: float = 5.0, dwell: float = 3.0,
-                    assoc_delay: float = 2.0):
+def baseline_policy(trace: RawTrace, threshold: float, hysteresis: float,
+                    dwell: float, assoc_delay: float):
     """Switch after RSSI stays below threshold - hysteresis for dwell seconds.
 
     Returns (completion_time, censored).  Never-triggered sessions report the
@@ -458,7 +454,7 @@ def baseline_policy(trace: RawTrace, threshold: float = -75.0,
 
 
 def tts(switch_completion: float, degradation_onset: float,
-        floor: float = -5.0) -> float:
+        floor: float) -> float:
     """Time-to-switch, clamped below at the configured pre-emption floor."""
     if switch_completion < 0.0 or degradation_onset < 0.0:
         raise ValueError("times must be nonnegative")
@@ -466,7 +462,7 @@ def tts(switch_completion: float, degradation_onset: float,
 
 
 def rollback_occurred(trace: RawTrace, completion: float,
-                      usable_dbm: float = -105.0, dwell: float = 2.0) -> bool:
+                      usable_dbm: float, dwell: float) -> bool:
     """True when the new (cellular) link sits below usability for >= dwell s."""
     start = int(math.ceil(completion))
     run = 0
@@ -481,7 +477,7 @@ def rollback_occurred(trace: RawTrace, completion: float,
 
 
 def feedback_oracle(completion: float, trace: RawTrace,
-                    reward_cfg: RewardConfig | None = None) -> float:
+                    reward_cfg: RewardConfig) -> float:
     """Simulated human feedback in [-1, 1] for a switch completed at
     ``completion``.
 
@@ -489,18 +485,17 @@ def feedback_oracle(completion: float, trace: RawTrace,
     onset; -1 on a rollback; otherwise a linear taper away from the window,
     floored at -1.  Deterministic.
     """
-    cfg = reward_cfg or RewardConfig()
     onset = trace.degradation_onset
-    if rollback_occurred(trace, completion, cfg.rollback_usable_dbm,
-                         cfg.rollback_dwell_s):
+    if rollback_occurred(trace, completion, reward_cfg.rollback_usable_dbm,
+                         reward_cfg.rollback_dwell_s):
         return -1.0
-    lo = onset - cfg.hf_window_early_s
-    hi = onset + cfg.hf_window_late_s
+    lo = onset - reward_cfg.hf_window_early_s
+    hi = onset + reward_cfg.hf_window_late_s
     if lo <= completion <= hi:
         return 1.0
     if completion < lo:
-        return float(max(-1.0, 1.0 - cfg.hf_taper_early_per_s * (lo - completion)))
-    return float(max(-1.0, 1.0 - cfg.hf_taper_per_s * (completion - hi)))
+        return float(max(-1.0, 1.0 - reward_cfg.hf_taper_early_per_s * (lo - completion)))
+    return float(max(-1.0, 1.0 - reward_cfg.hf_taper_per_s * (completion - hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -586,17 +581,21 @@ def _summarize_trace_window(trace, t_start, t_end, scans, carried, stale,
 
 def segment_before(trace: RawTrace, t_event: float,
                    cfg: EngineConfig) -> FingerprintSequence:
-    """The pre-switch buffer: ``cfg.window.buffer_windows`` windows ending at
-    t_event."""
-    n = cfg.window.buffer_windows
-    t0 = max(0.0, t_event - n * cfg.window.window_s)
+    """The pre-switch buffer: the n = ``cfg.window.buffer_windows`` windows
+    ending at ``t_event - (n - k) * window_s`` for k = 1 .. n, the last
+    exactly at t_event.  An event before ``n * window_s`` keeps the windows
+    from 0 instead, ending at ``k * window_s`` (``cli.trace_to_sequence``'s
+    grid) up to t_event.  Each end is computed from its index, so no
+    rounding accumulates."""
+    n, window_s = cfg.window.buffer_windows, cfg.window.window_s
     affine = cfg.norm.affine(FEATURE_NAMES)
-    windows = []
-    t = t0 + cfg.window.window_s
-    while t <= t_event + 1e-9:
-        windows.append(fingerprint_at(trace, t, cfg, None, affine))
-        t += cfg.window.window_s
-    return FingerprintSequence(windows)
+    if t_event >= n * window_s:
+        ends = [t_event - (n - k) * window_s for k in range(1, n + 1)]
+    else:
+        ends = [k * window_s for k in range(1, n + 1)
+                if k * window_s <= t_event + 1e-9]
+    return FingerprintSequence(fingerprint_at(trace, t, cfg, None, affine)
+                               for t in ends)
 
 
 def detect_outdoor_transition(trace: RawTrace, cfg: EngineConfig) -> float | None:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from envswitch import alignment
-from envswitch.alignment import (BandTooNarrowError, MetricModel, _backtrack,
-                                 _banded_costs, _hard_step, _libm, _skew_index,
+from envswitch.alignment import (AlignmentResult, BandTooNarrowError, MetricModel,
+                                 _backtrack, _banded_costs, _hard_step, _libm, _skew_index,
                                  _soft_dtw_pairs, _soft_dtw_tables, _soft_step,
                                  _sweep,
                                  _unskew, band_mask,
@@ -24,6 +24,20 @@ from envswitch.filters import (FILTER_ORDER, FilterContext, SelectorModel,
                                select_filter)
 
 from conftest import make_fingerprint, make_sequence, random_packed
+
+
+def packed_library(protos, capacity=64):
+    """A library holding each packed ``(features, present)`` prototype,
+    committed as a sequence with unit timestamps; returns it and the ids
+    ``commit_segment`` gave, in commit order."""
+    lib = FingerprintLibrary(LibraryConfig(capacity=capacity))
+    ids = []
+    for day, (feats, pres) in enumerate(protos):
+        seq = FingerprintSequence(Fingerprint(float(t + 1), f, p)
+                                  for t, (f, p) in enumerate(zip(feats, pres)))
+        ids.append(lib.commit_segment(
+            seq, SwitchEvent(seq.windows[-1].timestamp, "wifi_to_cell"), created_day=day))
+    return lib, ids
 
 
 def in_band(i: int, j: int, n: int, m: int, band: int) -> bool:
@@ -789,16 +803,16 @@ class TestMatch:
     def test_near_beats_far(self, rng):
         live = make_sequence(rng, 6)
         near = FingerprintSequence(
-            [w.replace_features(w.features + 0.01) for w in live.windows])
+            [Fingerprint(w.timestamp, w.features + 0.01, w.present) for w in live.windows])
         far = FingerprintSequence(
-            [w.replace_features(w.features + 3.0) for w in live.windows])
+            [Fingerprint(w.timestamp, w.features + 3.0, w.present) for w in live.windows])
         lib = self.build_library(rng, [far, near])
         ranked = match(MetricModel.identity(), SelectorModel.zeros(), live, lib,
                        3, 2, FilterContext())
         assert len(ranked) == 2
         assert ranked[0][1].similarity > ranked[1][1].similarity
         near_id = [pid for pid, s in lib.items()
-                   if np.allclose(s.features(), near.features())][0]
+                   if np.allclose(s.packed()[0], near.packed()[0])][0]
         assert ranked[0][0] == near_id
 
     def test_empty_library_returns_empty(self, rng):
@@ -832,23 +846,14 @@ class TestMatch:
     def assert_equals_per_prototype_alignment(model, selector, live, library,
                                               band, ctx):
         """``match`` against filtering and aligning every prototype on its
-        own with ``dtw``: the same ranking, distances, similarities, paths."""
-        choice = select_filter(selector, ctx)
-        query = (denoise_matrix(choice, live[0]), live[1])
-        expected = []
-        for pid, (pf, pp) in library:
-            try:
-                result = dtw(model, query, (denoise_matrix(choice, pf), pp), band)
-            except BandTooNarrowError:
-                continue
-            expected.append((pid, result))
-        expected.sort(key=lambda e: (-e[1].similarity, e[0]))
+        own with ``dtw``: the same ranking, distances and similarities, and
+        no warping path."""
+        want = per_prototype(model, selector, live, library, band, ctx)
         ranked = match(model, selector, live, library, band, len(library), ctx)
-        assert [pid for pid, _ in ranked] == [pid for pid, _ in expected]
-        for (_, got), (_, want) in zip(ranked, expected):
-            assert got.distance == want.distance
-            assert got.similarity == want.similarity
-            assert got.path == want.path
+        assert [pid for pid, _ in ranked] == sorted(
+            want, key=lambda pid: (-want[pid].similarity, pid))
+        for pid, got in ranked:
+            assert got == AlignmentResult(want[pid].distance, None, want[pid].similarity)
         return ranked
 
     def test_mixed_lengths_equal_per_prototype_alignment(self, rng):
@@ -856,9 +861,9 @@ class TestMatch:
             model = MetricModel.from_seed(trial, noise=0.3)
             selector = SelectorModel.from_seed(trial)
             live = random_packed(rng, int(rng.integers(2, 11)))
-            library = [(f"p{k:02d}", random_packed(rng, int(rng.integers(2, 11))))
-                       for k in range(int(rng.integers(4, 16)))]
-            library.append(("zz", live))
+            library, _ = packed_library(
+                [random_packed(rng, int(rng.integers(2, 11)))
+                 for _ in range(int(rng.integers(4, 16)))] + [live])
             ctx = FilterContext(rssi_variance=float(rng.uniform(0.0, 1.0)),
                                 step_rate=float(rng.uniform(0.0, 1.0)))
             band = int(rng.integers(1, 4))
@@ -876,7 +881,7 @@ class TestMatch:
     @pytest.mark.parametrize("kind", FILTER_ORDER)
     def test_live_length_in_no_group(self, rng, kind):
         live = random_packed(rng, 5)
-        library = [(f"p{k}", random_packed(rng, n)) for k, n in enumerate((4, 6, 7, 6, 4, 3))]
+        library, _ = packed_library([random_packed(rng, n) for n in (4, 6, 7, 6, 4, 3)])
         ranked = self.assert_equals_per_prototype_alignment(
             MetricModel.from_seed(4, noise=0.3), self.selector_for(kind), live,
             library, 2, FilterContext())
@@ -885,14 +890,13 @@ class TestMatch:
     @pytest.mark.parametrize("kind", FILTER_ORDER)
     def test_live_length_shared_by_one_of_several_groups(self, rng, kind):
         live = random_packed(rng, 6)
-        library = [(f"p{k}", random_packed(rng, n))
-                   for k, n in enumerate((4, 6, 8, 6, 5, 6, 4))]
-        library.append(("zz", (live[0].copy(), live[1].copy())))
+        library, ids = packed_library([random_packed(rng, n) for n in (4, 6, 8, 6, 5, 6, 4)]
+                                      + [(live[0].copy(), live[1].copy())])
         ranked = self.assert_equals_per_prototype_alignment(
             MetricModel.from_seed(5, noise=0.3), self.selector_for(kind), live,
             library, 3, FilterContext())
         assert len(ranked) == len(library)
-        assert ranked[0][0] == "zz" and ranked[0][1].similarity == 1.0
+        assert ranked[0][0] == ids[-1] and ranked[0][1].similarity == 1.0
 
 
 class TestBandedCosts:
@@ -1008,10 +1012,14 @@ class TestSweepPlan:
 
 
 class TestLazyPath:
+    """``match`` backtracks no warping path: every result carries None, and
+    its distance and similarity equal ``dtw``'s, the one aligner that
+    backtracks."""
+
     def scene(self, rng):
         model, selector = MetricModel.from_seed(2, noise=0.3), SelectorModel.from_seed(3)
         live = random_packed(rng, 7)
-        library = [(f"p{k}", random_packed(rng, n)) for k, n in enumerate((7, 5, 8, 7, 6))]
+        library, _ = packed_library([random_packed(rng, n) for n in (7, 5, 8, 7, 6)])
         return model, selector, live, library, FilterContext(step_rate=0.4)
 
     def counting(self, monkeypatch):
@@ -1028,41 +1036,40 @@ class TestLazyPath:
         calls = self.counting(monkeypatch)
         ranked = match(model, selector, live, library, 2, len(library), ctx)
         assert len(ranked) == len(library)
+        assert all(result.path is None for _, result in ranked)
         assert sum(calls.values()) == 0
 
     def test_path_read_equals_dtw_and_is_built_once(self, rng, monkeypatch):
+        """The top result equals ``dtw``'s alignment without its path, and
+        the path is built once, by ``dtw``."""
         model, selector, live, library, ctx = self.scene(rng)
-        ranked = match(model, selector, live, library, 2, 1, ctx)
-        pid, top = ranked[0]
+        calls = self.counting(monkeypatch)
+        pid, top = match(model, selector, live, library, 2, 1, ctx)[0]
         choice = select_filter(selector, ctx)
-        pf, pp = dict(library)[pid]
+        pf, pp = library.get(pid).packed()
         want = dtw(model, (denoise_matrix(choice, live[0]), live[1]),
                    (denoise_matrix(choice, pf), pp), 2)
-        calls = self.counting(monkeypatch)
-        assert top.path == want.path
-        assert calls["_backtrack"] == 1
-        assert top.path is top.path and calls["_backtrack"] == 1
-        assert top == want
+        assert calls["_backtrack"] == 1 and want.path is not None
+        assert top == AlignmentResult(want.distance, None, want.similarity)
+        with pytest.raises(AttributeError):
+            top.path = want.path                    # results are frozen
 
     def test_paths_read_after_later_matches_equal_dtw(self, rng):
-        """Every call sweeps into tables of its own: a path read only after
-        later calls of the same shapes is still that result's own."""
+        """Every call sweeps into tables of its own: a result read only
+        after later calls of the same shapes is still that result's own."""
         model, selector, _, library, ctx = self.scene(rng)
         lives = [random_packed(rng, 7) for _ in range(3)]
         first = match(model, selector, lives[0], library, 2, len(library), ctx)
         for live in lives[1:]:
-            for _, result in match(model, selector, live, library, 2, len(library), ctx):
-                result.path
-        choice = select_filter(selector, ctx)
-        query = (denoise_matrix(choice, lives[0][0]), lives[0][1])
-        protos = dict(library)
+            match(model, selector, live, library, 2, len(library), ctx)
+        want = per_prototype(model, selector, lives[0], library, 2, ctx)
+        assert len(first) == len(want)
         for pid, result in first:
-            pf, pp = protos[pid]
-            assert result.path == dtw(model, query, (denoise_matrix(choice, pf), pp), 2).path
-        # a library keeps the scratch every call computes in: results and
-        # paths, read only after 50 later matches with other windows and
-        # coefficients, on the live length of a group and on a length no
-        # group shares, are still each prototype's own, for every filter
+            assert result == AlignmentResult(want[pid].distance, None, want[pid].similarity)
+        # a library keeps the scratch every call computes in: results read
+        # only after 50 later matches with other windows and coefficients,
+        # on the live length of a group and on a length no group shares,
+        # are still each prototype's own, for every filter
         lib = scratch_library(rng, [7, 5, 8, 7, 6, 7])
         for kind in FILTER_ORDER:
             selector = selector_for_kind(kind)
@@ -1081,7 +1088,7 @@ class TestLazyPath:
                 assert [(pid, r.distance, r.similarity) for pid, r in got] == kept
                 for pid, result in got:
                     assert result.distance == want[pid].distance
-                    assert result.path == want[pid].path
+                    assert result.similarity == want[pid].similarity
             assert select_filter(selector, random_context(rng)).hard_kind() == kind
             assert len(sigmas) > 1
 
@@ -1153,7 +1160,7 @@ class TestScratch:
         pres[...] = False
         for pid, result in got:
             assert result.distance == want[pid].distance
-            assert result.path == want[pid].path
+            assert result.similarity == want[pid].similarity
 
     def test_metric_edited_in_place_gets_a_fresh_kernel(self, rng):
         """``MetricModel`` is mutable: after an in-place edit of an
@@ -1187,11 +1194,11 @@ class TestScratch:
         buffers = [a for g in alignment._plans[lib][1]
                    for a in arrays_in([g.stack, g._embedded, g._workspaces])]
         assert len(buffers) > 50
-        tables = [result._path.args[0] for _, result in results]
-        assert len(tables) == 3 * len(lib)
-        for table in tables:
-            assert not any(np.shares_memory(table, b) for b in buffers)
-        assert not any(np.shares_memory(a, b) for a in tables for b in tables if a is not b)
+        # a result holds two floats and no table, so no array of it can
+        # share memory with the scratch
+        assert len(results) == 3 * len(lib)
+        for _, result in results:
+            assert [type(v) for v in vars(result).values()] == [float, type(None), float]
 
     def test_warm_up_keeps_nothing_and_workspaces_own_their_buffers(self, rng):
         """A walk's warm-up windows, shorter than every prototype, add no
@@ -1240,7 +1247,7 @@ class TestLengthGroups:
         return copy
 
     def ranked(self, library, live, band=1):
-        return [(pid, r.distance, r.similarity, r.path)
+        return [(pid, r.distance, r.similarity)
                 for pid, r in match(MetricModel.from_seed(3, noise=0.3),
                                     SelectorModel.from_seed(5), live, library,
                                     band, 64,
@@ -1250,13 +1257,13 @@ class TestLengthGroups:
         lib = self.library(rng, [6, 4, 6, 10, 5, 4])
         live = make_sequence(rng, 3)
         got = self.ranked(lib, live)
-        assert got == self.ranked(list(lib.items()), live)
+        assert got == self.ranked(self.fresh(lib), live)
         # 3 live windows against 10 leave no path inside band 1
-        too_long = [pid for pid, seq in lib.items() if len(seq) == 10]
+        too_long = [pid for pid, seq in lib.items() if len(seq.windows) == 10]
         assert len(got) == len(lib) - 1 and too_long[0] not in [g[0] for g in got]
         assert self.ranked(lib, live) == got        # from the cached groups
         wide = self.ranked(lib, live, band=3)
-        assert len(wide) == len(lib) and wide == self.ranked(list(lib.items()), live, band=3)
+        assert len(wide) == len(lib) and wide == self.ranked(self.fresh(lib), live, band=3)
 
     def test_groups_follow_eviction_and_maintain(self, rng):
         lib = self.library(rng, [6, 4, 6, 5], capacity=4)
@@ -1270,17 +1277,13 @@ class TestLengthGroups:
         assert len(lib) == 4 and oldest[0] not in lib.sequences
         after = self.ranked(lib, live)
         assert after != before and after == self.ranked(self.fresh(lib), live)
-        lib.maintain(lib.cfg.retention_days + 2)    # drops day 1
-        assert len(lib) == 3
-        kept = self.ranked(lib, live)
-        assert kept != after and kept == self.ranked(self.fresh(lib), live)
 
     @staticmethod
     def bits(ranked):
         return [(pid, r.distance.hex(), r.similarity.hex()) for pid, r in ranked]
 
     def test_plan_equals_a_fresh_library_after_every_change(self, rng):
-        """After each commit, eviction and retention drop, ``match`` on the
+        """After each commit and eviction, ``match`` on the
         library's kept plan equals ``match`` on a fresh library with the same
         items, bit for bit: ids, order, distances and similarities."""
         lib = self.library(rng, [6, 4, 6, 5], capacity=5)
@@ -1293,17 +1296,17 @@ class TestLengthGroups:
                     for live in lives]
 
         run(lib)                                    # fills the plan of this version
-        changes = (lambda: self.commit(lib, rng, 6, day=4),            # no eviction
-                   lambda: self.commit(lib, rng, 4, day=5),            # evicts day 0
-                   lambda: lib.maintain(lib.cfg.retention_days + 3))   # drops days 1, 2
-        sizes = []
-        for change in changes:
+        changes = ((6, 4),      # no eviction
+                   (4, 5),      # evicts day 0
+                   (3, 6))      # evicts day 1; no group had length 3
+        days = []
+        for n, day in changes:
             groups = alignment._plan(lib)
-            change()
-            sizes.append(len(lib))
+            self.commit(lib, rng, n, day)
+            days.append(sorted(seq.created_at for _, seq in lib.items()))
             assert alignment._plan(lib) is not groups
             assert run(lib) == run(self.fresh(lib))
-        assert sizes == [5, 5, 3]
+        assert days == [[0, 1, 2, 3, 4], [1, 2, 3, 4, 5], [2, 3, 4, 5, 6]]
 
     def test_cached_arrays_are_read_only(self, rng):
         lib = self.library(rng, [6, 4])
@@ -1356,7 +1359,8 @@ class TestSchemaMismatch:
             with pytest.raises(ValueError, match="schema"):
                 align(model, narrow, proto)
         # the live length shared by a prototype group, and by none
-        for library in ([("a", proto)], [("a", random_packed(rng, 6))]):
+        for library in (packed_library([proto])[0],
+                        packed_library([random_packed(rng, 6)])[0]):
             with pytest.raises(ValueError, match="schema"):
                 match(model, SelectorModel.zeros(), narrow, library, 3, 1, FilterContext())
 

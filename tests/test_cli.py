@@ -124,10 +124,10 @@ class TestSimulateCommand:
             trace = sim.generate(sc, cfg.radio, cfg.walker)
             seq = cli.trace_to_sequence(trace, cfg)
             n = round(trace.duration / window_s)
-            assert len(seq) == n
+            assert len(seq.windows) == n
             ends = [k * window_s for k in range(1, n + 1)]
-            assert seq.timestamps().tolist() == [0.5 * (t - window_s + t)
-                                                 for t in ends]
+            assert [w.timestamp for w in seq.windows] == [0.5 * (t - window_s + t)
+                                                          for t in ends]
             assert ends[-1] == pytest.approx(trace.duration, abs=1e-9)
 
 
@@ -352,6 +352,14 @@ class TestConfigFile:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             apply_overrides(EngineConfig(), [("radio.flux_capacitor", "1")])
+
+    def test_retention_days_is_an_unknown_key(self, tmp_path):
+        # no command evicts by age: a library is bounded by its capacity alone
+        path = tmp_path / "run.cfg"
+        path.write_text("library.retention_days = 7\n")
+        with pytest.raises(ValueError,
+                           match=r"unknown config key: 'library\.retention_days'"):
+            load_config(path)
 
     def test_every_section_is_overridable(self):
         # the sections are EngineConfig's fields, so a new sub-config needs

@@ -8,7 +8,7 @@ from envswitch.alignment import (MetricModel, make_alignment_loss, margin_loss_g
 from envswitch.config import FilterConfig
 from envswitch.filters import (FILTER_ORDER, FilterChoice, FilterContext,
                                SelectorModel, _gaussian_kernel, apply_elp,
-                               apply_gaussian, apply_kalman, context_from_windows, denoise,
+                               apply_gaussian, apply_kalman, context_from_windows,
                                denoise_matrix, select_filter, selector_backward,
                                selector_forward_training, soft_denoise_backward,
                                soft_denoise_matrix, train_selector)
@@ -266,7 +266,7 @@ class TestDenoise:
     def test_elp_identity_selected(self, rng):
         x = rng.normal(0, 1, 7)
         choice = FilterChoice(np.array([0.1, 0.1, 0.8]), 0.2, 1.0, 1.0, 1.0)
-        assert np.array_equal(denoise(choice, x), x)
+        assert np.array_equal(denoise_matrix(choice, x[:, None])[:, 0], x)
 
     def test_tie_breaks_to_kalman(self):
         choice = FilterChoice(np.array([0.5, 0.5, 0.0]), 0.2, 1.0, 1.0, 0.5)
@@ -278,7 +278,7 @@ class TestDenoise:
         t = np.arange(30, dtype=float)
         ramp = 0.3 * t + rng.normal(0, 1.0, 30)
         choice = FilterChoice(np.array([0.0, 1.0, 0.0]), 0.2, 1.0, 1.0, 0.5)
-        smooth = denoise(choice, ramp)
+        smooth = denoise_matrix(choice, ramp[:, None])[:, 0]
 
         def resid_var(y):
             coef = np.polyfit(t, ramp, 1)
@@ -382,7 +382,7 @@ class TestBatchedDenoise:
         x = rng.normal(0.0, 1.0, 9)
         for kind in range(3):
             choice = FilterChoice(np.eye(3)[kind], 0.3, 2.0, 1.4, 0.4)
-            assert np.array_equal(denoise(choice, x), scalar_filter(choice, x))
+            assert np.array_equal(denoise_matrix(choice, x[:, None])[:, 0], scalar_filter(choice, x))
 
     def test_empty_window_rejected(self):
         choice = FilterChoice(np.array([0.0, 1.0, 0.0]), 0.1, 1.0, 1.0, 0.5)

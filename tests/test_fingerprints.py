@@ -101,7 +101,7 @@ class TestSummarize:
         model = MetricModel.identity()
         other = make_fingerprint(rng, 5.0)
         seq_a = FingerprintSequence([fp, make_fingerprint(rng, 9.0, present=np.zeros(5, bool))])
-        noisy = fp.replace_features(rng.normal(0, 3, 14))
+        noisy = Fingerprint(fp.timestamp, rng.normal(0, 3, 14), fp.present)
         seq_b = FingerprintSequence([noisy, seq_a.windows[1]])
         ref = FingerprintSequence([other, make_fingerprint(rng, 6.0)])
         assert dtw(model, seq_a, ref, 3).distance == dtw(model, seq_b, ref, 3).distance
@@ -168,29 +168,8 @@ class TestLibrary:
         assert pids[0] not in lib.sequences
         assert all(p in lib.sequences for p in pids[1:])
 
-    def test_maintain_retention_boundary(self, rng):
-        lib = FingerprintLibrary(LibraryConfig(retention_days=14))
-        buf = make_sequence(rng, 6, day=0)
-        lib.commit_segment(buf, SwitchEvent(buf.windows[-1].timestamp, "wifi_to_cell"),
-                           created_day=0)
-        lib.maintain(14)
-        assert len(lib) == 1   # kept at exactly the horizon
-        lib.maintain(15)
-        assert len(lib) == 0   # dropped one day past it
-
-    def test_maintain_idempotent(self, rng):
-        lib = FingerprintLibrary()
-        for day in range(3):
-            buf = make_sequence(rng, 6, day=day)
-            lib.commit_segment(buf, SwitchEvent(buf.windows[-1].timestamp,
-                                                "wifi_to_cell"), created_day=day)
-        lib.maintain(10)
-        snapshot = sorted(lib.sequences)
-        lib.maintain(10)
-        assert sorted(lib.sequences) == snapshot
-
     def test_version_rises_on_every_mutation(self, rng):
-        lib = FingerprintLibrary(LibraryConfig(retention_days=14, capacity=2))
+        lib = FingerprintLibrary(LibraryConfig(capacity=2))
         assert lib.version == 0
 
         def commit(day):
@@ -203,30 +182,9 @@ class TestLibrary:
         assert lib.version == 2
         commit(2)                     # one commit plus one capacity eviction
         assert (len(lib), lib.version) == (2, 4)
-        lib.maintain(15)              # within retention: nothing changes
+        for pid, _ in lib.items():    # reads change nothing
+            lib.get(pid)
         assert lib.version == 4
-        lib.maintain(16)              # drops the prototype of day 1
-        assert (len(lib), lib.version) == (1, 5)
-        lib.maintain(16)
-        assert lib.version == 5
-
-    def test_retention_property_random_schedules(self, rng):
-        # after any maintenance pass no element violates the horizon
-        for trial in range(25):
-            lib = FingerprintLibrary(LibraryConfig(retention_days=5, capacity=16))
-            day = 0
-            for _ in range(30):
-                day += int(rng.integers(0, 3))
-                if rng.random() < 0.7:
-                    buf = make_sequence(rng, 4, day=day)
-                    lib.commit_segment(
-                        buf, SwitchEvent(buf.windows[-1].timestamp, "wifi_to_cell"),
-                        created_day=day)
-                if rng.random() < 0.5:
-                    lib.maintain(day)
-                    ages = [day - s.created_at for s in lib.sequences.values()]
-                    assert all(a <= 5 for a in ages)
-                    assert len(lib) <= 16
 
 
 class TestPersistence:
@@ -235,9 +193,9 @@ class TestPersistence:
         path = tmp_path / "seq.fpseq"
         write_sequence(path, seq)
         back = read_sequence(path)
-        assert np.array_equal(back.features(), seq.features())
-        assert np.array_equal(back.present(), seq.present())
-        assert np.array_equal(back.timestamps(), seq.timestamps())
+        for got, want in zip(back.packed(), seq.packed()):
+            assert np.array_equal(got, want)
+        assert [w.timestamp for w in back.windows] == [w.timestamp for w in seq.windows]
 
     def write_rows(self, rng, tmp_path, edit):
         """A written sequence's lines, after ``edit(lines)``, in a new file."""
@@ -312,7 +270,7 @@ class TestPersistence:
         back = load_library(tmp_path / "lib")
         assert sorted(back.sequences) == sorted(lib.sequences)
         for pid in lib.sequences:
-            assert np.array_equal(back.get(pid).features(), lib.get(pid).features())
+            assert np.array_equal(back.get(pid).packed()[0], lib.get(pid).packed()[0])
             assert back.get(pid).created_at == lib.get(pid).created_at
             assert back.get(pid).label.kind == lib.get(pid).label.kind
 

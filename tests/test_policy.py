@@ -45,26 +45,27 @@ def build_stack(rng, site_flag="A", with_library=True):
 class TestAct:
     def test_zero_model_is_uniform(self):
         model = PolicyModel.zeros(CFG.ppo.hidden)
-        state = PolicyState(similarity=0.4, rssi=0.1)
-        probs = action_probs(model, state.features())
+        feats = PolicyState(similarity=0.4, rssi=0.1).features()
+        probs = action_probs(model, feats)
         assert np.allclose(probs, 0.25, atol=1e-12)
-        _, logp, _ = act(model, state, "sample", np.random.default_rng(0))
+        _, logp, _ = act(model, feats, "sample", np.random.default_rng(0))
         assert logp == pytest.approx(math.log(0.25))
 
     def test_greedy_argmax(self):
         model = PolicyModel.zeros(CFG.ppo.hidden)
         model.net.b2[:] = [0.0, 5.0, 0.0, 0.0, 0.0]
-        idx, _, _ = act(model, PolicyState(), "greedy")
+        feats = PolicyState().features()
+        idx, _, _ = act(model, feats, "greedy")
         assert ACTIONS[idx] == "scan_boost"
         # a guide only shapes sampling
-        assert act(model, PolicyState(), "greedy", None, 3, 1.0)[0] == idx
+        assert act(model, feats, "greedy", None, 3, 1.0)[0] == idx
 
     def test_sample_reproducible(self):
         model = PolicyModel.from_seed(3, CFG.ppo.hidden)
-        state = PolicyState(similarity=0.7, rssi=-0.3)
-        seq_a = [act(model, state, "sample", np.random.default_rng(5))[0]
+        feats = PolicyState(similarity=0.7, rssi=-0.3).features()
+        seq_a = [act(model, feats, "sample", np.random.default_rng(5))[0]
                  for _ in range(10)]
-        seq_b = [act(model, state, "sample", np.random.default_rng(5))[0]
+        seq_b = [act(model, feats, "sample", np.random.default_rng(5))[0]
                  for _ in range(10)]
         assert seq_a == seq_b
 
@@ -96,18 +97,18 @@ class TestAct:
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            act(PolicyModel.zeros(CFG.ppo.hidden), PolicyState(), "psychic")
+            act(PolicyModel.zeros(CFG.ppo.hidden), PolicyState().features(), "psychic")
 
     def test_mode_has_no_default(self):
         # a default of "sample" raised without an rng on every call
         with pytest.raises(TypeError):
-            act(PolicyModel.zeros(CFG.ppo.hidden), PolicyState())
+            act(PolicyModel.zeros(CFG.ppo.hidden), PolicyState().features())
 
     def test_sample_without_rng_raises(self):
         # a fixed fallback generator drew the same action on every call
         with pytest.raises(ValueError, match="rng"):
             act(PolicyModel.from_seed(3, CFG.ppo.hidden),
-                PolicyState(similarity=0.7), "sample")
+                PolicyState(similarity=0.7).features(), "sample")
 
     @pytest.mark.parametrize("eps", [0.3, 1.0])
     def test_guided_sample_draws_from_the_mixture(self, rng, eps):
@@ -528,7 +529,7 @@ def same_rollout(a, b):
 class TestMatchMemo:
     """A stack's memoized top-1 similarities never change a rollout."""
 
-    def scene(self, other_day=1, capacity=256):
+    def scene(self, capacity=256):
         scenario = make_scenario("A", 42, CFG.radio, CFG.walker)
         trace = generate(scenario, CFG.radio, CFG.walker)
         other = generate(make_scenario("A", 43, CFG.radio, CFG.walker),
@@ -536,7 +537,7 @@ class TestMatchMemo:
         library = FingerprintLibrary(dataclasses.replace(CFG.library,
                                                          capacity=capacity))
         good = commit_at(library, trace, 28.0, day=0)
-        commit_at(library, other, 30.0, day=other_day)
+        commit_at(library, other, 30.0, day=1)
         # a seeded selector, so the filter depends on scan age and presence
         stack = MatcherStack(selector=SelectorModel.from_seed(11, CFG.filters),
                              metric=MetricModel.identity(), library=library,
@@ -601,18 +602,6 @@ class TestMatchMemo:
         commit_at(stack.library, third, 30.0, day=2)
         assert good not in stack.library.sequences
         assert stack.library.version == version + 2
-        after = self.run(policy, scenario, stack, trace)
-        assert not same_rollout(after, before)
-        assert same_rollout(after, self.run(policy, scenario, self.fresh(stack),
-                                            trace))
-
-    def test_memo_dropped_after_maintain(self):
-        scenario, trace, stack, policy, good = self.scene(other_day=20)
-        before = self.run(policy, scenario, stack, trace)
-        version = stack.library.version
-        stack.library.maintain(CFG.library.retention_days + 1)
-        assert list(stack.library) != [] and good not in stack.library.sequences
-        assert stack.library.version == version + 1
         after = self.run(policy, scenario, stack, trace)
         assert not same_rollout(after, before)
         assert same_rollout(after, self.run(policy, scenario, self.fresh(stack),

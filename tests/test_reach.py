@@ -12,10 +12,13 @@ gone.  Each reason is one of
 
 - ``bench: <file/binding>``: the benchmark reads or rebinds the name;
 - ``oracle: <test>``: a test compares the pipeline against it;
-- ``test/demo helper``: tests or demos build or inspect with it.
+- ``test/demo helper``: kept for exactly the three ``zeros`` model
+  constructors (``HELPERS``), which test fixtures and demo 01 build models
+  with.  A second test checks that no other function takes this reason: a
+  function that only tests or demos use belongs in ``tests/``.
 
 An entry leaves when its reason ends (its function is then deleted or moved
-to ``tests/``), and CHANGES.md says why for any entry added.
+to ``tests/``), and CHANGES.md says why for any entry added.  There are 29.
 """
 
 import ast
@@ -35,10 +38,10 @@ WINDOW_ORACLE = ("oracle: test_sim.py::TestWindowOracle::"
                  "test_fingerprint_at_equals_summarize_window")
 FILTER_ORACLE = "oracle: test_acceptance.py::test_criterion_3_filter_properties"
 HELPER = "test/demo helper"
+HELPERS = {"filters.SelectorModel.zeros", "mlp.TwoLayerNet.zeros",
+           "policy.PolicyModel.zeros"}
 
 UNCALLED = {
-    "alignment.AlignmentResult.__eq__": HELPER,
-    "alignment.AlignmentResult.path": HELPER,
     "alignment.MetricModel.copy": SPANS_TRAIN_METRIC,
     "alignment.MetricModel.from_seed": "bench: oracle.py MetricModel.from_seed(..., noise=)",
     "alignment.MetricModel.from_vector": SPANS_TRAIN_METRIC,
@@ -59,14 +62,8 @@ UNCALLED = {
     "filters.apply_elp": FILTER_ORACLE,
     "filters.apply_gaussian": FILTER_ORACLE,
     "filters.apply_kalman": FILTER_ORACLE,
-    "filters.denoise": HELPER,
-    "fingerprints.Fingerprint.replace_features": HELPER,
-    "fingerprints.FingerprintLibrary.__iter__": HELPER,
-    "fingerprints.FingerprintLibrary.maintain": HELPER,
-    "fingerprints.FingerprintSequence.__len__": HELPER,
-    "fingerprints.FingerprintSequence.features": HELPER,
-    "fingerprints.FingerprintSequence.present": HELPER,
-    "fingerprints.FingerprintSequence.timestamps": HELPER,
+    "fingerprints.FingerprintLibrary.__iter__": ("bench: workloads.py Device.run joins "
+                                                 "stack.library's ids into its digest"),
     "fingerprints.RawWindow.duration": WINDOW_ORACLE,
     "fingerprints.cell_features": WINDOW_ORACLE,
     "fingerprints.gnss_features": WINDOW_ORACLE,
@@ -77,7 +74,6 @@ UNCALLED = {
     "mlp.TwoLayerNet.to_vector": SPANS_OFFLINE,
     "mlp.TwoLayerNet.zeros": HELPER,
     "policy.PolicyModel.zeros": HELPER,
-    "sim.RawTrace.noiseless_serving": HELPER,
 }
 
 
@@ -138,3 +134,9 @@ def test_uncalled_functions_are_exactly_the_listed_ones(tmp_path):
                 if key not in called}
     assert sorted(uncalled - set(UNCALLED)) == [], "called by no pipeline stage"
     assert sorted(set(UNCALLED) - uncalled) == [], "listed but called or gone"
+
+
+def test_only_the_zeros_constructors_are_test_helpers():
+    assert {name for name, why in UNCALLED.items() if why == HELPER} == HELPERS
+    for name, why in UNCALLED.items():
+        assert why == HELPER or why.startswith(("bench: ", "oracle: ")), name

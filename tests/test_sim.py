@@ -316,7 +316,7 @@ class TestGenerate:
             sc = dataclasses.replace(sc, shadow_sigma_db=0.0)
             trace = generate(sc, radio, CFG.walker)
             assert trace.door_time is not None
-            serving = trace.noiseless_serving()
+            serving = trace.noiseless_by_ap.max(axis=0)
             at_door = serving[int(trace.door_time)]
             later = serving[int(trace.door_time) + 5]
             assert at_door - later >= 10.0
@@ -384,7 +384,9 @@ class TestGenerate:
 class TestBaselinePolicy:
     def test_never_triggered_is_censored(self):
         trace = synthetic_trace([-40.0] * 30)
-        completion, censored = baseline_policy(trace, threshold=-70.0)
+        completion, censored = baseline_policy(
+            trace, -70.0, CFG.baseline.hysteresis_db, CFG.baseline.dwell_s,
+            CFG.baseline.assoc_delay_s)
         assert censored and completion == trace.duration
 
     def test_step_trace_fires_by_arithmetic(self):
@@ -418,38 +420,41 @@ class TestBaselinePolicy:
     def test_threshold_validation(self):
         trace = synthetic_trace([-50.0] * 5)
         with pytest.raises(ValueError):
-            baseline_policy(trace, threshold=-150.0)
+            baseline_policy(trace, -150.0, CFG.baseline.hysteresis_db,
+                            CFG.baseline.dwell_s, CFG.baseline.assoc_delay_s)
 
 
 class TestTts:
+    FLOOR = CFG.reward.tts_report_floor_s
+
     def test_paper_site_a_day1_reconstruction(self):
-        assert tts(32.68, 20.0) == pytest.approx(12.68)
+        assert tts(32.68, 20.0, self.FLOOR) == pytest.approx(12.68)
 
     def test_zero_and_preemptive(self):
-        assert tts(20.0, 20.0) == 0.0
-        assert tts(18.0, 20.0) == -2.0
+        assert tts(20.0, 20.0, self.FLOOR) == 0.0
+        assert tts(18.0, 20.0, self.FLOOR) == -2.0
 
     def test_floor_clamp(self):
-        assert tts(2.0, 20.0) == -5.0
+        assert tts(2.0, 20.0, self.FLOOR) == -5.0
         assert tts(2.0, 20.0, floor=-2.0) == -2.0
 
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError):
-            tts(-1.0, 5.0)
+            tts(-1.0, 5.0, self.FLOOR)
 
     def test_shift_invariance(self):
         for delta in (3.7, 12.0):
-            assert tts(30.0 + delta, 20.0 + delta) == pytest.approx(
-                tts(30.0, 20.0), abs=1e-9)
+            assert tts(30.0 + delta, 20.0 + delta, self.FLOOR) == pytest.approx(
+                tts(30.0, 20.0, self.FLOOR), abs=1e-9)
 
 
 class TestFeedbackOracle:
     def test_perfect_switch_scores_one(self):
         trace = synthetic_trace([-60.0] * 40)
         onset = trace.degradation_onset
-        assert feedback_oracle(onset, trace) == 1.0
-        assert feedback_oracle(onset - 2.0, trace) == 1.0
-        assert feedback_oracle(onset + 3.0, trace) == 1.0
+        assert feedback_oracle(onset, trace, CFG.reward) == 1.0
+        assert feedback_oracle(onset - 2.0, trace, CFG.reward) == 1.0
+        assert feedback_oracle(onset + 3.0, trace, CFG.reward) == 1.0
 
     def test_rollback_scores_minus_one(self):
         rsrp = np.full(40, -120.0)   # new link unusable everywhere
@@ -457,15 +462,15 @@ class TestFeedbackOracle:
         assert rollback_occurred(trace, trace.degradation_onset,
                                  CFG.reward.rollback_usable_dbm,
                                  CFG.reward.rollback_dwell_s)
-        assert feedback_oracle(trace.degradation_onset, trace) == -1.0
+        assert feedback_oracle(trace.degradation_onset, trace, CFG.reward) == -1.0
 
     def test_late_switch_taper_is_ordered(self):
         trace = synthetic_trace([-60.0] * 80)
         onset = trace.degradation_onset
         # oracle: taper evaluated by hand from the documented shape
         cfg = CFG.reward
-        ten_late = feedback_oracle(onset + 10.0, trace)
-        four_late = feedback_oracle(onset + 4.0, trace)
+        ten_late = feedback_oracle(onset + 10.0, trace, CFG.reward)
+        four_late = feedback_oracle(onset + 4.0, trace, CFG.reward)
         assert ten_late == pytest.approx(1.0 - cfg.hf_taper_per_s * 7.0)
         assert four_late == pytest.approx(1.0 - cfg.hf_taper_per_s * 1.0)
         assert -1.0 < ten_late < four_late < 1.0
@@ -473,13 +478,13 @@ class TestFeedbackOracle:
     def test_early_taper_steeper_than_late(self):
         trace = synthetic_trace([-60.0] * 80)
         onset = trace.degradation_onset
-        early = feedback_oracle(onset - 6.0, trace)
-        late = feedback_oracle(onset + 7.0, trace)
+        early = feedback_oracle(onset - 6.0, trace, CFG.reward)
+        late = feedback_oracle(onset + 7.0, trace, CFG.reward)
         assert early < late
 
     def test_deterministic(self):
         trace = synthetic_trace([-60.0] * 40)
-        vals = {feedback_oracle(11.0, trace) for _ in range(5)}
+        vals = {feedback_oracle(11.0, trace, CFG.reward) for _ in range(5)}
         assert len(vals) == 1
 
 
@@ -488,10 +493,34 @@ class TestWindowing:
         trace = generate(make_scenario("A", 5, CFG.radio, CFG.walker),
                          CFG.radio, CFG.walker)
         seg = segment_before(trace, 20.0, CFG)
-        assert len(seg) == CFG.window.buffer_windows
-        ts = seg.timestamps()
+        assert len(seg.windows) == CFG.window.buffer_windows
+        ts = [w.timestamp for w in seg.windows]
         assert ts[-1] == pytest.approx(19.5)   # window midpoints
         assert ts[0] == pytest.approx(10.5)
+
+    def test_segment_before_ends_on_its_own_grid(self, monkeypatch):
+        """Window ends come from their index: at 0.2 s windows a buffer
+        before 40.0 or 23.37 ends exactly there (a running sum ended at
+        40.00000000000003 and 23.369999999999994), and one before 1.3,
+        shorter than the buffer, keeps the windows ending at k * 0.2."""
+        cfg = dataclasses.replace(CFG, window=dataclasses.replace(CFG.window, window_s=0.2))
+        trace = generate(make_scenario("B", 3, cfg.radio, cfg.walker), cfg.radio, cfg.walker)
+        ends = []
+
+        def spy(trace, t_end, *args):
+            ends.append(t_end)
+            return fingerprint_at(trace, t_end, *args)
+
+        monkeypatch.setattr(sim, "fingerprint_at", spy)
+        for t_event in (40.0, 23.37):
+            ends.clear()
+            seg = segment_before(trace, t_event, cfg)
+            assert len(seg.windows) == len(ends) == 10
+            assert ends[-1] == t_event
+            assert ends == [t_event - (10 - k) * 0.2 for k in range(1, 11)]
+        ends.clear()
+        assert len(segment_before(trace, 1.3, cfg).windows) == 6
+        assert ends == [k * 0.2 for k in range(1, 7)]
 
     def test_fingerprint_full_presence_at_full_rate(self):
         trace = generate(make_scenario("C", 1, CFG.radio, CFG.walker),
@@ -542,7 +571,7 @@ class TestSidecars:
         sc = make_scenario("A", 6, CFG.radio, CFG.walker)
         trace = generate(dataclasses.replace(sc, shadow_sigma_db=0.0),
                          CFG.radio, CFG.walker)
-        serving = trace.noiseless_serving()
+        serving = trace.noiseless_by_ap.max(axis=0)
         onset = sc.degradation_onset
         i = int(math.floor(onset))
         assert serving[i] >= -75.0 >= serving[i + 1]
