@@ -20,9 +20,9 @@ from .alignment import train_metric  # unused here; bench/spans.py wraps this na
 from .cloudedge import EdgeAgent, RewardModel, RoundState, run_round
 from .cloudedge import offline_update  # unused here; bench/spans.py wraps this name
 from .config import EngineConfig, load_config
-from .fingerprints import (FEATURE_NAMES, FingerprintLibrary,
-                           FingerprintSequence, SwitchEvent, fnv1a64,
-                           load_library, save_library, write_sequence)
+from .fingerprints import (FingerprintLibrary, FingerprintSequence,
+                           SwitchEvent, fnv1a64, load_library, save_library,
+                           write_sequence)
 from .filters import SelectorModel, context_from_windows, train_selector
 from .policy import (MatcherStack, PolicyModel, ScriptedPolicy, imitate,
                      rollout, trigger_guide)
@@ -70,9 +70,8 @@ def trace_to_sequence(trace, cfg: EngineConfig) -> FingerprintSequence:
     """Every window of the trace, ending at ``k * window_s`` for k = 1, 2,
     ... up to the trace's end."""
     window_s = cfg.window.window_s
-    affine = cfg.norm.affine(FEATURE_NAMES)
     return FingerprintSequence(
-        fingerprint_at(trace, k * window_s, cfg, None, affine)
+        fingerprint_at(trace, k * window_s, cfg)
         for k in range(1, int(trace.duration / window_s + 1e-9) + 1))
 
 

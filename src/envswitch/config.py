@@ -1,9 +1,11 @@
 """Configuration objects and the key-value text config format.
 
 Every tunable constant in the library lives here rather than inline in the
-numeric code: feature normalization spans, the radio propagation model, the
-threshold+hysteresis baseline, reward weights, PPO hyperparameters, and the
-cloud-edge round schedule.  A flat ``section.key = value`` text file can
+numeric code: the radio propagation model, the threshold+hysteresis
+baseline, reward weights, PPO hyperparameters, and the cloud-edge round
+schedule.  The signal ranges are not tunable: ``RSSI_RANGE_DBM`` and
+``FEATURE_RANGES`` are module constants that the simulator, the features
+and the policy all read.  A flat ``section.key = value`` text file can
 override any field, e.g.::
 
     # run.cfg
@@ -17,6 +19,31 @@ Lines starting with ``#`` and blank lines are ignored.
 import dataclasses
 import math
 from dataclasses import dataclass, field
+
+
+# The physical range of an RSSI reading in dBm: the radio clamps to it, the
+# WiFi level feature is normalized over it, and the baseline's threshold
+# lies inside it.
+RSSI_RANGE_DBM = (-100.0, -30.0)
+
+# The physical (lo, hi) range of each fingerprint feature; a raw value x
+# normalizes to (x - center) / halfspan of its range, roughly onto [-1, 1].
+FEATURE_RANGES = {
+    "pdr_step_rate": (0.0, 3.0),
+    "pdr_heading_change": (-math.pi, math.pi),
+    "pdr_stop_flag": (0.0, 1.0),
+    "wifi_topk_mean": RSSI_RANGE_DBM,
+    "wifi_slope": (-10.0, 10.0),
+    "wifi_churn": (0.0, 1.0),
+    "cell_rsrp": (-120.0, -60.0),
+    "cell_rsrq": (-20.0, 0.0),
+    "cell_change": (0.0, 1.0),
+    "gnss_snr": (0.0, 50.0),
+    "gnss_sats": (0.0, 20.0),
+    "gnss_fix": (0.0, 1.0),
+    "time_sin": (-1.0, 1.0),
+    "time_cos": (-1.0, 1.0),
+}
 
 
 def _require(section: str, cfg, key: str, ok: bool, want: str):
@@ -42,43 +69,13 @@ class WindowConfig:
 
 
 @dataclass
-class NormalizationConfig:
-    """Per-feature affine maps onto roughly [-1, 1].
-
-    A raw value ``x`` normalizes to ``(x - center) / halfspan``.  Bounds are
-    chosen from the physical ranges of each signal (RSSI in [-100, -30] dBm,
-    RSRP in [-120, -60] dBm, and so on).
-    """
-
-    bounds: dict = field(default_factory=lambda: {
-        "pdr_step_rate": (0.0, 3.0),
-        "pdr_heading_change": (-3.141592653589793, 3.141592653589793),
-        "pdr_stop_flag": (0.0, 1.0),
-        "wifi_topk_mean": (-100.0, -30.0),
-        "wifi_slope": (-10.0, 10.0),
-        "wifi_churn": (0.0, 1.0),
-        "cell_rsrp": (-120.0, -60.0),
-        "cell_rsrq": (-20.0, 0.0),
-        "cell_change": (0.0, 1.0),
-        "gnss_snr": (0.0, 50.0),
-        "gnss_sats": (0.0, 20.0),
-        "gnss_fix": (0.0, 1.0),
-        "time_sin": (-1.0, 1.0),
-        "time_cos": (-1.0, 1.0),
-    })
-
-    def affine(self, names) -> tuple:
-        """(centers, halfspans) of the features ``names``, as two tuples:
-        a raw value ``x`` normalizes to ``(x - center) / halfspan``."""
-        bounds = [self.bounds[name] for name in names]
-        return (tuple([0.5 * (lo + hi) for lo, hi in bounds]),
-                tuple([0.5 * (hi - lo) for lo, hi in bounds]))
-
-
-@dataclass
 class LibraryConfig:
     capacity: int = 24             # prototypes kept per site library
     salt: str = "edge-default"     # per-user salt for identifier hashing
+
+    def __post_init__(self):
+        # training pairs prototypes within one library
+        _require("library", self, "capacity", self.capacity >= 2, "at least 2")
 
 
 @dataclass
@@ -113,8 +110,6 @@ class RadioConfig:
     exponent_indoor: float = 2.2
     exponent_outdoor: float = 2.0
     wall_db: float = 8.0           # penalty per wall between AP and user
-    rssi_floor_dbm: float = -100.0
-    rssi_ceil_dbm: float = -30.0
 
 
 @dataclass
@@ -139,8 +134,9 @@ class BaselineConfig:
     assoc_delay_s: float = 2.0
 
     def __post_init__(self):
+        lo, hi = RSSI_RANGE_DBM
         _require("baseline", self, "threshold_dbm",
-                 -100.0 < self.threshold_dbm < -30.0, "in (-100, -30)")
+                 lo < self.threshold_dbm < hi, f"in ({lo:g}, {hi:g})")
 
 
 @dataclass
@@ -230,7 +226,6 @@ class EngineConfig:
     """Bundle of every sub-config; the single object most entry points take."""
 
     window: WindowConfig = field(default_factory=WindowConfig)
-    norm: NormalizationConfig = field(default_factory=NormalizationConfig)
     library: LibraryConfig = field(default_factory=LibraryConfig)
     filters: FilterConfig = field(default_factory=FilterConfig)
     match: MatchConfig = field(default_factory=MatchConfig)
@@ -249,7 +244,7 @@ _SECTIONS = frozenset(f.name for f in dataclasses.fields(EngineConfig))
 def _coerce(dotted: str, current, text: str):
     """``text`` parsed as the type of the field's current value: a float
     must be finite, a tuple as long as the default; a field of any other
-    type (``norm.bounds``, a dict) cannot be set from text."""
+    type cannot be set from text."""
     if isinstance(current, int):
         return int(text)
     if isinstance(current, (float, tuple)):

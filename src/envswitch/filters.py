@@ -22,11 +22,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import FilterConfig
+from .fingerprints import FEATURE_NAMES, MODALITIES
 from .mlp import TwoLayerNet, grads_add, grads_scale, grads_zeros_like, sigmoid, softmax, softmax_backward
 from .serialize import dump_tensors, parse_tensors
 
 FILTER_ORDER = ("kalman", "gaussian", "elp")
-CONTEXT_DIM = 8  # rssi_variance, scan_age, step_rate, presence x5
+# rssi_variance, scan_age, step_rate, one presence flag per modality
+CONTEXT_DIM = 3 + len(MODALITIES)
+_WIFI_LEVEL = FEATURE_NAMES.index("wifi_topk_mean")
+_STEP_RATE = FEATURE_NAMES.index("pdr_step_rate")
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +126,14 @@ class FilterContext:
     rssi_variance: float = 0.0
     scan_age: float = 0.0
     step_rate: float = 0.0
-    presence: tuple = (True, True, True, True, True)
+    presence: tuple = (True,) * len(MODALITIES)
 
     def __post_init__(self):
         for v in (self.rssi_variance, self.scan_age, self.step_rate):
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError("context fields must be finite and nonnegative")
-        if len(self.presence) != 5:
-            raise ValueError("presence must hold 5 flags, one per modality")
+        if len(self.presence) != len(MODALITIES):
+            raise ValueError("presence must hold one flag per modality")
 
     def features(self) -> np.ndarray:
         pres = [1.0 if p else 0.0 for p in self.presence]
@@ -228,14 +232,14 @@ def context_from_windows(features, present, scan_age: float) -> FilterContext:
     """
     features = np.asarray(features, dtype=float)
     present = np.asarray(present, dtype=bool)
-    n, rssi = features.shape[0], features[:, 3]
+    n, rssi = features.shape[0], features[:, _WIFI_LEVEL]
     # the reductions np.var and np.mean run, in their order, without their
     # wrappers: a decision pays for these once a second
     centered = rssi - np.add.reduce(rssi, keepdims=True) / n
     return FilterContext(
         rssi_variance=float(np.add.reduce(np.square(centered, out=centered))) / n,
         scan_age=scan_age,
-        step_rate=max(0.0, float(np.add.reduce(features[:, 0])) / n),
+        step_rate=max(0.0, float(np.add.reduce(features[:, _STEP_RATE])) / n),
         presence=tuple(present[-1].tolist()))
 
 

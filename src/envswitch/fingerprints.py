@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import LibraryConfig, NormalizationConfig
+from .config import FEATURE_RANGES, LibraryConfig
 from .serialize import fmt
 
 MODALITIES = ("pdr", "wifi", "cell", "gnss", "time")
@@ -29,6 +29,12 @@ FEATURE_NAMES = (
     "gnss_snr", "gnss_sats", "gnss_fix",
     "time_sin", "time_cos",
 )
+
+# (center, halfspan) of each feature's range in FEATURE_RANGES, in
+# FEATURE_NAMES order: a raw value x normalizes to (x - center) / halfspan
+_ranges = [FEATURE_RANGES[name] for name in FEATURE_NAMES]
+FEATURE_CENTERS = tuple([0.5 * (lo + hi) for lo, hi in _ranges])
+FEATURE_HALFSPANS = tuple([0.5 * (hi - lo) for lo, hi in _ranges])
 
 MODALITY_SLICES = {}
 _off = 0
@@ -298,25 +304,26 @@ def time_summary(hour_of_day: float):
     return math.sin(phase), math.cos(phase)
 
 
-def assemble_fingerprint(timestamp: float, raw: dict, present: dict,
-                         affine: tuple) -> Fingerprint:
+def assemble_fingerprint(timestamp: float, raw: dict,
+                         present: dict) -> Fingerprint:
     """Normalize raw per-modality features and attach the presence mask.
 
-    ``raw`` maps every modality to its raw feature tuple; all 14 features
-    normalize with one affine map ``(raw - center) / halfspan``, where
-    ``affine`` is ``NormalizationConfig.affine(FEATURE_NAMES)``.  A modality
-    missing from ``present`` keeps its flag set.
+    ``raw`` maps every modality to its raw feature tuple; each of the 14
+    features normalizes to ``(raw - center) / halfspan`` of its range in
+    ``config.FEATURE_RANGES``.  A modality missing from ``present`` keeps
+    its flag set.
     """
     values = [v for m in MODALITIES for v in raw[m]]
     # 14 Python float operations, each the float64 one numpy would do
-    features = [(v - c) / h for v, c, h in zip(values, *affine)]
+    features = [(v - c) / h
+                for v, c, h in zip(values, FEATURE_CENTERS, FEATURE_HALFSPANS)]
     return Fingerprint(timestamp, features,
                        [bool(present.get(m, True)) for m in MODALITIES])
 
 
-def summarize_window(window: RawWindow, present: dict,
-                     norm: NormalizationConfig | None = None) -> Fingerprint:
-    """Summarize one raw window into a normalized Fingerprint.
+def summarize_window(window: RawWindow, present: dict) -> Fingerprint:
+    """Summarize one raw window into a Fingerprint normalized as
+    ``assemble_fingerprint`` does.
 
     ``present`` maps modality name -> bool.  A modality marked present with
     an empty sample set raises ("inconsistent mask"); a modality marked
@@ -334,8 +341,7 @@ def summarize_window(window: RawWindow, present: dict,
     if present.get("time", False):
         raw["time"] = time_summary(window.hour_of_day)
     t_mid = 0.5 * (window.t_start + window.t_end)
-    affine = (norm or NormalizationConfig()).affine(FEATURE_NAMES)
-    return assemble_fingerprint(t_mid, raw, present, affine)
+    return assemble_fingerprint(t_mid, raw, present)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ import numpy as np
 from . import alignment
 from .config import EngineConfig, PpoConfig, RewardConfig
 from .filters import context_from_windows
-from .fingerprints import FEATURE_NAMES, MODALITIES, N_FEATURES
+from .fingerprints import (FEATURE_CENTERS, FEATURE_HALFSPANS, FEATURE_NAMES,
+                           MODALITIES, N_FEATURES)
 from .mlp import Adam, TwoLayerNet, softmax
 from .serialize import dump_tensors, parse_tensors
 from .sim import (RawTrace, baseline_policy, feedback_oracle, fingerprint_at,
@@ -30,6 +31,7 @@ from .sim import (RawTrace, baseline_policy, feedback_oracle, fingerprint_at,
 ACTIONS = ("hold", "scan_boost", "pre_associate", "handover")
 N_ACTIONS = len(ACTIONS)
 STATE_DIM = 7
+_WIFI_LEVEL = FEATURE_NAMES.index("wifi_topk_mean")
 
 
 @dataclass
@@ -56,8 +58,9 @@ class PolicyState:
 
 
 def normalize_rssi(dbm: float) -> float:
-    """Serving RSSI in dBm as the policy's unit-scaled ``rssi`` feature."""
-    return (dbm + 65.0) / 35.0
+    """Serving RSSI in dBm as the policy's unit-scaled ``rssi`` feature, in
+    the units of the fingerprints' WiFi level feature."""
+    return (dbm - FEATURE_CENTERS[_WIFI_LEVEL]) / FEATURE_HALFSPANS[_WIFI_LEVEL]
 
 
 @dataclass
@@ -443,7 +446,6 @@ class SwitchEnv:
             np.arange(self.horizon, dtype=float)).tolist()
         self.step_rate = [min(1.0, (b - a) / 3.0)
                           for a, b in zip(steps_before, steps_before[1:])]
-        self.affine = cfg.norm.affine(FEATURE_NAMES)
         # the live window, oldest first: rows [:k] of two preallocated buffers
         size = cfg.window.buffer_windows
         self.live_features = np.empty((size, N_FEATURES))
@@ -464,8 +466,7 @@ class SwitchEnv:
         sec = self.sec = min(step, self.last_sec)
         sim_top = 0.0
         if not self.switched:
-            window = fingerprint_at(self.trace, t, self.cfg, self.scan_times,
-                                    self.affine)
+            window = fingerprint_at(self.trace, t, self.cfg, self.scan_times)
             features, present, k = self.live_features, self.live_present, self.k
             if k == len(features):      # full: drop the oldest row
                 features[:-1], present[:-1] = features[1:], present[1:]

@@ -24,9 +24,9 @@ from operator import ne
 
 import numpy as np
 
-from .config import (BaselineConfig, EngineConfig, RadioConfig, RewardConfig,
-                     WalkerConfig)
-from .fingerprints import (FEATURE_NAMES, Fingerprint, FingerprintSequence,
+from .config import (RSSI_RANGE_DBM, BaselineConfig, EngineConfig, RadioConfig,
+                     RewardConfig, WalkerConfig)
+from .fingerprints import (Fingerprint, FingerprintSequence,
                            assemble_fingerprint, cell_summary, fnv1a64,
                            gnss_summary, pdr_summary, time_summary,
                            wifi_summary)
@@ -150,7 +150,7 @@ def _kinematics(scenario: Scenario, times: np.ndarray):
 def _path_loss(scenario: Scenario, radio: RadioConfig, pos: np.ndarray,
                zones) -> np.ndarray:
     """Noiseless log-distance RSSI (n_aps, n) of every AP at positions ``pos``
-    (n, 2) in ``zones``, clamped to the radio's range.  ``hypot`` and
+    (n, 2) in ``zones``, clamped to ``RSSI_RANGE_DBM``.  ``hypot`` and
     ``log10`` are ``math``'s, per element: numpy's differ in the last bit."""
     outdoor = np.array([z in scenario.outdoor_zones for z in zones], dtype=bool)
     exponent = np.where(outdoor, radio.exponent_outdoor, radio.exponent_indoor)
@@ -162,7 +162,7 @@ def _path_loss(scenario: Scenario, radio: RadioConfig, pos: np.ndarray,
     log_d = log_d.reshape(len(aps), len(pos))
     rssi = aps[:, 2:] - radio.pl0_db - 10.0 * exponent * log_d \
         - walls * radio.wall_db
-    return np.minimum(np.maximum(rssi, radio.rssi_floor_dbm), radio.rssi_ceil_dbm)
+    return np.minimum(np.maximum(rssi, RSSI_RANGE_DBM[0]), RSSI_RANGE_DBM[1])
 
 
 @dataclass
@@ -198,7 +198,7 @@ class RawTrace:
                                   compare=False)
     _wifi: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
-    # fingerprint_at's memo: normalization -> {window key: Fingerprint}
+    # fingerprint_at's memo: {window key: Fingerprint}
     _windows: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -279,7 +279,7 @@ def generate(scenario: Scenario, radio: RadioConfig | None = None,
     noiseless_by_ap = _path_loss(scenario, radio, pos[sec_idx], sec_zone)
     shadow = rng.normal(0.0, scenario.shadow_sigma_db, size=noiseless_by_ap.shape)
     rssi_by_ap = np.minimum(np.maximum(noiseless_by_ap + shadow,
-                                       radio.rssi_floor_dbm), radio.rssi_ceil_dbm)
+                                       RSSI_RANGE_DBM[0]), RSSI_RANGE_DBM[1])
     bssids = tuple(_bssid(scenario.seed, a) for a in range(len(rssi_by_ap)))
 
     cell_id = np.full(n_secs, 501, dtype=int)
@@ -437,7 +437,7 @@ def baseline_policy(trace: RawTrace, threshold: float, hysteresis: float,
     Returns (completion_time, censored).  Never-triggered sessions report the
     trace end as a censored completion.
     """
-    if not -100.0 < threshold < -30.0:
+    if not RSSI_RANGE_DBM[0] < threshold < RSSI_RANGE_DBM[1]:
         raise ValueError("threshold must lie inside the physical RSSI range")
     rssi = trace.serving_rssi()
     cut = threshold - hysteresis
@@ -504,7 +504,7 @@ def feedback_oracle(completion: float, trace: RawTrace,
 
 
 def fingerprint_at(trace: RawTrace, t_end: float, cfg: EngineConfig,
-                   scan_times=None, affine: tuple | None = None) -> Fingerprint:
+                   scan_times=None) -> Fingerprint:
     """Summarize the window [t_end - cfg.window.window_s, t_end).
 
     ``scan_times``, an ascending sequence, restricts WiFi scans to a device
@@ -513,14 +513,12 @@ def fingerprint_at(trace: RawTrace, t_end: float, cfg: EngineConfig,
     without a WiFi scan, the freshest earlier scan inside the staleness
     budget is carried over, its features marking WiFi present; beyond the
     budget WiFi is marked absent.  Both are found by bisecting the
-    schedule.  ``affine`` is ``cfg.norm.affine(FEATURE_NAMES)``;
-    a caller that makes many windows under one config builds it once and
-    passes it in, otherwise it is built here.
+    schedule.
 
     The result is memoized on the trace, keyed on everything the window
-    reads: t_end, the window length, the staleness budget, the
-    normalization, the scans inside the window and, when there are none,
-    the latest earlier scan.
+    reads that can vary: t_end, the window length, the staleness budget,
+    the scans inside the window and, when there are none, the latest
+    earlier scan.
     """
     window_s, stale = cfg.window.window_s, cfg.device.wifi_stale_s
     t_start = t_end - window_s
@@ -532,20 +530,15 @@ def fingerprint_at(trace: RawTrace, t_end: float, cfg: EngineConfig,
                       if 0 <= int(s) < len(trace.sec_t))
         if not scans and a:
             carried = scan_times[a - 1]
-    if affine is None:
-        affine = cfg.norm.affine(FEATURE_NAMES)
-    # one memo per normalization, so its key is held once, not per window
-    memo = trace._windows.setdefault(affine, {})
     key = (t_end, window_s, stale, scans, carried)
-    fp = memo.get(key)
+    fp = trace._windows.get(key)
     if fp is None:
-        fp = memo[key] = _summarize_trace_window(
-            trace, t_start, t_end, scans, carried, stale, affine)
+        fp = trace._windows[key] = _summarize_trace_window(
+            trace, t_start, t_end, scans, carried, stale)
     return fp
 
 
-def _summarize_trace_window(trace, t_start, t_end, scans, carried, stale,
-                            affine):
+def _summarize_trace_window(trace, t_start, t_end, scans, carried, stale):
     """``fingerprint_at`` on a memo miss, from slices of the trace's arrays."""
     lo, hi = trace.sec_t.searchsorted((t_start, t_end)).tolist()
     lo_t, hi_t = trace.tick_t.searchsorted((t_start, t_end)).tolist()
@@ -576,7 +569,7 @@ def _summarize_trace_window(trace, t_start, t_end, scans, carried, stale,
                                    trace.gnss_fix[lo:hi])
     present = {"pdr": True, "wifi": bool(secs), "cell": hi > lo,
                "gnss": hi > lo, "time": True}
-    return assemble_fingerprint(0.5 * (t_start + t_end), raw, present, affine)
+    return assemble_fingerprint(0.5 * (t_start + t_end), raw, present)
 
 
 def segment_before(trace: RawTrace, t_event: float,
@@ -588,14 +581,12 @@ def segment_before(trace: RawTrace, t_event: float,
     grid) up to t_event.  Each end is computed from its index, so no
     rounding accumulates."""
     n, window_s = cfg.window.buffer_windows, cfg.window.window_s
-    affine = cfg.norm.affine(FEATURE_NAMES)
     if t_event >= n * window_s:
         ends = [t_event - (n - k) * window_s for k in range(1, n + 1)]
     else:
         ends = [k * window_s for k in range(1, n + 1)
                 if k * window_s <= t_event + 1e-9]
-    return FingerprintSequence(fingerprint_at(trace, t, cfg, None, affine)
-                               for t in ends)
+    return FingerprintSequence(fingerprint_at(trace, t, cfg) for t in ends)
 
 
 def detect_outdoor_transition(trace: RawTrace, cfg: EngineConfig) -> float | None:

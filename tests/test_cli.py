@@ -361,21 +361,26 @@ class TestConfigFile:
                            match=r"unknown config key: 'library\.retention_days'"):
             load_config(path)
 
+    @pytest.mark.parametrize("dotted", ["norm.bounds", "radio.rssi_floor_dbm",
+                                        "radio.rssi_ceil_dbm"])
+    def test_signal_ranges_are_unknown_keys(self, tmp_path, dotted):
+        # the RSSI range and the feature ranges are constants: a file that
+        # moved the radio's clamp would leave readings outside the units
+        # the features and the policy assume
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{dotted} = -110\n")
+        with pytest.raises(ValueError,
+                           match=rf"unknown config key: '{re.escape(dotted)}'"):
+            load_config(path)
+
     def test_every_section_is_overridable(self):
         # the sections are EngineConfig's fields, so a new sub-config needs
         # no second list to be reachable from a config file
-        # (a section whose first field cannot be set from text, such as
-        # norm.bounds, is still found: it names the key instead of calling
-        # it unknown)
         base = EngineConfig()
         for section in dataclasses.fields(EngineConfig):
             key = dataclasses.fields(section.type)[0].name
             current = getattr(getattr(base, section.name), key)
             dotted = f"{section.name}.{key}"
-            if isinstance(current, dict):
-                with pytest.raises(ValueError, match=f"'{dotted}'.*cannot be overridden"):
-                    apply_overrides(base, [(dotted, "2")])
-                continue
             # a tuple takes as many values as its default holds
             text = ",".join(["2"] * len(current)) if isinstance(current, tuple) else "2"
             if dotted == "ppo.clip_eps":
@@ -429,6 +434,11 @@ class TestConfigFile:
         ("walker.speed_mps", "0", r"must be > 0, got 0.0"),
         ("baseline.threshold_dbm", "-20", r"must be in \(-100, -30\), got -20.0"),
         ("baseline.threshold_dbm", "-100", r"must be in \(-100, -30\), got -100.0"),
+        # a capacity below 2 failed only after every site library was
+        # built, with "no training pairs": pairs are drawn within a library
+        ("library.capacity", "1", r"must be at least 2, got 1"),
+        ("library.capacity", "0", r"must be at least 2, got 0"),
+        ("library.capacity", "-3", r"must be at least 2, got -3"),
     ])
     def test_invalid_values_rejected_when_loaded(self, tmp_path, dotted, text, message):
         # each of these was stored as given and failed, hung or silently did
@@ -445,18 +455,22 @@ class TestConfigFile:
                                              r"'reward.gamma_hf' must not all be 0"):
             load_config(path)
 
-    def test_dict_field_override_is_rejected(self, tmp_path):
-        # norm.bounds maps feature names to ranges; text stored in its place
-        # would only fail later, inside sim.segment_before
+    def test_every_field_can_be_set_from_text(self, tmp_path):
+        # each default written as a config file would write it reads back
+        # as itself, so no setting is out of a config file's reach
+        def text(value):
+            if isinstance(value, tuple):
+                return ",".join(map(text, value))
+            return repr(value) if isinstance(value, float) else str(value)
+
         base = EngineConfig()
-        with pytest.raises(ValueError, match="'norm.bounds'"):
-            apply_overrides(base, [("norm.bounds", "2")])
+        lines = [f"{section.name}.{key.name} = "
+                 f"{text(getattr(getattr(base, section.name), key.name))}"
+                 for section in dataclasses.fields(EngineConfig)
+                 for key in dataclasses.fields(section.type)]
         path = tmp_path / "run.cfg"
-        path.write_text("norm.bounds = 2\n")
-        with pytest.raises(ValueError, match="'norm.bounds'"):
-            load_config(path)
-        assert isinstance(base.norm.bounds, dict)
-        assert apply_overrides(base, [("match.band", "4")]).match.band == 4
+        path.write_text("\n".join(lines) + "\n")
+        assert load_config(path) == base
 
     def test_every_setting_is_read(self):
         # a setting nothing reads would be accepted from a file and ignored;

@@ -7,15 +7,17 @@ import pytest
 
 from envswitch import alignment, filters, policy as policy_module
 from envswitch.alignment import MetricModel, make_alignment_loss
-from envswitch.config import EngineConfig, PpoConfig, RewardConfig
-from envswitch.fingerprints import FingerprintLibrary, SwitchEvent
+from envswitch.config import RSSI_RANGE_DBM, EngineConfig, PpoConfig, RewardConfig
+from envswitch.fingerprints import (FEATURE_DIMS, FEATURE_NAMES, MODALITIES,
+                                    FingerprintLibrary, SwitchEvent,
+                                    assemble_fingerprint)
 from envswitch.filters import FilterContext, SelectorModel
 from envswitch.mlp import softmax
 from envswitch.policy import (ACTIONS, MatcherStack, PolicyModel, PolicyState,
                               ScriptedPolicy, SwitchEnv, Trajectory, _draw,
                               act, clipped_surrogate,
-                              gae_advantages, imitate, ppo_update, rollout,
-                              trigger_guide)
+                              gae_advantages, imitate, normalize_rssi,
+                              ppo_update, rollout, trigger_guide)
 from envswitch.sim import generate, make_scenario, segment_before
 
 CFG = EngineConfig()
@@ -40,6 +42,21 @@ def build_stack(rng, site_flag="A", with_library=True):
                          metric=MetricModel.identity(), library=library,
                          band=CFG.match.band, cfg=CFG)
     return scenario, trace, stack
+
+
+class TestNormalizeRssi:
+    def test_equals_the_wifi_level_feature(self):
+        # the policy's rssi feature is in the units of the fingerprints'
+        # top-K mean RSSI, bit for bit, over the whole RSSI range
+        lo, hi = RSSI_RANGE_DBM
+        level = FEATURE_NAMES.index("wifi_topk_mean")
+        for dbm in np.arange(lo, hi + 0.125, 0.25).tolist():
+            raw = {m: (0.0,) * FEATURE_DIMS[m] for m in MODALITIES}
+            raw["wifi"] = (dbm, 0.0, 0.0)
+            feature = assemble_fingerprint(0.5, raw, {}).features[level]
+            assert normalize_rssi(dbm).hex() == float(feature).hex()
+            # and the fixed affine map it has always been
+            assert normalize_rssi(dbm).hex() == ((dbm + 65.0) / 35.0).hex()
 
 
 class TestAct:
