@@ -26,7 +26,7 @@ for flag in ("A", "B", "C"):
     libraries[flag], _, _ = build_site_library(flag, seeds, cfg)
     print(f"site {flag}: {len(libraries[flag])} switch-anchored prototypes")
 
-pairs = build_training_pairs(libraries, cfg, seed)
+pairs = build_training_pairs(libraries, seed)
 
 
 def mean_margin_loss(metric):

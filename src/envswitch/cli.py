@@ -28,13 +28,17 @@ from .policy import (MatcherStack, PolicyModel, ScriptedPolicy, imitate,
                      rollout, trigger_guide)
 from .serialize import fmt
 from .sim import SITE_SHORT as SITES_BY_FLAG  # the name bench/ reads
-from .sim import (baseline_policy, detect_outdoor_transition, fingerprint_at,
-                  generate, make_scenario, scenario_text, segment_before,
-                  truth_text)
+from .sim import (WINDOW_S, baseline_policy, detect_outdoor_transition,
+                  fingerprint_at, generate, make_scenario, scenario_text,
+                  segment_before, truth_text)
 
 PAPER_SESSION_COUNTS = {"A": 5, "B": 10, "C": 6}
 TRAIN_SESSIONS_PER_SITE = 6
 EVAL_SEED_OFFSET = 10_000
+# Shuffled negatives drawn per positive training pair.  Only the first 2
+# reach the selector; the other draws are kept because they advance the
+# pair builder's rng, which picks every later partner and negative.
+NEGATIVES_PER_POSITIVE = 4
 
 
 @dataclass
@@ -66,13 +70,12 @@ def round2(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def trace_to_sequence(trace, cfg: EngineConfig) -> FingerprintSequence:
-    """Every window of the trace, ending at ``k * window_s`` for k = 1, 2,
+def trace_to_sequence(trace) -> FingerprintSequence:
+    """Every window of the trace, ending at ``k * WINDOW_S`` for k = 1, 2,
     ... up to the trace's end."""
-    window_s = cfg.window.window_s
     return FingerprintSequence(
-        fingerprint_at(trace, k * window_s, cfg)
-        for k in range(1, int(trace.duration / window_s + 1e-9) + 1))
+        fingerprint_at(trace, k * WINDOW_S)
+        for k in range(1, int(trace.duration / WINDOW_S + 1e-9) + 1))
 
 
 def cmd_simulate(site_flags, sessions: int, seed: int, out_dir: str,
@@ -86,7 +89,7 @@ def cmd_simulate(site_flags, sessions: int, seed: int, out_dir: str,
             scenario = make_scenario(site, session_seed, cfg.radio, cfg.walker, cfg.baseline)
             trace = generate(scenario, cfg.radio, cfg.walker)
             stem = os.path.join(out_dir, f"trace_{flag}_{session_seed}")
-            write_sequence(stem + ".csv", trace_to_sequence(trace, cfg))
+            write_sequence(stem + ".csv", trace_to_sequence(trace))
             with open(stem + ".truth", "w", encoding="utf-8") as f:
                 f.write(truth_text(trace))
             with open(stem + ".scenario", "w", encoding="utf-8") as f:
@@ -132,14 +135,14 @@ def build_site_library(site_flag: str, seeds, cfg: EngineConfig):
     return library, traces, scenarios
 
 
-def build_training_pairs(libraries, cfg: EngineConfig, seed: int):
+def build_training_pairs(libraries, seed: int):
     """Switch-tag supervision: ``(positive, negatives)`` items from every
     site library, each pair a packed ``(query, proto)``.
 
     Each labeled prototype, in id order, is the query of one item.  Its
     positive pairs it with another prototype of the same switch kind drawn
-    from its library; its ``cfg.match.negatives_per_positive`` negatives pair
-    it with time-shuffled copies of that partner, so that similarity rises
+    from its library; its ``NEGATIVES_PER_POSITIVE`` negatives pair it with
+    time-shuffled copies of that partner, so that similarity rises
     only for the pre-switch order.  Each library draws from its own
     ``np.random.default_rng(seed)``; one with fewer than two prototypes is
     skipped.
@@ -159,7 +162,7 @@ def build_training_pairs(libraries, cfg: EngineConfig, seed: int):
             query = library.get(pid).packed()
             feats, pres = library.get(same[rng.integers(len(same))]).packed()
             perms = [rng.permutation(len(feats))
-                     for _ in range(cfg.match.negatives_per_positive)]
+                     for _ in range(NEGATIVES_PER_POSITIVE)]
             pairs.append(((query, (feats, pres)),
                           [(query, (feats[perm], pres[perm])) for perm in perms]))
         if len(pairs) == formed:
@@ -189,18 +192,16 @@ def train_models(seed: int, cfg: EngineConfig, rounds: int | None = None,
         traces_by_site[flag] = traces
         log(f"site {flag}: committed {len(lib)} prototypes")
 
-    pairs = build_training_pairs(libraries, cfg, seed)
-    metric = MetricModel.identity(cfg.match.embed_dim)
+    pairs = build_training_pairs(libraries, seed)
+    metric = MetricModel.identity()
     log("metric: identity embedding, uniform modality weights")
 
-    selector = SelectorModel.from_seed(fnv1a64(f"selector:{seed}") % (2 ** 32),
-                                       cfg.filters)
+    selector = SelectorModel.from_seed(fnv1a64(f"selector:{seed}") % (2 ** 32))
     # each item's context is the one the matcher serves its query with
     selector_items = [(context_from_windows(*query, 0.0), (*query, *proto),
                        [(*nq, *np_) for nq, np_ in negatives[:2]])
                       for (query, proto), negatives in pairs]
-    loss_fn = make_alignment_loss(metric, cfg.match.margin,
-                                  cfg.match.gamma_soft, cfg.match.band)
+    loss_fn = make_alignment_loss(metric, band=cfg.match.band)
     selector = train_selector(selector, selector_items, loss_fn,
                               epochs=5, step_size=0.05)
     log("selector trained")
@@ -283,7 +284,7 @@ def load_models(model_dir: str, cfg: EngineConfig):
         with open(path, "r", encoding="utf-8") as f:
             return f.read()
 
-    selector = SelectorModel.deserialize(read("selector.txt"), cfg.filters)
+    selector = SelectorModel.deserialize(read("selector.txt"))
     metric = MetricModel.deserialize(read("metric.txt"))
     policy = PolicyModel.deserialize(read("policy.txt"))
     stacks = {}

@@ -1,12 +1,16 @@
 """Configuration objects and the key-value text config format.
 
-Every tunable constant in the library lives here rather than inline in the
-numeric code: the radio propagation model, the threshold+hysteresis
-baseline, reward weights, PPO hyperparameters, and the cloud-edge round
-schedule.  The signal ranges are not tunable: ``RSSI_RANGE_DBM`` and
-``FEATURE_RANGES`` are module constants that the simulator, the features
-and the policy all read.  A flat ``section.key = value`` text file can
-override any field, e.g.::
+A field holds what a run may vary: the radio propagation model, the
+walker, the threshold+hysteresis baseline, reward weights, PPO
+hyperparameters, the cloud-edge round schedule, the library's capacity and
+salt, the buffer length and the matcher's band.  A fixed constant lives
+with the code that reads it instead: the device's sensing schedule in
+``policy``, the window length and the WiFi staleness budget in ``sim``, the
+selector's coefficient boxes in ``filters`` and the matcher-training
+constants in ``cli``.  The signal ranges ``RSSI_RANGE_DBM`` and
+``FEATURE_RANGES`` are module constants here, as the simulator, the
+features and the policy all read them.  A flat ``section.key = value`` text
+file can override any field, e.g.::
 
     # run.cfg
     radio.wall_db = 6.0
@@ -57,13 +61,11 @@ def _require(section: str, cfg, key: str, ok: bool, want: str):
 
 @dataclass
 class WindowConfig:
-    """Windowing of raw streams into fingerprints."""
+    """The pre-switch buffer of 1 s fingerprint windows."""
 
-    window_s: float = 1.0          # one summary window per second
     buffer_windows: int = 10       # pre-switch buffer length (10 s at 1 s windows)
 
     def __post_init__(self):
-        _require("window", self, "window_s", self.window_s > 0, "> 0")
         _require("window", self, "buffer_windows", self.buffer_windows >= 2,
                  "at least 2")
 
@@ -79,27 +81,11 @@ class LibraryConfig:
 
 
 @dataclass
-class FilterConfig:
-    """Legal ranges for denoiser coefficients (selector outputs squash here)."""
-
-    q_range: tuple = (0.0, 1.0)
-    r_range: tuple = (0.01, 10.0)
-    sigma_range: tuple = (0.1, 3.0)
-    alpha_range: tuple = (0.05, 1.0)
-    hidden: int = 16               # selector network width
-
-
-@dataclass
 class MatchConfig:
     band: int = 3                  # Sakoe-Chiba band width in windows
-    embed_dim: int = 4             # per-modality linear embedding output dim
-    margin: float = 1.0
-    gamma_soft: float = 0.1        # soft-min smoothing used during training
-    negatives_per_positive: int = 4
 
     def __post_init__(self):
-        for key in ("band", "negatives_per_positive"):
-            _require("match", self, key, getattr(self, key) >= 1, "at least 1")
+        _require("match", self, "band", self.band >= 1, "at least 1")
 
 
 @dataclass
@@ -208,26 +194,11 @@ class CloudEdgeConfig:
 
 
 @dataclass
-class DeviceConfig:
-    """On-device sampling behavior during a rollout."""
-
-    scan_period_s: float = 2.0
-    boosted_period_s: float = 1.0
-    boost_duration_s: float = 10.0
-    wifi_stale_s: float = 4.0           # scans older than this mark WiFi absent
-
-    def __post_init__(self):
-        _require("device", self, "scan_period_s", self.scan_period_s > 0, "> 0")
-        _require("device", self, "boosted_period_s", self.boosted_period_s > 0, "> 0")
-
-
-@dataclass
 class EngineConfig:
     """Bundle of every sub-config; the single object most entry points take."""
 
     window: WindowConfig = field(default_factory=WindowConfig)
     library: LibraryConfig = field(default_factory=LibraryConfig)
-    filters: FilterConfig = field(default_factory=FilterConfig)
     match: MatchConfig = field(default_factory=MatchConfig)
     radio: RadioConfig = field(default_factory=RadioConfig)
     walker: WalkerConfig = field(default_factory=WalkerConfig)
@@ -235,31 +206,24 @@ class EngineConfig:
     reward: RewardConfig = field(default_factory=RewardConfig)
     ppo: PpoConfig = field(default_factory=PpoConfig)
     cloudedge: CloudEdgeConfig = field(default_factory=CloudEdgeConfig)
-    device: DeviceConfig = field(default_factory=DeviceConfig)
 
 
 _SECTIONS = frozenset(f.name for f in dataclasses.fields(EngineConfig))
 
 
 def _coerce(dotted: str, current, text: str):
-    """``text`` parsed as the type of the field's current value: a float
-    must be finite, a tuple as long as the default; a field of any other
-    type cannot be set from text."""
-    if isinstance(current, int):
-        return int(text)
-    if isinstance(current, (float, tuple)):
-        values = tuple(float(v) for v in text.split(","))
-        want = len(current) if isinstance(current, tuple) else 1
-        if len(values) != want:
-            raise ValueError(f"config key {dotted!r} takes {want} comma-separated "
-                             f"value(s), got {len(values)}")
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"config key {dotted!r} must be finite, got {text!r}")
-        return values if isinstance(current, tuple) else values[0]
+    """``text`` parsed as the type of the field's current value, a float
+    finite; a text that does not parse is refused, naming the key."""
     if isinstance(current, str):
         return text.strip()
-    raise ValueError(f"config key {dotted!r} holds a {type(current).__name__} "
-                     "and cannot be overridden")
+    try:
+        value = type(current)(text)
+    except ValueError as e:
+        raise ValueError(f"config key {dotted!r} takes {type(current).__name__} "
+                         f"values: {e}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"config key {dotted!r} must be finite, got {text!r}")
+    return value
 
 
 def apply_overrides(cfg: EngineConfig, pairs) -> EngineConfig:
@@ -279,16 +243,19 @@ def apply_overrides(cfg: EngineConfig, pairs) -> EngineConfig:
 
 
 def load_config(path, base: EngineConfig | None = None) -> EngineConfig:
-    """Load overrides from a key-value text file on top of defaults."""
+    """Load overrides from a key-value text file on top of defaults, one
+    line at a time, so that an error names the file and line it came from."""
     cfg = base if base is not None else EngineConfig()
-    pairs = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            pairs.append((key.strip(), value.strip()))
-    return apply_overrides(cfg, pairs)
+            key, eq, value = line.partition("=")
+            try:
+                if not eq:
+                    raise ValueError("expected 'key = value'")
+                cfg = apply_overrides(cfg, [(key.strip(), value.strip())])
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+    return cfg

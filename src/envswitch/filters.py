@@ -17,11 +17,10 @@ parameters.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FilterConfig
 from .fingerprints import FEATURE_NAMES, MODALITIES
 from .mlp import TwoLayerNet, grads_add, grads_scale, grads_zeros_like, sigmoid, softmax, softmax_backward
 from .serialize import dump_tensors, parse_tensors
@@ -31,6 +30,10 @@ FILTER_ORDER = ("kalman", "gaussian", "elp")
 CONTEXT_DIM = 3 + len(MODALITIES)
 _WIFI_LEVEL = FEATURE_NAMES.index("wifi_topk_mean")
 _STEP_RATE = FEATURE_NAMES.index("pdr_step_rate")
+# the legal (lo, hi) box of each coefficient, in (q, r, sigma, alpha) order:
+# the selector's four raw coefficient outputs squash into them
+COEFFICIENT_RANGES = ((0.0, 1.0), (0.01, 10.0), (0.1, 3.0), (0.05, 1.0))
+SELECTOR_HIDDEN = 16            # selector network width
 
 
 # ---------------------------------------------------------------------------
@@ -174,44 +177,43 @@ class FilterChoice:
 
 @dataclass
 class SelectorModel:
-    """Two-layer map from context to 3 filter logits + 4 raw coefficients."""
+    """Two-layer map from context to 3 filter logits + 4 raw coefficients,
+    ``SELECTOR_HIDDEN`` wide; the coefficients squash into
+    ``COEFFICIENT_RANGES``, so a trained selector serves with the boxes it
+    was trained in."""
 
     net: TwoLayerNet
-    cfg: FilterConfig = field(default_factory=FilterConfig)
 
     @classmethod
-    def from_seed(cls, seed: int, cfg: FilterConfig | None = None) -> "SelectorModel":
-        cfg = cfg or FilterConfig()
-        return cls(TwoLayerNet.from_seed(CONTEXT_DIM, cfg.hidden, 7, seed), cfg)
+    def from_seed(cls, seed: int) -> "SelectorModel":
+        return cls(TwoLayerNet.from_seed(CONTEXT_DIM, SELECTOR_HIDDEN, 7, seed))
 
     @classmethod
-    def zeros(cls, cfg: FilterConfig | None = None) -> "SelectorModel":
-        cfg = cfg or FilterConfig()
-        return cls(TwoLayerNet.zeros(CONTEXT_DIM, cfg.hidden, 7), cfg)
+    def zeros(cls) -> "SelectorModel":
+        return cls(TwoLayerNet.zeros(CONTEXT_DIM, SELECTOR_HIDDEN, 7))
 
     def serialize(self) -> str:
         return dump_tensors(self.net.tensors("selector."))
 
     @classmethod
-    def deserialize(cls, text: str, cfg: FilterConfig | None = None) -> "SelectorModel":
-        return cls(TwoLayerNet.from_tensors(parse_tensors(text), "selector."),
-                   cfg or FilterConfig())
+    def deserialize(cls, text: str) -> "SelectorModel":
+        return cls(TwoLayerNet.from_tensors(parse_tensors(text), "selector."))
 
 
-def _squash(raw: np.ndarray, cfg: FilterConfig):
+def _squash(raw: np.ndarray):
     """Map 4 raw outputs into the legal (q, r, sigma, alpha) boxes.  Returns
     the values, as a list of Python floats, and the sigmoids of ``raw``
     (``_squash_slopes`` reads them)."""
     s = sigmoid(raw)
-    ranges = (cfg.q_range, cfg.r_range, cfg.sigma_range, cfg.alpha_range)
     # Python floats round every step as float64 scalars do, at less cost
-    return [lo + (hi - lo) * si for (lo, hi), si in zip(ranges, s.tolist())], s
+    return [lo + (hi - lo) * si
+            for (lo, hi), si in zip(COEFFICIENT_RANGES, s.tolist())], s
 
 
-def _squash_slopes(s: np.ndarray, cfg: FilterConfig) -> np.ndarray:
+def _squash_slopes(s: np.ndarray) -> np.ndarray:
     """d(value)/d(raw) of ``_squash``, from its sigmoids; training only."""
-    ranges = (cfg.q_range, cfg.r_range, cfg.sigma_range, cfg.alpha_range)
-    return np.array([(hi - lo) * si * (1.0 - si) for (lo, hi), si in zip(ranges, s)])
+    return np.array([(hi - lo) * si * (1.0 - si)
+                     for (lo, hi), si in zip(COEFFICIENT_RANGES, s)])
 
 
 def select_filter(model: SelectorModel, ctx: FilterContext) -> FilterChoice:
@@ -221,7 +223,7 @@ def select_filter(model: SelectorModel, ctx: FilterContext) -> FilterChoice:
     # ``softmax`` of the filter logits without its wrappers: Python's max of
     # them is numpy's, and ``np.add.reduce`` is the sum it takes
     e = np.exp(out[:3] - max(out[:3].tolist()))
-    return FilterChoice(e / np.add.reduce(e), *_squash(out[3:], model.cfg)[0])
+    return FilterChoice(e / np.add.reduce(e), *_squash(out[3:])[0])
 
 
 def context_from_windows(features, present, scan_age: float) -> FilterContext:
@@ -442,9 +444,9 @@ def selector_forward_training(model: SelectorModel, ctx: FilterContext):
     feats = ctx.features()
     out, net_cache = model.net.forward(feats)
     weights = softmax(out[:3])
-    params, s = _squash(out[3:], model.cfg)
+    params, s = _squash(out[3:])
     choice = FilterChoice(weights, *params)
-    return choice, (net_cache, weights, _squash_slopes(s, model.cfg))
+    return choice, (net_cache, weights, _squash_slopes(s))
 
 
 def selector_backward(model: SelectorModel, cache, dweights, dparams):
@@ -498,7 +500,7 @@ def train_selector(model: SelectorModel, paired_batches, alignment_loss_fn,
     if not paired_batches:
         raise ValueError("empty training batch")
     net = model.net.copy()
-    current = SelectorModel(net, model.cfg)
+    current = SelectorModel(net)
     for _ in range(max(0, epochs)):
         forwards = [_soft_filter_item(current, ctx, [pos_pair] + list(neg_pairs))
                     for ctx, pos_pair, neg_pairs in paired_batches]
@@ -521,5 +523,5 @@ def train_selector(model: SelectorModel, paired_batches, alignment_loss_fn,
         if not math.isfinite(total):
             raise FloatingPointError("selector training loss is not finite")
         current = SelectorModel(current.net.step(grads_scale(acc, 1.0 / len(paired_batches)),
-                                                 step_size), current.cfg)
+                                                 step_size))
     return current

@@ -29,6 +29,11 @@ from .sim import (RawTrace, baseline_policy, feedback_oracle, fingerprint_at,
                   tts)
 
 ACTIONS = ("hold", "scan_boost", "pre_associate", "handover")
+# the device's WiFi scan schedule: one scan per SCAN_PERIOD_S, or per
+# BOOSTED_PERIOD_S for BOOST_DURATION_S after a scan_boost
+SCAN_PERIOD_S = 2.0
+BOOSTED_PERIOD_S = 1.0
+BOOST_DURATION_S = 10.0
 N_ACTIONS = len(ACTIONS)
 STATE_DIM = 7
 _WIFI_LEVEL = FEATURE_NAMES.index("wifi_topk_mean")
@@ -410,9 +415,12 @@ def trigger_guide(cfg: EngineConfig):
 
 
 class SwitchEnv:
-    """One walk's switching world at 1 Hz, set by ``stack.cfg``: the scan
-    schedule, the live window and its ``stack.top_similarity``, the state,
-    the shaped step reward, the action effects and the terminal outcome.
+    """One walk's switching world at 1 Hz: the scan schedule, the live
+    window and its ``stack.top_similarity``, the state, the shaped step
+    reward, the action effects and the terminal outcome.  The scan schedule
+    is the device's fixed one (``SCAN_PERIOD_S``, ``BOOSTED_PERIOD_S`` and
+    ``BOOST_DURATION_S``); the buffer length, the reward and the baseline
+    are ``stack.cfg``'s.
 
     A driver alternates ``observe()``, which moves to the next second ``t``
     and returns its ``PolicyState``, and ``step(action)``, which applies one
@@ -456,17 +464,16 @@ class SwitchEnv:
         """Move to the next second and return its state."""
         step = int(self.t) + 1
         t = self.t = float(step)
-        device = self.cfg.device
         while self.next_scan <= t:
             self.scan_times.append(self.next_scan)
-            self.next_scan += (device.boosted_period_s
+            self.next_scan += (BOOSTED_PERIOD_S
                                if self.next_scan < self.boost_until
-                               else device.scan_period_s)
+                               else SCAN_PERIOD_S)
         scan_age = t - self.scan_times[-1]
         sec = self.sec = min(step, self.last_sec)
         sim_top = 0.0
         if not self.switched:
-            window = fingerprint_at(self.trace, t, self.cfg, self.scan_times)
+            window = fingerprint_at(self.trace, t, self.scan_times)
             features, present, k = self.live_features, self.live_present, self.k
             if k == len(features):      # full: drop the oldest row
                 features[:-1], present[:-1] = features[1:], present[1:]
@@ -513,7 +520,7 @@ class SwitchEnv:
             self.pre_associated = True
         else:
             if action == "scan_boost":
-                self.boost_until = t + cfg.device.boost_duration_s
+                self.boost_until = t + BOOST_DURATION_S
             elif action != "hold":
                 raise ValueError(f"unknown action: {action!r}")
             if sim_top >= tau:

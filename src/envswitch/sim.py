@@ -35,6 +35,8 @@ from .fingerprints import summarize_window
 from .serialize import fmt
 
 SITES = ("A_indoor", "B_door_egress", "C_apartment_mixed")
+WINDOW_S = 1.0          # one fingerprint window per second
+WIFI_STALE_S = 4.0      # a carried-over scan older than this marks WiFi absent
 SITE_SHORT = {"A": "A_indoor", "B": "B_door_egress", "C": "C_apartment_mixed"}
 
 
@@ -198,7 +200,7 @@ class RawTrace:
                                   compare=False)
     _wifi: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
-    # fingerprint_at's memo: {window key: Fingerprint}
+    # fingerprint_at's memo: {(t_end, scans, carried): Fingerprint}
     _windows: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -503,25 +505,23 @@ def feedback_oracle(completion: float, trace: RawTrace,
 # ---------------------------------------------------------------------------
 
 
-def fingerprint_at(trace: RawTrace, t_end: float, cfg: EngineConfig,
+def fingerprint_at(trace: RawTrace, t_end: float,
                    scan_times=None) -> Fingerprint:
-    """Summarize the window [t_end - cfg.window.window_s, t_end).
+    """Summarize the window [t_end - WINDOW_S, t_end).
 
     ``scan_times``, an ascending sequence, restricts WiFi scans to a device
     schedule; None means every per-second sample is visible.  A scan at
     time s reads second ``int(s)``.  When the schedule leaves the window
     without a WiFi scan, the freshest earlier scan inside the staleness
     budget is carried over, its features marking WiFi present; beyond the
-    budget WiFi is marked absent.  Both are found by bisecting the
-    schedule.
+    budget (``WIFI_STALE_S``) WiFi is marked absent.  Both are found by
+    bisecting the schedule.
 
     The result is memoized on the trace, keyed on everything the window
-    reads that can vary: t_end, the window length, the staleness budget,
-    the scans inside the window and, when there are none, the latest
-    earlier scan.
+    reads that can vary: t_end, the scans inside the window and, when there
+    are none, the latest earlier scan.
     """
-    window_s, stale = cfg.window.window_s, cfg.device.wifi_stale_s
-    t_start = t_end - window_s
+    t_start = t_end - WINDOW_S
     scans = carried = None
     if scan_times is not None:
         # the schedule's scans in [t_start, t_end) are scan_times[a:b]
@@ -530,15 +530,15 @@ def fingerprint_at(trace: RawTrace, t_end: float, cfg: EngineConfig,
                       if 0 <= int(s) < len(trace.sec_t))
         if not scans and a:
             carried = scan_times[a - 1]
-    key = (t_end, window_s, stale, scans, carried)
+    key = (t_end, scans, carried)
     fp = trace._windows.get(key)
     if fp is None:
         fp = trace._windows[key] = _summarize_trace_window(
-            trace, t_start, t_end, scans, carried, stale)
+            trace, t_start, t_end, scans, carried)
     return fp
 
 
-def _summarize_trace_window(trace, t_start, t_end, scans, carried, stale):
+def _summarize_trace_window(trace, t_start, t_end, scans, carried):
     """``fingerprint_at`` on a memo miss, from slices of the trace's arrays."""
     lo, hi = trace.sec_t.searchsorted((t_start, t_end)).tolist()
     lo_t, hi_t = trace.tick_t.searchsorted((t_start, t_end)).tolist()
@@ -554,7 +554,7 @@ def _summarize_trace_window(trace, t_start, t_end, scans, carried, stale):
         secs, times = list(range(lo, hi)), trace.sec_t[lo:hi]
     else:
         secs, times = [int(s) for s in scans], scans
-    if (carried is not None and t_end - carried <= stale
+    if (carried is not None and t_end - carried <= WIFI_STALE_S
             and 0 <= int(carried) < len(trace.sec_t)):
         secs, times = [int(carried)], [carried]
     if secs:
@@ -575,18 +575,18 @@ def _summarize_trace_window(trace, t_start, t_end, scans, carried, stale):
 def segment_before(trace: RawTrace, t_event: float,
                    cfg: EngineConfig) -> FingerprintSequence:
     """The pre-switch buffer: the n = ``cfg.window.buffer_windows`` windows
-    ending at ``t_event - (n - k) * window_s`` for k = 1 .. n, the last
-    exactly at t_event.  An event before ``n * window_s`` keeps the windows
-    from 0 instead, ending at ``k * window_s`` (``cli.trace_to_sequence``'s
+    ending at ``t_event - (n - k) * WINDOW_S`` for k = 1 .. n, the last
+    exactly at t_event.  An event before ``n * WINDOW_S`` keeps the windows
+    from 0 instead, ending at ``k * WINDOW_S`` (``cli.trace_to_sequence``'s
     grid) up to t_event.  Each end is computed from its index, so no
     rounding accumulates."""
-    n, window_s = cfg.window.buffer_windows, cfg.window.window_s
-    if t_event >= n * window_s:
-        ends = [t_event - (n - k) * window_s for k in range(1, n + 1)]
+    n = cfg.window.buffer_windows
+    if t_event >= n * WINDOW_S:
+        ends = [t_event - (n - k) * WINDOW_S for k in range(1, n + 1)]
     else:
-        ends = [k * window_s for k in range(1, n + 1)
-                if k * window_s <= t_event + 1e-9]
-    return FingerprintSequence(fingerprint_at(trace, t, cfg) for t in ends)
+        ends = [k * WINDOW_S for k in range(1, n + 1)
+                if k * WINDOW_S <= t_event + 1e-9]
+    return FingerprintSequence(fingerprint_at(trace, t) for t in ends)
 
 
 def detect_outdoor_transition(trace: RawTrace, cfg: EngineConfig) -> float | None:

@@ -114,15 +114,17 @@ class TestSimulateCommand:
             assert filecmp.cmp(a / name, b / name, shallow=False), name
 
 
-    @pytest.mark.parametrize("window_s", [0.2, 0.5])
-    def test_sequence_windows_tile_the_whole_walk(self, window_s):
-        # window ends are k * window_s, so rounding loses none at 0.2 s
+    @pytest.mark.parametrize("window_s", [0.2, 0.5, sim.WINDOW_S])
+    def test_sequence_windows_tile_the_whole_walk(self, window_s, monkeypatch):
+        # window ends are k * WINDOW_S, so rounding loses none even at a
+        # 0.2 s constant, which no float sum of 0.2 reproduces
+        for module in (sim, cli):
+            monkeypatch.setattr(module, "WINDOW_S", window_s)
         cfg = EngineConfig()
-        cfg.window.window_s = window_s
         for flag in ("A", "B", "C"):
             sc = sim.make_scenario(flag, 13, cfg.radio, cfg.walker, cfg.baseline)
             trace = sim.generate(sc, cfg.radio, cfg.walker)
-            seq = cli.trace_to_sequence(trace, cfg)
+            seq = cli.trace_to_sequence(trace)
             n = round(trace.duration / window_s)
             assert len(seq.windows) == n
             ends = [k * window_s for k in range(1, n + 1)]
@@ -170,7 +172,7 @@ class TestTrainModels:
         cfg = EngineConfig()
         lines = []
         _, metric, *_ = train_models(13, cfg, rounds=1, log=lines.append)
-        assert metric.serialize() == MetricModel.identity(cfg.match.embed_dim).serialize()
+        assert metric.serialize() == MetricModel.identity().serialize()
         # one log line per stage, the metric's included
         assert "metric: identity embedding, uniform modality weights" in lines
 
@@ -235,7 +237,7 @@ class TestBuildTrainingPairs:
 
     def test_partner_is_another_prototype_of_the_same_kind(self, rng):
         lib = committed_library(rng, self.MIXED)
-        pairs = build_training_pairs({"A": lib}, EngineConfig(), seed=3)
+        pairs = build_training_pairs({"A": lib}, seed=3)
         queries = [which(lib, query) for (query, _), _ in pairs]
         # every prototype with a same-kind other is a query once, in id order;
         # the lone ap_handover prototype has no partner
@@ -247,12 +249,11 @@ class TestBuildTrainingPairs:
             assert q.label.kind == p.label.kind
 
     def test_negatives_shuffle_the_partner_in_time(self, rng):
-        cfg = EngineConfig()
         lib = committed_library(rng, ["wifi_to_cell"] * 5)
-        pairs = build_training_pairs({"A": lib}, cfg, seed=0)
+        pairs = build_training_pairs({"A": lib}, seed=0)
         assert len(pairs) == 5
         for (query, (feats, pres)), negatives in pairs:
-            assert len(negatives) == cfg.match.negatives_per_positive
+            assert len(negatives) == cli.NEGATIVES_PER_POSITIVE
             for neg_query, (neg_feats, neg_pres) in negatives:
                 assert neg_query is query
                 # features are continuous draws, so each row names its source
@@ -263,7 +264,6 @@ class TestBuildTrainingPairs:
                 assert np.array_equal(neg_pres, pres[perm])
 
     def test_same_seed_same_pairs_and_one_draw_per_library(self, rng):
-        cfg = EngineConfig()
         libs = {"A": committed_library(rng, ["wifi_to_cell"] * 4),
                 "B": committed_library(rng, self.MIXED)}
 
@@ -272,23 +272,22 @@ class TestBuildTrainingPairs:
                     for pair in [(query, partner)] + negatives
                     for side in pair for a in side]
 
-        both = flat(build_training_pairs(libs, cfg, seed=5))
-        assert both == flat(build_training_pairs(libs, cfg, seed=5))
-        assert both != flat(build_training_pairs(libs, cfg, seed=6))
+        both = flat(build_training_pairs(libs, seed=5))
+        assert both == flat(build_training_pairs(libs, seed=5))
+        assert both != flat(build_training_pairs(libs, seed=6))
         # each library draws from its own generator, whatever comes before it
-        alone = flat(build_training_pairs({"B": libs["B"]}, cfg, seed=5))
+        alone = flat(build_training_pairs({"B": libs["B"]}, seed=5))
         assert both[-len(alone):] == alone
 
     def test_raises_without_positives(self, rng):
-        cfg = EngineConfig()
         small = {"A": committed_library(rng, ["wifi_to_cell"])}
         with pytest.raises(ValueError, match="libraries too small"):
-            build_training_pairs(small, cfg, seed=0)
+            build_training_pairs(small, seed=0)
         # a library of distinct kinds forms no positive, even beside one that does
         distinct = committed_library(rng, ["wifi_to_cell", "cell_to_wifi"])
         with pytest.raises(ValueError, match="no positives"):
             build_training_pairs({"A": committed_library(rng, ["wifi_to_cell"] * 2),
-                                  "B": distinct}, cfg, seed=0)
+                                  "B": distinct}, seed=0)
 
 
 class TestParser:
@@ -361,16 +360,47 @@ class TestConfigFile:
                            match=r"unknown config key: 'library\.retention_days'"):
             load_config(path)
 
-    @pytest.mark.parametrize("dotted", ["norm.bounds", "radio.rssi_floor_dbm",
-                                        "radio.rssi_ceil_dbm"])
+    @pytest.mark.parametrize("dotted", [
+        "norm.bounds", "radio.rssi_floor_dbm", "radio.rssi_ceil_dbm",
+        "window.window_s", "device.scan_period_s", "device.boosted_period_s",
+        "device.boost_duration_s", "device.wifi_stale_s", "filters.q_range",
+        "filters.r_range", "filters.sigma_range", "filters.alpha_range",
+        "filters.hidden", "match.embed_dim", "match.margin", "match.gamma_soft",
+        "match.negatives_per_positive"])
     def test_signal_ranges_are_unknown_keys(self, tmp_path, dotted):
-        # the RSSI range and the feature ranges are constants: a file that
-        # moved the radio's clamp would leave readings outside the units
-        # the features and the policy assume
+        # the signal ranges, the window, the device's sensing schedule, the
+        # selector's coefficient boxes and the matcher-training settings are
+        # constants: trained models serve with the features, schedule and
+        # boxes they were trained with, and a file that moved the radio's
+        # clamp would leave readings outside the units the features assume
         path = tmp_path / "run.cfg"
         path.write_text(f"{dotted} = -110\n")
         with pytest.raises(ValueError,
                            match=rf"unknown config key: '{re.escape(dotted)}'"):
+            load_config(path)
+
+    def test_evaluate_refuses_other_coefficient_boxes(self, tmp_path):
+        # a selector squashed into boxes other than its training boxes
+        # changed the reports of sites A and C without an error
+        path = tmp_path / "run.cfg"
+        path.write_text("filters.sigma_range = 2.0,3.0\nfilters.q_range = 0.5,1.0\n")
+        with pytest.raises(ValueError, match=r"run\.cfg:1: unknown config key: "
+                                             r"'filters\.sigma_range'"):
+            cli.main(["evaluate", "--config", str(path), "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("line, message", [
+        ("match.band = three", r"'match\.band' takes int values: invalid literal"),
+        ("reward.tau = 0.5x", r"'reward\.tau' takes float values: could not convert"),
+        ("library.capacity = 2.5", r"'library\.capacity' takes int values"),
+        ("radio.flux_capacitor = 1", r"unknown config key: 'radio\.flux_capacitor'"),
+        ("match.band = 0", r"'match\.band' must be at least 1, got 0"),
+    ])
+    def test_errors_name_the_key_and_the_line(self, tmp_path, line, message):
+        # a bad value was refused with only the parse error, and an unknown
+        # key or a refused value without the line it came from
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# run\nradio.wall_db = 6.5\n\n{line}\nppo.epochs = 2\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: .*{message}"):
             load_config(path)
 
     def test_every_section_is_overridable(self):
@@ -381,8 +411,7 @@ class TestConfigFile:
             key = dataclasses.fields(section.type)[0].name
             current = getattr(getattr(base, section.name), key)
             dotted = f"{section.name}.{key}"
-            # a tuple takes as many values as its default holds
-            text = ",".join(["2"] * len(current)) if isinstance(current, tuple) else "2"
+            text = "2"
             if dotted == "ppo.clip_eps":
                 text = "0.5"                    # 2 is outside (0, 1)
             if dotted == "baseline.threshold_dbm":
@@ -394,21 +423,22 @@ class TestConfigFile:
             apply_overrides(base, [("telemetry.enabled", "1")])
 
     @pytest.mark.parametrize("dotted, text, message", [
-        ("filters.q_range", "0.5", r"takes 2 comma-separated value\(s\), got 1"),
-        ("filters.q_range", "0.1,0.5,0.9", r"takes 2 comma-separated value\(s\), got 3"),
-        ("filters.sigma_range", "0.1,inf", "must be finite"),
         ("reward.tau", "nan", "must be finite"),
         ("ppo.clip_eps", "inf", "must be finite"),
         ("radio.wall_db", "-inf", "must be finite"),
-        ("radio.wall_db", "6,8", r"takes 1 comma-separated value\(s\), got 2"),
-        # a window or scan period <= 0 hung the loop stepping by it, and a
-        # distill period of 0 divided by zero after a whole round
-        ("window.window_s", "0", r"must be > 0, got 0.0"),
-        ("window.window_s", "-1", r"must be > 0, got -1.0"),
-        ("device.scan_period_s", "0", r"must be > 0, got 0.0"),
-        ("device.scan_period_s", "-1", r"must be > 0, got -1.0"),
-        ("device.boosted_period_s", "0", r"must be > 0, got 0.0"),
-        ("device.boosted_period_s", "-1", r"must be > 0, got -1.0"),
+        ("radio.wall_db", "6,8", "takes float values: could not convert"),
+        # a window or scan period <= 0 hung the loop stepping by it; the
+        # window, the scan schedule and the coefficient boxes are constants
+        # now, so any value for them is refused
+        ("filters.q_range", "0.5", "unknown key"),
+        ("filters.q_range", "0.1,0.5,0.9", "unknown key"),
+        ("window.window_s", "0", "unknown key"),
+        ("window.window_s", "-1", "unknown key"),
+        ("device.scan_period_s", "0", "unknown key"),
+        ("device.scan_period_s", "-1", "unknown key"),
+        ("device.boosted_period_s", "0", "unknown key"),
+        ("device.boosted_period_s", "-1", "unknown key"),
+        # a distill period of 0 divided by zero after a whole round
         ("cloudedge.distill_period", "0", r"must be at least 1, got 0"),
         ("cloudedge.distill_period", "-1", r"must be at least 1, got -1"),
         # a clip of 2 was refused only after a whole round of rollouts, a
@@ -423,12 +453,11 @@ class TestConfigFile:
         ("cloudedge.state_quant", "-0.01", r"must be > 0, got -0.01"),
         ("cloudedge.episodes_per_edge", "0", r"must be at least 1, got 0"),
         # each of these failed only inside train: a one-window buffer cannot
-        # be warped, a band or negative count of 0 was refused by the
-        # matcher or the margin loss, a walker rate of 0 divided by zero,
+        # be warped, a band of 0 was refused by the matcher, a walker rate
+        # of 0 divided by zero,
         # and no scenario's RSSI decays to a threshold outside (-100, -30)
         ("window.buffer_windows", "1", r"must be at least 2, got 1"),
         ("match.band", "0", r"must be at least 1, got 0"),
-        ("match.negatives_per_positive", "0", r"must be at least 1, got 0"),
         ("walker.tick_hz", "0", r"must be > 0, got 0.0"),
         ("walker.stride_m", "0", r"must be > 0, got 0.0"),
         ("walker.speed_mps", "0", r"must be > 0, got 0.0"),
@@ -445,7 +474,11 @@ class TestConfigFile:
         # nothing, only where the pipeline first read it
         path = tmp_path / "run.cfg"
         path.write_text(f"{dotted} = {text}\n")
-        with pytest.raises(ValueError, match=rf"'{re.escape(dotted)}' {message}"):
+        if message == "unknown key":
+            message = rf"unknown config key: '{re.escape(dotted)}'$"
+        else:
+            message = rf"'{re.escape(dotted)}' {message}"
+        with pytest.raises(ValueError, match=message):
             load_config(path)
 
     def test_all_reward_weights_zero_rejected(self, tmp_path):
@@ -459,8 +492,6 @@ class TestConfigFile:
         # each default written as a config file would write it reads back
         # as itself, so no setting is out of a config file's reach
         def text(value):
-            if isinstance(value, tuple):
-                return ",".join(map(text, value))
             return repr(value) if isinstance(value, float) else str(value)
 
         base = EngineConfig()

@@ -1,16 +1,95 @@
-"""Where ``src/envswitch`` makes an ``EngineConfig``: only ``cli.main``, which
-builds a run's config, and ``config.load_config``, which reads one from a
-file.  No other code constructs one, and no parameter or dataclass field
-names it as a default, so each stack, round and evaluation reads the one
-config its run was given.  The sources are read with ``ast``, so
-nothing is imported.
+"""Where ``src/envswitch`` makes an ``EngineConfig``, and which settings it
+holds.
+
+An ``EngineConfig`` is made only by ``cli.main``, which builds a run's
+config, and ``config.load_config``, which reads one from a file.  No other
+code constructs one, and no parameter or dataclass field names it as a
+default, so each stack, round and evaluation reads the one config its run
+was given.  The sources are read with ``ast``, so nothing is imported.
+
+A field holds only what a run may vary; a fixed constant lives with the
+code that reads it.  ``KEYS`` pins the ``section.key`` names of
+``EngineConfig`` with the reason each stays a setting, one of
+
+- ``bench: <file>``: the benchmark sets, reads or passes it;
+- ``demo: <file>``: a demo sets or reads it;
+- ``deployment``: each deployment sets its own (a library's capacity and
+  identifier salt);
+- ``tested: <test>``: a test passes another value to a function whose
+  behaviour stays.
+
+A new setting fails the test until it is listed with its reason, and a
+listed one that is gone fails it until its entry leaves.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from envswitch.config import EngineConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {"cli.main", "config.load_config"}
+
+RADIO = "bench: workloads.py passes cfg.radio to make_scenario and generate"
+WALKER = "bench: workloads.py passes cfg.walker to make_scenario and generate"
+USER = "bench: workloads.py user_config sets it per user"
+BASELINE = "bench: workloads.py passes it to baseline_policy"
+REWARD = ("tested: test_acceptance.py::test_criterion_5_ppo_correctness passes "
+          "RewardConfig(eta=0.0, lam=1.0, gamma_hf=0.0) to ppo_update")
+PPO = ("tested: test_acceptance.py::test_criterion_5_ppo_correctness passes another "
+       "PpoConfig to ppo_update")
+CLOUDEDGE = ("tested: test_cloudedge.py passes other values to fit_reward_model "
+             "and, through small_cfg, to run_round")
+
+KEYS = {
+    "window.buffer_windows": "bench: run.py reads WindowConfig().buffer_windows",
+    "library.capacity": "deployment",
+    "library.salt": "deployment",
+    "match.band": "bench: workloads.py passes cfg.match.band to MatcherStack",
+    "radio.pl0_db": RADIO,
+    "radio.exponent_indoor": RADIO,
+    "radio.exponent_outdoor": RADIO,
+    "radio.wall_db": RADIO,
+    "walker.speed_mps": USER,
+    "walker.pause_s": WALKER,
+    "walker.stride_m": USER,
+    "walker.tick_hz": WALKER,
+    "baseline.threshold_dbm": BASELINE,
+    "baseline.hysteresis_db": BASELINE,
+    "baseline.dwell_s": BASELINE,
+    "baseline.assoc_delay_s": BASELINE,
+    "reward.eta": REWARD,
+    "reward.lam": REWARD,
+    "reward.gamma_hf": REWARD,
+    "reward.hf_window_early_s": REWARD,
+    "reward.hf_window_late_s": REWARD,
+    "reward.hf_taper_per_s": REWARD,
+    "reward.hf_taper_early_per_s": REWARD,
+    "reward.rollback_usable_dbm": REWARD,
+    "reward.rollback_dwell_s": REWARD,
+    "reward.tts_report_floor_s": REWARD,
+    "reward.tts_reward_floor_s": REWARD,
+    "reward.tau": REWARD,
+    "reward.shaping_bonus": REWARD,
+    "reward.healthy_link_bonus": REWARD,
+    "ppo.clip_eps": PPO,
+    "ppo.discount": PPO,
+    "ppo.gae_lambda": PPO,
+    "ppo.entropy_coef": PPO,
+    "ppo.value_coef": PPO,
+    "ppo.epochs": PPO,
+    "ppo.step_size": PPO,
+    "ppo.guide_eps": PPO,
+    "ppo.hidden": PPO,
+    "cloudedge.n_rounds": CLOUDEDGE,
+    "cloudedge.distill_period": CLOUDEDGE,
+    "cloudedge.episodes_per_edge": CLOUDEDGE,
+    "cloudedge.hf_withheld_fraction": CLOUDEDGE,
+    "cloudedge.reward_model_epochs": CLOUDEDGE,
+    "cloudedge.reward_model_step": CLOUDEDGE,
+    "cloudedge.state_quant": CLOUDEDGE,
+}
 
 
 def is_engine_config(node) -> bool:
@@ -71,3 +150,14 @@ def test_the_guard_sees_each_form(tmp_path):
     assert config_sources(probe) == [("probe.Stack", "default"),
                                      ("probe.run", "default"),
                                      ("probe.build", "constructs")]
+
+
+def test_the_config_surface_is_pinned():
+    keys = {f"{section.name}.{key.name}"
+            for section in dataclasses.fields(EngineConfig)
+            for key in dataclasses.fields(section.type)}
+    assert keys == set(KEYS)
+    bad = {key: why for key, why in KEYS.items()
+           if not (why == "deployment"
+                   or why.startswith(("bench: ", "demo: ", "tested: ")))}
+    assert bad == {}

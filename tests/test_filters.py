@@ -5,9 +5,8 @@ import pytest
 
 from envswitch.alignment import (MetricModel, make_alignment_loss, margin_loss_grads,
                                  soft_dtw)
-from envswitch.config import FilterConfig
-from envswitch.filters import (FILTER_ORDER, FilterChoice, FilterContext,
-                               SelectorModel, _gaussian_kernel, apply_elp,
+from envswitch.filters import (COEFFICIENT_RANGES, FILTER_ORDER, FilterChoice,
+                               FilterContext, SelectorModel, _gaussian_kernel, apply_elp,
                                apply_gaussian, apply_kalman, context_from_windows,
                                denoise_matrix, select_filter, selector_backward,
                                selector_forward_training, soft_denoise_backward,
@@ -222,7 +221,6 @@ class TestSelector:
         assert np.allclose(choice.weights, 1.0 / 3.0, atol=1e-12)
 
     def test_random_outputs_always_legal(self, rng):
-        cfg = FilterConfig()
         for trial in range(30):
             model = SelectorModel.from_seed(trial)
             ctx = FilterContext(rssi_variance=float(rng.uniform(0, 50)),
@@ -231,10 +229,9 @@ class TestSelector:
                                 presence=tuple(rng.random(5) > 0.5))
             choice = select_filter(model, ctx)   # FilterChoice validates itself
             assert abs(choice.weights.sum() - 1.0) < 1e-9
-            assert cfg.q_range[0] <= choice.q <= cfg.q_range[1]
-            assert cfg.r_range[0] <= choice.r <= cfg.r_range[1]
-            assert cfg.sigma_range[0] <= choice.sigma <= cfg.sigma_range[1]
-            assert cfg.alpha_range[0] <= choice.alpha <= cfg.alpha_range[1]
+            coefficients = (choice.q, choice.r, choice.sigma, choice.alpha)
+            for value, (lo, hi) in zip(coefficients, COEFFICIENT_RANGES):
+                assert lo <= value <= hi
 
     def test_deterministic(self):
         model = SelectorModel.from_seed(5)
@@ -547,7 +544,7 @@ class TestTrainSelector:
         flat = np.concatenate([grads[k].ravel() for k in ("w1", "b1", "w2", "b2")])
 
         def loss_at(vec):
-            m = SelectorModel(model.net.from_vector(vec), model.cfg)
+            m = SelectorModel(model.net.from_vector(vec))
             choice, _ = selector_forward_training(m, ctx)
             filt = []
             for item in [pos] + list(negs):
@@ -577,7 +574,7 @@ def looped_train_selector(model, items, metric, epochs, step_size, margin=1.0,
                           gamma=0.1, band=3):
     """Gradient descent with one soft_denoise_matrix call per array and one
     margin_loss_grads call per item."""
-    current = SelectorModel(model.net.copy(), model.cfg)
+    current = SelectorModel(model.net.copy())
     for _ in range(epochs):
         acc = grads_zeros_like(current.net)
         for ctx, pos, negs in items:
@@ -598,7 +595,7 @@ def looped_train_selector(model, items, metric, epochs, step_size, margin=1.0,
                     dparams += dp
             grads_add(acc, selector_backward(current, sel_cache, dweights, dparams))
         current = SelectorModel(current.net.step(grads_scale(acc, 1.0 / len(items)),
-                                                 step_size), current.cfg)
+                                                 step_size))
     return current
 
 

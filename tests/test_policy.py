@@ -556,7 +556,7 @@ class TestMatchMemo:
         good = commit_at(library, trace, 28.0, day=0)
         commit_at(library, other, 30.0, day=1)
         # a seeded selector, so the filter depends on scan age and presence
-        stack = MatcherStack(selector=SelectorModel.from_seed(11, CFG.filters),
+        stack = MatcherStack(selector=SelectorModel.from_seed(11),
                              metric=MetricModel.identity(), library=library,
                              band=CFG.match.band, cfg=CFG)
         # holds or scan-boosts most steps, so scan ages vary between rollouts
@@ -626,7 +626,7 @@ class TestMatchMemo:
 
     @pytest.mark.parametrize("name, value", [
         ("metric", MetricModel.from_seed(3, noise=0.3)),
-        ("selector", SelectorModel.from_seed(3, CFG.filters)),
+        ("selector", SelectorModel.from_seed(3)),
         ("band", 1),
     ])
     def test_memo_dropped_when_a_part_is_replaced(self, name, value):

@@ -215,16 +215,16 @@ def window_from_trace(trace, t_start, t_end, scan_times=None, top_k=3):
                      hour_of_day=trace.scenario.start_hour + t_start / 3600.0)
 
 
-def reference_fingerprint_at(trace, t_end, cfg, scan_times=None):
+def reference_fingerprint_at(trace, t_end, scan_times=None):
     """fingerprint_at through window_from_trace and summarize_window."""
-    t_start = t_end - cfg.window.window_s
+    t_start = t_end - sim.WINDOW_S
     w = window_from_trace(trace, t_start, t_end, scan_times)
     if scan_times is not None and not w.wifi_scans:
         older = [s for s in scan_times if s < t_start]
         if older:
             last = max(older)
             sec = int(last)
-            if t_end - last <= cfg.device.wifi_stale_s and 0 <= sec < len(trace.sec_t):
+            if t_end - last <= sim.WIFI_STALE_S and 0 <= sec < len(trace.sec_t):
                 w.wifi_scans = [WifiScan(last, topk_readings(trace, sec))]
     present = {
         "pdr": True,
@@ -497,12 +497,10 @@ class TestWindowing:
         assert ts[0] == pytest.approx(10.5)
 
     def test_segment_before_ends_on_its_own_grid(self, monkeypatch):
-        """Window ends come from their index: at 0.2 s windows a buffer
-        before 40.0 or 23.37 ends exactly there (a running sum ended at
-        40.00000000000003 and 23.369999999999994), and one before 1.3,
-        shorter than the buffer, keeps the windows ending at k * 0.2."""
-        cfg = dataclasses.replace(CFG, window=dataclasses.replace(CFG.window, window_s=0.2))
-        trace = generate(make_scenario("B", 3, cfg.radio, cfg.walker), cfg.radio, cfg.walker)
+        """Window ends come from their index: a buffer before 40.0 or 23.37
+        ends exactly there, and one before 6.3, shorter than the buffer,
+        keeps the windows ending at k * WINDOW_S."""
+        trace = generate(make_scenario("B", 3, CFG.radio, CFG.walker), CFG.radio, CFG.walker)
         ends = []
 
         def spy(trace, t_end, *args):
@@ -512,18 +510,18 @@ class TestWindowing:
         monkeypatch.setattr(sim, "fingerprint_at", spy)
         for t_event in (40.0, 23.37):
             ends.clear()
-            seg = segment_before(trace, t_event, cfg)
+            seg = segment_before(trace, t_event, CFG)
             assert len(seg.windows) == len(ends) == 10
             assert ends[-1] == t_event
-            assert ends == [t_event - (10 - k) * 0.2 for k in range(1, 11)]
+            assert ends == [t_event - (10 - k) * sim.WINDOW_S for k in range(1, 11)]
         ends.clear()
-        assert len(segment_before(trace, 1.3, cfg).windows) == 6
-        assert ends == [k * 0.2 for k in range(1, 7)]
+        assert len(segment_before(trace, 6.3, CFG).windows) == 6
+        assert ends == [k * sim.WINDOW_S for k in range(1, 7)]
 
     def test_fingerprint_full_presence_at_full_rate(self):
         trace = generate(make_scenario("C", 1, CFG.radio, CFG.walker),
                          CFG.radio, CFG.walker)
-        fp = fingerprint_at(trace, 10.0, CFG)
+        fp = fingerprint_at(trace, 10.0)
         assert fp.present.all()
 
     def test_detect_outdoor_transition_on_site_c(self):
@@ -673,56 +671,51 @@ class TestTraceOracle:
         assert means[tied].tolist() == ((lead + lead + lead) / 3).tolist()
 
 
-def window_cfg(window_s=1.0):
-    cfg = EngineConfig()
-    cfg.window.window_s = window_s
-    return cfg
-
-
 class TestWindowOracle:
     SCHEDULES = {
         "all": None,
         "every_2s": scan_schedule(90.0),
         "boosted_1s": scan_schedule(90.0, boosts=((6.0, 16.0), (30.0, 40.0))),
-        # gaps longer than wifi_stale_s, and scans off the 1 Hz grid
+        # gaps longer than WIFI_STALE_S, and scans off the 1 Hz grid
         "gaps": [0.0, 7.0, 8.5, 15.0, 16.0, 24.5, 30.0, 41.0, 47.0, 60.0],
     }
 
     @pytest.mark.parametrize("site", ["A", "B", "C"])
     @pytest.mark.parametrize("window_s", [0.5, 1.0, 2.0])
-    def test_fingerprint_at_equals_summarize_window(self, site, window_s):
+    def test_fingerprint_at_equals_summarize_window(self, site, window_s, monkeypatch):
+        # the window code reads WINDOW_S wherever it needs the length, so a
+        # different constant summarizes windows of that length exactly
+        monkeypatch.setattr(sim, "WINDOW_S", window_s)
         trace = generate(make_scenario(site, 7, CFG.radio, CFG.walker),
                          CFG.radio, CFG.walker)
-        cfg = window_cfg(window_s)
         rng = np.random.default_rng(3)
         ends = np.concatenate([np.arange(window_s, trace.duration, 1.0),
                                rng.uniform(10.0, trace.duration - 10.0, 12)])
         for t in ends.tolist():
             for schedule in self.SCHEDULES.values():
-                want = fp_bytes(reference_fingerprint_at(trace, t, cfg, schedule))
-                assert fp_bytes(fingerprint_at(trace, t, cfg, schedule)) == want
+                want = fp_bytes(reference_fingerprint_at(trace, t, schedule))
+                assert fp_bytes(fingerprint_at(trace, t, schedule)) == want
                 # the second call is a memo hit
-                assert fp_bytes(fingerprint_at(trace, t, cfg, schedule)) == want
+                assert fp_bytes(fingerprint_at(trace, t, schedule)) == want
 
     def test_segment_windows_equal_the_oracle(self):
         trace = generate(make_scenario("B", 7, CFG.radio, CFG.walker),
                          CFG.radio, CFG.walker)
         seg = segment_before(trace, 23.37, CFG)
-        t = max(0.0, 23.37 - 10 * CFG.window.window_s)
+        t = max(0.0, 23.37 - 10 * sim.WINDOW_S)
         for fp in seg.windows:
-            t += CFG.window.window_s
-            assert fp_bytes(fp) == fp_bytes(reference_fingerprint_at(trace, t, CFG))
+            t += sim.WINDOW_S
+            assert fp_bytes(fp) == fp_bytes(reference_fingerprint_at(trace, t))
 
     def test_the_schedules_cover_each_wifi_case(self):
         trace = generate(make_scenario("C", 7, CFG.radio, CFG.walker),
                          CFG.radio, CFG.walker)
         for schedule in self.SCHEDULES.values():
             for t in np.arange(1.0, trace.duration, 0.5).tolist():
-                fingerprint_at(trace, t, CFG, schedule)
-        # a memo key ends with (scans in the window, carried scan time)
+                fingerprint_at(trace, t, schedule)
+        # a memo key is (t_end, scans in the window, carried scan time)
         seen = set()
-        for key, fp in trace._windows.items():
-            scans, carried = key[-2:]
+        for (_, scans, carried), fp in trace._windows.items():
             if not fp.present[1]:
                 seen.add("absent")
             elif scans == ():
@@ -741,10 +734,10 @@ class TestWindowMemo:
     def test_repeated_call_returns_the_same_window(self):
         trace = self.trace()
         scans = scan_schedule(trace.duration)
-        first = fingerprint_at(trace, 12.0, CFG, scans)
-        again = fingerprint_at(trace, 12.0, CFG, tuple(scans))
+        first = fingerprint_at(trace, 12.0, scans)
+        again = fingerprint_at(trace, 12.0, tuple(scans))
         assert again is first
-        assert fp_bytes(again) == fp_bytes(reference_fingerprint_at(trace, 12.0, CFG, scans))
+        assert fp_bytes(again) == fp_bytes(reference_fingerprint_at(trace, 12.0, scans))
 
     def test_scan_set_and_carry_over_key_the_memo(self):
         trace = self.trace()
@@ -758,8 +751,8 @@ class TestWindowMemo:
         }
         got = {}
         for name, scans in cases.items():
-            got[name] = fp_bytes(fingerprint_at(trace, t, CFG, scans))
-            assert got[name] == fp_bytes(reference_fingerprint_at(trace, t, CFG, scans))
+            got[name] = fp_bytes(fingerprint_at(trace, t, scans))
+            assert got[name] == fp_bytes(reference_fingerprint_at(trace, t, scans))
         memo = trace._windows
         assert len(memo) == len(cases)
         assert len({got[n] for n in ("in_window", "fresh_carry", "edge_carry",
@@ -768,8 +761,8 @@ class TestWindowMemo:
         # keeps one entry for each
         assert got["off_grid_carry"] == got["fresh_carry"]
         # scans the window does not read share the entry
-        fingerprint_at(trace, t, CFG, [2.0, 6.0])
-        fingerprint_at(trace, t, CFG, [1.0, 3.0, 4.0])
+        fingerprint_at(trace, t, [2.0, 6.0])
+        fingerprint_at(trace, t, [1.0, 3.0, 4.0])
         assert len(memo) == len(cases)
 
     def test_an_off_grid_scan_is_read_in_its_own_window(self):
@@ -777,38 +770,26 @@ class TestWindowMemo:
         wifi = MODALITY_SLICES["wifi"]
         schedule = [0.0, 8.5]
         for t in (9.0, 10.0):              # [8, 9) holds the scan; [9, 10) carries it
-            fp = fingerprint_at(trace, t, CFG, schedule)
-            assert fp_bytes(fp) == fp_bytes(reference_fingerprint_at(trace, t, CFG, schedule))
+            fp = fingerprint_at(trace, t, schedule)
+            assert fp_bytes(fp) == fp_bytes(reference_fingerprint_at(trace, t, schedule))
             assert fp.present[1]
             # one scan reading second 8, as the on-grid scan at 8.0 does
-            on_grid = fingerprint_at(trace, t, CFG, [0.0, 8.0])
+            on_grid = fingerprint_at(trace, t, [0.0, 8.0])
             assert fp.features[wifi].tobytes() == on_grid.features[wifi].tobytes()
 
     def test_the_schedule_is_a_sequence(self):
         # a set has no order to bisect
         with pytest.raises(TypeError):
-            fingerprint_at(self.trace(), 9.0, CFG, {0.0, 6.0})
+            fingerprint_at(self.trace(), 9.0, {0.0, 6.0})
 
     def test_config_changes_are_never_served_stale(self):
+        # a window reads no setting a run may vary, so a buffer of another
+        # length is served the same memoized windows, each the oracle's
         trace = self.trace()
-        cfg = EngineConfig()
-        scans = [0.0, 6.0, 12.0]
-        seen = []
-
-        def check(t):
-            fp = fingerprint_at(trace, t, cfg, scans)
-            assert fp_bytes(fp) == fp_bytes(reference_fingerprint_at(trace, t, cfg, scans))
-            assert fp_bytes(fp) not in seen
-            seen.append(fp_bytes(fp))
-            return fp
-
-        check(10.0)
-        cfg.window.window_s = 2.0
-        check(10.0)
-        cfg.window.window_s = 0.5
-        check(10.0)
-        cfg.device.wifi_stale_s = 3.0     # the 6 s scan is now too old
-        last = check(10.0)
-        # settings equal by value share the memo
-        cfg.window = dataclasses.replace(cfg.window)
-        assert fingerprint_at(trace, 10.0, cfg, scans) is last
+        buffer = segment_before(trace, 20.0, CFG)
+        short = segment_before(trace, 20.0, dataclasses.replace(
+            CFG, window=dataclasses.replace(CFG.window, buffer_windows=3)))
+        assert len(trace._windows) == 10
+        assert [id(fp) for fp in short.windows] == [id(fp) for fp in buffer.windows[-3:]]
+        for k, fp in enumerate(buffer.windows, 11):
+            assert fp_bytes(fp) == fp_bytes(reference_fingerprint_at(trace, float(k)))
