@@ -69,5 +69,4 @@ sc = make_scenario("A", seed=11, radio=cfg.radio, walker=cfg.walker)
 traj = rollout(ScriptedPolicy(trigger_guide(cfg)), sc, stack,
                trace=generate(sc, cfg.radio, cfg.walker))
 print("\nshipped summary text (the only exportable view):")
-print(summarize_trajectory(traj, "edge-A", cfg.library.salt,
-                           cfg.cloudedge.state_quant), end="")
+print(summarize_trajectory(traj, "edge-A", cfg.library.salt), end="")

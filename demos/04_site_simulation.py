@@ -10,6 +10,7 @@ step pattern).
 import numpy as np
 
 from envswitch.config import EngineConfig
+from envswitch.policy import TTS_REPORT_FLOOR_S
 from envswitch.sim import (baseline_policy, detect_outdoor_transition,
                            generate, make_scenario, tts)
 
@@ -27,7 +28,7 @@ for flag, blurb in (("A", "office indoor, walk to a far wing"),
             cfg.baseline.dwell_s, cfg.baseline.assoc_delay_s)
         onsets.append(scenario.degradation_onset)
         baselines.append(tts(completion, scenario.degradation_onset,
-                             cfg.reward.tts_report_floor_s)
+                             TTS_REPORT_FLOOR_S)
                          if not censored else np.nan)
     arr = np.array(baselines)
     print(f"site {flag} ({blurb})")

@@ -20,12 +20,12 @@ group when some group has the live window's length and built for the
 call otherwise.  The metric's kernel is built once per metric content
 (``_kernel``).  Exact DTW gives the alignment distance d and the similarity
 exp(-beta * d) in (0, 1], with a fixed scale beta = 1; a distance is read
-from the last cell.  Only ``dtw`` backtracks a warping path: ``match``
-returns distances and similarities.  Soft-DTW is differentiable: its backward
-weights sweep the same layout in reverse, and hand-written gradients let
-the metric (and, through the filter mixture, the selector) train with
-plain gradient descent.  ``cost_matrix`` costs every cell densely; it is
-the reference the tests check the banded costs against.
+from the last cell, and no warping path is backtracked.  Soft-DTW is
+differentiable: its backward weights sweep the same layout in reverse, and
+hand-written gradients let the metric (and, through the filter mixture,
+the selector) train with plain gradient descent.  ``cost_matrix`` costs
+every cell densely; it is the reference the tests check the banded costs
+against.
 """
 
 import functools
@@ -302,11 +302,9 @@ def band_mask(n: int, m: int, band: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AlignmentResult:
-    """Distance, warping path and similarity of one alignment; ``path`` is
-    None in ``match``'s results, which no caller backtracks."""
+    """Distance and similarity of one alignment."""
 
     distance: float
-    path: list | None
     similarity: float
 
 
@@ -426,12 +424,6 @@ def _banded_costs(model: MetricModel, query, proto, band: int):
     return cost, (qf, pf, kernel, *cells, band)
 
 
-def _unskew(S: np.ndarray, n: int, m: int) -> np.ndarray:
-    """(P, n, m) view of a skewed table laid out like ``_sweep``'s."""
-    ii, jj = np.indices((n, m))
-    return S[:, ii + jj, ii]
-
-
 @functools.lru_cache(maxsize=256)
 def _sweep_slices(n: int, m: int, band: int, P: int):
     """The flat slices ``_sweep`` steps through, per (n, m, band, P).
@@ -509,38 +501,11 @@ def _hard_step(cost, vertical, horizontal, diagonal, out):
     np.add(cost, out, out=out)
 
 
-def _backtrack(D: np.ndarray) -> list:
-    """Warping path through one table: each step moves to the finite
-    predecessor of least value; ties go to the diagonal, then the vertical,
-    then the horizontal one."""
-    rows = D.tolist()
-    i, j = len(rows) - 1, len(rows[0]) - 1
-    path = [(i, j)]
-    while (i, j) != (0, 0):
-        best = None
-        for a, b in ((i - 1, j - 1), (i - 1, j), (i, j - 1)):
-            if a >= 0 and b >= 0 and math.isfinite(rows[a][b]) \
-                    and (best is None or rows[a][b] < rows[best[0]][best[1]]):
-                best = (a, b)
-        i, j = best
-        path.append(best)
-    path.reverse()
-    return path
-
-
-def _warping_path(S: np.ndarray) -> list:
-    """``_backtrack`` of one skewed table (n + m - 1, n)."""
-    D, n = S.shape
-    return _backtrack(_unskew(S[None], n, D - n + 1)[0])
-
-
 def dtw(model: MetricModel, query, proto, band: int = 3) -> AlignmentResult:
-    """Exact minimum-cost banded alignment with deterministic backtracking.
+    """Exact minimum-cost banded alignment.
 
     ``match``'s banded recursion on a stack of one: ``_banded_costs``, the
-    hard-min ``_sweep``, the distance from the last cell and the path from
-    ``_warping_path``.  Backtracking prefers the diagonal predecessor, then
-    the vertical (previous query window) one.
+    hard-min ``_sweep`` and the distance from the last cell.
     """
     if band < 1:
         raise ValueError("band must be >= 1")
@@ -554,7 +519,7 @@ def dtw(model: MetricModel, query, proto, band: int = 3) -> AlignmentResult:
     distance = float(S[-1, n - 1])
     if not math.isfinite(distance):
         raise BandTooNarrowError("band too narrow: no admissible warping path")
-    return AlignmentResult(distance, _warping_path(S), math.exp(-model.beta * distance))
+    return AlignmentResult(distance, math.exp(-model.beta * distance))
 
 
 # ---------------------------------------------------------------------------
@@ -910,10 +875,10 @@ def match(model: MetricModel, selector, live_window,
     column 0 of that group's stack, otherwise (the first windows of a walk)
     alone.  Every group costs and sweeps in a ``_GroupScratch``, kept per
     (n, band, E) when some group has length n and built for the call
-    otherwise.  A result is ``AlignmentResult(distance, None, similarity)``:
-    no warping path is backtracked.  ``match`` on one library must not run
-    concurrently.  An empty library yields an empty list, once ``band`` and
-    the live window have passed the checks a non-empty one applies.
+    otherwise.  A result is ``AlignmentResult(distance, similarity)``.
+    ``match`` on one library must not run concurrently.  An empty library
+    yields an empty list, once ``band`` and the live window have passed the
+    checks a non-empty one applies.
     """
     if band < 1:
         raise ValueError("band must be >= 1")
@@ -953,5 +918,5 @@ def match(model: MetricModel, selector, live_window,
             if math.isfinite(distance):
                 # ranked by (-similarity, id); a library's ids are distinct
                 scored.append((-math.exp(-beta * distance), pid, distance))
-    return [(pid, AlignmentResult(distance, None, -neg))
+    return [(pid, AlignmentResult(distance, -neg))
             for neg, pid, distance in heapq.nsmallest(max(0, top_k), scored)]

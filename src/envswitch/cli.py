@@ -24,8 +24,8 @@ from .fingerprints import (FingerprintLibrary, FingerprintSequence,
                            SwitchEvent, fnv1a64, load_library, save_library,
                            write_sequence)
 from .filters import SelectorModel, context_from_windows, train_selector
-from .policy import (MatcherStack, PolicyModel, ScriptedPolicy, imitate,
-                     rollout, trigger_guide)
+from .policy import (POLICY_HIDDEN, MatcherStack, PolicyModel, ScriptedPolicy,
+                     imitate, rollout, trigger_guide)
 from .serialize import fmt
 from .sim import SITE_SHORT as SITES_BY_FLAG  # the name bench/ reads
 from .sim import (WINDOW_S, baseline_policy, detect_outdoor_transition,
@@ -35,6 +35,7 @@ from .sim import (WINDOW_S, baseline_policy, detect_outdoor_transition,
 PAPER_SESSION_COUNTS = {"A": 5, "B": 10, "C": 6}
 TRAIN_SESSIONS_PER_SITE = 6
 EVAL_SEED_OFFSET = 10_000
+N_ROUNDS = 20           # cloud-edge rounds of a training run
 # Shuffled negatives drawn per positive training pair.  Only the first 2
 # reach the selector; the other draws are kept because they advance the
 # pair builder's rng, which picks every later partner and negative.
@@ -172,7 +173,7 @@ def build_training_pairs(libraries, seed: int):
     return pairs
 
 
-def train_models(seed: int, cfg: EngineConfig, rounds: int | None = None,
+def train_models(seed: int, cfg: EngineConfig, rounds: int = N_ROUNDS,
                  log=print):
     """Full training pipeline.
 
@@ -182,7 +183,6 @@ def train_models(seed: int, cfg: EngineConfig, rounds: int | None = None,
     edge policies map each site flag to the policy last distilled to that
     site's edge, which after the final round is ``policy`` itself.
     """
-    rounds = rounds if rounds is not None else cfg.cloudedge.n_rounds
     libraries, traces_by_site = {}, {}
     for flag in ("A", "B", "C"):
         seeds = [seed + 100 * {"A": 1, "B": 2, "C": 3}[flag] + k
@@ -214,7 +214,7 @@ def train_models(seed: int, cfg: EngineConfig, rounds: int | None = None,
         stacks[flag] = stack
 
     policy = PolicyModel.from_seed(fnv1a64(f"policy:{seed}") % (2 ** 32),
-                                   cfg.ppo.hidden)
+                                   POLICY_HIDDEN)
     policy = pretrain_on_trigger_rule(policy, stacks, traces_by_site, cfg)
     log("policy pre-trained on the trigger rule")
 
@@ -251,7 +251,7 @@ def pretrain_on_trigger_rule(policy, stacks, traces_by_site,
 
 
 def cmd_train(seed: int, out_dir: str, cfg: EngineConfig,
-              rounds: int | None = None, log=print):
+              rounds: int = N_ROUNDS, log=print):
     os.makedirs(out_dir, exist_ok=True)
     (selector, metric, policy, reward_model, stacks, state,
      _) = train_models(seed, cfg, rounds, log)
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None, help="key-value config file")
         sp.add_argument("--out", default="out")
         if name == "train":
-            sp.add_argument("--rounds", type=_int_at_least(0), default=None,
+            sp.add_argument("--rounds", type=_int_at_least(0), default=N_ROUNDS,
                             help="cloud-edge rounds")
         if name == "evaluate":
             sp.add_argument("--models", default=None,

@@ -19,21 +19,24 @@ from .policy import (N_ACTIONS, STATE_DIM, MatcherStack, PolicyModel,
 from .serialize import dump_tensors, fmt
 from .sim import generate  # unused here; bench/spans.py wraps this name
 
+# the trigger rule's share of each training draw at round 0; it anneals to 0
+GUIDE_EPS = 0.5
+STATE_QUANT = 0.01      # grid of the shipped last-step state
+
 
 # ---------------------------------------------------------------------------
 # desensitized summaries on the wire
 # ---------------------------------------------------------------------------
 
 
-def summarize_trajectory(traj: Trajectory, edge_id: str, salt: str,
-                         quant: float) -> str:
+def summarize_trajectory(traj: Trajectory, edge_id: str, salt: str) -> str:
     """The text one episode ships: the body's byte length, then ``hash,count``
     and at most one ``state|action|hf|offset`` record, the last step, its
-    state quantized to ``quant`` and its offset the step index (never a
-    clock time).  Withheld feedback ships no record."""
+    state quantized to ``STATE_QUANT`` and its offset the step index (never
+    a clock time).  Withheld feedback ships no record."""
     lines = []
     if traj.hf is not None:
-        state = np.round(traj.states[-1] / quant) * quant
+        state = np.round(traj.states[-1] / STATE_QUANT) * STATE_QUANT
         feats = " ".join(fmt(v) for v in state)
         lines.append(f"{feats}|{int(traj.actions[-1])}|{fmt(traj.hf)}|"
                      f"{fmt(traj.states.shape[0] - 1)}")
@@ -186,7 +189,7 @@ def run_round(state: RoundState, edges, seed: int) -> RoundState:
         raise ValueError("round budget exhausted")
     # guided exploration anneals to zero so the final rounds are on-policy
     progress = state.round_index / max(1.0, 0.6 * state.n_rounds)
-    guide_eps = cfg.ppo.guide_eps * max(0.0, 1.0 - progress)
+    guide_eps = GUIDE_EPS * max(0.0, 1.0 - progress)
 
     trajectories = []
     inbox = []
@@ -205,7 +208,7 @@ def run_round(state: RoundState, edges, seed: int) -> RoundState:
                 traj = replace(traj, hf=None)
             trajectories.append(traj)
             inbox.append(summarize_trajectory(
-                traj, edge.edge_id, cfg.library.salt, ce.state_quant))
+                traj, edge.edge_id, cfg.library.salt))
 
     states, actions, hfs = aggregate(inbox)
     reward_model = state.reward_model

@@ -1,16 +1,19 @@
 """Configuration objects and the key-value text config format.
 
 A field holds what a run may vary: the radio propagation model, the
-walker, the threshold+hysteresis baseline, reward weights, PPO
-hyperparameters, the cloud-edge round schedule, the library's capacity and
-salt, the buffer length and the matcher's band.  A fixed constant lives
-with the code that reads it instead: the device's sensing schedule in
-``policy``, the window length and the WiFi staleness budget in ``sim``, the
-selector's coefficient boxes in ``filters`` and the matcher-training
-constants in ``cli``.  The signal ranges ``RSSI_RANGE_DBM`` and
-``FEATURE_RANGES`` are module constants here, as the simulator, the
-features and the policy all read them.  A flat ``section.key = value`` text
-file can override any field, e.g.::
+walker, the threshold+hysteresis baseline, the paper's three reward
+weights, PPO hyperparameters, the cloud-edge round schedule, the library's
+capacity and salt, the buffer length and the matcher's band.  A fixed
+constant lives with the code that reads it instead: the device's sensing
+schedule, the trigger threshold, the shaping weights, the TTS floors, the
+GAE lambda and the policy width in ``policy``; the window length, the WiFi
+staleness budget and the simulated human's feedback shape in ``sim``; the
+selector's coefficient boxes in ``filters``; the guide's exploration mix
+and the summary quantization grid in ``cloudedge``; the matcher-training
+constants and the round count in ``cli``.  The signal ranges
+``RSSI_RANGE_DBM`` and ``FEATURE_RANGES`` are module constants here, as
+the simulator, the features and the policy all read them.  A flat
+``section.key = value`` text file can override any field, e.g.::
 
     # run.cfg
     radio.wall_db = 6.0
@@ -78,6 +81,9 @@ class LibraryConfig:
     def __post_init__(self):
         # training pairs prototypes within one library
         _require("library", self, "capacity", self.capacity >= 2, "at least 2")
+        # an empty salt leaves the shipped edge hash an unsalted hash of the
+        # device id, which anyone can recompute
+        _require("library", self, "salt", self.salt.strip() != "", "non-blank")
 
 
 @dataclass
@@ -127,31 +133,12 @@ class BaselineConfig:
 
 @dataclass
 class RewardConfig:
-    """Composite reward R = eta*dtime + lam*sim + gamma_hf*hf."""
+    """The paper's three weights of the composite reward
+    R = eta*dtime + lam*sim + gamma_hf*hf."""
 
     eta: float = 1.0
     lam: float = 0.5
     gamma_hf: float = 2.0
-    # Simulated-feedback shape: +1 inside [onset - early, onset + late],
-    # then a linear taper per second outside, floored at -1.  The early side
-    # tapers faster: premature switches annoy more than slightly late ones.
-    hf_window_early_s: float = 2.0
-    hf_window_late_s: float = 3.0
-    hf_taper_per_s: float = 0.25
-    hf_taper_early_per_s: float = 0.6
-    # Rollback: after a switch the new link must stay usable; below this level
-    # for >= rollback_dwell_s counts as a rollback (feedback -1).
-    rollback_usable_dbm: float = -105.0
-    rollback_dwell_s: float = 2.0
-    # Reported TTS floor vs the tighter floor used inside the reward, which
-    # keeps "switch absurdly early" from ever being reward-positive.
-    tts_report_floor_s: float = -5.0
-    tts_reward_floor_s: float = -2.0
-    tau: float = 0.55              # similarity trigger for shaping / scripted policy
-    shaping_bonus: float = 1.0
-    # per-step credit for staying on a still-healthy link (RSSI at or above
-    # the baseline threshold); leaving a good link early forfeits it
-    healthy_link_bonus: float = 0.15
 
     def __post_init__(self):
         for key in ("eta", "lam", "gamma_hf"):
@@ -165,13 +152,10 @@ class RewardConfig:
 class PpoConfig:
     clip_eps: float = 0.15
     discount: float = 0.99
-    gae_lambda: float = 0.95
     entropy_coef: float = 0.015
     value_coef: float = 0.5
     epochs: int = 6
     step_size: float = 0.01
-    guide_eps: float = 0.5   # trigger-rule exploration mix during training
-    hidden: int = 32
 
     def __post_init__(self):
         _require("ppo", self, "clip_eps", 0 < self.clip_eps < 1, "in (0, 1)")
@@ -179,18 +163,15 @@ class PpoConfig:
 
 @dataclass
 class CloudEdgeConfig:
-    n_rounds: int = 20
     distill_period: int = 2
     episodes_per_edge: int = 10
     hf_withheld_fraction: float = 0.3   # episodes whose direct feedback is missing
     reward_model_epochs: int = 40
     reward_model_step: float = 0.05
-    state_quant: float = 0.01           # summary tuple quantization grid
 
     def __post_init__(self):
         for key in ("distill_period", "episodes_per_edge"):
             _require("cloudedge", self, key, getattr(self, key) >= 1, "at least 1")
-        _require("cloudedge", self, "state_quant", self.state_quant > 0, "> 0")
 
 
 @dataclass

@@ -34,6 +34,19 @@ ACTIONS = ("hold", "scan_boost", "pre_associate", "handover")
 SCAN_PERIOD_S = 2.0
 BOOSTED_PERIOD_S = 1.0
 BOOST_DURATION_S = 10.0
+# the similarity at which the matcher counts as confident: the trigger rule
+# fires on it, and the shaped reward hints toward acting on it
+TAU = 0.55
+SHAPING_BONUS = 1.0
+# per-step credit for staying on a still-healthy link (RSSI at or above the
+# baseline threshold); leaving a good link early forfeits it
+HEALTHY_LINK_BONUS = 0.15
+# the reported TTS floor and the tighter floor used inside the reward, which
+# keeps "switch absurdly early" from ever being reward-positive
+TTS_REPORT_FLOOR_S = -5.0
+TTS_REWARD_FLOOR_S = -2.0
+GAE_LAMBDA = 0.95
+POLICY_HIDDEN = 32      # hidden width of the trained policy
 N_ACTIONS = len(ACTIONS)
 STATE_DIM = 7
 _WIFI_LEVEL = FEATURE_NAMES.index("wifi_topk_mean")
@@ -250,7 +263,7 @@ class Trajectory:
 
 
 def batch_advantages(batch, ppo: PpoConfig, reward: RewardConfig):
-    """Per-episode GAE (``ppo.discount``, ``ppo.gae_lambda``) of the rewards
+    """Per-episode GAE (``ppo.discount``, ``GAE_LAMBDA``) of the rewards
     weighted by ``reward``, concatenated and batch-normalized.
 
     Withheld feedback counts as 0.  Returns (advantages, returns); the
@@ -263,7 +276,7 @@ def batch_advantages(batch, ppo: PpoConfig, reward: RewardConfig):
         # policy cannot influence; subtracting it is a per-episode reward
         # baseline that leaves the optimum unchanged and de-noises advantages
         rewards[traj.terminal_step] -= reward.eta * traj.baseline_tts
-        adv, ret = gae_advantages(rewards, traj.values, ppo.discount, ppo.gae_lambda)
+        adv, ret = gae_advantages(rewards, traj.values, ppo.discount, GAE_LAMBDA)
         advantages.append(adv)
         returns.append(ret)
     advantages = np.concatenate(advantages)
@@ -396,17 +409,16 @@ def trigger_guide(cfg: EngineConfig):
     """The operational trigger rule, a function of (t, PolicyState).
 
     Pre-associate and then hand over when either cue fires: a confident
-    library match, or the egress fallback (a GNSS fix with WiFi already
-    weak).  The rule reads the state's ``pre_associated`` flag, which the
+    library match (similarity at least ``TAU``), or the egress fallback (a
+    GNSS fix with WiFi already weak).  The rule reads the state's ``pre_associated`` flag, which the
     policy does not see.  Training rollouts mix it in so well-timed switches
     appear in every batch, and ``ScriptedPolicy(trigger_guide(cfg))`` drives
     it alone; the learned policy is free to act earlier or later.
     """
-    tau = cfg.reward.tau
     weak_rssi = normalize_rssi(cfg.baseline.threshold_dbm)
 
     def guide(t, state: PolicyState) -> str:
-        if state.similarity >= tau or (state.gnss_fix >= 0.5
+        if state.similarity >= TAU or (state.gnss_fix >= 0.5
                                        and state.rssi <= weak_rssi):
             return "handover" if state.pre_associated else "pre_associate"
         return "hold"
@@ -419,8 +431,10 @@ class SwitchEnv:
     window and its ``stack.top_similarity``, the state, the shaped step
     reward, the action effects and the terminal outcome.  The scan schedule
     is the device's fixed one (``SCAN_PERIOD_S``, ``BOOSTED_PERIOD_S`` and
-    ``BOOST_DURATION_S``); the buffer length, the reward and the baseline
-    are ``stack.cfg``'s.
+    ``BOOST_DURATION_S``), and so are the shaping (``TAU``,
+    ``SHAPING_BONUS``, ``HEALTHY_LINK_BONUS``) and the TTS floors
+    (``TTS_REPORT_FLOOR_S``, ``TTS_REWARD_FLOOR_S``); the buffer length, the
+    reward weights and the baseline are ``stack.cfg``'s.
 
     A driver alternates ``observe()``, which moves to the next second ``t``
     and returns its ``PolicyState``, and ``step(action)``, which applies one
@@ -502,19 +516,18 @@ class SwitchEnv:
         if self.switched:
             return 0.0
         cfg, sim_top, t = self.cfg, self.similarity, self.t
-        tau, bonus = cfg.reward.tau, cfg.reward.shaping_bonus
         reward = cfg.reward.lam * sim_top
         if self.serving[self.sec] >= cfg.baseline.threshold_dbm:
-            reward += cfg.reward.healthy_link_bonus
+            reward += HEALTHY_LINK_BONUS
         if action == "handover":
             # one-shot trigger hint: act when the matcher is confident
-            reward += bonus if sim_top >= tau else -bonus
+            reward += SHAPING_BONUS if sim_top >= TAU else -SHAPING_BONUS
             self.completion = t + (0.5 if self.pre_associated
                                    else cfg.baseline.assoc_delay_s)
             self.action_time, self.switched = t, True
         elif action == "pre_associate":
-            if not self.pre_associated and sim_top >= tau:
-                reward += 0.5 * bonus
+            if not self.pre_associated and sim_top >= TAU:
+                reward += 0.5 * SHAPING_BONUS
             elif self.pre_associated:
                 reward -= 0.05
             self.pre_associated = True
@@ -523,9 +536,9 @@ class SwitchEnv:
                 self.boost_until = t + BOOST_DURATION_S
             elif action != "hold":
                 raise ValueError(f"unknown action: {action!r}")
-            if sim_top >= tau:
+            if sim_top >= TAU:
                 # sitting on a confident match delays the switch
-                reward -= 0.3 * bonus
+                reward -= 0.3 * SHAPING_BONUS
         return reward
 
     def outcome(self) -> dict:
@@ -535,16 +548,16 @@ class SwitchEnv:
         base_completion, _ = baseline_policy(
             trace, base.threshold_dbm, base.hysteresis_db, base.dwell_s,
             base.assoc_delay_s)
-        base_tts = tts(base_completion, onset, cfg.reward.tts_report_floor_s)
+        base_tts = tts(base_completion, onset, TTS_REPORT_FLOOR_S)
         censored = self.completion is None
         completion = float(trace.duration) if censored else self.completion
         return dict(
-            dtime=base_tts - tts(completion, onset, cfg.reward.tts_reward_floor_s),
-            hf=feedback_oracle(completion, trace, reward_cfg=cfg.reward),
+            dtime=base_tts - tts(completion, onset, TTS_REWARD_FLOOR_S),
+            hf=feedback_oracle(completion, trace),
             completion=completion, censored=censored,
             action_time=self.action_time,
             terminal_step=min(int(self.t) - 1, max(0, int(round(completion)) - 1)),
-            policy_tts=tts(completion, onset, cfg.reward.tts_report_floor_s),
+            policy_tts=tts(completion, onset, TTS_REPORT_FLOOR_S),
             baseline_tts=base_tts, trace_checksum=trace.checksum())
 
 

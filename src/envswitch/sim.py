@@ -25,7 +25,7 @@ from operator import ne
 import numpy as np
 
 from .config import (RSSI_RANGE_DBM, BaselineConfig, EngineConfig, RadioConfig,
-                     RewardConfig, WalkerConfig)
+                     WalkerConfig)
 from .fingerprints import (Fingerprint, FingerprintSequence,
                            assemble_fingerprint, cell_summary, fnv1a64,
                            gnss_summary, pdr_summary, time_summary,
@@ -37,6 +37,17 @@ from .serialize import fmt
 SITES = ("A_indoor", "B_door_egress", "C_apartment_mixed")
 WINDOW_S = 1.0          # one fingerprint window per second
 WIFI_STALE_S = 4.0      # a carried-over scan older than this marks WiFi absent
+# The simulated human's feedback window and taper (see ``feedback_oracle``).
+# The early side tapers faster: premature switches annoy more than slightly
+# late ones.
+HF_WINDOW_EARLY_S = 2.0
+HF_WINDOW_LATE_S = 3.0
+HF_TAPER_PER_S = 0.25
+HF_TAPER_EARLY_PER_S = 0.6
+# Rollback: after a switch the new link must stay usable; below
+# ROLLBACK_USABLE_DBM for >= ROLLBACK_DWELL_S counts as a rollback (-1).
+ROLLBACK_USABLE_DBM = -105.0
+ROLLBACK_DWELL_S = 2.0
 SITE_SHORT = {"A": "A_indoor", "B": "B_door_egress", "C": "C_apartment_mixed"}
 
 
@@ -457,47 +468,46 @@ def baseline_policy(trace: RawTrace, threshold: float, hysteresis: float,
 
 def tts(switch_completion: float, degradation_onset: float,
         floor: float) -> float:
-    """Time-to-switch, clamped below at the configured pre-emption floor."""
+    """Time-to-switch, clamped below at the pre-emption ``floor``."""
     if switch_completion < 0.0 or degradation_onset < 0.0:
         raise ValueError("times must be nonnegative")
     return max(floor, switch_completion - degradation_onset)
 
 
-def rollback_occurred(trace: RawTrace, completion: float,
-                      usable_dbm: float, dwell: float) -> bool:
-    """True when the new (cellular) link sits below usability for >= dwell s."""
+def rollback_occurred(trace: RawTrace, completion: float) -> bool:
+    """True when the new (cellular) link sits below ``ROLLBACK_USABLE_DBM``
+    for >= ``ROLLBACK_DWELL_S`` s."""
     start = int(math.ceil(completion))
     run = 0
     for i in range(start, len(trace.sec_t)):
-        if trace.rsrp[i] < usable_dbm:
+        if trace.rsrp[i] < ROLLBACK_USABLE_DBM:
             run += 1
-            if run >= dwell:
+            if run >= ROLLBACK_DWELL_S:
                 return True
         else:
             run = 0
     return False
 
 
-def feedback_oracle(completion: float, trace: RawTrace,
-                    reward_cfg: RewardConfig) -> float:
+def feedback_oracle(completion: float, trace: RawTrace) -> float:
     """Simulated human feedback in [-1, 1] for a switch completed at
     ``completion``.
 
-    +1 inside [onset - early, onset + late] around the trace's degradation
-    onset; -1 on a rollback; otherwise a linear taper away from the window,
-    floored at -1.  Deterministic.
+    +1 inside [onset - ``HF_WINDOW_EARLY_S``, onset + ``HF_WINDOW_LATE_S``]
+    around the trace's degradation onset; -1 on a rollback; otherwise a
+    linear taper away from the window (``HF_TAPER_EARLY_PER_S`` before it,
+    ``HF_TAPER_PER_S`` after it), floored at -1.  Deterministic.
     """
     onset = trace.degradation_onset
-    if rollback_occurred(trace, completion, reward_cfg.rollback_usable_dbm,
-                         reward_cfg.rollback_dwell_s):
+    if rollback_occurred(trace, completion):
         return -1.0
-    lo = onset - reward_cfg.hf_window_early_s
-    hi = onset + reward_cfg.hf_window_late_s
+    lo = onset - HF_WINDOW_EARLY_S
+    hi = onset + HF_WINDOW_LATE_S
     if lo <= completion <= hi:
         return 1.0
     if completion < lo:
-        return float(max(-1.0, 1.0 - reward_cfg.hf_taper_early_per_s * (lo - completion)))
-    return float(max(-1.0, 1.0 - reward_cfg.hf_taper_per_s * (completion - hi)))
+        return float(max(-1.0, 1.0 - HF_TAPER_EARLY_PER_S * (lo - completion)))
+    return float(max(-1.0, 1.0 - HF_TAPER_PER_S * (completion - hi)))
 
 
 # ---------------------------------------------------------------------------

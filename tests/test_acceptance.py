@@ -394,7 +394,6 @@ def test_criterion_7_privacy_gate():
     # episode, its edge id the device id and its salt the edge's
     rng = np.random.default_rng(707)
     letters = "ghijklmnopqrstuvwxyz"
-    quant = EngineConfig().cloudedge.state_quant
     failures = 0
     for trial in range(1000):
         length = int(rng.integers(2, 9))
@@ -404,7 +403,7 @@ def test_criterion_7_privacy_gate():
         raw_ids.append("dev:" + ":".join(
             "".join(rng.choice(list(letters), 2)) for _ in range(4)))
         salt = f"edge-{trial % 7}"
-        text = summarize_trajectory(traj, raw_ids[-1], salt, quant)
+        text = summarize_trajectory(traj, raw_ids[-1], salt)
         if contains_identifier_leak(text, raw_ids + [salt]):
             failures += 1
             continue

@@ -1,17 +1,15 @@
 import gc
 import math
 import weakref
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from envswitch import alignment
 from envswitch.alignment import (AlignmentResult, BandTooNarrowError, MetricModel,
-                                 _backtrack, _banded_costs, _hard_step, _libm, _skew_index,
+                                 _banded_costs, _hard_step, _libm, _skew_index,
                                  _soft_dtw_pairs, _soft_dtw_tables, _soft_step,
-                                 _sweep,
-                                 _unskew, band_mask,
+                                 _sweep, band_mask,
                                  cell_cost, cost_matrix, dtw,
                                  margin_loss_grads, match, soft_dtw,
                                  train_metric)
@@ -78,35 +76,20 @@ def kept(cost, band):
     return np.ascontiguousarray(cost[:, rows, cols].T)
 
 
+def unskew(S, n, m):
+    """(P, n, m) view of a skewed table laid out like ``_sweep``'s."""
+    ii, jj = np.indices((n, m))
+    return S[:, ii + jj, ii]
+
+
 def dtw_tables(cost, band):
     """Exact-DTW tables (P, n, m) of a raw cost stack, by the banded sweep."""
     n, m = cost.shape[1:]
-    return _unskew(_sweep(kept(cost, band), n, m, band, _hard_step), n, m)
+    return unskew(_sweep(kept(cost, band), n, m, band, _hard_step), n, m)
 
 
 def stacked(protos):
     return tuple(np.stack(a) for a in zip(*protos))
-
-
-def reference_backtrack(D):
-    """Warping path through one table with numpy scalars: the least finite
-    predecessor, ties to the diagonal, then the vertical, then the horizontal."""
-    n, m = D.shape
-    path = [(n - 1, m - 1)]
-    i, j = n - 1, m - 1
-    while (i, j) != (0, 0):
-        candidates = []
-        if i > 0 and j > 0:
-            candidates.append((D[i - 1, j - 1], 0, (i - 1, j - 1)))
-        if i > 0:
-            candidates.append((D[i - 1, j], 1, (i - 1, j)))
-        if j > 0:
-            candidates.append((D[i, j - 1], 2, (i, j - 1)))
-        candidates = [c for c in candidates if np.isfinite(c[0])]
-        _, _, (i, j) = min(candidates, key=lambda c: (c[0], c[1]))
-        path.append((i, j))
-    path.reverse()
-    return path
 
 
 def scalar_banded_table(cost, band):
@@ -244,7 +227,6 @@ class TestDtw:
         result = dtw(MetricModel.identity(), seq, seq, band=3)
         assert result.distance == 0.0
         assert result.similarity == 1.0
-        assert result.path == [(i, i) for i in range(7)]
 
     def test_one_dimensional_example(self):
         model = pdr_only_model()
@@ -272,42 +254,6 @@ class TestDtw:
                 assert math.isinf(got)
             else:
                 assert got == pytest.approx(oracle, abs=1e-9)
-
-    def test_backtrack_tie_break_equals_reference(self, rng):
-        # costs in {0, 1, 2} make equal predecessors common
-        ties = 0
-        for trial in range(60):
-            n, m = (int(v) for v in rng.integers(2, 8, size=2))
-            cost = rng.integers(0, 3, size=(1, n, m)).astype(float)
-            D = dtw_tables(cost, int(rng.integers(1, 4)))[0]
-            if not np.isfinite(D[-1, -1]):
-                continue
-            path = _backtrack(D)
-            assert path == reference_backtrack(D)
-            for (i, j) in path[1:]:
-                preds = [D[a, b] for a, b in ((i - 1, j - 1), (i - 1, j), (i, j - 1))
-                         if a >= 0 and b >= 0 and np.isfinite(D[a, b])]
-                ties += len(preds) - len(set(preds))
-        assert ties > 0
-        # all three predecessors equal: the diagonal wins
-        assert _backtrack(np.ones((2, 2))) == [(0, 0), (1, 1)]
-
-    def test_path_respects_band_and_steps(self, rng):
-        for trial in range(20):
-            n = int(rng.integers(3, 7))
-            m = int(rng.integers(3, 7))
-            band = int(rng.integers(2, 4))
-            try:
-                result = dtw(MetricModel.from_seed(trial),
-                             random_packed(rng, n), random_packed(rng, m), band)
-            except BandTooNarrowError:
-                continue
-            path = result.path
-            assert path[0] == (0, 0) and path[-1] == (n - 1, m - 1)
-            for (i0, j0), (i1, j1) in zip(path, path[1:]):
-                assert (i1 - i0, j1 - j0) in ((1, 0), (0, 1), (1, 1))
-            for i, j in path:
-                assert in_band(i, j, n, m, band)
 
     def test_band_too_narrow_raises(self):
         model = pdr_only_model()
@@ -523,7 +469,7 @@ class TestSoftDtwKernel:
                 narrow += 1
                 continue
             values, R, E = _soft_dtw_tables(costs, n, m, band, gamma)
-            R, E = _unskew(R, n, m), _unskew(E, n, m)
+            R, E = unskew(R, n, m), unskew(E, n, m)
             for k, (value, R_k, E_k) in enumerate(oracles):
                 assert values[k] == value
                 assert np.array_equal(R[k], R_k[1:, 1:])
@@ -853,7 +799,7 @@ class TestMatch:
         assert [pid for pid, _ in ranked] == sorted(
             want, key=lambda pid: (-want[pid].similarity, pid))
         for pid, got in ranked:
-            assert got == AlignmentResult(want[pid].distance, None, want[pid].similarity)
+            assert got == AlignmentResult(want[pid].distance, want[pid].similarity)
         return ranked
 
     def test_mixed_lengths_equal_per_prototype_alignment(self, rng):
@@ -1012,47 +958,14 @@ class TestSweepPlan:
 
 
 class TestLazyPath:
-    """``match`` backtracks no warping path: every result carries None, and
-    its distance and similarity equal ``dtw``'s, the one aligner that
-    backtracks."""
+    """``match`` backtracks no warping path: its distances and similarities
+    equal ``dtw``'s on each prototype alone."""
 
     def scene(self, rng):
         model, selector = MetricModel.from_seed(2, noise=0.3), SelectorModel.from_seed(3)
         live = random_packed(rng, 7)
         library, _ = packed_library([random_packed(rng, n) for n in (7, 5, 8, 7, 6)])
         return model, selector, live, library, FilterContext(step_rate=0.4)
-
-    def counting(self, monkeypatch):
-        calls = Counter()
-        for name in ("_backtrack", "_unskew"):
-            def wrapper(*args, _name=name, _fn=getattr(alignment, name)):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(alignment, name, wrapper)
-        return calls
-
-    def test_unread_paths_are_never_built(self, rng, monkeypatch):
-        model, selector, live, library, ctx = self.scene(rng)
-        calls = self.counting(monkeypatch)
-        ranked = match(model, selector, live, library, 2, len(library), ctx)
-        assert len(ranked) == len(library)
-        assert all(result.path is None for _, result in ranked)
-        assert sum(calls.values()) == 0
-
-    def test_path_read_equals_dtw_and_is_built_once(self, rng, monkeypatch):
-        """The top result equals ``dtw``'s alignment without its path, and
-        the path is built once, by ``dtw``."""
-        model, selector, live, library, ctx = self.scene(rng)
-        calls = self.counting(monkeypatch)
-        pid, top = match(model, selector, live, library, 2, 1, ctx)[0]
-        choice = select_filter(selector, ctx)
-        pf, pp = library.get(pid).packed()
-        want = dtw(model, (denoise_matrix(choice, live[0]), live[1]),
-                   (denoise_matrix(choice, pf), pp), 2)
-        assert calls["_backtrack"] == 1 and want.path is not None
-        assert top == AlignmentResult(want.distance, None, want.similarity)
-        with pytest.raises(AttributeError):
-            top.path = want.path                    # results are frozen
 
     def test_paths_read_after_later_matches_equal_dtw(self, rng):
         """Every call sweeps into tables of its own: a result read only
@@ -1065,7 +978,9 @@ class TestLazyPath:
         want = per_prototype(model, selector, lives[0], library, 2, ctx)
         assert len(first) == len(want)
         for pid, result in first:
-            assert result == AlignmentResult(want[pid].distance, None, want[pid].similarity)
+            assert result == AlignmentResult(want[pid].distance, want[pid].similarity)
+        with pytest.raises(AttributeError):
+            first[0][1].distance = 0.0              # results are frozen
         # a library keeps the scratch every call computes in: results read
         # only after 50 later matches with other windows and coefficients,
         # on the live length of a group and on a length no group shares,
@@ -1198,7 +1113,7 @@ class TestScratch:
         # share memory with the scratch
         assert len(results) == 3 * len(lib)
         for _, result in results:
-            assert [type(v) for v in vars(result).values()] == [float, type(None), float]
+            assert [type(v) for v in vars(result).values()] == [float, float]
 
     def test_warm_up_keeps_nothing_and_workspaces_own_their_buffers(self, rng):
         """A walk's warm-up windows, shorter than every prototype, add no

@@ -19,7 +19,7 @@ from envswitch.filters import SelectorModel, context_from_windows
 from envswitch.fingerprints import (FEATURE_NAMES, MODALITIES, Fingerprint,
                                     FingerprintLibrary, FingerprintSequence,
                                     SwitchEvent)
-from envswitch.policy import MatcherStack, PolicyModel
+from envswitch.policy import POLICY_HIDDEN, MatcherStack, PolicyModel
 from envswitch.sim import scenario_text
 
 
@@ -193,7 +193,7 @@ class TestEvaluateSite:
         cli.build_site_library("B", [13], cfg)
         stack = MatcherStack(SelectorModel.zeros(), MetricModel.identity(),
                              FingerprintLibrary(cfg.library), cfg.match.band, cfg)
-        cli.evaluate_site("C", PolicyModel.zeros(cfg.ppo.hidden), stack, 1, 13, cfg)
+        cli.evaluate_site("C", PolicyModel.zeros(POLICY_HIDDEN), stack, 1, 13, cfg)
         assert len(scenarios) == 3
         for sc in scenarios:
             assert sc.degradation_onset == sim.compute_onset(sc, cfg.radio, -70.0)
@@ -202,7 +202,7 @@ class TestEvaluateSite:
         cfg = EngineConfig()
         stack = MatcherStack(SelectorModel.zeros(), MetricModel.identity(),
                              FingerprintLibrary(cfg.library), cfg.match.band, cfg)
-        policy = PolicyModel.zeros(cfg.ppo.hidden)
+        policy = PolicyModel.zeros(POLICY_HIDDEN)
         # the walks would be built at one speed and replayed under another
         faster = dataclasses.replace(
             cfg, walker=dataclasses.replace(cfg.walker, speed_mps=1.3))
@@ -366,13 +366,21 @@ class TestConfigFile:
         "device.boost_duration_s", "device.wifi_stale_s", "filters.q_range",
         "filters.r_range", "filters.sigma_range", "filters.alpha_range",
         "filters.hidden", "match.embed_dim", "match.margin", "match.gamma_soft",
-        "match.negatives_per_positive"])
+        "match.negatives_per_positive", "reward.hf_window_early_s",
+        "reward.hf_window_late_s", "reward.hf_taper_per_s",
+        "reward.hf_taper_early_per_s", "reward.rollback_usable_dbm",
+        "reward.rollback_dwell_s", "reward.tts_report_floor_s",
+        "reward.tts_reward_floor_s", "reward.tau", "reward.shaping_bonus",
+        "reward.healthy_link_bonus", "ppo.gae_lambda", "ppo.guide_eps",
+        "ppo.hidden", "cloudedge.n_rounds", "cloudedge.state_quant"])
     def test_signal_ranges_are_unknown_keys(self, tmp_path, dotted):
         # the signal ranges, the window, the device's sensing schedule, the
-        # selector's coefficient boxes and the matcher-training settings are
-        # constants: trained models serve with the features, schedule and
-        # boxes they were trained with, and a file that moved the radio's
-        # clamp would leave readings outside the units the features assume
+        # selector's coefficient boxes, the matcher-training settings, the
+        # simulated feedback, the shaping, the TTS floors and the training
+        # constants no run varies are constants: trained models serve with
+        # the features, schedule and boxes they were trained with, and a
+        # file that moved the radio's clamp would leave readings outside the
+        # units the features assume
         path = tmp_path / "run.cfg"
         path.write_text(f"{dotted} = -110\n")
         with pytest.raises(ValueError,
@@ -388,9 +396,17 @@ class TestConfigFile:
                                              r"'filters\.sigma_range'"):
             cli.main(["evaluate", "--config", str(path), "--out", str(tmp_path)])
 
+    def test_evaluate_refuses_a_removed_reward_key(self, tmp_path):
+        # the reported TTS floor is a constant: a file cannot move it
+        path = tmp_path / "run.cfg"
+        path.write_text("reward.tts_report_floor_s = -3.0\n")
+        with pytest.raises(ValueError, match=r"run\.cfg:1: unknown config key: "
+                                             r"'reward\.tts_report_floor_s'"):
+            cli.main(["evaluate", "--config", str(path), "--out", str(tmp_path)])
+
     @pytest.mark.parametrize("line, message", [
         ("match.band = three", r"'match\.band' takes int values: invalid literal"),
-        ("reward.tau = 0.5x", r"'reward\.tau' takes float values: could not convert"),
+        ("reward.lam = 0.5x", r"'reward\.lam' takes float values: could not convert"),
         ("library.capacity = 2.5", r"'library\.capacity' takes int values"),
         ("radio.flux_capacitor = 1", r"unknown config key: 'radio\.flux_capacitor'"),
         ("match.band = 0", r"'match\.band' must be at least 1, got 0"),
@@ -423,7 +439,7 @@ class TestConfigFile:
             apply_overrides(base, [("telemetry.enabled", "1")])
 
     @pytest.mark.parametrize("dotted, text, message", [
-        ("reward.tau", "nan", "must be finite"),
+        ("reward.lam", "nan", "must be finite"),
         ("ppo.clip_eps", "inf", "must be finite"),
         ("radio.wall_db", "-inf", "must be finite"),
         ("radio.wall_db", "6,8", "takes float values: could not convert"),
@@ -449,8 +465,6 @@ class TestConfigFile:
         ("reward.gamma_hf", "-1", r"must be >= 0, got -1.0"),
         ("ppo.clip_eps", "0", r"must be in \(0, 1\), got 0.0"),
         ("ppo.clip_eps", "1", r"must be in \(0, 1\), got 1.0"),
-        ("cloudedge.state_quant", "0", r"must be > 0, got 0.0"),
-        ("cloudedge.state_quant", "-0.01", r"must be > 0, got -0.01"),
         ("cloudedge.episodes_per_edge", "0", r"must be at least 1, got 0"),
         # each of these failed only inside train: a one-window buffer cannot
         # be warped, a band of 0 was refused by the matcher, a walker rate
@@ -468,6 +482,9 @@ class TestConfigFile:
         ("library.capacity", "1", r"must be at least 2, got 1"),
         ("library.capacity", "0", r"must be at least 2, got 0"),
         ("library.capacity", "-3", r"must be at least 2, got -3"),
+        # an empty salt made the shipped edge hash an unsalted hash of the
+        # device id, which anyone can recompute
+        ("library.salt", "", r"must be non-blank, got ''"),
     ])
     def test_invalid_values_rejected_when_loaded(self, tmp_path, dotted, text, message):
         # each of these was stored as given and failed, hung or silently did

@@ -15,8 +15,8 @@ from envswitch.config import EngineConfig
 from envswitch.fingerprints import (FingerprintLibrary, SwitchEvent,
                                     hash_identifier)
 from envswitch.filters import SelectorModel
-from envswitch.policy import (MatcherStack, PolicyModel, Trajectory, act,
-                              rollout)
+from envswitch.policy import (POLICY_HIDDEN, MatcherStack, PolicyModel,
+                              Trajectory, act, rollout)
 from envswitch.sim import generate, make_scenario, segment_before
 
 from conftest import contains_identifier_leak, quantize
@@ -95,13 +95,13 @@ class TestAggregate:
 
 class TestWireFormats:
     def test_length_prefix_matches_body(self, rng):
-        text = summarize_trajectory(make_trajectory(rng), "edge-A", "salt-x", 0.01)
+        text = summarize_trajectory(make_trajectory(rng), "edge-A", "salt-x")
         first, _, rest = text.partition("\n")
         assert int(first) == len(rest.encode("utf-8")) - 1  # trailing newline
 
     def test_summarize_trajectory_is_desensitized(self, rng):
         traj = make_trajectory(rng)
-        text = summarize_trajectory(traj, "edge-A", "salt-x", 0.01)
+        text = summarize_trajectory(traj, "edge-A", "salt-x")
         assert "edge-A" not in text
         assert not contains_identifier_leak(text, ["edge-A", "salt-x"])
         # the offset is a relative step index, and quantization snapped the state
@@ -110,10 +110,12 @@ class TestWireFormats:
         assert record.endswith("|7.0")
         (state,), _, _ = aggregate([text])
         for v in state:
-            assert abs(v / 0.01 - round(v / 0.01)) < 1e-9
+            assert abs(v / ce.STATE_QUANT - round(v / ce.STATE_QUANT)) < 1e-9
 
     @pytest.mark.parametrize("quant", [0.01, 0.25])
-    def test_summarize_trajectory_matches_scalar_quantize(self, rng, quant):
+    def test_summarize_trajectory_matches_scalar_quantize(self, rng, monkeypatch, quant):
+        # the shipped grid and a coarser one
+        monkeypatch.setattr(ce, "STATE_QUANT", quant)
         traj = make_trajectory(rng, length=12)
         # values whose quotient by the step is exactly k + 0.5 (round half to
         # even), negatives and signed zeros
@@ -128,7 +130,7 @@ class TestWireFormats:
         for t in range(len(states)):
             cut = dataclasses.replace(traj, states=states[:t + 1],
                                       actions=traj.actions[:t + 1])
-            text = summarize_trajectory(cut, "edge-A", "salt-x", quant)
+            text = summarize_trajectory(cut, "edge-A", "salt-x")
             scalar = [quantize(v, quant) for v in states[t]]
             assert text == wire_text(hash_identifier("edge-A", "salt-x"),
                                      [(scalar, int(traj.actions[t]), traj.hf, t)])
@@ -138,8 +140,8 @@ class TestWireFormats:
 
     def test_labelled_episode_ships_its_last_step_only(self, rng):
         traj = make_trajectory(rng, hf=0.75)
-        text = summarize_trajectory(traj, "e", "s", 0.01)
-        state = [quantize(v, 0.01) for v in traj.states[-1]]
+        text = summarize_trajectory(traj, "e", "s")
+        state = [quantize(v, ce.STATE_QUANT) for v in traj.states[-1]]
         assert text == wire_text(hash_identifier("e", "s"), [
             (state, int(traj.actions[-1]), 0.75, len(traj.states) - 1)])
         states, actions, hfs = aggregate([text])
@@ -148,7 +150,7 @@ class TestWireFormats:
 
     def test_withheld_episode_ships_nothing(self, rng):
         traj = dataclasses.replace(make_trajectory(rng), hf=None)
-        text = summarize_trajectory(traj, "e", "s", 0.01)
+        text = summarize_trajectory(traj, "e", "s")
         assert text == wire_text(hash_identifier("e", "s"), [])
         assert aggregate([text])[0].shape == (0, 7)
 
@@ -235,7 +237,7 @@ def build_edges(cfg, seed=0, n_scenarios=2):
                              band=cfg.match.band, cfg=cfg)
         edges.append(EdgeAgent(edge_id=f"edge-{flag}", stack=stack,
                                traces=traces,
-                               policy=PolicyModel.from_seed(seed, cfg.ppo.hidden)))
+                               policy=PolicyModel.from_seed(seed, POLICY_HIDDEN)))
     return edges
 
 
@@ -380,13 +382,12 @@ class TestRunRound:
         spy(monkeypatch, "summarize_trajectory", shipped)
         spy(monkeypatch, "fit_reward_model", fits)
         run_round(initial_state(edges, 2), edges, seed=3)
-        quant = cfg.cloudedge.state_quant
         # canonical order: edge hash, offset, action, state
         rows = sorted(
             ((hash_identifier(edge_id, salt), float(len(traj.states) - 1),
               int(traj.actions[-1]),
-              tuple(quantize(v, quant) for v in traj.states[-1]), traj.hf)
-             for (traj, edge_id, salt, _), _ in shipped if traj.hf is not None),
+              tuple(quantize(v, ce.STATE_QUANT) for v in traj.states[-1]), traj.hf)
+             for (traj, edge_id, salt), _ in shipped if traj.hf is not None),
             key=lambda row: row[:4])
         assert 0 < len(rows) < len(shipped)
         assert len({row[0] for row in rows}) == len(edges)
@@ -399,10 +400,10 @@ class TestRunRound:
 class TestOfflineUpdate:
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
-            offline_update(PolicyModel.zeros(CFG.ppo.hidden), [], CFG)
+            offline_update(PolicyModel.zeros(POLICY_HIDDEN), [], CFG)
 
     def test_bounded_change_and_finite(self, rng):
-        policy = PolicyModel.from_seed(5, CFG.ppo.hidden)
+        policy = PolicyModel.from_seed(5, POLICY_HIDDEN)
         log = [make_trajectory(rng) for _ in range(4)]
         out = offline_update(policy, log, CFG, step_size=0.5, max_norm=0.5)
         delta = out.net.to_vector() - policy.net.to_vector()
@@ -432,7 +433,7 @@ class TestOfflineUpdate:
 
         held_out = rng.uniform(0, 1, size=(300, 7))
         labels = np.array([expert_action(s) for s in held_out])
-        policy = PolicyModel.from_seed(6, CFG.ppo.hidden)
+        policy = PolicyModel.from_seed(6, POLICY_HIDDEN)
 
         def agreement(p):
             preds = [act(p, s, "greedy")[0] for s in held_out]
@@ -447,7 +448,7 @@ class TestOfflineUpdate:
         assert after > before
 
     def test_self_log_smoke(self, rng):
-        policy = PolicyModel.from_seed(7, CFG.ppo.hidden)
+        policy = PolicyModel.from_seed(7, POLICY_HIDDEN)
         scenario = make_scenario("A", 11, CFG.radio, CFG.walker)
         lib = FingerprintLibrary()
         trace = generate(scenario, CFG.radio, CFG.walker)

@@ -15,8 +15,9 @@ code that reads it.  ``KEYS`` pins the ``section.key`` names of
 - ``demo: <file>``: a demo sets or reads it;
 - ``deployment``: each deployment sets its own (a library's capacity and
   identifier salt);
-- ``tested: <test>``: a test passes another value to a function whose
-  behaviour stays.
+- ``tested: <file>::<function>``: that function of ``tests/<file>``
+  passes the key, as a keyword argument, to a call whose behaviour stays;
+  the test checks that the function exists and makes such a call.
 
 A new setting fails the test until it is listed with its reason, and a
 listed one that is gone fails it until its entry leaves.
@@ -24,6 +25,7 @@ listed one that is gone fails it until its entry leaves.
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 from envswitch.config import EngineConfig
@@ -39,8 +41,12 @@ REWARD = ("tested: test_acceptance.py::test_criterion_5_ppo_correctness passes "
           "RewardConfig(eta=0.0, lam=1.0, gamma_hf=0.0) to ppo_update")
 PPO = ("tested: test_acceptance.py::test_criterion_5_ppo_correctness passes another "
        "PpoConfig to ppo_update")
-CLOUDEDGE = ("tested: test_cloudedge.py passes other values to fit_reward_model "
-             "and, through small_cfg, to run_round")
+PPO_CLIPPED = ("tested: test_policy.py::TestClippedSurrogate::"
+               "test_ppo_passes_no_gradient_through_the_clipped_term passes "
+               "another PpoConfig to ppo_update")
+REWARD_MODEL = ("tested: test_cloudedge.py::TestRewardModel::"
+                "test_constant_target_regression passes another CloudEdgeConfig "
+                "to fit_reward_model")
 
 KEYS = {
     "window.buffer_windows": "bench: run.py reads WindowConfig().buffer_windows",
@@ -62,34 +68,25 @@ KEYS = {
     "reward.eta": REWARD,
     "reward.lam": REWARD,
     "reward.gamma_hf": REWARD,
-    "reward.hf_window_early_s": REWARD,
-    "reward.hf_window_late_s": REWARD,
-    "reward.hf_taper_per_s": REWARD,
-    "reward.hf_taper_early_per_s": REWARD,
-    "reward.rollback_usable_dbm": REWARD,
-    "reward.rollback_dwell_s": REWARD,
-    "reward.tts_report_floor_s": REWARD,
-    "reward.tts_reward_floor_s": REWARD,
-    "reward.tau": REWARD,
-    "reward.shaping_bonus": REWARD,
-    "reward.healthy_link_bonus": REWARD,
     "ppo.clip_eps": PPO,
-    "ppo.discount": PPO,
-    "ppo.gae_lambda": PPO,
+    "ppo.discount": PPO_CLIPPED,
     "ppo.entropy_coef": PPO,
-    "ppo.value_coef": PPO,
+    "ppo.value_coef": PPO_CLIPPED,
     "ppo.epochs": PPO,
     "ppo.step_size": PPO,
-    "ppo.guide_eps": PPO,
-    "ppo.hidden": PPO,
-    "cloudedge.n_rounds": CLOUDEDGE,
-    "cloudedge.distill_period": CLOUDEDGE,
-    "cloudedge.episodes_per_edge": CLOUDEDGE,
-    "cloudedge.hf_withheld_fraction": CLOUDEDGE,
-    "cloudedge.reward_model_epochs": CLOUDEDGE,
-    "cloudedge.reward_model_step": CLOUDEDGE,
-    "cloudedge.state_quant": CLOUDEDGE,
+    "cloudedge.distill_period": ("tested: test_cloudedge.py::TestRunRound::"
+                                 "test_distill_period_one_distills_every_round "
+                                 "passes it to run_round through small_cfg"),
+    "cloudedge.episodes_per_edge": ("tested: test_cloudedge.py::small_cfg sets it "
+                                    "for the rounds of test_cloudedge.py"),
+    "cloudedge.hf_withheld_fraction": ("tested: test_cloudedge.py::TestRunRound::"
+                                       "test_direct_hf_used_verbatim_model_fills_gaps "
+                                       "passes it to run_round through small_cfg"),
+    "cloudedge.reward_model_epochs": REWARD_MODEL,
+    "cloudedge.reward_model_step": REWARD_MODEL,
 }
+# a ``tested:`` reason names the function that passes the key
+TESTED = re.compile(r"tested: (\w+\.py)::([\w:]+) ")
 
 
 def is_engine_config(node) -> bool:
@@ -159,5 +156,41 @@ def test_the_config_surface_is_pinned():
     assert keys == set(KEYS)
     bad = {key: why for key, why in KEYS.items()
            if not (why == "deployment"
-                   or why.startswith(("bench: ", "demo: ", "tested: ")))}
+                   or why.startswith(("bench: ", "demo: "))
+                   or reason_holds(key, why))}
     assert bad == {}
+
+
+def function_at(path: Path, qualname: str):
+    """The function ``qualname`` (``Class::function`` or ``function``)
+    defines in ``path``, or None."""
+    node = ast.parse(path.read_text())
+    for name in qualname.split("::"):
+        node = next((child for child in node.body
+                     if isinstance(child, (ast.ClassDef, ast.FunctionDef))
+                     and child.name == name), None)
+        if node is None:
+            return None
+    return node if isinstance(node, ast.FunctionDef) else None
+
+
+def reason_holds(dotted: str, why: str) -> bool:
+    """The function a ``tested:`` reason names exists, and a call in it
+    passes the key of ``dotted`` as a keyword argument."""
+    named = TESTED.match(why)
+    if named is None or not (ROOT / "tests" / named[1]).is_file():
+        return False
+    func = function_at(ROOT / "tests" / named[1], named[2])
+    key = dotted.partition(".")[2]
+    return func is not None and any(
+        isinstance(node, ast.Call) and any(kw.arg == key for kw in node.keywords)
+        for node in ast.walk(func))
+
+
+def test_a_tested_reason_is_checked_per_key():
+    # a reason that names no function, a function that is not there, or one
+    # that passes other keys only, is refused
+    assert reason_holds("reward.lam", REWARD)
+    assert not reason_holds("reward.lam", "tested: test_cloudedge.py passes it")
+    assert not reason_holds("reward.lam", "tested: test_policy.py::no_such_test x")
+    assert not reason_holds("ppo.value_coef", PPO)

@@ -13,9 +13,9 @@ from envswitch.fingerprints import (FEATURE_DIMS, FEATURE_NAMES, MODALITIES,
                                     assemble_fingerprint)
 from envswitch.filters import FilterContext, SelectorModel
 from envswitch.mlp import softmax
-from envswitch.policy import (ACTIONS, MatcherStack, PolicyModel, PolicyState,
-                              ScriptedPolicy, SwitchEnv, Trajectory, _draw,
-                              act, clipped_surrogate,
+from envswitch.policy import (ACTIONS, POLICY_HIDDEN, MatcherStack, PolicyModel,
+                              PolicyState, ScriptedPolicy, SwitchEnv, Trajectory,
+                              _draw, act, clipped_surrogate,
                               gae_advantages, imitate, normalize_rssi,
                               ppo_update, rollout, trigger_guide)
 from envswitch.sim import generate, make_scenario, segment_before
@@ -61,7 +61,7 @@ class TestNormalizeRssi:
 
 class TestAct:
     def test_zero_model_is_uniform(self):
-        model = PolicyModel.zeros(CFG.ppo.hidden)
+        model = PolicyModel.zeros(POLICY_HIDDEN)
         feats = PolicyState(similarity=0.4, rssi=0.1).features()
         probs = action_probs(model, feats)
         assert np.allclose(probs, 0.25, atol=1e-12)
@@ -69,7 +69,7 @@ class TestAct:
         assert logp == pytest.approx(math.log(0.25))
 
     def test_greedy_argmax(self):
-        model = PolicyModel.zeros(CFG.ppo.hidden)
+        model = PolicyModel.zeros(POLICY_HIDDEN)
         model.net.b2[:] = [0.0, 5.0, 0.0, 0.0, 0.0]
         feats = PolicyState().features()
         idx, _, _ = act(model, feats, "greedy")
@@ -78,7 +78,7 @@ class TestAct:
         assert act(model, feats, "greedy", None, 3, 1.0)[0] == idx
 
     def test_sample_reproducible(self):
-        model = PolicyModel.from_seed(3, CFG.ppo.hidden)
+        model = PolicyModel.from_seed(3, POLICY_HIDDEN)
         feats = PolicyState(similarity=0.7, rssi=-0.3).features()
         seq_a = [act(model, feats, "sample", np.random.default_rng(5))[0]
                  for _ in range(10)]
@@ -88,7 +88,7 @@ class TestAct:
 
     def test_probabilities_sum_to_one(self, rng):
         for trial in range(20):
-            model = PolicyModel.from_seed(trial, CFG.ppo.hidden)
+            model = PolicyModel.from_seed(trial, POLICY_HIDDEN)
             state = PolicyState(similarity=float(rng.random()),
                                 rssi=float(rng.normal()),
                                 sim_trend=float(rng.normal(0, 0.2)))
@@ -114,23 +114,23 @@ class TestAct:
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            act(PolicyModel.zeros(CFG.ppo.hidden), PolicyState().features(), "psychic")
+            act(PolicyModel.zeros(POLICY_HIDDEN), PolicyState().features(), "psychic")
 
     def test_mode_has_no_default(self):
         # a default of "sample" raised without an rng on every call
         with pytest.raises(TypeError):
-            act(PolicyModel.zeros(CFG.ppo.hidden), PolicyState().features())
+            act(PolicyModel.zeros(POLICY_HIDDEN), PolicyState().features())
 
     def test_sample_without_rng_raises(self):
         # a fixed fallback generator drew the same action on every call
         with pytest.raises(ValueError, match="rng"):
-            act(PolicyModel.from_seed(3, CFG.ppo.hidden),
+            act(PolicyModel.from_seed(3, POLICY_HIDDEN),
                 PolicyState(similarity=0.7).features(), "sample")
 
     @pytest.mark.parametrize("eps", [0.3, 1.0])
     def test_guided_sample_draws_from_the_mixture(self, rng, eps):
         for trial in range(20):
-            model = PolicyModel.from_seed(trial, CFG.ppo.hidden)
+            model = PolicyModel.from_seed(trial, POLICY_HIDDEN)
             feats = PolicyState(similarity=float(rng.random()),
                                 rssi=float(rng.normal())).features()
             guide = int(rng.integers(len(ACTIONS)))
@@ -249,7 +249,7 @@ class TestClippedSurrogate:
         # old log-probs put every ratio at 2 (advantage > 0) or 0.5
         # (advantage < 0), where the clipped term is the minimum, except the
         # samples in ``inside``, whose ratio is 1
-        model = PolicyModel.from_seed(3, CFG.ppo.hidden)
+        model = PolicyModel.from_seed(3, POLICY_HIDDEN)
         states = np.random.default_rng(5).normal(0.0, 1.0, (6, 7))
         actions = np.array([0, 1, 2, 3, 1, 0])
         rewards = np.array([1.0, -1.0, 2.0, -2.0, 0.5, -0.5])
@@ -316,7 +316,7 @@ class TestRollout:
 
     def test_deterministic_given_seed(self, rng):
         scenario, trace, stack = build_stack(rng)
-        model = PolicyModel.from_seed(1, CFG.ppo.hidden)
+        model = PolicyModel.from_seed(1, POLICY_HIDDEN)
         a = rollout(model, scenario, stack, mode="sample", seed=9, trace=trace)
         b = rollout(model, scenario, stack, mode="sample", seed=9, trace=trace)
         assert np.array_equal(a.states, b.states)
@@ -336,7 +336,7 @@ class TestRollout:
             return guide
 
         monkeypatch.setattr(policy_module, "trigger_guide", recording_guide)
-        traj = rollout(PolicyModel.from_seed(1, CFG.ppo.hidden), scenario,
+        traj = rollout(PolicyModel.from_seed(1, POLICY_HIDDEN), scenario,
                        stack, mode="sample", seed=9, trace=trace,
                        guide_eps=1.0)
         switch = int(traj.action_time)          # the handover is step `switch`
@@ -383,11 +383,11 @@ class TestSwitchEnv:
     def test_replays_a_guided_sample_bit_for_bit(self, rng, walk):
         scenario, trace, stack = build_stack(rng, with_library=walk == "handover")
         if walk == "handover":
-            model = PolicyModel.from_seed(1, CFG.ppo.hidden)
+            model = PolicyModel.from_seed(1, POLICY_HIDDEN)
         else:
             # with no library and no GNSS fix indoors the rule only holds,
             # and the policy only boosts the scan rate
-            model = PolicyModel.zeros(CFG.ppo.hidden)
+            model = PolicyModel.zeros(POLICY_HIDDEN)
             model.net.b2[1] = 20.0
         traj = rollout(model, scenario, stack, mode="sample", seed=9,
                        trace=trace, guide_eps=0.5)
@@ -419,12 +419,12 @@ class TestSwitchEnv:
 
 class TestGreedyStop:
     def policies(self):
-        hold = PolicyModel.zeros(CFG.ppo.hidden)
+        hold = PolicyModel.zeros(POLICY_HIDDEN)
         hold.net.b2[0] = 5.0                  # never switches
-        weak_link = PolicyModel.zeros(CFG.ppo.hidden)
+        weak_link = PolicyModel.zeros(POLICY_HIDDEN)
         weak_link.net.w1[0, 2] = 1.0          # hidden unit 0 reads the rssi feature
         weak_link.net.w2[3, 0] = -10.0        # hand over once the link is weak
-        return [hold, weak_link] + [PolicyModel.from_seed(s, CFG.ppo.hidden)
+        return [hold, weak_link] + [PolicyModel.from_seed(s, POLICY_HIDDEN)
                                     for s in range(3)]
 
     def test_greedy_outcome_equals_the_replay_to_the_horizon(self, rng):
@@ -560,7 +560,7 @@ class TestMatchMemo:
                              metric=MetricModel.identity(), library=library,
                              band=CFG.match.band, cfg=CFG)
         # holds or scan-boosts most steps, so scan ages vary between rollouts
-        policy = PolicyModel.from_seed(7, CFG.ppo.hidden)
+        policy = PolicyModel.from_seed(7, POLICY_HIDDEN)
         policy.net.b2[[0, 1, 3]] += (2.0, 2.0, -2.0)   # favour hold and scan_boost
         return scenario, trace, stack, policy, good
 
@@ -662,7 +662,7 @@ class TestPpoUpdate:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            ppo_update(PolicyModel.zeros(CFG.ppo.hidden), [], CFG.ppo, CFG.reward)
+            ppo_update(PolicyModel.zeros(POLICY_HIDDEN), [], CFG.ppo, CFG.reward)
 
     def test_epsilon_range_enforced(self):
         for eps in (0.0, 1.0):
@@ -670,7 +670,7 @@ class TestPpoUpdate:
                 PpoConfig(clip_eps=eps)
 
     def test_zero_epochs_is_identity(self):
-        model = PolicyModel.from_seed(0, CFG.ppo.hidden, n_inputs=2, n_actions=2)
+        model = PolicyModel.from_seed(0, POLICY_HIDDEN, n_inputs=2, n_actions=2)
         batch = [self.toy_episode(model, np.random.default_rng(0))]
         out = ppo_update(model, batch, PpoConfig(epochs=0), CFG.reward)
         assert np.array_equal(out.net.to_vector(), model.net.to_vector())
@@ -699,7 +699,7 @@ class TestImitate:
     def test_matches_labels_after_training(self, rng):
         states = rng.normal(0, 1, size=(200, 7))
         labels = (states[:, 0] > 0).astype(int) * 3   # hold vs handover
-        model = PolicyModel.from_seed(2, CFG.ppo.hidden)
+        model = PolicyModel.from_seed(2, POLICY_HIDDEN)
         model = imitate(model, states, labels, epochs=300, step_size=0.05)
         preds = [act(model, s, "greedy")[0] for s in states]
         agreement = float(np.mean(np.array(preds) == labels))
@@ -707,7 +707,7 @@ class TestImitate:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            imitate(PolicyModel.zeros(CFG.ppo.hidden), np.zeros((0, 7)),
+            imitate(PolicyModel.zeros(POLICY_HIDDEN), np.zeros((0, 7)),
                     np.zeros(0, dtype=int), epochs=120, step_size=0.02)
 
 
@@ -731,7 +731,7 @@ def test_trigger_guide_rule():
 
 
 def test_policy_serialize_roundtrip():
-    model = PolicyModel.from_seed(8, CFG.ppo.hidden)
+    model = PolicyModel.from_seed(8, POLICY_HIDDEN)
     back = PolicyModel.deserialize(model.serialize())
     assert np.array_equal(back.net.to_vector(), model.net.to_vector())
 
@@ -764,18 +764,3 @@ def test_traced_names_are_reached(monkeypatch, rng):
                            make_alignment_loss(MetricModel.identity()), epochs=1)
     # one stacked call per item: all of its arrays have one length
     assert calls["soft_denoise_matrix"] == len(items)
-
-
-def test_top_similarity_builds_no_path(monkeypatch, rng):
-    """A matcher miss reads only the top-1 similarity: no table is unskewed
-    and no warping path is backtracked for it."""
-    calls = Counter()
-    for name in ("match", "_backtrack", "_unskew"):
-        def wrapper(*args, _name=name, _fn=getattr(alignment, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(alignment, name, wrapper)
-    _, trace, stack = build_stack(rng)
-    features, present = segment_before(trace, 20.0, CFG).packed()
-    assert stack.top_similarity(features, present, 0.0) > 0.0
-    assert calls == {"match": 1}

@@ -18,7 +18,7 @@ gone.  Each reason is one of
   function that only tests or demos use belongs in ``tests/``.
 
 An entry leaves when its reason ends (its function is then deleted or moved
-to ``tests/``), and CHANGES.md says why for any entry added.  There are 29.
+to ``tests/``), and CHANGES.md says why for any entry added.  There are 26.
 """
 
 import ast
@@ -33,7 +33,6 @@ SRC = Path(envswitch.__file__).resolve().parent
 
 SPANS_TRAIN_METRIC = "bench: spans.py binds envswitch.cli.train_metric, which calls it"
 SPANS_OFFLINE = "bench: spans.py binds envswitch.cli.offline_update, which calls it"
-DTW_PATH = "bench: oracle.py calls alignment.dtw, which backtracks through it"
 WINDOW_ORACLE = ("oracle: test_sim.py::TestWindowOracle::"
                  "test_fingerprint_at_equals_summarize_window")
 FILTER_ORACLE = "oracle: test_acceptance.py::test_criterion_3_filter_properties"
@@ -46,9 +45,6 @@ UNCALLED = {
     "alignment.MetricModel.from_seed": "bench: oracle.py MetricModel.from_seed(..., noise=)",
     "alignment.MetricModel.from_vector": SPANS_TRAIN_METRIC,
     "alignment.MetricModel.weights": "bench: oracle.py cell_cost reads metric.weights",
-    "alignment._backtrack": DTW_PATH,
-    "alignment._unskew": DTW_PATH,
-    "alignment._warping_path": DTW_PATH,
     "alignment.cell_cost": ("oracle: test_alignment.py::TestBatchedDtw::"
                             "test_stacked_kernel_equals_cell_cost"),
     "alignment.cost_matrix": "bench: spans.py binds envswitch.alignment.cost_matrix",

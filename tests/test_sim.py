@@ -9,8 +9,9 @@ import envswitch.sim as sim
 from envswitch.config import RSSI_RANGE_DBM, EngineConfig
 from envswitch.fingerprints import (MODALITY_SLICES, CellSample, GnssSample,
                                     RawWindow, WifiScan, summarize_window)
-from envswitch.sim import (RawTrace, Scenario, Waypoint, baseline_policy,
-                           compute_onset, detect_outdoor_transition,
+from envswitch.policy import TTS_REPORT_FLOOR_S
+from envswitch.sim import (HF_TAPER_PER_S, RawTrace, Scenario, Waypoint,
+                           baseline_policy, compute_onset, detect_outdoor_transition,
                            feedback_oracle, fingerprint_at, generate,
                            make_scenario, rollback_occurred, scenario_text,
                            segment_before, truth_text, tts)
@@ -423,7 +424,7 @@ class TestBaselinePolicy:
 
 
 class TestTts:
-    FLOOR = CFG.reward.tts_report_floor_s
+    FLOOR = TTS_REPORT_FLOOR_S
 
     def test_paper_site_a_day1_reconstruction(self):
         assert tts(32.68, 20.0, self.FLOOR) == pytest.approx(12.68)
@@ -450,39 +451,36 @@ class TestFeedbackOracle:
     def test_perfect_switch_scores_one(self):
         trace = synthetic_trace([-60.0] * 40)
         onset = trace.degradation_onset
-        assert feedback_oracle(onset, trace, CFG.reward) == 1.0
-        assert feedback_oracle(onset - 2.0, trace, CFG.reward) == 1.0
-        assert feedback_oracle(onset + 3.0, trace, CFG.reward) == 1.0
+        assert feedback_oracle(onset, trace) == 1.0
+        assert feedback_oracle(onset - 2.0, trace) == 1.0
+        assert feedback_oracle(onset + 3.0, trace) == 1.0
 
     def test_rollback_scores_minus_one(self):
         rsrp = np.full(40, -120.0)   # new link unusable everywhere
         trace = synthetic_trace([-60.0] * 40, rsrp=rsrp)
-        assert rollback_occurred(trace, trace.degradation_onset,
-                                 CFG.reward.rollback_usable_dbm,
-                                 CFG.reward.rollback_dwell_s)
-        assert feedback_oracle(trace.degradation_onset, trace, CFG.reward) == -1.0
+        assert rollback_occurred(trace, trace.degradation_onset)
+        assert feedback_oracle(trace.degradation_onset, trace) == -1.0
 
     def test_late_switch_taper_is_ordered(self):
         trace = synthetic_trace([-60.0] * 80)
         onset = trace.degradation_onset
         # oracle: taper evaluated by hand from the documented shape
-        cfg = CFG.reward
-        ten_late = feedback_oracle(onset + 10.0, trace, CFG.reward)
-        four_late = feedback_oracle(onset + 4.0, trace, CFG.reward)
-        assert ten_late == pytest.approx(1.0 - cfg.hf_taper_per_s * 7.0)
-        assert four_late == pytest.approx(1.0 - cfg.hf_taper_per_s * 1.0)
+        ten_late = feedback_oracle(onset + 10.0, trace)
+        four_late = feedback_oracle(onset + 4.0, trace)
+        assert ten_late == pytest.approx(1.0 - HF_TAPER_PER_S * 7.0)
+        assert four_late == pytest.approx(1.0 - HF_TAPER_PER_S * 1.0)
         assert -1.0 < ten_late < four_late < 1.0
 
     def test_early_taper_steeper_than_late(self):
         trace = synthetic_trace([-60.0] * 80)
         onset = trace.degradation_onset
-        early = feedback_oracle(onset - 6.0, trace, CFG.reward)
-        late = feedback_oracle(onset + 7.0, trace, CFG.reward)
+        early = feedback_oracle(onset - 6.0, trace)
+        late = feedback_oracle(onset + 7.0, trace)
         assert early < late
 
     def test_deterministic(self):
         trace = synthetic_trace([-60.0] * 40)
-        vals = {feedback_oracle(11.0, trace, CFG.reward) for _ in range(5)}
+        vals = {feedback_oracle(11.0, trace) for _ in range(5)}
         assert len(vals) == 1
 
 
