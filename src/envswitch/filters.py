@@ -423,9 +423,11 @@ def soft_denoise_matrix(choice: FilterChoice, arr: np.ndarray):
     # d(out)/d(q, r, sigma, alpha) of the mixture
     sens = np.stack([w[0] * dq, w[0] * dr, w[1] * ds, w[2] * da])
     # mix window by window: one contraction over a whole stack may round
-    # differently from the same windows mixed one at a time
+    # differently from the same windows mixed one at a time; each window is
+    # the (1, 3) by (3, T * F) product ``np.tensordot(w, window, (0, 0))`` makes
     windows = outs.reshape((3, -1) + arr.shape[-2:])
-    mixed = np.stack([np.tensordot(w, windows[:, b], axes=(0, 0))
+    w = w.reshape(1, 3)
+    mixed = np.stack([np.dot(w, windows[:, b].reshape(3, -1))
                       for b in range(windows.shape[1])]).reshape(arr.shape)
     return mixed, (outs, sens)
 
@@ -433,9 +435,10 @@ def soft_denoise_matrix(choice: FilterChoice, arr: np.ndarray):
 def soft_denoise_backward(cache, dout: np.ndarray):
     """Backprop through the mixture: d(loss)/dweights (3,), d/d(q,r,sig,al) (4,)."""
     outs, sens = cache
-    axes = (tuple(range(1, outs.ndim)), tuple(range(dout.ndim)))
-    dweights = np.tensordot(outs, dout, axes=axes)
-    dparams = np.tensordot(sens, dout, axes=axes)
+    # the 2-D product ``np.tensordot(outs, dout, dout.ndim)`` makes
+    dout = dout.reshape(-1, 1)
+    dweights = np.dot(outs.reshape(len(outs), -1), dout)[:, 0]
+    dparams = np.dot(sens.reshape(len(sens), -1), dout)[:, 0]
     return dweights, dparams
 
 

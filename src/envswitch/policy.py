@@ -120,6 +120,7 @@ def act(model: PolicyModel, feats: np.ndarray, mode: str, rng=None,
     mixture (1 - guide_eps) * policy + guide_eps * onehot(guide) and returns
     the mixture's log-prob, so the PPO ratio stays a valid importance weight.
     A draw is ``rng.choice(n_actions, p=probs)`` computed as ``_draw`` does.
+    ``act_rows`` samples many unguided rows in one pass.
     """
     out, _ = model.net.forward(feats)
     row = out.tolist()
@@ -141,6 +142,27 @@ def act(model: PolicyModel, feats: np.ndarray, mode: str, rng=None,
     return idx, float(np.log(probs[idx])), row[-1]
 
 
+def act_rows(model: PolicyModel, feats: np.ndarray, rng):
+    """``act(model, row, "sample", rng)`` for each row of ``feats`` (n, 7)
+    in turn, in one pass; returns the (n,) arrays of action indices,
+    log-probs and values, and leaves ``rng`` where that loop would.
+
+    Bit for bit: the stacked forward ``(X[:, None, :] @ w1.T)[:, 0]``
+    equals ``net.forward`` row by row (a plain ``X @ w1.T`` does not), the
+    row-wise max, exp and left-to-right sum are ``act``'s softmax, and the
+    draws are ``_draw_rows``'.
+    """
+    net = model.net
+    x = np.asarray(feats, dtype=float)
+    h = np.tanh((x[:, None, :] @ net.w1.T)[:, 0] + net.b1)
+    out = (h[:, None, :] @ net.w2.T)[:, 0] + net.b2
+    logits = out[:, :-1]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / np.add.reduce(e, axis=1, keepdims=True)
+    idx = _draw_rows(probs, rng)
+    return idx, np.log(probs[np.arange(len(x)), idx]), out[:, -1]
+
+
 # numpy's tolerance on the sum of ``p`` in ``Generator.choice``
 _P_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
@@ -148,13 +170,30 @@ _P_ATOL = math.sqrt(np.finfo(np.float64).eps)
 def _draw(probs: np.ndarray, rng) -> int:
     """``int(rng.choice(len(probs), p=probs))``, by numpy's own algorithm.
 
-    The cumulative sum, divided by its last entry, is searched (side
-    "right") for one ``rng.random()``, so the result and the generator's
-    state after the draw are those of ``choice``.  Before the draw, ``p``
-    gets ``choice``'s checks, on the same compensated sum: a NaN sum, a
-    negative entry or a sum more than sqrt(eps) from 1 raises ValueError.
+    The cumulative sum, divided by its last entry (``_cdf``), is searched
+    (side "right") for one ``rng.random()``, so the result and the
+    generator's state after the draw are those of ``choice``.  Before the
+    draw, ``p`` gets ``choice``'s checks, and nothing is drawn if one fails.
     """
-    p = probs.tolist()
+    return bisect_right(_cdf(probs.tolist()), rng.random())
+
+
+def _draw_rows(probs: np.ndarray, rng) -> np.ndarray:
+    """``_draw`` of each row of ``probs`` in turn, as an int array.
+
+    Every row gets ``_draw``'s checks first, so a bad row raises what
+    ``_draw`` raises and nothing is drawn; then one ``rng.random(n)``, which
+    equals n calls of ``rng.random()``, is searched row by row.
+    """
+    cdfs = [_cdf(p) for p in probs.tolist()]
+    return np.array(list(map(bisect_right, cdfs, rng.random(len(cdfs)).tolist())),
+                    dtype=int)
+
+
+def _cdf(p: list) -> list:
+    """The normalized cumulative sum ``choice`` searches, after its checks
+    on the same compensated sum of ``p``: a NaN sum, a negative entry or a
+    sum more than sqrt(eps) from 1 raises ValueError."""
     total, carry = p[0], 0.0
     for q in p[1:]:
         y = q - carry
@@ -168,7 +207,7 @@ def _draw(probs: np.ndarray, rng) -> int:
     if abs(total - 1.0) > _P_ATOL:
         raise ValueError("Probabilities do not sum to 1")
     cdf = list(accumulate(p))
-    return bisect_right([c / cdf[-1] for c in cdf], rng.random())
+    return [c / cdf[-1] for c in cdf]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +270,10 @@ class Trajectory:
     """One episode of interaction, with terminal reward components split out.
 
     Training episodes run to the trace horizon, and their steps after the
-    switch are inert; a ``greedy`` episode ends with its handover step.
+    switch are inert: ``rollout`` fills them from one ``SwitchEnv.tail()``,
+    byte for byte as a per-second loop would (their step rewards are 0, and
+    a sampled policy's actions, log-probs and values come from
+    ``act_rows``).  A ``greedy`` episode ends with its handover step.
     The terminal components (eta * dtime and gamma_hf * hf) attach at
     ``terminal_step``, the step where the switch completed (or the last
     step when censored or cut at the handover).
@@ -443,8 +485,13 @@ class SwitchEnv:
     association delay from 2 s to 0.5 s, and handover completes the switch.
     A second before the switch reads one ``fingerprint_at`` window and earns
     lam * similarity plus shaping (trigger hint, healthy link credit); an
-    inert second after it reads none and earns 0.  Only ``rollout`` steps
-    an env: the bench's decision clock times ``fingerprint_at`` per rollout.
+    inert second after it reads none and earns 0, whatever the action.  So
+    once switched, a driver may instead call ``tail()``, which runs every
+    remaining second at once and returns their feature rows.  Both advance
+    the scan schedule and the similarity history through ``_advance``, so a
+    boost taken before the switch still shapes the tail's scan ages.  Only
+    ``rollout`` steps an env: the bench's decision clock times
+    ``fingerprint_at`` per rollout, and the tail reads no window.
     """
 
     def __init__(self, trace: RawTrace, stack: MatcherStack):
@@ -476,6 +523,41 @@ class SwitchEnv:
 
     def observe(self) -> PolicyState:
         """Move to the next second and return its state."""
+        step, sec, scan_age, sim_top, trend = self._advance()
+        return PolicyState(
+            similarity=sim_top, sim_trend=trend,
+            rssi=self.rssi_feature[sec], gnss_fix=self.gnss_fix[sec],
+            step_rate=self.step_rate[step - 1],
+            scan_age=min(1.0, scan_age / 5.0),
+            on_cell=1.0 if self.switched else 0.0,
+            pre_associated=self.pre_associated)
+
+    def tail(self) -> np.ndarray:
+        """Step a switched env to the horizon in one pass; returns the
+        remaining seconds' feature rows (n, 7), empty when ``done``.
+
+        Row i is ``observe().features()`` of the i-th remaining second: the
+        inert seconds read no window, take no action effect and earn 0, so
+        nothing in them depends on the actions a driver would take.
+        """
+        if not self.switched:
+            raise ValueError("only a switched env has an inert tail")
+        rows = []
+        for _ in range(self.horizon - 1 - int(self.t)):
+            step, sec, scan_age, sim, trend = self._advance()
+            rows.append((sim, trend, self.rssi_feature[sec], self.gnss_fix[sec],
+                         self.step_rate[step - 1], min(1.0, scan_age / 5.0), 1.0))
+        self.done = True
+        feats = np.array(rows).reshape(-1, STATE_DIM)
+        if not np.isfinite(feats).all():
+            raise ValueError("policy state features must be finite")
+        return feats
+
+    def _advance(self):
+        """Move to the next second: run the scan schedule through it, set
+        ``sec``, read its window and top similarity (none after the switch:
+        0.0) and append that to the history; returns (step, sec, scan_age,
+        similarity, trend)."""
         step = int(self.t) + 1
         t = self.t = float(step)
         while self.next_scan <= t:
@@ -501,14 +583,8 @@ class SwitchEnv:
         history = self.sim_history
         history.append(sim_top)
         self.similarity = sim_top
-        return PolicyState(
-            similarity=sim_top,
-            sim_trend=sim_top - (history[-4] if len(history) >= 4 else 0.0),
-            rssi=self.rssi_feature[sec], gnss_fix=self.gnss_fix[sec],
-            step_rate=self.step_rate[step - 1],
-            scan_age=min(1.0, scan_age / 5.0),
-            on_cell=1.0 if self.switched else 0.0,
-            pre_associated=self.pre_associated)
+        return (step, sec, scan_age, sim_top,
+                sim_top - (history[-4] if len(history) >= 4 else 0.0))
 
     def step(self, action: str) -> float:
         """Apply ``action`` at the observed second; returns its reward."""
@@ -564,30 +640,46 @@ class SwitchEnv:
 def rollout(policy, scenario, stack: MatcherStack, mode: str = "sample",
             seed: int = 0, *, trace: RawTrace, guide_eps: float = 0.0) -> Trajectory:
     """Drive a ``SwitchEnv(trace, stack)`` with ``policy``: observe, decide,
-    step, until the env is done or a ``greedy`` rollout has handed over.
+    step, until the env has switched; then a ``greedy`` rollout stops, and
+    any other runs the inert seconds to the horizon in one ``env.tail()``.
 
-    A ``ScriptedPolicy`` decides from ``(t, state)``; a ``PolicyModel`` acts
-    in ``mode``, and with ``guide_eps`` > 0 a ``sample`` mixes
-    ``trigger_guide(stack.cfg)`` into each draw before the switch (see
-    ``act``).  ``trace`` is replayed; ``scenario`` is unread.
+    A ``ScriptedPolicy`` decides from ``(t, state)``, also on every tail
+    second; a ``PolicyModel`` acts in ``mode``, and with ``guide_eps`` > 0 a
+    ``sample`` mixes ``trigger_guide(stack.cfg)`` into each draw before the
+    switch (see ``act``).  Its tail is sampled by ``act_rows``, which leaves
+    the trajectory and the generator as a per-second ``act`` would.
+    ``trace`` is replayed; ``scenario`` is unread.
     """
     env = SwitchEnv(trace, stack)
     rng = np.random.default_rng(seed)
     guide = trigger_guide(stack.cfg) if guide_eps > 0.0 else None
     scripted = isinstance(policy, ScriptedPolicy)
     rows = []       # (features, action index, log-prob, value, step reward)
-    while not (env.done or env.switched and mode == "greedy"):
+    while not (env.done or env.switched):
         state = env.observe()
         feats = state.features()
         if scripted:
             idx, logp, value = ACTIONS.index(policy.decide(env.t, state)), 0.0, 0.0
         else:
             # training rollouts mix the trigger rule in until the switch
-            guide_idx = (None if guide is None or env.switched
-                         else ACTIONS.index(guide(env.t, state)))
+            guide_idx = None if guide is None else ACTIONS.index(guide(env.t, state))
             idx, logp, value = act(policy, feats, mode, rng, guide_idx,
                                    guide_eps)
         rows.append((feats, idx, logp, value, env.step(ACTIONS[idx])))
     # the columns are Trajectory's first five fields, in order
-    return Trajectory(*map(np.array, zip(*rows) if rows else [()] * 5),
-                      **env.outcome())
+    columns = list(map(np.array, zip(*rows) if rows else [()] * 5))
+    if not (env.done or mode == "greedy"):
+        seconds = range(int(env.t) + 1, env.horizon)
+        feats = env.tail()
+        zeros = np.zeros(len(feats))
+        if scripted:
+            states = (PolicyState(*row, pre_associated=env.pre_associated)
+                      for row in feats.tolist())
+            idx = [ACTIONS.index(policy.decide(float(t), state))
+                   for t, state in zip(seconds, states)]
+            tail = np.array(idx, dtype=int), zeros, zeros
+        else:
+            tail = act_rows(policy, feats, rng)
+        columns = [np.concatenate(pair)
+                   for pair in zip(columns, (feats, *tail, zeros))]
+    return Trajectory(*columns, **env.outcome())

@@ -18,9 +18,10 @@ one above the highest already there.  The file holds
 - ``calls``: per-pass count and the mean, median and per-pass total time of
   the calls to ``generate``, ``fingerprint_at`` (memo hits and misses
   apart), ``match``, ``denoise_matrix``, ``SwitchEnv.observe`` (a window, and
-  a match on a monitoring second), ``SwitchEnv.step`` and ``ppo_update``,
-  timed by wrappers bound in place of the module attributes their callers
-  resolve;
+  a match on a monitoring second), ``SwitchEnv.step``, ``SwitchEnv.tail``
+  (one call runs a training rollout's seconds after the switch) and
+  ``ppo_update``, timed by wrappers bound in place of the module attributes
+  their callers resolve;
 - ``pass``: the median time of a whole pass and its settings;
 - ``environment``: Python, numpy, the BLAS library and the thread settings.
 
@@ -68,12 +69,14 @@ TIMED = (
     ("denoise_matrix", filters, "denoise_matrix"),
     ("SwitchEnv.observe", policy.SwitchEnv, "observe"),
     ("SwitchEnv.step", policy.SwitchEnv, "step"),
+    ("SwitchEnv.tail", policy.SwitchEnv, "tail"),
     ("ppo_update", cloudedge, "ppo_update"),
 )
 WINDOWS = ((sim, "fingerprint_at"), (policy, "fingerprint_at"),
            (cli, "fingerprint_at"))
 CALLS = ("generate", "fingerprint_at.hit", "fingerprint_at.miss", "match",
-         "denoise_matrix", "SwitchEnv.observe", "SwitchEnv.step", "ppo_update")
+         "denoise_matrix", "SwitchEnv.observe", "SwitchEnv.step",
+         "SwitchEnv.tail", "ppo_update")
 REPEATS = 5               # passes per file; stage times are their median
 STAGES = ("simulate", "library", "selector", "pretrain", "rounds", "evaluate")
 # train_models' log line that ends each training stage

@@ -161,10 +161,10 @@ def test_the_config_surface_is_pinned():
     assert bad == {}
 
 
-def function_at(path: Path, qualname: str):
+def function_at(module: ast.Module, qualname: str):
     """The function ``qualname`` (``Class::function`` or ``function``)
-    defines in ``path``, or None."""
-    node = ast.parse(path.read_text())
+    defines in ``module``, or None."""
+    node = module
     for name in qualname.split("::"):
         node = next((child for child in node.body
                      if isinstance(child, (ast.ClassDef, ast.FunctionDef))
@@ -174,16 +174,48 @@ def function_at(path: Path, qualname: str):
     return node if isinstance(node, ast.FunctionDef) else None
 
 
+def calls_a_config(node) -> bool:
+    """``node`` is a call of a ``*Config`` class or of ``replace``."""
+    func = getattr(node, "func", None)
+    name = (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else "")
+    return isinstance(node, ast.Call) and (name.endswith("Config")
+                                           or name == "replace")
+
+
+def forwarders(module: ast.Module) -> set:
+    """Names of the module's functions that forward their ``**`` keywords
+    into a config call, as ``test_cloudedge.py::small_cfg`` does."""
+    names = set()
+    for node in module.body:
+        if not (isinstance(node, ast.FunctionDef) and node.args.kwarg):
+            continue
+        rest = node.args.kwarg.arg
+        if any(calls_a_config(call) and any(
+                kw.arg is None and isinstance(kw.value, ast.Name)
+                and kw.value.id == rest for kw in call.keywords)
+               for call in ast.walk(node)):
+            names.add(node.name)
+    return names
+
+
 def reason_holds(dotted: str, why: str) -> bool:
     """The function a ``tested:`` reason names exists, and a call in it
-    passes the key of ``dotted`` as a keyword argument."""
+    passes the key of ``dotted`` as a keyword argument to a ``*Config``
+    class, to ``replace``, or to a function of the same module that
+    forwards its ``**`` keywords into one of those."""
     named = TESTED.match(why)
     if named is None or not (ROOT / "tests" / named[1]).is_file():
         return False
-    func = function_at(ROOT / "tests" / named[1], named[2])
-    key = dotted.partition(".")[2]
-    return func is not None and any(
-        isinstance(node, ast.Call) and any(kw.arg == key for kw in node.keywords)
+    module = ast.parse((ROOT / "tests" / named[1]).read_text())
+    func = function_at(module, named[2])
+    if func is None:
+        return False
+    key, forwarding = dotted.partition(".")[2], forwarders(module)
+    return any(
+        (calls_a_config(node) or isinstance(node, ast.Call)
+         and isinstance(node.func, ast.Name) and node.func.id in forwarding)
+        and any(kw.arg == key for kw in node.keywords)
         for node in ast.walk(func))
 
 
@@ -194,3 +226,14 @@ def test_a_tested_reason_is_checked_per_key():
     assert not reason_holds("reward.lam", "tested: test_cloudedge.py passes it")
     assert not reason_holds("reward.lam", "tested: test_policy.py::no_such_test x")
     assert not reason_holds("ppo.value_coef", PPO)
+
+
+def test_a_keyword_counts_only_on_a_config_call():
+    # criterion 5 passes hidden=16 to PolicyModel.from_seed, which is no
+    # config: a ``ppo.hidden`` setting would not be pinned by it
+    assert not reason_holds("ppo.hidden", PPO)
+    # a keyword passed to a helper that forwards it into replace counts
+    module = ast.parse((ROOT / "tests" / "test_cloudedge.py").read_text())
+    assert "small_cfg" in forwarders(module)
+    assert reason_holds("cloudedge.distill_period",
+                        KEYS["cloudedge.distill_period"])

@@ -445,6 +445,29 @@ class TestSoftMixtureOracle:
             assert np.allclose(dp, sum(soft_denoise_backward((outs[:, b], sens[:, b]), dout[b])[1]
                                        for b in range(arr.shape[0])), atol=1e-12)
 
+    def test_mixture_equals_the_tensordot_form(self, rng):
+        # the window-by-window mixing and the backward contractions are the
+        # 2-D products np.tensordot builds, bit for bit, also on the
+        # non-contiguous (outs[:, b], sens[:, b]) views _soft_filter_item keeps
+        for B in range(1, 7):
+            for T in range(2, 13):
+                choice = self.random_choice(rng)
+                arr = rng.normal(0, 1, size=(B, T, 14))
+                mixed, (outs, sens) = soft_denoise_matrix(choice, arr)
+                windows = outs.reshape((3, B, T, 14))
+                want = np.stack([np.tensordot(choice.weights, windows[:, b], axes=(0, 0))
+                                 for b in range(B)])
+                assert np.array_equal(mixed, want)
+                dout = rng.normal(0, 1, size=arr.shape)
+                caches = [((outs, sens), dout)]
+                caches += [((outs[:, b], sens[:, b]), dout[b]) for b in range(B)]
+                for (o, s), d in caches:
+                    axes = (tuple(range(1, o.ndim)), tuple(range(d.ndim)))
+                    dw, dp = soft_denoise_backward((o, s), d)
+                    assert dw.shape == (3,) and dp.shape == (4,)
+                    assert np.array_equal(dw, np.tensordot(o, d, axes=axes))
+                    assert np.array_equal(dp, np.tensordot(s, d, axes=axes))
+
 
 def make_selector_items(rng, metric, n_items=2):
     items = []

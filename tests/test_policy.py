@@ -15,7 +15,7 @@ from envswitch.filters import FilterContext, SelectorModel
 from envswitch.mlp import softmax
 from envswitch.policy import (ACTIONS, POLICY_HIDDEN, MatcherStack, PolicyModel,
                               PolicyState, ScriptedPolicy, SwitchEnv, Trajectory,
-                              _draw, act, clipped_surrogate,
+                              _draw, _draw_rows, act, act_rows, clipped_surrogate,
                               gae_advantages, imitate, normalize_rssi,
                               ppo_update, rollout, trigger_guide)
 from envswitch.sim import generate, make_scenario, segment_before
@@ -212,6 +212,56 @@ class TestDraw:
     @pytest.mark.parametrize("p", [[0.5, 0.5 + 1e-8], [1.0, 0.0, -0.0]])
     def test_p_inside_the_tolerance_is_drawn(self, p):
         self.same_draws(np.array(p), 4)
+
+
+def random_model(rng, seed):
+    """A policy net with every weight and bias moved off its seeded start."""
+    model = PolicyModel.from_seed(seed, POLICY_HIDDEN)
+    for a in (model.net.w1, model.net.b1, model.net.w2, model.net.b2):
+        a += rng.normal(0.0, 0.5, a.shape)
+    return model
+
+
+class TestActRows:
+    """``act_rows`` is an ``act(..., "sample", rng)`` loop over its rows."""
+
+    def test_equals_an_act_loop(self, rng):
+        for trial in range(300):
+            model = random_model(rng, trial)
+            n = int(rng.integers(1, 70))
+            feats = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 1.5), size=(n, 7))
+            seed = int(rng.integers(2 ** 32))
+            loop_rng, rows_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = [act(model, row, "sample", loop_rng) for row in feats]
+            idx, logp, value = act_rows(model, feats, rows_rng)
+            assert idx.dtype == np.array([0]).dtype
+            assert idx.tolist() == [i for i, _, _ in want]
+            assert logp.tobytes() == np.array([lp for _, lp, _ in want]).tobytes()
+            assert value.tobytes() == np.array([v for _, _, v in want]).tobytes()
+            assert rows_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_a_nonfinite_row_is_refused(self, rng):
+        feats = rng.normal(0.0, 1.0, size=(9, 7))
+        feats[4, 2] = np.nan
+        with pytest.raises(ValueError, match="Probabilities contain NaN"):
+            act_rows(random_model(rng, 0), feats, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [
+        [np.nan, 0.5, 0.5, 0.0],
+        [-0.1, 0.6, 0.5, 0.0],
+        [0.3, 0.3, 0.3, 0.0],
+    ])
+    def test_a_bad_row_in_the_middle_raises_what_draw_raises(self, rng, bad):
+        probs = softmax(rng.normal(0.0, 2.0, size=(9, len(ACTIONS))))
+        probs[4] = bad
+        gen = np.random.default_rng(0)
+        with pytest.raises(ValueError) as single:
+            _draw(probs[4], gen)
+        with pytest.raises(ValueError) as rows:
+            _draw_rows(probs, gen)
+        assert str(rows.value) == str(single.value)
+        # every row is checked before anything is drawn
+        assert gen.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 class TestCompositeReward:
@@ -415,6 +465,187 @@ class TestSwitchEnv:
         env.observe()
         with pytest.raises(ValueError, match="unknown action"):
             env.step("teleport")
+
+
+def reference_rollout(policy, scenario, stack, mode="sample", seed=0, *, trace,
+                      guide_eps=0.0):
+    """``rollout`` as a per-second loop: observe, decide and step until the
+    env is done, after the switch too.  The oracle of the one-pass tail."""
+    env = SwitchEnv(trace, stack)
+    rng = np.random.default_rng(seed)
+    guide = trigger_guide(stack.cfg) if guide_eps > 0.0 else None
+    scripted = isinstance(policy, ScriptedPolicy)
+    rows = []
+    while not (env.done or env.switched and mode == "greedy"):
+        state = env.observe()
+        feats = state.features()
+        if scripted:
+            idx, logp, value = ACTIONS.index(policy.decide(env.t, state)), 0.0, 0.0
+        else:
+            guide_idx = (None if guide is None or env.switched
+                         else ACTIONS.index(guide(env.t, state)))
+            idx, logp, value = act(policy, feats, mode, rng, guide_idx,
+                                   guide_eps)
+        rows.append((feats, idx, logp, value, env.step(ACTIONS[idx])))
+    return Trajectory(*map(np.array, zip(*rows) if rows else [()] * 5),
+                      **env.outcome())
+
+
+class Recorded:
+    """A ``ScriptedPolicy`` function that records each (t, state) it gets."""
+
+    def __init__(self, fn):
+        self.fn, self.seen = fn, []
+
+    def __call__(self, t, state):
+        self.seen.append((t, state))
+        return self.fn(t, state)
+
+
+def cut(trace, horizon):
+    """``trace`` with its duration, and so the env's horizon, cut."""
+    return dataclasses.replace(
+        trace, scenario=dataclasses.replace(trace.scenario, duration=float(horizon)))
+
+
+class TestTail:
+    """``rollout`` runs every post-switch tail in one ``SwitchEnv.tail()``;
+    each driver's trajectory equals the per-second loop's byte for byte."""
+
+    def drivers(self, model, fn):
+        """(name, make the policy, rollout keywords) per driver; the
+        recorded driver makes a fresh ``Recorded(fn)`` per rollout."""
+        return [("sample", lambda: model, dict(mode="sample", seed=7)),
+                ("guided", lambda: model, dict(mode="sample", seed=7, guide_eps=0.3)),
+                ("rule", lambda: ScriptedPolicy(trigger_guide(CFG)), {}),
+                ("recorded", lambda: ScriptedPolicy(Recorded(fn)), {})]
+
+    def same(self, scenario, stack, trace, make, kwargs):
+        """Roll both ways; assert every field byte-equal, and the records of
+        a recorded driver equal.  Returns the trajectory."""
+        mine_policy, ref_policy = make(), make()
+        mine = rollout(mine_policy, scenario, stack, trace=trace, **kwargs)
+        ref = reference_rollout(ref_policy, scenario, stack, trace=trace, **kwargs)
+        for f in dataclasses.fields(Trajectory):
+            a, b = getattr(mine, f.name), getattr(ref, f.name)
+            if isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+            else:
+                assert repr(a) == repr(b), f.name
+        if isinstance(getattr(ref_policy, "fn", None), Recorded):
+            seen, want = mine_policy.fn.seen, ref_policy.fn.seen
+            assert len(seen) == len(want) == len(ref.states)
+            for (t, state), (t_ref, state_ref) in zip(seen, want):
+                assert repr(t) == repr(t_ref) and state == state_ref
+                assert state.features().tobytes() == state_ref.features().tobytes()
+        return ref
+
+    @staticmethod
+    def wandering(switch):
+        """Cycle hold, scan_boost and pre_associate, hand over at
+        ``switch``, and after it keep naming every action."""
+        def fn(t, state):
+            if t == switch:
+                return "handover"
+            return ACTIONS[int(t) % 4] if t > switch else ACTIONS[int(t) % 3]
+        return fn
+
+    @pytest.mark.parametrize("site", ["A", "B", "C"])
+    def test_natural_walks(self, rng, site):
+        scenario, trace, stack = build_stack(rng, site)
+        tails = 0
+        for seed in range(4):
+            for name, make, kwargs in self.drivers(random_model(rng, seed),
+                                                   self.wandering(12 + 5 * seed)):
+                traj = self.same(scenario, stack, trace, make, kwargs)
+                tails += not traj.censored and traj.action_time < len(traj.states)
+        assert tails >= 12
+
+    def test_switch_on_the_first_step(self, rng):
+        scenario, trace, stack = build_stack(rng)
+        model = PolicyModel.zeros(POLICY_HIDDEN)
+        model.net.b2[3] = 30.0                # hand over whenever not guided
+        firsts = set()
+        for seed in range(6):
+            for name, make, kwargs in self.drivers(model, self.wandering(1)):
+                if name == "rule":
+                    continue                  # the rule pre-associates first
+                kwargs = dict(kwargs, seed=seed) if "seed" in kwargs else kwargs
+                traj = self.same(scenario, stack, trace, make, kwargs)
+                if traj.action_time == 1.0:
+                    firsts.add(name)
+                    assert len(traj.states) == int(trace.duration) - 1
+        assert firsts == {"sample", "guided", "recorded"}
+
+    def test_switch_on_the_last_step_leaves_an_empty_tail(self, rng):
+        scenario, trace, stack = build_stack(rng)
+        for name, make, kwargs in self.drivers(random_model(rng, 2), self.wandering(17)):
+            switch = int(self.same(scenario, stack, trace, make, kwargs).action_time)
+            short = cut(trace, switch + 1)
+            traj = self.same(scenario, stack, short, make, kwargs)
+            assert (traj.action_time, len(traj.states)) == (switch, switch), name
+
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_horizons_of_one_and_two(self, rng, horizon):
+        scenario, trace, stack = build_stack(rng)
+        model = PolicyModel.zeros(POLICY_HIDDEN)
+        model.net.b2[3] = 30.0
+        for name, make, kwargs in self.drivers(model, self.wandering(1)):
+            traj = self.same(scenario, stack, cut(trace, horizon), make, kwargs)
+            assert len(traj.states) == horizon - 1, name
+
+    def test_a_boost_before_the_handover_shapes_the_tail(self, rng):
+        scenario, trace, stack = build_stack(rng)
+        switch = 15.0
+
+        def boost_then_switch(t, state):
+            return "handover" if t == switch else "scan_boost" if t == switch - 1 else "hold"
+
+        traj = self.same(scenario, stack, trace, lambda: ScriptedPolicy(
+            Recorded(boost_then_switch)), {})
+        held = rollout(ScriptedPolicy(lambda t, s: "handover" if t == switch else "hold"),
+                       scenario, stack, trace=trace)
+        # the boost ends 10 s after it began, inside the tail: the tail's
+        # scan ages differ from a held walk's there and agree after it
+        ages, held_ages = traj.states[:, 5], held.states[:, 5]
+        inside = slice(int(switch), int(switch) + 9)
+        assert not np.array_equal(ages[inside], held_ages[inside])
+        assert np.array_equal(ages[inside.stop:], held_ages[inside.stop:])
+        assert len(ages) > int(switch) + 14
+        # a learned sampler that boosts and then hands over, too
+        model = PolicyModel.zeros(POLICY_HIDDEN)
+        model.net.b2[1], model.net.b2[3] = 3.0, 1.0
+        boosted = 0
+        for seed in range(20):
+            traj = self.same(scenario, stack, trace, lambda: model,
+                             dict(mode="sample", seed=seed))
+            switch_step = int(traj.action_time) - 1
+            boosted += (switch_step >= 1 and ACTIONS[traj.actions[switch_step - 1]]
+                        == "scan_boost" and len(traj.states) > switch_step + 10)
+        assert boosted >= 5
+
+    def test_tail_refuses_an_env_that_has_not_switched(self, rng):
+        _, trace, stack = build_stack(rng, with_library=False)
+        env = SwitchEnv(trace, stack)
+        env.observe()
+        with pytest.raises(ValueError, match="switched"):
+            env.tail()
+
+    def test_tail_rows_are_the_observed_features(self, rng):
+        _, trace, stack = build_stack(rng)
+        env, replay = SwitchEnv(trace, stack), SwitchEnv(trace, stack)
+        for action in ("hold", "scan_boost", "pre_associate", "handover"):
+            for e in (env, replay):
+                e.observe()
+                e.step(action)
+        rows = env.tail()
+        assert env.done and env.t == replay.horizon - 1
+        for row in rows:
+            assert replay.observe().features().tobytes() == row.tobytes()
+            replay.step("hold")
+        assert replay.done and replay.sim_history == env.sim_history
+        assert replay.scan_times == env.scan_times
+        assert len(env.tail()) == 0
 
 
 class TestGreedyStop:

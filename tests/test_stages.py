@@ -20,7 +20,8 @@ def test_a_tiny_pass_records_every_stage_and_call(tmp_path):
         assert set(times) == {"s", "wall_s"} and times["s"] > 0.0
     assert set(record["calls"]) == {
         "generate", "fingerprint_at.hit", "fingerprint_at.miss", "match",
-        "denoise_matrix", "SwitchEnv.observe", "SwitchEnv.step", "ppo_update"}
+        "denoise_matrix", "SwitchEnv.observe", "SwitchEnv.step", "SwitchEnv.tail",
+        "ppo_update"}
     for name, stats in record["calls"].items():
         assert set(stats) == {"calls", "mean_us", "p50_us", "total_s"}
         assert stats["calls"] > 0, name
