@@ -26,7 +26,7 @@ trace = generate(scenario, cfg.radio, cfg.walker)
 completion, censored = baseline_policy(
     trace, cfg.baseline.threshold_dbm, cfg.baseline.hysteresis_db,
     cfg.baseline.dwell_s, cfg.baseline.assoc_delay_s)
-print(f"degradation onset at {scenario.degradation_onset:6.2f} s")
+print(f"degradation onset at {trace.degradation_onset:6.2f} s")
 print(f"baseline switch completes at {completion:6.2f} s (censored={censored})")
 
 # The pre-switch buffer: ten 1 s windows, each a 14-feature fingerprint

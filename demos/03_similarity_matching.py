@@ -49,9 +49,9 @@ trace = generate(scenario, cfg.radio, cfg.walker)
 traj = rollout(ScriptedPolicy(lambda t, s: "hold"), scenario, stack,
                trace=trace)
 
-print(f"\nunseen session, onset at {scenario.degradation_onset:.1f} s")
+print(f"\nunseen session, onset at {trace.degradation_onset:.1f} s")
 print("  t    similarity  (x = S, | marks onset)")
-onset = int(round(scenario.degradation_onset))
+onset = int(round(trace.degradation_onset))
 for step in range(0, traj.states.shape[0], 2):
     s = traj.states[step, 0]
     bar = "x" * int(round(40 * s))

@@ -7,6 +7,8 @@ conditions (GNSS reappearing, WiFi decaying sharply, a door crossing in the
 step pattern).
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from envswitch.config import EngineConfig
@@ -26,8 +28,8 @@ for flag, blurb in (("A", "office indoor, walk to a far wing"),
         completion, censored = baseline_policy(
             trace, cfg.baseline.threshold_dbm, cfg.baseline.hysteresis_db,
             cfg.baseline.dwell_s, cfg.baseline.assoc_delay_s)
-        onsets.append(scenario.degradation_onset)
-        baselines.append(tts(completion, scenario.degradation_onset,
+        onsets.append(trace.degradation_onset)
+        baselines.append(tts(completion, trace.degradation_onset,
                              TTS_REPORT_FLOOR_S)
                          if not censored else np.nan)
     arr = np.array(baselines)
@@ -45,7 +47,9 @@ print("site C exit detection:")
 print(f"  door crossing at      {trace.door_time:5.1f} s")
 print(f"  joint trigger at      {t_detect:5.1f} s")
 
-serving = trace.noiseless_by_ap.max(axis=0)   # the strongest noiseless AP
+# the strongest AP's RSSI without shadowing: the same walk, noiseless
+serving = generate(replace(scenario, shadow_sigma_db=0.0), cfg.radio,
+                   cfg.walker).serving_rssi()
 d = int(trace.door_time)
 print(f"  WiFi at door vs +5 s: {serving[d]:6.1f} -> {serving[d + 5]:6.1f} dBm "
       f"({serving[d] - serving[d + 5]:.1f} dB drop)")

@@ -7,10 +7,11 @@ capacity and salt, the buffer length and the matcher's band.  A fixed
 constant lives with the code that reads it instead: the device's sensing
 schedule, the trigger threshold, the shaping weights, the TTS floors, the
 GAE lambda and the policy width in ``policy``; the window length, the WiFi
-staleness budget and the simulated human's feedback shape in ``sim``; the
-selector's coefficient boxes in ``filters``; the guide's exploration mix
-and the summary quantization grid in ``cloudedge``; the matcher-training
-constants and the round count in ``cli``.  The signal ranges
+staleness budget, the PDR tick rate and the simulated human's feedback
+shape in ``sim``; the selector's coefficient boxes in ``filters``; the
+guide's exploration mix and the summary quantization grid in
+``cloudedge``; the matcher-training constants and the round count in
+``cli``.  The signal ranges
 ``RSSI_RANGE_DBM`` and ``FEATURE_RANGES`` are module constants here, as
 the simulator, the features and the policy all read them.  A flat
 ``section.key = value`` text file can override any field, e.g.::
@@ -109,10 +110,9 @@ class WalkerConfig:
     speed_mps: float = 1.2
     pause_s: float = 0.5           # stop at each turn waypoint
     stride_m: float = 0.7
-    tick_hz: float = 10.0
 
     def __post_init__(self):
-        for key in ("speed_mps", "stride_m", "tick_hz"):
+        for key in ("speed_mps", "stride_m"):
             _require("walker", self, key, getattr(self, key) > 0, "> 0")
 
 

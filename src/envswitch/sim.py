@@ -10,6 +10,8 @@ seed).  The per-second streams are whole-trace array passes that draw from
 one generator in a fixed order: the (n_aps, n_secs) shadowing, then an
 (RSRP, RSRQ) noise pair per second, then a GNSS (SNR, satellites) pair per
 second; these are the values the same draws made one second at a time give.
+The trace labels its degradation onset from its own noiseless per-second
+RSSI, so each walk is simulated once.
 
 The module also hosts the threshold+hysteresis baseline switch policy, the
 time-to-switch metric, and the simulated human-feedback oracle.
@@ -36,6 +38,7 @@ from .serialize import fmt
 
 SITES = ("A_indoor", "B_door_egress", "C_apartment_mixed")
 WINDOW_S = 1.0          # one fingerprint window per second
+TICK_HZ = 10.0          # PDR ticks per second; every whole second is a tick
 WIFI_STALE_S = 4.0      # a carried-over scan older than this marks WiFi absent
 # The simulated human's feedback window and taper (see ``feedback_oracle``).
 # The early side tapers faster: premature switches annoy more than slightly
@@ -44,10 +47,6 @@ HF_WINDOW_EARLY_S = 2.0
 HF_WINDOW_LATE_S = 3.0
 HF_TAPER_PER_S = 0.25
 HF_TAPER_EARLY_PER_S = 0.6
-# Rollback: after a switch the new link must stay usable; below
-# ROLLBACK_USABLE_DBM for >= ROLLBACK_DWELL_S counts as a rollback (-1).
-ROLLBACK_USABLE_DBM = -105.0
-ROLLBACK_DWELL_S = 2.0
 SITE_SHORT = {"A": "A_indoor", "B": "B_door_egress", "C": "C_apartment_mixed"}
 
 
@@ -60,13 +59,14 @@ class Waypoint:
 
 @dataclass
 class Scenario:
-    """Everything needed to reproduce one session deterministically."""
+    """Everything needed to reproduce one session deterministically, with
+    the serving RSSI whose downward crossing is its degradation onset."""
 
     site: str
     duration: float
     waypoints: tuple
     ap_placements: tuple          # ((x, y, tx_power_dbm), ...)
-    degradation_onset: float
+    onset_threshold_dbm: float
     seed: int
     zone_walls: dict = field(default_factory=dict)
     outdoor_zones: frozenset = frozenset()
@@ -83,8 +83,6 @@ class Scenario:
     def validate(self):
         if self.site not in SITES:
             raise ValueError(f"unknown site: {self.site!r}")
-        if not 0.0 < self.degradation_onset < self.duration:
-            raise ValueError("degradation onset must lie inside the session")
         if len(self.waypoints) < 2:
             raise ValueError("scenario needs at least two waypoints")
         zones = [w.zone for w in self.waypoints]
@@ -180,7 +178,8 @@ def _path_loss(scenario: Scenario, radio: RadioConfig, pos: np.ndarray,
 
 @dataclass
 class RawTrace:
-    """Per-tick PDR stream plus per-second radio/GNSS streams.
+    """Per-tick PDR stream plus per-second radio/GNSS streams, and the
+    degradation onset ``generate`` labels from the noiseless per-second RSSI.
 
     ``generate`` makes every array read-only: one trace is shared by every
     rollout of its scenario, and its checksum, its per-second WiFi summaries
@@ -196,7 +195,6 @@ class RawTrace:
     sec_t: np.ndarray
     bssids: tuple
     rssi_by_ap: np.ndarray        # (n_aps, n_secs) with shadowing
-    noiseless_by_ap: np.ndarray
     cell_id: np.ndarray
     rsrp: np.ndarray
     rsrq: np.ndarray
@@ -254,18 +252,23 @@ class RawTrace:
 
 def generate(scenario: Scenario, radio: RadioConfig | None = None,
              walker: WalkerConfig | None = None) -> RawTrace:
-    """Synthesize the full multi-modal trace for one scenario, seeded."""
+    """Synthesize the full multi-modal trace for one scenario, seeded.
+
+    The degradation onset is the first time the noiseless serving RSSI (the
+    strongest AP's, at whole seconds) crosses ``onset_threshold_dbm``
+    heading down, interpolated linearly between the seconds around it.  A
+    walk that never crosses it, or crosses it at 0, is refused."""
     scenario.validate()
     radio = radio or RadioConfig()
     walker = walker or WalkerConfig()
     rng = np.random.default_rng(scenario.seed)
 
-    n_ticks = int(round(scenario.duration * walker.tick_hz))
-    tick_t = np.arange(n_ticks) / walker.tick_hz
+    n_ticks = int(round(scenario.duration * TICK_HZ))
+    tick_t = np.arange(n_ticks) / TICK_HZ
     pos, tick_zone, moving, headings = _kinematics(scenario, tick_t)
 
     # step events from a constant cadence while moving
-    per_tick = scenario.speed_mps / walker.stride_m / walker.tick_hz
+    per_tick = scenario.speed_mps / walker.stride_m / TICK_HZ
     step_ticks = []
     acc = 0.0
     for i in np.flatnonzero(moving).tolist():
@@ -277,7 +280,7 @@ def generate(scenario: Scenario, radio: RadioConfig | None = None,
 
     n_secs = int(scenario.duration)
     sec_t = np.arange(n_secs, dtype=float)
-    sec_idx = np.minimum((sec_t * walker.tick_hz).astype(int), n_ticks - 1)
+    sec_idx = np.minimum((sec_t * TICK_HZ).astype(int), n_ticks - 1)
     sec_zone = list(map(tick_zone.__getitem__, sec_idx.tolist()))
     outdoor = np.array([z in scenario.outdoor_zones for z in sec_zone], dtype=bool)
 
@@ -290,6 +293,16 @@ def generate(scenario: Scenario, radio: RadioConfig | None = None,
                       and a not in scenario.outdoor_zones), None)
 
     noiseless_by_ap = _path_loss(scenario, radio, pos[sec_idx], sec_zone)
+    best, threshold = noiseless_by_ap.max(axis=0), scenario.onset_threshold_dbm
+    down = np.flatnonzero((best[:-1] >= threshold) & (threshold > best[1:]))
+    if not len(down):
+        raise ValueError(f"{scenario.site} seed {scenario.seed}: "
+                         "degradation never reaches threshold")
+    prev, now = best[down[0]:down[0] + 2].tolist()
+    onset = float(sec_t[down[0]] + (prev - threshold) / (prev - now))
+    if not 0.0 < onset < scenario.duration:
+        raise ValueError("degradation onset must lie inside the session")
+
     shadow = rng.normal(0.0, scenario.shadow_sigma_db, size=noiseless_by_ap.shape)
     rssi_by_ap = np.minimum(np.maximum(noiseless_by_ap + shadow,
                                        RSSI_RANGE_DBM[0]), RSSI_RANGE_DBM[1])
@@ -313,18 +326,16 @@ def generate(scenario: Scenario, radio: RadioConfig | None = None,
     gnss_sats = np.maximum(0.0, 2.5 + 9.5 * ramp + gnss_noise[:, 1])
     gnss_fix = ramp >= 0.6
 
-    arrays = (tick_t, pos, headings, step_times, sec_t, rssi_by_ap,
-              noiseless_by_ap, cell_id, rsrp, rsrq, gnss_snr, gnss_sats,
-              gnss_fix)
+    arrays = (tick_t, pos, headings, step_times, sec_t, rssi_by_ap, cell_id,
+              rsrp, rsrq, gnss_snr, gnss_sats, gnss_fix)
     for a in arrays:
         a.flags.writeable = False
     return RawTrace(
         scenario=scenario, tick_t=tick_t, pos=pos, tick_zone=tick_zone,
         headings=headings, step_times=step_times, sec_t=sec_t, bssids=bssids,
-        rssi_by_ap=rssi_by_ap, noiseless_by_ap=noiseless_by_ap,
-        cell_id=cell_id, rsrp=rsrp, rsrq=rsrq, gnss_snr=gnss_snr,
-        gnss_sats=gnss_sats, gnss_fix=gnss_fix, sec_zone=sec_zone,
-        door_time=door_time, degradation_onset=scenario.degradation_onset,
+        rssi_by_ap=rssi_by_ap, cell_id=cell_id, rsrp=rsrp, rsrq=rsrq,
+        gnss_snr=gnss_snr, gnss_sats=gnss_sats, gnss_fix=gnss_fix,
+        sec_zone=sec_zone, door_time=door_time, degradation_onset=onset,
         zone_transitions=zone_transitions,
     )
 
@@ -333,26 +344,6 @@ def _bssid(seed: int, ap_index: int) -> str:
     h = fnv1a64(f"{seed}:{ap_index}", "bssid")
     octets = [(h >> (8 * k)) & 0xFF for k in range(5)]
     return "02:" + ":".join(f"{o:02x}" for o in octets)
-
-
-# ---------------------------------------------------------------------------
-# degradation onset
-# ---------------------------------------------------------------------------
-
-
-def compute_onset(scenario: Scenario, radio: RadioConfig,
-                  threshold: float) -> float | None:
-    """First time the noiseless serving RSSI crosses the threshold heading
-    down, interpolated linearly between the whole seconds around it."""
-    sec_t = np.arange(int(scenario.duration), dtype=float)
-    pos, zones, _, _ = _kinematics(scenario, sec_t)
-    best = _path_loss(scenario, radio, pos, zones).max(axis=0)
-    down = np.flatnonzero((best[:-1] >= threshold) & (threshold > best[1:]))
-    if not len(down):
-        return None
-    prev, now = best[down[0]:down[0] + 2].tolist()
-    frac = (prev - threshold) / (prev - now)
-    return float(sec_t[down[0]] + frac)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +362,11 @@ def _jitter_waypoints(wps, rng, amount: float):
 def make_scenario(site: str, seed: int, radio: RadioConfig | None = None,
                   walker: WalkerConfig | None = None,
                   baseline: BaselineConfig | None = None) -> Scenario:
-    """Deterministic per-seed scenario for a site archetype, its degradation
-    onset set where the noiseless RSSI crosses ``baseline.threshold_dbm``."""
+    """Deterministic per-seed scenario for a site archetype, whose trace
+    labels its degradation onset where the noiseless RSSI crosses
+    ``baseline.threshold_dbm``.  ``radio`` is unread: ``generate`` takes
+    the radio model."""
     site = SITE_SHORT.get(site, site)
-    radio = radio or RadioConfig()
     walker = walker or WalkerConfig()
     baseline = baseline or BaselineConfig()
     rng = np.random.default_rng(fnv1a64(f"scenario:{site}:{seed}"))
@@ -388,7 +380,7 @@ def make_scenario(site: str, seed: int, radio: RadioConfig | None = None,
             site=site, duration=60.0,
             waypoints=_jitter_waypoints(wps, rng, 0.4),
             ap_placements=((0.0, 0.0, 16.0),),
-            degradation_onset=1.0, seed=seed,
+            onset_threshold_dbm=baseline.threshold_dbm, seed=seed,
             zone_walls={"office": 0.0, "hall": 2.0, "wing": 3.0,
                         "far_wing": 4.0},
             outdoor_zones=frozenset(), speed_mps=speed,
@@ -404,7 +396,7 @@ def make_scenario(site: str, seed: int, radio: RadioConfig | None = None,
             site=site, duration=75.0,
             waypoints=_jitter_waypoints(wps, rng, 1.0),
             ap_placements=((0.0, 0.0, 16.0),),
-            degradation_onset=1.0, seed=seed,
+            onset_threshold_dbm=baseline.threshold_dbm, seed=seed,
             zone_walls={"office": 0.0, "hall": 1.0, "lobby": 2.0,
                         "apron": 3.4, "apron_far": 4.2},
             outdoor_zones=frozenset({"apron", "apron_far"}), speed_mps=speed,
@@ -421,7 +413,7 @@ def make_scenario(site: str, seed: int, radio: RadioConfig | None = None,
             site=site, duration=85.0,
             waypoints=_jitter_waypoints(wps, rng, 0.5),
             ap_placements=((0.0, 0.0, 22.0),),
-            degradation_onset=1.0, seed=seed,
+            onset_threshold_dbm=baseline.threshold_dbm, seed=seed,
             zone_walls={"apartment": 0.0, "corridor": 1.0, "stairwell": 2.0,
                         "courtyard": 4.0, "street": 4.0},
             outdoor_zones=frozenset({"courtyard", "street"}), speed_mps=speed,
@@ -430,10 +422,6 @@ def make_scenario(site: str, seed: int, radio: RadioConfig | None = None,
     else:
         raise ValueError(f"unknown site: {site!r}")
 
-    onset = compute_onset(scenario, radio, baseline.threshold_dbm)
-    if onset is None:
-        raise ValueError(f"{site} seed {seed}: degradation never reaches threshold")
-    scenario.degradation_onset = onset
     scenario.validate()
     return scenario
 
@@ -474,33 +462,16 @@ def tts(switch_completion: float, degradation_onset: float,
     return max(floor, switch_completion - degradation_onset)
 
 
-def rollback_occurred(trace: RawTrace, completion: float) -> bool:
-    """True when the new (cellular) link sits below ``ROLLBACK_USABLE_DBM``
-    for >= ``ROLLBACK_DWELL_S`` s."""
-    start = int(math.ceil(completion))
-    run = 0
-    for i in range(start, len(trace.sec_t)):
-        if trace.rsrp[i] < ROLLBACK_USABLE_DBM:
-            run += 1
-            if run >= ROLLBACK_DWELL_S:
-                return True
-        else:
-            run = 0
-    return False
-
-
 def feedback_oracle(completion: float, trace: RawTrace) -> float:
     """Simulated human feedback in [-1, 1] for a switch completed at
     ``completion``.
 
     +1 inside [onset - ``HF_WINDOW_EARLY_S``, onset + ``HF_WINDOW_LATE_S``]
-    around the trace's degradation onset; -1 on a rollback; otherwise a
-    linear taper away from the window (``HF_TAPER_EARLY_PER_S`` before it,
-    ``HF_TAPER_PER_S`` after it), floored at -1.  Deterministic.
+    around the trace's degradation onset; otherwise a linear taper away from
+    the window (``HF_TAPER_EARLY_PER_S`` before it, ``HF_TAPER_PER_S`` after
+    it), floored at -1.  Deterministic.
     """
     onset = trace.degradation_onset
-    if rollback_occurred(trace, completion):
-        return -1.0
     lo = onset - HF_WINDOW_EARLY_S
     hi = onset + HF_WINDOW_LATE_S
     if lo <= completion <= hi:

@@ -16,7 +16,8 @@ one above the highest already there.  The file holds
   prints after it: the last site library, the selector (after the training
   pairs and the metric), the trigger-rule pretraining and the last round;
 - ``calls``: per-pass count and the mean, median and per-pass total time of
-  the calls to ``generate``, ``fingerprint_at`` (memo hits and misses
+  the calls to ``make_scenario`` and ``generate`` (together one walk's
+  simulation), ``fingerprint_at`` (memo hits and misses
   apart), ``match``, ``denoise_matrix``, ``SwitchEnv.observe`` (a window, and
   a match on a monitoring second), ``SwitchEnv.step``, ``SwitchEnv.tail``
   (one call runs a training rollout's seconds after the switch) and
@@ -63,6 +64,8 @@ import hostspeed  # noqa: E402
 # (timer, owner, attribute the callers resolve); each binding gets its own
 # wrapper around the one original
 TIMED = (
+    ("make_scenario", sim, "make_scenario"),
+    ("make_scenario", cli, "make_scenario"),
     ("generate", sim, "generate"),
     ("generate", cli, "generate"),
     ("match", alignment, "match"),
@@ -74,9 +77,9 @@ TIMED = (
 )
 WINDOWS = ((sim, "fingerprint_at"), (policy, "fingerprint_at"),
            (cli, "fingerprint_at"))
-CALLS = ("generate", "fingerprint_at.hit", "fingerprint_at.miss", "match",
-         "denoise_matrix", "SwitchEnv.observe", "SwitchEnv.step",
-         "SwitchEnv.tail", "ppo_update")
+CALLS = ("make_scenario", "generate", "fingerprint_at.hit",
+         "fingerprint_at.miss", "match", "denoise_matrix", "SwitchEnv.observe",
+         "SwitchEnv.step", "SwitchEnv.tail", "ppo_update")
 REPEATS = 5               # passes per file; stage times are their median
 STAGES = ("simulate", "library", "selector", "pretrain", "rounds", "evaluate")
 # train_models' log line that ends each training stage

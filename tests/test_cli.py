@@ -182,21 +182,27 @@ class TestEvaluateSite:
             self, tmp_path, monkeypatch):
         cfg = EngineConfig()
         cfg.baseline = dataclasses.replace(cfg.baseline, threshold_dbm=-70.0)
-        scenarios = []
+        traces = []
 
         def recorded(*args):
-            scenarios.append(sim.make_scenario(*args))
-            return scenarios[-1]
+            traces.append(sim.generate(*args))
+            return traces[-1]
 
-        monkeypatch.setattr(cli, "make_scenario", recorded)
+        monkeypatch.setattr(cli, "generate", recorded)
         cmd_simulate(["A"], 1, 13, str(tmp_path), cfg)
         cli.build_site_library("B", [13], cfg)
         stack = MatcherStack(SelectorModel.zeros(), MetricModel.identity(),
                              FingerprintLibrary(cfg.library), cfg.match.band, cfg)
         cli.evaluate_site("C", PolicyModel.zeros(POLICY_HIDDEN), stack, 1, 13, cfg)
-        assert len(scenarios) == 3
-        for sc in scenarios:
-            assert sc.degradation_onset == sim.compute_onset(sc, cfg.radio, -70.0)
+        assert len(traces) == 3
+        for trace in traces:
+            # the noiseless serving RSSI crosses -70 dBm in the onset's second
+            assert trace.scenario.onset_threshold_dbm == -70.0
+            clean = sim.generate(dataclasses.replace(
+                trace.scenario, shadow_sigma_db=0.0), cfg.radio, cfg.walker)
+            serving, i = clean.serving_rssi(), int(trace.degradation_onset)
+            assert clean.degradation_onset == trace.degradation_onset
+            assert serving[i] >= -70.0 > serving[i + 1]
 
     def test_cfg_must_be_the_one_its_stack_serves(self):
         cfg = EngineConfig()
@@ -468,11 +474,11 @@ class TestConfigFile:
         ("cloudedge.episodes_per_edge", "0", r"must be at least 1, got 0"),
         # each of these failed only inside train: a one-window buffer cannot
         # be warped, a band of 0 was refused by the matcher, a walker rate
-        # of 0 divided by zero,
+        # of 0 divided by zero (the tick rate is a constant now),
         # and no scenario's RSSI decays to a threshold outside (-100, -30)
         ("window.buffer_windows", "1", r"must be at least 2, got 1"),
         ("match.band", "0", r"must be at least 1, got 0"),
-        ("walker.tick_hz", "0", r"must be > 0, got 0.0"),
+        ("walker.tick_hz", "0", "unknown key"),
         ("walker.stride_m", "0", r"must be > 0, got 0.0"),
         ("walker.speed_mps", "0", r"must be > 0, got 0.0"),
         ("baseline.threshold_dbm", "-20", r"must be in \(-100, -30\), got -20.0"),

@@ -60,7 +60,6 @@ KEYS = {
     "walker.speed_mps": USER,
     "walker.pause_s": WALKER,
     "walker.stride_m": USER,
-    "walker.tick_hz": WALKER,
     "baseline.threshold_dbm": BASELINE,
     "baseline.hysteresis_db": BASELINE,
     "baseline.dwell_s": BASELINE,

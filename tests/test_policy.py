@@ -345,7 +345,7 @@ class TestRollout:
 
     def test_pre_associate_cuts_delay_to_half_second(self, rng):
         scenario, trace, stack = build_stack(rng)
-        onset = scenario.degradation_onset
+        onset = trace.degradation_onset
 
         def with_prep(t, state):
             if t >= onset:

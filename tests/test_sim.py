@@ -10,11 +10,11 @@ from envswitch.config import RSSI_RANGE_DBM, EngineConfig
 from envswitch.fingerprints import (MODALITY_SLICES, CellSample, GnssSample,
                                     RawWindow, WifiScan, summarize_window)
 from envswitch.policy import TTS_REPORT_FLOOR_S
-from envswitch.sim import (HF_TAPER_PER_S, RawTrace, Scenario, Waypoint,
-                           baseline_policy, compute_onset, detect_outdoor_transition,
+from envswitch.sim import (HF_TAPER_PER_S, TICK_HZ, RawTrace, Scenario,
+                           Waypoint, baseline_policy, detect_outdoor_transition,
                            feedback_oracle, fingerprint_at, generate,
-                           make_scenario, rollback_occurred, scenario_text,
-                           segment_before, truth_text, tts)
+                           make_scenario, scenario_text, segment_before,
+                           truth_text, tts)
 
 CFG = EngineConfig()
 THRESHOLD = CFG.baseline.threshold_dbm
@@ -55,13 +55,14 @@ def scan_summary(readings):
 
 def scalar_trace_streams(scenario, radio, walker):
     """``generate`` one tick and one second at a time, its draws made as
-    interleaved scalar calls: every ``RawTrace`` field by name."""
+    interleaved scalar calls: every ``RawTrace`` field by name, the onset
+    from ``scalar_onset``."""
     rng = np.random.default_rng(scenario.seed)
-    n_ticks = int(round(scenario.duration * walker.tick_hz))
-    tick_t = np.arange(n_ticks) / walker.tick_hz
+    n_ticks = int(round(scenario.duration * TICK_HZ))
+    tick_t = np.arange(n_ticks) / TICK_HZ
     pos, tick_zone, moving, headings = sim._kinematics(scenario, tick_t)
 
-    per_tick = scenario.speed_mps / walker.stride_m / walker.tick_hz
+    per_tick = scenario.speed_mps / walker.stride_m / TICK_HZ
     step_ticks = []
     acc = 0.0
     for i in np.flatnonzero(moving).tolist():
@@ -73,7 +74,7 @@ def scalar_trace_streams(scenario, radio, walker):
 
     n_secs = int(scenario.duration)
     sec_t = np.arange(n_secs, dtype=float)
-    sec_idx = np.minimum((sec_t * walker.tick_hz).astype(int), n_ticks - 1)
+    sec_idx = np.minimum((sec_t * TICK_HZ).astype(int), n_ticks - 1)
     sec_zone = [tick_zone[i] for i in sec_idx]
 
     door_time = None
@@ -88,14 +89,12 @@ def scalar_trace_streams(scenario, radio, walker):
 
     n_aps = len(scenario.ap_placements)
     rssi_by_ap = np.empty((n_aps, n_secs))
-    noiseless_by_ap = np.empty((n_aps, n_secs))
     shadow = rng.normal(0.0, scenario.shadow_sigma_db, size=(n_aps, n_secs))
     sec_pos = pos[sec_idx].tolist()
     for a, (ax, ay, tx) in enumerate(scenario.ap_placements):
         for i, (x, y) in enumerate(sec_pos):
             d = math.hypot(x - ax, y - ay)
             clean = path_loss_rssi(tx, d, sec_zone[i], scenario, radio)
-            noiseless_by_ap[a, i] = clean
             rssi_by_ap[a, i] = min(max(clean + shadow[a, i], RSSI_RANGE_DBM[0]),
                                    RSSI_RANGE_DBM[1])
 
@@ -125,10 +124,11 @@ def scalar_trace_streams(scenario, radio, walker):
         tick_t=tick_t, pos=pos, tick_zone=tick_zone, headings=headings,
         step_times=step_times, sec_t=sec_t,
         bssids=tuple(sim._bssid(scenario.seed, a) for a in range(n_aps)),
-        rssi_by_ap=rssi_by_ap, noiseless_by_ap=noiseless_by_ap,
-        cell_id=cell_id, rsrp=rsrp, rsrq=rsrq, gnss_snr=snr, gnss_sats=sats,
-        gnss_fix=fix, sec_zone=sec_zone, door_time=door_time,
-        degradation_onset=scenario.degradation_onset,
+        rssi_by_ap=rssi_by_ap, cell_id=cell_id, rsrp=rsrp, rsrq=rsrq,
+        gnss_snr=snr, gnss_sats=sats, gnss_fix=fix, sec_zone=sec_zone,
+        door_time=door_time,
+        degradation_onset=scalar_onset(scenario, radio,
+                                       scenario.onset_threshold_dbm),
         zone_transitions=zone_transitions)
 
 
@@ -175,7 +175,9 @@ def position_at(phases, t: float):
 
 
 def scalar_onset(scenario, radio, threshold):
-    """compute_onset over position_at."""
+    """The first time the noiseless serving RSSI crosses ``threshold``
+    heading down, interpolated linearly between the whole seconds around it,
+    over position_at one second at a time; None if it never does."""
     phases = sim._walk_schedule(scenario)
     prev = None
     for i in range(int(scenario.duration)):
@@ -251,24 +253,24 @@ def scan_schedule(duration, boosts=(), period=2.0, boosted=1.0):
     return times
 
 
-def synthetic_trace(rssi_series, rsrp=None, duration=None):
-    """Minimal trace with a scripted serving-RSSI series (1 Hz)."""
+def synthetic_trace(rssi_series, duration=None):
+    """Minimal trace with a scripted serving-RSSI series (1 Hz), its onset
+    halfway."""
     n = len(rssi_series)
     duration = float(duration or n)
     scenario = Scenario(
         site="A_indoor", duration=duration,
         waypoints=(Waypoint(0, 0, "office"), Waypoint(5, 0, "office")),
-        ap_placements=((0.0, 0.0, 16.0),), degradation_onset=duration / 2,
+        ap_placements=((0.0, 0.0, 16.0),), onset_threshold_dbm=THRESHOLD,
         seed=0, zone_walls={"office": 0.0})
     rssi = np.asarray(rssi_series, dtype=float)[None, :]
-    rsrp = np.full(n, -85.0) if rsrp is None else np.asarray(rsrp, dtype=float)
     return RawTrace(
         scenario=scenario, tick_t=np.arange(n * 10) / 10.0,
         pos=np.zeros((n * 10, 2)), tick_zone=["office"] * (n * 10),
         headings=np.zeros(n * 10), step_times=np.zeros(0),
         sec_t=np.arange(n, dtype=float), bssids=("02:00:00:00:00:01",),
-        rssi_by_ap=rssi, noiseless_by_ap=rssi.copy(),
-        cell_id=np.full(n, 501), rsrp=rsrp, rsrq=np.full(n, -10.0),
+        rssi_by_ap=rssi, cell_id=np.full(n, 501), rsrp=np.full(n, -85.0),
+        rsrq=np.full(n, -10.0),
         gnss_snr=np.zeros(n), gnss_sats=np.zeros(n),
         gnss_fix=np.zeros(n, dtype=bool), sec_zone=["office"] * n,
         door_time=None, degradation_onset=duration / 2, zone_transitions=[])
@@ -289,7 +291,7 @@ class TestGenerate:
         trace = generate(sc, CFG.radio, CFG.walker)
         arrays = [f.name for f in dataclasses.fields(trace)
                   if isinstance(getattr(trace, f.name), np.ndarray)]
-        assert len(arrays) == 13
+        assert len(arrays) == 12
         for name in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(trace, name)[0] = 0
@@ -315,7 +317,7 @@ class TestGenerate:
             sc = dataclasses.replace(sc, shadow_sigma_db=0.0)
             trace = generate(sc, radio, CFG.walker)
             assert trace.door_time is not None
-            serving = trace.noiseless_by_ap.max(axis=0)
+            serving = trace.serving_rssi()           # no shadowing
             at_door = serving[int(trace.door_time)]
             later = serving[int(trace.door_time) + 5]
             assert at_door - later >= 10.0
@@ -353,31 +355,46 @@ class TestGenerate:
             assert trace.rssi_by_ap.max() <= RSSI_RANGE_DBM[1]
 
     def test_invalid_scenario_rejected(self):
-        sc = make_scenario("A", 0, CFG.radio, CFG.walker)
-        bad = dataclasses.replace(sc, degradation_onset=sc.duration + 5)
-        with pytest.raises(ValueError):
+        # a threshold at the first second's noiseless serving RSSI is
+        # crossed at t = 0, outside the session
+        sc = dataclasses.replace(make_scenario("A", 0, CFG.radio, CFG.walker),
+                                 shadow_sigma_db=0.0)
+        first = float(generate(sc, CFG.radio, CFG.walker).serving_rssi()[0])
+        bad = dataclasses.replace(sc, onset_threshold_dbm=first)
+        with pytest.raises(ValueError, match="onset must lie inside the session"):
             generate(bad, CFG.radio, CFG.walker)
         with pytest.raises(ValueError):
             make_scenario("D", 0, CFG.radio, CFG.walker)
+
+    def test_a_threshold_the_walk_never_crosses_is_refused(self):
+        # site A's noiseless serving RSSI stays above -95 dBm
+        baseline = dataclasses.replace(CFG.baseline, threshold_dbm=-95.0)
+        sc = make_scenario("A", 5, CFG.radio, CFG.walker, baseline)
+        with pytest.raises(ValueError, match=r"^A_indoor seed 5: degradation "
+                                             r"never reaches threshold$"):
+            generate(sc, CFG.radio, CFG.walker)
 
     def test_onset_is_where_the_baseline_threshold_is_crossed(self):
         baseline = dataclasses.replace(CFG.baseline, threshold_dbm=-70.0)
         onsets = {}
         for flag in ("A", "B", "C"):
             sc = make_scenario(flag, 13, CFG.radio, CFG.walker, baseline)
-            assert sc.degradation_onset == compute_onset(sc, CFG.radio, -70.0)
-            onsets[flag] = round(sc.degradation_onset, 2)
+            assert sc.onset_threshold_dbm == -70.0
+            onset = generate(sc, CFG.radio, CFG.walker).degradation_onset
+            assert onset == scalar_onset(sc, CFG.radio, -70.0)
+            onsets[flag] = round(onset, 2)
             # the default baseline keeps the -75 dBm onset
             default = make_scenario(flag, 13, CFG.radio, CFG.walker)
-            assert default.degradation_onset == compute_onset(default, CFG.radio,
-                                                               THRESHOLD)
+            assert generate(default, CFG.radio, CFG.walker).degradation_onset \
+                == scalar_onset(default, CFG.radio, THRESHOLD)
         assert onsets == {"A": 14.30, "B": 22.06, "C": 15.60}
 
     def test_onset_inside_session(self):
         for flag in ("A", "B", "C"):
             for seed in range(4):
                 sc = make_scenario(flag, seed, CFG.radio, CFG.walker)
-                assert 0.0 < sc.degradation_onset < sc.duration
+                onset = generate(sc, CFG.radio, CFG.walker).degradation_onset
+                assert 0.0 < onset < sc.duration
 
 
 class TestBaselinePolicy:
@@ -454,12 +471,6 @@ class TestFeedbackOracle:
         assert feedback_oracle(onset, trace) == 1.0
         assert feedback_oracle(onset - 2.0, trace) == 1.0
         assert feedback_oracle(onset + 3.0, trace) == 1.0
-
-    def test_rollback_scores_minus_one(self):
-        rsrp = np.full(40, -120.0)   # new link unusable everywhere
-        trace = synthetic_trace([-60.0] * 40, rsrp=rsrp)
-        assert rollback_occurred(trace, trace.degradation_onset)
-        assert feedback_oracle(trace.degradation_onset, trace) == -1.0
 
     def test_late_switch_taper_is_ordered(self):
         trace = synthetic_trace([-60.0] * 80)
@@ -565,19 +576,19 @@ class TestSidecars:
         sc = make_scenario("A", 6, CFG.radio, CFG.walker)
         trace = generate(dataclasses.replace(sc, shadow_sigma_db=0.0),
                          CFG.radio, CFG.walker)
-        serving = trace.noiseless_by_ap.max(axis=0)
-        onset = sc.degradation_onset
+        serving = trace.serving_rssi()           # no shadowing: noiseless
+        onset = trace.degradation_onset
         i = int(math.floor(onset))
         assert serving[i] >= -75.0 >= serving[i + 1]
 
 
-def kinematics_match_oracle(scenario, walker):
+def kinematics_match_oracle(scenario):
     """Vectorized positions, zones, moving flags and headings equal
     position_at's at every tick, on every phase boundary and on a 0.25 s grid
     past the session end."""
     phases = sim._walk_schedule(scenario)
-    n_ticks = int(round(scenario.duration * walker.tick_hz))
-    times = np.concatenate([np.arange(n_ticks) / walker.tick_hz,
+    n_ticks = int(round(scenario.duration * TICK_HZ))
+    times = np.concatenate([np.arange(n_ticks) / TICK_HZ,
                             [t for p in phases for t in p[:2]],
                             np.arange(0.0, scenario.duration + 5.0, 0.25)])
     pos, zones, moving, headings = sim._kinematics(scenario, times)
@@ -594,9 +605,23 @@ class TestKinematics:
     def test_vectorized_walk_equals_scalar_oracle(self, site):
         for seed in range(50):
             sc = make_scenario(site, seed, CFG.radio, CFG.walker)
-            assert kinematics_match_oracle(sc, CFG.walker)
-            assert compute_onset(sc, CFG.radio, THRESHOLD) == scalar_onset(
-                sc, CFG.radio, THRESHOLD)
+            assert kinematics_match_oracle(sc)
+            assert generate(sc, CFG.radio, CFG.walker).degradation_onset \
+                == scalar_onset(sc, CFG.radio, THRESHOLD)
+
+    @pytest.mark.parametrize("site", ["A", "B", "C"])
+    def test_bench_style_walkers_take_the_onset_from_the_trace(self, site):
+        # walkers drawn as the benchmark draws its users', at a -70 dBm
+        # threshold: each trace's onset is the scalar crossing of its walk
+        baseline = dataclasses.replace(CFG.baseline, threshold_dbm=-70.0)
+        rng = np.random.default_rng(7)
+        for seed in range(20):
+            walker = dataclasses.replace(
+                CFG.walker, speed_mps=float(rng.uniform(1.05, 1.35)),
+                stride_m=float(rng.uniform(0.65, 0.75)))
+            sc = make_scenario(site, seed, CFG.radio, walker, baseline)
+            assert generate(sc, CFG.radio, walker).degradation_onset \
+                == scalar_onset(sc, CFG.radio, -70.0)
 
     def test_jitter_is_the_scalar_draws_in_one_array(self):
         wps = make_scenario("B", 0, CFG.radio, CFG.walker).waypoints
@@ -614,16 +639,13 @@ class TestKinematics:
         # a zero-length move between two copies of the second waypoint
         back = dataclasses.replace(
             sc, waypoints=sc.waypoints[:2] + sc.waypoints[1:], duration=20.0)
-        back.degradation_onset = compute_onset(back, CFG.radio, THRESHOLD)
-        back.validate()
         assert len(back.waypoints) == len(sc.waypoints) + 1
         assert back.waypoints[1] == back.waypoints[2]
         phases = sim._walk_schedule(back)
         assert phases[-1][0] > back.duration      # the walk outlasts the session
-        assert kinematics_match_oracle(back, CFG.walker)
-        assert compute_onset(back, CFG.radio, THRESHOLD) == scalar_onset(
-            back, CFG.radio, THRESHOLD)
+        assert kinematics_match_oracle(back)
         trace = generate(back, CFG.radio, CFG.walker)
+        assert trace.degradation_onset == scalar_onset(back, CFG.radio, THRESHOLD)
         assert len(trace.tick_t) == 200
         assert trace_matches_oracle(back)
 

@@ -19,7 +19,7 @@ def test_a_tiny_pass_records_every_stage_and_call(tmp_path):
     for times in record["stages"].values():
         assert set(times) == {"s", "wall_s"} and times["s"] > 0.0
     assert set(record["calls"]) == {
-        "generate", "fingerprint_at.hit", "fingerprint_at.miss", "match",
+        "make_scenario", "generate", "fingerprint_at.hit", "fingerprint_at.miss", "match",
         "denoise_matrix", "SwitchEnv.observe", "SwitchEnv.step", "SwitchEnv.tail",
         "ppo_update"}
     for name, stats in record["calls"].items():
