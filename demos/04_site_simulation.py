@@ -39,7 +39,8 @@ for flag, blurb in (("A", "office indoor, walk to a far wing"),
           f"range [{np.nanmin(arr):.1f}, {np.nanmax(arr):.1f}], "
           f"censored {int(np.isnan(arr).sum())}/12\n")
 
-# the site-C commit rule requires all three exit conditions at once
+# the site-C commit rule requires both exit conditions at once: two
+# consecutive GNSS fixes and weak or sharply decaying WiFi
 scenario = make_scenario("C", 3, cfg.radio, cfg.walker)
 trace = generate(scenario, cfg.radio, cfg.walker)
 t_detect = detect_outdoor_transition(trace, cfg)

@@ -108,8 +108,9 @@ def build_site_library(site_flag: str, seeds, cfg: EngineConfig):
     """Commit pre-switch buffers from baseline-triggered switches.
 
     Sites A and B anchor on the moment the baseline switch completes; site C
-    anchors on the first second the GNSS/WiFi/PDR exit conditions jointly
-    hold.  Returns (library, traces, scenarios).
+    anchors on the first second with two consecutive GNSS fixes and weak or
+    sharply decaying WiFi (``detect_outdoor_transition``).  Returns
+    (library, traces, scenarios).
     """
     site = SITES_BY_FLAG[site_flag]
     library = FingerprintLibrary(cfg.library)

@@ -116,10 +116,9 @@ class SwitchEvent:
 class FingerprintSequence:
     """Ordered fingerprint windows, optionally labeled with a switch event."""
 
-    __slots__ = ("windows", "label", "created_at", "prototype_id", "_packed")
+    __slots__ = ("windows", "label", "created_at", "_packed")
 
-    def __init__(self, windows, label=None, created_at: int = 0,
-                 prototype_id: str = ""):
+    def __init__(self, windows, label=None, created_at: int = 0):
         windows = tuple(windows)
         if len(windows) < 2:
             raise ValueError("a sequence needs at least 2 windows to warp")
@@ -131,7 +130,6 @@ class FingerprintSequence:
         self.windows = windows
         self.label = label
         self.created_at = int(created_at)
-        self.prototype_id = prototype_id
         self._packed = None
 
     def packed(self):
@@ -388,9 +386,8 @@ class FingerprintLibrary:
                        created_day: int = 0) -> str:
         """Store a pre-switch buffer labeled by the switch that occurred."""
         pid = sequence_content_id(*buffer.packed(), event.kind, self.cfg.salt)
-        seq = FingerprintSequence(buffer.windows, event,
-                                  created_at=created_day, prototype_id=pid)
-        self.sequences[pid] = seq
+        self.sequences[pid] = FingerprintSequence(buffer.windows, event,
+                                                  created_at=created_day)
         self.version += 1
         self._enforce_capacity()
         return pid
@@ -426,9 +423,8 @@ def write_sequence(path, seq: FingerprintSequence) -> None:
         f.write("\n".join(sequence_to_lines(seq)) + "\n")
 
 
-def read_sequence(path, label: SwitchEvent | None = None,
-                  created_at: int = 0, prototype_id: str = "") -> FingerprintSequence:
-    """The sequence ``write_sequence`` wrote; another header, a row of
+def read_sequence(path) -> FingerprintSequence:
+    """The unlabeled sequence ``write_sequence`` wrote; another header, a row of
     another width, a mask other than 0/1 or a bad value raises, naming the
     file and line; fewer than 2 rows or rows out of time order raise,
     naming the file."""
@@ -450,7 +446,7 @@ def read_sequence(path, label: SwitchEvent | None = None,
         except ValueError as err:
             raise ValueError(f"{path}:{n}: {err}") from None
     try:
-        return FingerprintSequence(windows, label, created_at, prototype_id)
+        return FingerprintSequence(windows)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 
@@ -489,9 +485,9 @@ def load_library(directory, cfg: LibraryConfig | None = None) -> FingerprintLibr
                 f"repeated id {m[1]}" if m else f"{ln!r} is not {_INDEX_LINE.pattern}"))
         pid, day, kind = m.groups()
         seq_path = os.path.join(directory, f"{pid}.fpseq")
-        seq = read_sequence(seq_path, None, int(day), pid)
+        seq = read_sequence(seq_path)
+        seq.created_at = int(day)
         if kind != "unlabeled":
-            label = SwitchEvent(time=seq.windows[-1].timestamp, kind=kind)
-            seq = FingerprintSequence(seq.windows, label, int(day), pid)
+            seq.label = SwitchEvent(time=seq.windows[-1].timestamp, kind=kind)
         lib.sequences[pid] = seq
     return lib

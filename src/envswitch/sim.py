@@ -180,6 +180,8 @@ def _path_loss(scenario: Scenario, radio: RadioConfig, pos: np.ndarray,
 class RawTrace:
     """Per-tick PDR stream plus per-second radio/GNSS streams, and the
     degradation onset ``generate`` labels from the noiseless per-second RSSI.
+    Of the simulator's zone labels it keeps only ``door_time`` and
+    ``zone_transitions``, for the ground-truth sidecar.
 
     ``generate`` makes every array read-only: one trace is shared by every
     rollout of its scenario, and its checksum, its per-second WiFi summaries
@@ -189,7 +191,6 @@ class RawTrace:
     scenario: Scenario
     tick_t: np.ndarray
     pos: np.ndarray               # (n_ticks, 2)
-    tick_zone: list
     headings: np.ndarray
     step_times: np.ndarray
     sec_t: np.ndarray
@@ -201,7 +202,6 @@ class RawTrace:
     gnss_snr: np.ndarray
     gnss_sats: np.ndarray
     gnss_fix: np.ndarray
-    sec_zone: list
     door_time: float | None
     degradation_onset: float
     zone_transitions: list
@@ -331,11 +331,11 @@ def generate(scenario: Scenario, radio: RadioConfig | None = None,
     for a in arrays:
         a.flags.writeable = False
     return RawTrace(
-        scenario=scenario, tick_t=tick_t, pos=pos, tick_zone=tick_zone,
-        headings=headings, step_times=step_times, sec_t=sec_t, bssids=bssids,
+        scenario=scenario, tick_t=tick_t, pos=pos, headings=headings,
+        step_times=step_times, sec_t=sec_t, bssids=bssids,
         rssi_by_ap=rssi_by_ap, cell_id=cell_id, rsrp=rsrp, rsrq=rsrq,
         gnss_snr=gnss_snr, gnss_sats=gnss_sats, gnss_fix=gnss_fix,
-        sec_zone=sec_zone, door_time=door_time, degradation_onset=onset,
+        door_time=door_time, degradation_onset=onset,
         zone_transitions=zone_transitions,
     )
 
@@ -571,24 +571,19 @@ def segment_before(trace: RawTrace, t_event: float,
 
 
 def detect_outdoor_transition(trace: RawTrace, cfg: EngineConfig) -> float | None:
-    """The first second where all three exit conditions hold, or None.
+    """The first second where both exit conditions hold, or None.
 
-    (a) continuous high-confidence GNSS, (b) WiFi weak (below
-    ``cfg.baseline.threshold_dbm``, the level ``trigger_guide`` calls weak)
-    or sharply decaying within 5 s, (c) PDR motion consistent with a door
-    exit.
+    (a) GNSS fixes in this second and the one before, and (b) WiFi weak
+    (below ``cfg.baseline.threshold_dbm``, the level ``trigger_guide`` calls
+    weak) or sharply decaying within 5 s.  A device observes both.
     """
     rssi = trace.serving_rssi()
-    outdoor = [z in trace.scenario.outdoor_zones for z in trace.sec_zone]
-    for i in range(len(trace.sec_t)):
-        t = float(trace.sec_t[i])
-        gnss_ok = i >= 1 and bool(trace.gnss_fix[i]) and bool(trace.gnss_fix[i - 1])
+    for i in range(1, len(trace.sec_t)):
+        gnss_ok = bool(trace.gnss_fix[i]) and bool(trace.gnss_fix[i - 1])
         wifi_decay = bool(rssi[i] < cfg.baseline.threshold_dbm
                           or (i >= 5 and rssi[i] - rssi[i - 5] <= -8.0))
-        pdr_exit = bool(outdoor[i] and trace.door_time is not None
-                        and 0.0 <= t - trace.door_time <= 5.0)
-        if gnss_ok and wifi_decay and pdr_exit:
-            return t
+        if gnss_ok and wifi_decay:
+            return float(trace.sec_t[i])
     return None
 
 

@@ -19,6 +19,12 @@ gone.  Each reason is one of
 
 An entry leaves when its reason ends (its function is then deleted or moved
 to ``tests/``), and CHANGES.md says why for any entry added.  There are 26.
+
+A second check works on attributes: every attribute a class in
+``src/envswitch`` stores (a dataclass field, a ``__slots__`` entry or a
+``self.x = ...`` store in a method) must be read, as ``obj.x``, somewhere in
+``src/``, ``bench/`` or ``demos/``.  It matches by name only, so a read of
+another class's attribute of the same name counts.
 """
 
 import ast
@@ -30,6 +36,7 @@ import envswitch
 import envswitch.cli as cli
 
 SRC = Path(envswitch.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 SPANS_TRAIN_METRIC = "bench: spans.py binds envswitch.cli.train_metric, which calls it"
 SPANS_OFFLINE = "bench: spans.py binds envswitch.cli.offline_update, which calls it"
@@ -92,6 +99,52 @@ def defined_functions():
     return out
 
 
+def _is_dataclass(cls):
+    for dec in cls.decorator_list:
+        fn = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(fn, "id", getattr(fn, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def stored_attributes():
+    """``attribute -> {module.Class}`` for every attribute a class in the
+    sources stores: its dataclass fields, its ``__slots__`` and each
+    ``self.x = ...`` (or ``self.x += ...``) in its methods."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = []
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign) and _is_dataclass(cls)
+                        and isinstance(node.target, ast.Name)):
+                    names.append(node.target.id)
+                elif isinstance(node, ast.Assign) and any(
+                        getattr(t, "id", None) == "__slots__" for t in node.targets):
+                    names += [elt.value for elt in node.value.elts]
+                elif isinstance(node, ast.FunctionDef) and node.args.args:
+                    me = node.args.args[0].arg
+                    names += [n.attr for n in ast.walk(node)
+                              if isinstance(n, ast.Attribute)
+                              and isinstance(n.ctx, ast.Store)
+                              and getattr(n.value, "id", None) == me]
+            for name in names:
+                out.setdefault(name, set()).add(f"{path.stem}.{cls.name}")
+    return out
+
+
+def loaded_attributes():
+    """Every attribute name read as ``obj.name`` in ``src/``, ``bench/`` and
+    ``demos/``."""
+    return {node.attr
+            for folder in ("src", "bench", "demos")
+            for path in sorted((ROOT / folder).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def clear_memos():
     """Empty every ``functools.lru_cache`` in the package, so that a value an
     earlier test cached cannot hide a call."""
@@ -136,3 +189,11 @@ def test_only_the_zeros_constructors_are_test_helpers():
     assert {name for name, why in UNCALLED.items() if why == HELPER} == HELPERS
     for name, why in UNCALLED.items():
         assert why == HELPER or why.startswith(("bench: ", "oracle: ")), name
+
+
+def test_every_stored_attribute_is_read():
+    stored = stored_attributes()
+    assert len(stored) > 100        # the scan sees the sources
+    unread = {name: sorted(owners) for name, owners in stored.items()
+              if name not in loaded_attributes()}
+    assert unread == {}, "stored but never read"

@@ -121,12 +121,11 @@ def scalar_trace_streams(scenario, radio, walker):
         fix[i] = ramp >= 0.6
 
     return dict(
-        tick_t=tick_t, pos=pos, tick_zone=tick_zone, headings=headings,
+        tick_t=tick_t, pos=pos, headings=headings,
         step_times=step_times, sec_t=sec_t,
         bssids=tuple(sim._bssid(scenario.seed, a) for a in range(n_aps)),
         rssi_by_ap=rssi_by_ap, cell_id=cell_id, rsrp=rsrp, rsrq=rsrq,
-        gnss_snr=snr, gnss_sats=sats, gnss_fix=fix, sec_zone=sec_zone,
-        door_time=door_time,
+        gnss_snr=snr, gnss_sats=sats, gnss_fix=fix, door_time=door_time,
         degradation_onset=scalar_onset(scenario, radio,
                                        scenario.onset_threshold_dbm),
         zone_transitions=zone_transitions)
@@ -253,6 +252,12 @@ def scan_schedule(duration, boosts=(), period=2.0, boosted=1.0):
     return times
 
 
+def sec_zones(trace):
+    """The simulator's zone at each whole second of ``trace``: every whole
+    second is a tick, so these are the labels ``generate`` used."""
+    return sim._kinematics(trace.scenario, trace.sec_t)[1]
+
+
 def synthetic_trace(rssi_series, duration=None):
     """Minimal trace with a scripted serving-RSSI series (1 Hz), its onset
     halfway."""
@@ -266,14 +271,13 @@ def synthetic_trace(rssi_series, duration=None):
     rssi = np.asarray(rssi_series, dtype=float)[None, :]
     return RawTrace(
         scenario=scenario, tick_t=np.arange(n * 10) / 10.0,
-        pos=np.zeros((n * 10, 2)), tick_zone=["office"] * (n * 10),
-        headings=np.zeros(n * 10), step_times=np.zeros(0),
-        sec_t=np.arange(n, dtype=float), bssids=("02:00:00:00:00:01",),
-        rssi_by_ap=rssi, cell_id=np.full(n, 501), rsrp=np.full(n, -85.0),
-        rsrq=np.full(n, -10.0),
+        pos=np.zeros((n * 10, 2)), headings=np.zeros(n * 10),
+        step_times=np.zeros(0), sec_t=np.arange(n, dtype=float),
+        bssids=("02:00:00:00:00:01",), rssi_by_ap=rssi, cell_id=np.full(n, 501),
+        rsrp=np.full(n, -85.0), rsrq=np.full(n, -10.0),
         gnss_snr=np.zeros(n), gnss_sats=np.zeros(n),
-        gnss_fix=np.zeros(n, dtype=bool), sec_zone=["office"] * n,
-        door_time=None, degradation_onset=duration / 2, zone_transitions=[])
+        gnss_fix=np.zeros(n, dtype=bool), door_time=None,
+        degradation_onset=duration / 2, zone_transitions=[])
 
 
 class TestGenerate:
@@ -334,7 +338,7 @@ class TestGenerate:
             trace = generate(make_scenario("C", seed, CFG.radio, CFG.walker),
                              CFG.radio, CFG.walker)
             outdoor = np.array([z in trace.scenario.outdoor_zones
-                                for z in trace.sec_zone])
+                                for z in sec_zones(trace)])
             indoor_means.append(trace.gnss_sats[~outdoor].mean())
             outdoor_means.append(trace.gnss_sats[outdoor].mean())
         assert np.mean(indoor_means) < np.mean(outdoor_means)
@@ -343,7 +347,7 @@ class TestGenerate:
         for seed in range(5):
             trace = generate(make_scenario("C", seed, CFG.radio, CFG.walker),
                              CFG.radio, CFG.walker)
-            outdoor = [z in trace.scenario.outdoor_zones for z in trace.sec_zone]
+            outdoor = [z in trace.scenario.outdoor_zones for z in sec_zones(trace)]
             flips = sum(1 for a, b in zip(outdoor, outdoor[1:]) if a != b)
             assert flips == 1 and outdoor[-1]
 
@@ -550,6 +554,28 @@ class TestWindowing:
         weak_at_70 = dataclasses.replace(
             CFG, baseline=dataclasses.replace(CFG.baseline, threshold_dbm=-65.0))
         assert detect_outdoor_transition(flat, weak_at_70) == detect_outdoor_transition(trace, CFG)
+
+    def test_site_c_seed_194_anchors_without_a_door_cue(self):
+        # the door is at 14.7 s, and GNSS and WiFi first agree at 20.0 s,
+        # more than 5 s later: that second anchors the walk
+        trace = generate(make_scenario("C", 194, CFG.radio, CFG.walker),
+                         CFG.radio, CFG.walker)
+        assert detect_outdoor_transition(trace, CFG) == 20.0
+
+    @pytest.mark.parametrize("site", ["B", "C"])
+    def test_detection_reads_no_ground_truth(self, site):
+        # blanking the simulator's zones and door time leaves every second
+        # a device observes as it was
+        found = []
+        for seed in range(6):
+            trace = generate(make_scenario(site, seed, CFG.radio, CFG.walker),
+                             CFG.radio, CFG.walker)
+            blind = dataclasses.replace(
+                trace, door_time=None, scenario=dataclasses.replace(
+                    trace.scenario, outdoor_zones=frozenset()))
+            found.append(detect_outdoor_transition(trace, CFG))
+            assert detect_outdoor_transition(blind, CFG) == found[-1], seed
+        assert None not in found
 
     def test_no_transition_on_site_a(self):
         trace = generate(make_scenario("A", 3, CFG.radio, CFG.walker),
