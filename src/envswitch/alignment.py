@@ -232,17 +232,17 @@ def cost_matrix(model: MetricModel, query, proto) -> np.ndarray:
     return _cell_costs(kernel, diff * diff, qp[..., :, None, :] & pp[..., None, :, :])[0]
 
 
-def _run_sums(x: np.ndarray, runs, size: int) -> np.ndarray:
+def _ordered_sums(x: np.ndarray, major, order, size: int) -> np.ndarray:
     """Sums (P, size, ...) of the (C, P, ...) terms ``x`` of the kept cells
-    over each grid row (or column), from ``_band_sums``' runs: zeros, then
-    the first kept cell of every row added at once, then the second, and so
-    on.  Each sum starts from +0.0 and adds its terms in grid order, as the
-    sum over a dense zero-filled grid does (adding its +0.0 cells changes
-    nothing), so it keeps every bit, signed zeros included."""
-    out = np.zeros((x.shape[1], size) + x.shape[2:])
-    for cells, at in runs:
-        out[:, at] += x[cells].swapaxes(0, 1)
-    return out
+    over each grid row (or column) ``major``, visiting the cells in
+    ``order``.  Each sum starts from +0.0 and adds its terms one at a time
+    in grid order, as the sum over a dense zero-filled grid does (adding
+    its +0.0 cells changes nothing), so it keeps every bit, signed zeros
+    included."""
+    out = np.zeros((size,) + x.shape[1:])
+    for c, at in zip(order.tolist(), major[order].tolist()):
+        out[at] += x[c]
+    return np.ascontiguousarray(out.swapaxes(0, 1))
 
 
 def _cost_gradients(model: MetricModel, caches, E, want_feature_grads=False):
@@ -254,17 +254,18 @@ def _cost_gradients(model: MetricModel, caches, E, want_feature_grads=False):
     windows A (P, n, E) and over query windows B (P, m, E) give every
     gradient: 2 (A^T q - B^T p) for the block-diagonal embedding Wb, 2 A Wb
     for the query and -2 B Wb for the proto features.  E is read at the
-    kept cells only, and their terms are summed in the order a dense (n, m)
-    grid sums them, along each row and each column (``_run_sums``), so no
-    gradient changes a bit and no grid is allocated.  Returns the flat
-    metric gradient of every pair, (P, n_params) in the ``to_vector``
-    layout, and with ``want_feature_grads`` the feature gradients
-    (P, n, 14) and (P, m, 14); otherwise those two are None.
+    kept cells only, and their terms are summed one at a time in the order
+    a dense (n, m) grid sums them, along each row and each column
+    (``_ordered_sums`` over the kept cells in row-major and column-major
+    order), so no gradient changes a bit and no grid is allocated.
+    Returns the flat metric gradient of every pair, (P, n_params) in the
+    ``to_vector`` layout, and with ``want_feature_grads`` the feature
+    gradients (P, n, 14) and (P, m, 14); otherwise those two are None.
     """
     qf, pf, (Wb, _, w), diff, sq, mask, band = caches
     (P, m, _), n = pf.shape, qf.shape[-2]
-    keep = _skew_index(n, m, band)[0]
-    row_runs, col_runs, by_row = _band_sums(n, m, band)
+    keep, rows, cols = _skew_index(n, m, band)
+    by_row, by_col = np.lexsort((cols, rows)), np.lexsort((rows, cols))
     index = _block_layout(model.embed_dim)[0]
     Em = E.transpose(1, 2, 0)[keep][..., None] * mask
     # summed down the kept cells in row-major order: numpy adds row by row
@@ -273,7 +274,7 @@ def _cost_gradients(model: MetricModel, caches, E, want_feature_grads=False):
     # M * diff overwrites the cached differences (the caches are used up)
     Md = diff.reshape(diff.shape[:2] + (len(MODALITIES), model.embed_dim))
     Md *= Em[..., None]
-    A, B = _run_sums(diff, row_runs, n), _run_sums(diff, col_runs, m)
+    A, B = _ordered_sums(diff, rows, by_row, n), _ordered_sums(diff, cols, by_col, m)
     gW = 2.0 * (np.swapaxes(A, 1, 2) @ qf - np.swapaxes(B, 1, 2) @ pf)
     G = np.empty((P, index.size + len(MODALITIES)))
     G[:, :index.size] = gW.reshape(P, -1)[:, index]
@@ -323,30 +324,6 @@ def _skew_index(n: int, m: int, band: int):
     for a in (keep, rows, cols):
         a.setflags(write=False)
     return keep, rows, cols
-
-
-@functools.lru_cache(maxsize=256)
-def _band_sums(n: int, m: int, band: int):
-    """How ``_cost_gradients`` sums the kept cells of ``_skew_index`` in the
-    order of a dense (n, m) grid.  Returns the row runs and column runs of
-    ``_run_sums``: for rank r, the kept cells that are the r-th of their row
-    (column), in increasing column (row) order along it, and the row
-    (column) each belongs to; and the kept cells in row-major order.
-    Read-only, and cached per (n, m, band)."""
-    _, rows, cols = _skew_index(n, m, band)
-
-    def runs(major, minor):
-        order = np.lexsort((minor, major))
-        first = np.searchsorted(major[order], major[order])
-        rank = np.arange(order.size) - first
-        return tuple((order[rank == r], major[order][rank == r])
-                     for r in range(int(rank.max()) + 1))
-
-    row_runs, col_runs = runs(rows, cols), runs(cols, rows)
-    by_row = np.lexsort((cols, rows))
-    for a in (by_row,) + sum(row_runs + col_runs, ()):
-        a.setflags(write=False)
-    return row_runs, col_runs, by_row
 
 
 def _time_major(a: np.ndarray) -> np.ndarray:
@@ -725,17 +702,14 @@ def make_alignment_loss(model: MetricModel, margin: float = 1.0,
                         gamma: float = 0.1, band: int = 3):
     """Closure handed to the filter-selector trainer.
 
-    Takes a list of items ``(pos_pair, neg_pairs)``, each pair filtered
-    ``(q_feats, q_present, p_feats, p_present)``, and returns one
-    ``(loss, [[dq, dp], ...])`` per item: its ``margin_loss_grads`` loss and
-    the gradients w.r.t. the filtered feature arrays, positive first.  Every
-    pair of every item is scored in one ``_soft_dtw_pairs`` batch.
+    Takes a list of ``(positive, negatives)`` items of filtered
+    ``((q_feats, q_present), (p_feats, p_present))`` pairs, as
+    ``train_metric`` does, and returns one ``(loss, [[dq, dp], ...])`` per
+    item: its ``margin_loss_grads`` loss and the gradients w.r.t. the
+    filtered feature arrays, positive first.  Every pair of every item is
+    scored in one ``_soft_dtw_pairs`` batch.
     """
-    def as_pair(it):
-        return (it[0], it[1]), (it[2], it[3])
-
     def loss_fn(items):
-        items = [(as_pair(pos), [as_pair(neg) for neg in negs]) for pos, negs in items]
         return [(loss, fgrads) for loss, _, fgrads in
                 _margin_losses(model, items, margin, gamma, band, want_feature_grads=True)]
     return loss_fn

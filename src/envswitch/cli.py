@@ -36,10 +36,10 @@ PAPER_SESSION_COUNTS = {"A": 5, "B": 10, "C": 6}
 TRAIN_SESSIONS_PER_SITE = 6
 EVAL_SEED_OFFSET = 10_000
 N_ROUNDS = 20           # cloud-edge rounds of a training run
-# Shuffled negatives drawn per positive training pair.  Only the first 2
-# reach the selector; the other draws are kept because they advance the
-# pair builder's rng, which picks every later partner and negative.
-NEGATIVES_PER_POSITIVE = 4
+# Time-shuffled negatives per positive training pair, the ones the selector
+# reads; the pair builder draws twice as many permutations, because the
+# unused draws advance its rng, which picks every later partner and negative.
+NEGATIVES_PER_POSITIVE = 2
 
 
 @dataclass
@@ -146,8 +146,8 @@ def build_training_pairs(libraries, seed: int):
     from its library; its ``NEGATIVES_PER_POSITIVE`` negatives pair it with
     time-shuffled copies of that partner, so that similarity rises
     only for the pre-switch order.  Each library draws from its own
-    ``np.random.default_rng(seed)``; one with fewer than two prototypes is
-    skipped.
+    ``np.random.default_rng(seed)``, twice as many permutations per
+    positive as it keeps; one with fewer than two prototypes is skipped.
     """
     pairs = []
     for library in libraries.values():
@@ -164,9 +164,10 @@ def build_training_pairs(libraries, seed: int):
             query = library.get(pid).packed()
             feats, pres = library.get(same[rng.integers(len(same))]).packed()
             perms = [rng.permutation(len(feats))
-                     for _ in range(NEGATIVES_PER_POSITIVE)]
+                     for _ in range(2 * NEGATIVES_PER_POSITIVE)]
             pairs.append(((query, (feats, pres)),
-                          [(query, (feats[perm], pres[perm])) for perm in perms]))
+                          [(query, (feats[perm], pres[perm]))
+                           for perm in perms[:NEGATIVES_PER_POSITIVE]]))
         if len(pairs) == formed:
             raise ValueError("no positives could be formed from the switch tags")
     if not pairs:
@@ -199,9 +200,8 @@ def train_models(seed: int, cfg: EngineConfig, rounds: int = N_ROUNDS,
 
     selector = SelectorModel.from_seed(fnv1a64(f"selector:{seed}") % (2 ** 32))
     # each item's context is the one the matcher serves its query with
-    selector_items = [(context_from_windows(*query, 0.0), (*query, *proto),
-                       [(*nq, *np_) for nq, np_ in negatives[:2]])
-                      for (query, proto), negatives in pairs]
+    selector_items = [(context_from_windows(*positive[0], 0.0), positive, negatives)
+                      for positive, negatives in pairs]
     loss_fn = make_alignment_loss(metric, band=cfg.match.band)
     selector = train_selector(selector, selector_items, loss_fn,
                               epochs=5, step_size=0.05)
@@ -278,16 +278,20 @@ def cmd_train(seed: int, out_dir: str, cfg: EngineConfig,
 
 
 def load_models(model_dir: str, cfg: EngineConfig):
-    def read(name):
+    def read(name, deserialize):
         path = os.path.join(model_dir, name)
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing model file: {path}")
         with open(path, "r", encoding="utf-8") as f:
-            return f.read()
+            text = f.read()
+        try:
+            return deserialize(text)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
 
-    selector = SelectorModel.deserialize(read("selector.txt"))
-    metric = MetricModel.deserialize(read("metric.txt"))
-    policy = PolicyModel.deserialize(read("policy.txt"))
+    selector = read("selector.txt", SelectorModel.deserialize)
+    metric = read("metric.txt", MetricModel.deserialize)
+    policy = read("policy.txt", PolicyModel.deserialize)
     stacks = {}
     for flag in ("A", "B", "C"):
         lib_dir = os.path.join(model_dir, f"lib_{flag}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fingerprints import FEATURE_NAMES, MODALITIES
-from .mlp import TwoLayerNet, grads_add, grads_scale, grads_zeros_like, sigmoid, softmax, softmax_backward
+from .mlp import TwoLayerNet, grads_add, grads_scale, grads_zeros_like, sigmoid, softmax_backward
 from .serialize import dump_tensors, parse_tensors
 
 FILTER_ORDER = ("kalman", "gaussian", "elp")
@@ -216,14 +216,21 @@ def _squash_slopes(s: np.ndarray) -> np.ndarray:
                      for (lo, hi), si in zip(COEFFICIENT_RANGES, s)])
 
 
+def _choice(out: np.ndarray):
+    """The FilterChoice of the selector's 7 outputs: the softmax of the 3
+    filter logits and the squashed coefficients; also ``_squash``'s
+    sigmoids, which only training reads."""
+    # ``mlp.softmax`` without its wrappers: Python's max of the logits is
+    # numpy's, and ``np.add.reduce`` is the sum it takes
+    e = np.exp(out[:3] - max(out[:3].tolist()))
+    params, s = _squash(out[3:])
+    return FilterChoice(e / np.add.reduce(e), *params), s
+
+
 def select_filter(model: SelectorModel, ctx: FilterContext) -> FilterChoice:
     """Deterministic map (model, context) -> FilterChoice: the choice of
     ``selector_forward_training``, without the caches only training reads."""
-    out, _ = model.net.forward(ctx.features())
-    # ``softmax`` of the filter logits without its wrappers: Python's max of
-    # them is numpy's, and ``np.add.reduce`` is the sum it takes
-    e = np.exp(out[:3] - max(out[:3].tolist()))
-    return FilterChoice(e / np.add.reduce(e), *_squash(out[3:])[0])
+    return _choice(model.net.forward(ctx.features())[0])[0]
 
 
 def context_from_windows(features, present, scan_age: float) -> FilterContext:
@@ -444,12 +451,9 @@ def soft_denoise_backward(cache, dout: np.ndarray):
 
 def selector_forward_training(model: SelectorModel, ctx: FilterContext):
     """Forward pass retaining caches so gradients can reach the parameters."""
-    feats = ctx.features()
-    out, net_cache = model.net.forward(feats)
-    weights = softmax(out[:3])
-    params, s = _squash(out[3:])
-    choice = FilterChoice(weights, *params)
-    return choice, (net_cache, weights, _squash_slopes(s))
+    out, net_cache = model.net.forward(ctx.features())
+    choice, s = _choice(out)
+    return choice, (net_cache, choice.weights, _squash_slopes(s))
 
 
 def selector_backward(model: SelectorModel, cache, dweights, dparams):
@@ -465,48 +469,49 @@ def selector_backward(model: SelectorModel, cache, dweights, dparams):
 def _soft_filter_item(model: SelectorModel, ctx: FilterContext, pairs):
     """Selector forward and soft mixture of one training item.
 
-    Picks the item's choice, then filters every query and proto array of
-    ``pairs`` with one ``soft_denoise_matrix`` call per array length.
-    Returns the selector cache, the filtered pairs and one
-    ``(query cache, proto cache)`` of mixture caches per pair.
+    Picks the item's choice, then filters the feature array of both sides
+    of every ``((q_feats, q_present), (p_feats, p_present))`` pair with one
+    ``soft_denoise_matrix`` call per array length; presence passes through.
+    Returns the selector cache, the filtered pairs in the same format and
+    one ``(query cache, proto cache)`` of mixture caches per pair.
     """
     choice, sel_cache = selector_forward_training(model, ctx)
-    arrays = [pair[k] for pair in pairs for k in (0, 2)]
+    sides = [side for pair in pairs for side in pair]
     by_length = {}
-    for a, arr in enumerate(arrays):
-        by_length.setdefault(np.shape(arr)[0], []).append(a)
-    mixed, caches = [None] * len(arrays), [None] * len(arrays)
+    for a, (feats, _) in enumerate(sides):
+        by_length.setdefault(np.shape(feats)[0], []).append(a)
+    filtered, caches = [None] * len(sides), [None] * len(sides)
     for members in by_length.values():
-        out, (outs, sens) = soft_denoise_matrix(choice, np.stack([arrays[a] for a in members]))
+        out, (outs, sens) = soft_denoise_matrix(choice, np.stack([sides[a][0] for a in members]))
         for b, a in enumerate(members):
-            mixed[a] = out[b]
+            filtered[a] = (out[b], sides[a][1])
             caches[a] = (outs[:, b], sens[:, b])
-    filtered = [(mixed[2 * k], pair[1], mixed[2 * k + 1], pair[3])
-                for k, pair in enumerate(pairs)]
-    return sel_cache, filtered, list(zip(caches[0::2], caches[1::2]))
+    return (sel_cache, list(zip(filtered[0::2], filtered[1::2])),
+            list(zip(caches[0::2], caches[1::2])))
 
 
-def train_selector(model: SelectorModel, paired_batches, alignment_loss_fn,
+def train_selector(model: SelectorModel, items, alignment_loss_fn,
                    epochs: int = 1, step_size: float = 0.05) -> SelectorModel:
     """Gradient descent on an alignment margin loss through the soft mixture.
 
-    ``paired_batches`` is a list of items ``(ctx, pos_pair, neg_pairs)`` where
-    each pair is ``(query_feats, query_present, proto_feats, proto_present)``.
-    Each epoch filters every item (``_soft_filter_item``), then makes one
-    ``alignment_loss_fn(filtered_items)`` call over the whole epoch: it takes
-    one ``(filtered_pos_pair, filtered_neg_pairs)`` per item and returns one
-    ``(loss, feature_grads)`` per item, with the gradient of that item's loss
-    w.r.t. every filtered feature array in the same structure (None for an
-    array the loss does not read).  The backward then runs item by item, in
-    order.  Returns a new model; the input is untouched.
+    ``items`` is a list of ``(ctx, positive, negatives)``, each pair a
+    ``((q_feats, q_present), (p_feats, p_present))`` as ``train_metric``
+    takes them.  Each epoch filters every item (``_soft_filter_item``),
+    then makes one ``alignment_loss_fn(filtered_items)`` call over the
+    whole epoch: it takes one ``(filtered_positive, filtered_negatives)``
+    per item and returns one ``(loss, feature_grads)`` per item, with the
+    gradient of that item's loss w.r.t. the query and proto features of
+    every pair, positive first (``make_alignment_loss``).  The backward
+    then runs item by item, in order.  Returns a new model; the input is
+    untouched.
     """
-    if not paired_batches:
+    if not items:
         raise ValueError("empty training batch")
     net = model.net.copy()
     current = SelectorModel(net)
     for _ in range(max(0, epochs)):
-        forwards = [_soft_filter_item(current, ctx, [pos_pair] + list(neg_pairs))
-                    for ctx, pos_pair, neg_pairs in paired_batches]
+        forwards = [_soft_filter_item(current, ctx, [positive] + list(negatives))
+                    for ctx, positive, negatives in items]
         losses = alignment_loss_fn([(filtered[0], filtered[1:])
                                     for _, filtered, _ in forwards])
         acc = grads_zeros_like(net)
@@ -517,14 +522,12 @@ def train_selector(model: SelectorModel, paired_batches, alignment_loss_fn,
             dparams = np.zeros(4)
             for (gq, gp), (cq, cp) in zip(fgrads, caches):
                 for grad, cache in ((gq, cq), (gp, cp)):
-                    if grad is None:
-                        continue
                     dw, dp = soft_denoise_backward(cache, grad)
                     dweights += dw
                     dparams += dp
             grads_add(acc, selector_backward(current, sel_cache, dweights, dparams))
         if not math.isfinite(total):
             raise FloatingPointError("selector training loss is not finite")
-        current = SelectorModel(current.net.step(grads_scale(acc, 1.0 / len(paired_batches)),
+        current = SelectorModel(current.net.step(grads_scale(acc, 1.0 / len(items)),
                                                  step_size))
     return current

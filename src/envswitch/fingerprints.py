@@ -95,6 +95,8 @@ class Fingerprint:
         if not all(map(math.isfinite, features.tolist())):
             raise ValueError("fingerprint features must be finite")
         self.timestamp = float(timestamp)
+        if not math.isfinite(self.timestamp):   # a NaN passes every order check
+            raise ValueError("fingerprint timestamp must be finite")
         self.features = features
         self.features.setflags(write=False)
         self.present = present

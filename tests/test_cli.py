@@ -159,7 +159,7 @@ class TestTrainModels:
         with pytest.raises(Stop):
             train_models(13, EngineConfig(), rounds=1, log=lambda line: None)
         assert captured
-        for ctx, (q_feats, q_pres, _, _), _ in captured:
+        for ctx, ((q_feats, q_pres), _), _ in captured:
             assert ctx == context_from_windows(q_feats, q_pres, 0.0)
 
     def test_the_identity_metric_is_served_and_never_fitted(self, monkeypatch):
@@ -238,6 +238,31 @@ def which(lib, packed):
                 if all(a is b for a, b in zip(seq.packed(), packed)))
 
 
+class TestLoadModels:
+    def write_models(self, directory):
+        for name, model in (("selector.txt", SelectorModel.from_seed(0)),
+                            ("metric.txt", MetricModel.identity()),
+                            ("policy.txt", PolicyModel.from_seed(0, POLICY_HIDDEN))):
+            (directory / name).write_text(model.serialize())
+
+    @pytest.mark.parametrize("name", ["selector.txt", "metric.txt", "policy.txt"])
+    def test_truncated_model_file_names_its_path(self, tmp_path, name):
+        self.write_models(tmp_path)
+        path = tmp_path / name
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: the header counts")):
+            cli.load_models(str(tmp_path), EngineConfig())
+
+    def test_non_finite_model_value_names_its_path(self, tmp_path):
+        self.write_models(tmp_path)
+        path = tmp_path / "policy.txt"
+        lines = path.read_text().splitlines()
+        lines[2] = "nan " + lines[2].split(" ", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: tensor ")):
+            cli.load_models(str(tmp_path), EngineConfig())
+
+
 class TestBuildTrainingPairs:
     MIXED = ["wifi_to_cell"] * 4 + ["cell_to_wifi"] * 3 + ["ap_handover"]
 
@@ -266,6 +291,32 @@ class TestBuildTrainingPairs:
                 perm = [int(np.flatnonzero((feats == row).all(axis=1))[0])
                         for row in neg_feats]
                 assert sorted(perm) == list(range(len(feats)))
+                assert np.array_equal(neg_feats, feats[perm])
+                assert np.array_equal(neg_pres, pres[perm])
+
+    def test_rng_stream_draws_four_permutations_and_keeps_two(self, rng):
+        """Per positive: one partner draw, then four permutations, of which
+        the negatives are the first two; the other two only advance the
+        generator, which picks every later partner and negative."""
+        lib = committed_library(rng, self.MIXED)
+        pairs = build_training_pairs({"A": lib}, seed=7)
+        ref = np.random.default_rng(7)
+        kinds = {pid: seq.label.kind for pid, seq in lib.items()}
+        want = []
+        for pid, kind in kinds.items():
+            same = [p for p, k in kinds.items() if k == kind and p != pid]
+            if not same:
+                continue
+            partner = same[ref.integers(len(same))]
+            perms = [ref.permutation(len(lib.get(partner).windows)) for _ in range(4)]
+            want.append((pid, partner, perms[:2]))
+        assert len(pairs) == len(want)
+        for ((query, (feats, pres)), negatives), (pid, partner, perms) in zip(pairs, want):
+            assert which(lib, query) == pid
+            assert which(lib, (feats, pres)) == partner
+            assert len(negatives) == cli.NEGATIVES_PER_POSITIVE == 2
+            for (neg_query, (neg_feats, neg_pres)), perm in zip(negatives, perms):
+                assert neg_query is query
                 assert np.array_equal(neg_feats, feats[perm])
                 assert np.array_equal(neg_pres, pres[perm])
 

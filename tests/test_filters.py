@@ -478,9 +478,9 @@ def make_selector_items(rng, metric, n_items=2):
                             presence=(True,) * 5)
         pos_q = random_packed(rng, 6, all_present=True)
         pos_p = random_packed(rng, 6, all_present=True)
-        negs = [random_packed(rng, 6, all_present=True)
-                + random_packed(rng, 5, all_present=True) for _ in range(2)]
-        items.append((ctx, pos_q + pos_p, [tuple(n) for n in negs]))
+        negs = [(random_packed(rng, 6, all_present=True),
+                 random_packed(rng, 5, all_present=True)) for _ in range(2)]
+        items.append((ctx, (pos_q, pos_p), negs))
     return items
 
 
@@ -496,9 +496,9 @@ class TestTrainSelector:
         items = make_selector_items(rng, None, 1)
 
         def flat_loss(batch):
-            return [(0.0, [(np.zeros_like(it[0]), np.zeros_like(it[2]))
-                           for it in [pos_item] + list(neg_items)])
-                    for pos_item, neg_items in batch]
+            return [(0.0, [(np.zeros_like(q[0]), np.zeros_like(p[0]))
+                           for q, p in [positive] + list(negatives)])
+                    for positive, negatives in batch]
 
         out = train_selector(model, items, flat_loss, epochs=3, step_size=0.5)
         assert np.allclose(out.net.to_vector(), model.net.to_vector(), atol=1e-12)
@@ -514,10 +514,10 @@ class TestTrainSelector:
             for ctx, pos, negs in items:
                 choice = select_filter(m, ctx)
                 filtered = []
-                for item in [pos] + list(negs):
-                    fq, _ = soft_denoise_matrix(choice, item[0])
-                    fp, _ = soft_denoise_matrix(choice, item[2])
-                    filtered.append((fq, item[1], fp, item[3]))
+                for (q, qp), (p, pp) in [pos] + list(negs):
+                    fq, _ = soft_denoise_matrix(choice, q)
+                    fp, _ = soft_denoise_matrix(choice, p)
+                    filtered.append(((fq, qp), (fp, pp)))
                 [(loss, _)] = loss_fn([(filtered[0], filtered[1:])])
                 total += loss
             return total / len(items)
@@ -545,16 +545,16 @@ class TestTrainSelector:
         for _ in range(2):
             nq = random_packed(rng, 6, all_present=True)
             np_p = (nq[0] + rng.normal(0, 0.05, nq[0].shape), nq[1])
-            negs.append(nq + np_p)
-        pos = pos_q + pos_p
+            negs.append((nq, np_p))
+        pos = (pos_q, pos_p)
 
         # analytic gradient through the soft mixture and the selector net
         choice, cache = selector_forward_training(model, ctx)
         filtered, mix_caches = [], []
-        for item in [pos] + list(negs):
-            fq, cq = soft_denoise_matrix(choice, item[0])
-            fp, cp = soft_denoise_matrix(choice, item[2])
-            filtered.append((fq, item[1], fp, item[3]))
+        for (q, qp), (p, pp) in [pos] + list(negs):
+            fq, cq = soft_denoise_matrix(choice, q)
+            fp, cp = soft_denoise_matrix(choice, p)
+            filtered.append(((fq, qp), (fp, pp)))
             mix_caches.append((cq, cp))
         [(loss0, fgrads)] = loss_fn([(filtered[0], filtered[1:])])
         dweights, dparams = np.zeros(3), np.zeros(4)
@@ -570,10 +570,10 @@ class TestTrainSelector:
             m = SelectorModel(model.net.from_vector(vec))
             choice, _ = selector_forward_training(m, ctx)
             filt = []
-            for item in [pos] + list(negs):
-                fq, _ = soft_denoise_matrix(choice, item[0])
-                fp, _ = soft_denoise_matrix(choice, item[2])
-                filt.append((fq, item[1], fp, item[3]))
+            for (q, qp), (p, pp) in [pos] + list(negs):
+                fq, _ = soft_denoise_matrix(choice, q)
+                fp, _ = soft_denoise_matrix(choice, p)
+                filt.append(((fq, qp), (fp, pp)))
             [(loss, _)] = loss_fn([(filt[0], filt[1:])])
             return loss
 
@@ -603,10 +603,10 @@ def looped_train_selector(model, items, metric, epochs, step_size, margin=1.0,
         for ctx, pos, negs in items:
             choice, sel_cache = selector_forward_training(current, ctx)
             filtered, caches = [], []
-            for pair in [pos] + list(negs):
-                fq, cq = soft_denoise_matrix(choice, pair[0])
-                fp, cp = soft_denoise_matrix(choice, pair[2])
-                filtered.append(((fq, pair[1]), (fp, pair[3])))
+            for (q, qp), (p, pp) in [pos] + list(negs):
+                fq, cq = soft_denoise_matrix(choice, q)
+                fp, cp = soft_denoise_matrix(choice, p)
+                filtered.append(((fq, qp), (fp, pp)))
                 caches.append((cq, cp))
             _, _, fgrads = margin_loss_grads(metric, filtered[0], filtered[1:], margin,
                                              gamma, band, want_feature_grads=True)
@@ -639,9 +639,9 @@ class TestTrainSelectorBatching:
             p = near(q) + (3.0 if k == 3 else 0.0)
             nq, nqp = random_packed(rng, 6)
             fq, fqp = random_packed(rng, 6)
-            items.append((ctx, (q, qp, p, qp[:5]),
-                          [(nq, nqp, near(nq), nqp[:5]),
-                           (fq, fqp, fq[:5] + 3.0, fqp[:5])]))
+            items.append((ctx, ((q, qp), (p, qp[:5])),
+                          [((nq, nqp), (near(nq), nqp[:5])),
+                           ((fq, fqp), (fq[:5] + 3.0, fqp[:5]))]))
         return items
 
     def test_batched_epochs_equal_per_item_loop(self):
@@ -657,9 +657,9 @@ class TestTrainSelectorBatching:
             for ctx, pos, negs in items:
                 choice, _ = selector_forward_training(model, ctx)
                 radii.add(_gaussian_kernel(choice.sigma)[0].size)
-                values = [soft_dtw(metric, (soft_denoise_matrix(choice, it[0])[0], it[1]),
-                                   (soft_denoise_matrix(choice, it[2])[0], it[3]))[0]
-                          for it in [pos] + negs]
+                values = [soft_dtw(metric, (soft_denoise_matrix(choice, q)[0], qp),
+                                   (soft_denoise_matrix(choice, p)[0], pp))[0]
+                          for (q, qp), (p, pp) in [pos] + negs]
                 active.update(1.0 + values[0] - v > 0.0 for v in values[1:])
             assert len(radii) >= 2 and active == {True, False}
             loss_fn = make_alignment_loss(metric, margin=1.0, gamma=0.1, band=3)

@@ -56,6 +56,11 @@ class TestTypes:
         with pytest.raises(ValueError, match=message):
             Fingerprint(0.0, features, present)
 
+    @pytest.mark.parametrize("timestamp", [np.nan, np.inf, -np.inf, "nan"])
+    def test_fingerprint_rejects_a_non_finite_timestamp(self, timestamp):
+        with pytest.raises(ValueError, match="timestamp must be finite"):
+            Fingerprint(timestamp, np.zeros(14), np.ones(5, bool))
+
     def test_fingerprint_accepts_the_edges(self):
         big = np.full(14, np.finfo(float).max)      # finite, though the sum is not
         fp = Fingerprint(0.0, big, np.ones(5, bool))
@@ -259,6 +264,36 @@ class TestPersistence:
         path = self.write_rows(rng, tmp_path, set_mask)
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: a mask must be 0 or 1")):
             read_sequence(path)
+
+    @pytest.mark.parametrize("times, line", [(["0.5", "nan", "2.5"], 3),
+                                             (["inf", "nan"], 2),
+                                             (["1.0", "2.0", "3.0", "-inf"], 5)])
+    def test_non_finite_timestamp_refused(self, rng, tmp_path, times, line):
+        # a NaN compares false, so it would pass the time-order check
+        def set_times(lines):
+            del lines[1 + len(times):]
+            for i, t in enumerate(times, 1):
+                lines[i] = t + "," + lines[i].split(",", 1)[1]
+
+        path = self.write_rows(rng, tmp_path, set_times)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:{line}: fingerprint timestamp must be finite")):
+            read_sequence(path)
+
+    def test_library_with_a_non_finite_timestamp_refused(self, rng, tmp_path):
+        lib = FingerprintLibrary()
+        for day in range(2):
+            buf = make_sequence(rng, 4, day=day)
+            lib.commit_segment(buf, SwitchEvent(buf.windows[-1].timestamp,
+                                                "wifi_to_cell"), created_day=day)
+        save_library(lib, tmp_path / "lib")
+        path = tmp_path / "lib" / f"{sorted(lib.sequences)[1]}.fpseq"
+        lines = path.read_text().splitlines()
+        lines[2] = "nan," + lines[2].split(",", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:3: fingerprint timestamp must be finite")):
+            load_library(tmp_path / "lib")
 
     def test_library_snapshot_roundtrip(self, rng, tmp_path):
         lib = FingerprintLibrary()

@@ -989,8 +989,8 @@ def test_traced_names_are_reached(monkeypatch, rng):
     stack.top_similarity(features, present, 0.0)
     assert calls["match"] == calls["select_filter"] == 1
     assert calls["denoise_matrix"] >= 1
-    items = [(FilterContext(), (features, present, features, present),
-              [(features, present, features[::-1], present)])] * 3
+    items = [(FilterContext(), ((features, present), (features, present)),
+              [((features, present), (features[::-1], present))])] * 3
     filters.train_selector(SelectorModel.from_seed(0), items,
                            make_alignment_loss(MetricModel.identity()), epochs=1)
     # one stacked call per item: all of its arrays have one length

@@ -25,6 +25,11 @@ A second check works on attributes: every attribute a class in
 ``self.x = ...`` store in a method) must be read, as ``obj.x``, somewhere in
 ``src/``, ``bench/`` or ``demos/``.  It matches by name only, so a read of
 another class's attribute of the same name counts.
+
+A third check works on parameters: every parameter of every function in
+``src/envswitch`` must be read in that function's body (a nested function
+reading it counts), except a method's receiver and the entries of
+``UNREAD_PARAMETERS``, each listed with the reason it stays.
 """
 
 import ast
@@ -79,6 +84,13 @@ UNCALLED = {
     "policy.PolicyModel.zeros": HELPER,
 }
 
+UNREAD_PARAMETERS = {
+    "policy.rollout(scenario)": "bench: workloads.py passes the scenario of its trace",
+    "sim.make_scenario(radio)": "bench: workloads.py passes cfg.radio positionally",
+    "policy.trigger_guide.<locals>.guide(t)": ("the ScriptedPolicy protocol: a "
+                                              "guide is called as guide(t, state)"),
+}
+
 
 def defined_functions():
     """``(file, code qualname) -> module.qualname`` of every function and
@@ -96,6 +108,35 @@ def defined_functions():
                     walk(child, f"{prefix}{child.name}.")
 
         walk(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+def unread_parameters():
+    """``module.qualname(parameter)`` of every parameter of a function or
+    lambda in the sources that no ``Name`` in its body reads; the first
+    parameter of a method, its receiver, is not counted."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+
+        def walk(node, prefix, in_class):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    name = prefix + getattr(child, "name", "<lambda>")
+                    a = child.args
+                    params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+                    params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+                    body = child.body if isinstance(child.body, list) else [child.body]
+                    read = {n.id for stmt in body for n in ast.walk(stmt)
+                            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                    out.update(f"{path.stem}.{name}({p})"
+                               for p in params[1 if in_class else 0:] if p not in read)
+                    walk(child, f"{name}.<locals>.", False)
+                elif isinstance(child, ast.ClassDef):
+                    walk(child, f"{prefix}{child.name}.", True)
+                else:
+                    walk(child, prefix, False)
+
+        walk(ast.parse(path.read_text(encoding="utf-8")), "", False)
     return out
 
 
@@ -197,3 +238,9 @@ def test_every_stored_attribute_is_read():
     unread = {name: sorted(owners) for name, owners in stored.items()
               if name not in loaded_attributes()}
     assert unread == {}, "stored but never read"
+
+
+def test_every_parameter_is_read():
+    unread = unread_parameters()
+    assert sorted(unread - set(UNREAD_PARAMETERS)) == [], "a parameter its function never reads"
+    assert sorted(set(UNREAD_PARAMETERS) - unread) == [], "listed but read or gone"
