@@ -39,7 +39,7 @@ import numpy as np
 from . import filters
 from .fingerprints import (FEATURE_DIMS, MODALITIES, MODALITY_SLICES, N_FEATURES,
                            Fingerprint, FingerprintLibrary, FingerprintSequence)
-from .mlp import softmax
+from .mlp import pick_tensors, softmax
 from .serialize import dump_tensors, parse_tensors
 
 
@@ -120,8 +120,9 @@ class MetricModel:
 
     @classmethod
     def deserialize(cls, text: str) -> "MetricModel":
-        t = parse_tensors(text)
-        return cls({m: t[f"metric.W_{m}"] for m in MODALITIES}, t["metric.scores"])
+        *embeddings, scores = pick_tensors(
+            parse_tensors(text), [f"metric.W_{m}" for m in MODALITIES] + ["metric.scores"])
+        return cls(dict(zip(MODALITIES, embeddings)), scores)
 
 
 # ---------------------------------------------------------------------------
@@ -851,9 +852,9 @@ def match(model: MetricModel, selector, live_window,
     (n, band, E) when some group has length n and built for the call
     otherwise.  A result is ``AlignmentResult(distance, similarity)``.
     ``match`` on one library must not run concurrently.  An empty library
-    yields an empty list, once ``band`` and the live window have passed the
-    checks a non-empty one applies.
-    """
+    yields an empty list once ``band`` and the live window's length pass
+    their checks.  The library's types hold every prototype to at least 2
+    windows of ``N_FEATURES``, so only the live window's width is checked."""
     if band < 1:
         raise ValueError("band must be >= 1")
     qf, qp = _pack(live_window)
@@ -863,11 +864,8 @@ def match(model: MetricModel, selector, live_window,
     groups = _plan(library)
     if not groups:
         return []
-    if min(len(g.features) for g in groups) < 2:
-        raise ValueError("both sequences need at least 2 windows")
-    # before the live window is written into a group's stack
-    for g in groups:
-        _check_schema(qf, g.features)
+    # before the live window is written into a group's stack, all N_FEATURES wide
+    _check_schema(qf, groups[0].features)
     # resolved through the module at call time, so a rebinding of these
     # names (bench/spans.py traces them that way) takes effect here
     choice = filters.select_filter(selector, ctx)

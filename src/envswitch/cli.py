@@ -71,11 +71,18 @@ def round2(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+def write_files(out_dir: str, files) -> None:
+    """Write each ``(name, text)`` of ``files`` to ``out_dir/name``."""
+    for name, text in files:
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
+            f.write(text)
+
+
 def trace_to_sequence(trace) -> FingerprintSequence:
     """Every window of the trace, ending at ``k * WINDOW_S`` for k = 1, 2,
-    ... up to the trace's end."""
+    ... up to the trace's end, each scanning every second."""
     return FingerprintSequence(
-        fingerprint_at(trace, k * WINDOW_S)
+        fingerprint_at(trace, k * WINDOW_S, range(len(trace.sec_t)))
         for k in range(1, int(trace.duration / WINDOW_S + 1e-9) + 1))
 
 
@@ -89,13 +96,11 @@ def cmd_simulate(site_flags, sessions: int, seed: int, out_dir: str,
             session_seed = seed + k
             scenario = make_scenario(site, session_seed, cfg.radio, cfg.walker, cfg.baseline)
             trace = generate(scenario, cfg.radio, cfg.walker)
-            stem = os.path.join(out_dir, f"trace_{flag}_{session_seed}")
-            write_sequence(stem + ".csv", trace_to_sequence(trace))
-            with open(stem + ".truth", "w", encoding="utf-8") as f:
-                f.write(truth_text(trace))
-            with open(stem + ".scenario", "w", encoding="utf-8") as f:
-                f.write(scenario_text(scenario))
-            written.append(stem)
+            name = f"trace_{flag}_{session_seed}"
+            write_sequence(os.path.join(out_dir, name + ".csv"), trace_to_sequence(trace))
+            write_files(out_dir, ((name + ".truth", truth_text(trace)),
+                                  (name + ".scenario", scenario_text(scenario))))
+            written.append(os.path.join(out_dir, name))
     return written
 
 
@@ -251,24 +256,25 @@ def pretrain_on_trigger_rule(policy, stacks, traces_by_site,
                    epochs=120, step_size=0.02)
 
 
+def serving(cfg: EngineConfig) -> tuple:
+    """The (key, value) settings a stack serves with; ``serving.txt`` holds them."""
+    return (("match.band", cfg.match.band),
+            ("window.buffer_windows", cfg.window.buffer_windows))
+
+
 def cmd_train(seed: int, out_dir: str, cfg: EngineConfig,
               rounds: int = N_ROUNDS, log=print):
     os.makedirs(out_dir, exist_ok=True)
     (selector, metric, policy, reward_model, stacks, state,
      _) = train_models(seed, cfg, rounds, log)
-    with open(os.path.join(out_dir, "selector.txt"), "w", encoding="utf-8") as f:
-        f.write(selector.serialize())
-    with open(os.path.join(out_dir, "metric.txt"), "w", encoding="utf-8") as f:
-        f.write(metric.serialize())
-    with open(os.path.join(out_dir, "policy.txt"), "w", encoding="utf-8") as f:
-        f.write(policy.serialize())
-    with open(os.path.join(out_dir, "reward_model.txt"), "w", encoding="utf-8") as f:
-        f.write(reward_model.serialize())
+    write_files(out_dir, (
+        ("selector.txt", selector.serialize()), ("metric.txt", metric.serialize()),
+        ("policy.txt", policy.serialize()), ("reward_model.txt", reward_model.serialize()),
+        ("serving.txt", "".join(f"{key} = {value}\n" for key, value in serving(cfg))),
+        ("train_log.txt", "".join(f"round {i} mean_reward {fmt(r)}\n"
+                                  for i, r in enumerate(state.mean_rewards, 1)))))
     for flag, stack in stacks.items():
         save_library(stack.library, os.path.join(out_dir, f"lib_{flag}"))
-    with open(os.path.join(out_dir, "train_log.txt"), "w", encoding="utf-8") as f:
-        for i, r in enumerate(state.mean_rewards, 1):
-            f.write(f"round {i} mean_reward {fmt(r)}\n")
     return out_dir
 
 
@@ -292,6 +298,10 @@ def load_models(model_dir: str, cfg: EngineConfig):
     selector = read("selector.txt", SelectorModel.deserialize)
     metric = read("metric.txt", MetricModel.deserialize)
     policy = read("policy.txt", PolicyModel.deserialize)
+    path = os.path.join(model_dir, "serving.txt")
+    for (key, trained), (_, asked) in zip(serving(load_config(path)), serving(cfg)):
+        if trained != asked:
+            raise ValueError(f"{path}: the models were trained with {key} = {trained}, not {asked}")
     stacks = {}
     for flag in ("A", "B", "C"):
         lib_dir = os.path.join(model_dir, f"lib_{flag}")
@@ -370,18 +380,12 @@ def cmd_evaluate(site_flags, sessions_map, seed: int, model_dir: str,
         reports, checksums = evaluate_site(
             flag, policy, stacks[flag], sessions_map[flag], seed, cfg)
         all_reports[flag] = reports
-        with open(os.path.join(out_dir, f"report_{flag}.csv"), "w",
-                  encoding="utf-8") as f:
-            f.write(report_csv(reports))
         table = render_table(SITES_BY_FLAG[flag], reports)
-        with open(os.path.join(out_dir, f"report_{flag}.txt"), "w",
-                  encoding="utf-8") as f:
-            f.write(table)
-        with open(os.path.join(out_dir, f"sessions_{flag}.log"), "w",
-                  encoding="utf-8") as f:
-            for session, base_sum, policy_sum in checksums:
-                f.write(f"session {session} baseline_trace {base_sum} "
-                        f"policy_trace {policy_sum}\n")
+        write_files(out_dir, (
+            (f"report_{flag}.csv", report_csv(reports)), (f"report_{flag}.txt", table),
+            (f"sessions_{flag}.log", "".join(
+                f"session {session} baseline_trace {base_sum} policy_trace {policy_sum}\n"
+                for session, base_sum, policy_sum in checksums))))
         log(table)
     return all_reports
 

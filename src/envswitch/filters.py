@@ -197,7 +197,11 @@ class SelectorModel:
 
     @classmethod
     def deserialize(cls, text: str) -> "SelectorModel":
-        return cls(TwoLayerNet.from_tensors(parse_tensors(text), "selector."))
+        net = TwoLayerNet.from_tensors(parse_tensors(text), "selector.")
+        if (net.w1.shape[1], len(net.b2)) != (CONTEXT_DIM, 7):
+            raise ValueError(f"tensors selector.w1 {net.w1.shape} and selector.b2 {net.b2.shape} "
+                             f"do not map {CONTEXT_DIM} inputs to 7 outputs")
+        return cls(net)
 
 
 def _squash(raw: np.ndarray):

@@ -85,8 +85,22 @@ class TwoLayerNet:
 
     @classmethod
     def from_tensors(cls, tensors: dict, prefix: str = "") -> "TwoLayerNet":
-        return cls(tensors[prefix + "w1"], tensors[prefix + "b1"],
-                   tensors[prefix + "w2"], tensors[prefix + "b2"])
+        """The network ``tensors(prefix)`` wrote; refuses a missing tensor or unchained shapes."""
+        names = [prefix + k for k in ("w1", "b1", "w2", "b2")]
+        w1, b1, w2, b2 = arrays = pick_tensors(tensors, names)
+        if not (w1.ndim == 2 and b1.shape == w1.shape[:1] and b2.ndim == 1
+                and w2.shape == b2.shape + b1.shape):
+            raise ValueError("tensors " + ", ".join(f"{n} {a.shape}" for n, a in zip(names, arrays))
+                             + " are not (h, n_in), (h,), (n_out, h), (n_out,)")
+        return cls(*arrays)
+
+
+def pick_tensors(tensors: dict, names) -> list:
+    """The tensors of ``names``, in order; a missing one raises ValueError."""
+    for name in names:
+        if name not in tensors:
+            raise ValueError(f"missing tensor {name}")
+    return [tensors[name] for name in names]
 
 
 class Adam:
@@ -141,10 +155,7 @@ def softmax_backward(p, dp):
 
 
 def sigmoid(z):
+    """1 / (1 + e) for z >= 0 and e / (1 + e) below, e = exp(-|z|) <= 1."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))

@@ -106,7 +106,11 @@ class PolicyModel:
 
     @classmethod
     def deserialize(cls, text: str) -> "PolicyModel":
-        return cls(TwoLayerNet.from_tensors(parse_tensors(text), "policy."))
+        net = TwoLayerNet.from_tensors(parse_tensors(text), "policy.")
+        if (net.w1.shape[1], len(net.b2)) != (STATE_DIM, N_ACTIONS + 1):
+            raise ValueError(f"tensors policy.w1 {net.w1.shape} and policy.b2 {net.b2.shape} "
+                             f"do not map {STATE_DIM} inputs to {N_ACTIONS + 1} outputs")
+        return cls(net)
 
 
 def act(model: PolicyModel, feats: np.ndarray, mode: str, rng=None,
@@ -487,9 +491,10 @@ class SwitchEnv:
     lam * similarity plus shaping (trigger hint, healthy link credit); an
     inert second after it reads none and earns 0, whatever the action.  So
     once switched, a driver may instead call ``tail()``, which runs every
-    remaining second at once and returns their feature rows.  Both advance
-    the scan schedule and the similarity history through ``_advance``, so a
-    boost taken before the switch still shapes the tail's scan ages.  Only
+    remaining second at once and returns their feature rows.  Both take
+    each second's 7 features from ``_advance``, which also runs the scan
+    schedule (a boost before the switch shapes the tail's scan ages) and
+    reads sample ``int(t)``, one per second of the horizon.  Only
     ``rollout`` steps an env: the bench's decision clock times
     ``fingerprint_at`` per rollout, and the tail reads no window.
     """
@@ -509,7 +514,6 @@ class SwitchEnv:
         self.serving = trace.serving_rssi().tolist()
         self.rssi_feature = [normalize_rssi(dbm) for dbm in self.serving]
         self.gnss_fix = [1.0 if fix else 0.0 for fix in trace.gnss_fix.tolist()]
-        self.last_sec = len(trace.sec_t) - 1
         # step_rate[step - 1] counts the (sorted) step_times in [step - 1, step)
         steps_before = trace.step_times.searchsorted(
             np.arange(self.horizon, dtype=float)).tolist()
@@ -523,14 +527,7 @@ class SwitchEnv:
 
     def observe(self) -> PolicyState:
         """Move to the next second and return its state."""
-        step, sec, scan_age, sim_top, trend = self._advance()
-        return PolicyState(
-            similarity=sim_top, sim_trend=trend,
-            rssi=self.rssi_feature[sec], gnss_fix=self.gnss_fix[sec],
-            step_rate=self.step_rate[step - 1],
-            scan_age=min(1.0, scan_age / 5.0),
-            on_cell=1.0 if self.switched else 0.0,
-            pre_associated=self.pre_associated)
+        return PolicyState(*self._advance(), pre_associated=self.pre_associated)
 
     def tail(self) -> np.ndarray:
         """Step a switched env to the horizon in one pass; returns the
@@ -542,22 +539,17 @@ class SwitchEnv:
         """
         if not self.switched:
             raise ValueError("only a switched env has an inert tail")
-        rows = []
-        for _ in range(self.horizon - 1 - int(self.t)):
-            step, sec, scan_age, sim, trend = self._advance()
-            rows.append((sim, trend, self.rssi_feature[sec], self.gnss_fix[sec],
-                         self.step_rate[step - 1], min(1.0, scan_age / 5.0), 1.0))
+        rows = [self._advance() for _ in range(self.horizon - 1 - int(self.t))]
         self.done = True
         feats = np.array(rows).reshape(-1, STATE_DIM)
         if not np.isfinite(feats).all():
             raise ValueError("policy state features must be finite")
         return feats
 
-    def _advance(self):
-        """Move to the next second: run the scan schedule through it, set
-        ``sec``, read its window and top similarity (none after the switch:
-        0.0) and append that to the history; returns (step, sec, scan_age,
-        similarity, trend)."""
+    def _advance(self) -> tuple:
+        """Move to the next second: run the scan schedule through it, read
+        its window and top similarity (none after the switch: 0.0) into the
+        history; returns the second's 7 ``PolicyState`` feature values."""
         step = int(self.t) + 1
         t = self.t = float(step)
         while self.next_scan <= t:
@@ -566,7 +558,6 @@ class SwitchEnv:
                                if self.next_scan < self.boost_until
                                else SCAN_PERIOD_S)
         scan_age = t - self.scan_times[-1]
-        sec = self.sec = min(step, self.last_sec)
         sim_top = 0.0
         if not self.switched:
             window = fingerprint_at(self.trace, t, self.scan_times)
@@ -582,18 +573,19 @@ class SwitchEnv:
                                                     scan_age)
         history = self.sim_history
         history.append(sim_top)
-        self.similarity = sim_top
-        return (step, sec, scan_age, sim_top,
-                sim_top - (history[-4] if len(history) >= 4 else 0.0))
+        return (sim_top, sim_top - (history[-4] if len(history) >= 4 else 0.0),
+                self.rssi_feature[step], self.gnss_fix[step],
+                self.step_rate[step - 1], min(1.0, scan_age / 5.0),
+                1.0 if self.switched else 0.0)
 
     def step(self, action: str) -> float:
         """Apply ``action`` at the observed second; returns its reward."""
         self.done = self.t >= self.horizon - 1
         if self.switched:
             return 0.0
-        cfg, sim_top, t = self.cfg, self.similarity, self.t
+        cfg, sim_top, t = self.cfg, self.sim_history[-1], self.t
         reward = cfg.reward.lam * sim_top
-        if self.serving[self.sec] >= cfg.baseline.threshold_dbm:
+        if self.serving[int(t)] >= cfg.baseline.threshold_dbm:
             reward += HEALTHY_LINK_BONUS
         if action == "handover":
             # one-shot trigger hint: act when the matcher is confident

@@ -209,7 +209,7 @@ class RawTrace:
                                   compare=False)
     _wifi: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
-    # fingerprint_at's memo: {(t_end, scans, carried): Fingerprint}
+    # fingerprint_at's memo: {(t_end, scans read): Fingerprint}
     _windows: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -486,40 +486,36 @@ def feedback_oracle(completion: float, trace: RawTrace) -> float:
 # ---------------------------------------------------------------------------
 
 
-def fingerprint_at(trace: RawTrace, t_end: float,
-                   scan_times=None) -> Fingerprint:
-    """Summarize the window [t_end - WINDOW_S, t_end).
-
-    ``scan_times``, an ascending sequence, restricts WiFi scans to a device
-    schedule; None means every per-second sample is visible.  A scan at
-    time s reads second ``int(s)``.  When the schedule leaves the window
-    without a WiFi scan, the freshest earlier scan inside the staleness
-    budget is carried over, its features marking WiFi present; beyond the
-    budget (``WIFI_STALE_S``) WiFi is marked absent.  Both are found by
-    bisecting the schedule.
+def fingerprint_at(trace: RawTrace, t_end: float, scan_times) -> Fingerprint:
+    """Summarize the window [t_end - WINDOW_S, t_end) under the ascending
+    WiFi scan schedule ``scan_times``; ``range(len(trace.sec_t))`` scans
+    every second.  A scan at time s reads second ``int(s)``.  A window
+    without a scan carries the freshest earlier one over while it is at
+    most ``WIFI_STALE_S`` old, marking WiFi present, and otherwise marks
+    WiFi absent; both are found by bisecting the schedule.  A window ending
+    after the trace's last second raises ValueError.
 
     The result is memoized on the trace, keyed on everything the window
-    reads that can vary: t_end, the scans inside the window and, when there
-    are none, the latest earlier scan.
+    reads that can vary: t_end and the scans it reads.  Scans key by value,
+    so two schedules that agree on them share the entry.
     """
+    if t_end > len(trace.sec_t):
+        raise ValueError(f"window end t_end = {t_end} is after the trace's {len(trace.sec_t)} s")
     t_start = t_end - WINDOW_S
-    scans = carried = None
-    if scan_times is not None:
-        # the schedule's scans in [t_start, t_end) are scan_times[a:b]
-        a = bisect_left(scan_times, t_start)
-        scans = tuple(s for s in scan_times[a:bisect_left(scan_times, t_end, a)]
-                      if 0 <= int(s) < len(trace.sec_t))
-        if not scans and a:
-            carried = scan_times[a - 1]
-    key = (t_end, scans, carried)
+    # the schedule's scans in [t_start, t_end) are scan_times[a:b]
+    a = bisect_left(scan_times, t_start)
+    scans = tuple(s for s in scan_times[a:bisect_left(scan_times, t_end, a)] if int(s) >= 0)
+    if (not scans and a and t_end - scan_times[a - 1] <= WIFI_STALE_S
+            and int(scan_times[a - 1]) >= 0):
+        scans = (scan_times[a - 1],)
+    key = (t_end, scans)
     fp = trace._windows.get(key)
     if fp is None:
-        fp = trace._windows[key] = _summarize_trace_window(
-            trace, t_start, t_end, scans, carried)
+        fp = trace._windows[key] = _summarize_trace_window(trace, t_start, t_end, scans)
     return fp
 
 
-def _summarize_trace_window(trace, t_start, t_end, scans, carried):
+def _summarize_trace_window(trace, t_start, t_end, scans):
     """``fingerprint_at`` on a memo miss, from slices of the trace's arrays."""
     lo, hi = trace.sec_t.searchsorted((t_start, t_end)).tolist()
     lo_t, hi_t = trace.tick_t.searchsorted((t_start, t_end)).tolist()
@@ -531,24 +527,18 @@ def _summarize_trace_window(trace, t_start, t_end, scans, carried):
         "gnss": (0.0, 0.0, 0.0),
         "time": time_summary(trace.scenario.start_hour + t_start / 3600.0),
     }
-    if scans is None:
-        secs, times = list(range(lo, hi)), trace.sec_t[lo:hi]
-    else:
-        secs, times = [int(s) for s in scans], scans
-    if (carried is not None and t_end - carried <= WIFI_STALE_S
-            and 0 <= int(carried) < len(trace.sec_t)):
-        secs, times = [int(carried)], [carried]
-    if secs:
+    if scans:
+        secs = [int(s) for s in scans]
         means, strongest, bssids = trace.wifi_summaries()
         raw["wifi"] = wifi_summary(means[secs], strongest[secs],
-                                   [bssids[i] for i in secs], times)
+                                   [bssids[i] for i in secs], scans)
     if hi > lo:
         raw["cell"] = cell_summary(trace.rsrp[lo:hi], trace.rsrq[lo:hi],
                                    trace.cell_id[lo:hi])
         raw["gnss"] = gnss_summary(trace.gnss_snr[lo:hi],
                                    trace.gnss_sats[lo:hi],
                                    trace.gnss_fix[lo:hi])
-    present = {"pdr": True, "wifi": bool(secs), "cell": hi > lo,
+    present = {"pdr": True, "wifi": bool(scans), "cell": hi > lo,
                "gnss": hi > lo, "time": True}
     return assemble_fingerprint(0.5 * (t_start + t_end), raw, present)
 
@@ -560,14 +550,14 @@ def segment_before(trace: RawTrace, t_event: float,
     exactly at t_event.  An event before ``n * WINDOW_S`` keeps the windows
     from 0 instead, ending at ``k * WINDOW_S`` (``cli.trace_to_sequence``'s
     grid) up to t_event.  Each end is computed from its index, so no
-    rounding accumulates."""
+    rounding accumulates, and each window scans every second."""
     n = cfg.window.buffer_windows
     if t_event >= n * WINDOW_S:
         ends = [t_event - (n - k) * WINDOW_S for k in range(1, n + 1)]
     else:
         ends = [k * WINDOW_S for k in range(1, n + 1)
                 if k * WINDOW_S <= t_event + 1e-9]
-    return FingerprintSequence(fingerprint_at(trace, t) for t in ends)
+    return FingerprintSequence(fingerprint_at(trace, t, range(len(trace.sec_t))) for t in ends)
 
 
 def detect_outdoor_transition(trace: RawTrace, cfg: EngineConfig) -> float | None:

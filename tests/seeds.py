@@ -9,6 +9,7 @@ on a 2-vCPU host):
 
     PYTHONPATH=src python tests/seeds.py [--seeds 13 29 41 ...] [--json PATH]
                                          [--baseline PATH] [--rule]
+                                         [--variant null-init|null-round]
 
 ``--seeds`` picks the training seeds (default 13, 29 and 41).  ``--json``
 also writes, for the seeds run, each site's value per seed and, over the
@@ -24,7 +25,12 @@ the scripted trigger rule, ``ScriptedPolicy(trigger_guide(cfg))``, greedy
 through ``cli.evaluate_site`` on the stacks of each seed's model directory
 and the same session seeds; its site means and censored sessions are
 printed as one more row per seed and, with ``--json``, written as ``rule``
-in the shape of the policy's summary.  Every pipeline runs
+in the shape of the policy's summary.  ``--variant`` runs every seed with
+one salt renamed that no result should depend on, the null spread a
+behaviour change is read against (Henderson et al. 2018): ``null-init``
+hashes the policy's init seed string ``policy:`` as ``policy-null:``, and
+``null-round`` the edge-round rng string ``round:`` as ``round-null:``; the
+JSON then names it as ``variant``.  Every pipeline runs
 in a temporary directory; the JSON file is refused inside a model
 directory, whose files criterion 8 compares byte for byte.  The output, table and file, is deterministic.
 
@@ -38,6 +44,8 @@ import tempfile
 
 import numpy as np
 
+import envswitch.cli as cli
+import envswitch.cloudedge as cloudedge
 from envswitch.cli import evaluate_site, load_models
 from envswitch.config import EngineConfig
 from envswitch.policy import ScriptedPolicy, trigger_guide
@@ -48,6 +56,18 @@ SEEDS = (13, 29, 41)
 # it holds when all three are met and C >= A >= B
 CRITERION_6 = {"A": 0.25, "B": 0.20, "C": 0.40}
 BOOTSTRAP = {"statistic": "mean", "resamples": 10_000, "confidence": 0.95, "seed": 0}
+# --variant NAME: the module whose fnv1a64 it wraps, and the salt prefix it renames
+VARIANTS = {"null-init": (cli, "policy:", "policy-null:"),
+            "null-round": (cloudedge, "round:", "round-null:")}
+
+
+def apply_variant(name: str) -> None:
+    """Rebind the variant's module's ``fnv1a64`` to one that renames its
+    salt prefix and hashes every other text unchanged."""
+    module, old, new = VARIANTS[name]
+    fnv1a64 = module.fnv1a64
+    module.fnv1a64 = lambda text: fnv1a64(new + text[len(old):] if text.startswith(old)
+                                          else text)
 
 
 def site_means(reports) -> dict:
@@ -154,6 +174,8 @@ def main() -> None:
                         help="an earlier --json file of the same seeds")
     parser.add_argument("--rule", action="store_true",
                         help="also score the scripted trigger rule at each seed")
+    parser.add_argument("--variant", choices=sorted(VARIANTS),
+                        help="rename one salt no result should depend on")
     args = parser.parse_args()
     if len(set(args.seeds)) != len(args.seeds):
         parser.error("--seeds must not repeat a seed")
@@ -166,6 +188,8 @@ def main() -> None:
     if args.json and os.path.exists(os.path.join(os.path.dirname(os.path.abspath(args.json)),
                                                  "metric.txt")):
         parser.error("--json must be written outside a model directory")
+    if args.variant:
+        apply_variant(args.variant)
     cfg = EngineConfig()
     per_seed, censored, rule_per_seed, rule_censored = {}, {}, {}, {}
     print("| seed | A / B / C % |")
@@ -183,6 +207,8 @@ def main() -> None:
             print(table_row(f"{seed} rule", rule_per_seed[seed], rule_censored[seed]),
                   flush=True)
     result = dict(summary(per_seed), censored=censored_summary(censored))
+    if args.variant:
+        result["variant"] = args.variant
     if args.rule:
         result["rule"] = dict(summary(rule_per_seed),
                               censored=censored_summary(rule_censored))

@@ -1271,11 +1271,16 @@ class TestSchemaMismatch:
         for align in (dtw, soft_dtw):
             with pytest.raises(ValueError, match="schema"):
                 align(model, narrow, proto)
-        # the live length shared by a prototype group, and by none
+        wide = (np.concatenate([feats, feats[:, :1]], axis=1), pres)
+        # the live length shared by a prototype group (the first or a later
+        # one), and by none
         for library in (packed_library([proto])[0],
+                        packed_library([random_packed(rng, 6), proto])[0],
                         packed_library([random_packed(rng, 6)])[0]):
-            with pytest.raises(ValueError, match="schema"):
-                match(model, SelectorModel.zeros(), narrow, library, 3, 1, FilterContext())
+            for live in (narrow, wide):
+                with pytest.raises(ValueError, match="schema"):
+                    match(model, SelectorModel.zeros(), live, library, 3, 1, FilterContext())
+            assert all(not g.stack[:, 0].any() for g in alignment._plan(library))
 
 
 class TestMaskConsistency:

@@ -20,6 +20,7 @@ from envswitch.fingerprints import (FEATURE_NAMES, MODALITIES, Fingerprint,
                                     FingerprintLibrary, FingerprintSequence,
                                     SwitchEvent)
 from envswitch.policy import POLICY_HIDDEN, MatcherStack, PolicyModel
+from envswitch.serialize import dump_tensors, parse_tensors
 from envswitch.sim import scenario_text
 
 
@@ -261,6 +262,52 @@ class TestLoadModels:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: tensor ")):
             cli.load_models(str(tmp_path), EngineConfig())
+
+    @pytest.mark.parametrize("name, tensor", [("selector.txt", "selector.w2"),
+                                              ("metric.txt", "metric.W_gnss"),
+                                              ("policy.txt", "policy.b2")])
+    def test_a_missing_tensor_is_named(self, tmp_path, name, tensor):
+        self.write_models(tmp_path)
+        path = tmp_path / name
+        path.write_text(path.read_text().replace(f" {tensor} ", f" {tensor}x "))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing tensor {tensor}")):
+            cli.load_models(str(tmp_path), EngineConfig())
+
+    @pytest.mark.parametrize("name, tensor, shape, message", [
+        # the hidden width of w1 disagrees with b1 and w2
+        ("selector.txt", "selector.w1", (3, 8), r"selector\.w1 \(3, 8\), selector\.b1 \(16,\)"),
+        # consistent, but the selector reads 8 inputs, not 7
+        ("selector.txt", "selector.w1", (16, 7), r"selector\.w1 \(16, 7\) .* 8 inputs to 7"),
+        ("policy.txt", "policy.w1", (POLICY_HIDDEN, 6), r"policy\.w1 \(32, 6\) .* 7 inputs to 5"),
+        ("policy.txt", "policy.b2", (4,), r"policy\.w2 \(5, 32\), policy\.b2 \(4,\)"),
+        ("policy.txt", "policy.b1", (2, 16), r"policy\.b1 \(2, 16\)"),
+        ("metric.txt", "metric.W_pdr", (4, 2), "embedding for pdr")])
+    def test_a_tensor_of_another_shape_is_refused(self, tmp_path, name, tensor, shape,
+                                                  message):
+        self.write_models(tmp_path)
+        path = tmp_path / name
+        tensors = parse_tensors(path.read_text())
+        tensors[tensor] = np.ones(shape)
+        path.write_text(dump_tensors(tensors))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + message):
+            cli.load_models(str(tmp_path), EngineConfig())
+
+    def test_serving_settings_are_recorded_and_checked(self, tmp_path):
+        """``train`` writes match.band and window.buffer_windows next to the
+        models; ``evaluate`` with another value of either is refused."""
+        cli.main(["train", "--rounds", "0", "--out", str(tmp_path)])
+        serving = tmp_path / "serving.txt"
+        assert serving.read_text() == "match.band = 3\nwindow.buffer_windows = 10\n"
+        assert cli.load_models(str(tmp_path), load_config(serving))[3]["A"].band == 3
+        for line, key, trained, asked in (("match.band = 5", "match.band", 3, 5),
+                                          ("window.buffer_windows = 6",
+                                           "window.buffer_windows", 10, 6)):
+            config = tmp_path / "run.cfg"
+            config.write_text(line + "\n")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{serving}: the models were trained with {key} = {trained}, not {asked}")):
+                cli.main(["evaluate", "--sessions", "1", "--config", str(config),
+                          "--out", str(tmp_path)])
 
 
 class TestBuildTrainingPairs:

@@ -11,7 +11,7 @@ from envswitch.filters import (COEFFICIENT_RANGES, FILTER_ORDER, FilterChoice,
                                denoise_matrix, select_filter, selector_backward,
                                selector_forward_training, soft_denoise_backward,
                                soft_denoise_matrix, train_selector)
-from envswitch.mlp import grads_add, grads_scale, grads_zeros_like
+from envswitch.mlp import grads_add, grads_scale, grads_zeros_like, sigmoid
 
 from conftest import random_packed
 
@@ -667,3 +667,29 @@ class TestTrainSelectorBatching:
             looped = looped_train_selector(model, items, metric, 3, 0.5)
             assert np.array_equal(batched.net.to_vector(), looped.net.to_vector())
             assert not np.array_equal(batched.net.to_vector(), model.net.to_vector())
+
+
+def masked_sigmoid(z):
+    """The oracle: 1 / (1 + exp(-z)) on the entries z >= 0 and
+    exp(z) / (1 + exp(z)) on the others, written through boolean masks."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    def test_equals_the_masked_form_bit_for_bit(self, rng):
+        # pyproject turns a RuntimeWarning (overflow, invalid) into an error
+        z = np.concatenate([rng.normal(0.0, scale, 20_000)
+                            for scale in (0.1, 1.0, 10.0, 100.0, 800.0)]
+                           + [np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0])])
+        got = sigmoid(z)
+        assert got.shape == z.shape and got.tobytes() == masked_sigmoid(z).tobytes()
+        assert got[-6:].tolist() == [0.5, 0.5, 1.0, 0.0, 1.0, masked_sigmoid(-745.0)]
+        assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
+        for scalar in (-3.0, 0.0, 2.5):
+            assert sigmoid(scalar).tobytes() == masked_sigmoid(scalar).tobytes()

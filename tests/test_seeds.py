@@ -4,8 +4,11 @@ import sys
 import numpy as np
 import pytest
 
+import envswitch.cli as cli
+import envswitch.cloudedge as cloudedge
 import seeds
 from envswitch.cli import SessionReport, cmd_evaluate, cmd_train
+from envswitch.config import EngineConfig
 from seeds import (CRITERION_6, censored_summary, criterion_6, interquartile_mean,
                    site_censored, summary, table_row, wins_against)
 
@@ -120,3 +123,33 @@ def test_rule_adds_one_row_per_seed_and_a_json_key(monkeypatch, tmp_path, capsys
     assert rule["seeds"] == [13] and set(rule["sites"]) == set("ABC")
     assert rule["censored"]["total"] == sum(rule["censored"]["sites"].values())
     assert rule["per_seed"]["13"] != plain["per_seed"]["13"]
+
+
+@pytest.mark.parametrize("variant, module, old, new", [
+    ("null-init", cli, "policy:", "policy-null:"),
+    ("null-round", cloudedge, "round:", "round-null:")])
+def test_a_null_variant_renames_exactly_its_salt(monkeypatch, variant, module, old, new):
+    """The texts an R=1 training hashes through ``cli`` and ``cloudedge``
+    are the default run's, with only the variant's prefix renamed."""
+    texts = []
+    for owner in (cli, cloudedge):
+        def recorded(text, fnv1a64=owner.fnv1a64, name=owner.__name__):
+            texts.append((name, text))
+            return fnv1a64(text)
+        # the variant wraps the recorder, which sees the texts it hashes
+        monkeypatch.setattr(owner, "fnv1a64", recorded)
+
+    def hashed_texts():
+        texts.clear()
+        cli.train_models(13, EngineConfig(), rounds=1, log=lambda *a: None)
+        return list(texts)
+
+    plain = hashed_texts()
+    seeds.apply_variant(variant)
+    renamed = hashed_texts()
+    assert len(renamed) == len(plain)
+    changed = [(p, r) for p, r in zip(plain, renamed) if p != r]
+    assert changed and all(p[0] == r[0] == module.__name__ and p[1].startswith(old)
+                           and r[1] == new + p[1][len(old):] for p, r in changed)
+    assert sum(text.startswith(old) for name, text in plain if name == module.__name__) \
+        == len(changed)

@@ -534,7 +534,7 @@ class TestWindowing:
     def test_fingerprint_full_presence_at_full_rate(self):
         trace = generate(make_scenario("C", 1, CFG.radio, CFG.walker),
                          CFG.radio, CFG.walker)
-        fp = fingerprint_at(trace, 10.0)
+        fp = fingerprint_at(trace, 10.0, range(len(trace.sec_t)))
         assert fp.present.all()
 
     def test_detect_outdoor_transition_on_site_c(self):
@@ -718,8 +718,9 @@ class TestTraceOracle:
 
 
 class TestWindowOracle:
+    # None stands for the trace's every-second schedule, range(len(trace.sec_t))
     SCHEDULES = {
-        "all": None,
+        "every_second": None,
         "every_2s": scan_schedule(90.0),
         "boosted_1s": scan_schedule(90.0, boosts=((6.0, 16.0), (30.0, 40.0))),
         # gaps longer than WIFI_STALE_S, and scans off the 1 Hz grid
@@ -739,10 +740,28 @@ class TestWindowOracle:
                                rng.uniform(10.0, trace.duration - 10.0, 12)])
         for t in ends.tolist():
             for schedule in self.SCHEDULES.values():
+                schedule = range(len(trace.sec_t)) if schedule is None else schedule
                 want = fp_bytes(reference_fingerprint_at(trace, t, schedule))
                 assert fp_bytes(fingerprint_at(trace, t, schedule)) == want
                 # the second call is a memo hit
                 assert fp_bytes(fingerprint_at(trace, t, schedule)) == want
+
+    @pytest.mark.parametrize("site", ["A", "B", "C"])
+    def test_every_second_schedule_sees_every_sample(self, site):
+        """Inside the trace, the every-second schedule reads what the oracle
+        reads with every per-second sample visible, at whole and half
+        seconds; a window ending after the last second is refused."""
+        for seed in range(4):
+            trace = generate(make_scenario(site, seed, CFG.radio, CFG.walker),
+                             CFG.radio, CFG.walker)
+            every_second = range(len(trace.sec_t))
+            assert len(trace.sec_t) == int(trace.duration)
+            for t in np.arange(0.5, len(trace.sec_t) + 0.25, 0.5).tolist():
+                assert (fp_bytes(fingerprint_at(trace, t, every_second))
+                        == fp_bytes(reference_fingerprint_at(trace, t)))
+            for t in (len(trace.sec_t) + 0.5, len(trace.sec_t) + 1.0):
+                with pytest.raises(ValueError, match=f"t_end = {t} .* {len(trace.sec_t)} s"):
+                    fingerprint_at(trace, t, every_second)
 
     def test_segment_windows_equal_the_oracle(self):
         trace = generate(make_scenario("B", 7, CFG.radio, CFG.walker),
@@ -757,15 +776,18 @@ class TestWindowOracle:
         trace = generate(make_scenario("C", 7, CFG.radio, CFG.walker),
                          CFG.radio, CFG.walker)
         for schedule in self.SCHEDULES.values():
+            schedule = range(len(trace.sec_t)) if schedule is None else schedule
             for t in np.arange(1.0, trace.duration, 0.5).tolist():
                 fingerprint_at(trace, t, schedule)
-        # a memo key is (t_end, scans in the window, carried scan time)
+        # a memo key is (t_end, the scans the window reads): those inside it
+        # or, failing them, the one it carries over
         seen = set()
-        for (_, scans, carried), fp in trace._windows.items():
-            if not fp.present[1]:
+        for (t_end, scans), fp in trace._windows.items():
+            assert bool(scans) == bool(fp.present[1])
+            if not scans:
                 seen.add("absent")
-            elif scans == ():
-                assert carried is not None
+            elif scans[-1] < t_end - sim.WINDOW_S:
+                assert len(scans) == 1
                 seen.add("carried")
             else:
                 seen.add("fresh")
@@ -822,6 +844,16 @@ class TestWindowMemo:
             # one scan reading second 8, as the on-grid scan at 8.0 does
             on_grid = fingerprint_at(trace, t, [0.0, 8.0])
             assert fp.features[wifi].tobytes() == on_grid.features[wifi].tobytes()
+
+    def test_a_library_window_and_a_rollout_window_share_an_entry(self):
+        # segment_before's window [8, 9) and a rollout's under the 2 s
+        # schedule both read the scan at second 8: 8 == 8.0 in the key
+        trace = self.trace()
+        library = segment_before(trace, 9.0, CFG).windows[-1]
+        assert (9.0, (8,)) in trace._windows
+        entries = len(trace._windows)
+        assert fingerprint_at(trace, 9.0, scan_schedule(trace.duration)) is library
+        assert len(trace._windows) == entries
 
     def test_the_schedule_is_a_sequence(self):
         # a set has no order to bisect
