@@ -9,10 +9,10 @@ windows at once, into an output of its own: no filter keeps buffers between
 calls.  The scalar ``apply_*`` functions define each filter and are the
 reference the batched ones equal bit for bit.  During training a soft
 mixture of all three keeps the selection differentiable
-(``soft_denoise_matrix``, along the same axis of any stack of windows), and
-each filter carries analytic derivatives w.r.t. its own coefficient, run
-forward with vector state over the columns, so gradients reach the selector
-parameters.
+(``soft_denoise_matrix``, over any stack of windows, under one choice or one
+per window, so a selector epoch filters each array length in one pass), and
+each filter carries analytic derivatives w.r.t. its own coefficient in its
+own recursion, so gradients reach the selector parameters.
 """
 
 import functools
@@ -272,18 +272,32 @@ def _along_time(kernel, arr: np.ndarray, *coef) -> np.ndarray:
     return out if x.flags.c_contiguous else np.ascontiguousarray(out)
 
 
-def _kalman_batch(x: np.ndarray, q: float, r: float) -> np.ndarray:
-    # gain and variance do not depend on the data, so one scalar recursion
-    # serves every series; each series starts from its own first value
-    out = np.empty_like(x)
-    mean = x[0]
-    var = 1.0
+def _kalman_batch(x: np.ndarray, q, r, sens: bool):
+    """Kalman filter along axis 0 of a time-major x, each series started at
+    its first value, variance 1.  Gain and variance, data-free, are scalars
+    or (B, 1) columns of x (T, B, K).  With ``sens`` the recursion also
+    carries d(out)/dq and d(out)/dr, and returns (out, dq_out, dr_out)."""
+    out, mean, var = np.empty_like(x), x[0], 1.0
+    if sens:
+        dq_out, dr_out = np.empty_like(x), np.empty_like(x)
+        dmean_q = dmean_r = np.zeros_like(x[0])
+        dvar_q = dvar_r = 0.0
     for i in range(x.shape[0]):
-        var = var + q
-        gain = var / (var + r)
-        out[i] = mean = mean + gain * (x[i] - mean)
-        var = (1.0 - gain) * var
-    return out
+        var_p = var + q
+        denom = var_p + r
+        gain = var_p / denom
+        resid = x[i] - mean
+        out[i] = mean = mean + gain * resid
+        if sens:
+            dvar_pq = dvar_q + 1.0
+            dgain_q = (dvar_pq * denom - var_p * dvar_pq) / (denom * denom)
+            dgain_r = (dvar_r * denom - var_p * (dvar_r + 1.0)) / (denom * denom)
+            dq_out[i] = dmean_q = dmean_q + dgain_q * resid - gain * dmean_q
+            dr_out[i] = dmean_r = dmean_r + dgain_r * resid - gain * dmean_r
+            dvar_q = -dgain_q * var_p + (1.0 - gain) * dvar_pq
+            dvar_r = -dgain_r * var_p + (1.0 - gain) * dvar_r
+        var = (1.0 - gain) * var_p
+    return (out, dq_out, dr_out) if sens else out
 
 
 @functools.lru_cache(maxsize=64)
@@ -300,39 +314,45 @@ def _gaussian_gather(radius: int, n: int):
 
 
 def _gaussian_sums(x: np.ndarray, *weights):
-    """Edge-truncated weighted sums along axis -2 of x (..., T, F): one
-    (num, den[:, None]) per kernel in ``weights``.  The zero-padded series
-    is gathered once into its (..., 2 radius + 1, T, F) taps, each kernel
-    weights them (the last in place) and the tap axis is summed from +0.0.
-    numpy adds down a leading axis row by row, so each sum adds in offset
-    order, as ``apply_gaussian`` does, and an off-edge tap adds +0.0,
-    which changes no sum started from +0.0; den is the same reduction of
-    the reach indicator."""
-    radius, T = weights[0].size // 2, x.shape[-2]
+    """Edge-truncated weighted sums along axis 0 of a time-major x (T, ...):
+    one (num, den) per kernel in ``weights``, each (2 radius + 1, ...) and
+    broadcast against one step of x.  Per kernel, the zero-padded series is
+    gathered into its (2 radius + 1, T, ...) taps, weighted in place and
+    summed over the tap axis from +0.0.  numpy adds down the leading axis
+    row by row, so each sum adds in offset order, as ``apply_gaussian``
+    does; an off-edge tap adds +-0.0, which changes no sum started from
+    +0.0, and den is the same reduction of the reach indicator."""
+    T, radius = x.shape[0], len(weights[0]) // 2
     index, reach = _gaussian_gather(radius, T)
-    padded = np.zeros(x.shape[:-2] + (T + 2 * radius, x.shape[-1]))
-    padded[..., radius:radius + T, :] = x
-    taps = np.take(padded, index, axis=-2)
+    padded = np.zeros((T + 2 * radius,) + x.shape[1:])
+    padded[radius:radius + T] = x
+    reach = reach.reshape(reach.shape + (1,) * (weights[0].ndim - 1))
     sums = []
-    for k, w in enumerate(weights):
-        weighted = np.multiply(taps, w[:, None, None], out=taps if k == len(weights) - 1 else None)
-        sums.append((np.add.reduce(weighted, axis=-3, initial=0.0),
-                     np.add.reduce(w[:, None] * reach, axis=0, initial=0.0)[:, None]))
+    for w in weights:
+        taps = np.take(padded, index, axis=0)   # one (wide) tap array at a time
+        taps *= w[:, None]
+        sums.append((np.add.reduce(taps, axis=0, initial=0.0),
+                     np.add.reduce(w[:, None] * reach, axis=0, initial=0.0)))
+        del taps
     return sums
 
 
 def _gaussian_batch(x: np.ndarray, sigma: float) -> np.ndarray:
-    (num, den), = _gaussian_sums(x, _gaussian_kernel(sigma)[1])
+    (num, den), = _gaussian_sums(x, _gaussian_kernel(sigma)[1][:, None])
     return np.divide(num, den, out=num)
 
 
-def _elp_batch(x: np.ndarray, alpha: float) -> np.ndarray:
-    # alpha * x[i] for every row at once, then + (1 - alpha) * out[i - 1]
+def _elp_batch(x: np.ndarray, alpha, sens: bool):
+    # alpha * x[i] for every row at once, then + (1 - alpha) * out[i - 1], alpha
+    # a scalar or a (B, 1) column; with sens the pass also returns d(out)/dalpha
     out = np.multiply(x, alpha)
     out[0] = x[0]
+    dal = np.zeros_like(x) if sens else None
     for i in range(1, x.shape[0]):
+        if sens:
+            dal[i] = (x[i] - out[i - 1]) + (1.0 - alpha) * dal[i - 1]
         out[i] += (1.0 - alpha) * out[i - 1]
-    return out
+    return (out, dal) if sens else out
 
 
 def denoise_matrix(choice: FilterChoice, arr: np.ndarray) -> np.ndarray:
@@ -354,10 +374,10 @@ def denoise_matrix(choice: FilterChoice, arr: np.ndarray) -> np.ndarray:
         raise ValueError("denoise_matrix needs a nonempty (..., T, F) array")
     kind = choice.hard_kind()
     if kind == "kalman":
-        return _along_time(_kalman_batch, arr, choice.q, choice.r)
+        return _along_time(_kalman_batch, arr, choice.q, choice.r, False)
     if kind == "gaussian":
         return _along_time(_gaussian_batch, arr, choice.sigma)
-    return _along_time(_elp_batch, arr, choice.alpha)
+    return _along_time(_elp_batch, arr, choice.alpha, False)
 
 
 # ---------------------------------------------------------------------------
@@ -365,81 +385,59 @@ def denoise_matrix(choice: FilterChoice, arr: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _kalman_with_sens(x: np.ndarray, q: float, r: float):
-    """Kalman output along axis -2 (``_kalman_batch``) plus d(out)/dq and
-    d(out)/dr, via forward sensitivities.  Variance, gain and their
-    derivatives do not depend on the data, so they are scalars; the mean's
-    derivatives are vectors over every series."""
-    out = _along_time(_kalman_batch, x, q, r)
-    dq_out = np.empty_like(x)
-    dr_out = np.empty_like(x)
-    dmean_q = dmean_r = np.zeros_like(x[..., 0, :])
-    var, dvar_q, dvar_r = 1.0, 0.0, 0.0
-    for i in range(x.shape[-2]):
-        var_p = var + q
-        dvar_pq = dvar_q + 1.0
-        dvar_pr = dvar_r
-        denom = var_p + r
-        gain = var_p / denom
-        dgain_q = (dvar_pq * denom - var_p * dvar_pq) / (denom * denom)
-        dgain_r = (dvar_pr * denom - var_p * (dvar_pr + 1.0)) / (denom * denom)
-        # the filter starts at the series' first value
-        resid = x[..., i, :] - (out[..., i - 1, :] if i else x[..., 0, :])
-        dmean_q = dmean_q + dgain_q * resid - gain * dmean_q
-        dmean_r = dmean_r + dgain_r * resid - gain * dmean_r
-        var = (1.0 - gain) * var_p
-        dvar_q = -dgain_q * var_p + (1.0 - gain) * dvar_pq
-        dvar_r = -dgain_r * var_p + (1.0 - gain) * dvar_pr
-        dq_out[..., i, :] = dmean_q
-        dr_out[..., i, :] = dmean_r
-    return out, dq_out, dr_out
-
-
-def _gaussian_with_sens(x: np.ndarray, sigma: float):
-    """Gaussian smoothing along axis -2 plus d(out)/dsigma (kernel radius
-    held fixed)."""
-    offsets, weights = _gaussian_kernel(sigma)
-    dweights = weights * (offsets.astype(float) ** 2) / sigma ** 3
-    (num, den), (dnum, dden) = _gaussian_sums(x, weights, dweights)
+def _gaussian_with_sens(x: np.ndarray, sigmas):
+    """Gaussian smoothing along axis 0 of a time-major x (T, B, K), entry b
+    with ``sigmas[b]``, plus d(out)/dsigma (radius held fixed); each entry's
+    kernel is padded with zero weights to the widest radius, adding +-0.0."""
+    radii = [max(1, int(math.ceil(3.0 * s))) for s in sigmas]
+    offsets, negated_squares = _gaussian_offsets(max(radii))
+    # 2 sigma^2 and sigma^3 of Python floats: numpy's cube of an array differs
+    weights = np.exp(negated_squares[:, None] / [2.0 * v * v for v in sigmas])
+    weights[np.abs(offsets)[:, None] > radii] = 0.0
+    dweights = weights * (offsets.astype(float) ** 2)[:, None] / [v ** 3 for v in sigmas]
+    (num, den), (dnum, dden) = _gaussian_sums(x, weights[..., None], dweights[..., None])
     return num / den, (dnum * den - num * dden) / (den * den)
 
 
-def _elp_with_sens(x: np.ndarray, alpha: float):
-    """Exponential low-pass along axis -2 (``_elp_batch``) plus d(out)/dalpha."""
-    out = _along_time(_elp_batch, x, alpha)
-    dal = np.empty_like(x)
-    dal[..., 0, :] = 0.0
-    for i in range(1, x.shape[-2]):
-        dal[..., i, :] = (x[..., i, :] - out[..., i - 1, :]) + (1.0 - alpha) * dal[..., i - 1, :]
-    return out, dal
-
-
-def soft_denoise_matrix(choice: FilterChoice, arr: np.ndarray):
+def soft_denoise_matrix(choice, arr: np.ndarray):
     """Weighted mixture of the three filters along axis -2 of (..., T, F).
 
     Every column of every leading batch entry is one series, as in
-    ``denoise_matrix``.  Returns (filtered, cache); the cache holds the three
-    filter outputs and the mixture's sensitivities to (q, r, sigma, alpha),
-    and feeds ``soft_denoise_backward``.  Equals the hard path exactly when
-    one weight is 1.
+    ``denoise_matrix``.  ``choice`` is one FilterChoice, or one per entry
+    of a (B, T, F) stack (``train_selector``'s arrays of one length).  The
+    filters run time-major, (T, B, K), each entry's coefficients a (B, 1)
+    column (B = 1 for one choice), so each series gets the operations of
+    filtering it alone.  Returns (filtered, cache); the cache holds the three
+    filter outputs (3, ..., T, F) and the mixture's sensitivities to (q, r,
+    sigma, alpha) (4, ..., T, F) for ``soft_denoise_backward``.  Equals the
+    hard path exactly when one weight is 1.
     """
     arr = np.asarray(arr, dtype=float)
     if arr.ndim < 2 or arr.shape[-2] == 0:
         raise ValueError("soft_denoise_matrix needs a nonempty (..., T, F) array")
-    yk, dq, dr = _kalman_with_sens(arr, choice.q, choice.r)
-    yg, ds = _gaussian_with_sens(arr, choice.sigma)
-    ye, da = _elp_with_sens(arr, choice.alpha)
-    w = choice.weights
-    outs = np.stack([yk, yg, ye])
-    # d(out)/d(q, r, sigma, alpha) of the mixture
-    sens = np.stack([w[0] * dq, w[0] * dr, w[1] * ds, w[2] * da])
+    single = isinstance(choice, FilterChoice)
+    choices = [choice] if single else list(choice)
+    if not single and (arr.ndim != 3 or len(choices) != len(arr)):
+        raise ValueError("soft_denoise_matrix needs one FilterChoice per entry of (B, T, F)")
+    time_major = np.moveaxis(arr, -2, 0)
+    x = np.ascontiguousarray(time_major).reshape(len(time_major), len(choices), -1)
+    q, r, alpha = (np.array([[getattr(c, name)] for c in choices]) for name in ("q", "r", "alpha"))
+    yg, ds = _gaussian_with_sens(x, [c.sigma for c in choices])
+    yk, dq, dr = _kalman_batch(x, q, r, True)
+    ye, da = _elp_batch(x, alpha, True)
+    w = np.array([c.weights for c in choices])[:, :, None]
+    # the outputs and d(mixture)/d(q, r, sigma, alpha), written in arr's layout
+    outs, sens = np.empty((3,) + arr.shape), np.empty((4,) + arr.shape)
+    for dst, a in zip([*outs, *sens], [yk, yg, ye, w[:, 0] * dq, w[:, 0] * dr,
+                                       w[:, 1] * ds, w[:, 2] * da]):
+        np.moveaxis(dst, -2, 0)[...] = a.reshape(time_major.shape)
     # mix window by window: one contraction over a whole stack may round
     # differently from the same windows mixed one at a time; each window is
     # the (1, 3) by (3, T * F) product ``np.tensordot(w, window, (0, 0))`` makes
     windows = outs.reshape((3, -1) + arr.shape[-2:])
-    w = w.reshape(1, 3)
-    mixed = np.stack([np.dot(w, windows[:, b].reshape(3, -1))
-                      for b in range(windows.shape[1])]).reshape(arr.shape)
+    mix = [c.weights.reshape(1, 3) for c in choices] * (windows.shape[1] // len(choices))
+    mixed = np.stack([np.dot(m, windows[:, b].reshape(3, -1))
+                      for b, m in enumerate(mix)]).reshape(arr.shape)
     return mixed, (outs, sens)
 
 
@@ -470,28 +468,31 @@ def selector_backward(model: SelectorModel, cache, dweights, dparams):
     return grads
 
 
-def _soft_filter_item(model: SelectorModel, ctx: FilterContext, pairs):
-    """Selector forward and soft mixture of one training item.
-
-    Picks the item's choice, then filters the feature array of both sides
-    of every ``((q_feats, q_present), (p_feats, p_present))`` pair with one
-    ``soft_denoise_matrix`` call per array length; presence passes through.
-    Returns the selector cache, the filtered pairs in the same format and
-    one ``(query cache, proto cache)`` of mixture caches per pair.
-    """
-    choice, sel_cache = selector_forward_training(model, ctx)
-    sides = [side for pair in pairs for side in pair]
-    by_length = {}
-    for a, (feats, _) in enumerate(sides):
-        by_length.setdefault(np.shape(feats)[0], []).append(a)
-    filtered, caches = [None] * len(sides), [None] * len(sides)
-    for members in by_length.values():
-        out, (outs, sens) = soft_denoise_matrix(choice, np.stack([sides[a][0] for a in members]))
-        for b, a in enumerate(members):
-            filtered[a] = (out[b], sides[a][1])
-            caches[a] = (outs[:, b], sens[:, b])
-    return (sel_cache, list(zip(filtered[0::2], filtered[1::2])),
-            list(zip(caches[0::2], caches[1::2])))
+def _selector_epoch(model: SelectorModel, items, sides, stacks, alignment_loss_fn):
+    """One epoch of ``train_selector``: the summed loss and parameter
+    gradients, in a function so that no epoch's stacked arrays outlive it."""
+    forwards = [selector_forward_training(model, ctx) for ctx, _, _ in items]
+    # per item and side: the filtered side and its mixture cache
+    done = [[None] * len(item_sides) for item_sides in sides]
+    for places, stack in stacks:
+        out, (outs, sens) = soft_denoise_matrix([forwards[k][0] for k, _ in places], stack)
+        for b, (k, j) in enumerate(places):
+            done[k][j] = (out[b], sides[k][j][1]), (outs[:, b], sens[:, b])
+    pairs = [[(q[0], p[0]) for q, p in zip(d[0::2], d[1::2])] for d in done]
+    losses = alignment_loss_fn([(p[0], p[1:]) for p in pairs])
+    acc = grads_zeros_like(model.net)
+    total = 0.0
+    for (_, sel_cache), d, (loss, fgrads) in zip(forwards, done, losses):
+        total += loss
+        dweights = np.zeros(3)
+        dparams = np.zeros(4)
+        # the query, then the proto of every pair
+        for grad, (_, cache) in zip((g for pair in fgrads for g in pair), d):
+            dw, dp = soft_denoise_backward(cache, grad)
+            dweights += dw
+            dparams += dp
+        grads_add(acc, selector_backward(model, sel_cache, dweights, dparams))
+    return total, acc
 
 
 def train_selector(model: SelectorModel, items, alignment_loss_fn,
@@ -500,36 +501,30 @@ def train_selector(model: SelectorModel, items, alignment_loss_fn,
 
     ``items`` is a list of ``(ctx, positive, negatives)``, each pair a
     ``((q_feats, q_present), (p_feats, p_present))`` as ``train_metric``
-    takes them.  Each epoch filters every item (``_soft_filter_item``),
-    then makes one ``alignment_loss_fn(filtered_items)`` call over the
-    whole epoch: it takes one ``(filtered_positive, filtered_negatives)``
-    per item and returns one ``(loss, feature_grads)`` per item, with the
-    gradient of that item's loss w.r.t. the query and proto features of
-    every pair, positive first (``make_alignment_loss``).  The backward
-    then runs item by item, in order.  Returns a new model; the input is
-    untouched.
+    takes them.  Each epoch runs the selector forward item by item, then
+    filters both sides of every pair of every item, each under its item's
+    choice, in one ``soft_denoise_matrix`` call per array length; presence
+    passes through.  One ``alignment_loss_fn(filtered_items)`` call covers
+    the epoch: it takes one ``(filtered_positive, filtered_negatives)`` per
+    item and returns one ``(loss, feature_grads)`` per item, the gradient of
+    that item's loss w.r.t. the query and proto features of every pair,
+    positive first (``make_alignment_loss``).  The backward runs item by
+    item, in order.  Returns a new model; the input is untouched.
     """
     if not items:
         raise ValueError("empty training batch")
-    net = model.net.copy()
-    current = SelectorModel(net)
+    current = SelectorModel(model.net.copy())
+    # each item's sides, pair by pair, and per length their places and stack
+    sides = [[side for pair in [positive] + list(negatives) for side in pair]
+             for _, positive, negatives in items]
+    by_length = {}
+    for k, item_sides in enumerate(sides):
+        for j, (feats, _) in enumerate(item_sides):
+            by_length.setdefault(len(feats), []).append((k, j))
+    stacks = [(places, np.stack([sides[k][j][0] for k, j in places]))
+              for places in by_length.values()]
     for _ in range(max(0, epochs)):
-        forwards = [_soft_filter_item(current, ctx, [positive] + list(negatives))
-                    for ctx, positive, negatives in items]
-        losses = alignment_loss_fn([(filtered[0], filtered[1:])
-                                    for _, filtered, _ in forwards])
-        acc = grads_zeros_like(net)
-        total = 0.0
-        for (sel_cache, _, caches), (loss, fgrads) in zip(forwards, losses):
-            total += loss
-            dweights = np.zeros(3)
-            dparams = np.zeros(4)
-            for (gq, gp), (cq, cp) in zip(fgrads, caches):
-                for grad, cache in ((gq, cq), (gp, cp)):
-                    dw, dp = soft_denoise_backward(cache, grad)
-                    dweights += dw
-                    dparams += dp
-            grads_add(acc, selector_backward(current, sel_cache, dweights, dparams))
+        total, acc = _selector_epoch(current, items, sides, stacks, alignment_loss_fn)
         if not math.isfinite(total):
             raise FloatingPointError("selector training loss is not finite")
         current = SelectorModel(current.net.step(grads_scale(acc, 1.0 / len(items)),

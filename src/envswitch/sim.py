@@ -184,7 +184,7 @@ class RawTrace:
     ``zone_transitions``, for the ground-truth sidecar.
 
     ``generate`` makes every array read-only: one trace is shared by every
-    rollout of its scenario, and its checksum, its per-second WiFi summaries
+    rollout of its scenario, and its checksum, WiFi summaries, stream lists
     and each window ``fingerprint_at`` builds from it are computed once.
     """
 
@@ -209,6 +209,7 @@ class RawTrace:
                                   compare=False)
     _wifi: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
+    _streams: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # fingerprint_at's memo: {(t_end, scans read): Fingerprint}
     _windows: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
@@ -239,6 +240,14 @@ class RawTrace:
             self._wifi = (values.sum(axis=0) / len(values), values[0],
                           tuple(self.bssids[a] for a in strongest.tolist()))
         return self._wifi
+
+    def streams(self):
+        """step_times, sec_t and the cellular and GNSS streams as lists, made once."""
+        if self._streams is None:
+            self._streams = tuple(a.tolist() for a in (
+                self.step_times, self.sec_t, self.rsrp, self.rsrq, self.cell_id,
+                self.gnss_snr, self.gnss_sats, self.gnss_fix))
+        return self._streams
 
     def checksum(self) -> str:
         """16 hex digits: an 8-byte BLAKE2b of the radio, GNSS and position
@@ -495,9 +504,9 @@ def fingerprint_at(trace: RawTrace, t_end: float, scan_times) -> Fingerprint:
     WiFi absent; both are found by bisecting the schedule.  A window ending
     after the trace's last second raises ValueError.
 
-    The result is memoized on the trace, keyed on everything the window
-    reads that can vary: t_end and the scans it reads.  Scans key by value,
-    so two schedules that agree on them share the entry.
+    The result is memoized on the trace, keyed on what the window reads
+    that can vary: t_end and the scans it reads, by value, so schedules that
+    agree on them share the entry.  A miss slices the trace's ``streams``.
     """
     if t_end > len(trace.sec_t):
         raise ValueError(f"window end t_end = {t_end} is after the trace's {len(trace.sec_t)} s")
@@ -516,15 +525,13 @@ def fingerprint_at(trace: RawTrace, t_end: float, scan_times) -> Fingerprint:
 
 
 def _summarize_trace_window(trace, t_start, t_end, scans):
-    """``fingerprint_at`` on a memo miss, from slices of the trace's arrays."""
-    lo, hi = trace.sec_t.searchsorted((t_start, t_end)).tolist()
-    lo_t, hi_t = trace.tick_t.searchsorted((t_start, t_end)).tolist()
-    lo_s, hi_s = trace.step_times.searchsorted((t_start, t_end)).tolist()
+    """``fingerprint_at`` on a memo miss, from the trace's ``streams``."""
+    step_times, sec_t, *seconds = trace.streams()
+    lo, hi = trace.tick_t.searchsorted((t_start, t_end)).tolist()
     raw = {
-        "pdr": pdr_summary(hi_s - lo_s, t_end - t_start,
-                           trace.headings[lo_t:hi_t]),
-        "wifi": (0.0, 0.0, 0.0), "cell": (0.0, 0.0, 0.0),
-        "gnss": (0.0, 0.0, 0.0),
+        "pdr": pdr_summary(bisect_left(step_times, t_end) - bisect_left(step_times, t_start),
+                           t_end - t_start, trace.headings[lo:hi]),
+        "wifi": (0.0,) * 3, "cell": (0.0,) * 3, "gnss": (0.0,) * 3,
         "time": time_summary(trace.scenario.start_hour + t_start / 3600.0),
     }
     if scans:
@@ -532,12 +539,10 @@ def _summarize_trace_window(trace, t_start, t_end, scans):
         means, strongest, bssids = trace.wifi_summaries()
         raw["wifi"] = wifi_summary(means[secs], strongest[secs],
                                    [bssids[i] for i in secs], scans)
+    lo, hi = bisect_left(sec_t, t_start), bisect_left(sec_t, t_end)
     if hi > lo:
-        raw["cell"] = cell_summary(trace.rsrp[lo:hi], trace.rsrq[lo:hi],
-                                   trace.cell_id[lo:hi])
-        raw["gnss"] = gnss_summary(trace.gnss_snr[lo:hi],
-                                   trace.gnss_sats[lo:hi],
-                                   trace.gnss_fix[lo:hi])
+        raw["cell"] = cell_summary(*(s[lo:hi] for s in seconds[:3]))
+        raw["gnss"] = gnss_summary(*(s[lo:hi] for s in seconds[3:]))
     present = {"pdr": True, "wifi": bool(scans), "cell": hi > lo,
                "gnss": hi > lo, "time": True}
     return assemble_fingerprint(0.5 * (t_start + t_end), raw, present)

@@ -9,7 +9,7 @@ on a 2-vCPU host):
 
     PYTHONPATH=src python tests/seeds.py [--seeds 13 29 41 ...] [--json PATH]
                                          [--baseline PATH] [--rule]
-                                         [--variant null-init|null-round]
+                                         [--variant null-init|null-round|no-pretrain]
 
 ``--seeds`` picks the training seeds (default 13, 29 and 41).  ``--json``
 also writes, for the seeds run, each site's value per seed and, over the
@@ -26,11 +26,14 @@ through ``cli.evaluate_site`` on the stacks of each seed's model directory
 and the same session seeds; its site means and censored sessions are
 printed as one more row per seed and, with ``--json``, written as ``rule``
 in the shape of the policy's summary.  ``--variant`` runs every seed with
-one salt renamed that no result should depend on, the null spread a
-behaviour change is read against (Henderson et al. 2018): ``null-init``
-hashes the policy's init seed string ``policy:`` as ``policy-null:``, and
-``null-round`` the edge-round rng string ``round:`` as ``round-null:``; the
-JSON then names it as ``variant``.  Every pipeline runs
+one module attribute rebound.  Two variants rename one salt that no result
+should depend on, the null spread a behaviour change is read against
+(Henderson et al. 2018): ``null-init`` hashes the policy's init seed string
+``policy:`` as ``policy-null:``, and ``null-round`` the edge-round rng
+string ``round:`` as ``round-null:``.  ``no-pretrain`` makes
+``cli.pretrain_on_trigger_rule`` return its policy unchanged, so the
+rounds start from the untrained policy.  The JSON then names the variant
+as ``variant``.  Every pipeline runs
 in a temporary directory; the JSON file is refused inside a model
 directory, whose files criterion 8 compares byte for byte.  The output, table and file, is deterministic.
 
@@ -56,18 +59,27 @@ SEEDS = (13, 29, 41)
 # it holds when all three are met and C >= A >= B
 CRITERION_6 = {"A": 0.25, "B": 0.20, "C": 0.40}
 BOOTSTRAP = {"statistic": "mean", "resamples": 10_000, "confidence": 0.95, "seed": 0}
-# --variant NAME: the module whose fnv1a64 it wraps, and the salt prefix it renames
-VARIANTS = {"null-init": (cli, "policy:", "policy-null:"),
-            "null-round": (cloudedge, "round:", "round-null:")}
+
+
+def renamed_salt(old: str, new: str):
+    """The rebinding of an ``fnv1a64`` to one that hashes a text starting
+    with ``old`` as if it started with ``new``, and every other text
+    unchanged."""
+    return lambda fnv1a64: lambda text: fnv1a64(new + text[len(old):] if text.startswith(old)
+                                                else text)
+
+
+# --variant NAME: (module, attribute, the rebinding of its current value)
+VARIANTS = {"null-init": (cli, "fnv1a64", renamed_salt("policy:", "policy-null:")),
+            "null-round": (cloudedge, "fnv1a64", renamed_salt("round:", "round-null:")),
+            "no-pretrain": (cli, "pretrain_on_trigger_rule",
+                            lambda pretrain: lambda policy, *context: policy)}
 
 
 def apply_variant(name: str) -> None:
-    """Rebind the variant's module's ``fnv1a64`` to one that renames its
-    salt prefix and hashes every other text unchanged."""
-    module, old, new = VARIANTS[name]
-    fnv1a64 = module.fnv1a64
-    module.fnv1a64 = lambda text: fnv1a64(new + text[len(old):] if text.startswith(old)
-                                          else text)
+    """Rebind the variant's module attribute."""
+    module, attribute, rebind = VARIANTS[name]
+    setattr(module, attribute, rebind(getattr(module, attribute)))
 
 
 def site_means(reports) -> dict:
@@ -175,7 +187,7 @@ def main() -> None:
     parser.add_argument("--rule", action="store_true",
                         help="also score the scripted trigger rule at each seed")
     parser.add_argument("--variant", choices=sorted(VARIANTS),
-                        help="rename one salt no result should depend on")
+                        help="rename one inert salt, or skip the trigger-rule pretraining")
     args = parser.parse_args()
     if len(set(args.seeds)) != len(args.seeds):
         parser.error("--seeds must not repeat a seed")

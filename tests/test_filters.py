@@ -5,6 +5,7 @@ import pytest
 
 from envswitch.alignment import (MetricModel, make_alignment_loss, margin_loss_grads,
                                  soft_dtw)
+from envswitch import filters
 from envswitch.filters import (COEFFICIENT_RANGES, FILTER_ORDER, FilterChoice,
                                FilterContext, SelectorModel, _gaussian_kernel, apply_elp,
                                apply_gaussian, apply_kalman, context_from_windows,
@@ -445,10 +446,37 @@ class TestSoftMixtureOracle:
             assert np.allclose(dp, sum(soft_denoise_backward((outs[:, b], sens[:, b]), dout[b])[1]
                                        for b in range(arr.shape[0])), atol=1e-12)
 
+    def test_one_choice_per_entry_equals_one_call_per_entry(self, rng):
+        # sigma 1.66 and 1.67 fall on either side of a radius step, and the
+        # cube of 2.23 as a numpy array rounds unlike Python's float cube
+        sigmas = [1.66, 1.67, 2.23, 0.3, 2.9]
+        assert [max(1, math.ceil(3.0 * s)) for s in sigmas[:2]] == [5, 6]
+        assert (np.array(sigmas) ** 3)[2] != 2.23 ** 3
+        for T in (1, 2, 5, 12):
+            choices = [FilterChoice(rng.dirichlet(np.ones(3)), float(rng.uniform(0.0, 0.5)),
+                                    float(rng.uniform(0.05, 2.0)), sigma,
+                                    float(rng.uniform(0.05, 1.0))) for sigma in sigmas]
+            arr = rng.normal(0, 1, size=(len(choices), T, 14))
+            mixed, (outs, sens) = soft_denoise_matrix(choices, arr)
+            assert outs.shape == (3,) + arr.shape and sens.shape == (4,) + arr.shape
+            for b, choice in enumerate(choices):
+                one, (one_outs, one_sens) = soft_denoise_matrix(choice, arr[b])
+                want_outs, want_sens = soft_denoise_oracle(choice, arr[b])
+                assert mixed[b].tobytes() == one.tobytes()
+                assert outs[:, b].tobytes() == one_outs.tobytes() == want_outs.tobytes()
+                assert sens[:, b].tobytes() == one_sens.tobytes() == want_sens.tobytes()
+
+    def test_choices_must_match_the_stack(self, rng):
+        choice = self.random_choice(rng)
+        with pytest.raises(ValueError, match="one FilterChoice per entry"):
+            soft_denoise_matrix([choice] * 2, rng.normal(0, 1, size=(3, 4, 14)))
+        with pytest.raises(ValueError, match="one FilterChoice per entry"):
+            soft_denoise_matrix([choice], rng.normal(0, 1, size=(4, 14)))
+
     def test_mixture_equals_the_tensordot_form(self, rng):
         # the window-by-window mixing and the backward contractions are the
         # 2-D products np.tensordot builds, bit for bit, also on the
-        # non-contiguous (outs[:, b], sens[:, b]) views _soft_filter_item keeps
+        # non-contiguous (outs[:, b], sens[:, b]) views train_selector keeps
         for B in range(1, 7):
             for T in range(2, 13):
                 choice = self.random_choice(rng)
@@ -644,7 +672,7 @@ class TestTrainSelectorBatching:
                            ((fq, fqp), (fq[:5] + 3.0, fqp[:5]))]))
         return items
 
-    def test_batched_epochs_equal_per_item_loop(self):
+    def test_batched_epochs_equal_per_item_loop(self, monkeypatch):
         for seed in range(3):
             rng = np.random.default_rng(seed)
             items = self.items(rng)
@@ -663,7 +691,15 @@ class TestTrainSelectorBatching:
                 active.update(1.0 + values[0] - v > 0.0 for v in values[1:])
             assert len(radii) >= 2 and active == {True, False}
             loss_fn = make_alignment_loss(metric, margin=1.0, gamma=0.1, band=3)
+            # each epoch filters every item's arrays in one call per length:
+            # the three queries of 6 windows, then the three protos of 5
+            calls = []
+            monkeypatch.setattr(filters, "soft_denoise_matrix",
+                                lambda choice, arr: calls.append(len(arr)) or
+                                soft_denoise_matrix(choice, arr))
             batched = train_selector(model, items, loss_fn, epochs=3, step_size=0.5)
+            monkeypatch.undo()
+            assert calls == [3 * len(items)] * 2 * 3
             looped = looped_train_selector(model, items, metric, 3, 0.5)
             assert np.array_equal(batched.net.to_vector(), looped.net.to_vector())
             assert not np.array_equal(batched.net.to_vector(), model.net.to_vector())

@@ -972,7 +972,8 @@ def test_traced_names_are_reached(monkeypatch, rng):
     ``envswitch.alignment.match``, ``envswitch.filters.select_filter``,
     ``envswitch.filters.denoise_matrix`` and
     ``envswitch.filters.soft_denoise_matrix``; a matcher miss and a selector
-    epoch must still go through those names."""
+    epoch must still go through those names, the epoch once per array
+    length."""
     calls = Counter()
 
     def counting(name, fn):
@@ -993,5 +994,7 @@ def test_traced_names_are_reached(monkeypatch, rng):
               [((features, present), (features[::-1], present))])] * 3
     filters.train_selector(SelectorModel.from_seed(0), items,
                            make_alignment_loss(MetricModel.identity()), epochs=1)
-    # one stacked call per item: all of its arrays have one length
-    assert calls["soft_denoise_matrix"] == len(items)
+    # a selector epoch makes one stacked call per array length: every array
+    # of every item here has one length
+    assert len({len(f) for _, pos, negs in items for pair in [pos] + negs for f, _ in pair}) == 1
+    assert calls["soft_denoise_matrix"] == 1

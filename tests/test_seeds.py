@@ -153,3 +153,20 @@ def test_a_null_variant_renames_exactly_its_salt(monkeypatch, variant, module, o
                            and r[1] == new + p[1][len(old):] for p, r in changed)
     assert sum(text.startswith(old) for name, text in plain if name == module.__name__) \
         == len(changed)
+
+
+def test_no_pretrain_rebinds_exactly_that_name(monkeypatch):
+    """``--variant no-pretrain`` rebinds ``cli.pretrain_on_trigger_rule``
+    to return its policy unchanged, and no other module attribute."""
+    # registered so that monkeypatch restores the original afterwards
+    monkeypatch.setattr(cli, "pretrain_on_trigger_rule", cli.pretrain_on_trigger_rule)
+    modules = {name: module for name, module in sys.modules.items()
+               if name == "envswitch" or name.startswith("envswitch.")}
+    before = {name: dict(vars(module)) for name, module in modules.items()}
+    seeds.apply_variant("no-pretrain")
+    changed = sorted((name, key) for name, module in modules.items()
+                     for key in set(vars(module)) | set(before[name])
+                     if vars(module).get(key) is not before[name].get(key))
+    assert changed == [("envswitch.cli", "pretrain_on_trigger_rule")]
+    policy = object()
+    assert cli.pretrain_on_trigger_rule(policy, {}, {}, EngineConfig()) is policy

@@ -746,6 +746,38 @@ class TestWindowOracle:
                 # the second call is a memo hit
                 assert fp_bytes(fingerprint_at(trace, t, schedule)) == want
 
+    # a stale carry-over (9 s carries 8.5), absent WiFi (15 s) and two
+    # scans in one window (31 and 31.5)
+    SPARSE = [0.0, 7.0, 8.5, 20.0, 31.0, 31.5, 45.0]
+
+    @pytest.mark.parametrize("site", ["A", "B", "C"])
+    @pytest.mark.parametrize("window_s", [0.2, 0.5, 1.0, 2.0])
+    def test_a_sparse_schedule_equals_the_oracle(self, site, window_s, monkeypatch):
+        """At whole and half-second ends, under a schedule with long gaps;
+        the trace turns its per-second streams into lists once."""
+        monkeypatch.setattr(sim, "WINDOW_S", window_s)
+        trace = generate(make_scenario(site, 5, CFG.radio, CFG.walker),
+                         CFG.radio, CFG.walker)
+        assert trace._streams is None
+        streams = None
+        for t in np.arange(0.5, len(trace.sec_t) + 0.25, 0.5).tolist():
+            want = fp_bytes(reference_fingerprint_at(trace, t, self.SPARSE))
+            assert fp_bytes(fingerprint_at(trace, t, self.SPARSE)) == want
+            assert fp_bytes(fingerprint_at(trace, t, self.SPARSE)) == want
+            streams = streams or trace._streams
+            assert trace._streams is streams
+        assert trace.streams() is streams and all(type(s) is list for s in streams)
+        seen = set()
+        for (t_end, scans), fp in trace._windows.items():
+            assert bool(scans) == bool(fp.present[1])
+            if not scans:
+                seen.add("absent")
+            elif scans[-1] < t_end - window_s:
+                seen.add("carried")
+            elif len(scans) == 2:
+                seen.add("two")
+        assert {"absent", "carried"} <= seen and ("two" in seen) == (window_s >= 1.0)
+
     @pytest.mark.parametrize("site", ["A", "B", "C"])
     def test_every_second_schedule_sees_every_sample(self, site):
         """Inside the trace, the every-second schedule reads what the oracle
