@@ -14,18 +14,19 @@ length group of a library), and with a soft-min for soft-DTW (``soft_dtw``
 on one pair, and every margin loss on all pairs of its positives and
 negatives at once).  Buffers and tables are allocated per call, except in
 ``match``: it scores a library in groups of one prototype length
-(``_Group``), a plan kept per library and version, and costs and sweeps
-each group in a workspace of its own (``_GroupScratch``), kept with the
-group when some group has the live window's length and built for the
-call otherwise.  The metric's kernel is built once per metric content
-(``_kernel``).  Exact DTW gives the alignment distance d and the similarity
-exp(-beta * d) in (0, 1], with a fixed scale beta = 1; a distance is read
-from the last cell, and no warping path is backtracked.  Soft-DTW is
-differentiable: its backward weights sweep the same layout in reverse, and
-hand-written gradients let the metric (and, through the filter mixture,
-the selector) train with plain gradient descent.  ``cost_matrix`` costs
-every cell densely; it is the reference the tests check the banded costs
-against.
+(``_Group``), a plan kept per library and version that holds what the
+version fixes (the prototypes in a padded stack per filter radius, with
+their Gaussian taps, and a workspace per live length and band,
+``_GroupScratch``), so a call redoes only the work that depends on it.  The metric's kernel is built once per
+metric content (``_kernel``, and for ``match`` ``_costing``, which drops
+the all-zero embedding rows).  Exact DTW gives the alignment distance d
+and the similarity exp(-beta * d) in (0, 1], with a fixed scale beta = 1;
+a distance is read from the last cell, and no warping path is
+backtracked.  Soft-DTW is differentiable: its backward weights sweep the
+same layout in reverse, and hand-written gradients let the metric (and,
+through the filter mixture, the selector) train with plain gradient
+descent.  ``cost_matrix`` costs every cell densely; it is the reference
+the tests check the banded costs against.
 """
 
 import functools
@@ -193,17 +194,42 @@ def _kernel_of(vector: bytes, embed_dim: int):
     return Wb, indicator, w
 
 
-def _cell_costs(kernel, squares: np.ndarray, mask: np.ndarray, sq=None,
-                cost=None, masked=None):
+def _costing(model: MetricModel):
+    """``match``'s form of ``_kernel``: ``(Wt, kernel)``, the kernel of the
+    costing coordinates and the (14, E) product that embeds a window into
+    them, None when that product is the identity.  The costing coordinates
+    are the rows of Wb that are not all zero: a zero row embeds every
+    window to +-0.0, whose square adds +0.0 to every sum of its modality,
+    so leaving it out leaves the other squares summed in the same order.
+    ``MetricModel.identity`` keeps 14 of its 20 rows, and they form the
+    identity, so its windows are costed on their features as they are.
+    Read-only, built once per metric content, as ``_kernel`` is."""
+    return _costing_of(model.to_vector().tobytes(), model.embed_dim)
+
+
+@functools.lru_cache(maxsize=8)
+def _costing_of(vector: bytes, embed_dim: int):
+    Wb, indicator, w = _kernel_of(vector, embed_dim)
+    rows = Wb.any(axis=1)
+    kernel = (Wb[rows], indicator[rows], w)
+    for a in kernel[:2]:
+        a.setflags(write=False)
+    return (None if np.array_equal(kernel[0], np.eye(N_FEATURES)) else kernel[0].T), kernel
+
+
+def _cell_costs(kernel, squares: np.ndarray, mask, sq=None, cost=None,
+                masked=None):
     """Costs (...) of cells with squared embedded differences ``squares``
     (..., E) and presence ``mask`` (..., 5), and their squared distances sq
     (..., 5): a product with the (E, 5) modality indicator gives sq and,
-    masked, one with the weights sums them.  ``sq`` (N, 5), ``cost`` (N,)
+    masked, one with the weights sums them.  A ``mask`` of None says every
+    modality is present on both sides of every cell, and its product, with
+    1.0 everywhere and so exact, is skipped.  ``sq`` (N, 5), ``cost`` (N,)
     and ``masked`` (N, 5), N cells, are the buffers the three steps write
     into, allocated when None; ``masked`` may be ``sq`` itself."""
     _, indicator, w = kernel
     sq = np.matmul(squares.reshape(-1, squares.shape[-1]), indicator, out=sq)
-    masked = np.multiply(sq, mask.reshape(sq.shape), out=masked)
+    masked = sq if mask is None else np.multiply(sq, mask.reshape(sq.shape), out=masked)
     cost = np.matmul(masked, w, out=cost)
     lead = squares.shape[:-1]
     return cost.reshape(lead), sq.reshape(lead + (len(MODALITIES),))
@@ -336,45 +362,55 @@ class _CostScratch:
     """The buffers ``_kept_costs`` writes for C kept cells, Q query series,
     P prototypes and E embedded coordinates: the gathered query rows (C, Q,
     E) and presence (C, Q, 5), the differences (C, P, E), the mask (C, P,
-    5), the squared distances (C * P, 5) and the costs (C * P,)."""
+    5), the squared distances (C * P, 5) and the costs (C * P,).  Given a
+    ``base`` scratch of as many series and coordinates and at least C
+    cells, each buffer is a view of the head of base's."""
 
     __slots__ = ("qrows", "qmask", "diff", "mask", "sq", "cost")
 
-    def __init__(self, C: int, Q: int, P: int, E: int):
+    def __init__(self, C: int, Q: int, P: int, E: int, base=None):
         K = len(MODALITIES)
-        self.qrows, self.qmask = np.empty((C, Q, E)), np.empty((C, Q, K), bool)
-        self.diff, self.mask = np.empty((C, P, E)), np.empty((C, P, K), bool)
-        self.sq, self.cost = np.empty((C * P, K)), np.empty(C * P)
+        for name, shape, dtype in (("qrows", (C, Q, E), float), ("qmask", (C, Q, K), bool),
+                                   ("diff", (C, P, E), float), ("mask", (C, P, K), bool),
+                                   ("sq", (C * P, K), float), ("cost", (C * P,), float)):
+            setattr(self, name, np.empty(shape, dtype) if base is None else
+                    getattr(base, name).reshape(-1)[:math.prod(shape)].reshape(shape))
 
 
-def _kept_costs(kernel, qe, qp, pe, pp_kept, rows, cols, scratch=None):
+def _kept_costs(kernel, qe, pe, rows, cols, masks=None, scratch=None):
     """Costs (C, P) of the cells the band keeps, cell c at query row
     ``rows[c]`` and prototype column ``cols[c]`` (``_skew_index``).
 
     Both sides come embedded and time-major: the query qe (n, Q, E), Q = 1
-    or P, with presence qp (n, Q, 5), the prototypes pe (m, P, E) with
-    their presence already gathered at the kept columns, ``pp_kept`` (C, P,
-    5).  The cells are gathered as (C, P, E) differences, so the costs come
-    out in the order of the skewed layout, diagonal by diagonal, with the
-    pairs innermost.  Every step writes into a ``_CostScratch``.  Given one
-    (``match`` passes the one of its group's ``_GroupScratch``), the
-    differences are squared and the squared distances masked in place,
-    nothing is allocated and the costs are a view of ``scratch.cost``.
-    Without one (``_banded_costs``), a fresh one is built and the squares
-    and the masked distances get arrays of their own, so the differences,
-    the squared distances (C, P, 5) and the presence mask (C, P, 5), also
-    returned, are what ``_cost_gradients`` reads.
+    or P, and the prototypes pe (m, P, E).  ``masks`` holds the query's
+    presence (n, Q, 5) and the prototypes' presence already gathered at the
+    kept columns (C, P, 5); None says every modality is present on both
+    sides, and no mask is formed.  The cells are gathered as (C, P, E)
+    differences, so the costs come out in the order of the skewed layout,
+    diagonal by diagonal, with the pairs innermost.  Every step writes into
+    a ``_CostScratch``.  Given one (``match`` passes the one of its group's
+    ``_GroupScratch``), the differences are squared and the squared
+    distances masked in place, nothing is allocated and the costs are a
+    view of ``scratch.cost``.  Without one (``_banded_costs``), a fresh one
+    is built and the squares and the masked distances get arrays of their
+    own, so the differences, the squared distances (C, P, 5) and the
+    presence mask (C, P, 5), also returned, are what ``_cost_gradients``
+    reads.
     """
     keep = scratch is None
     s = _CostScratch(rows.size, qe.shape[1], pe.shape[1], pe.shape[2]) if keep else scratch
     # mode="clip" lets take write into out without a buffer; the indices
     # are in range, so it changes nothing else
-    np.take(pe, cols, axis=0, out=s.diff, mode="clip")
-    np.subtract(np.take(qe, rows, axis=0, out=s.qrows, mode="clip"), s.diff, out=s.diff)
-    np.bitwise_and(np.take(qp, rows, axis=0, out=s.qmask, mode="clip"), pp_kept, out=s.mask)
+    pe.take(cols, axis=0, out=s.diff, mode="clip")
+    np.subtract(qe.take(rows, axis=0, out=s.qrows, mode="clip"), s.diff, out=s.diff)
+    mask = None
+    if masks is not None:
+        qp, pp_kept = masks
+        mask = np.bitwise_and(qp.take(rows, axis=0, out=s.qmask, mode="clip"), pp_kept,
+                              out=s.mask)
     squares = s.diff * s.diff if keep else np.multiply(s.diff, s.diff, out=s.diff)
-    cost, sq = _cell_costs(kernel, squares, s.mask, s.sq, s.cost, None if keep else s.sq)
-    return cost, s.diff, sq, s.mask
+    cost, sq = _cell_costs(kernel, squares, mask, s.sq, s.cost, None if keep else s.sq)
+    return cost, s.diff, sq, mask
 
 
 def _banded_costs(model: MetricModel, query, proto, band: int):
@@ -396,9 +432,9 @@ def _banded_costs(model: MetricModel, query, proto, band: int):
     _, rows, cols = _skew_index(qf.shape[-2], pf.shape[1], band)
     kernel = _kernel(model)
     Wt = kernel[0].T
-    cost, *cells = _kept_costs(kernel, _time_major(_rows(qf, Wt)), _time_major(qp),
-                               _time_major(_rows(pf, Wt)),
-                               np.take(_time_major(pp), cols, axis=0), rows, cols)
+    cost, *cells = _kept_costs(kernel, _time_major(_rows(qf, Wt)), _time_major(_rows(pf, Wt)),
+                               rows, cols,
+                               (_time_major(qp), np.take(_time_major(pp), cols, axis=0)))
     return cost, (qf, pf, kernel, *cells, band)
 
 
@@ -448,18 +484,21 @@ def _sweep_plan(n: int, m: int, band: int, cost: np.ndarray):
         for cells, vertical, horizontal, diagonal, out in steps)
 
 
-def _sweep(cost: np.ndarray, n: int, m: int, band: int, step, plan=None) -> np.ndarray:
+def _sweep(cost: np.ndarray, n: int, m: int, band: int, step=None, plan=None) -> np.ndarray:
     """Forward recursion R[i, j] = step(cost[i, j], R[i-1, j], R[i, j-1],
     R[i-1, j-1]) over the kept cells of an (n, m) band, with R[0, 0] =
     cost[0, 0].
 
     ``cost`` (C, P) comes from ``_banded_costs`` or ``_kept_costs``, the
-    producers of costs: exact DTW (``dtw``, ``match``) sweeps it with
-    ``_hard_step`` and soft-DTW (``_soft_dtw_tables``) with ``_soft_step``.
-    ``step(cost, vertical, horizontal, diagonal, out)`` fills ``out`` for the
-    kept cells of one anti-diagonal.  The recursion runs diagonal-major, on
-    a C-contiguous (n + m, n + 1, P) table, through the views of
-    ``_sweep_plan``: each step works on contiguous runs of all pairs at
+    producers of costs.  ``step(cost, vertical, horizontal, diagonal,
+    out)`` fills ``out`` for the kept cells of one anti-diagonal: soft-DTW
+    (``_soft_dtw_tables``) passes ``_soft_step``.  Without a step the sweep
+    is exact DTW's (``dtw``, ``match``), cost + min(diagonal, vertical,
+    horizontal), its three ufuncs called in the loop: ``match`` sweeps once
+    per group and call, and a step callback cost 3-4.5 us more per sweep
+    of 15-21 us (n = 6-10, m = 10, band 3, P = 6-24, one x86_64 core).
+    The recursion runs diagonal-major, on a C-contiguous (n + m, n + 1, P)
+    table, through the views of ``_sweep_plan``: each step works on contiguous runs of all pairs at
     once and reads ``cost`` without a copy.  ``plan`` is a ``_sweep_plan``
     bound to ``cost``; without it one is built for the call.  Returns the
     skewed table as a (P, n + m - 1, n) view, cell (i, j) at [:, i + j, i];
@@ -468,22 +507,23 @@ def _sweep(cost: np.ndarray, n: int, m: int, band: int, step, plan=None) -> np.n
     """
     S, (cells, out), steps = _sweep_plan(n, m, band, cost) if plan is None else plan
     out[...] = cells
-    for views in steps:
-        step(*views)
+    if step is not None:
+        for views in steps:
+            step(*views)
+        return S
+    minimum, add = np.minimum, np.add
+    for c, vertical, horizontal, diagonal, o in steps:
+        minimum(diagonal, vertical, out=o)
+        minimum(o, horizontal, out=o)
+        add(c, o, out=o)
     return S
-
-
-def _hard_step(cost, vertical, horizontal, diagonal, out):
-    np.minimum(diagonal, vertical, out=out)
-    np.minimum(out, horizontal, out=out)
-    np.add(cost, out, out=out)
 
 
 def dtw(model: MetricModel, query, proto, band: int = 3) -> AlignmentResult:
     """Exact minimum-cost banded alignment.
 
     ``match``'s banded recursion on a stack of one: ``_banded_costs``, the
-    hard-min ``_sweep`` and the distance from the last cell.
+    exact-DTW ``_sweep`` and the distance from the last cell.
     """
     if band < 1:
         raise ValueError("band must be >= 1")
@@ -493,7 +533,7 @@ def dtw(model: MetricModel, query, proto, band: int = 3) -> AlignmentResult:
     if n < 2 or m < 2:
         raise ValueError("both sequences need at least 2 windows")
     cost = _banded_costs(model, (qf, qp), (pf[None], pp[None]), band)[0]
-    S = _sweep(cost, n, m, band, _hard_step)[0]
+    S = _sweep(cost, n, m, band)[0]
     distance = float(S[-1, n - 1])
     if not math.isfinite(distance):
         raise BandTooNarrowError("band too narrow: no admissible warping path")
@@ -745,66 +785,86 @@ def train_metric(model: MetricModel, pairs, epochs: int = 20,
 
 
 class _GroupScratch:
-    """What ``match`` costs and sweeps one group in, for one live length n
-    and band, owning its buffers: the kept cells, the group's presence
-    gathered at them (read-only), a ``_CostScratch`` and a ``_sweep_plan``
-    bound to its costs."""
+    """What ``match`` costs and sweeps one group in, for one live length n,
+    band and E: the kept cells, a ``_CostScratch`` and a ``_sweep_plan``
+    bound to its costs.  Given the ``base`` workspace of a longer live
+    window, which keeps at least as many cells, the cost buffers are views
+    of base's, and only the sweep table is this workspace's own."""
 
-    __slots__ = ("rows", "cols", "present", "costs", "plan")
+    __slots__ = ("rows", "cols", "costs", "plan")
 
-    def __init__(self, group, n: int, band: int, E: int):
-        m, P = len(group.features), len(group.ids)
+    def __init__(self, group, n: int, band: int, E: int, base=None):
+        m, P = group.features.shape[:2]
         _, self.rows, self.cols = _skew_index(n, m, band)
-        self.present = np.take(group.present, self.cols, axis=0)
-        self.present.setflags(write=False)
-        self.costs = _CostScratch(self.cols.size, 1, P, E)
+        self.costs = _CostScratch(self.cols.size, 1, P, E, base and base.costs)
         self.plan = _sweep_plan(n, m, band, self.costs.cost.reshape(-1, P))
 
 
 class _Group:
-    """Prototypes of one length m, as ``match`` scores them: ``ids`` in
-    entry order and a time-major (m, 1 + P, 14) ``stack``, the prototype
-    columns written once and column 0 left for a live window of length m;
-    ``features`` is a read-only view of the prototype columns and
-    ``present`` (m, P, 5) their presence, read-only.  Per E the group keeps
-    the (m, 1 + P, E) embedding of its filtered stack (``embed``), and per
-    (n, band, E) a ``_GroupScratch`` (``workspace``); ``match`` overwrites
-    their buffers on every call.  Each series is filtered and embedded on
-    its own, so column 0, whatever it holds, changes no prototype's
-    result."""
+    """Prototypes of one length m, with what ``match`` needs of them that
+    only a library version changes: ``ids`` in entry order, their
+    time-major ``features`` (m, P, 14) and ``present`` (m, P, 5), both
+    read-only, and ``all_present``, whether every modality of every window
+    is present.  Per filter radius the group keeps a padded stack of its
+    prototypes with a column for the live window, and the stack's taps
+    (``filtered``), and per (n, band, E) a ``_GroupScratch``
+    (``workspace``); ``match`` overwrites the stacks' live column and the
+    workspaces' buffers on every call."""
 
-    __slots__ = ("ids", "stack", "features", "present", "_embedded", "_workspaces")
+    __slots__ = ("ids", "features", "present", "all_present", "_stacks", "_workspaces")
 
     def __init__(self, ids, features, present):
         self.ids = tuple(ids)
-        self.stack = np.zeros((len(features[0]), 1 + len(ids), features[0].shape[1]))
-        self.features = np.stack(features, axis=1, out=self.stack[:, 1:])
+        self.features = np.stack(features, axis=1)
         self.present = np.stack(present, axis=1)
         for a in (self.features, self.present):
             a.setflags(write=False)
-        self._embedded, self._workspaces = {}, {}
+        self.all_present = bool(self.present.all())
+        self._stacks, self._workspaces = {}, {}
 
-    def embed(self, choice, Wt: np.ndarray):
-        """One ``denoise_matrix`` call on the stack, whose result comes back
-        time-major, and one product that embeds it into the buffer kept for
-        E; returns its views of column 0 (m, 1, E) and the prototypes."""
-        E = Wt.shape[1]
-        got = self._embedded.get(E)
-        if got is None:
-            embedded = np.empty(self.stack.shape[:2] + (E,))
-            got = self._embedded[E] = (embedded.reshape(-1, E), embedded[:, :1], embedded[:, 1:])
-        flat, query, protos = got
-        filtered = filters.denoise_matrix(choice, self.stack.transpose(1, 0, 2))
-        np.matmul(filtered.transpose(1, 0, 2).reshape(len(flat), -1), Wt, out=flat)
-        return query, protos
+    def filtered(self, choice, live):
+        """``choice``'s filter of the prototypes, (m, P, 14) time-major, and
+        of ``live``, a live window of their length or None, (m, 14) or None.
 
-    def workspace(self, n: int, band: int, E: int, keep: bool) -> _GroupScratch:
-        """The ``_GroupScratch`` of (n, band, E), kept only if ``keep``."""
+        Per Gaussian radius (0 for the other filters) the group keeps a
+        time-major stack zero-padded by that radius, (m + 2 radius, 1 + P,
+        14): the prototypes in columns 1.., written once, and column 0 for
+        the live window.  The Gaussian weighs the taps of the stack,
+        gathered once (``filters._gaussian_taps``); the other filters run
+        ``denoise_matrix`` on it.  Without a live window column 0 holds a
+        stale one, whose result is dropped: filtering it costs less than
+        leaving it out.  Each series is filtered on its own, as alone."""
+        gaussian = choice.hard_kind() == "gaussian"
+        radius = filters._gaussian_radius(choice.sigma) if gaussian else 0
+        m, P, F = self.features.shape
+        kept = self._stacks.get(radius)
+        if kept is None:
+            stack = np.zeros((m + 2 * radius, 1 + P, F))
+            stack[radius:radius + m, 1:] = self.features
+            # taps of the series as the columns of one (T, (1 + P) * F)
+            # array; numpy weighs them several times faster than a view of
+            # them that leaves column 0 out
+            taps = filters._gaussian_taps(stack.reshape(len(stack), -1), radius)
+            kept = self._stacks[radius] = (stack, taps)
+        stack, taps = kept
+        if live is not None:
+            stack[radius:radius + m, 0] = live
+        if gaussian:
+            out = filters._gaussian_from_taps(taps, choice.sigma).reshape(m, 1 + P, F)
+        else:
+            out = filters.denoise_matrix(choice, stack.transpose(1, 0, 2)).transpose(1, 0, 2)
+        return out[:, 1:], (None if live is None else out[:, 0])
+
+    def workspace(self, n: int, band: int, E: int) -> _GroupScratch:
+        """The ``_GroupScratch`` of (n, band, E).  A live window shorter than
+        the prototypes (a walk's first windows) costs in views of the
+        buffers of the prototypes' own length, so it adds a sweep table
+        and no cost buffers."""
         work = self._workspaces.get((n, band, E))
         if work is None:
-            work = _GroupScratch(self, n, band, E)
-            if keep:
-                self._workspaces[n, band, E] = work
+            m = len(self.features)
+            base = self.workspace(m, band, E) if n < m else None
+            work = self._workspaces[n, band, E] = _GroupScratch(self, n, band, E, base)
         return work
 
 
@@ -844,17 +904,21 @@ def match(model: MetricModel, selector, live_window,
     1.0.  A prototype with no admissible path inside the band is left out;
     ties break on the smaller prototype id.
 
-    The ``FingerprintLibrary`` is scored from its plan (``_plan``), one
-    ``_Group`` per prototype length, kept per ``version``.  When a group
-    has the live window's length n, the window is filtered and embedded in
-    column 0 of that group's stack, otherwise (the first windows of a walk)
-    alone.  Every group costs and sweeps in a ``_GroupScratch``, kept per
-    (n, band, E) when some group has length n and built for the call
-    otherwise.  A result is ``AlignmentResult(distance, similarity)``.
-    ``match`` on one library must not run concurrently.  An empty library
-    yields an empty list once ``band`` and the live window's length pass
-    their checks.  The library's types hold every prototype to at least 2
-    windows of ``N_FEATURES``, so only the live window's width is checked."""
+    What a library version fixes is kept in its plan (``_plan``), one
+    ``_Group`` per prototype length: the prototypes in a padded stack per
+    filter radius with their Gaussian taps, and a ``_GroupScratch`` per (n,
+    band, E).  A call does only what depends on it: one selector pass, one
+    filter pass per group (for the Gaussian, a weighing of the kept taps)
+    that takes the live window along in the group of its length n (a
+    window no group shares, the first of a walk, is filtered alone), the
+    product into the costing coordinates (``_costing``; none for the
+    identity metric), the kept cells' costs (with no mask when every
+    modality is present on both sides), one hard sweep per group and the
+    top-k pick.  A result is ``AlignmentResult(distance, similarity)``.  ``match`` on one library must not run concurrently.  An
+    empty library yields an empty list once ``band`` and the live window's
+    length pass their checks.  The library's types hold every prototype to
+    at least 2 windows of ``N_FEATURES``, so only the live window's width
+    is checked."""
     if band < 1:
         raise ValueError("band must be >= 1")
     qf, qp = _pack(live_window)
@@ -869,23 +933,26 @@ def match(model: MetricModel, selector, live_window,
     # resolved through the module at call time, so a rebinding of these
     # names (bench/spans.py traces them that way) takes effect here
     choice = filters.select_filter(selector, ctx)
-    kernel = _kernel(model)
-    Wt, E = kernel[0].T, kernel[0].shape[0]
+    Wt, kernel = _costing(model)
+    E = kernel[0].shape[0]
     own = next((g for g in groups if len(g.features) == n), None)
     if own is None:
-        query = _time_major(_rows(filters.denoise_matrix(choice, qf), Wt))
+        query = filters.denoise_matrix(choice, qf)
     else:
-        own.stack[:, 0] = qf
-        query, own_protos = own.embed(choice, Wt)
-    qp = qp[:, None]
+        own_protos, query = own.filtered(choice, qf)
+    query = _time_major(query if Wt is None else _rows(query, Wt))
+    live_present = bool(qp.all())
     beta = model.beta
     scored = []
     for g in groups:
-        protos = own_protos if g is own else g.embed(choice, Wt)[1]
-        work = g.workspace(n, band, E, own is not None)
-        cost = _kept_costs(kernel, query, qp, protos, work.present, work.rows, work.cols,
-                           work.costs)[0]
-        S = _sweep(cost, n, len(g.features), band, _hard_step, work.plan)
+        protos = own_protos if g is own else g.filtered(choice, None)[0]
+        if Wt is not None:
+            protos = _rows(protos, Wt)
+        work = g.workspace(n, band, E)
+        masks = None if live_present and g.all_present else (
+            _time_major(qp), np.take(g.present, work.cols, axis=0))
+        cost = _kept_costs(kernel, query, protos, work.rows, work.cols, masks, work.costs)[0]
+        S = _sweep(cost, n, len(g.features), band, plan=work.plan)
         for pid, distance in zip(g.ids, S[:, -1, n - 1].tolist()):
             if math.isfinite(distance):
                 # ranked by (-similarity, id); a library's ids are distinct

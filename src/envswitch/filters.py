@@ -76,9 +76,14 @@ def _gaussian_offsets(radius: int):
     return offsets, negated_squares
 
 
+def _gaussian_radius(sigma: float) -> int:
+    """Reach of the +-3 sigma truncated Gaussian, at least one step."""
+    return max(1, int(math.ceil(3.0 * sigma)))
+
+
 def _gaussian_kernel(sigma: float):
     """Offsets and weights of the +-3 sigma truncated Gaussian."""
-    offsets, negated_squares = _gaussian_offsets(max(1, int(math.ceil(3.0 * sigma))))
+    offsets, negated_squares = _gaussian_offsets(_gaussian_radius(sigma))
     return offsets, np.exp(negated_squares / (2.0 * sigma * sigma))
 
 
@@ -301,45 +306,62 @@ def _kalman_batch(x: np.ndarray, q, r, sens: bool):
 
 
 @functools.lru_cache(maxsize=64)
-def _gaussian_gather(radius: int, n: int):
-    """For a kernel of ``radius`` over n steps: the (2 radius + 1, n) rows
-    that each offset reads at each step of the series padded with
-    ``radius`` zero rows at each end, and the indicator of the rows inside
-    the series; read-only."""
+def _gaussian_reach(radius: int, n: int):
+    """The (2 radius + 1, n) indicator of the taps of a kernel of ``radius``
+    that fall inside a series of n steps; read-only."""
     index = np.arange(2 * radius + 1)[:, None] + np.arange(n)
     reach = ((index >= radius) & (index < n + radius)).astype(float)
-    for a in (index, reach):
-        a.setflags(write=False)
-    return index, reach
+    reach.setflags(write=False)
+    return reach
 
 
-def _gaussian_sums(x: np.ndarray, *weights):
-    """Edge-truncated weighted sums along axis 0 of a time-major x (T, ...):
-    one (num, den) per kernel in ``weights``, each (2 radius + 1, ...) and
-    broadcast against one step of x.  Per kernel, the zero-padded series is
-    gathered into its (2 radius + 1, T, ...) taps, weighted in place and
-    summed over the tap axis from +0.0.  numpy adds down the leading axis
-    row by row, so each sum adds in offset order, as ``apply_gaussian``
-    does; an off-edge tap adds +-0.0, which changes no sum started from
-    +0.0, and den is the same reduction of the reach indicator."""
-    T, radius = x.shape[0], len(weights[0]) // 2
-    index, reach = _gaussian_gather(radius, T)
-    padded = np.zeros((T + 2 * radius,) + x.shape[1:])
-    padded[radius:radius + T] = x
-    reach = reach.reshape(reach.shape + (1,) * (weights[0].ndim - 1))
-    sums = []
-    for w in weights:
-        taps = np.take(padded, index, axis=0)   # one (wide) tap array at a time
-        taps *= w[:, None]
-        sums.append((np.add.reduce(taps, axis=0, initial=0.0),
-                     np.add.reduce(w[:, None] * reach, axis=0, initial=0.0)))
-        del taps
-    return sums
+def _zero_padded(x: np.ndarray, radius: int) -> np.ndarray:
+    """x (T, ...) with ``radius`` rows of +0.0 before and after it."""
+    padded = np.zeros((len(x) + 2 * radius,) + x.shape[1:])
+    padded[radius:radius + len(x)] = x
+    return padded
+
+
+def _gaussian_taps(padded: np.ndarray, radius: int) -> np.ndarray:
+    """The taps of a kernel of ``radius`` along axis 0 of a time-major
+    series zero-padded by ``radius`` rows at each end, a C-contiguous
+    ``padded`` (T + 2 radius, ...): a read-only (2 radius + 1, T, ...) view
+    whose entry [k, t] is step t + k - radius of the series, +0.0 off
+    either edge.  Being a view, the taps cost only the padded copy of the
+    series to gather, and a caller whose series do not change
+    (``alignment.match``'s prototypes) keeps them."""
+    T = len(padded) - 2 * radius
+    taps = np.ndarray((2 * radius + 1, T) + padded.shape[1:], float, padded, 0,
+                      padded.strides[:1] + padded.strides)
+    taps.flags.writeable = False
+    return taps
+
+
+def _gaussian_sums(taps: np.ndarray, w: np.ndarray):
+    """Edge-truncated weighted sums (num, den) of ``_gaussian_taps`` under
+    the kernel weights w (2 radius + 1, ...), broadcast against one step.
+    The taps are weighted into a C-contiguous array of their own and summed
+    over the tap axis from +0.0.  numpy adds down the leading axis row by
+    row, so each sum adds in offset order, as ``apply_gaussian`` does; an
+    off-edge tap adds +-0.0, which changes no sum started from +0.0, and
+    den is the same reduction of the reach indicator."""
+    reach = _gaussian_reach(len(w) // 2, taps.shape[1])
+    reach = reach.reshape(reach.shape + (1,) * (w.ndim - 1))
+    return (np.add.reduce(np.multiply(taps, w[:, None], order="C"), axis=0, initial=0.0),
+            np.add.reduce(w[:, None] * reach, axis=0, initial=0.0))
+
+
+def _gaussian_from_taps(taps: np.ndarray, sigma: float) -> np.ndarray:
+    """The Gaussian of ``sigma`` along axis 0 of the series whose
+    ``_gaussian_taps`` of sigma's radius are ``taps``."""
+    w = _gaussian_kernel(sigma)[1]
+    num, den = _gaussian_sums(taps, w.reshape(w.shape + (1,) * (taps.ndim - 2)))
+    return np.divide(num, den, out=num)
 
 
 def _gaussian_batch(x: np.ndarray, sigma: float) -> np.ndarray:
-    (num, den), = _gaussian_sums(x, _gaussian_kernel(sigma)[1][:, None])
-    return np.divide(num, den, out=num)
+    radius = _gaussian_radius(sigma)
+    return _gaussian_from_taps(_gaussian_taps(_zero_padded(x, radius), radius), sigma)
 
 
 def _elp_batch(x: np.ndarray, alpha, sens: bool):
@@ -360,11 +382,13 @@ def denoise_matrix(choice: FilterChoice, arr: np.ndarray) -> np.ndarray:
 
     Every column of every leading batch entry is one series: ``(T, F)`` is one
     window, ``(B, T, F)`` a stack of B windows of equal length (``match``
-    stacks the live window on the prototypes of its length).  The filter runs
-    once over a time-major (T, K) layout, K = B * F, into an output of its
-    own (``_along_time`` says which layout comes back): the Kalman and
-    low-pass recursions step over its rows, the Gaussian gathers the taps
-    of every offset at once.  Each series gets the same IEEE operations, in
+    stacks the live window on the prototypes of its length; for the
+    Gaussian it keeps that stack's taps and weighs them itself,
+    ``_gaussian_from_taps``).  The filter runs once over a time-major (T,
+    K) layout, K = B * F, into an output of its own (``_along_time`` says
+    which layout comes back): the Kalman and low-pass recursions step over
+    its rows, the Gaussian gathers the taps of every offset at once and
+    weighs them (``_gaussian_sums``).  Each series gets the same IEEE operations, in
     the same order, as the scalar ``apply_kalman`` (initialized at the
     series' first value, variance 1), ``apply_gaussian`` or ``apply_elp``,
     so the results are bit-identical to filtering column by column.
@@ -389,13 +413,14 @@ def _gaussian_with_sens(x: np.ndarray, sigmas):
     """Gaussian smoothing along axis 0 of a time-major x (T, B, K), entry b
     with ``sigmas[b]``, plus d(out)/dsigma (radius held fixed); each entry's
     kernel is padded with zero weights to the widest radius, adding +-0.0."""
-    radii = [max(1, int(math.ceil(3.0 * s))) for s in sigmas]
+    radii = [_gaussian_radius(s) for s in sigmas]
     offsets, negated_squares = _gaussian_offsets(max(radii))
     # 2 sigma^2 and sigma^3 of Python floats: numpy's cube of an array differs
     weights = np.exp(negated_squares[:, None] / [2.0 * v * v for v in sigmas])
     weights[np.abs(offsets)[:, None] > radii] = 0.0
     dweights = weights * (offsets.astype(float) ** 2)[:, None] / [v ** 3 for v in sigmas]
-    (num, den), (dnum, dden) = _gaussian_sums(x, weights[..., None], dweights[..., None])
+    taps = _gaussian_taps(_zero_padded(x, len(offsets) // 2), len(offsets) // 2)
+    (num, den), (dnum, dden) = (_gaussian_sums(taps, v[..., None]) for v in (weights, dweights))
     return num / den, (dnum * den - num * dden) / (den * den)
 
 

@@ -216,11 +216,12 @@ def pdr_features(window: RawWindow):
 
 
 def least_squares_slope(times, values) -> float:
-    """Slope of the least-squares line through (times, values)."""
+    """Slope of the least-squares line through (times, values); 0.0 below
+    two points, before any array is built."""
+    if len(times) < 2:
+        return 0.0
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
-    if t.size < 2:
-        return 0.0
     tc = t - t.mean()
     denom = float(np.dot(tc, tc))
     if denom == 0.0:

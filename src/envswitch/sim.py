@@ -537,7 +537,9 @@ def _summarize_trace_window(trace, t_start, t_end, scans):
     if scans:
         secs = [int(s) for s in scans]
         means, strongest, bssids = trace.wifi_summaries()
-        raw["wifi"] = wifi_summary(means[secs], strongest[secs],
+        # Python floats read one by one: a window holds a scan or two
+        raw["wifi"] = wifi_summary([means.item(i) for i in secs],
+                                   [strongest.item(i) for i in secs],
                                    [bssids[i] for i in secs], scans)
     lo, hi = bisect_left(sec_t, t_start), bisect_left(sec_t, t_end)
     if hi > lo:

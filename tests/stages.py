@@ -18,7 +18,9 @@ one above the highest already there.  The file holds
 - ``calls``: per-pass count and the mean, median and per-pass total time of
   the calls to ``make_scenario`` and ``generate`` (together one walk's
   simulation), ``fingerprint_at`` (memo hits and misses
-  apart), ``match``, ``denoise_matrix``, ``SwitchEnv.observe`` (a window, and
+  apart), ``match`` (warm-up calls, on a live window shorter than
+  ``buffer_windows``, and full-window calls apart), ``select_filter`` (one
+  per match), ``denoise_matrix``, ``SwitchEnv.observe`` (a window, and
   a match on a monitoring second), ``SwitchEnv.step``, ``SwitchEnv.tail``
   (one call runs a training rollout's seconds after the switch) and
   ``ppo_update``, timed by wrappers bound in place of the module attributes
@@ -68,7 +70,7 @@ TIMED = (
     ("make_scenario", cli, "make_scenario"),
     ("generate", sim, "generate"),
     ("generate", cli, "generate"),
-    ("match", alignment, "match"),
+    ("select_filter", filters, "select_filter"),
     ("denoise_matrix", filters, "denoise_matrix"),
     ("SwitchEnv.observe", policy.SwitchEnv, "observe"),
     ("SwitchEnv.step", policy.SwitchEnv, "step"),
@@ -78,8 +80,10 @@ TIMED = (
 WINDOWS = ((sim, "fingerprint_at"), (policy, "fingerprint_at"),
            (cli, "fingerprint_at"))
 CALLS = ("make_scenario", "generate", "fingerprint_at.hit",
-         "fingerprint_at.miss", "match", "denoise_matrix", "SwitchEnv.observe",
-         "SwitchEnv.step", "SwitchEnv.tail", "ppo_update")
+         "fingerprint_at.miss", "match.warm_up", "match.full", "select_filter",
+         "denoise_matrix", "SwitchEnv.observe", "SwitchEnv.step", "SwitchEnv.tail",
+         "ppo_update")
+FULL_WINDOW = EngineConfig().window.buffer_windows
 REPEATS = 5               # passes per file; stage times are their median
 STAGES = ("simulate", "library", "selector", "pretrain", "rounds", "evaluate")
 # train_models' log line that ends each training stage
@@ -128,6 +132,20 @@ class Recorder:
                     (t0, time.perf_counter()))
         return wrapper
 
+    def timed_match(self, fn):
+        """``match``, filed as a warm-up call when its live window is
+        shorter than ``FULL_WINDOW``."""
+        def wrapper(model, selector, live_window, *args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(model, selector, live_window, *args, **kwargs)
+            finally:
+                t1 = time.perf_counter()
+                n = len(alignment._pack(live_window)[0])
+                kind = "full" if n >= FULL_WINDOW else "warm_up"
+                self.intervals[f"match.{kind}"].append((t0, t1))
+        return wrapper
+
     def counted_miss(self, fn):
         def wrapper(*args, **kwargs):
             self.misses += 1
@@ -149,6 +167,7 @@ class Recorder:
         wraps = [(owner, attr, lambda fn, n=name: self.timed(n, fn))
                  for name, owner, attr in TIMED]
         wraps += [(owner, attr, self.timed_window) for owner, attr in WINDOWS]
+        wraps.append((alignment, "match", self.timed_match))
         wraps.append((sim, "_summarize_trace_window", self.counted_miss))
         wraps += [(golden, f"cmd_{label}", lambda fn, n=label: self.marked(n, fn))
                   for label in ("simulate", "train", "evaluate")]

@@ -5,9 +5,9 @@ import weakref
 import numpy as np
 import pytest
 
-from envswitch import alignment
+from envswitch import alignment, filters
 from envswitch.alignment import (AlignmentResult, BandTooNarrowError, MetricModel,
-                                 _banded_costs, _hard_step, _libm, _skew_index,
+                                 _banded_costs, _libm, _skew_index,
                                  _soft_dtw_pairs, _soft_dtw_tables, _soft_step,
                                  _sweep, band_mask,
                                  cell_cost, cost_matrix, dtw,
@@ -85,7 +85,7 @@ def unskew(S, n, m):
 def dtw_tables(cost, band):
     """Exact-DTW tables (P, n, m) of a raw cost stack, by the banded sweep."""
     n, m = cost.shape[1:]
-    return unskew(_sweep(kept(cost, band), n, m, band, _hard_step), n, m)
+    return unskew(_sweep(kept(cost, band), n, m, band), n, m)
 
 
 def stacked(protos):
@@ -324,7 +324,7 @@ class TestBatchedDtw:
             protos = [random_packed(rng, m) for _ in range(P)]
             cost = cost_matrix(model, q, stacked(protos))
             costs, _ = _banded_costs(model, q, stacked(protos), band)
-            got = _sweep(costs, n, m, band, _hard_step)[:, -1, n - 1]
+            got = _sweep(costs, n, m, band)[:, -1, n - 1]
             for k, p in enumerate(protos):
                 want = scalar_banded_distance(cost[k], band)
                 assert got[k] == want
@@ -845,6 +845,83 @@ class TestMatch:
         assert ranked[0][0] == ids[-1] and ranked[0][1].similarity == 1.0
 
 
+class TestIdentityMetric:
+    """The pipeline's metric, ``MetricModel.identity``, is costed on the raw
+    features (14 of its 20 embedded coordinates are not all zero, and they
+    form the identity), and all-present windows skip the mask: ``match``
+    still equals ``dtw`` on each prototype alone, bit for bit."""
+
+    @pytest.mark.parametrize("P", [1, 6, 24])
+    def test_match_equals_per_prototype_dtw_across_a_commit_and_an_eviction(self, rng, P):
+        model = MetricModel.identity()
+        Wt, (Wk, indicator, _) = alignment._costing(model)
+        assert Wt is None and np.array_equal(Wk, np.eye(14)) and indicator.shape == (14, 5)
+        lib, _ = packed_library([random_packed(rng, 10, all_present=True) for _ in range(P)],
+                                capacity=P + 1)
+        checked, versions = 0, []
+        for change in range(3):
+            if change:              # the first commit fills the library, the second evicts
+                lib.commit_segment(make_sequence(rng, 10, t0=1000.0 * change),
+                                   SwitchEvent(1000.0 * change + 10.0, "wifi_to_cell"),
+                                   created_day=P + change)
+            versions.append(len(lib))
+            for kind in FILTER_ORDER:
+                selector = selector_for_kind(kind)
+                for n in range(2, 11):
+                    live, ctx = random_packed(rng, n, all_present=True), random_context(rng)
+                    for band in (1, 2, 3):
+                        want = per_prototype(model, selector, live, lib, band, ctx)
+                        got = match(model, selector, live, lib, band, len(lib), ctx)
+                        assert bits(got) == bits(in_match_order(want))
+                        checked += len(got)
+        assert versions == [P, P + 1, P + 1] and checked > 0
+        assert all(g.all_present for g in alignment._plan(lib))
+
+
+class TestAbsentModality:
+    """A window with an absent modality is still masked where it is absent:
+    the group or the live window that holds it takes the masked path."""
+
+    def test_a_prototype_with_an_absent_modality_is_masked(self, rng):
+        model, selector = MetricModel.identity(), selector_for_kind("gaussian")
+        ctx = FilterContext()
+        protos = [random_packed(rng, 8, all_present=True) for _ in range(5)]
+        feats, pres = protos[2]
+        absent = pres.copy()
+        absent[:, 1] = False                        # wifi absent throughout
+        live = random_packed(rng, 8, all_present=True)
+
+        def scored(feats, pres):
+            """(distance, similarity) of the third prototype, in hex."""
+            library, ids = packed_library(protos[:2] + [(feats, pres)] + protos[3:])
+            got = match(model, selector, live, library, 3, len(library), ctx)
+            want = per_prototype(model, selector, live, library, 3, ctx)
+            assert alignment._plan(library)[0].all_present == pres.all()
+            assert bits(got) == bits(in_match_order(want))
+            return [r for pid, *r in bits(got) if pid == ids[2]]
+
+        moved = feats.copy()
+        moved[:, MODALITY_SLICES["wifi"]] += 40.0
+        # the absent modality's features, however far off, change nothing
+        assert scored(feats, absent) == scored(moved, absent)
+        # where present they would
+        assert scored(moved, pres) != scored(feats, pres)
+
+    def test_a_live_window_with_an_absent_modality_is_masked(self, rng):
+        model, selector, ctx = MetricModel.identity(), selector_for_kind("kalman"), FilterContext()
+        library, _ = packed_library([random_packed(rng, 7, all_present=True) for _ in range(4)])
+        feats, pres = random_packed(rng, 7, all_present=True)
+        pres[:, 4] = False                          # time absent throughout
+        got = match(model, selector, (feats, pres), library, 2, len(library), ctx)
+        want = per_prototype(model, selector, (feats, pres), library, 2, ctx)
+        assert alignment._plan(library)[0].all_present
+        assert bits(got) == bits(in_match_order(want))
+        moved = feats.copy()
+        moved[:, MODALITY_SLICES["time"]] = 9.0
+        got_moved = match(model, selector, (moved, pres), library, 2, len(library), ctx)
+        assert bits(got_moved) == bits(got)
+
+
 class TestBandedCosts:
     @pytest.mark.parametrize("P", [1, 5])
     def test_equal_cost_matrix_at_every_kept_cell(self, rng, P):
@@ -875,7 +952,7 @@ class TestBandedCosts:
             assert costs.shape == (keep.sum(), P)
             assert np.array_equal(costs, cost[:, rows, cols].T)
             # the recursion's table is inf wherever the band keeps no cell
-            table = _sweep(costs, n, m, band, _hard_step)
+            table = _sweep(costs, n, m, band)
             assert np.isinf(table[:, ~keep]).all()
         assert absent > 0
 
@@ -955,6 +1032,14 @@ class TestSweepPlan:
                     for row in _skew_index(n, m, band)[0]:
                         kept = np.flatnonzero(row)
                         assert kept.size == 0 or kept[-1] - kept[0] + 1 == kept.size
+
+    def test_a_shorter_live_window_keeps_no_more_cells(self):
+        """A warm-up workspace costs in views of the full-length one's
+        buffers, so n < m windows may keep no more cells than m does."""
+        for m in range(2, 25):
+            for band in (1, 2, 3, 5):
+                full = _skew_index(m, m, band)[1].size
+                assert all(_skew_index(n, m, band)[1].size <= full for n in range(2, m))
 
 
 class TestLazyPath:
@@ -1045,6 +1130,18 @@ def per_prototype(model, selector, live, lib, band, ctx):
     return want
 
 
+def bits(results):
+    """``(id, distance, similarity)`` of ``(id, AlignmentResult)`` pairs,
+    floats in hex."""
+    return [(pid, r.distance.hex(), r.similarity.hex()) for pid, r in results]
+
+
+def in_match_order(want):
+    """``per_prototype``'s results in ``match``'s order: by similarity,
+    ties to the smaller id."""
+    return sorted(want.items(), key=lambda kv: (-kv[1].similarity, kv[0]))
+
+
 def arrays_in(obj, found=None):
     """Every array reachable from ``obj`` through tuples, lists, dict values
     and slots."""
@@ -1107,7 +1204,7 @@ class TestScratch:
             results += match(model, selector, random_packed(rng, n), lib, 3, len(lib),
                              random_context(rng))
         buffers = [a for g in alignment._plans[lib][1]
-                   for a in arrays_in([g.stack, g._embedded, g._workspaces])]
+                   for a in arrays_in([g._stacks, g._workspaces])]
         assert len(buffers) > 50
         # a result holds two floats and no table, so no array of it can
         # share memory with the scratch
@@ -1115,32 +1212,48 @@ class TestScratch:
         for _, result in results:
             assert [type(v) for v in vars(result).values()] == [float, float]
 
-    def test_warm_up_keeps_nothing_and_workspaces_own_their_buffers(self, rng):
-        """A walk's warm-up windows, shorter than every prototype, add no
-        cost buffers or sweep tables to the plan; a group keeps one
-        embedding per E, whatever the filter; the stack, the embedding and
-        the workspaces kept at the prototype length share no memory with
-        one another."""
-        model = MetricModel.from_seed(2, noise=0.3)
-        E = alignment._kernel(model)[0].shape[0]
-        lib = scratch_library(rng, [10] * 6)
-        for n in range(2, 10):
-            match(model, selector_for_kind("gaussian"), random_packed(rng, n), lib, 3,
-                  len(lib), random_context(rng))
-        group, = alignment._plans[lib][1]
-        assert group._workspaces == {} and list(group._embedded) == [E]
-        for kind in FILTER_ORDER:
+    @staticmethod
+    def owned(work):
+        """A workspace's cost buffers and its sweep table."""
+        return arrays_in(work.costs), work.plan[0]
+
+    def test_warm_up_workspaces_view_the_full_length_buffers(self, rng):
+        """A walk's warm-up windows, shorter than every prototype, cost in
+        views of the cost buffers of the prototypes' own length, whatever
+        the filter and the metric: they add one sweep table each and no cost
+        buffer.  Workspaces of other bands, and the sweep tables, share no
+        memory with one another; every result stays each prototype's own."""
+        for model, E in ((MetricModel.from_seed(2, noise=0.3), 20), (MetricModel.identity(), 14)):
+            assert alignment._costing(model)[1][0].shape[0] == E
+            lib = scratch_library(rng, [10] * 6)
+            for kind in FILTER_ORDER:
+                for band in (2, 3):
+                    for n in (*range(2, 11), 4, 10, 3):
+                        live, ctx = random_packed(rng, n), random_context(rng)
+                        selector = selector_for_kind(kind)
+                        want = per_prototype(model, selector, live, lib, band, ctx)
+                        got = match(model, selector, live, lib, band, len(lib), ctx)
+                        assert bits(got) == bits(in_match_order(want))
+            group, = alignment._plans[lib][1]
+            assert sorted(group._workspaces) == [(n, band, E) for n in range(2, 11)
+                                                 for band in (2, 3)]
+            assert all(type(w) is alignment._GroupScratch for w in group._workspaces.values())
+            tables = []
             for band in (2, 3):
-                match(model, selector_for_kind(kind), random_packed(rng, 10), lib, band,
-                      len(lib), random_context(rng))
-        assert list(group._embedded) == [E]
-        assert sorted(group._workspaces) == [(10, 2, E), (10, 3, E)]
-        assert all(type(w) is alignment._GroupScratch for w in group._workspaces.values())
-        owned = [[a for a in arrays_in(w) if a.flags.writeable]
-                 for w in [group.stack, group._embedded[E], *group._workspaces.values()]]
-        for i, mine in enumerate(owned):
-            for other in owned[i + 1:]:
-                assert not any(np.shares_memory(a, b) for a in mine for b in other)
+                full_costs, full_table = self.owned(group._workspaces[10, band, E])
+                assert all(a.base is None for a in full_costs)
+                for n in range(2, 10):
+                    costs, table = self.owned(group._workspaces[n, band, E])
+                    assert len(costs) == len(full_costs) == 6
+                    for a, b in zip(costs, full_costs):
+                        assert a.nbytes <= b.nbytes and a.ctypes.data == b.ctypes.data  # b's head
+                    tables.append(table)
+                tables.append(full_table)
+            band_2, band_3 = (self.owned(group._workspaces[10, band, E])[0] for band in (2, 3))
+            assert not any(np.shares_memory(a, b) for a in band_2 for b in band_3)
+            cost_buffers = [a for w in group._workspaces.values() for a in self.owned(w)[0]]
+            for i, table in enumerate(tables):
+                assert not any(np.shares_memory(table, b) for b in cost_buffers + tables[i + 1:])
 
 
 class TestLengthGroups:
@@ -1224,24 +1337,47 @@ class TestLengthGroups:
         assert days == [[0, 1, 2, 3, 4], [1, 2, 3, 4, 5], [2, 3, 4, 5, 6]]
 
     def test_cached_arrays_are_read_only(self, rng):
+        """What a version fixes is read-only: the prototypes, their presence,
+        the Gaussian taps and the kept cells.  The taps are gathered once
+        per radius, view the group's padded stack (prototypes in columns
+        1.., the live window in column 0) and are rebuilt when the version
+        changes; no two groups, and no group's stack and features, share
+        memory."""
         lib = self.library(rng, [6, 4])
+        model, selector = MetricModel.identity(), selector_for_kind("gaussian")
+        ctx = FilterContext()
+        radius = filters._gaussian_radius(select_filter(selector, ctx).sigma)
         live = make_sequence(rng, 6)
-        model, selector = MetricModel.identity(), SelectorModel.zeros()
-        key = (6, 2, alignment._kernel(model)[0].shape[0])
-        match(model, selector, live, lib, 2, 1, FilterContext())
+        match(model, selector, live, lib, 2, 1, ctx)
         kept = []
         for g in alignment._plan(lib):
-            _, _, cols = _skew_index(6, len(g.features), 2)
-            present = g._workspaces[key].present    # gathered by match
-            assert present.tobytes() == np.take(g.present, cols, axis=0).tobytes()
-            assert present.shape == (cols.size, len(g.ids), 5)
-            kept.append(present)
-            for a, v in ((g.features, 1.0), (g.present, False), (present, False)):
+            stack, taps = g._stacks[radius]         # gathered by match
+            m, P, F = g.features.shape
+            zeros = np.zeros((radius, 1 + P, F))
+            column0 = live.packed()[0] if m == 6 else np.zeros((m, F))
+            padded = np.concatenate([zeros, np.concatenate([column0[:, None], g.features], axis=1),
+                                     zeros]).reshape(m + 2 * radius, -1)
+            assert stack.tobytes() == padded.tobytes()
+            # entry [k, t] is step t + k - radius, +0.0 off either edge
+            assert taps.shape == (2 * radius + 1, m, (1 + P) * F)
+            assert taps.tobytes() == np.stack([padded[k:k + m]
+                                               for k in range(2 * radius + 1)]).tobytes()
+            assert list(g._stacks) == [radius] and np.shares_memory(taps, stack)
+            assert not np.shares_memory(stack, g.features)
+            kept.append(taps)
+            for a, v in ((g.features, 1.0), (g.present, False), (taps, 0.0)):
                 with pytest.raises(ValueError):
                     a.flat[0] = v
-        match(model, selector, make_sequence(rng, 6), lib, 2, 1, FilterContext())
-        assert len(kept) == 2
-        assert all(g._workspaces[key].present is k for g, k in zip(alignment._plan(lib), kept))
+        match(model, selector, make_sequence(rng, 6), lib, 2, 1, ctx)
+        groups = alignment._plan(lib)
+        assert all(g._stacks[radius][1] is k for g, k in zip(groups, kept))
+        arrays = [arrays_in([g.features, g.present, g._stacks, g._workspaces]) for g in groups]
+        assert not any(np.shares_memory(a, b) for a in arrays[0] for b in arrays[1])
+        self.commit(lib, rng, 4, day=2)
+        match(model, selector, make_sequence(rng, 6), lib, 2, 1, ctx)
+        rebuilt = [g._stacks[radius][1] for g in alignment._plan(lib)]
+        assert len(rebuilt) == 2
+        assert not any(np.shares_memory(a, b) for a in rebuilt for b in kept)
         keep, rows, cols = _skew_index(6, 4, 2)
         for a, v in ((keep, False), (rows, 1), (cols, 1)):
             with pytest.raises(ValueError):
@@ -1254,7 +1390,7 @@ class TestLengthGroups:
         self.ranked(lib, make_sequence(rng, 6))
         version, groups = alignment._plans[lib]
         assert version == lib.version and len(groups) == 2
-        library, stack = weakref.ref(lib), weakref.ref(groups[0].stack)
+        library, stack = weakref.ref(lib), weakref.ref(groups[0].features)
         entries = len(alignment._plans)
         del lib, groups
         gc.collect()
@@ -1280,7 +1416,8 @@ class TestSchemaMismatch:
             for live in (narrow, wide):
                 with pytest.raises(ValueError, match="schema"):
                     match(model, SelectorModel.zeros(), live, library, 3, 1, FilterContext())
-            assert all(not g.stack[:, 0].any() for g in alignment._plan(library))
+            # checked before the call gathers taps or builds a workspace
+            assert all(g._stacks == {} and g._workspaces == {} for g in alignment._plan(library))
 
 
 class TestMaskConsistency:

@@ -391,6 +391,32 @@ class TestPersistence:
             load_library(directory)
 
 
+def bytewise_fnv1a64(data, salt: str = "") -> int:
+    """FNV-1a one byte at a time, h <- (h ^ b) * P mod 2^64, written out
+    apart from ``fnv1a64`` so that any rewrite of it is held to the
+    definition."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    h = 0xCBF29CE484222325
+    for b in salt.encode("utf-8") + bytes(data):
+        h ^= b
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def test_fnv1a64_equals_the_bytewise_oracle():
+    rng = np.random.default_rng(64)
+    data = rng.integers(0, 256, 2000, dtype=np.uint8).tobytes()
+    for n in [*range(65), *range(65, 2001, 97), 2000]:
+        for salt in ("", "bssid"):
+            assert fnv1a64(data[:n], salt) == bytewise_fnv1a64(data[:n], salt), (n, salt)
+    for text in ("", "a", "selector:13", "round:3:edge-7:13", "sélecteur\u2603" * 40):
+        want = bytewise_fnv1a64(text, "s")
+        assert fnv1a64(text, "s") == want == fnv1a64(text.encode("utf-8"), "s")
+    # the published FNV-1a 64 values
+    assert fnv1a64("") == 0xCBF29CE484222325 and fnv1a64("a") == 0xAF63DC4C8601EC8C
+
+
 def test_fnv1a64_stable_and_salted():
     assert fnv1a64("abc") == fnv1a64("abc")
     assert fnv1a64("abc", "s1") != fnv1a64("abc", "s2")

@@ -7,7 +7,8 @@ import stages
 
 def test_a_tiny_pass_records_every_stage_and_call(tmp_path):
     bound = [(owner, attr, getattr(owner, attr))
-             for _, owner, attr in stages.TIMED]
+             for owner, attr in [(o, a) for _, o, a in stages.TIMED]
+             + [(stages.alignment, "match"), *stages.WINDOWS]]
     record = stages.bench_record(str(tmp_path), rounds=1, sessions=1,
                                  repeats=2)
     # every wrapper is unbound again
@@ -19,9 +20,9 @@ def test_a_tiny_pass_records_every_stage_and_call(tmp_path):
     for times in record["stages"].values():
         assert set(times) == {"s", "wall_s"} and times["s"] > 0.0
     assert set(record["calls"]) == {
-        "make_scenario", "generate", "fingerprint_at.hit", "fingerprint_at.miss", "match",
-        "denoise_matrix", "SwitchEnv.observe", "SwitchEnv.step", "SwitchEnv.tail",
-        "ppo_update"}
+        "make_scenario", "generate", "fingerprint_at.hit", "fingerprint_at.miss",
+        "match.warm_up", "match.full", "select_filter", "denoise_matrix", "SwitchEnv.observe",
+        "SwitchEnv.step", "SwitchEnv.tail", "ppo_update"}
     for name, stats in record["calls"].items():
         assert set(stats) == {"calls", "mean_us", "p50_us", "total_s"}
         assert stats["calls"] > 0, name
