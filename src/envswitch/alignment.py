@@ -16,17 +16,17 @@ negatives at once).  Buffers and tables are allocated per call, except in
 ``match``: it scores a library in groups of one prototype length
 (``_Group``), a plan kept per library and version that holds what the
 version fixes (the prototypes in a padded stack per filter radius, with
-their Gaussian taps, and a workspace per live length and band,
-``_GroupScratch``), so a call redoes only the work that depends on it.  The metric's kernel is built once per
-metric content (``_kernel``, and for ``match`` ``_costing``, which drops
-the all-zero embedding rows).  Exact DTW gives the alignment distance d
-and the similarity exp(-beta * d) in (0, 1], with a fixed scale beta = 1;
-a distance is read from the last cell, and no warping path is
-backtracked.  Soft-DTW is differentiable: its backward weights sweep the
-same layout in reverse, and hand-written gradients let the metric (and,
-through the filter mixture, the selector) train with plain gradient
-descent.  ``cost_matrix`` costs every cell densely; it is the reference
-the tests check the banded costs against.
+their Gaussian taps), and costs and sweeps each group in a workspace kept
+per shape (``_workspace``), so a call redoes only the work that depends on
+it.  The metric's kernel is built once per metric content (``_kernel``,
+and for ``match`` ``_costing``, which drops the all-zero embedding rows).
+Exact DTW gives the alignment distance d and the similarity exp(-beta * d)
+in (0, 1], with a fixed scale beta = 1; a distance is read from the last
+cell, and no warping path is backtracked.  Soft-DTW is differentiable: its
+backward weights sweep the same layout in reverse, and hand-written
+gradients let the metric (and, through the filter mixture, the selector)
+train with plain gradient descent.  ``cost_matrix`` costs every cell
+densely; it is the reference the tests check the banded costs against.
 """
 
 import functools
@@ -272,7 +272,7 @@ def _ordered_sums(x: np.ndarray, major, order, size: int) -> np.ndarray:
     return np.ascontiguousarray(out.swapaxes(0, 1))
 
 
-def _cost_gradients(model: MetricModel, caches, E, want_feature_grads=False):
+def _cost_gradients(model: MetricModel, caches, E):
     """Chain dV/dcost = E into metric and feature gradients.
 
     ``caches`` come from ``_banded_costs`` and E is skewed like the tables
@@ -286,8 +286,8 @@ def _cost_gradients(model: MetricModel, caches, E, want_feature_grads=False):
     (``_ordered_sums`` over the kept cells in row-major and column-major
     order), so no gradient changes a bit and no grid is allocated.
     Returns the flat metric gradient of every pair, (P, n_params) in the
-    ``to_vector`` layout, and with ``want_feature_grads`` the feature
-    gradients (P, n, 14) and (P, m, 14); otherwise those two are None.
+    ``to_vector`` layout, and the feature gradients (P, n, 14) and (P, m,
+    14).
     """
     qf, pf, (Wb, _, w), diff, sq, mask, band = caches
     (P, m, _), n = pf.shape, qf.shape[-2]
@@ -309,8 +309,6 @@ def _cost_gradients(model: MetricModel, caches, E, want_feature_grads=False):
     # product may sum the five terms in another order and round differently
     for p in range(P):
         G[p, index.size:] = w * (dcost_dw[p] - float(np.dot(w, dcost_dw[p])))
-    if not want_feature_grads:
-        return G, None, None
     return G, _rows(2.0 * A, Wb), _rows(-2.0 * B, Wb)
 
 
@@ -362,19 +360,15 @@ class _CostScratch:
     """The buffers ``_kept_costs`` writes for C kept cells, Q query series,
     P prototypes and E embedded coordinates: the gathered query rows (C, Q,
     E) and presence (C, Q, 5), the differences (C, P, E), the mask (C, P,
-    5), the squared distances (C * P, 5) and the costs (C * P,).  Given a
-    ``base`` scratch of as many series and coordinates and at least C
-    cells, each buffer is a view of the head of base's."""
+    5), the squared distances (C * P, 5) and the costs (C * P,)."""
 
     __slots__ = ("qrows", "qmask", "diff", "mask", "sq", "cost")
 
-    def __init__(self, C: int, Q: int, P: int, E: int, base=None):
+    def __init__(self, C: int, Q: int, P: int, E: int):
         K = len(MODALITIES)
-        for name, shape, dtype in (("qrows", (C, Q, E), float), ("qmask", (C, Q, K), bool),
-                                   ("diff", (C, P, E), float), ("mask", (C, P, K), bool),
-                                   ("sq", (C * P, K), float), ("cost", (C * P,), float)):
-            setattr(self, name, np.empty(shape, dtype) if base is None else
-                    getattr(base, name).reshape(-1)[:math.prod(shape)].reshape(shape))
+        self.qrows, self.qmask = np.empty((C, Q, E)), np.empty((C, Q, K), bool)
+        self.diff, self.mask = np.empty((C, P, E)), np.empty((C, P, K), bool)
+        self.sq, self.cost = np.empty((C * P, K)), np.empty(C * P)
 
 
 def _kept_costs(kernel, qe, pe, rows, cols, masks=None, scratch=None):
@@ -388,8 +382,8 @@ def _kept_costs(kernel, qe, pe, rows, cols, masks=None, scratch=None):
     sides, and no mask is formed.  The cells are gathered as (C, P, E)
     differences, so the costs come out in the order of the skewed layout,
     diagonal by diagonal, with the pairs innermost.  Every step writes into
-    a ``_CostScratch``.  Given one (``match`` passes the one of its group's
-    ``_GroupScratch``), the differences are squared and the squared
+    a ``_CostScratch``.  Given one (``match`` passes the one of its
+    group's ``_workspace``), the differences are squared and the squared
     distances masked in place, nothing is allocated and the costs are a
     view of ``scratch.cost``.  Without one (``_banded_costs``), a fresh one
     is built and the squares and the masked distances get arrays of their
@@ -617,14 +611,13 @@ def _soft_dtw_tables(cost: np.ndarray, n: int, m: int, band: int, gamma: float):
     return values, Rs, Es[:D, :n].transpose(2, 0, 1)
 
 
-def _soft_dtw_pairs(model: MetricModel, pairs, band: int, gamma: float,
-                    want_feature_grads: bool = False):
+def _soft_dtw_pairs(model: MetricModel, pairs, band: int, gamma: float):
     """Soft-DTW value and gradients of every ``(query, proto)`` pair.
 
     Pairs of one (n, m) shape run together: one ``_banded_costs``, one
     ``_soft_dtw_tables`` and one ``_cost_gradients`` per shape.  Returns the
-    values (N,), the flat metric gradients (N, n_params) and, with
-    ``want_feature_grads``, a list of (dquery, dproto) per pair.
+    values (N,), the flat metric gradients (N, n_params) and a list of
+    (dquery, dproto) feature gradients per pair.
     """
     if gamma <= 0.0:
         raise ValueError("soft-min smoothing gamma must be > 0")
@@ -644,12 +637,11 @@ def _soft_dtw_pairs(model: MetricModel, pairs, band: int, gamma: float,
         proto = tuple(np.stack([packed[k][1][t] for k in members]) for t in (0, 1))
         cost, caches = _banded_costs(model, query, proto, band)
         vals, _, E = _soft_dtw_tables(cost, n, m, band, gamma)
-        g, dq, dp = _cost_gradients(model, caches, E, want_feature_grads)
+        g, dq, dp = _cost_gradients(model, caches, E)
         values[members] = vals
         G[members] = g
-        if want_feature_grads:
-            for t, k in enumerate(members):
-                fgrads[k] = (dq[t], dp[t])
+        for t, k in enumerate(members):
+            fgrads[k] = (dq[t], dp[t])
     return values, G, fgrads
 
 
@@ -665,8 +657,7 @@ def soft_dtw(model: MetricModel, query, proto, band: int = 3,
     sequences.  The tables come from ``_banded_costs`` and the stacked
     kernel ``_soft_dtw_tables`` on a stack of one.
     """
-    values, G, fgrads = _soft_dtw_pairs(model, [(query, proto)], band, gamma,
-                                        want_feature_grads)
+    values, G, fgrads = _soft_dtw_pairs(model, [(query, proto)], band, gamma)
     out = (float(values[0]), G[0])
     return out + tuple(fgrads[0]) if want_feature_grads else out
 
@@ -676,14 +667,13 @@ def soft_dtw(model: MetricModel, query, proto, band: int = 3,
 # ---------------------------------------------------------------------------
 
 
-def _hinge(values, G, margin: float, fg=None):
+def _hinge(values, G, margin: float, fg):
     """Margin loss of one positive (index 0) against its negatives (1..k).
 
-    Returns the loss, its flat metric gradient and, given each pair's
+    Returns the loss, its flat metric gradient and, from each pair's
     feature gradients ``fg`` (a list of ``(dquery, dproto)``), the loss's
     gradient w.r.t. every pair's query and proto features, as a list of
-    ``[dquery, dproto]``; otherwise None.  Gradients accumulate in negative
-    order.
+    ``[dquery, dproto]``.  Gradients accumulate in negative order.
     """
     values = values.tolist()
     k = len(values) - 1
@@ -697,8 +687,6 @@ def _hinge(values, G, margin: float, fg=None):
             acc += (1.0 / k) * G[0]
             acc += (-1.0 / k) * G[t]
             active.append(t)
-    if fg is None:
-        return total / k, acc, None
     fgrads = [[np.zeros_like(dq), np.zeros_like(dp)] for dq, dp in fg]
     for t in active:
         for side in (0, 1):
@@ -707,12 +695,11 @@ def _hinge(values, G, margin: float, fg=None):
     return total / k, acc, fgrads
 
 
-def _margin_losses(model: MetricModel, items, margin: float, gamma: float,
-                   band: int, want_feature_grads: bool = False):
+def _margin_losses(model: MetricModel, items, margin: float, gamma: float, band: int):
     """``_hinge`` of every ``(positive, negatives)`` item, each pair a
     ``(query, proto)``; every pair of every item is scored in one
     ``_soft_dtw_pairs`` batch.  Returns one ``(loss, metric gradient,
-    feature gradients or None)`` per item."""
+    feature gradients)`` per item."""
     if margin <= 0.0:
         raise ValueError("margin must be > 0")
     pairs, bounds = [], [0]
@@ -721,8 +708,8 @@ def _margin_losses(model: MetricModel, items, margin: float, gamma: float,
             raise ValueError("margin loss needs at least one negative pair")
         pairs += [positive] + list(negatives)
         bounds.append(len(pairs))
-    values, G, fg = _soft_dtw_pairs(model, pairs, band, gamma, want_feature_grads)
-    return [_hinge(values[lo:hi], G[lo:hi], margin, fg[lo:hi] if want_feature_grads else None)
+    values, G, fg = _soft_dtw_pairs(model, pairs, band, gamma)
+    return [_hinge(values[lo:hi], G[lo:hi], margin, fg[lo:hi])
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
@@ -734,8 +721,7 @@ def margin_loss_grads(model: MetricModel, positive, negatives,
     ``MetricModel.to_vector`` layout.  With ``want_feature_grads`` also
     returns, per pair (positive first), the gradients w.r.t. its query and
     proto features."""
-    loss, grad, fgrads = _margin_losses(model, [(positive, negatives)], margin,
-                                        gamma, band, want_feature_grads)[0]
+    loss, grad, fgrads = _margin_losses(model, [(positive, negatives)], margin, gamma, band)[0]
     return (loss, grad, fgrads) if want_feature_grads else (loss, grad)
 
 
@@ -752,7 +738,7 @@ def make_alignment_loss(model: MetricModel, margin: float = 1.0,
     """
     def loss_fn(items):
         return [(loss, fgrads) for loss, _, fgrads in
-                _margin_losses(model, items, margin, gamma, band, want_feature_grads=True)]
+                _margin_losses(model, items, margin, gamma, band)]
     return loss_fn
 
 
@@ -784,20 +770,19 @@ def train_metric(model: MetricModel, pairs, epochs: int = 20,
 # ---------------------------------------------------------------------------
 
 
-class _GroupScratch:
-    """What ``match`` costs and sweeps one group in, for one live length n,
-    band and E: the kept cells, a ``_CostScratch`` and a ``_sweep_plan``
-    bound to its costs.  Given the ``base`` workspace of a longer live
-    window, which keeps at least as many cells, the cost buffers are views
-    of base's, and only the sweep table is this workspace's own."""
-
-    __slots__ = ("rows", "cols", "costs", "plan")
-
-    def __init__(self, group, n: int, band: int, E: int, base=None):
-        m, P = group.features.shape[:2]
-        _, self.rows, self.cols = _skew_index(n, m, band)
-        self.costs = _CostScratch(self.cols.size, 1, P, E, base and base.costs)
-        self.plan = _sweep_plan(n, m, band, self.costs.cost.reshape(-1, P))
+@functools.lru_cache(maxsize=32)
+def _workspace(n: int, m: int, band: int, P: int, E: int):
+    """What ``match`` costs and sweeps a group of P prototypes of length m
+    in, for a live length n, band and E costing coordinates: the kept
+    cells' ``rows`` and ``cols`` (``_skew_index``), a ``_CostScratch`` of
+    its own and a ``_sweep_plan`` bound to its costs.  Cached per shape, as
+    ``_skew_index`` and ``_sweep_slices`` are: one workspace serves every
+    group, library and library version of its shape, since ``match``
+    overwrites every buffer it reads on each call and copies its results
+    out."""
+    _, rows, cols = _skew_index(n, m, band)
+    costs = _CostScratch(cols.size, 1, P, E)
+    return rows, cols, costs, _sweep_plan(n, m, band, costs.cost.reshape(-1, P))
 
 
 class _Group:
@@ -807,11 +792,11 @@ class _Group:
     read-only, and ``all_present``, whether every modality of every window
     is present.  Per filter radius the group keeps a padded stack of its
     prototypes with a column for the live window, and the stack's taps
-    (``filtered``), and per (n, band, E) a ``_GroupScratch``
-    (``workspace``); ``match`` overwrites the stacks' live column and the
-    workspaces' buffers on every call."""
+    (``filtered``); ``match`` overwrites the stacks' live column on every
+    call.  What ``match`` costs and sweeps a group in depends only on its
+    shape, and is kept per shape (``_workspace``), not per group."""
 
-    __slots__ = ("ids", "features", "present", "all_present", "_stacks", "_workspaces")
+    __slots__ = ("ids", "features", "present", "all_present", "_stacks")
 
     def __init__(self, ids, features, present):
         self.ids = tuple(ids)
@@ -820,7 +805,7 @@ class _Group:
         for a in (self.features, self.present):
             a.setflags(write=False)
         self.all_present = bool(self.present.all())
-        self._stacks, self._workspaces = {}, {}
+        self._stacks = {}
 
     def filtered(self, choice, live):
         """``choice``'s filter of the prototypes, (m, P, 14) time-major, and
@@ -854,18 +839,6 @@ class _Group:
         else:
             out = filters.denoise_matrix(choice, stack.transpose(1, 0, 2)).transpose(1, 0, 2)
         return out[:, 1:], (None if live is None else out[:, 0])
-
-    def workspace(self, n: int, band: int, E: int) -> _GroupScratch:
-        """The ``_GroupScratch`` of (n, band, E).  A live window shorter than
-        the prototypes (a walk's first windows) costs in views of the
-        buffers of the prototypes' own length, so it adds a sweep table
-        and no cost buffers."""
-        work = self._workspaces.get((n, band, E))
-        if work is None:
-            m = len(self.features)
-            base = self.workspace(m, band, E) if n < m else None
-            work = self._workspaces[n, band, E] = _GroupScratch(self, n, band, E, base)
-        return work
 
 
 def _group_by_length(entries):
@@ -906,15 +879,18 @@ def match(model: MetricModel, selector, live_window,
 
     What a library version fixes is kept in its plan (``_plan``), one
     ``_Group`` per prototype length: the prototypes in a padded stack per
-    filter radius with their Gaussian taps, and a ``_GroupScratch`` per (n,
-    band, E).  A call does only what depends on it: one selector pass, one
-    filter pass per group (for the Gaussian, a weighing of the kept taps)
-    that takes the live window along in the group of its length n (a
-    window no group shares, the first of a walk, is filtered alone), the
-    product into the costing coordinates (``_costing``; none for the
-    identity metric), the kept cells' costs (with no mask when every
-    modality is present on both sides), one hard sweep per group and the
-    top-k pick.  A result is ``AlignmentResult(distance, similarity)``.  ``match`` on one library must not run concurrently.  An
+    filter radius with their Gaussian taps.  Each group is costed and swept
+    in the ``_workspace`` of its shape (n, m, band, P, E), shared by every
+    group, library and version of that shape.  A call does only what
+    depends on it: one selector pass, one filter pass per group (for the
+    Gaussian, a weighing of the kept taps) that takes the live window along
+    in the group of its length n (a window no group shares, the first of a
+    walk, is filtered alone), the product into the costing coordinates
+    (``_costing``; none for the identity metric), the kept cells' costs
+    (with no mask when every modality is present on both sides), one hard
+    sweep per group and the top-k pick.  A result is ``AlignmentResult(distance, similarity)``.
+    Since the workspaces are shared, no two ``match`` calls may run
+    concurrently in one process; the pipeline is single-threaded.  An
     empty library yields an empty list once ``band`` and the live window's
     length pass their checks.  The library's types hold every prototype to
     at least 2 windows of ``N_FEATURES``, so only the live window's width
@@ -948,11 +924,12 @@ def match(model: MetricModel, selector, live_window,
         protos = own_protos if g is own else g.filtered(choice, None)[0]
         if Wt is not None:
             protos = _rows(protos, Wt)
-        work = g.workspace(n, band, E)
+        m, P = g.features.shape[:2]
+        rows, cols, scratch, plan = _workspace(n, m, band, P, E)
         masks = None if live_present and g.all_present else (
-            _time_major(qp), np.take(g.present, work.cols, axis=0))
-        cost = _kept_costs(kernel, query, protos, work.rows, work.cols, masks, work.costs)[0]
-        S = _sweep(cost, n, len(g.features), band, plan=work.plan)
+            _time_major(qp), np.take(g.present, cols, axis=0))
+        cost = _kept_costs(kernel, query, protos, rows, cols, masks, scratch)[0]
+        S = _sweep(cost, n, m, band, plan=plan)
         for pid, distance in zip(g.ids, S[:, -1, n - 1].tolist()):
             if math.isfinite(distance):
                 # ranked by (-similarity, id); a library's ids are distinct

@@ -9,30 +9,34 @@ on a 2-vCPU host):
 
     PYTHONPATH=src python tests/seeds.py [--seeds 13 29 41 ...] [--json PATH]
                                          [--baseline PATH] [--rule]
-                                         [--variant null-init|null-round|no-pretrain]
+                                         [--variant null-init|null-round|no-pretrain|no-match]
 
 ``--seeds`` picks the training seeds (default 13, 29 and 41).  ``--json``
 also writes, for the seeds run, each site's value per seed and, over the
 seeds, its mean, min, interquartile mean and a percentile bootstrap
 interval of the mean (Agarwal et al. 2021; Henderson et al. 2018),
 whether criterion 6 holds at each seed and at how many, and the censored
-sessions (the greedy policy never handed over) per seed and site and in
+sessions (the greedy policy never handed over) and the premature ones (the
+switch completed more than ``sim.HF_WINDOW_EARLY_S`` before the onset,
+where the simulated feedback turns negative) per seed and site and in
 total.  ``--baseline`` reads an earlier ``--json`` file of the same seeds
 (another seed set is refused) and counts, per site, the seeds at which
 this run beats it, ties it and trails it; the counts are printed under the
 table and, with ``--json``, written as ``baseline``.  ``--rule`` also runs
 the scripted trigger rule, ``ScriptedPolicy(trigger_guide(cfg))``, greedy
 through ``cli.evaluate_site`` on the stacks of each seed's model directory
-and the same session seeds; its site means and censored sessions are
-printed as one more row per seed and, with ``--json``, written as ``rule``
-in the shape of the policy's summary.  ``--variant`` runs every seed with
-one module attribute rebound.  Two variants rename one salt that no result
+and the same session seeds; its site means and censored and premature
+sessions are printed as one more row per seed and, with ``--json``,
+written as ``rule`` in the shape of the policy's summary.  ``--variant``
+runs every seed with one module or class attribute rebound.  Two variants rename one salt that no result
 should depend on, the null spread a behaviour change is read against
 (Henderson et al. 2018): ``null-init`` hashes the policy's init seed string
 ``policy:`` as ``policy-null:``, and ``null-round`` the edge-round rng
 string ``round:`` as ``round-null:``.  ``no-pretrain`` makes
 ``cli.pretrain_on_trigger_rule`` return its policy unchanged, so the
-rounds start from the untrained policy.  The JSON then names the variant
+rounds start from the untrained policy.  ``no-match`` makes
+``MatcherStack.top_similarity`` return 0.0, so no live window matches the
+library, in training and in evaluation.  The JSON then names the variant
 as ``variant``.  Every pipeline runs
 in a temporary directory; the JSON file is refused inside a model
 directory, whose files criterion 8 compares byte for byte.  The output, table and file, is deterministic.
@@ -49,9 +53,10 @@ import numpy as np
 
 import envswitch.cli as cli
 import envswitch.cloudedge as cloudedge
+from envswitch import policy, sim
 from envswitch.cli import evaluate_site, load_models
 from envswitch.config import EngineConfig
-from envswitch.policy import ScriptedPolicy, trigger_guide
+from envswitch.policy import MatcherStack, ScriptedPolicy, trigger_guide
 from golden import EVAL_SESSIONS, run_pipeline
 
 SEEDS = (13, 29, 41)
@@ -69,15 +74,17 @@ def renamed_salt(old: str, new: str):
                                                 else text)
 
 
-# --variant NAME: (module, attribute, the rebinding of its current value)
+# --variant NAME: (module or class, attribute, the rebinding of its current value)
 VARIANTS = {"null-init": (cli, "fnv1a64", renamed_salt("policy:", "policy-null:")),
             "null-round": (cloudedge, "fnv1a64", renamed_salt("round:", "round-null:")),
             "no-pretrain": (cli, "pretrain_on_trigger_rule",
-                            lambda pretrain: lambda policy, *context: policy)}
+                            lambda pretrain: lambda policy, *context: policy),
+            "no-match": (MatcherStack, "top_similarity",
+                         lambda top_similarity: lambda stack, *window: 0.0)}
 
 
 def apply_variant(name: str) -> None:
-    """Rebind the variant's module attribute."""
+    """Rebind the variant's attribute."""
     module, attribute, rebind = VARIANTS[name]
     setattr(module, attribute, rebind(getattr(module, attribute)))
 
@@ -95,9 +102,24 @@ def site_censored(reports) -> dict:
             for flag, site_reports in reports.items()}
 
 
-def censored_summary(per_seed: dict) -> dict:
-    """Censored-session counts (seed -> site counts) per seed, per site over
-    the seeds, and in total."""
+def site_premature(reports) -> dict:
+    """Per-site count of premature sessions: the switch completed more than
+    ``sim.HF_WINDOW_EARLY_S`` before the onset, so the reported TTS is
+    below -``HF_WINDOW_EARLY_S``.  The report floors TTS at
+    ``policy.TTS_REPORT_FLOOR_S``, and the count is exact only while that
+    floor lies below -``HF_WINDOW_EARLY_S``; any other floor is refused,
+    since it would hide premature sessions and read 0."""
+    early = sim.HF_WINDOW_EARLY_S
+    if not policy.TTS_REPORT_FLOOR_S < -early:
+        raise ValueError(f"the TTS report floor {policy.TTS_REPORT_FLOOR_S} s is not below "
+                         f"-{early} s, so premature sessions cannot be counted")
+    return {flag: sum(r.proposed_tts < -early for r in site_reports)
+            for flag, site_reports in reports.items()}
+
+
+def count_summary(per_seed: dict) -> dict:
+    """Session counts (seed -> site counts), such as the censored or the
+    premature sessions, per seed, per site over the seeds, and in total."""
     sites = {flag: sum(counts[flag] for counts in per_seed.values()) for flag in "ABC"}
     return {"per_seed": {str(seed): counts for seed, counts in per_seed.items()},
             "sites": sites, "total": sum(sites.values())}
@@ -112,11 +134,14 @@ def rule_reports(model_dir: str, cfg: EngineConfig, seed: int) -> dict:
             for flag in "ABC"}
 
 
-def table_row(label, means: dict, censored: dict | None = None) -> str:
-    """One table row: the site means in percent, then any censored counts."""
+def table_row(label, means: dict, censored: dict | None = None,
+              premature: dict | None = None) -> str:
+    """One table row: the site means in percent, then any censored and
+    premature counts."""
     cells = " / ".join(f"{means[f]:.1f}" for f in "ABC")
-    if censored is not None:
-        cells += ", censored " + " / ".join(str(censored[f]) for f in "ABC")
+    for name, counts in (("censored", censored), ("premature", premature)):
+        if counts is not None:
+            cells += f", {name} " + " / ".join(str(counts[f]) for f in "ABC")
     return f"| {label} | {cells} |"
 
 
@@ -187,7 +212,8 @@ def main() -> None:
     parser.add_argument("--rule", action="store_true",
                         help="also score the scripted trigger rule at each seed")
     parser.add_argument("--variant", choices=sorted(VARIANTS),
-                        help="rename one inert salt, or skip the trigger-rule pretraining")
+                        help="rename one inert salt, skip the trigger-rule pretraining, "
+                             "or turn the matcher off")
     args = parser.parse_args()
     if len(set(args.seeds)) != len(args.seeds):
         parser.error("--seeds must not repeat a seed")
@@ -203,7 +229,8 @@ def main() -> None:
     if args.variant:
         apply_variant(args.variant)
     cfg = EngineConfig()
-    per_seed, censored, rule_per_seed, rule_censored = {}, {}, {}, {}
+    per_seed, censored, premature = {}, {}, {}
+    rule_per_seed, rule_censored, rule_premature = {}, {}, {}
     print("| seed | A / B / C % |")
     print("|---|---|")
     for seed in args.seeds:
@@ -212,18 +239,21 @@ def main() -> None:
             rule = rule_reports(out, cfg, seed) if args.rule else None
         per_seed[seed] = site_means(reports)
         censored[seed] = site_censored(reports)
+        premature[seed] = site_premature(reports)
         print(table_row(seed, per_seed[seed]), flush=True)
         if rule is not None:
             rule_per_seed[seed] = site_means(rule)
             rule_censored[seed] = site_censored(rule)
-            print(table_row(f"{seed} rule", rule_per_seed[seed], rule_censored[seed]),
-                  flush=True)
-    result = dict(summary(per_seed), censored=censored_summary(censored))
+            rule_premature[seed] = site_premature(rule)
+            print(table_row(f"{seed} rule", rule_per_seed[seed], rule_censored[seed],
+                            rule_premature[seed]), flush=True)
+    result = dict(summary(per_seed), censored=count_summary(censored),
+                  premature=count_summary(premature))
     if args.variant:
         result["variant"] = args.variant
     if args.rule:
-        result["rule"] = dict(summary(rule_per_seed),
-                              censored=censored_summary(rule_censored))
+        result["rule"] = dict(summary(rule_per_seed), censored=count_summary(rule_censored),
+                              premature=count_summary(rule_premature))
     if baseline is not None:
         wins = wins_against(per_seed, baseline)
         result["baseline"] = {"path": args.baseline, "sites": wins}

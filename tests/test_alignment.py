@@ -411,7 +411,7 @@ class TestSoftDtw:
                  for n, m in ((4, 5), (6, 4), (4, 5), (5, 5))]
         pairs[1][0][1][:, 2] = False          # cell absent from one whole query
         pairs[2][1][1][:, 4] = False          # time absent from one whole proto
-        _, G, fgrads = _soft_dtw_pairs(model, pairs, 3, 0.1, want_feature_grads=True)
+        _, G, fgrads = _soft_dtw_pairs(model, pairs, 3, 0.1)
         h = 1e-6
 
         def values(model, batch):
@@ -1005,7 +1005,7 @@ class TestCostGradients:
             except BandTooNarrowError:
                 continue
             want, A, B = grid_gradients(model, _banded_costs(model, (qf, qp), (pf, pp), band)[1], E)
-            got = alignment._cost_gradients(model, caches, E, want_feature_grads=True)
+            got = alignment._cost_gradients(model, caches, E)
             for g, v in zip(got, want):
                 assert g.tobytes() == v.tobytes()
             # the sums themselves, from the weighted terms written over the
@@ -1034,8 +1034,8 @@ class TestSweepPlan:
                         assert kept.size == 0 or kept[-1] - kept[0] + 1 == kept.size
 
     def test_a_shorter_live_window_keeps_no_more_cells(self):
-        """A warm-up workspace costs in views of the full-length one's
-        buffers, so n < m windows may keep no more cells than m does."""
+        """A warm-up window, n < m, keeps no more cells than one of the
+        prototypes' own length, so its workspace is no larger."""
         for m in range(2, 25):
             for band in (1, 2, 3, 5):
                 full = _skew_index(m, m, band)[1].size
@@ -1142,6 +1142,13 @@ def in_match_order(want):
     return sorted(want.items(), key=lambda kv: (-kv[1].similarity, kv[0]))
 
 
+def workspaces(lib, lengths, band, E):
+    """The ``_workspace`` of every group of ``lib``'s plan at each live
+    length, looked up as ``match`` looks them up."""
+    return [alignment._workspace(n, len(g.features), band, len(g.ids), E)
+            for g in alignment._plan(lib) for n in lengths]
+
+
 def arrays_in(obj, found=None):
     """Every array reachable from ``obj`` through tuples, lists, dict values
     and slots."""
@@ -1203,8 +1210,13 @@ class TestScratch:
         for n in (6, 4, 6):
             results += match(model, selector, random_packed(rng, n), lib, 3, len(lib),
                              random_context(rng))
-        buffers = [a for g in alignment._plans[lib][1]
-                   for a in arrays_in([g._stacks, g._workspaces])]
+        E = alignment._costing(model)[1][0].shape[0]
+        misses = alignment._workspace.cache_info().misses
+        # the stacks and taps of every group and the workspaces of both live
+        # lengths, every one of them built by the calls above
+        buffers = arrays_in([g._stacks for g in alignment._plans[lib][1]]) \
+            + arrays_in(workspaces(lib, (6, 4), 3, E))
+        assert alignment._workspace.cache_info().misses == misses
         assert len(buffers) > 50
         # a result holds two floats and no table, so no array of it can
         # share memory with the scratch
@@ -1214,15 +1226,16 @@ class TestScratch:
 
     @staticmethod
     def owned(work):
-        """A workspace's cost buffers and its sweep table."""
-        return arrays_in(work.costs), work.plan[0]
+        """A ``_workspace``'s cost buffers and its sweep table."""
+        return arrays_in(work[2]), work[3][0]
 
-    def test_warm_up_workspaces_view_the_full_length_buffers(self, rng):
-        """A walk's warm-up windows, shorter than every prototype, cost in
-        views of the cost buffers of the prototypes' own length, whatever
-        the filter and the metric: they add one sweep table each and no cost
-        buffer.  Workspaces of other bands, and the sweep tables, share no
-        memory with one another; every result stays each prototype's own."""
+    def test_warm_up_workspaces_own_their_buffers(self, rng):
+        """A walk's warm-up windows, shorter than every prototype, cost and
+        sweep in a workspace of their own live length, whatever the filter
+        and the metric: it owns its cost buffers, none larger than those of
+        the prototypes' own length, and its sweep table.  No two workspaces,
+        of any length or band, share memory; every result stays each
+        prototype's own."""
         for model, E in ((MetricModel.from_seed(2, noise=0.3), 20), (MetricModel.identity(), 14)):
             assert alignment._costing(model)[1][0].shape[0] == E
             lib = scratch_library(rng, [10] * 6)
@@ -1234,26 +1247,22 @@ class TestScratch:
                         want = per_prototype(model, selector, live, lib, band, ctx)
                         got = match(model, selector, live, lib, band, len(lib), ctx)
                         assert bits(got) == bits(in_match_order(want))
-            group, = alignment._plans[lib][1]
-            assert sorted(group._workspaces) == [(n, band, E) for n in range(2, 11)
-                                                 for band in (2, 3)]
-            assert all(type(w) is alignment._GroupScratch for w in group._workspaces.values())
-            tables = []
+            misses = alignment._workspace.cache_info().misses
+            owned = {(n, band): self.owned(alignment._workspace(n, 10, band, 6, E))
+                     for n in range(2, 11) for band in (2, 3)}
+            assert alignment._workspace.cache_info().misses == misses    # all built by match
             for band in (2, 3):
-                full_costs, full_table = self.owned(group._workspaces[10, band, E])
-                assert all(a.base is None for a in full_costs)
-                for n in range(2, 10):
-                    costs, table = self.owned(group._workspaces[n, band, E])
+                full_costs, full_table = owned[10, band]
+                for n in range(2, 11):
+                    costs, table = owned[n, band]
                     assert len(costs) == len(full_costs) == 6
                     for a, b in zip(costs, full_costs):
-                        assert a.nbytes <= b.nbytes and a.ctypes.data == b.ctypes.data  # b's head
-                    tables.append(table)
-                tables.append(full_table)
-            band_2, band_3 = (self.owned(group._workspaces[10, band, E])[0] for band in (2, 3))
-            assert not any(np.shares_memory(a, b) for a in band_2 for b in band_3)
-            cost_buffers = [a for w in group._workspaces.values() for a in self.owned(w)[0]]
-            for i, table in enumerate(tables):
-                assert not any(np.shares_memory(table, b) for b in cost_buffers + tables[i + 1:])
+                        assert a.base is None and a.nbytes <= b.nbytes
+                    assert table.size <= full_table.size
+            buffers = [a for costs, table in owned.values() for a in (*costs, table)]
+            assert len(buffers) == 18 * 7
+            for i, a in enumerate(buffers):
+                assert not any(np.shares_memory(a, b) for b in buffers[i + 1:])
 
 
 class TestLengthGroups:
@@ -1336,6 +1345,58 @@ class TestLengthGroups:
             assert run(lib) == run(self.fresh(lib))
         assert days == [[0, 1, 2, 3, 4], [1, 2, 3, 4, 5], [2, 3, 4, 5, 6]]
 
+    def test_a_commit_and_eviction_that_keep_the_shapes_build_no_workspace(self, rng):
+        """A commit that evicts a prototype of its own length keeps every
+        group's shape, so the new version's calls look up the workspaces
+        the last version's calls built and build none, and they still equal
+        ``match`` on a fresh library of the same items, bit for bit."""
+        lib = self.library(rng, [6, 6, 4, 6], capacity=4)
+        lives = [make_sequence(rng, n) for n in (6, 4, 3)]
+        model, selector = MetricModel.from_seed(3, noise=0.3), SelectorModel.from_seed(5)
+
+        def run(library):
+            return [self.bits(match(model, selector, live, library, 2, 64,
+                                    context_from_windows(*live.packed(), 0.0)))
+                    for live in lives]
+
+        E = alignment._costing(model)[1][0].shape[0]
+        before = run(lib)
+        groups = alignment._plan(lib)
+        used = workspaces(lib, (6, 4, 3), 2, E)
+        misses = alignment._workspace.cache_info().misses
+        self.commit(lib, rng, 6, day=4)             # evicts day 0, also of length 6
+        assert sorted(seq.created_at for _, seq in lib.items()) == [1, 2, 3, 4]
+        after = run(lib)
+        assert alignment._plan(lib) is not groups
+        assert [g.features.shape for g in alignment._plan(lib)] \
+            == [g.features.shape for g in groups]
+        assert alignment._workspace.cache_info().misses == misses
+        assert all(a is b for a, b in zip(workspaces(lib, (6, 4, 3), 2, E), used, strict=True))
+        assert after != before and after == run(self.fresh(lib))
+
+    def test_libraries_of_one_shape_share_a_workspace(self, rng):
+        """Two libraries of one shape cost and sweep in the same workspaces:
+        the second library's call builds none and leaves the first's in
+        place.  With their calls interleaved, each result, read after the
+        other library's call, equals ``dtw`` on its prototype alone, bit for
+        bit."""
+        model, selector = MetricModel.from_seed(2, noise=0.3), SelectorModel.from_seed(4)
+        E = alignment._costing(model)[1][0].shape[0]
+        libs = [scratch_library(rng, [10] * 6) for _ in range(2)]
+        for n in (10, 4, 10, 7, 3, 4):
+            live, ctx = random_packed(rng, n), random_context(rng)
+            got, used = [], []
+            for lib in libs:
+                misses = alignment._workspace.cache_info().misses
+                got.append(match(model, selector, live, lib, 3, len(lib), ctx))
+                used += workspaces(lib, (n,), 3, E)
+            assert alignment._workspace.cache_info().misses == misses
+            assert used[0] is used[1]
+            assert bits(got[0]) != bits(got[1])
+            for lib, results in zip(libs, got):
+                want = per_prototype(model, selector, live, lib, 3, ctx)
+                assert len(results) == len(lib) and bits(results) == bits(in_match_order(want))
+
     def test_cached_arrays_are_read_only(self, rng):
         """What a version fixes is read-only: the prototypes, their presence,
         the Gaussian taps and the kept cells.  The taps are gathered once
@@ -1371,7 +1432,10 @@ class TestLengthGroups:
         match(model, selector, make_sequence(rng, 6), lib, 2, 1, ctx)
         groups = alignment._plan(lib)
         assert all(g._stacks[radius][1] is k for g, k in zip(groups, kept))
-        arrays = [arrays_in([g.features, g.present, g._stacks, g._workspaces]) for g in groups]
+        # each group costs in the workspace of its own shape
+        arrays = [arrays_in([g.features, g.present, g._stacks,
+                             alignment._workspace(6, len(g.features), 2, len(g.ids), 14)])
+                  for g in groups]
         assert not any(np.shares_memory(a, b) for a in arrays[0] for b in arrays[1])
         self.commit(lib, rng, 4, day=2)
         match(model, selector, make_sequence(rng, 6), lib, 2, 1, ctx)
@@ -1385,18 +1449,24 @@ class TestLengthGroups:
 
     def test_plan_released_with_its_library(self, rng):
         """The plan cache holds its library weakly: once the library is
-        gone, so are its entry and the buffers of its groups."""
+        gone, so are its entry and the buffers of its groups, the
+        prototypes and their padded stacks and taps.  The workspaces stay:
+        they belong to their shapes, not to a library."""
+        gc.collect()                                # libraries of earlier tests
         lib = self.library(rng, [6, 4])
         self.ranked(lib, make_sequence(rng, 6))
         version, groups = alignment._plans[lib]
         assert version == lib.version and len(groups) == 2
         library, stack = weakref.ref(lib), weakref.ref(groups[0].features)
-        entries = len(alignment._plans)
+        taps = [weakref.ref(a) for g in groups for kept in g._stacks.values() for a in kept]
+        assert len(taps) == 4
+        entries, workspaces = len(alignment._plans), alignment._workspace.cache_info()
         del lib, groups
         gc.collect()
-        assert library() is None and stack() is None
+        assert library() is None and stack() is None and all(ref() is None for ref in taps)
         assert len(alignment._plans) == entries - 1
         assert all(ref() is not None for ref in alignment._plans.keyrefs())
+        assert alignment._workspace.cache_info() == workspaces
 
 
 class TestSchemaMismatch:
@@ -1408,6 +1478,7 @@ class TestSchemaMismatch:
             with pytest.raises(ValueError, match="schema"):
                 align(model, narrow, proto)
         wide = (np.concatenate([feats, feats[:, :1]], axis=1), pres)
+        workspaces = alignment._workspace.cache_info()
         # the live length shared by a prototype group (the first or a later
         # one), and by none
         for library in (packed_library([proto])[0],
@@ -1416,8 +1487,9 @@ class TestSchemaMismatch:
             for live in (narrow, wide):
                 with pytest.raises(ValueError, match="schema"):
                     match(model, SelectorModel.zeros(), live, library, 3, 1, FilterContext())
-            # checked before the call gathers taps or builds a workspace
-            assert all(g._stacks == {} and g._workspaces == {} for g in alignment._plan(library))
+            # checked before the call gathers taps or looks a workspace up
+            assert all(g._stacks == {} for g in alignment._plan(library))
+            assert alignment._workspace.cache_info() == workspaces
 
 
 class TestMaskConsistency:

@@ -7,10 +7,12 @@ import pytest
 import envswitch.cli as cli
 import envswitch.cloudedge as cloudedge
 import seeds
+from envswitch import alignment, policy, sim
 from envswitch.cli import SessionReport, cmd_evaluate, cmd_train
 from envswitch.config import EngineConfig
-from seeds import (CRITERION_6, censored_summary, criterion_6, interquartile_mean,
-                   site_censored, summary, table_row, wins_against)
+from envswitch.policy import MatcherStack
+from seeds import (CRITERION_6, count_summary, criterion_6, interquartile_mean,
+                   site_censored, site_premature, summary, table_row, wins_against)
 
 
 def test_interquartile_mean_drops_a_quarter_at_each_end():
@@ -62,9 +64,28 @@ def test_censored_sessions_per_seed_site_and_in_total():
     per_seed = {13: site_censored(reports("B")),
                 6: site_censored(reports("B", "B", "C"))}
     assert per_seed[6] == {"A": 0, "B": 2, "C": 1}
-    assert censored_summary(per_seed) == {
+    assert count_summary(per_seed) == {
         "per_seed": {"13": {"A": 0, "B": 1, "C": 0}, "6": {"A": 0, "B": 2, "C": 1}},
         "sites": {"A": 0, "B": 3, "C": 1}, "total": 4}
+
+
+def test_premature_sessions_per_site_under_the_report_floor(monkeypatch):
+    """A session is premature when its reported TTS is below
+    -``HF_WINDOW_EARLY_S``: it completed that long before the onset.  The
+    count is refused under a floor that would clamp such sessions to it."""
+    early = sim.HF_WINDOW_EARLY_S
+    assert early == 2.0 and policy.TTS_REPORT_FLOOR_S == -5.0
+    reports = {"A": [SessionReport("A", 1, 10.0, policy.TTS_REPORT_FLOOR_S),
+                     SessionReport("A", 2, 10.0, -early - 0.01),
+                     SessionReport("A", 3, 10.0, -early)],
+               "B": [SessionReport("B", 1, 10.0, 3.0), SessionReport("B", 2, 10.0, 50.0, True)],
+               "C": [SessionReport("C", 1, 10.0, -early + 0.5)]}
+    assert site_premature(reports) == {"A": 2, "B": 0, "C": 0}
+    assert count_summary({13: site_premature(reports)})["total"] == 2
+    for floor in (-early, 0.0):
+        monkeypatch.setattr(policy, "TTS_REPORT_FLOOR_S", floor)
+        with pytest.raises(ValueError, match="report floor"):
+            site_premature(reports)
 
 
 def test_wins_against_a_baseline_per_site_with_ties_apart():
@@ -118,10 +139,15 @@ def test_rule_adds_one_row_per_seed_and_a_json_key(monkeypatch, tmp_path, capsys
     rule = result.pop("rule")
     assert result == plain and lines[:3] == plain_lines
     assert lines[3:] == [table_row("13 rule", rule["per_seed"]["13"],
-                                   rule["censored"]["per_seed"]["13"])]
+                                   rule["censored"]["per_seed"]["13"],
+                                   rule["premature"]["per_seed"]["13"])]
     assert lines[3].startswith("| 13 rule | ") and ", censored " in lines[3]
+    assert ", premature " in lines[3]
     assert rule["seeds"] == [13] and set(rule["sites"]) == set("ABC")
-    assert rule["censored"]["total"] == sum(rule["censored"]["sites"].values())
+    for run in (plain, rule):
+        for counts in (run["censored"], run["premature"]):
+            assert counts["total"] == sum(counts["sites"].values())
+            assert set(counts["per_seed"]["13"]) == set("ABC")
     assert rule["per_seed"]["13"] != plain["per_seed"]["13"]
 
 
@@ -170,3 +196,27 @@ def test_no_pretrain_rebinds_exactly_that_name(monkeypatch):
     assert changed == [("envswitch.cli", "pretrain_on_trigger_rule")]
     policy = object()
     assert cli.pretrain_on_trigger_rule(policy, {}, {}, EngineConfig()) is policy
+
+
+def test_no_match_rebinds_exactly_that_method(monkeypatch):
+    """``--variant no-match`` rebinds ``MatcherStack.top_similarity`` to
+    return 0.0 without matching, and no other module or ``MatcherStack``
+    attribute."""
+    # registered so that monkeypatch restores the original afterwards
+    monkeypatch.setattr(MatcherStack, "top_similarity", MatcherStack.top_similarity)
+    namespaces = {name: module.__dict__ for name, module in sys.modules.items()
+                  if name == "envswitch" or name.startswith("envswitch.")}
+    namespaces["envswitch.policy.MatcherStack"] = MatcherStack.__dict__
+    before = {name: dict(namespace) for name, namespace in namespaces.items()}
+    seeds.apply_variant("no-match")
+    changed = sorted((name, key) for name, namespace in namespaces.items()
+                     for key in set(namespace) | set(before[name])
+                     if namespace.get(key) is not before[name].get(key))
+    assert changed == [("envswitch.policy.MatcherStack", "top_similarity")]
+
+    def no_match(*args):
+        raise AssertionError("the variant must not match")
+
+    monkeypatch.setattr(alignment, "match", no_match)
+    window = (np.zeros((10, 14)), np.ones((10, 5), bool))
+    assert MatcherStack.top_similarity(object(), *window, 0.0) == 0.0
