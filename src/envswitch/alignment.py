@@ -875,7 +875,10 @@ def match(model: MetricModel, selector, live_window,
     costed on its own, so each result equals ``dtw`` on that prototype
     alone, bit for bit, and a prototype equal to the live window scores
     1.0.  A prototype with no admissible path inside the band is left out;
-    ties break on the smaller prototype id.
+    a group whose band leaves out the end cell is dropped before any work,
+    so a call with no group left (the first window of a walk, at the
+    default band) makes no selector pass.  Ties break on the smaller
+    prototype id.
 
     What a library version fixes is kept in its plan (``_plan``), one
     ``_Group`` per prototype length: the prototypes in a padded stack per
@@ -884,7 +887,7 @@ def match(model: MetricModel, selector, live_window,
     group, library and version of that shape.  A call does only what
     depends on it: one selector pass, one filter pass per group (for the
     Gaussian, a weighing of the kept taps) that takes the live window along
-    in the group of its length n (a window no group shares, the first of a
+    in the group of its length n (a window no group shares, early in a
     walk, is filtered alone), the product into the costing coordinates
     (``_costing``; none for the identity metric), the kept cells' costs
     (with no mask when every modality is present on both sides), one hard
@@ -906,6 +909,12 @@ def match(model: MetricModel, selector, live_window,
         return []
     # before the live window is written into a group's stack, all N_FEATURES wide
     _check_schema(qf, groups[0].features)
+    # a group whose band leaves out the end cell, band_mask(n, m, band)[-1, -1],
+    # has no admissible path: no work is done for it
+    groups = [g for g in groups
+              if abs((n - 1) * (len(g.features) / n) - (len(g.features) - 1)) <= band]
+    if not groups:
+        return []
     # resolved through the module at call time, so a rebinding of these
     # names (bench/spans.py traces them that way) takes effect here
     choice = filters.select_filter(selector, ctx)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fingerprints import FEATURE_NAMES, MODALITIES
-from .mlp import TwoLayerNet, grads_add, grads_scale, grads_zeros_like, sigmoid, softmax_backward
+from .mlp import TwoLayerNet, softmax_backward
 from .serialize import dump_tensors, parse_tensors
 
 FILTER_ORDER = ("kalman", "gaussian", "elp")
@@ -209,31 +209,28 @@ class SelectorModel:
         return cls(net)
 
 
-def _squash(raw: np.ndarray):
-    """Map 4 raw outputs into the legal (q, r, sigma, alpha) boxes.  Returns
-    the values, as a list of Python floats, and the sigmoids of ``raw``
-    (``_squash_slopes`` reads them)."""
-    s = sigmoid(raw)
-    # Python floats round every step as float64 scalars do, at less cost
-    return [lo + (hi - lo) * si
-            for (lo, hi), si in zip(COEFFICIENT_RANGES, s.tolist())], s
-
-
-def _squash_slopes(s: np.ndarray) -> np.ndarray:
-    """d(value)/d(raw) of ``_squash``, from its sigmoids; training only."""
+def _squash_slopes(s: list) -> np.ndarray:
+    """d(coefficient)/d(raw output) from ``_choice``'s sigmoids; training only."""
     return np.array([(hi - lo) * si * (1.0 - si)
                      for (lo, hi), si in zip(COEFFICIENT_RANGES, s)])
 
 
 def _choice(out: np.ndarray):
     """The FilterChoice of the selector's 7 outputs: the softmax of the 3
-    filter logits and the squashed coefficients; also ``_squash``'s
-    sigmoids, which only training reads."""
-    # ``mlp.softmax`` without its wrappers: Python's max of the logits is
-    # numpy's, and ``np.add.reduce`` is the sum it takes
-    e = np.exp(out[:3] - max(out[:3].tolist()))
-    params, s = _squash(out[3:])
-    return FilterChoice(e / np.add.reduce(e), *params), s
+    filter logits, and the 4 coefficients squashed into
+    ``COEFFICIENT_RANGES`` by sigmoids; also the sigmoids, as a list, which
+    only training reads.  One ``np.exp`` takes the softmax's logits less
+    their max and the sigmoids' -|raw|; the rest runs on Python floats,
+    which round every step as ``mlp.softmax`` and float64 arrays do.  A
+    sigmoid is 1 / (1 + e) for raw >= 0 and e / (1 + e) below, e =
+    exp(-|raw|) <= 1."""
+    row = out.tolist()
+    top = max(row[:3])
+    e = np.exp([v - top for v in row[:3]] + [-abs(v) for v in row[3:]]).tolist()
+    total = e[0] + e[1] + e[2]
+    s = [1.0 / (1.0 + ei) if v >= 0 else ei / (1.0 + ei) for v, ei in zip(row[3:], e[3:])]
+    return FilterChoice([ei / total for ei in e[:3]],
+                        *[lo + (hi - lo) * si for (lo, hi), si in zip(COEFFICIENT_RANGES, s)]), s
 
 
 def select_filter(model: SelectorModel, ctx: FilterContext) -> FilterChoice:
@@ -489,8 +486,7 @@ def selector_backward(model: SelectorModel, cache, dweights, dparams):
     dout = np.empty(7)
     dout[:3] = softmax_backward(weights, dweights)
     dout[3:] = dparams * dparams_draw
-    grads = model.net.backward(net_cache, dout)
-    return grads
+    return model.net.backward(net_cache, dout)
 
 
 def _selector_epoch(model: SelectorModel, items, sides, stacks, alignment_loss_fn):
@@ -505,7 +501,7 @@ def _selector_epoch(model: SelectorModel, items, sides, stacks, alignment_loss_f
             done[k][j] = (out[b], sides[k][j][1]), (outs[:, b], sens[:, b])
     pairs = [[(q[0], p[0]) for q, p in zip(d[0::2], d[1::2])] for d in done]
     losses = alignment_loss_fn([(p[0], p[1:]) for p in pairs])
-    acc = grads_zeros_like(model.net)
+    acc = np.zeros_like(model.net.params)
     total = 0.0
     for (_, sel_cache), d, (loss, fgrads) in zip(forwards, done, losses):
         total += loss
@@ -516,7 +512,7 @@ def _selector_epoch(model: SelectorModel, items, sides, stacks, alignment_loss_f
             dw, dp = soft_denoise_backward(cache, grad)
             dweights += dw
             dparams += dp
-        grads_add(acc, selector_backward(model, sel_cache, dweights, dparams))
+        acc += selector_backward(model, sel_cache, dweights, dparams)
     return total, acc
 
 
@@ -552,6 +548,5 @@ def train_selector(model: SelectorModel, items, alignment_loss_fn,
         total, acc = _selector_epoch(current, items, sides, stacks, alignment_loss_fn)
         if not math.isfinite(total):
             raise FloatingPointError("selector training loss is not finite")
-        current = SelectorModel(current.net.step(grads_scale(acc, 1.0 / len(items)),
-                                                 step_size))
+        current = SelectorModel(current.net.step(acc * (1.0 / len(items)), step_size))
     return current

@@ -127,11 +127,7 @@ def act(model: PolicyModel, feats: np.ndarray, mode: str, rng=None,
     ``act_rows`` samples many unguided rows in one pass.
     """
     out, _ = model.net.forward(feats)
-    row = out.tolist()
-    # ``mlp.softmax`` of the logits; Python's max of the row is numpy's, and
-    # ``np.add.reduce`` is the sum ``ndarray.sum`` runs, without its wrapper
-    e = np.exp(out[:-1] - max(row[:-1]))
-    probs = e / np.add.reduce(e)
+    probs = softmax(out[:-1])
     if mode == "greedy":
         idx = int(probs.argmax())
     elif mode == "sample":
@@ -143,7 +139,7 @@ def act(model: PolicyModel, feats: np.ndarray, mode: str, rng=None,
         idx = _draw(probs, rng)
     else:
         raise ValueError(f"unknown mode: {mode!r}")
-    return idx, float(np.log(probs[idx])), row[-1]
+    return idx, float(np.log(probs[idx])), float(out[-1])
 
 
 def act_rows(model: PolicyModel, feats: np.ndarray, rng):
@@ -152,17 +148,15 @@ def act_rows(model: PolicyModel, feats: np.ndarray, rng):
     log-probs and values, and leaves ``rng`` where that loop would.
 
     Bit for bit: the stacked forward ``(X[:, None, :] @ w1.T)[:, 0]``
-    equals ``net.forward`` row by row (a plain ``X @ w1.T`` does not), the
-    row-wise max, exp and left-to-right sum are ``act``'s softmax, and the
-    draws are ``_draw_rows``'.
+    equals ``net.forward`` row by row (a plain ``X @ w1.T`` does not),
+    ``mlp.softmax`` of the rows equals that of each row, and the draws are
+    ``_draw_rows``'.
     """
     net = model.net
     x = np.asarray(feats, dtype=float)
     h = np.tanh((x[:, None, :] @ net.w1.T)[:, 0] + net.b1)
     out = (h[:, None, :] @ net.w2.T)[:, 0] + net.b2
-    logits = out[:, :-1]
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs = e / np.add.reduce(e, axis=1, keepdims=True)
+    probs = softmax(out[:, :-1])
     idx = _draw_rows(probs, rng)
     return idx, np.log(probs[np.arange(len(x)), idx]), out[:, -1]
 

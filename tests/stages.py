@@ -20,11 +20,12 @@ one above the highest already there.  The file holds
   simulation), ``fingerprint_at`` (memo hits and misses
   apart), ``match`` (warm-up calls, on a live window shorter than
   ``buffer_windows``, and full-window calls apart), ``select_filter`` (one
-  per match), ``denoise_matrix``, ``SwitchEnv.observe`` (a window, and
+  per match whose band admits a group), ``denoise_matrix``, ``SwitchEnv.observe`` (a window, and
   a match on a monitoring second), ``SwitchEnv.step``, ``SwitchEnv.tail``
-  (one call runs a training rollout's seconds after the switch) and
-  ``ppo_update``, timed by wrappers bound in place of the module attributes
-  their callers resolve;
+  (one call runs a training rollout's seconds after the switch),
+  ``ppo_update``, ``imitate`` (the trigger-rule pretraining) and
+  ``fit_reward_model`` (one per round), timed by wrappers bound in place
+  of the module attributes their callers resolve;
 - ``pass``: the median time of a whole pass and its settings;
 - ``environment``: Python, numpy, the BLAS library and the thread settings.
 
@@ -76,13 +77,15 @@ TIMED = (
     ("SwitchEnv.step", policy.SwitchEnv, "step"),
     ("SwitchEnv.tail", policy.SwitchEnv, "tail"),
     ("ppo_update", cloudedge, "ppo_update"),
+    ("imitate", cli, "imitate"),
+    ("fit_reward_model", cloudedge, "fit_reward_model"),
 )
 WINDOWS = ((sim, "fingerprint_at"), (policy, "fingerprint_at"),
            (cli, "fingerprint_at"))
 CALLS = ("make_scenario", "generate", "fingerprint_at.hit",
          "fingerprint_at.miss", "match.warm_up", "match.full", "select_filter",
          "denoise_matrix", "SwitchEnv.observe", "SwitchEnv.step", "SwitchEnv.tail",
-         "ppo_update")
+         "ppo_update", "imitate", "fit_reward_model")
 FULL_WINDOW = EngineConfig().window.buffer_windows
 REPEATS = 5               # passes per file; stage times are their median
 STAGES = ("simulate", "library", "selector", "pretrain", "rounds", "evaluate")

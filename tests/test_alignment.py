@@ -1235,7 +1235,8 @@ class TestScratch:
         and the metric: it owns its cost buffers, none larger than those of
         the prototypes' own length, and its sweep table.  No two workspaces,
         of any length or band, share memory; every result stays each
-        prototype's own."""
+        prototype's own.  A live length whose band leaves out the end cell
+        (n = 2, and n = 3 at band 2) builds no workspace."""
         for model, E in ((MetricModel.from_seed(2, noise=0.3), 20), (MetricModel.identity(), 14)):
             assert alignment._costing(model)[1][0].shape[0] == E
             lib = scratch_library(rng, [10] * 6)
@@ -1248,21 +1249,51 @@ class TestScratch:
                         got = match(model, selector, live, lib, band, len(lib), ctx)
                         assert bits(got) == bits(in_match_order(want))
             misses = alignment._workspace.cache_info().misses
+            first = {2: 4, 3: 3}              # the shortest live length each band admits
             owned = {(n, band): self.owned(alignment._workspace(n, 10, band, 6, E))
-                     for n in range(2, 11) for band in (2, 3)}
+                     for band in (2, 3) for n in range(first[band], 11)}
             assert alignment._workspace.cache_info().misses == misses    # all built by match
             for band in (2, 3):
                 full_costs, full_table = owned[10, band]
-                for n in range(2, 11):
+                for n in range(first[band], 11):
                     costs, table = owned[n, band]
                     assert len(costs) == len(full_costs) == 6
                     for a, b in zip(costs, full_costs):
                         assert a.base is None and a.nbytes <= b.nbytes
                     assert table.size <= full_table.size
             buffers = [a for costs, table in owned.values() for a in (*costs, table)]
-            assert len(buffers) == 18 * 7
+            assert len(buffers) == 15 * 7
             for i, a in enumerate(buffers):
                 assert not any(np.shares_memory(a, b) for b in buffers[i + 1:])
+
+    def test_a_band_that_leaves_out_the_end_cell_does_no_work(self, rng, monkeypatch):
+        """A live window whose band admits no path to any group's end cell
+        (2 windows against 10 at band 3: |1 * 10 / 2 - 9| = 4 > 3) is ranked
+        empty with no selector pass and no workspace; ``dtw`` refuses each
+        prototype on its own.  A group that is admitted is still ranked."""
+        model = MetricModel.identity()
+        lib = scratch_library(rng, [10] * 3 + [3] * 2)
+        live, ctx = random_packed(rng, 2), random_context(rng)
+        for _, seq in lib.items():
+            if len(seq.packed()[0]) == 10:
+                with pytest.raises(BandTooNarrowError):
+                    dtw(model, live, seq.packed(), 3)
+        calls, workspace = [], alignment._workspace
+        monkeypatch.setattr(filters, "select_filter",
+                            lambda *a: calls.append("select_filter") or select_filter(*a))
+        monkeypatch.setattr(alignment, "_workspace",
+                            lambda *a: calls.append(a[:2]) or workspace(*a))
+        only_long = scratch_library(rng, [10] * 3)
+        assert match(model, SelectorModel.zeros(), live, only_long, 3, 5, ctx) == []
+        assert calls == []
+        got = match(model, SelectorModel.zeros(), live, lib, 3, 5, ctx)
+        assert calls == ["select_filter", (2, 3)]
+        assert bits(got) == bits(in_match_order(
+            per_prototype(model, SelectorModel.zeros(), live, lib, 3, ctx)))
+        assert len(got) == 2
+        # the width check still runs first
+        with pytest.raises(ValueError, match="schema mismatch"):
+            match(model, SelectorModel.zeros(), (live[0][:, :5], live[1]), only_long, 3, 5, ctx)
 
 
 class TestLengthGroups:

@@ -7,12 +7,12 @@ from envswitch.alignment import (MetricModel, make_alignment_loss, margin_loss_g
                                  soft_dtw)
 from envswitch import filters
 from envswitch.filters import (COEFFICIENT_RANGES, FILTER_ORDER, FilterChoice,
-                               FilterContext, SelectorModel, _gaussian_kernel, apply_elp,
+                               FilterContext, SelectorModel, _choice, _gaussian_kernel, apply_elp,
                                apply_gaussian, apply_kalman, context_from_windows,
                                denoise_matrix, select_filter, selector_backward,
                                selector_forward_training, soft_denoise_backward,
                                soft_denoise_matrix, train_selector)
-from envswitch.mlp import grads_add, grads_scale, grads_zeros_like, sigmoid
+from envswitch.mlp import softmax
 
 from conftest import random_packed
 
@@ -591,8 +591,7 @@ class TestTrainSelector:
                 dw, dp = soft_denoise_backward(c, grad)
                 dweights += dw
                 dparams += dp
-        grads = selector_backward(model, cache, dweights, dparams)
-        flat = np.concatenate([grads[k].ravel() for k in ("w1", "b1", "w2", "b2")])
+        flat = selector_backward(model, cache, dweights, dparams)
 
         def loss_at(vec):
             m = SelectorModel(model.net.from_vector(vec))
@@ -627,7 +626,7 @@ def looped_train_selector(model, items, metric, epochs, step_size, margin=1.0,
     margin_loss_grads call per item."""
     current = SelectorModel(model.net.copy())
     for _ in range(epochs):
-        acc = grads_zeros_like(current.net)
+        acc = np.zeros_like(current.net.params)
         for ctx, pos, negs in items:
             choice, sel_cache = selector_forward_training(current, ctx)
             filtered, caches = [], []
@@ -644,9 +643,8 @@ def looped_train_selector(model, items, metric, epochs, step_size, margin=1.0,
                     dw, dp = soft_denoise_backward(cache, grad)
                     dweights += dw
                     dparams += dp
-            grads_add(acc, selector_backward(current, sel_cache, dweights, dparams))
-        current = SelectorModel(current.net.step(grads_scale(acc, 1.0 / len(items)),
-                                                 step_size))
+            acc += selector_backward(current, sel_cache, dweights, dparams)
+        current = SelectorModel(current.net.step(acc * (1.0 / len(items)), step_size))
     return current
 
 
@@ -718,14 +716,35 @@ def masked_sigmoid(z):
 
 
 class TestSigmoid:
+    """The selector head's coefficient sigmoids, read from ``_choice``."""
+
+    @staticmethod
+    def sigmoids(raw):
+        """``_choice``'s sigmoids of ``raw``, 4 at a time behind fixed logits."""
+        raw = np.asarray(raw, dtype=float)
+        out = [_choice(np.concatenate([[0.5, -1.0, 2.0], chunk]))[1]
+               for chunk in raw.reshape(-1, 4)]
+        return np.array(out).ravel()
+
     def test_equals_the_masked_form_bit_for_bit(self, rng):
         # pyproject turns a RuntimeWarning (overflow, invalid) into an error
         z = np.concatenate([rng.normal(0.0, scale, 20_000)
                             for scale in (0.1, 1.0, 10.0, 100.0, 800.0)]
-                           + [np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0])])
-        got = sigmoid(z)
+                           + [np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0,
+                                        1e-300, -1e-300])])
+        got = self.sigmoids(z)
         assert got.shape == z.shape and got.tobytes() == masked_sigmoid(z).tobytes()
-        assert got[-6:].tolist() == [0.5, 0.5, 1.0, 0.0, 1.0, masked_sigmoid(-745.0)]
-        assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
-        for scalar in (-3.0, 0.0, 2.5):
-            assert sigmoid(scalar).tobytes() == masked_sigmoid(scalar).tobytes()
+        assert got[-8:-2].tolist() == [0.5, 0.5, 1.0, 0.0, 1.0, masked_sigmoid(-745.0)]
+
+    def test_coefficients_are_the_squashed_sigmoids(self, rng):
+        for raw in rng.normal(0.0, 3.0, (50, 4)):
+            out = np.concatenate([rng.normal(0.0, 2.0, 3), raw])
+            choice, s = _choice(out)
+            assert s == masked_sigmoid(raw).tolist()
+            assert choice.weights.tobytes() == softmax(out[:3]).tobytes()
+            assert [choice.q, choice.r, choice.sigma, choice.alpha] == [
+                lo + (hi - lo) * si for (lo, hi), si in zip(COEFFICIENT_RANGES, s)]
+
+    def test_a_nan_output_is_refused(self):
+        with pytest.raises(ValueError, match="out of range"):
+            _choice(np.array([0.0, 0.0, 0.0, np.nan, 0.0, 0.0, 0.0]))

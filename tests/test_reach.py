@@ -18,7 +18,7 @@ gone.  Each reason is one of
   function that only tests or demos use belongs in ``tests/``.
 
 An entry leaves when its reason ends (its function is then deleted or moved
-to ``tests/``), and CHANGES.md says why for any entry added.  There are 26.
+to ``tests/``), and CHANGES.md says why for any entry added.  There are 24.
 
 A second check works on attributes: every attribute a class in
 ``src/envswitch`` stores (a dataclass field, a ``__slots__`` entry or a
@@ -44,7 +44,6 @@ SRC = Path(envswitch.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
 
 SPANS_TRAIN_METRIC = "bench: spans.py binds envswitch.cli.train_metric, which calls it"
-SPANS_OFFLINE = "bench: spans.py binds envswitch.cli.offline_update, which calls it"
 WINDOW_ORACLE = ("oracle: test_sim.py::TestWindowOracle::"
                  "test_fingerprint_at_equals_summarize_window")
 FILTER_ORACLE = "oracle: test_acceptance.py::test_criterion_3_filter_properties"
@@ -78,8 +77,6 @@ UNCALLED = {
     "fingerprints.pdr_features": WINDOW_ORACLE,
     "fingerprints.summarize_window": WINDOW_ORACLE,
     "fingerprints.wifi_features": WINDOW_ORACLE,
-    "mlp.TwoLayerNet.from_vector": SPANS_OFFLINE,
-    "mlp.TwoLayerNet.to_vector": SPANS_OFFLINE,
     "mlp.TwoLayerNet.zeros": HELPER,
     "policy.PolicyModel.zeros": HELPER,
 }

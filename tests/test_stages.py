@@ -22,7 +22,8 @@ def test_a_tiny_pass_records_every_stage_and_call(tmp_path):
     assert set(record["calls"]) == {
         "make_scenario", "generate", "fingerprint_at.hit", "fingerprint_at.miss",
         "match.warm_up", "match.full", "select_filter", "denoise_matrix", "SwitchEnv.observe",
-        "SwitchEnv.step", "SwitchEnv.tail", "ppo_update"}
+        "SwitchEnv.step", "SwitchEnv.tail", "ppo_update",
+        "imitate", "fit_reward_model"}
     for name, stats in record["calls"].items():
         assert set(stats) == {"calls", "mean_us", "p50_us", "total_s"}
         assert stats["calls"] > 0, name
