@@ -646,20 +646,17 @@ def _soft_dtw_pairs(model: MetricModel, pairs, band: int, gamma: float):
 
 
 def soft_dtw(model: MetricModel, query, proto, band: int = 3,
-             gamma: float = 0.1, want_feature_grads: bool = False):
-    """Soft-min banded alignment value and its gradients.
+             gamma: float = 0.1):
+    """Soft-min banded alignment value and its metric gradient.
 
-    Returns ``(value, metric gradient)`` or, with ``want_feature_grads``,
-    ``(value, metric gradient, dvalue/dquery_features,
-    dvalue/dproto_features)``; the metric gradient is flat, in the
-    ``MetricModel.to_vector`` layout.  The value is always <= the exact dtw
-    distance on the same inputs and can be negative for near-identical
+    Returns ``(value, metric gradient)``; the metric gradient is flat, in
+    the ``MetricModel.to_vector`` layout.  The value is always <= the exact
+    dtw distance on the same inputs and can be negative for near-identical
     sequences.  The tables come from ``_banded_costs`` and the stacked
     kernel ``_soft_dtw_tables`` on a stack of one.
     """
-    values, G, fgrads = _soft_dtw_pairs(model, [(query, proto)], band, gamma)
-    out = (float(values[0]), G[0])
-    return out + tuple(fgrads[0]) if want_feature_grads else out
+    values, G, _ = _soft_dtw_pairs(model, [(query, proto)], band, gamma)
+    return float(values[0]), G[0]
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,9 @@ SCAN_PERIOD_S = 2.0
 BOOSTED_PERIOD_S = 1.0
 BOOST_DURATION_S = 10.0
 # the similarity at which the matcher counts as confident: the trigger rule
-# fires on it, and the shaped reward hints toward acting on it
+# fires on it, and the shaped reward penalizes holding on it
 TAU = 0.55
-SHAPING_BONUS = 1.0
+CONFIDENT_HOLD_PENALTY = 0.3
 # per-step credit for staying on a still-healthy link (RSSI at or above the
 # baseline threshold); leaving a good link early forfeits it
 HEALTHY_LINK_BONUS = 0.15
@@ -284,9 +284,7 @@ class Trajectory:
     step_rewards: np.ndarray      # per-step lam*sim + shaping
     dtime: float = 0.0
     hf: float | None = None       # None when direct feedback was withheld
-    completion: float = 0.0
     censored: bool = False
-    action_time: float | None = None
     terminal_step: int = -1
     policy_tts: float = 0.0
     baseline_tts: float = 0.0
@@ -471,8 +469,8 @@ class SwitchEnv:
     window and its ``stack.top_similarity``, the state, the shaped step
     reward, the action effects and the terminal outcome.  The scan schedule
     is the device's fixed one (``SCAN_PERIOD_S``, ``BOOSTED_PERIOD_S`` and
-    ``BOOST_DURATION_S``), and so are the shaping (``TAU``,
-    ``SHAPING_BONUS``, ``HEALTHY_LINK_BONUS``) and the TTS floors
+    ``BOOST_DURATION_S``), and so are the shaping (``HEALTHY_LINK_BONUS``,
+    ``TAU`` and ``CONFIDENT_HOLD_PENALTY``) and the TTS floors
     (``TTS_REPORT_FLOOR_S``, ``TTS_REWARD_FLOOR_S``); the buffer length, the
     reward weights and the baseline are ``stack.cfg``'s.
 
@@ -482,13 +480,15 @@ class SwitchEnv:
     halves scan-age growth for a while, pre_associate cuts the handover's
     association delay from 2 s to 0.5 s, and handover completes the switch.
     A second before the switch reads one ``fingerprint_at`` window and earns
-    lam * similarity plus shaping (trigger hint, healthy link credit); an
-    inert second after it reads none and earns 0, whatever the action.  So
-    once switched, a driver may instead call ``tail()``, which runs every
-    remaining second at once and returns their feature rows.  Both take
-    each second's 7 features from ``_advance``, which also runs the scan
-    schedule (a boost before the switch shapes the tail's scan ages) and
-    reads sample ``int(t)``, one per second of the horizon.  Only
+    lam * similarity plus shaping (a healthy-link credit, a penalty for
+    holding or boosting on a confident match, and one for repeating a
+    pre-association); an inert second after it reads none and earns 0,
+    whatever the action.  So once switched, a driver may instead call
+    ``tail()``, which runs every remaining second at once and returns their
+    feature rows.  Both take each second's 7 features from ``_advance``,
+    which also runs the scan schedule (a boost before the switch shapes the
+    tail's scan ages) and reads sample ``int(t)``, one per second of the
+    horizon.  Only
     ``rollout`` steps an env: the bench's decision clock times
     ``fingerprint_at`` per rollout, and the tail reads no window.
     """
@@ -498,7 +498,7 @@ class SwitchEnv:
         self.trace, self.stack = trace, stack
         self.t = 0.0
         self.pre_associated = self.switched = False
-        self.completion = self.action_time = None
+        self.completion = None
         self.horizon = int(trace.duration)
         self.done = self.horizon <= 1
         self.scan_times = []        # ascending, as fingerprint_at bisects it
@@ -582,15 +582,11 @@ class SwitchEnv:
         if self.serving[int(t)] >= cfg.baseline.threshold_dbm:
             reward += HEALTHY_LINK_BONUS
         if action == "handover":
-            # one-shot trigger hint: act when the matcher is confident
-            reward += SHAPING_BONUS if sim_top >= TAU else -SHAPING_BONUS
             self.completion = t + (0.5 if self.pre_associated
                                    else cfg.baseline.assoc_delay_s)
-            self.action_time, self.switched = t, True
+            self.switched = True
         elif action == "pre_associate":
-            if not self.pre_associated and sim_top >= TAU:
-                reward += 0.5 * SHAPING_BONUS
-            elif self.pre_associated:
+            if self.pre_associated:
                 reward -= 0.05
             self.pre_associated = True
         else:
@@ -600,7 +596,7 @@ class SwitchEnv:
                 raise ValueError(f"unknown action: {action!r}")
             if sim_top >= TAU:
                 # sitting on a confident match delays the switch
-                reward -= 0.3 * SHAPING_BONUS
+                reward -= CONFIDENT_HOLD_PENALTY
         return reward
 
     def outcome(self) -> dict:
@@ -616,8 +612,7 @@ class SwitchEnv:
         return dict(
             dtime=base_tts - tts(completion, onset, TTS_REWARD_FLOOR_S),
             hf=feedback_oracle(completion, trace),
-            completion=completion, censored=censored,
-            action_time=self.action_time,
+            censored=censored,
             terminal_step=min(int(self.t) - 1, max(0, int(round(completion)) - 1)),
             policy_tts=tts(completion, onset, TTS_REPORT_FLOOR_S),
             baseline_tts=base_tts, trace_checksum=trace.checksum())

@@ -54,8 +54,7 @@ def make_trajectory(rng, length=8, hf=0.5):
         log_probs=np.full(length, np.log(0.25)),
         values=np.zeros(length),
         step_rewards=rng.normal(0, 0.1, size=length),
-        dtime=3.0, hf=hf, completion=float(length), censored=False,
-        action_time=float(length - 1), terminal_step=length - 1,
+        dtime=3.0, hf=hf, censored=False, terminal_step=length - 1,
         policy_tts=2.0, baseline_tts=10.0)
 
 
@@ -425,8 +424,7 @@ class TestOfflineUpdate:
                     states=states, actions=actions,
                     log_probs=np.full(length, np.log(0.25)),
                     values=np.zeros(length), step_rewards=rewards,
-                    dtime=2.0, hf=1.0, completion=float(length),
-                    censored=False, action_time=float(length),
+                    dtime=2.0, hf=1.0, censored=False,
                     terminal_step=length - 1, policy_tts=1.0,
                     baseline_tts=float(length)))
             return log

@@ -13,7 +13,8 @@ from envswitch.fingerprints import (FEATURE_DIMS, FEATURE_NAMES, MODALITIES,
                                     assemble_fingerprint)
 from envswitch.filters import FilterContext, SelectorModel
 from envswitch.mlp import softmax
-from envswitch.policy import (ACTIONS, POLICY_HIDDEN, MatcherStack, PolicyModel,
+from envswitch.policy import (ACTIONS, CONFIDENT_HOLD_PENALTY, HEALTHY_LINK_BONUS,
+                              POLICY_HIDDEN, TAU, MatcherStack, PolicyModel,
                               PolicyState, ScriptedPolicy, SwitchEnv, Trajectory,
                               _draw, _draw_rows, act, act_rows, clipped_surrogate,
                               gae_advantages, imitate, normalize_rssi,
@@ -42,6 +43,14 @@ def build_stack(rng, site_flag="A", with_library=True):
                          metric=MetricModel.identity(), library=library,
                          band=CFG.match.band, cfg=CFG)
     return scenario, trace, stack
+
+
+def handover_time(traj):
+    """The second ``t`` at which ``traj`` handed over (its first handover
+    is its switch, at step index ``t - 1``), or None if it never did."""
+    actions = traj.actions.tolist()
+    handover = ACTIONS.index("handover")
+    return float(actions.index(handover) + 1) if handover in actions else None
 
 
 class TestNormalizeRssi:
@@ -339,8 +348,9 @@ class TestRollout:
         scenario, trace, stack = build_stack(rng)
         traj = rollout(ScriptedPolicy(lambda t, s: "hold"), scenario, stack,
                        trace=trace)
-        assert traj.censored
-        assert traj.completion == trace.duration
+        assert traj.censored and handover_time(traj) is None
+        # a censored walk completes at the end of its trace
+        assert traj.policy_tts + trace.degradation_onset == pytest.approx(trace.duration)
         assert traj.dtime < -10.0
 
     def test_pre_associate_cuts_delay_to_half_second(self, rng):
@@ -353,16 +363,16 @@ class TestRollout:
             return "pre_associate" if state.similarity >= 0.8 or t >= onset - 5 else "hold"
 
         traj = rollout(ScriptedPolicy(with_prep), scenario, stack, trace=trace)
-        t_handover = traj.action_time
+        t_handover = handover_time(traj)
         assert t_handover == float(math.ceil(onset))
-        assert traj.completion == pytest.approx(t_handover + 0.5)
+        assert traj.policy_tts + onset == pytest.approx(t_handover + 0.5)
 
         def without_prep(t, state):
             return "handover" if t >= onset else "hold"
 
         traj2 = rollout(ScriptedPolicy(without_prep), scenario, stack, trace=trace)
-        assert traj2.completion == pytest.approx(t_handover + 2.0)
-        assert traj2.completion - traj.completion == pytest.approx(1.5)
+        assert traj2.policy_tts + onset == pytest.approx(t_handover + 2.0)
+        assert traj2.policy_tts - traj.policy_tts == pytest.approx(1.5)
 
     def test_deterministic_given_seed(self, rng):
         scenario, trace, stack = build_stack(rng)
@@ -371,7 +381,7 @@ class TestRollout:
         b = rollout(model, scenario, stack, mode="sample", seed=9, trace=trace)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.actions, b.actions)
-        assert a.completion == b.completion
+        assert (a.policy_tts, a.terminal_step) == (b.policy_tts, b.terminal_step)
         assert a.hf == b.hf
 
     def test_guided_sample_takes_the_trigger_rule_before_the_switch(
@@ -389,7 +399,7 @@ class TestRollout:
         traj = rollout(PolicyModel.from_seed(1, POLICY_HIDDEN), scenario,
                        stack, mode="sample", seed=9, trace=trace,
                        guide_eps=1.0)
-        switch = int(traj.action_time)          # the handover is step `switch`
+        switch = int(handover_time(traj))       # the handover is step `switch`
         assert len(seen) == switch              # the rule is asked until then
         for t, (state, feats, idx) in enumerate(zip(
                 seen, traj.states.tolist(), traj.actions.tolist()), 1):
@@ -409,7 +419,7 @@ class TestRollout:
         traj = rollout(ScriptedPolicy(lambda t, s: "handover"), scenario, stack,
                        trace=trace)
         assert traj.states.shape[0] == int(trace.duration) - 1
-        assert traj.action_time == 1.0
+        assert handover_time(traj) == 1.0
         # after the switch the link flag flips and steps are inert
         assert traj.states[0, 6] == 0.0
         assert np.all(traj.states[3:, 6] == 1.0)
@@ -421,7 +431,8 @@ class TestRollout:
                        scenario, stack, trace=trace)
         weights = RewardConfig()
         rewards = traj.rewards_with(weights, hf_value=traj.hf)
-        expected_idx = int(round(traj.completion)) - 1
+        # no pre-association: the switch completes assoc_delay_s after 20 s
+        expected_idx = int(round(20 + CFG.baseline.assoc_delay_s)) - 1
         assert traj.terminal_step == expected_idx
         delta = rewards[expected_idx] - traj.step_rewards[expected_idx]
         assert delta == pytest.approx(weights.eta * traj.dtime
@@ -458,6 +469,31 @@ class TestSwitchEnv:
         flagged = dataclasses.replace(state, pre_associated=True)
         assert flagged.features().shape == (7,)
         assert flagged.features().tobytes() == state.features().tobytes()
+
+    def test_step_reward_terms(self, rng, monkeypatch):
+        # a step earns lam * similarity and the healthy-link credit; only
+        # holding (or boosting) on a confident match and a repeated
+        # pre-association cost more, and no action earns a bonus from TAU
+        _, trace, stack = build_stack(rng)
+        lam, threshold = CFG.reward.lam, CFG.baseline.threshold_dbm
+        for sim in (math.nextafter(TAU, 0.0), TAU, 0.9):
+            monkeypatch.setattr(stack, "top_similarity", lambda *args: sim)
+            penalty = CONFIDENT_HOLD_PENALTY if sim >= TAU else 0.0
+            for healthy in (False, True):
+                base = lam * sim + (HEALTHY_LINK_BONUS if healthy else 0.0)
+                for actions, want in ((["handover"], base),
+                                      (["pre_associate"], base),
+                                      (["pre_associate", "pre_associate"], base - 0.05),
+                                      (["hold"], base - penalty),
+                                      (["scan_boost"], base - penalty)):
+                    env = SwitchEnv(trace, stack)
+                    env.observe()                   # one window: similarity 0.0
+                    for action in actions:
+                        env.observe()
+                        env.serving[int(env.t)] = threshold + (1.0 if healthy else -1.0)
+                        reward = env.step(action)
+                    assert env.sim_history[-1] == sim
+                    assert reward == want, (sim, healthy, actions)
 
     def test_unknown_action_is_refused(self, rng):
         _, trace, stack = build_stack(rng, with_library=False)
@@ -558,7 +594,7 @@ class TestTail:
             for name, make, kwargs in self.drivers(random_model(rng, seed),
                                                    self.wandering(12 + 5 * seed)):
                 traj = self.same(scenario, stack, trace, make, kwargs)
-                tails += not traj.censored and traj.action_time < len(traj.states)
+                tails += not traj.censored and handover_time(traj) < len(traj.states)
         assert tails >= 12
 
     def test_switch_on_the_first_step(self, rng):
@@ -572,7 +608,7 @@ class TestTail:
                     continue                  # the rule pre-associates first
                 kwargs = dict(kwargs, seed=seed) if "seed" in kwargs else kwargs
                 traj = self.same(scenario, stack, trace, make, kwargs)
-                if traj.action_time == 1.0:
+                if handover_time(traj) == 1.0:
                     firsts.add(name)
                     assert len(traj.states) == int(trace.duration) - 1
         assert firsts == {"sample", "guided", "recorded"}
@@ -580,10 +616,10 @@ class TestTail:
     def test_switch_on_the_last_step_leaves_an_empty_tail(self, rng):
         scenario, trace, stack = build_stack(rng)
         for name, make, kwargs in self.drivers(random_model(rng, 2), self.wandering(17)):
-            switch = int(self.same(scenario, stack, trace, make, kwargs).action_time)
+            switch = int(handover_time(self.same(scenario, stack, trace, make, kwargs)))
             short = cut(trace, switch + 1)
             traj = self.same(scenario, stack, short, make, kwargs)
-            assert (traj.action_time, len(traj.states)) == (switch, switch), name
+            assert (handover_time(traj), len(traj.states)) == (switch, switch), name
 
     @pytest.mark.parametrize("horizon", [1, 2])
     def test_horizons_of_one_and_two(self, rng, horizon):
@@ -619,7 +655,7 @@ class TestTail:
         for seed in range(20):
             traj = self.same(scenario, stack, trace, lambda: model,
                              dict(mode="sample", seed=seed))
-            switch_step = int(traj.action_time) - 1
+            switch_step = int(handover_time(traj)) - 1
             boosted += (switch_step >= 1 and ACTIONS[traj.actions[switch_step - 1]]
                         == "scan_boost" and len(traj.states) > switch_step + 10)
         assert boosted >= 5
@@ -671,9 +707,10 @@ class TestGreedyStop:
                                if int(t) <= len(actions) else "hold"),
                 scenario, stack, trace=trace)
             assert replay.states.shape[0] == horizon
-            for name in ("completion", "censored", "action_time", "hf",
-                         "policy_tts", "baseline_tts", "trace_checksum"):
+            for name in ("censored", "hf", "policy_tts", "baseline_tts",
+                         "trace_checksum"):
                 assert getattr(greedy, name) == getattr(replay, name), name
+            assert handover_time(greedy) == handover_time(replay)
             # the greedy steps are the replay's first steps
             assert greedy.states.tobytes() == replay.states[:len(actions)].tobytes()
             assert (greedy.step_rewards.tobytes()
@@ -683,9 +720,9 @@ class TestGreedyStop:
                 assert len(actions) == horizon
                 outcomes["censored"] += 1
             else:
-                assert len(actions) == int(greedy.action_time)
+                assert len(actions) == handover_time(greedy)
                 assert actions[-1] == "handover"
-                outcomes["late" if greedy.action_time > 1.0 else "first"] += 1
+                outcomes["late" if handover_time(greedy) > 1.0 else "first"] += 1
         assert outcomes["censored"] >= 1 and outcomes["late"] >= 1
 
     @pytest.mark.parametrize("mode", ["sample", "greedy"])
@@ -702,7 +739,7 @@ class TestGreedyStop:
         monkeypatch.setattr(policy_module, "fingerprint_at", counted_fingerprint_at)
         traj = rollout(ScriptedPolicy(lambda t, s: "handover" if t >= 20 else "hold"),
                        scenario, stack, mode=mode, trace=trace)
-        assert traj.action_time == 20.0
+        assert handover_time(traj) == 20.0
         # the handover step reads its window; no inert step reads one
         assert ends == [float(t) for t in range(1, 21)]
         steps = 20 if mode == "greedy" else int(trace.duration) - 1

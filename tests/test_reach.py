@@ -22,9 +22,10 @@ to ``tests/``), and CHANGES.md says why for any entry added.  There are 24.
 
 A second check works on attributes: every attribute a class in
 ``src/envswitch`` stores (a dataclass field, a ``__slots__`` entry or a
-``self.x = ...`` store in a method) must be read, as ``obj.x``, somewhere in
-``src/``, ``bench/`` or ``demos/``.  It matches by name only, so a read of
-another class's attribute of the same name counts.
+``self.x = ...`` store in a method) must be read somewhere in ``src/``,
+``bench/`` or ``demos/``.  A read through a method's receiver (``self.x``)
+counts only for that method's class; any other ``obj.x`` read counts for
+every class that stores ``x``.
 
 A third check works on parameters: every parameter of every function in
 ``src/envswitch`` must be read in that function's body (a nested function
@@ -174,13 +175,32 @@ def stored_attributes():
 
 
 def loaded_attributes():
-    """Every attribute name read as ``obj.name`` in ``src/``, ``bench/`` and
-    ``demos/``."""
-    return {node.attr
-            for folder in ("src", "bench", "demos")
-            for path in sorted((ROOT / folder).rglob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    """``(own, other)`` attribute reads in ``src/``, ``bench/`` and
+    ``demos/``: ``own`` maps ``module.Class`` to the names its methods read
+    through their receiver (``self.name``), and ``other`` holds every name
+    read as ``obj.name`` through anything else."""
+    own, other = {}, set()
+    for folder in ("src", "bench", "demos"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            mine = set()
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and node.args.args:
+                        me = node.args.args[0].arg
+                        reads = [n for n in ast.walk(node)
+                                 if isinstance(n, ast.Attribute)
+                                 and isinstance(n.ctx, ast.Load)
+                                 and getattr(n.value, "id", None) == me]
+                        own.setdefault(f"{path.stem}.{cls.name}", set()).update(
+                            n.attr for n in reads)
+                        mine.update(map(id, reads))
+            other.update(node.attr for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute)
+                         and isinstance(node.ctx, ast.Load) and id(node) not in mine)
+    return own, other
 
 
 def clear_memos():
@@ -232,9 +252,11 @@ def test_only_the_zeros_constructors_are_test_helpers():
 def test_every_stored_attribute_is_read():
     stored = stored_attributes()
     assert len(stored) > 100        # the scan sees the sources
-    unread = {name: sorted(owners) for name, owners in stored.items()
-              if name not in loaded_attributes()}
-    assert unread == {}, "stored but never read"
+    own, other = loaded_attributes()
+    unread = sorted(f"{owner}.{name}" for name, owners in stored.items()
+                    for owner in owners
+                    if name not in other and name not in own.get(owner, ()))
+    assert unread == [], "stored but never read"
 
 
 def test_every_parameter_is_read():
