@@ -11,7 +11,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import CloudEdgeConfig, EngineConfig
 from .fingerprints import fnv1a64, hash_identifier
 from .mlp import TwoLayerNet, softmax
 from .policy import (N_ACTIONS, STATE_DIM, MatcherStack, PolicyModel,
@@ -22,6 +21,14 @@ from .sim import generate  # unused here; bench/spans.py wraps this name
 # the trigger rule's share of each training draw at round 0; it anneals to 0
 GUIDE_EPS = 0.5
 STATE_QUANT = 0.01      # grid of the shipped last-step state
+# each round: the episodes per edge, the share of them whose direct feedback
+# is withheld, and the rounds between two distillations to the edges
+EPISODES_PER_EDGE = 10
+HF_WITHHELD_FRACTION = 0.3
+DISTILL_PERIOD = 2
+# the reward model's gradient steps per round and their size
+REWARD_MODEL_EPOCHS = 40
+REWARD_MODEL_STEP = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +126,9 @@ def _reward_inputs(states, actions):
     return np.concatenate([states, onehot], axis=1)
 
 
-def fit_reward_model(model: RewardModel, batch, ce: CloudEdgeConfig) -> RewardModel:
+def fit_reward_model(model: RewardModel, batch) -> RewardModel:
     """Squared-error regression of predicted feedback onto recorded feedback,
-    ``ce.reward_model_epochs`` gradient steps of ``ce.reward_model_step``."""
+    ``REWARD_MODEL_EPOCHS`` gradient steps of ``REWARD_MODEL_STEP``."""
     states, actions, hfs = batch
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.shape[0] == 0:
@@ -130,13 +137,13 @@ def fit_reward_model(model: RewardModel, batch, ce: CloudEdgeConfig) -> RewardMo
     y = np.asarray(hfs, dtype=float)
     net = model.net.copy()
     n = x.shape[0]
-    for _ in range(max(0, ce.reward_model_epochs)):
+    for _ in range(max(0, REWARD_MODEL_EPOCHS)):
         out, cache = net.forward(x)
         pred = np.tanh(out[:, 0])
         err = pred - y
         dy = (2.0 / n) * err * (1.0 - pred * pred)
         grads = net.backward(cache, dy[:, None])
-        net = net.step(grads, ce.reward_model_step)
+        net = net.step(grads, REWARD_MODEL_STEP)
     return RewardModel(net)
 
 
@@ -175,16 +182,15 @@ def run_round(state: RoundState, edges, seed: int) -> RoundState:
     Order of events: edge rollouts -> summary texts + trajectories, the
     cloud parsing the texts, reward-model fit on direct feedback, HF
     substitution for withheld episodes, PPO update, then distillation every
-    ``distill_period`` rounds.  Every setting, the cloud's and each edge
-    rollout's, comes from the one config that the edges' stacks hold; edges
-    whose stacks hold unequal configs are refused by id.
+    ``DISTILL_PERIOD`` rounds.  Every setting of each edge rollout, and the
+    salt of each summary, comes from the one config that the edges' stacks
+    hold; edges whose stacks hold unequal configs are refused by id.
     """
     cfg = edges[0].stack.cfg
     odd = [edge.edge_id for edge in edges if edge.stack.cfg != cfg]
     if odd:
         raise ValueError(f"edges {odd} hold a config unequal to that of "
                          f"{edges[0].edge_id!r}; a round serves one config")
-    ce = cfg.cloudedge
     if state.round_index >= state.n_rounds:
         raise ValueError("round budget exhausted")
     # guided exploration anneals to zero so the final rounds are on-policy
@@ -197,13 +203,13 @@ def run_round(state: RoundState, edges, seed: int) -> RoundState:
         edge_rng = np.random.default_rng(
             fnv1a64(f"round:{state.round_index}:{edge.edge_id}:{seed}"))
         pool = edge.traces
-        for k in range(ce.episodes_per_edge):
-            i = (state.round_index * ce.episodes_per_edge + k) % len(pool)
+        for k in range(EPISODES_PER_EDGE):
+            i = (state.round_index * EPISODES_PER_EDGE + k) % len(pool)
             trace = pool[i]
             traj = rollout(edge.policy, trace.scenario, edge.stack,
                            mode="sample", seed=int(edge_rng.integers(2 ** 62)),
                            trace=trace, guide_eps=guide_eps)
-            withheld = edge_rng.random() < ce.hf_withheld_fraction
+            withheld = edge_rng.random() < HF_WITHHELD_FRACTION
             if withheld:
                 traj = replace(traj, hf=None)
             trajectories.append(traj)
@@ -213,7 +219,7 @@ def run_round(state: RoundState, edges, seed: int) -> RoundState:
     states, actions, hfs = aggregate(inbox)
     reward_model = state.reward_model
     if hfs.size:
-        reward_model = fit_reward_model(reward_model, (states, actions, hfs), ce)
+        reward_model = fit_reward_model(reward_model, (states, actions, hfs))
 
     # direct feedback is used verbatim; the model only fills the gaps
     filled = []
@@ -225,11 +231,11 @@ def run_round(state: RoundState, edges, seed: int) -> RoundState:
         else:
             filled.append(traj)
 
-    new_policy = ppo_update(state.cloud_policy, filled, cfg.ppo, cfg.reward)
+    new_policy = ppo_update(state.cloud_policy, filled)
 
-    mean_reward = float(np.mean([t.total_reward(cfg.reward) for t in filled]))
+    mean_reward = float(np.mean([t.total_reward() for t in filled]))
     next_index = state.round_index + 1
-    if next_index % ce.distill_period == 0 or next_index == state.n_rounds:
+    if next_index % DISTILL_PERIOD == 0 or next_index == state.n_rounds:
         for edge in edges:
             edge.policy = new_policy
 
@@ -244,21 +250,20 @@ def run_round(state: RoundState, edges, seed: int) -> RoundState:
 # ---------------------------------------------------------------------------
 
 
-def offline_update(policy: PolicyModel, log, cfg: EngineConfig,
-                   step_size: float = 0.05, temperature: float = 1.0,
-                   max_norm: float = 0.5) -> PolicyModel:
+def offline_update(policy: PolicyModel, log, step_size: float = 0.05,
+                   temperature: float = 1.0, max_norm: float = 0.5) -> PolicyModel:
     """Advantage-weighted, behavior-cloning-style update from a local log.
 
     No new rollouts: each logged action is imitated with weight
-    exp(advantage / temperature), advantages from ``batch_advantages(log,
-    cfg.ppo, cfg.reward)``; the parameter change is max-norm clipped so one
-    offline pass can never jump far from the deployed policy.  The rounds
+    exp(advantage / temperature), advantages from ``batch_advantages(log)``;
+    the parameter change is max-norm clipped so one offline pass can never
+    jump far from the deployed policy.  The rounds
     do not run it; it stays because bench/spans.py rebinds
     ``envswitch.cli.offline_update``.
     """
     if not log:
         raise ValueError("empty trajectory log")
-    adv, _ = batch_advantages(log, cfg.ppo, cfg.reward)
+    adv, _ = batch_advantages(log)
     states = np.concatenate([traj.states for traj in log])
     actions = np.concatenate([traj.actions for traj in log]).astype(int)
     weights_awr = np.minimum(np.exp(adv / temperature), 20.0)

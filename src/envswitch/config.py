@@ -1,25 +1,26 @@
 """Configuration objects and the key-value text config format.
 
 A field holds what a run may vary: the radio propagation model, the
-walker, the threshold+hysteresis baseline, the paper's three reward
-weights, PPO hyperparameters, the cloud-edge round schedule, the library's
-capacity and salt, the buffer length and the matcher's band.  A fixed
-constant lives with the code that reads it instead: the device's sensing
-schedule, the trigger threshold, the shaping weights, the TTS floors, the
-GAE lambda and the policy width in ``policy``; the window length, the WiFi
-staleness budget, the PDR tick rate and the simulated human's feedback
-shape in ``sim``; the selector's coefficient boxes in ``filters``; the
-guide's exploration mix and the summary quantization grid in
-``cloudedge``; the matcher-training constants and the round count in
-``cli``.  The signal ranges
-``RSSI_RANGE_DBM`` and ``FEATURE_RANGES`` are module constants here, as
-the simulator, the features and the policy all read them.  A flat
-``section.key = value`` text file can override any field, e.g.::
+walker, the threshold+hysteresis baseline, the library's capacity and
+salt, the buffer length and the matcher's band.  A fixed constant lives
+with the code that reads it instead: the device's sensing schedule, the
+trigger threshold, the paper's three reward weights, the shaping weights,
+the TTS floors, the PPO hyperparameters, the GAE lambda and the policy
+width in ``policy``; the window length, the WiFi staleness budget, the PDR
+tick rate and the simulated human's feedback shape in ``sim``; the
+selector's coefficient boxes in ``filters``; the guide's exploration mix,
+the summary quantization grid, the round schedule (episodes per edge,
+withheld feedback, distillation period) and the reward model's training
+steps in ``cloudedge``; the matcher-training constants and the round
+count in ``cli``.  The signal ranges ``RSSI_RANGE_DBM`` and
+``FEATURE_RANGES`` are module constants here, as the simulator, the
+features and the policy all read them.  A flat ``section.key = value``
+text file can override any field, e.g.::
 
     # run.cfg
     radio.wall_db = 6.0
     baseline.threshold_dbm = -72
-    reward.eta = 1.0
+    walker.pause_s = 1.0
 
 Lines starting with ``#`` and blank lines are ignored.
 """
@@ -132,49 +133,6 @@ class BaselineConfig:
 
 
 @dataclass
-class RewardConfig:
-    """The paper's three weights of the composite reward
-    R = eta*dtime + lam*sim + gamma_hf*hf."""
-
-    eta: float = 1.0
-    lam: float = 0.5
-    gamma_hf: float = 2.0
-
-    def __post_init__(self):
-        for key in ("eta", "lam", "gamma_hf"):
-            _require("reward", self, key, getattr(self, key) >= 0, ">= 0")
-        if self.eta == self.lam == self.gamma_hf == 0:
-            raise ValueError("config keys 'reward.eta', 'reward.lam' and "
-                             "'reward.gamma_hf' must not all be 0")
-
-
-@dataclass
-class PpoConfig:
-    clip_eps: float = 0.15
-    discount: float = 0.99
-    entropy_coef: float = 0.015
-    value_coef: float = 0.5
-    epochs: int = 6
-    step_size: float = 0.01
-
-    def __post_init__(self):
-        _require("ppo", self, "clip_eps", 0 < self.clip_eps < 1, "in (0, 1)")
-
-
-@dataclass
-class CloudEdgeConfig:
-    distill_period: int = 2
-    episodes_per_edge: int = 10
-    hf_withheld_fraction: float = 0.3   # episodes whose direct feedback is missing
-    reward_model_epochs: int = 40
-    reward_model_step: float = 0.05
-
-    def __post_init__(self):
-        for key in ("distill_period", "episodes_per_edge"):
-            _require("cloudedge", self, key, getattr(self, key) >= 1, "at least 1")
-
-
-@dataclass
 class EngineConfig:
     """Bundle of every sub-config; the single object most entry points take."""
 
@@ -184,9 +142,6 @@ class EngineConfig:
     radio: RadioConfig = field(default_factory=RadioConfig)
     walker: WalkerConfig = field(default_factory=WalkerConfig)
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
-    reward: RewardConfig = field(default_factory=RewardConfig)
-    ppo: PpoConfig = field(default_factory=PpoConfig)
-    cloudedge: CloudEdgeConfig = field(default_factory=CloudEdgeConfig)
 
 
 _SECTIONS = frozenset(f.name for f in dataclasses.fields(EngineConfig))

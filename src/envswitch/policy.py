@@ -19,7 +19,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import alignment
-from .config import EngineConfig, PpoConfig, RewardConfig
+from .config import EngineConfig
 from .filters import context_from_windows
 from .fingerprints import (FEATURE_CENTERS, FEATURE_HALFSPANS, FEATURE_NAMES,
                            MODALITIES, N_FEATURES)
@@ -38,6 +38,11 @@ BOOST_DURATION_S = 10.0
 # fires on it, and the shaped reward penalizes holding on it
 TAU = 0.55
 CONFIDENT_HOLD_PENALTY = 0.3
+# the paper's three weights of the composite reward
+# R = ETA * dtime + LAM * sim + GAMMA_HF * hf
+ETA = 1.0
+LAM = 0.5
+GAMMA_HF = 2.0
 # per-step credit for staying on a still-healthy link (RSSI at or above the
 # baseline threshold); leaving a good link early forfeits it
 HEALTHY_LINK_BONUS = 0.15
@@ -46,6 +51,14 @@ HEALTHY_LINK_BONUS = 0.15
 TTS_REPORT_FLOOR_S = -5.0
 TTS_REWARD_FLOOR_S = -2.0
 GAE_LAMBDA = 0.95
+# PPO: the surrogate's clip, the discount, the entropy and value weights, and
+# the Adam steps per update and their size
+CLIP_EPS = 0.15
+DISCOUNT = 0.99
+ENTROPY_COEF = 0.015
+VALUE_COEF = 0.5
+PPO_EPOCHS = 6
+PPO_STEP_SIZE = 0.01
 POLICY_HIDDEN = 32      # hidden width of the trained policy
 N_ACTIONS = len(ACTIONS)
 STATE_DIM = 7
@@ -272,7 +285,7 @@ class Trajectory:
     byte for byte as a per-second loop would (their step rewards are 0, and
     a sampled policy's actions, log-probs and values come from
     ``act_rows``).  A ``greedy`` episode ends with its handover step.
-    The terminal components (eta * dtime and gamma_hf * hf) attach at
+    The terminal components (ETA * dtime and GAMMA_HF * hf) attach at
     ``terminal_step``, the step where the switch completed (or the last
     step when censored or cut at the handover).
     """
@@ -281,7 +294,7 @@ class Trajectory:
     actions: np.ndarray           # (T,)
     log_probs: np.ndarray
     values: np.ndarray
-    step_rewards: np.ndarray      # per-step lam*sim + shaping
+    step_rewards: np.ndarray      # per-step LAM*sim + shaping
     dtime: float = 0.0
     hf: float | None = None       # None when direct feedback was withheld
     censored: bool = False
@@ -290,31 +303,31 @@ class Trajectory:
     baseline_tts: float = 0.0
     trace_checksum: str = ""
 
-    def rewards_with(self, reward: RewardConfig, hf_value: float) -> np.ndarray:
+    def rewards_with(self, hf_value: float) -> np.ndarray:
         r = self.step_rewards.copy()
-        r[self.terminal_step] += reward.eta * self.dtime + reward.gamma_hf * hf_value
+        r[self.terminal_step] += ETA * self.dtime + GAMMA_HF * hf_value
         return r
 
-    def total_reward(self, reward: RewardConfig) -> float:
+    def total_reward(self) -> float:
         """Summed reward, withheld feedback counting as 0."""
-        return float(self.rewards_with(reward, 0.0 if self.hf is None else self.hf).sum())
+        return float(self.rewards_with(0.0 if self.hf is None else self.hf).sum())
 
 
-def batch_advantages(batch, ppo: PpoConfig, reward: RewardConfig):
-    """Per-episode GAE (``ppo.discount``, ``GAE_LAMBDA``) of the rewards
-    weighted by ``reward``, concatenated and batch-normalized.
+def batch_advantages(batch):
+    """Per-episode GAE (``DISCOUNT``, ``GAE_LAMBDA``) of the composite
+    rewards, concatenated and batch-normalized.
 
     Withheld feedback counts as 0.  Returns (advantages, returns); the
     returns are the unnormalized GAE returns the value head regresses on.
     """
     advantages, returns = [], []
     for traj in batch:
-        rewards = traj.rewards_with(reward, 0.0 if traj.hf is None else traj.hf)
+        rewards = traj.rewards_with(0.0 if traj.hf is None else traj.hf)
         # the per-scenario baseline-TTS term inside dtime is a constant the
         # policy cannot influence; subtracting it is a per-episode reward
         # baseline that leaves the optimum unchanged and de-noises advantages
-        rewards[traj.terminal_step] -= reward.eta * traj.baseline_tts
-        adv, ret = gae_advantages(rewards, traj.values, ppo.discount, GAE_LAMBDA)
+        rewards[traj.terminal_step] -= ETA * traj.baseline_tts
+        adv, ret = gae_advantages(rewards, traj.values, DISCOUNT, GAE_LAMBDA)
         advantages.append(adv)
         returns.append(ret)
     advantages = np.concatenate(advantages)
@@ -324,29 +337,29 @@ def batch_advantages(batch, ppo: PpoConfig, reward: RewardConfig):
     return advantages, np.concatenate(returns)
 
 
-def ppo_update(model: PolicyModel, batch, ppo: PpoConfig,
-               reward: RewardConfig) -> PolicyModel:
-    """Clipped-surrogate PPO over a batch of trajectories, set by ``ppo``.
+def ppo_update(model: PolicyModel, batch) -> PolicyModel:
+    """Clipped-surrogate PPO (``CLIP_EPS``) over a batch of trajectories.
 
-    Advantages come from ``batch_advantages(batch, ppo, reward)``; the value
-    head trains on the GAE returns; an entropy bonus keeps exploration
-    alive.  Returns a new model after ``ppo.epochs`` Adam steps.
+    Advantages come from ``batch_advantages(batch)``; the value head trains
+    on the GAE returns (weight ``VALUE_COEF``); an entropy bonus
+    (``ENTROPY_COEF``) keeps exploration alive.  Returns a new model after
+    ``PPO_EPOCHS`` Adam steps of ``PPO_STEP_SIZE``.
     """
     if not batch:
         raise ValueError("empty trajectory batch")
 
-    advantages, returns = batch_advantages(batch, ppo, reward)
+    advantages, returns = batch_advantages(batch)
     states = np.concatenate([traj.states for traj in batch])
     actions = np.concatenate([traj.actions for traj in batch]).astype(int)
     old_logp = np.concatenate([traj.log_probs for traj in batch])
 
     net = model.net.copy()
-    optimizer = Adam(net, lr=ppo.step_size)
+    optimizer = Adam(net, lr=PPO_STEP_SIZE)
     n = states.shape[0]
     n_actions = model.n_actions
     onehot = np.zeros((n, n_actions))
     onehot[np.arange(n), actions] = 1.0
-    for _ in range(max(0, ppo.epochs)):
+    for _ in range(max(0, PPO_EPOCHS)):
         out, cache = net.forward(states)
         logits, values = out[:, :n_actions], out[:, n_actions]
         probs = softmax(logits)
@@ -355,15 +368,15 @@ def ppo_update(model: PolicyModel, batch, ppo: PpoConfig,
         ratio = np.exp(logp - old_logp)
         raw = ratio * advantages
         # min(r*A, clip(r)*A) only passes gradient where the raw term is active
-        use_raw = clipped_surrogate(ratio, advantages, ppo.clip_eps) == raw
+        use_raw = clipped_surrogate(ratio, advantages, CLIP_EPS) == raw
         coef = np.where(use_raw, raw, 0.0) / n
         dlogits = -coef[:, None] * (onehot - probs)
 
         # entropy bonus: H = -sum p log p; dH/dlogits = -p * (logp + H)
         entropy = -(probs * logp_all).sum(axis=1)
-        dlogits += ppo.entropy_coef / n * (probs * (logp_all + entropy[:, None]))
+        dlogits += ENTROPY_COEF / n * (probs * (logp_all + entropy[:, None]))
 
-        dvalues = ppo.value_coef * 2.0 * (values - returns) / n
+        dvalues = VALUE_COEF * 2.0 * (values - returns) / n
         dy = np.concatenate([dlogits, dvalues[:, None]], axis=1)
         grads = net.backward(cache, dy)
         net = optimizer.step(net, grads)
@@ -469,10 +482,10 @@ class SwitchEnv:
     window and its ``stack.top_similarity``, the state, the shaped step
     reward, the action effects and the terminal outcome.  The scan schedule
     is the device's fixed one (``SCAN_PERIOD_S``, ``BOOSTED_PERIOD_S`` and
-    ``BOOST_DURATION_S``), and so are the shaping (``HEALTHY_LINK_BONUS``,
-    ``TAU`` and ``CONFIDENT_HOLD_PENALTY``) and the TTS floors
-    (``TTS_REPORT_FLOOR_S``, ``TTS_REWARD_FLOOR_S``); the buffer length, the
-    reward weights and the baseline are ``stack.cfg``'s.
+    ``BOOST_DURATION_S``), and so are the reward weight ``LAM``, the shaping
+    (``HEALTHY_LINK_BONUS``, ``TAU`` and ``CONFIDENT_HOLD_PENALTY``) and the
+    TTS floors (``TTS_REPORT_FLOOR_S``, ``TTS_REWARD_FLOOR_S``); the buffer
+    length and the baseline are ``stack.cfg``'s.
 
     A driver alternates ``observe()``, which moves to the next second ``t``
     and returns its ``PolicyState``, and ``step(action)``, which applies one
@@ -480,7 +493,7 @@ class SwitchEnv:
     halves scan-age growth for a while, pre_associate cuts the handover's
     association delay from 2 s to 0.5 s, and handover completes the switch.
     A second before the switch reads one ``fingerprint_at`` window and earns
-    lam * similarity plus shaping (a healthy-link credit, a penalty for
+    LAM * similarity plus shaping (a healthy-link credit, a penalty for
     holding or boosting on a confident match, and one for repeating a
     pre-association); an inert second after it reads none and earns 0,
     whatever the action.  So once switched, a driver may instead call
@@ -578,7 +591,7 @@ class SwitchEnv:
         if self.switched:
             return 0.0
         cfg, sim_top, t = self.cfg, self.sim_history[-1], self.t
-        reward = cfg.reward.lam * sim_top
+        reward = LAM * sim_top
         if self.serving[int(t)] >= cfg.baseline.threshold_dbm:
             reward += HEALTHY_LINK_BONUS
         if action == "handover":

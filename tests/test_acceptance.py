@@ -20,7 +20,7 @@ import pytest
 import envswitch
 from envswitch.alignment import (BandTooNarrowError, MetricModel, dtw,
                                  margin_loss_grads, soft_dtw, train_metric)
-from envswitch.config import EngineConfig, PpoConfig, RewardConfig
+from envswitch.config import EngineConfig
 from envswitch.cloudedge import summarize_trajectory
 from envswitch.fingerprints import MODALITIES
 from envswitch.filters import apply_elp, apply_gaussian, apply_kalman
@@ -209,7 +209,7 @@ def test_criterion_4_metric_learning_sanity():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_5_ppo_correctness():
+def test_criterion_5_ppo_correctness(monkeypatch):
     # exact clip arithmetic
     assert clipped_surrogate(1.5, 2.0, 0.2) == 1.2 * 2.0
     assert clipped_surrogate(0.9, 1.0, 0.2) == 0.9
@@ -232,16 +232,18 @@ def test_criterion_5_ppo_correctness():
                           np.array(values), np.array(rewards),
                           terminal_step=length - 1)
 
+    # the toy runs PPO with its own settings, rebound for this test
+    for name, value in (("CLIP_EPS", 0.2), ("PPO_EPOCHS", 4), ("PPO_STEP_SIZE", 0.08),
+                        ("ENTROPY_COEF", 0.01), ("ETA", 0.0), ("LAM", 1.0),
+                        ("GAMMA_HF", 0.0)):
+        monkeypatch.setattr(envswitch.policy, name, value)
     wins = 0
     for seed in range(10):
         rng = np.random.default_rng(seed)
         model = PolicyModel.from_seed(seed, hidden=16, n_inputs=2, n_actions=2)
         for _ in range(200):
             batch = [toy_episode(model, rng) for _ in range(4)]
-            model = ppo_update(model, batch,
-                               PpoConfig(clip_eps=0.2, epochs=4, step_size=0.08,
-                                         entropy_coef=0.01),
-                               RewardConfig(eta=0.0, lam=1.0, gamma_hf=0.0))
+            model = ppo_update(model, batch)
         ok = all(act(model, np.eye(2)[s], "greedy")[0] == s for s in range(2))
         wins += ok
     report(5, wins >= 9, f"clip unit cases exact; toy environment optimal in {wins}/10 seeds")

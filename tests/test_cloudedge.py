@@ -163,39 +163,39 @@ class TestWireFormats:
 
 
 class TestRewardModel:
-    def test_constant_target_regression(self, rng):
+    def test_constant_target_regression(self, rng, monkeypatch):
         states = rng.normal(0, 1, size=(60, 7))
         actions = rng.integers(0, 4, size=60)
         hfs = np.ones(60)
         model = RewardModel.from_seed(0)
-        ce = dataclasses.replace(CFG.cloudedge, reward_model_epochs=300,
-                                 reward_model_step=0.1)
-        model = fit_reward_model(model, (states, actions, hfs), ce)
+        monkeypatch.setattr(ce, "REWARD_MODEL_EPOCHS", 300)
+        monkeypatch.setattr(ce, "REWARD_MODEL_STEP", 0.1)
+        model = fit_reward_model(model, (states, actions, hfs))
         preds = model.predict(states, actions)
         assert abs(float(preds.mean()) - 1.0) < 0.1
 
-    def test_zero_epochs_unchanged(self, rng):
+    def test_zero_epochs_unchanged(self, rng, monkeypatch):
         model = RewardModel.from_seed(1)
         batch = (rng.normal(0, 1, (5, 7)), rng.integers(0, 4, 5), rng.normal(0, 1, 5))
-        out = fit_reward_model(
-            model, batch, dataclasses.replace(CFG.cloudedge, reward_model_epochs=0))
+        monkeypatch.setattr(ce, "REWARD_MODEL_EPOCHS", 0)
+        out = fit_reward_model(model, batch)
         assert np.array_equal(out.net.to_vector(), model.net.to_vector())
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             fit_reward_model(RewardModel.from_seed(0),
-                             (np.zeros((0, 7)), np.zeros(0, int), np.zeros(0)),
-                             CFG.cloudedge)
+                             (np.zeros((0, 7)), np.zeros(0, int), np.zeros(0)))
 
-    def test_gradient_matches_finite_difference(self, rng):
+    def test_gradient_matches_finite_difference(self, rng, monkeypatch):
         # one-step descent with tiny lr approximates -lr * dL/dtheta
         states = rng.normal(0, 1, size=(12, 7))
         actions = rng.integers(0, 4, size=12)
         hfs = rng.uniform(-1, 1, size=12)
         model = RewardModel.from_seed(2)
         lr = 1e-6
-        stepped = fit_reward_model(model, (states, actions, hfs), dataclasses.replace(
-            CFG.cloudedge, reward_model_epochs=1, reward_model_step=lr))
+        monkeypatch.setattr(ce, "REWARD_MODEL_EPOCHS", 1)
+        monkeypatch.setattr(ce, "REWARD_MODEL_STEP", lr)
+        stepped = fit_reward_model(model, (states, actions, hfs))
         implied_grad = (model.net.to_vector() - stepped.net.to_vector()) / lr
         vec = model.net.to_vector()
         h = 1e-5
@@ -240,11 +240,12 @@ def build_edges(cfg, seed=0, n_scenarios=2):
     return edges
 
 
-def small_cfg(**overrides):
-    cfg = dataclasses.replace(CFG)
-    cfg.cloudedge = dataclasses.replace(
-        CFG.cloudedge, episodes_per_edge=2, reward_model_epochs=5, **overrides)
-    return cfg
+@pytest.fixture
+def small_rounds(monkeypatch):
+    """Rounds of two episodes per edge and a five-step reward-model fit; a
+    test rebinds any other round setting of ``cloudedge`` the same way."""
+    monkeypatch.setattr(ce, "EPISODES_PER_EDGE", 2)
+    monkeypatch.setattr(ce, "REWARD_MODEL_EPOCHS", 5)
 
 
 def initial_state(edges, n_rounds):
@@ -264,9 +265,10 @@ def spy(monkeypatch, name, calls):
     monkeypatch.setattr(ce, name, wrapper)
 
 
+@pytest.mark.usefixtures("small_rounds")
 class TestRunRound:
     def test_rounds_replay_the_stored_traces(self, monkeypatch):
-        edges = build_edges(small_cfg(), n_scenarios=3)
+        edges = build_edges(CFG, n_scenarios=3)
         calls, replayed = [], []
         for module in (sim, ce, cli):
             original = module.generate
@@ -283,17 +285,19 @@ class TestRunRound:
         assert len(replayed) == len(expected)
         assert all(map(operator.is_, replayed, expected))
 
-    def test_distill_period_one_distills_every_round(self):
-        edges = build_edges(small_cfg(distill_period=1))
+    def test_distill_period_one_distills_every_round(self, monkeypatch):
+        monkeypatch.setattr(ce, "DISTILL_PERIOD", 1)
+        edges = build_edges(CFG)
         state = initial_state(edges, 5)
         for _ in range(2):
             state = run_round(state, edges, seed=1)
             assert all(e.policy is state.cloud_policy for e in edges)
 
-    def test_distill_period_three_gates_updates(self):
+    def test_distill_period_three_gates_updates(self, monkeypatch):
         # rounds 1 and 2 keep the edges' policy, round 3 distills, and the
         # last round distills although 4 is not a multiple of the period
-        edges = build_edges(small_cfg(distill_period=3))
+        monkeypatch.setattr(ce, "DISTILL_PERIOD", 3)
+        edges = build_edges(CFG)
         state = initial_state(edges, 4)
         for distills in (False, False, True, True):
             before = [e.policy for e in edges]
@@ -305,7 +309,7 @@ class TestRunRound:
                 assert all(e.policy is not state.cloud_policy for e in edges)
 
     def test_round_budget_exhausted(self):
-        edges = build_edges(small_cfg())
+        edges = build_edges(CFG)
         state = RoundState(2, 2, edges[0].policy, RewardModel.from_seed(0))
         with pytest.raises(ValueError, match="budget"):
             run_round(state, edges, seed=0)
@@ -314,22 +318,23 @@ class TestRunRound:
         rolled = []
         monkeypatch.setattr(ce, "rollout", lambda *a, _r=ce.rollout, **k:
                             rolled.append(1) or _r(*a, **k))
-        edge_a, _ = build_edges(small_cfg())
-        _, edge_c = build_edges(small_cfg(distill_period=3))
+        edge_a, _ = build_edges(CFG)
+        _, edge_c = build_edges(dataclasses.replace(
+            CFG, radio=dataclasses.replace(CFG.radio, wall_db=6.0)))
         edges = [edge_a, edge_c]
         with pytest.raises(ValueError, match="edge-C"):
             run_round(initial_state(edges, 2), edges, seed=1)
         # refused before any edge rolled out
         assert rolled == []
         # equal configs are one config, though they are different objects
-        edges = [edge_a, build_edges(small_cfg())[1]]
+        edges = [edge_a, build_edges(dataclasses.replace(CFG))[1]]
         assert edges[0].stack.cfg is not edges[1].stack.cfg
         assert run_round(initial_state(edges, 2), edges, seed=1).round_index == 1
 
     def test_round_is_deterministic(self):
         results = []
         for _ in range(2):
-            edges = build_edges(small_cfg())
+            edges = build_edges(CFG)
             out = run_round(initial_state(edges, 3), edges, seed=5)
             results.append((out.cloud_policy.net.to_vector(),
                             out.mean_rewards[-1]))
@@ -337,7 +342,8 @@ class TestRunRound:
         assert results[0][1] == results[1][1]
 
     def test_direct_hf_used_verbatim_model_fills_gaps(self, monkeypatch):
-        edges = build_edges(small_cfg(hf_withheld_fraction=0.5))
+        monkeypatch.setattr(ce, "HF_WITHHELD_FRACTION", 0.5)
+        edges = build_edges(CFG)
         ppo_calls = []
         spy(monkeypatch, "ppo_update", ppo_calls)
         run_round(initial_state(edges, 2), edges, seed=3)
@@ -351,14 +357,26 @@ class TestRunRound:
             direct_values.add(round(traj.hf, 6))
         assert len(direct_values) >= 2
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_withheld_fraction_is_read_when_the_round_runs(self, monkeypatch,
+                                                           fraction):
+        monkeypatch.setattr(ce, "HF_WITHHELD_FRACTION", fraction)
+        edges = build_edges(CFG)
+        shipped = []
+        spy(monkeypatch, "summarize_trajectory", shipped)
+        run_round(initial_state(edges, 2), edges, seed=3)
+        assert len(shipped) == 4
+        assert all((traj.hf is None) == (fraction == 1.0)
+                   for (traj, *_), _ in shipped)
+
     def test_inbox_summaries_pass_privacy_check(self, monkeypatch):
-        cfg = small_cfg(hf_withheld_fraction=0.5)
-        edges = build_edges(cfg)
+        monkeypatch.setattr(ce, "HF_WITHHELD_FRACTION", 0.5)
+        edges = build_edges(CFG)
         shipped, parsed = [], []
         spy(monkeypatch, "summarize_trajectory", shipped)
         spy(monkeypatch, "aggregate", parsed)
         run_round(initial_state(edges, 2), edges, seed=3)
-        raw_ids = ([e.edge_id for e in edges] + [cfg.library.salt]
+        raw_ids = ([e.edge_id for e in edges] + [CFG.library.salt]
                    + [b for e in edges for trace in e.traces for b in trace.bssids])
         assert len(shipped) == 4
         # the cloud reads the shipped texts and nothing else
@@ -374,8 +392,8 @@ class TestRunRound:
     def test_reward_model_fits_the_labelled_last_steps(self, monkeypatch):
         # edges ship in descending hash order, so only the canonical sort
         # puts the batch in order
-        cfg = small_cfg(hf_withheld_fraction=0.5)
-        edges = sorted(build_edges(cfg), reverse=True, key=lambda e:
+        monkeypatch.setattr(ce, "HF_WITHHELD_FRACTION", 0.5)
+        edges = sorted(build_edges(CFG), reverse=True, key=lambda e:
                        hash_identifier(e.edge_id, e.stack.cfg.library.salt))
         shipped, fits = [], []
         spy(monkeypatch, "summarize_trajectory", shipped)
@@ -399,12 +417,12 @@ class TestRunRound:
 class TestOfflineUpdate:
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
-            offline_update(PolicyModel.zeros(POLICY_HIDDEN), [], CFG)
+            offline_update(PolicyModel.zeros(POLICY_HIDDEN), [])
 
     def test_bounded_change_and_finite(self, rng):
         policy = PolicyModel.from_seed(5, POLICY_HIDDEN)
         log = [make_trajectory(rng) for _ in range(4)]
-        out = offline_update(policy, log, CFG, step_size=0.5, max_norm=0.5)
+        out = offline_update(policy, log, step_size=0.5, max_norm=0.5)
         delta = out.net.to_vector() - policy.net.to_vector()
         assert np.all(np.isfinite(delta))
         assert float(np.max(np.abs(delta))) <= 0.5 + 1e-12
@@ -441,7 +459,7 @@ class TestOfflineUpdate:
         log = expert_log()
         updated = policy
         for _ in range(10):
-            updated = offline_update(updated, log, CFG, step_size=0.2)
+            updated = offline_update(updated, log, step_size=0.2)
         after = agreement(updated)
         assert after > before
 
@@ -457,6 +475,6 @@ class TestOfflineUpdate:
                              lib, 3, CFG)
         log = [rollout(policy, scenario, stack, mode="sample", seed=s,
                        trace=trace) for s in range(3)]
-        out = offline_update(policy, log, CFG)
+        out = offline_update(policy, log)
         delta = np.max(np.abs(out.net.to_vector() - policy.net.to_vector()))
         assert np.isfinite(delta) and delta <= 0.5 + 1e-12

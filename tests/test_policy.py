@@ -1,13 +1,14 @@
 import dataclasses
 import math
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
 
 from envswitch import alignment, filters, policy as policy_module
 from envswitch.alignment import MetricModel, make_alignment_loss
-from envswitch.config import RSSI_RANGE_DBM, EngineConfig, PpoConfig, RewardConfig
+from envswitch.config import RSSI_RANGE_DBM, EngineConfig
 from envswitch.fingerprints import (FEATURE_DIMS, FEATURE_NAMES, MODALITIES,
                                     FingerprintLibrary, SwitchEvent,
                                     assemble_fingerprint)
@@ -275,10 +276,9 @@ class TestActRows:
 
 class TestCompositeReward:
     def test_weights_validate(self):
-        with pytest.raises(ValueError):
-            RewardConfig(eta=0.0, lam=0.0, gamma_hf=0.0)
-        with pytest.raises(ValueError):
-            RewardConfig(eta=-1.0)
+        # the paper's weights are constants: none negative, not all 0
+        weights = (policy_module.ETA, policy_module.LAM, policy_module.GAMMA_HF)
+        assert min(weights) >= 0.0 and max(weights) > 0.0
 
 
 class TestClippedSurrogate:
@@ -303,11 +303,15 @@ class TestClippedSurrogate:
         assert np.array_equal(batched, [clipped_surrogate(r, a, eps) for r, a
                                         in zip(ratios.tolist(), advs.tolist())])
 
-    def test_ppo_passes_no_gradient_through_the_clipped_term(self):
+    def test_ppo_passes_no_gradient_through_the_clipped_term(self, monkeypatch):
         # one episode whose GAE advantages (discount 0) are its rewards; the
         # old log-probs put every ratio at 2 (advantage > 0) or 0.5
         # (advantage < 0), where the clipped term is the minimum, except the
         # samples in ``inside``, whose ratio is 1
+        for name, value in (("CLIP_EPS", 0.2), ("PPO_EPOCHS", 1),
+                            ("PPO_STEP_SIZE", 0.02), ("DISCOUNT", 0.0),
+                            ("ENTROPY_COEF", 0.0), ("VALUE_COEF", 0.0)):
+            monkeypatch.setattr(policy_module, name, value)
         model = PolicyModel.from_seed(3, POLICY_HIDDEN)
         states = np.random.default_rng(5).normal(0.0, 1.0, (6, 7))
         actions = np.array([0, 1, 2, 3, 1, 0])
@@ -320,9 +324,7 @@ class TestClippedSurrogate:
             batch = [Trajectory(states=states, actions=actions,
                                 log_probs=old_logp, values=np.zeros(6),
                                 step_rewards=rewards, hf=0.0, terminal_step=5)]
-            ppo = PpoConfig(clip_eps=0.2, epochs=1, step_size=0.02,
-                            discount=0.0, entropy_coef=0.0, value_coef=0.0)
-            return ppo_update(model, batch, ppo, RewardConfig()).net.to_vector()
+            return ppo_update(model, batch).net.to_vector()
 
         assert update([]).tobytes() == model.net.to_vector().tobytes()
         # control: one sample inside the clip range moves the parameters
@@ -429,14 +431,13 @@ class TestRollout:
         scenario, trace, stack = build_stack(rng)
         traj = rollout(ScriptedPolicy(lambda t, s: "handover" if t >= 20 else "hold"),
                        scenario, stack, trace=trace)
-        weights = RewardConfig()
-        rewards = traj.rewards_with(weights, hf_value=traj.hf)
+        rewards = traj.rewards_with(hf_value=traj.hf)
         # no pre-association: the switch completes assoc_delay_s after 20 s
         expected_idx = int(round(20 + CFG.baseline.assoc_delay_s)) - 1
         assert traj.terminal_step == expected_idx
         delta = rewards[expected_idx] - traj.step_rewards[expected_idx]
-        assert delta == pytest.approx(weights.eta * traj.dtime
-                                      + weights.gamma_hf * traj.hf)
+        assert delta == pytest.approx(policy_module.ETA * traj.dtime
+                                      + policy_module.GAMMA_HF * traj.hf)
 
 
 class TestSwitchEnv:
@@ -474,9 +475,12 @@ class TestSwitchEnv:
         # a step earns lam * similarity and the healthy-link credit; only
         # holding (or boosting) on a confident match and a repeated
         # pre-association cost more, and no action earns a bonus from TAU
+        # (LAM is read per step, so a rebound weight moves the next reward)
         _, trace, stack = build_stack(rng)
-        lam, threshold = CFG.reward.lam, CFG.baseline.threshold_dbm
-        for sim in (math.nextafter(TAU, 0.0), TAU, 0.9):
+        threshold = CFG.baseline.threshold_dbm
+        for lam, sim in product((policy_module.LAM, 1.0),
+                                (math.nextafter(TAU, 0.0), TAU, 0.9)):
+            monkeypatch.setattr(policy_module, "LAM", lam)
             monkeypatch.setattr(stack, "top_similarity", lambda *args: sim)
             penalty = CONFIDENT_HOLD_PENALTY if sim >= TAU else 0.0
             for healthy in (False, True):
@@ -493,7 +497,7 @@ class TestSwitchEnv:
                         env.serving[int(env.t)] = threshold + (1.0 if healthy else -1.0)
                         reward = env.step(action)
                     assert env.sim_history[-1] == sim
-                    assert reward == want, (sim, healthy, actions)
+                    assert reward == want, (lam, sim, healthy, actions)
 
     def test_unknown_action_is_refused(self, rng):
         _, trace, stack = build_stack(rng, with_library=False)
@@ -930,30 +934,55 @@ class TestPpoUpdate:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            ppo_update(PolicyModel.zeros(POLICY_HIDDEN), [], CFG.ppo, CFG.reward)
+            ppo_update(PolicyModel.zeros(POLICY_HIDDEN), [])
 
     def test_epsilon_range_enforced(self):
-        for eps in (0.0, 1.0):
-            with pytest.raises(ValueError, match="clip_eps"):
-                PpoConfig(clip_eps=eps)
+        # the clip is a constant, so the range it must lie in is checked here
+        assert 0.0 < policy_module.CLIP_EPS < 1.0
 
-    def test_zero_epochs_is_identity(self):
+    def test_zero_epochs_is_identity(self, monkeypatch):
+        monkeypatch.setattr(policy_module, "PPO_EPOCHS", 0)
         model = PolicyModel.from_seed(0, POLICY_HIDDEN, n_inputs=2, n_actions=2)
         batch = [self.toy_episode(model, np.random.default_rng(0))]
-        out = ppo_update(model, batch, PpoConfig(epochs=0), CFG.reward)
+        out = ppo_update(model, batch)
         assert np.array_equal(out.net.to_vector(), model.net.to_vector())
 
-    def test_toy_environment_reaches_optimum(self):
+    @pytest.mark.parametrize("name, value", [
+        ("ETA", 0.0), ("GAMMA_HF", 0.0), ("CLIP_EPS", 0.5), ("DISCOUNT", 0.5),
+        ("ENTROPY_COEF", 0.0), ("VALUE_COEF", 0.0), ("PPO_EPOCHS", 1),
+        ("PPO_STEP_SIZE", 0.02)])
+    def test_rebinding_a_setting_changes_the_next_update(self, monkeypatch,
+                                                          name, value):
+        # each setting is read when the update runs, so a test or a
+        # ``tests/seeds.py --variant`` can rebind it
+        model = PolicyModel.from_seed(3, POLICY_HIDDEN)
+        states = np.random.default_rng(5).normal(0.0, 1.0, (6, 7))
+        actions = np.array([0, 1, 2, 3, 1, 0])
+        rewards = np.array([1.0, -1.0, 2.0, -2.0, 0.5, -0.5])
+        logp = np.log(action_probs(model, states)[np.arange(6), actions])
+        # every ratio starts at 1.2 (advantage > 0) or 1 / 1.2, which the
+        # default clip cuts and a clip of 0.5 does not
+        batch = [Trajectory(states=states, actions=actions,
+                            log_probs=logp - np.sign(rewards) * np.log(1.2),
+                            values=np.full(6, 0.3), step_rewards=rewards,
+                            dtime=1.5, hf=0.5, baseline_tts=-1.0,
+                            terminal_step=5)]
+        before = ppo_update(model, batch).net.to_vector()
+        monkeypatch.setattr(policy_module, name, value)
+        assert not np.array_equal(ppo_update(model, batch).net.to_vector(), before)
+
+    def test_toy_environment_reaches_optimum(self, monkeypatch):
+        for name, value in (("CLIP_EPS", 0.2), ("PPO_EPOCHS", 4),
+                            ("PPO_STEP_SIZE", 0.08), ("ENTROPY_COEF", 0.01),
+                            ("ETA", 0.0), ("LAM", 1.0), ("GAMMA_HF", 0.0)):
+            monkeypatch.setattr(policy_module, name, value)
         wins = 0
         for seed in range(10):
             rng = np.random.default_rng(seed)
             model = PolicyModel.from_seed(seed, hidden=16, n_inputs=2, n_actions=2)
             for _ in range(200):
                 batch = [self.toy_episode(model, rng) for _ in range(4)]
-                model = ppo_update(model, batch,
-                                   PpoConfig(clip_eps=0.2, epochs=4, step_size=0.08,
-                                             entropy_coef=0.01),
-                                   RewardConfig(eta=0.0, lam=1.0, gamma_hf=0.0))
+                model = ppo_update(model, batch)
             ok = True
             for s_idx in range(2):
                 feats = np.array([1.0, 0.0]) if s_idx == 0 else np.array([0.0, 1.0])
